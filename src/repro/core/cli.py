@@ -74,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out", default=None, metavar="FILE",
         help="write a Prometheus-style text snapshot of the run's metrics",
     )
-    parser.add_argument(
-        "--bench-out", default=None, metavar="DIR",
-        help="with --eval perf (or serve): write BENCH_<eval>.json "
-             "trajectory records to this directory",
-    )
     return parser
 
 
@@ -160,38 +155,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if outcome.notes:
             print(outcome.notes)
         outcome_table(outcome).print()
-        if args.bench_out:
-            if evaluation == "perf":
-                from repro.perf.trajectory import write_bench
-
-                for run in outcome.payload.values():
-                    path = write_bench(run.to_record(), args.bench_out)
-                    print(f"bench record written to {path}")
-            elif evaluation == "serve":
-                # the committed baseline is comparable only at the
-                # pinned shape, so the record comes from the canonical
-                # builder, not from the (arbitrarily-swept) outcome
-                from repro.perf.trajectory import write_bench
-                from repro.serve.bench import bench_record
-
-                path = write_bench(
-                    bench_record(seed=bench.config.seed), args.bench_out
-                )
-                print(f"bench record written to {path}")
-            elif evaluation == "dr":
-                # same pinned-shape rule as serve: the record comes
-                # from the canonical builder
-                from repro.dr.bench import bench_record
-                from repro.perf.trajectory import write_bench
-
-                path = write_bench(
-                    bench_record(seed=bench.config.seed), args.bench_out
-                )
-                print(f"bench record written to {path}")
-            else:
-                raise SystemExit(
-                    "--bench-out only applies to --eval perf, serve or dr"
-                )
 
     if args.trace:
         from repro.obs import write_chrome_trace

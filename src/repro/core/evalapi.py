@@ -9,8 +9,7 @@ through the registry; the CLI, the markdown report and the exporters
 consume only outcomes, never per-evaluator result types.
 
 The per-evaluator result objects still exist (they are rich and typed)
-— an outcome carries them in :attr:`EvalOutcome.payload`, which is what
-the legacy ``run_*`` wrappers return for back compatibility.
+— an outcome carries them in :attr:`EvalOutcome.payload`.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ class EvalOutcome:
       decisions, fault injections, ...), possibly empty.
     * ``obs`` — the shared observer's metrics/trace snapshot taken when
       the evaluation finished.
-    * ``payload`` — the evaluator's native result object (the exact
-      value the legacy ``run_*`` method used to return).
+    * ``payload`` — the evaluator's native result object.
     * ``notes`` — free-form preamble text (e.g. the chaos fault plan).
     """
 

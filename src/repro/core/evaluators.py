@@ -5,7 +5,7 @@ Each runner receives the :class:`~repro.core.runner.CloudyBench`
 instance, invokes its cached ``_compute_*`` method, and reshapes the
 native result into the shared outcome form (paper-style table rows,
 flat scores, timeline events).  The native result rides along as
-``payload`` — that is what the legacy ``run_*`` wrappers still return.
+``payload``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,28 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _outcome(bench: "CloudyBench", **kwargs) -> EvalOutcome:
     return EvalOutcome(obs=bench.snapshot(), **kwargs)
+
+
+# Range-checking option parsers: a value the evaluator cannot run with
+# raises ValueError here, which the CLI reports as a usage error naming
+# the option instead of a traceback from deep inside the run.
+
+def _checked(convert, accept, rule):
+    """An option parser: ``convert(value)``, rejected unless ``accept``."""
+
+    def parse(value):
+        number = convert(value)
+        if not accept(number):
+            raise ValueError(f"must be {rule}, got {value!r}")
+        return number
+
+    return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, ">= 1")
+_non_negative_int = _checked(int, lambda n: n >= 0, ">= 0")
+_positive_float = _checked(float, lambda x: x > 0, "> 0")
+_parse_ratio = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 
 
 @evaluator(
@@ -51,7 +73,8 @@ def _throughput(bench: "CloudyBench") -> EvalOutcome:
     title="P-Score (Table V)",
     summary="cost-normalised throughput per architecture",
     options=(
-        EvalOption("n_ro_nodes", int, 1, "read-only nodes charged per SUT"),
+        EvalOption("n_ro_nodes", _non_negative_int, 1,
+                   "read-only nodes charged per SUT"),
     ),
 )
 def _pscore(bench: "CloudyBench", n_ro_nodes: int = 1) -> EvalOutcome:
@@ -234,6 +257,16 @@ def _parse_arrival_opt(value) -> str:
     return spec
 
 
+def _parse_open_arrival_opt(value) -> str:
+    """An arrival spec for the overload sweep, which is open-loop only."""
+    from repro.perf.openloop import parse_arrival
+
+    spec = str(value)
+    if not parse_arrival(spec).is_open:
+        raise ValueError("the overload sweep is open-loop; use poisson or burst")
+    return spec
+
+
 @evaluator(
     "oltp",
     title="Instrumented OLTP run (fault-free)",
@@ -285,7 +318,7 @@ def _oltp(bench: "CloudyBench", arrival=None) -> EvalOutcome:
             "the config's qos_enabled knob)",
         ),
         EvalOption(
-            "arrival", str, None,
+            "arrival", _parse_open_arrival_opt, None,
             "arrival process: poisson (default) | burst[:RATE,N]; RATE is "
             "a multiple of capacity",
         ),
@@ -411,10 +444,10 @@ def _dr(bench: "CloudyBench", archive_mode=None) -> EvalOutcome:
 
 
 def _parse_counts(value) -> list:
-    """Parse a comma-separated shard-count list (``"1,2,4"``)."""
-    if isinstance(value, (list, tuple)):
-        return [int(item) for item in value]
-    return [int(item) for item in str(value).split(",") if item.strip()]
+    """Parse a comma-separated list of positive counts (``"1,2,4"``)."""
+    if not isinstance(value, (list, tuple)):
+        value = [item for item in str(value).split(",") if item.strip()]
+    return [_positive_int(item) for item in value]
 
 
 def _parse_driver(value) -> str:
@@ -441,9 +474,9 @@ def _parse_transport(value) -> str:
     options=(
         EvalOption("shards", _parse_counts, None,
                    "comma-separated shard counts (default: config shard_counts)"),
-        EvalOption("cross", float, None,
+        EvalOption("cross", _parse_ratio, None,
                    "cross-shard transaction ratio in [0, 1]"),
-        EvalOption("txns", int, None, "total transactions per point"),
+        EvalOption("txns", _positive_int, None, "total transactions per point"),
         EvalOption("driver", _parse_driver, None,
                    "'inline' (any cross ratio) or 'mp' (one process per shard)"),
         EvalOption("arrival", _parse_arrival_opt, None,
@@ -466,8 +499,8 @@ def _scaleout_real(
     # "1,2,4" or [1, 2, 4] interchangeably.
     data = bench._compute_scaleout_real(
         shard_counts=None if shards is None else _parse_counts(shards),
-        cross_ratio=None if cross is None else float(cross),
-        transactions=None if txns is None else int(txns),
+        cross_ratio=None if cross is None else _parse_ratio(cross),
+        transactions=None if txns is None else _positive_int(txns),
         driver=None if driver is None else _parse_driver(driver),
         arrival=None if arrival is None else str(arrival),
         transport=None if transport is None else _parse_transport(transport),
@@ -532,11 +565,11 @@ def _parse_persona(value) -> str:
         EvalOption("connections", _parse_counts, None,
                    "comma-separated connection counts "
                    "(default: config serve_connections)"),
-        EvalOption("txns", int, None, "transactions per connection"),
+        EvalOption("txns", _positive_int, None, "transactions per connection"),
         EvalOption("qos", parse_bool, None,
                    "admission queue + deadline shedding on "
                    "(default: config serve_qos)"),
-        EvalOption("workers", int, None,
+        EvalOption("workers", _non_negative_int, None,
                    "SO_REUSEPORT server processes "
                    "(0 = single in-process server, deterministic)"),
         EvalOption("arrival", _parse_arrival_opt, None,
@@ -544,9 +577,9 @@ def _parse_persona(value) -> str:
                    "poisson[:RATE] | burst[:RATE,N]"),
         EvalOption("persona", _parse_persona, None,
                    "load persona: payment | reader | mixed"),
-        EvalOption("rate", float, None,
+        EvalOption("rate", _positive_float, None,
                    "total offered rate for open arrivals (txns/s)"),
-        EvalOption("deadline", float, None,
+        EvalOption("deadline", _positive_float, None,
                    "per-request deadline in seconds (expired work is shed)"),
         EvalOption("knee", parse_bool, False,
                    "also drive a qos-on vs qos-off overload pair past the "
@@ -558,8 +591,8 @@ def _serve(
     workers=None, arrival=None, persona=None, rate=None, deadline=None,
     knee=False,
 ) -> EvalOutcome:
-    txns_opt = None if txns is None else int(txns)
-    workers_opt = None if workers is None else int(workers)
+    txns_opt = None if txns is None else _positive_int(txns)
+    workers_opt = None if workers is None else _non_negative_int(workers)
     persona_opt = None if persona is None else _parse_persona(persona)
     data = bench._compute_serve(
         connections=None if connections is None else _parse_counts(connections),
@@ -568,8 +601,8 @@ def _serve(
         workers=workers_opt,
         arrival=None if arrival is None else str(arrival),
         persona=persona_opt,
-        rate_tps=None if rate is None else float(rate),
-        deadline_s=None if deadline is None else float(deadline),
+        rate_tps=None if rate is None else _positive_float(rate),
+        deadline_s=None if deadline is None else _positive_float(deadline),
     )
 
     def _row(count, result):
@@ -649,13 +682,13 @@ def _parse_workloads(value) -> list:
     "perf",
     title="Perf trajectory (two-stage measured harness)",
     summary="pilot-calibrated measured runs: wall/CPU/RSS, CO-free tail "
-            "latency, subsystem cost breakdown, BENCH_<eval>.json records",
+            "latency, subsystem cost breakdown",
     options=(
         EvalOption("workloads", _parse_workloads, None,
                    "comma-separated perf workloads (default: all)"),
         EvalOption("arrival", _parse_arrival_opt, None,
                    "arrival spec: closed | poisson[:RATE] | burst[:RATE,N]"),
-        EvalOption("txns", int, None,
+        EvalOption("txns", _positive_int, None,
                    "fixed measured iteration count (default: config/pilot)"),
         EvalOption("profile", parse_bool, None,
                    "run the subsystem-profile pass (default: config)"),
@@ -668,7 +701,7 @@ def _perf(
     data = bench._compute_perf(
         workloads=None if workloads is None else _parse_workloads(workloads),
         arrival=None if arrival is None else str(arrival),
-        txns=None if txns is None else int(txns),
+        txns=None if txns is None else _positive_int(txns),
         profile=None if profile is None else parse_bool(profile),
     )
     rows = []
@@ -716,7 +749,8 @@ def _perf(
     title="Overall performance (Table IX)",
     summary="the unified PERFECT score card",
     options=(
-        EvalOption("duration_s", float, 300.0, "billing window in seconds"),
+        EvalOption("duration_s", _positive_float, 300.0,
+                   "billing window in seconds"),
     ),
 )
 def _overall(bench: "CloudyBench", duration_s: float = 300.0) -> EvalOutcome:

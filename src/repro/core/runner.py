@@ -7,7 +7,6 @@ benchmark in ``benchmarks/`` is a thin wrapper over one method here.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -40,20 +39,6 @@ from repro.qos.overload import OverloadEvaluator, OverloadResult
 
 #: key of one throughput measurement: (arch, scale factor, mode, concurrency)
 ThroughputKey = Tuple[str, int, str, int]
-
-
-def _deprecated(wrapper: str, replacement: str) -> None:
-    """Warn once per call site that a legacy ``run_*`` wrapper ran.
-
-    ``stacklevel=3`` points the warning at the *caller* of the wrapper
-    (helper -> wrapper -> caller), which is the line that needs the
-    migration.
-    """
-    warnings.warn(
-        f"CloudyBench.{wrapper}() is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -122,7 +107,7 @@ class CloudyBench:
         (:func:`repro.core.evalapi.evaluator_names`); ``opts`` are
         validated against the evaluator's declared option schema.
         Results are cached per underlying computation, so repeated runs
-        (and the legacy ``run_*`` wrappers) return identical payloads.
+        return identical payloads.
         """
         spec = get_evaluator(eval_name)
         return spec.runner(self, **spec.validate(opts))
@@ -144,11 +129,6 @@ class CloudyBench:
         )
 
     # -- throughput (Figure 5) -----------------------------------------------------
-
-    def run_throughput(self) -> Dict[ThroughputKey, float]:
-        """Deprecated: use ``run("throughput").payload``."""
-        _deprecated("run_throughput", 'run("throughput").payload')
-        return self.run("throughput").payload
 
     def _compute_throughput(self) -> Dict[ThroughputKey, float]:
         if self._throughput is not None:
@@ -174,11 +154,6 @@ class CloudyBench:
         return sum(values) / len(values) if values else 0.0
 
     # -- P-Score (Table V) ------------------------------------------------------------
-
-    def run_pscore(self, n_ro_nodes: int = 1) -> List[PScoreRow]:
-        """Deprecated: use ``run("pscore", n_ro_nodes=...).payload``."""
-        _deprecated("run_pscore", 'run("pscore", n_ro_nodes=...).payload')
-        return self.run("pscore", n_ro_nodes=n_ro_nodes).payload
 
     def _compute_pscore(self, n_ro_nodes: int = 1) -> List[PScoreRow]:
         """Table V rows.
@@ -234,11 +209,6 @@ class CloudyBench:
 
     # -- elasticity (Figure 6, Table VI) --------------------------------------------------
 
-    def run_elasticity(self) -> Dict[str, Dict[str, Dict[str, ElasticityResult]]]:
-        """Deprecated: use ``run("elasticity").payload``."""
-        _deprecated("run_elasticity", 'run("elasticity").payload')
-        return self.run("elasticity").payload
-
     def _compute_elasticity(
         self,
     ) -> Dict[str, Dict[str, Dict[str, ElasticityResult]]]:
@@ -288,11 +258,6 @@ class CloudyBench:
             low = low or min(saturations)
         return high, low
 
-    def run_multitenancy(self) -> Dict[str, Dict[str, TenancyResult]]:
-        """Deprecated: use ``run("multitenancy").payload``."""
-        _deprecated("run_multitenancy", 'run("multitenancy").payload')
-        return self.run("multitenancy").payload
-
     def _compute_multitenancy(self) -> Dict[str, Dict[str, TenancyResult]]:
         if self._tenancy is not None:
             return self._tenancy
@@ -313,11 +278,6 @@ class CloudyBench:
         return results
 
     # -- fail-over (Table VIII, Figure 7) ------------------------------------------------------
-
-    def run_failover(self) -> Dict[str, FailoverScores]:
-        """Deprecated: use ``run("failover").payload``."""
-        _deprecated("run_failover", 'run("failover").payload')
-        return self.run("failover").payload
 
     def _compute_failover(self) -> Dict[str, FailoverScores]:
         if self._failover is not None:
@@ -357,11 +317,6 @@ class CloudyBench:
             name="bench",
         )
 
-    def run_chaos(self) -> Dict[str, AScore]:
-        """Deprecated: use ``run("chaos").payload``."""
-        _deprecated("run_chaos", 'run("chaos").payload')
-        return self.run("chaos").payload
-
     def _compute_chaos(self) -> Dict[str, AScore]:
         if self._chaos is not None:
             return self._chaos
@@ -382,11 +337,6 @@ class CloudyBench:
         return results
 
     # -- instrumented OLTP run (observability timeline) -------------------------
-
-    def run_oltp(self) -> Dict[str, AScore]:
-        """Deprecated: use ``run("oltp").payload``."""
-        _deprecated("run_oltp", 'run("oltp").payload')
-        return self.run("oltp").payload
 
     def _compute_oltp(self, arrival: Optional[str] = None) -> Dict[str, AScore]:
         """A fault-free end-to-end run that exercises every layer.
@@ -420,22 +370,9 @@ class CloudyBench:
 
     # -- replication lag (Section III-F) ----------------------------------------------------------
 
-    def run_lagtime(
-        self, patterns: Optional[Dict[str, TransactionMix]] = None
-    ) -> Dict[str, Dict[str, LagResult]]:
-        """Deprecated: use ``run("lagtime").payload`` (custom ``patterns``
-        still go through this wrapper; they bypass the cache)."""
-        _deprecated("run_lagtime", 'run("lagtime").payload')
-        if patterns is not None:
-            return self._compute_lagtime(patterns)
-        return self.run("lagtime").payload
-
-    def _compute_lagtime(
-        self, patterns: Optional[Dict[str, TransactionMix]] = None
-    ) -> Dict[str, Dict[str, LagResult]]:
-        if self._lag is not None and patterns is None:
+    def _compute_lagtime(self) -> Dict[str, Dict[str, LagResult]]:
+        if self._lag is not None:
             return self._lag
-        chosen = patterns or LAG_PATTERNS
         results: Dict[str, Dict[str, LagResult]] = {}
         for arch in self.architectures:
             evaluator = LagTimeEvaluator(
@@ -448,9 +385,8 @@ class CloudyBench:
                 seed=self.config.seed,
                 isolation=self.config.isolation_level(),
             )
-            results[arch.name] = evaluator.run_patterns(chosen)
-        if patterns is None:
-            self._lag = results
+            results[arch.name] = evaluator.run_patterns(LAG_PATTERNS)
+        self._lag = results
         return results
 
     # -- overload / graceful degradation (qos) -----------------------------------
@@ -703,11 +639,6 @@ class CloudyBench:
         return runs
 
     # -- the unified metric (Table IX) -----------------------------------------
-
-    def overall(self, duration_s: float = 300.0) -> Dict[str, PerfectScores]:
-        """Deprecated: use ``run("overall", duration_s=...).payload``."""
-        _deprecated("overall", 'run("overall", duration_s=...).payload')
-        return self.run("overall", duration_s=duration_s).payload
 
     def _compute_overall(self, duration_s: float = 300.0) -> Dict[str, PerfectScores]:
         """Compute all seven scores plus O-Score for every SUT."""

@@ -26,7 +26,7 @@ from marshal import dumps as _marshal_dumps
 from zlib import crc32 as _crc32
 
 from repro.engine.errors import SimulatedCrash, WalCorruptionError
-from repro.engine.walcodec import _FOLDABLE, _fold, legacy_payload_crc, payload_crc
+from repro.engine.walcodec import _FOLDABLE, _fold, payload_crc
 from repro.obs import NULL_OBSERVER, Observer
 
 
@@ -103,22 +103,6 @@ def record_crc(
     )
 
 
-def legacy_record_crc(
-    lsn: int,
-    txn_id: int,
-    kind: LogKind,
-    table: Optional[str],
-    key: Any,
-    before: Optional[Tuple[Any, ...]],
-    after: Optional[Tuple[Any, ...]],
-    prev_lsn: int,
-) -> int:
-    """The pre-codec ``repr`` checksum (wire format v1)."""
-    return legacy_payload_crc(
-        lsn, txn_id, kind.value, table, key, before, after, prev_lsn
-    )
-
-
 @dataclass(slots=True)
 class LogRecord:
     """One WAL entry.
@@ -154,19 +138,8 @@ class LogRecord:
 
     @property
     def is_intact(self) -> bool:
-        """Does the stored checksum match the payload?
-
-        Records stamped before the binary codec carry the legacy
-        ``repr`` CRC; they verify through the fallback so old archives
-        and shipped streams stay readable.
-        """
-        crc = self.crc
-        if crc == self.expected_crc():
-            return True
-        return crc == legacy_payload_crc(
-            self.lsn, self.txn_id, self.kind.value, self.table,
-            self.key, self.before, self.after, self.prev_lsn,
-        )
+        """Does the stored checksum match the payload?"""
+        return self.crc == self.expected_crc()
 
     def byte_size(self) -> int:
         """Nominal record size used by the replication bandwidth model."""

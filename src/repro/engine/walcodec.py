@@ -17,11 +17,8 @@ Two encodings live here, with deliberately different goals:
 
 * :func:`encode_record` / :func:`decode_record` -- the **wire**
   format, which is full-fidelity (tuple stays tuple, int stays int)
-  and versioned.  Version 1 is the legacy ``repr`` encoding kept as a
-  fallback decoder so archives written before the codec change stay
-  readable; version 2 is the struct-packed binary format this module
-  owns.  The bakeoff benchmark (``benchmarks/bench_wal_codec.py``)
-  measures both against a JSON codec.
+  and versioned: version 2 is the struct-packed binary format this
+  module owns.
 
 Wire format v2::
 
@@ -42,7 +39,6 @@ True/False, ``i<decimal>;`` int, ``F``+8B big-endian double,
 
 from __future__ import annotations
 
-import ast
 import marshal
 import struct
 import zlib
@@ -50,18 +46,14 @@ from typing import Any, List, Tuple
 
 __all__ = [
     "CODEC_VERSION",
-    "LEGACY_VERSION",
     "payload_crc",
-    "legacy_payload_crc",
     "canonical_payload",
     "encode_record",
     "decode_record",
-    "encode_record_legacy",
     "records_equivalent",
 ]
 
 CODEC_VERSION = 2
-LEGACY_VERSION = 1
 
 _pack_double = struct.Struct(">d").pack
 _unpack_double = struct.Struct(">d").unpack_from
@@ -178,22 +170,6 @@ def payload_crc(
     ))
 
 
-def legacy_payload_crc(
-    lsn: int,
-    txn_id: int,
-    kind_value: str,
-    table: Any,
-    key: Any,
-    before: Any,
-    after: Any,
-    prev_lsn: int,
-) -> int:
-    """The pre-codec ``repr`` checksum, kept so records stamped before
-    the binary codec (and archives restored from them) still verify."""
-    payload = repr((lsn, txn_id, kind_value, table, key, before, after, prev_lsn))
-    return zlib.crc32(payload.encode("utf-8"))
-
-
 # -- wire format v2 (type-preserving) -----------------------------------------
 
 def _encode_value(out: bytearray, value: Any, _type=type) -> None:
@@ -278,22 +254,8 @@ def encode_record(record: Any) -> bytes:
     return bytes(out)
 
 
-def encode_record_legacy(record: Any) -> bytes:
-    """Encode in the v1 (``repr``) format -- the pre-codec on-disk form."""
-    payload = repr((
-        record.lsn, record.txn_id, record.kind.value, record.table,
-        record.key, record.before, record.after, record.prev_lsn, record.crc,
-    ))
-    return bytes((LEGACY_VERSION,)) + payload.encode("utf-8")
-
-
 def decode_record(data: bytes) -> Any:
-    """Decode either wire version back into a ``LogRecord``.
-
-    Version 1 (legacy ``repr``) frames decode through
-    ``ast.literal_eval`` -- slow, but they only appear when reading
-    archives written before the binary codec.
-    """
+    """Decode a wire format v2 frame back into a ``LogRecord``."""
     from repro.engine.wal import LogKind, LogRecord  # local: avoid cycle
 
     if not data:
@@ -314,13 +276,6 @@ def decode_record(data: bytes) -> Any:
         return LogRecord(
             lsn=lsn, txn_id=txn_id, kind=kind, table=table, key=key,
             before=before, after=after, prev_lsn=prev_lsn, crc=crc,
-        )
-    if version == LEGACY_VERSION:
-        fields = ast.literal_eval(data[1:].decode("utf-8"))
-        lsn, txn_id, kind_value, table, key, before, after, prev_lsn, crc = fields
-        return LogRecord(
-            lsn=lsn, txn_id=txn_id, kind=LogKind(kind_value), table=table,
-            key=key, before=before, after=after, prev_lsn=prev_lsn, crc=crc,
         )
     raise ValueError(f"unknown record codec version {version}")
 

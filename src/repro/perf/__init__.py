@@ -1,6 +1,6 @@
 """``repro.perf``: the performance-observability subsystem.
 
-Four layers, built on :mod:`repro.obs`:
+Three layers, built on :mod:`repro.obs`:
 
 * :mod:`repro.perf.openloop` -- coordinated-omission-free load
   generation: Poisson/burst arrival schedules per client class, with
@@ -12,9 +12,9 @@ Four layers, built on :mod:`repro.obs`:
   run calibrates iteration count and target rate, a measured run
   records wall/CPU/RSS and tail percentiles, an optional profile pass
   produces the subsystem cost breakdown.
-* :mod:`repro.perf.trajectory` / :mod:`repro.perf.compare` -- the
-  canonical ``BENCH_<eval>.json`` schema, baseline files, and the
-  regression comparator CI gates on.
+
+Comparing commits is not done here: ``bench/`` (see ``bench/README.md``)
+is the repo's one benchmark.
 """
 
 from repro.perf.harness import MeasuredRun, TwoStageHarness, perf_workload_names
@@ -29,32 +29,20 @@ from repro.perf.openloop import (
     run_open_loop,
 )
 from repro.perf.profiler import SUBSYSTEMS, ClockSampler, SubsystemProfiler
-from repro.perf.trajectory import (
-    BENCH_SCHEMA,
-    TrajectoryRecord,
-    bench_filename,
-    validate_bench,
-    write_bench,
-)
 
 __all__ = [
     "ArrivalSpec",
-    "BENCH_SCHEMA",
     "ClockSampler",
     "MeasuredRun",
     "OpenLoopResult",
     "SUBSYSTEMS",
     "SubsystemProfiler",
-    "TrajectoryRecord",
     "TwoStageHarness",
     "arrival_offsets",
     "arrival_offsets_window",
-    "bench_filename",
     "parse_arrival",
     "perf_workload_names",
     "replay_open_loop",
     "run_closed_loop",
     "run_open_loop",
-    "validate_bench",
-    "write_bench",
 ]

@@ -22,8 +22,8 @@ Seeding discipline (the whole point of the named streams):
 
 so a faster machine (different pilot length) or a different arrival
 spec still measures the byte-identical statement sequence, which is
-what lets the comparator treat committed/aborted/fsync counts as
-exact, machine-independent values.
+what makes committed/aborted/fsync counts exact, machine-independent
+values.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ from repro.perf.openloop import (
     run_open_loop,
 )
 from repro.perf.profiler import SubsystemProfiler
-from repro.perf.trajectory import (
-    TrajectoryRecord,
-    env_fingerprint,
-    workload_fingerprint,
-)
 from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -67,9 +62,8 @@ MAX_TXNS = 50_000
 def peak_rss_kb() -> float:
     """Process peak RSS in KiB (``ru_maxrss``; 0.0 where unsupported).
 
-    A high-water mark over the whole process lifetime -- comparable
-    between BENCH files produced by the same entry point, and
-    deliberately *not* gated by the comparator.
+    A high-water mark over the whole process lifetime, so comparable
+    only between runs of the same entry point.
     """
     try:
         import resource
@@ -93,7 +87,7 @@ def _quantise(value: int) -> int:
 
 @dataclass
 class PerfWorkload:
-    """A measurable workload: a factory plus its fingerprint params.
+    """A measurable workload: a factory plus its identifying params.
 
     ``build(stage_seed)`` returns ``(run_one, counters)`` where
     ``run_one()`` executes one transaction (returning ``False`` on a
@@ -132,77 +126,11 @@ class MeasuredRun:
     openloop: Optional[OpenLoopResult] = None
     # profile pass
     profile: Optional[SubsystemProfiler] = None
-    spin_s: float = 0.0
     extra_counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def tps(self) -> float:
         return self.committed / self.wall_s if self.wall_s > 0 else 0.0
-
-    def to_record(self) -> TrajectoryRecord:
-        params = {
-            "name": self.workload,
-            "seed": self.seed,
-            "arrival": self.arrival.describe(),
-            **self.params,
-        }
-        metrics: Dict[str, Any] = {
-            "txns": self.txns,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "fsyncs": self.fsyncs,
-            "wall_s": round(self.wall_s, 6),
-            "cpu_s": round(self.cpu_s, 6),
-            "peak_rss_kb": round(self.peak_rss_kb, 1),
-            "tps": round(self.tps, 3),
-            "latency_ms": {
-                key: round(value, 4)
-                for key, value in self.service.latency_summary_ms().items()
-            },
-            "openloop_latency_ms": (
-                {
-                    key: round(value, 4)
-                    for key, value in self.openloop.latency_summary_ms().items()
-                }
-                if self.openloop is not None
-                else None
-            ),
-        }
-        if self.extra_counters:
-            metrics["counters"] = dict(self.extra_counters)
-        subsystems: Dict[str, Any] = {}
-        if self.profile is not None:
-            subsystems = {
-                "wall_s": round(self.profile.wall_s, 6),
-                "coverage": round(self.profile.coverage, 4),
-                "seconds": {
-                    name: round(value, 6)
-                    for name, value in self.profile.breakdown().items()
-                },
-                "shares": {
-                    name: round(value, 4)
-                    for name, value in self.profile.shares().items()
-                },
-            }
-        return TrajectoryRecord(
-            eval_name=self.workload,
-            workload={
-                "name": self.workload,
-                "seed": self.seed,
-                "arrival": self.arrival.describe(),
-                "params": params,
-                "fingerprint": workload_fingerprint(params),
-            },
-            env=env_fingerprint(spin_s=self.spin_s),
-            pilot={
-                "txns": self.pilot_txns,
-                "wall_s": round(self.pilot_wall_s, 6),
-                "rate_tps": round(self.pilot_rate_tps, 3),
-                "target_rate_tps": round(self.target_rate_tps, 3),
-            },
-            metrics=metrics,
-            subsystems=subsystems,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +185,12 @@ def perf_workload_names() -> Tuple[str, ...]:
 
 
 class TwoStageHarness:
-    """Pilot -> measured -> profile, producing one trajectory record.
+    """Pilot -> measured -> profile, producing one :class:`MeasuredRun`.
 
     ``txns=None`` lets the pilot calibrate the measured iteration
     count to roughly ``target_s`` seconds of work; a fixed ``txns``
-    (what ``--quick`` and the CI gate use) makes the deterministic
-    counters byte-comparable across machines.
+    (what ``--quick`` uses) makes the deterministic counters
+    byte-comparable across machines.
     """
 
     def __init__(
@@ -296,7 +224,6 @@ class TwoStageHarness:
         self.profile = profile
         self.shard_cross_ratio = shard_cross_ratio
         self.observer = observer
-        self._spin_s: Optional[float] = None
 
     # -- workload construction ----------------------------------------------
 
@@ -402,11 +329,6 @@ class TwoStageHarness:
             if observer is not None:
                 profiler.emit(observer)
 
-        if self._spin_s is None:
-            from repro.perf.trajectory import calibration_spin
-
-            self._spin_s = calibration_spin()
-
         extra = {
             key: value for key, value in counts.items()
             if key not in ("committed", "aborted", "fsyncs")
@@ -430,6 +352,5 @@ class TwoStageHarness:
             service=service,
             openloop=openloop,
             profile=profiler,
-            spin_s=self._spin_s,
             extra_counters=extra,
         )

@@ -243,7 +243,7 @@ class OpenLoopResult:
         return self.histogram.percentile(pct) * 1000.0
 
     def latency_summary_ms(self) -> Dict[str, float]:
-        """The p50/p95/p99/p999 block every BENCH file reports."""
+        """The p50/p95/p99/p999 block every perf table reports."""
         if not self.histogram.count:
             return {}
         return {
@@ -258,7 +258,7 @@ class OpenLoopResult:
 
         For an open-loop run the primary histogram holds CO-free sojourn
         times; the service view exposes the raw per-operation durations
-        under the same interface, so a BENCH file can report both.
+        under the same interface, so one run can report both.
         """
         if self.mode == "closed":
             return self

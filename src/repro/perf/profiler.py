@@ -4,8 +4,7 @@ Attribution is by *engine subsystem*, not by function: every frame
 maps through :data:`SUBSYSTEM_MODULES` onto one of
 :data:`SUBSYSTEMS` (parser/planner, executor, locks, buffer, WAL,
 MVCC, 2PC, or ``other``), so the output is a handful of numbers a
-trajectory file can carry and a regression gate can diff -- not a
-40-thousand-row pprof dump.
+table can carry -- not a 40-thousand-row pprof dump.
 
 Two drivers, one attribution table:
 

@@ -1,59 +1,17 @@
-"""The ``BENCH_<eval>.json`` trajectory schema.
+"""The calibration spin: a fixed pure-Python loop timed on this host.
 
-One file per measured workload, committed to the repository, so the
-repo's performance over time is a diffable sequence of small JSON
-documents instead of folklore.  The schema is deliberately flat and
-small:
-
-* ``workload`` -- what ran: name, parameters, seed, arrival process,
-  and a fingerprint (SHA-256 over the canonical parameter encoding).
-  Two runs are *comparable* iff their fingerprints match; the
-  comparator refuses to diff apples against oranges.
-* ``env`` -- where it ran: interpreter, platform, CPU count, and a
-  **calibration spin** -- the wall seconds of a fixed pure-Python loop.
-  The spin measures the host's single-thread Python speed, so the
-  comparator can normalise wall-clock metrics across machines instead
-  of gating CI on the runner lottery.
-* ``pilot`` -- what stage one decided: observed rate, calibrated
-  iteration count, target arrival rate.
-* ``metrics`` -- what stage two measured: deterministic counters
-  (committed/aborted/fsyncs -- exact, machine-independent), wall/CPU
-  seconds, peak RSS, throughput, and the p50/p95/p99/p999 latency
-  block (closed-loop service and, for open arrivals, CO-free sojourn).
-* ``subsystems`` -- the profiler's cost breakdown with its coverage.
-
-:func:`validate_bench` is the structural gate CI runs on every emitted
-file; it returns a list of human-readable problems (empty = valid).
+``bench/run.py`` imports :func:`calibration_spin` from this path and
+records it beside every run as a coarse host-speed reading.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import platform
-import sys
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import List
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "TrajectoryRecord",
-    "bench_filename",
-    "calibration_spin",
-    "env_fingerprint",
-    "validate_bench",
-    "workload_fingerprint",
-    "write_bench",
-]
+__all__ = ["calibration_spin"]
 
-#: schema identifier carried (and checked) in every BENCH file
-BENCH_SCHEMA = "cloudybench.bench/1"
-
-#: iterations of the calibration spin (fixed forever: changing it
-#: invalidates every committed baseline's normalisation)
+#: default iteration count of the spin
 _SPIN_ITERATIONS = 200_000
 
 
@@ -61,10 +19,8 @@ def calibration_spin(iterations: int = _SPIN_ITERATIONS) -> float:
     """Wall seconds of a fixed pure-Python loop on this host.
 
     The loop shape (integer arithmetic + a list append per iteration)
-    roughly matches the engine's own byte-shuffling, so the ratio of
-    two hosts' spins predicts the ratio of their engine throughput well
-    enough for a wide regression band.  Best-of-three to shrug off a
-    noisy neighbour.
+    roughly matches the engine's own byte-shuffling.  Best-of-three to
+    shrug off a noisy neighbour.
     """
     best = float("inf")
     for _ in range(3):
@@ -80,195 +36,3 @@ def calibration_spin(iterations: int = _SPIN_ITERATIONS) -> float:
         if elapsed < best:
             best = elapsed
     return best
-
-
-def workload_fingerprint(params: Dict[str, Any]) -> str:
-    """SHA-256 over the canonical JSON encoding of the parameters."""
-    canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def env_fingerprint(spin_s: Optional[float] = None) -> Dict[str, Any]:
-    """The environment block of a BENCH file."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": sys.platform,
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count() or 1,
-        "spin_s": calibration_spin() if spin_s is None else spin_s,
-    }
-
-
-@dataclass
-class TrajectoryRecord:
-    """One measured run in trajectory form (what a BENCH file holds)."""
-
-    eval_name: str
-    workload: Dict[str, Any]
-    env: Dict[str, Any]
-    pilot: Dict[str, Any]
-    metrics: Dict[str, Any]
-    subsystems: Dict[str, Any] = field(default_factory=dict)
-
-    def to_doc(self) -> Dict[str, Any]:
-        return {
-            "schema": BENCH_SCHEMA,
-            "eval": self.eval_name,
-            "workload": self.workload,
-            "env": self.env,
-            "pilot": self.pilot,
-            "metrics": self.metrics,
-            "subsystems": self.subsystems,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, Any]) -> "TrajectoryRecord":
-        problems = validate_bench(doc)
-        if problems:
-            raise ValueError(
-                "invalid BENCH document: " + "; ".join(problems)
-            )
-        return cls(
-            eval_name=doc["eval"],
-            workload=doc["workload"],
-            env=doc["env"],
-            pilot=doc["pilot"],
-            metrics=doc["metrics"],
-            subsystems=doc.get("subsystems", {}),
-        )
-
-    @property
-    def fingerprint(self) -> str:
-        return self.workload["fingerprint"]
-
-
-def bench_filename(eval_name: str) -> str:
-    """Canonical file name: ``BENCH_<eval>.json``."""
-    safe = eval_name.replace("-", "_")
-    return f"BENCH_{safe}.json"
-
-
-def write_bench(record: TrajectoryRecord, directory: Path | str) -> Path:
-    """Write the record under its canonical name; returns the path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / bench_filename(record.eval_name)
-    with open(path, "w") as handle:
-        json.dump(record.to_doc(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-#: (path, type) pairs every document must carry
-_REQUIRED: List[tuple] = [
-    (("schema",), str),
-    (("eval",), str),
-    (("workload",), dict),
-    (("workload", "name"), str),
-    (("workload", "seed"), int),
-    (("workload", "arrival"), str),
-    (("workload", "params"), dict),
-    (("workload", "fingerprint"), str),
-    (("env",), dict),
-    (("env", "python"), str),
-    (("env", "platform"), str),
-    (("env", "cpu_count"), int),
-    (("env", "spin_s"), (int, float)),
-    (("pilot",), dict),
-    (("pilot", "txns"), int),
-    (("pilot", "rate_tps"), (int, float)),
-    (("metrics",), dict),
-    (("metrics", "txns"), int),
-    (("metrics", "committed"), int),
-    (("metrics", "aborted"), int),
-    (("metrics", "fsyncs"), int),
-    (("metrics", "wall_s"), (int, float)),
-    (("metrics", "cpu_s"), (int, float)),
-    (("metrics", "peak_rss_kb"), (int, float)),
-    (("metrics", "tps"), (int, float)),
-    (("metrics", "latency_ms"), dict),
-]
-
-#: required percentile keys of every latency block
-_PERCENTILES = ("p50", "p95", "p99", "p999")
-
-
-def _get(doc: Dict[str, Any], path: tuple) -> Any:
-    node: Any = doc
-    for key in path:
-        if not isinstance(node, dict) or key not in node:
-            return None
-        node = node[key]
-    return node
-
-
-def validate_bench(doc: Any) -> List[str]:
-    """Structural validation; returns problems (empty list = valid)."""
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    problems: List[str] = []
-    schema = doc.get("schema")
-    if schema != BENCH_SCHEMA:
-        problems.append(
-            f"schema is {schema!r}, expected {BENCH_SCHEMA!r}"
-        )
-    for path, expected in _REQUIRED:
-        value = _get(doc, path)
-        dotted = ".".join(path)
-        if value is None:
-            problems.append(f"missing {dotted}")
-        elif not isinstance(value, expected) or isinstance(value, bool):
-            problems.append(
-                f"{dotted} has type {type(value).__name__}, "
-                f"expected {getattr(expected, '__name__', expected)}"
-            )
-    workload = doc.get("workload")
-    if isinstance(workload, dict) and isinstance(
-        workload.get("fingerprint"), str
-    ):
-        params = workload.get("params")
-        if isinstance(params, dict):
-            expected_fp = workload_fingerprint(params)
-            if workload["fingerprint"] != expected_fp:
-                problems.append(
-                    "workload.fingerprint does not match workload.params"
-                )
-    metrics = doc.get("metrics")
-    if isinstance(metrics, dict):
-        latency = metrics.get("latency_ms")
-        if isinstance(latency, dict):
-            for pct in _PERCENTILES:
-                if not isinstance(latency.get(pct), (int, float)):
-                    problems.append(f"metrics.latency_ms.{pct} missing")
-            values = [latency.get(p) for p in _PERCENTILES
-                      if isinstance(latency.get(p), (int, float))]
-            if values != sorted(values):
-                problems.append("latency percentiles are not monotone")
-        openloop = metrics.get("openloop_latency_ms")
-        if openloop is not None and not isinstance(openloop, dict):
-            problems.append("metrics.openloop_latency_ms must be an object")
-        if isinstance(metrics.get("txns"), int) and metrics["txns"] < 1:
-            problems.append("metrics.txns must be >= 1")
-    subsystems = doc.get("subsystems")
-    if subsystems:
-        if not isinstance(subsystems, dict):
-            problems.append("subsystems must be an object")
-        else:
-            for key in ("wall_s", "coverage", "seconds", "shares"):
-                if key not in subsystems:
-                    problems.append(f"missing subsystems.{key}")
-            coverage = subsystems.get("coverage")
-            if isinstance(coverage, (int, float)) and not 0 <= coverage <= 1:
-                problems.append("subsystems.coverage must be in [0, 1]")
-            seconds = subsystems.get("seconds")
-            if isinstance(seconds, dict) and any(
-                not isinstance(v, (int, float)) or v < 0
-                for v in seconds.values()
-            ):
-                problems.append("subsystems.seconds must be >= 0 numbers")
-    return problems

@@ -1,9 +1,9 @@
 """Top-level serve drivers: boot a server, drive load, report.
 
-:func:`run_serve` is what the ``serve`` evaluator and the BENCH
-builder call: it boots the serving tier (in-process single server by
-default, or a :class:`~repro.serve.cluster.ServeCluster` of forked
-SO_REUSEPORT workers), drives it with the
+:func:`run_serve` is what the ``serve`` evaluator calls: it boots
+the serving tier (in-process single server by default, or a
+:class:`~repro.serve.cluster.ServeCluster` of forked SO_REUSEPORT
+workers), drives it with the
 :mod:`~repro.serve.loadgen` generator at one connection count, and
 returns a :class:`ServeRunResult`.  :func:`run_sweep` repeats that
 across a list of connection counts -- the TPS / p50 / p99 *versus
@@ -18,7 +18,7 @@ sessions -- is exactly what this driver measures, and the loopback
 socket is real (real TCP, real partial reads, real connection drops).
 Cluster mode (``workers >= 1``) forks real server processes for
 multi-core scaling at the cost of counter determinism (the kernel's
-connection balancing is not seeded), so measured BENCH baselines pin
+connection balancing is not seeded), so tests that pin counters use
 ``workers = 0``.
 """
 

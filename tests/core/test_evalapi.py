@@ -1,6 +1,10 @@
-"""Tests for the unified evaluator API: registry, outcomes, legacy wrappers."""
+"""Tests for the unified evaluator API: registry, outcomes, CLI options."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,8 @@ class TestOutcomes:
             "o.aws_rds", "o.cdb3", "o_star.aws_rds", "o_star.cdb3",
         }
         assert all(value > 0 for value in outcome.scores.values())
+        # results are cached per underlying computation
+        assert bench.run("elasticity").payload is bench.run("elasticity").payload
 
     def test_option_changes_the_result(self, bench):
         one = bench.run("pscore", n_ro_nodes=1)
@@ -117,52 +123,6 @@ class TestOutcomes:
         assert "Multi-tenancy" in printed
 
 
-class TestLegacyWrappers:
-    """The old ``run_*`` shims still delegate, but warn on every call."""
-
-    def test_throughput_shape(self, bench):
-        with pytest.deprecated_call():
-            data = bench.run_throughput()
-        assert isinstance(data, dict)
-        assert ("aws_rds", 1, "RO", 50) in data
-        assert data is bench.run("throughput").payload
-
-    def test_pscore_shape(self, bench):
-        with pytest.deprecated_call():
-            rows = bench.run_pscore()
-        assert [row.arch_name for row in rows] == ["aws_rds", "cdb3"]
-
-    def test_elasticity_cache_identity(self, bench):
-        with pytest.deprecated_call():
-            first = bench.run_elasticity()
-        with pytest.deprecated_call():
-            second = bench.run_elasticity()
-        assert first is second
-        assert first is bench.run("elasticity").payload
-
-    def test_failover_shape(self, bench):
-        with pytest.deprecated_call():
-            results = bench.run_failover()
-        assert set(results) == {"aws_rds", "cdb3"}
-
-    def test_overall_wrapper(self, bench):
-        with pytest.deprecated_call():
-            scores = bench.overall()
-        assert set(scores) == {"aws_rds", "cdb3"}
-
-    def test_warning_names_the_replacement(self, bench):
-        with pytest.warns(DeprecationWarning, match=r'run\("throughput"\)'):
-            bench.run_throughput()
-
-    def test_registry_api_does_not_warn(self, bench, recwarn):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            bench.run("throughput")
-            bench.run("pscore")
-
-
 class TestCli:
     def test_parser_accepts_registry_names_and_list(self):
         parser = build_parser()
@@ -187,6 +147,34 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--quick", "--arch", "cdb3", "--eval", "pscore",
                   "--opt", "bogus=2"])
+
+
+class TestOptRanges:
+    """Out-of-range ``--opt`` values are usage errors, not tracebacks."""
+
+    @pytest.mark.parametrize("evaluation,opt", [
+        ("overload", "arrival=bogus"),
+        ("scaleout-real", "cross=2.0"),
+        ("scaleout-real", "shards=0"),
+        ("scaleout-real", "txns=0"),
+        ("serve", "connections=0"),
+        ("serve", "txns=-1"),
+        ("perf", "txns=0"),
+        ("overall", "duration_s=0"),
+        ("pscore", "n_ro_nodes=-1"),
+    ])
+    def test_bad_value_is_a_one_line_usage_error(self, evaluation, opt):
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.core.cli", "--quick",
+             "--eval", evaluation, "--opt", opt],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode != 0
+        assert "Traceback" not in done.stderr
+        (message,) = done.stderr.strip().splitlines()
+        assert message.startswith(f"--opt {opt.split('=')[0]}: ")
 
 
 class TestBoolOpts:

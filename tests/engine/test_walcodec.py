@@ -1,7 +1,5 @@
-"""Binary WAL codec: wire round-trips, canonical CRC folding, legacy
-fallback, and recovery equivalence between v1- and v2-stamped logs."""
-
-from dataclasses import replace
+"""Binary WAL codec: wire round-trips, canonical CRC folding, and
+recovery equivalence of a wire-round-tripped log."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,16 +9,13 @@ from repro.engine.wal import (
     LogKind,
     LogRecord,
     WriteAheadLog,
-    legacy_record_crc,
     record_crc,
 )
 from repro.engine.walcodec import (
     CODEC_VERSION,
-    LEGACY_VERSION,
     canonical_payload,
     decode_record,
     encode_record,
-    encode_record_legacy,
     payload_crc,
     records_equivalent,
 )
@@ -75,16 +70,6 @@ class TestWireRoundTrip:
         assert strict_eq(decoded.before, record.before)
         assert strict_eq(decoded.after, record.after)
         assert decoded.is_intact
-
-    @settings(max_examples=60, deadline=None)
-    @given(key=cells, before=images, after=images)
-    def test_v1_fallback_decodes_old_frames(self, key, before, after):
-        record = make_record(LogKind.UPDATE, "T", key, before, after)
-        frame = encode_record_legacy(record)
-        assert frame[0] == LEGACY_VERSION
-        decoded = decode_record(frame)
-        assert decoded.crc == record.crc
-        assert records_equivalent(decoded, record)
 
     def test_unknown_version_rejected(self):
         record = make_record(LogKind.COMMIT, None, None, None, None)
@@ -157,21 +142,6 @@ class TestCanonicalCrc:
             assert record.is_intact
 
 
-class TestLegacyCrcFallback:
-    def test_legacy_stamped_record_is_intact(self):
-        crc = legacy_record_crc(5, 9, LogKind.UPDATE, "T", 1, (1, "a"), (1, "b"), 4)
-        record = LogRecord(5, 9, LogKind.UPDATE, "T", 1, (1, "a"), (1, "b"), 4, crc)
-        assert record.is_intact
-
-    def test_legacy_crc_is_not_canonical(self):
-        # The legacy repr CRC is type-literal: the same record rebuilt
-        # with a float key no longer verifies -- the defect the binary
-        # codec fixes.
-        crc = legacy_record_crc(5, 9, LogKind.UPDATE, "T", 1, (1, "a"), (1, "b"), 4)
-        rebuilt = LogRecord(5, 9, LogKind.UPDATE, "T", 1.0, (1, "a"), (1, "b"), 4, crc)
-        assert not rebuilt.is_intact
-
-
 def _fresh_db(name):
     db = Database(name, buffer_size_bytes=1 << 22)
     db.create_table(Schema(
@@ -193,30 +163,6 @@ def _run_workload(db):
 
 
 class TestRecoveryEquivalence:
-    def test_v1_stamped_log_recovers_like_v2(self):
-        """A log whose records still carry legacy repr CRCs (written
-        before the codec change) must recover to the exact same state
-        as the same log stamped with canonical binary CRCs."""
-        new_db, old_db = _fresh_db("codec-new"), _fresh_db("codec-old")
-        _run_workload(new_db)
-        _run_workload(old_db)
-        old_db.wal._records[:] = [
-            replace(r, crc=legacy_record_crc(
-                r.lsn, r.txn_id, r.kind, r.table, r.key, r.before,
-                r.after, r.prev_lsn,
-            ))
-            for r in old_db.wal._records
-        ]
-        assert all(r.is_intact for r in old_db.wal._records)
-        new_db.crash()
-        old_db.crash()
-        new_report = new_db.recover()
-        old_report = old_db.recover()
-        state = dict(new_db.query("SELECT K, V FROM kv").rows)
-        assert state == dict(old_db.query("SELECT K, V FROM kv").rows)
-        assert state == {1: 100, 2: 2, 3: 3, 4: 4, 5: 5}
-        assert new_report.records_redone == old_report.records_redone
-
     def test_wire_round_tripped_log_recovers_identically(self):
         """crash()+recover() over records that went through the v2
         encoder and back is indistinguishable from the original log."""

@@ -10,7 +10,7 @@ from repro.perf.harness import (
     peak_rss_kb,
     perf_workload_names,
 )
-from repro.perf.trajectory import validate_bench
+from repro.perf.trajectory import calibration_spin
 
 
 class TestQuantise:
@@ -63,12 +63,16 @@ class TestConstruction:
     def test_peak_rss_is_positive_here(self):
         assert peak_rss_kb() > 0
 
+    def test_calibration_spin_import_path(self):
+        # bench/run.py imports calibration_spin from exactly this path
+        assert calibration_spin(1000) > 0
 
-def run_quick(seed=42, **kwargs):
+
+def run_quick(seed=42, workload="oltp", **kwargs):
     kwargs.setdefault("txns", 96)
     kwargs.setdefault("pilot_txns", 8)
     kwargs.setdefault("profile", False)
-    return TwoStageHarness(seed=seed, **kwargs).run("oltp")
+    return TwoStageHarness(seed=seed, **kwargs).run(workload)
 
 
 class TestDeterminism:
@@ -96,42 +100,51 @@ class TestDeterminism:
         assert (a.committed, a.fsyncs) == (c.committed, c.fsyncs)
 
     def test_different_seed_changes_the_work(self):
-        a = run_quick(seed=42)
-        b = run_quick(seed=43)
-        # same txn count, but the statement mix differs
+        # same txn count, but the cross-shard draws (and so the 2PC
+        # fsyncs) differ
+        a = run_quick(seed=42, workload="shard")
+        b = run_quick(seed=43, workload="shard")
         assert a.txns == b.txns
-        assert a.to_record().fingerprint != b.to_record().fingerprint
+        assert (a.fsyncs, a.extra_counters) != (b.fsyncs, b.extra_counters)
 
 
 class TestMeasuredRun:
-    def test_record_round_trips_through_validation(self):
+    def test_run_carries_its_shape(self):
         run = run_quick()
-        doc = run.to_record().to_doc()
-        assert validate_bench(doc) == []
-        assert doc["metrics"]["txns"] == 96
-        assert doc["metrics"]["committed"] + doc["metrics"]["aborted"] == 96
-        assert doc["workload"]["arrival"] == "poisson:auto"
-        assert doc["pilot"]["txns"] == 8
+        assert run.txns == 96
+        assert run.committed + run.aborted == 96
+        assert run.arrival.describe() == "poisson:auto"
+        assert run.pilot_txns == 8
 
     def test_open_loop_run_keeps_both_views(self):
         run = run_quick(arrival="poisson")
         assert run.openloop is not None
         assert run.service.mode == "closed"  # queueing-free service view
-        doc = run.to_record().to_doc()
-        assert doc["metrics"]["openloop_latency_ms"] is not None
+        assert run.openloop.latency_summary_ms()["p99"] > 0
 
     def test_closed_loop_run_has_no_openloop_block(self):
         run = run_quick(arrival="closed")
         assert run.openloop is None
-        assert run.to_record().to_doc()["metrics"]["openloop_latency_ms"] is None
 
     def test_profile_pass_meets_the_coverage_gate(self):
         run = run_quick(profile=True)
         assert run.profile is not None
         assert run.profile.coverage >= 0.9
-        subsystems = run.to_record().to_doc()["subsystems"]
-        assert subsystems["coverage"] >= 0.9
-        assert subsystems["shares"]["executor"] > 0
+        assert run.profile.shares()["executor"] > 0
+
+    @pytest.mark.parametrize("name,counters,cross", [
+        ("oltp", (256, 0, 256), 0),
+        ("shard", (256, 0, 376), 24),
+    ])
+    def test_pinned_quick_shape_counters(self, name, counters, cross):
+        """The deterministic counters at the ``BenchConfig.quick()``
+        shape and seed 42: any drift is a behaviour change, not noise."""
+        run = TwoStageHarness(
+            seed=42, row_scale=0.001, pilot_txns=16, txns=256,
+            shard_cross_ratio=0.1, profile=False,
+        ).run(name)
+        assert (run.committed, run.aborted, run.fsyncs) == counters
+        assert run.extra_counters == {"cross_committed": cross}
 
 
 class TestEvaluatorWiring:

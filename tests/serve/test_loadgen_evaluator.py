@@ -1,25 +1,11 @@
 """The load generator, the serve driver, and the ``serve`` evaluator."""
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.core.config import BenchConfig
 from repro.core.runner import CloudyBench
-from repro.perf.trajectory import validate_bench
-from repro.serve.bench import (
-    BENCH_CONNECTIONS,
-    BENCH_TXNS_PER_CONN,
-    bench_record,
-)
 from repro.serve.driver import run_serve, run_sweep
 from repro.serve.loadgen import make_persona
-
-BASELINE = (
-    Path(__file__).resolve().parents[2]
-    / "benchmarks" / "baselines" / "BENCH_serve.json"
-)
 
 KEYS = {"orders": [1, 2, 3], "customers": [4, 5, 6]}
 
@@ -126,28 +112,14 @@ class TestServeEvaluator:
             BenchConfig(serve_max_queue=0)
 
 
-class TestBenchRecord:
-    def test_record_is_valid_and_pinned(self):
-        record = bench_record(seed=42)
-        assert validate_bench(record.to_doc()) == []
-        params = record.workload["params"]
-        assert params["connections"] == BENCH_CONNECTIONS
-        assert params["txns_per_conn"] == BENCH_TXNS_PER_CONN
-        assert params["qos"] is False
-        assert params["workers"] == 0
-        metrics = record.metrics
-        assert metrics["txns"] == BENCH_CONNECTIONS * BENCH_TXNS_PER_CONN
-        assert metrics["committed"] == metrics["txns"]
-        assert metrics["fsyncs"] > 0
-        self._check_against_committed_baseline(record)
-
-    def _check_against_committed_baseline(self, record):
-        """The committed baseline must stay comparable: same workload
-        fingerprint and identical exact counters at the default seed."""
-        baseline = json.loads(BASELINE.read_text())
-        assert (
-            baseline["workload"]["fingerprint"]
-            == record.workload["fingerprint"]
+class TestPinnedShape:
+    def test_pinned_shape_counters(self):
+        """8 x 32 closed-loop payments, qos off, single in-process
+        server, seed 42: every offered transaction runs, so the
+        counters are exact integers and any drift is a behaviour change."""
+        result = run_serve(
+            8, 32, n_shards=2, workers=0, qos=False, persona="payment",
+            arrival="closed", seed=42, row_scale=0.002,
         )
-        for counter in ("txns", "committed", "aborted", "fsyncs"):
-            assert baseline["metrics"][counter] == record.metrics[counter]
+        assert (result.offered, result.committed, result.aborted) == (256, 256, 0)
+        assert result.fsyncs == 881
