@@ -30,11 +30,6 @@ def _evaluations() -> tuple:
     return (*evaluator_names(), "report", "list")
 
 
-#: kept as a module-level name for back compatibility with callers that
-#: introspect the CLI's evaluation set.
-EVALUATIONS = _evaluations()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cloudybench",
@@ -91,31 +86,23 @@ def _config(args: argparse.Namespace) -> BenchConfig:
     return config
 
 
-def _parse_opts(args: argparse.Namespace, eval_name: str) -> dict:
-    """Parse ``--opt name=value`` pairs against the evaluator's schema."""
-    if not args.opt:
-        return {}
-    spec = get_evaluator(eval_name)
-    by_name = {option.name: option for option in spec.options}
+def _parse_opts(args: argparse.Namespace, bench: CloudyBench) -> dict:
+    """The ``--opt NAME=VALUE`` pairs, validated; bad ones are usage errors."""
     opts = {}
-    for raw in args.opt:
+    for raw in args.opt or ():
         name, sep, value = raw.partition("=")
         if not sep:
             raise SystemExit(
                 f"--opt expects NAME=VALUE, got {raw!r} "
                 f"(booleans are spelled e.g. {raw}=true)"
             )
-        option = by_name.get(name)
-        if option is None:
-            known = ", ".join(sorted(by_name)) or "(none)"
-            raise SystemExit(
-                f"evaluator {eval_name!r} has no option {name!r}; known: {known}"
-            )
-        try:
-            opts[name] = option.type(value)
-        except ValueError as error:
-            raise SystemExit(f"--opt {name}: {error}") from None
-    return opts
+        opts[name] = value
+    try:
+        return get_evaluator(args.evaluation).validate(opts, bench.config)
+    except TypeError as error:  # an option the evaluator does not have
+        raise SystemExit(str(error)) from None
+    except ValueError as error:
+        raise SystemExit(f"--opt {error}") from None
 
 
 def _print_registry() -> None:
@@ -123,8 +110,11 @@ def _print_registry() -> None:
         ["evaluator", "options", "summary"], title="Registered evaluators"
     )
     for spec in evaluator_specs():
+        # a config-backed option shows the field it falls back to
         options = ", ".join(
-            f"{option.name}={option.default!r}" for option in spec.options
+            f"{option.name}=<{option.config}>" if option.config
+            else f"{option.name}={option.default!r}"
+            for option in spec.options
         ) or "-"
         table.add_row(spec.name, options, spec.summary)
     table.print()
@@ -151,7 +141,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print(markdown)
     else:
-        outcome = bench.run(evaluation, **_parse_opts(args, evaluation))
+        outcome = bench.run(evaluation, **_parse_opts(args, bench))
         if outcome.notes:
             print(outcome.notes)
         outcome_table(outcome).print()

@@ -56,6 +56,7 @@ __all__ = [
     "FleetClient",
     "ResilientClient",
     "coerce_isolation",
+    "quiet_rollback",
 ]
 
 
@@ -101,6 +102,26 @@ class Client(Protocol):
 
     @property
     def in_txn(self) -> bool: ...
+
+
+def quiet_rollback(client: Client) -> None:
+    """Roll back an open transaction without masking the real error.
+
+    For ``except`` paths: a failing rollback (a branch's shard is down;
+    recovery presumes abort anyway) is swallowed so the original
+    exception propagates.
+    """
+    if not client.in_txn:
+        return
+    try:
+        client.rollback()
+    except EngineError:
+        pass
+    finally:
+        # a rollback a dead shard swallowed must not pin the client:
+        # the next operation begins a fresh transaction
+        if client.in_txn:
+            client.abandon()
 
 
 class EngineClient:

@@ -48,12 +48,19 @@ def parse_bool(value: Any) -> bool:
 
 @dataclass(frozen=True)
 class EvalOption:
-    """One option an evaluator accepts, typed so the CLI can parse it."""
+    """One option an evaluator accepts.
+
+    ``type`` parses and range-checks a value (a CLI string or a
+    programmatic one); a caller that leaves the option out gets the
+    :class:`~repro.core.config.BenchConfig` field named by ``config``
+    if there is one, else ``default``.
+    """
 
     name: str
-    type: Callable[[str], Any]
-    default: Any
+    type: Callable[[Any], Any]
+    default: Any = None
     help: str = ""
+    config: Optional[str] = None
 
 
 @dataclass
@@ -105,18 +112,42 @@ class EvaluatorSpec:
     summary: str
     options: Tuple[EvalOption, ...]
     runner: Callable[..., EvalOutcome]
+    #: False for an evaluator that reads other evaluators' memoised
+    #: outcomes, so its own result changes as more of them have run
+    memoise: bool = True
 
-    def validate(self, opts: Dict[str, Any]) -> Dict[str, Any]:
-        """Fill defaults and reject unknown option names."""
-        known = {option.name: option for option in self.options}
+    def validate(self, opts: Dict[str, Any], config: Any = None) -> Dict[str, Any]:
+        """The fully resolved options of one run, in declaration order.
+
+        The one place option values are checked, for the CLI and for
+        programmatic callers alike: unknown names raise ``TypeError``;
+        a missing (or ``None``) value falls back to the ``config`` field
+        the option names, else to its default; every value then goes
+        through the option's parser, whose rejection is re-raised as a
+        ``ValueError`` naming the option.  The result is hashable (list
+        parsers return tuples) -- it is the memo key of the run.
+        """
+        known = [option.name for option in self.options]
         unknown = sorted(set(opts) - set(known))
         if unknown:
             raise TypeError(
                 f"evaluator {self.name!r} accepts {sorted(known) or 'no options'}, "
                 f"got unknown option(s) {unknown}"
             )
-        resolved = {option.name: option.default for option in self.options}
-        resolved.update(opts)
+        resolved = {}
+        for option in self.options:
+            value = opts.get(option.name)
+            if value is None:
+                value = (
+                    getattr(config, option.config)
+                    if option.config and config is not None else option.default
+                )
+            if value is not None:
+                try:
+                    value = option.type(value)
+                except (TypeError, ValueError) as error:
+                    raise ValueError(f"{option.name}: {error}") from None
+            resolved[option.name] = value
         return resolved
 
 
@@ -128,15 +159,20 @@ def evaluator(
     title: str,
     summary: str,
     options: Tuple[EvalOption, ...] = (),
+    memoise: bool = True,
 ) -> Callable[[Callable[..., EvalOutcome]], Callable[..., EvalOutcome]]:
-    """Class-level decorator registering ``runner(bench, **opts)``."""
+    """Decorator registering ``runner(bench, **validated_opts)``.
+
+    The runner leaves ``name`` and ``obs`` to ``CloudyBench.run``, and
+    ``title`` too unless the run's options change it.
+    """
 
     def decorate(runner: Callable[..., EvalOutcome]) -> Callable[..., EvalOutcome]:
         if name in _REGISTRY:
             raise ValueError(f"evaluator {name!r} already registered")
         _REGISTRY[name] = EvaluatorSpec(
             name=name, title=title, summary=summary,
-            options=options, runner=runner,
+            options=options, runner=runner, memoise=memoise,
         )
         return runner
 

@@ -1,30 +1,51 @@
-"""Registered evaluators: one :class:`~repro.core.evalapi.EvalOutcome`
-builder per evaluation the testbed supports.
+"""Registered evaluators: one function per evaluation the testbed supports.
 
-Each runner receives the :class:`~repro.core.runner.CloudyBench`
-instance, invokes its cached ``_compute_*`` method, and reshapes the
-native result into the shared outcome form (paper-style table rows,
-flat scores, timeline events).  The native result rides along as
-``payload``.
+An evaluator is declared once: its name, title, summary and option
+schema sit in the ``@evaluator`` decorator, and its function receives
+the :class:`~repro.core.runner.CloudyBench` plus the options as
+:meth:`~repro.core.evalapi.EvaluatorSpec.validate` resolved them
+(parsed, range-checked, missing ones filled from the config).  The
+function computes the evaluator's native result and reshapes it into
+the shared outcome form (paper-style table rows, flat scores, timeline
+events); the native result rides along as ``payload``.
+``CloudyBench.run`` memoises the outcome and stamps its name, title and
+observer snapshot, so nothing here caches or names itself.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict
 
+from repro.chaos.availability import AvailabilityEvaluator
+from repro.chaos.plan import FaultPlan
+from repro.cloud.mva_model import estimate_throughput
+from repro.core.elasticity import ELASTIC_PATTERNS, ElasticityEvaluator, custom_pattern
 from repro.core.evalapi import EvalOption, EvalOutcome, evaluator, parse_bool
+from repro.core.failover import FailOverEvaluator
+from repro.core.lagtime import LagTimeEvaluator
+from repro.core.metrics import PerfectScores, e2_score, p_score_actual, scale_out_tps
+from repro.core.multitenancy import MultiTenancyEvaluator
+from repro.core.pricing import (
+    actual_cost,
+    package_cost_breakdown_per_minute,
+    package_cost_per_minute,
+)
+from repro.core.runner import PScoreRow, average_tps
+from repro.core.workload import LAG_PATTERNS
+from repro.qos.overload import OverloadEvaluator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runner import CloudyBench
 
 
-def _outcome(bench: "CloudyBench", **kwargs) -> EvalOutcome:
-    return EvalOutcome(obs=bench.snapshot(), **kwargs)
+def _outcome(headers, rows, title: str = "", **rest) -> EvalOutcome:
+    """An outcome whose name (and title, unless given) ``run`` fills in."""
+    return EvalOutcome(name="", title=title, headers=headers, rows=rows, **rest)
 
 
-# Range-checking option parsers: a value the evaluator cannot run with
-# raises ValueError here, which the CLI reports as a usage error naming
-# the option instead of a traceback from deep inside the run.
+# Option parsers: a value the evaluator cannot run with raises ValueError
+# here, which ``validate`` re-raises naming the option (a one-line usage
+# error on the CLI) instead of a traceback from deep inside the run.
 
 def _checked(convert, accept, rule):
     """An option parser: ``convert(value)``, rejected unless ``accept``."""
@@ -44,208 +65,30 @@ _positive_float = _checked(float, lambda x: x > 0, "> 0")
 _parse_ratio = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 
 
-@evaluator(
-    "throughput",
-    title="Transaction processing throughput (Figure 5)",
-    summary="TPS over architectures x scale factors x modes x concurrencies",
-)
-def _throughput(bench: "CloudyBench") -> EvalOutcome:
-    data = bench._compute_throughput()
-    rows = [
-        (arch, sf, mode, con, round(tps))
-        for (arch, sf, mode, con), tps in data.items()
-    ]
-    scores = {
-        f"tps.{arch.name}.{mode}": bench.average_tps(arch.name, mode)
-        for arch in bench.architectures
-        for mode in bench.config.modes
-    }
-    return _outcome(
-        bench, name="throughput",
-        title="Transaction processing throughput (Figure 5)",
-        headers=("arch", "SF", "mode", "concurrency", "TPS"),
-        rows=rows, scores=scores, payload=data,
-    )
+def _one_of(what: str, *choices: str):
+    """An option parser accepting exactly the listed spellings."""
+
+    def parse(value) -> str:
+        if str(value) not in choices:
+            listed = ", ".join(repr(choice) for choice in choices[:-1])
+            raise ValueError(
+                f"unknown {what} {str(value)!r}; use {listed} or {choices[-1]!r}"
+            )
+        return str(value)
+
+    return parse
 
 
-@evaluator(
-    "pscore",
-    title="P-Score (Table V)",
-    summary="cost-normalised throughput per architecture",
-    options=(
-        EvalOption("n_ro_nodes", _non_negative_int, 1,
-                   "read-only nodes charged per SUT"),
-    ),
-)
-def _pscore(bench: "CloudyBench", n_ro_nodes: int = 1) -> EvalOutcome:
-    data = bench._compute_pscore(n_ro_nodes=n_ro_nodes)
-    modes = bench.config.modes
-    rows = [
-        (
-            row.arch_name,
-            round(row.total_cost_per_minute, 4),
-            *(round(row.p_by_mode[mode]) for mode in modes),
-            round(row.p_avg),
-        )
-        for row in data
-    ]
-    return _outcome(
-        bench, name="pscore", title="P-Score (Table V)",
-        headers=("arch", "cost/min", *modes, "AVG"),
-        rows=rows,
-        scores={f"p.{row.arch_name}": row.p_avg for row in data},
-        payload=data,
-    )
+def _items(value) -> list:
+    """The items of a list option: a sequence, or ``"a,b,c"`` text."""
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    return [item.strip() for item in str(value).split(",") if item.strip()]
 
 
-@evaluator(
-    "elasticity",
-    title="Elasticity (Figure 6)",
-    summary="E1 over scaling patterns and workload modes",
-)
-def _elasticity(bench: "CloudyBench") -> EvalOutcome:
-    data = bench._compute_elasticity()
-    rows = []
-    events = []
-    scores = {}
-    for arch, by_pattern in data.items():
-        e1_values = []
-        for pattern, by_mode in by_pattern.items():
-            for mode, result in by_mode.items():
-                rows.append((
-                    arch, pattern, mode, round(result.avg_tps),
-                    round(result.total_cost, 4), round(result.e1_score),
-                ))
-                e1_values.append(result.e1_score)
-        scores[f"e1.{arch}"] = (
-            sum(e1_values) / len(e1_values) if e1_values else 0.0
-        )
-        # one representative run's scaling decisions per architecture
-        pattern, by_mode = next(iter(by_pattern.items()))
-        _mode, result = next(iter(by_mode.items()))
-        events.extend(
-            (time_s, f"{arch}/{pattern}: {message}")
-            for time_s, message in result.collector.events
-        )
-    return _outcome(
-        bench, name="elasticity", title="Elasticity (Figure 6)",
-        headers=("arch", "pattern", "mode", "avg TPS", "total cost", "E1"),
-        rows=rows, scores=scores, events=events, payload=data,
-    )
-
-
-@evaluator(
-    "multitenancy",
-    title="Multi-tenancy (Table VII)",
-    summary="T-Score under the contention patterns",
-)
-def _multitenancy(bench: "CloudyBench") -> EvalOutcome:
-    data = bench._compute_multitenancy()
-    rows = []
-    scores = {}
-    for arch, by_pattern in data.items():
-        t_values = []
-        for pattern, result in by_pattern.items():
-            rows.append((
-                arch, pattern, round(result.total_tps),
-                round(result.cost_per_minute, 4), round(result.t_score),
-            ))
-            t_values.append(result.t_score)
-        scores[f"t.{arch}"] = sum(t_values) / len(t_values) if t_values else 0.0
-    return _outcome(
-        bench, name="multitenancy", title="Multi-tenancy (Table VII)",
-        headers=("arch", "pattern", "total TPS", "cost/min", "T-Score"),
-        rows=rows, scores=scores, payload=data,
-    )
-
-
-@evaluator(
-    "failover",
-    title="Fail-over (Table VIII), seconds",
-    summary="fault and recovery times for RW/RO interruption",
-)
-def _failover(bench: "CloudyBench") -> EvalOutcome:
-    data = bench._compute_failover()
-    rows = [
-        (
-            arch, round(scores.f_rw_s, 1), round(scores.f_ro_s, 1),
-            round(scores.r_rw_s, 1), round(scores.r_ro_s, 1),
-            round(scores.total_s, 1),
-        )
-        for arch, scores in data.items()
-    ]
-    flat = {}
-    for arch, scores in data.items():
-        flat[f"f_s.{arch}"] = scores.f_avg_s
-        flat[f"r_s.{arch}"] = scores.r_avg_s
-    return _outcome(
-        bench, name="failover", title="Fail-over (Table VIII), seconds",
-        headers=("arch", "F(RW)", "F(RO)", "R(RW)", "R(RO)", "total"),
-        rows=rows, scores=flat, payload=data,
-    )
-
-
-@evaluator(
-    "lagtime",
-    title="Replication lag (Section III-F)",
-    summary="per-kind replication lag over the IUD patterns",
-)
-def _lagtime(bench: "CloudyBench") -> EvalOutcome:
-    data = bench._compute_lagtime()
-    rows = []
-    scores = {}
-    for arch, by_pattern in data.items():
-        for pattern, result in by_pattern.items():
-            rows.append((
-                arch, pattern,
-                round(result.insert_lag_s * 1000, 2),
-                round(result.update_lag_s * 1000, 2),
-                round(result.delete_lag_s * 1000, 2),
-                round(result.c_score_s * 1000, 2),
-            ))
-        mixed = by_pattern.get("mixed") or next(iter(by_pattern.values()))
-        scores[f"c_ms.{arch}"] = mixed.avg_lag_s * 1000.0
-    return _outcome(
-        bench, name="lagtime", title="Replication lag (Section III-F)",
-        headers=("arch", "pattern", "insert ms", "update ms", "delete ms", "C ms"),
-        rows=rows, scores=scores, payload=data,
-    )
-
-
-@evaluator(
-    "chaos",
-    title="Availability under chaos",
-    summary="goodput and error-budget burn under the seeded fault plan",
-)
-def _chaos(bench: "CloudyBench") -> EvalOutcome:
-    plan = bench.chaos_plan()
-    data = bench._compute_chaos()
-    rows = [
-        (
-            arch, score.requests, round(score.goodput, 4),
-            round(score.error_budget_burn, 3),
-            score.breaker_opened, score.breaker_reclosed,
-        )
-        for arch, score in data.items()
-    ]
-    notes = "\n".join(
-        [
-            f"fault plan {plan.name} (seed={plan.seed}, "
-            f"fingerprint {plan.fingerprint()[:16]}):",
-            *(f"  {line}" for line in plan.describe()),
-        ]
-    )
-    events = [(spec.start_s, f"{spec.kind.value} @ {spec.target}")
-              for spec in plan.specs]
-    return _outcome(
-        bench, name="chaos",
-        title=f"Availability under chaos (SLO {bench.config.chaos_slo:g})",
-        headers=("arch", "requests", "goodput", "budget burn",
-                 "opens", "recloses"),
-        rows=rows,
-        scores={f"goodput.{arch}": score.goodput for arch, score in data.items()},
-        events=events, notes=notes, payload=data,
-    )
+def _parse_counts(value) -> tuple:
+    """Parse a list of positive counts (``"1,2,4"`` or ``[1, 2, 4]``)."""
+    return tuple(_positive_int(item) for item in _items(value))
 
 
 def _parse_arrival_opt(value) -> str:
@@ -267,19 +110,331 @@ def _parse_open_arrival_opt(value) -> str:
     return spec
 
 
+def _mean(values) -> float:
+    values = list(values)
+    return sum(values) / len(values) if values else 0.0
+
+
+@evaluator(
+    "throughput",
+    title="Transaction processing throughput (Figure 5)",
+    summary="TPS over architectures x scale factors x modes x concurrencies",
+)
+def _throughput(bench: "CloudyBench") -> EvalOutcome:
+    config = bench.config
+    data: Dict[tuple, float] = {}
+    for arch in bench.architectures:
+        for sf in config.scale_factors:
+            for mode in config.modes:
+                workload = bench.workload_mix(mode, sf)
+                for con in config.concurrencies:
+                    estimate = estimate_throughput(arch, workload, con)
+                    data[(arch.name, sf, mode, con)] = estimate.tps
+    rows = [
+        (arch, sf, mode, con, round(tps))
+        for (arch, sf, mode, con), tps in data.items()
+    ]
+    scores = {
+        f"tps.{arch.name}.{mode}": average_tps(data, arch.name, mode)
+        for arch in bench.architectures
+        for mode in config.modes
+    }
+    return _outcome(
+        ("arch", "SF", "mode", "concurrency", "TPS"), rows,
+        scores=scores, payload=data,
+    )
+
+
+@evaluator(
+    "pscore",
+    title="P-Score (Table V)",
+    summary="cost-normalised throughput per architecture",
+    options=(
+        EvalOption("n_ro_nodes", _non_negative_int, 1,
+                   "read-only nodes charged per SUT"),
+    ),
+)
+def _pscore(bench: "CloudyBench", n_ro_nodes: int) -> EvalOutcome:
+    """Table V rows.
+
+    The paper deploys one RW plus one RO node per SUT, so the total
+    cost charges compute (CPU + memory) once per node while storage,
+    IOPS and network are shared -- that is how Table V's total of
+    $0.0437/min for RDS reconciles with its per-resource breakdown.
+    """
+    modes = bench.config.modes
+    data = []
+    for arch in bench.architectures:
+        package = arch.provisioned
+        breakdown = package_cost_breakdown_per_minute(package)
+        total = package_cost_per_minute(package) + n_ro_nodes * (
+            breakdown["cpu"] + breakdown["memory"]
+        )
+        tps_by_mode = {mode: bench.average_tps(arch.name, mode) for mode in modes}
+        data.append(PScoreRow(
+            arch_name=arch.name,
+            cost_breakdown=breakdown,
+            total_cost_per_minute=total,
+            tps_by_mode=tps_by_mode,
+            p_by_mode={
+                mode: tps / total if total > 0 else 0.0
+                for mode, tps in tps_by_mode.items()
+            },
+        ))
+    rows = [
+        (
+            row.arch_name,
+            round(row.total_cost_per_minute, 4),
+            *(round(row.p_by_mode[mode]) for mode in modes),
+            round(row.p_avg),
+        )
+        for row in data
+    ]
+    return _outcome(
+        ("arch", "cost/min", *modes, "AVG"), rows,
+        scores={f"p.{row.arch_name}": row.p_avg for row in data},
+        payload=data,
+    )
+
+
+@evaluator(
+    "elasticity",
+    title="Elasticity (Figure 6)",
+    summary="E1 over scaling patterns and workload modes",
+)
+def _elasticity(bench: "CloudyBench") -> EvalOutcome:
+    config = bench.config
+    sf = min(config.scale_factors)
+    taus = {mode: bench.elastic_tau(mode) for mode in config.elastic_modes}
+    patterns = dict(ELASTIC_PATTERNS)
+    for key, proportions in config.custom_patterns.items():
+        patterns[key] = custom_pattern(key, proportions)
+    data: Dict[str, dict] = {}
+    for arch in bench.architectures:
+        data[arch.name] = {key: {} for key in patterns}
+        for pattern_key, pattern in patterns.items():
+            for mode in config.elastic_modes:
+                probe = ElasticityEvaluator(
+                    arch,
+                    bench.workload_mix(mode, sf),
+                    slot_seconds=config.slot_seconds,
+                    measure_window_s=config.measure_window_s,
+                )
+                data[arch.name][pattern_key][mode] = probe.run(pattern, taus[mode])
+    rows = []
+    events = []
+    scores = {}
+    for arch, by_pattern in data.items():
+        for pattern, by_mode in by_pattern.items():
+            for mode, result in by_mode.items():
+                rows.append((
+                    arch, pattern, mode, round(result.avg_tps),
+                    round(result.total_cost, 4), round(result.e1_score),
+                ))
+        scores[f"e1.{arch}"] = _mean(
+            result.e1_score
+            for by_mode in by_pattern.values() for result in by_mode.values()
+        )
+        # one representative run's scaling decisions per architecture
+        pattern, by_mode = next(iter(by_pattern.items()))
+        _mode, result = next(iter(by_mode.items()))
+        events.extend(
+            (time_s, f"{arch}/{pattern}: {message}")
+            for time_s, message in result.collector.events
+        )
+    return _outcome(
+        ("arch", "pattern", "mode", "avg TPS", "total cost", "E1"), rows,
+        scores=scores, events=events, payload=data,
+    )
+
+
+@evaluator(
+    "multitenancy",
+    title="Multi-tenancy (Table VII)",
+    summary="T-Score under the contention patterns",
+)
+def _multitenancy(bench: "CloudyBench") -> EvalOutcome:
+    config = bench.config
+    tau_high, tau_low = bench.tenancy_taus()
+    sf = min(config.scale_factors)
+    data = {}
+    for arch in bench.architectures:
+        tenants = MultiTenancyEvaluator(
+            arch,
+            bench.workload_mix("RW", sf),
+            n_tenants=config.tenants,
+            n_slots=config.tenant_slots,
+            slot_seconds=config.slot_seconds,
+        )
+        data[arch.name] = tenants.run_all(tau_high, tau_low)
+    rows = []
+    scores = {}
+    for arch, by_pattern in data.items():
+        for pattern, result in by_pattern.items():
+            rows.append((
+                arch, pattern, round(result.total_tps),
+                round(result.cost_per_minute, 4), round(result.t_score),
+            ))
+        scores[f"t.{arch}"] = _mean(r.t_score for r in by_pattern.values())
+    return _outcome(
+        ("arch", "pattern", "total TPS", "cost/min", "T-Score"), rows,
+        scores=scores, payload=data,
+    )
+
+
+@evaluator(
+    "failover",
+    title="Fail-over (Table VIII), seconds",
+    summary="fault and recovery times for RW/RO interruption",
+)
+def _failover(bench: "CloudyBench") -> EvalOutcome:
+    config = bench.config
+    sf = min(config.scale_factors)
+    data = {
+        arch.name: FailOverEvaluator(
+            arch,
+            bench.workload_mix("RW", sf),
+            concurrency=config.failover_concurrency,
+            recovery_threshold=config.recovery_threshold,
+        ).run()
+        for arch in bench.architectures
+    }
+    rows = [
+        (
+            arch, round(scores.f_rw_s, 1), round(scores.f_ro_s, 1),
+            round(scores.r_rw_s, 1), round(scores.r_ro_s, 1),
+            round(scores.total_s, 1),
+        )
+        for arch, scores in data.items()
+    ]
+    flat = {}
+    for arch, scores in data.items():
+        flat[f"f_s.{arch}"] = scores.f_avg_s
+        flat[f"r_s.{arch}"] = scores.r_avg_s
+    return _outcome(
+        ("arch", "F(RW)", "F(RO)", "R(RW)", "R(RO)", "total"), rows,
+        scores=flat, payload=data,
+    )
+
+
+@evaluator(
+    "lagtime",
+    title="Replication lag (Section III-F)",
+    summary="per-kind replication lag over the IUD patterns",
+)
+def _lagtime(bench: "CloudyBench") -> EvalOutcome:
+    config = bench.config
+    data = {
+        arch.name: LagTimeEvaluator(
+            arch,
+            scale_factor=min(config.scale_factors),
+            row_scale=config.row_scale,
+            concurrency=config.lag_concurrency,
+            n_replicas=config.lag_replicas,
+            transactions=config.lag_transactions,
+            seed=config.seed,
+            isolation=config.isolation_level(),
+        ).run_patterns(LAG_PATTERNS)
+        for arch in bench.architectures
+    }
+    rows = []
+    scores = {}
+    for arch, by_pattern in data.items():
+        for pattern, result in by_pattern.items():
+            rows.append((
+                arch, pattern,
+                round(result.insert_lag_s * 1000, 2),
+                round(result.update_lag_s * 1000, 2),
+                round(result.delete_lag_s * 1000, 2),
+                round(result.c_score_s * 1000, 2),
+            ))
+        mixed = by_pattern.get("mixed") or next(iter(by_pattern.values()))
+        scores[f"c_ms.{arch}"] = mixed.avg_lag_s * 1000.0
+    return _outcome(
+        ("arch", "pattern", "insert ms", "update ms", "delete ms", "C ms"), rows,
+        scores=scores, payload=data,
+    )
+
+
+def _availability(bench: "CloudyBench", arch, plan: FaultPlan, **extra):
+    """One SUT's A-Score under ``plan``, on the bench's shared observer."""
+    config = bench.config
+    return AvailabilityEvaluator(
+        arch,
+        plan,
+        slo=config.chaos_slo,
+        n_clients=config.chaos_clients,
+        n_replicas=config.chaos_replicas,
+        row_scale=config.row_scale,
+        observer=bench.observer,
+        **extra,
+    ).run()
+
+
+@evaluator(
+    "chaos",
+    title="Availability under chaos",
+    summary="goodput and error-budget burn under the seeded fault plan",
+)
+def _chaos(bench: "CloudyBench") -> EvalOutcome:
+    plan = bench.chaos_plan()
+    data = {
+        arch.name: _availability(bench, arch, plan) for arch in bench.architectures
+    }
+    rows = [
+        (
+            arch, score.requests, round(score.goodput, 4),
+            round(score.error_budget_burn, 3),
+            score.breaker_opened, score.breaker_reclosed,
+        )
+        for arch, score in data.items()
+    ]
+    notes = "\n".join(
+        [
+            f"fault plan {plan.name} (seed={plan.seed}, "
+            f"fingerprint {plan.fingerprint()[:16]}):",
+            *(f"  {line}" for line in plan.describe()),
+        ]
+    )
+    events = [(spec.start_s, f"{spec.kind.value} @ {spec.target}")
+              for spec in plan.specs]
+    return _outcome(
+        ("arch", "requests", "goodput", "budget burn", "opens", "recloses"), rows,
+        title=f"Availability under chaos (SLO {bench.config.chaos_slo:g})",
+        scores={f"goodput.{arch}": score.goodput for arch, score in data.items()},
+        events=events, notes=notes, payload=data,
+    )
+
+
 @evaluator(
     "oltp",
     title="Instrumented OLTP run (fault-free)",
     summary="end-to-end run exercising engine, replication and clients",
     options=(
-        EvalOption("arrival", _parse_arrival_opt, None,
-                   "client arrival process: closed (default) | "
-                   "poisson[:RATE] | burst[:RATE,N]; open arrivals record "
-                   "CO-free sojourn times from scheduled starts"),
+        EvalOption("arrival", _parse_arrival_opt, "closed",
+                   "client arrival process: closed | poisson[:RATE] | "
+                   "burst[:RATE,N]; open arrivals record CO-free sojourn "
+                   "times from scheduled starts"),
     ),
 )
-def _oltp(bench: "CloudyBench", arrival=None) -> EvalOutcome:
-    data = bench._compute_oltp(arrival=arrival)
+def _oltp(bench: "CloudyBench", arrival: str) -> EvalOutcome:
+    """A fault-free end-to-end run that exercises every layer.
+
+    Reuses the availability machinery with an *empty* fault plan, so
+    real transactions hit the engine, WAL records ship through the
+    replication DES, and every request crosses the client resilience
+    stack -- one run produces engine, replication and client spans on
+    the shared observer.  Only the first configured architecture runs:
+    the point is one clean timeline, not a cross-SUT comparison.
+    """
+    arch = bench.architectures[0]
+    plan = FaultPlan((), seed=bench.config.seed, name="healthy")
+    data = {
+        arch.name: _availability(
+            bench, arch, plan,
+            duration_s=bench.config.chaos_duration_s, arrival=arrival,
+        )
+    }
     metrics = bench.observer.metrics
     commits = metrics.counter("engine.txn.commit").value
     lag_p99 = metrics.histogram("repl.lag_s").percentile(99.0)
@@ -298,12 +453,8 @@ def _oltp(bench: "CloudyBench", arrival=None) -> EvalOutcome:
                 score.openloop_latency_ms.get("p99", 0.0)
             )
     return _outcome(
-        bench, name="oltp", title="Instrumented OLTP run (fault-free)",
-        headers=("arch", "requests", "goodput", "commits",
-                 "lag p99 ms", "call p99 ms"),
-        rows=rows,
-        scores=scores,
-        payload=data,
+        ("arch", "requests", "goodput", "commits", "lag p99 ms", "call p99 ms"),
+        rows, scores=scores, payload=data,
     )
 
 
@@ -312,21 +463,29 @@ def _oltp(bench: "CloudyBench", arrival=None) -> EvalOutcome:
     title="Overload protection (goodput past the knee)",
     summary="goodput-vs-offered-load sweep with the qos stack on or off",
     options=(
-        EvalOption(
-            "qos", parse_bool, None,
-            "admission control / deadlines / retry budgets on (default: "
-            "the config's qos_enabled knob)",
-        ),
-        EvalOption(
-            "arrival", _parse_open_arrival_opt, None,
-            "arrival process: poisson (default) | burst[:RATE,N]; RATE is "
-            "a multiple of capacity",
-        ),
+        EvalOption("qos", parse_bool, config="qos_enabled",
+                   help="admission control / deadlines / retry budgets on"),
+        EvalOption("arrival", _parse_open_arrival_opt, "poisson",
+                   "arrival process: poisson | burst[:RATE,N]; RATE is a "
+                   "multiple of capacity"),
     ),
 )
-def _overload(bench: "CloudyBench", qos=None, arrival=None) -> EvalOutcome:
-    data = bench._compute_overload(qos=qos, arrival=arrival)
-    enabled = bench.config.qos_enabled if qos is None else qos
+def _overload(bench: "CloudyBench", qos: bool, arrival: str) -> EvalOutcome:
+    """Goodput-vs-offered-load sweep past saturation, per SUT."""
+    config = bench.config
+    data = {
+        arch.name: OverloadEvaluator(
+            arch,
+            qos=qos,
+            capacity_rps=config.overload_capacity_rps,
+            deadline_s=config.overload_deadline_s,
+            duration_s=config.overload_duration_s,
+            seed=config.seed,
+            observer=bench.observer,
+            arrival=arrival,
+        ).run(list(config.overload_multiples))
+        for arch in bench.architectures
+    }
     rows = []
     scores = {}
     for arch, result in data.items():
@@ -339,19 +498,12 @@ def _overload(bench: "CloudyBench", qos=None, arrival=None) -> EvalOutcome:
             ))
         scores[f"d.{arch}"] = result.dscore
     return _outcome(
-        bench, name="overload",
-        title=f"Overload protection (qos {'on' if enabled else 'off'})",
-        headers=("arch", "load", "offered rps", "goodput rps", "shed",
-                 "expired", "timeouts", "p99 ms", "queue max"),
-        rows=rows, scores=scores, payload=data,
+        ("arch", "load", "offered rps", "goodput rps", "shed",
+         "expired", "timeouts", "p99 ms", "queue max"),
+        rows,
+        title=f"Overload protection (qos {'on' if qos else 'off'})",
+        scores=scores, payload=data,
     )
-
-
-def _parse_ack_mode(value) -> str:
-    mode = str(value)
-    if mode not in ("sync", "semisync"):
-        raise ValueError(f"unknown ack mode {mode!r}; use 'sync' or 'semisync'")
-    return mode
 
 
 @evaluator(
@@ -360,16 +512,37 @@ def _parse_ack_mode(value) -> str:
     summary="availability through a primary kill, zeroed by any history "
             "violation (the R-Score)",
     options=(
-        EvalOption("ack_mode", _parse_ack_mode, None,
-                   "replication ack mode (default: config ha_ack_mode)"),
-        EvalOption("arrival", _parse_arrival_opt, None,
-                   "client arrival process: closed (default) | "
-                   "poisson[:RATE] | burst[:RATE,N]; open arrivals record "
-                   "CO-free sojourn times through the failover"),
+        EvalOption("ack_mode", _one_of("ack mode", "sync", "semisync"),
+                   config="ha_ack_mode", help="replication ack mode"),
+        EvalOption("arrival", _parse_arrival_opt, "closed",
+                   "client arrival process: closed | poisson[:RATE] | "
+                   "burst[:RATE,N]; open arrivals record CO-free sojourn "
+                   "times through the failover"),
     ),
 )
-def _ha(bench: "CloudyBench", ack_mode=None, arrival=None) -> EvalOutcome:
-    result = bench._compute_ha(ack_mode=ack_mode, arrival=arrival)
+def _ha(bench: "CloudyBench", ack_mode: str, arrival: str) -> EvalOutcome:
+    """One HA fleet run through a mid-run primary kill.
+
+    This is testbed-level, not per-SUT: it exercises the engine's own
+    replication/failover stack (:mod:`repro.ha`), so a single run
+    covers every architecture row.
+    """
+    from repro.ha.evaluator import HAEvaluator
+    from repro.ha.lease import LeaseConfig
+
+    config = bench.config
+    result = HAEvaluator(
+        n_shards=config.ha_shards,
+        txns=config.ha_txns,
+        n_pairs=config.ha_pairs,
+        ack_mode=ack_mode,
+        lease=LeaseConfig(
+            lease_s=config.ha_lease_s, heartbeat_s=config.ha_heartbeat_s,
+        ),
+        seed=config.seed,
+        observer=bench.observer,
+        arrival=arrival,
+    ).run()
     rows = [(
         result.ack_mode, result.txns, result.acked,
         f"{result.availability:.4f}",
@@ -385,22 +558,10 @@ def _ha(bench: "CloudyBench", ack_mode=None, arrival=None) -> EvalOutcome:
             "p99", 0.0
         )
     return _outcome(
-        bench, name="ha",
-        title="Shard HA (replication + automated failover)",
-        headers=("ack", "txns", "acked", "availability", "failovers",
-                 "restarts", "unavail ms", "bound ms", "violations",
-                 "R-Score"),
-        rows=rows,
-        scores=scores,
-        payload=result,
+        ("ack", "txns", "acked", "availability", "failovers", "restarts",
+         "unavail ms", "bound ms", "violations", "R-Score"),
+        rows, scores=scores, payload=result,
     )
-
-
-def _parse_archive_mode(value) -> str:
-    mode = str(value)
-    if mode not in ("sync", "lagged"):
-        raise ValueError(f"unknown archive mode {mode!r}; use 'sync' or 'lagged'")
-    return mode
 
 
 @evaluator(
@@ -409,14 +570,30 @@ def _parse_archive_mode(value) -> str:
     summary="RPO/RTO through backup-under-load, disaster and "
             "point-in-time restore (the DR-Score)",
     options=(
-        EvalOption("archive_mode", _parse_archive_mode, None,
-                   "WAL archiving mode: sync (RPO=0 expected) | lagged "
-                   "(buffered tail lost at disaster, RPO priced in); "
-                   "default: config dr_archive_mode"),
+        EvalOption("archive_mode", _one_of("archive mode", "sync", "lagged"),
+                   config="dr_archive_mode",
+                   help="WAL archiving mode: sync (RPO=0 expected) | lagged "
+                        "(buffered tail lost at disaster, RPO priced in)"),
     ),
 )
-def _dr(bench: "CloudyBench", archive_mode=None) -> EvalOutcome:
-    result = bench._compute_dr(archive_mode=archive_mode)
+def _dr(bench: "CloudyBench", archive_mode: str) -> EvalOutcome:
+    """One backup-under-load, disaster, PITR-restore run.
+
+    Testbed-level like the HA run: it exercises the engine's own
+    archive/backup/restore stack (:mod:`repro.dr`), so a single run
+    covers every architecture row.
+    """
+    from repro.dr.evaluator import DREvaluator
+
+    config = bench.config
+    result = DREvaluator(
+        n_shards=config.dr_shards,
+        txns=config.dr_txns,
+        n_pairs=config.dr_pairs,
+        archive_mode=archive_mode,
+        seed=config.seed,
+        observer=bench.observer,
+    ).run()
     rows = [(
         result.archive_mode, result.txns, result.acked,
         result.archived_records, result.lag_lost_records,
@@ -432,38 +609,10 @@ def _dr(bench: "CloudyBench", archive_mode=None) -> EvalOutcome:
         "dr.rto_virtual_ms": result.rto_virtual_s * 1000.0,
     }
     return _outcome(
-        bench, name="dr",
-        title="Disaster recovery (backup + PITR restore)",
-        headers=("archive", "txns", "acked", "archived", "lag lost",
-                 "RPO txns", "RTO wall ms", "RTO virt ms", "violations",
-                 "DR-Score"),
-        rows=rows,
-        scores=scores,
-        payload=result,
+        ("archive", "txns", "acked", "archived", "lag lost", "RPO txns",
+         "RTO wall ms", "RTO virt ms", "violations", "DR-Score"),
+        rows, scores=scores, payload=result,
     )
-
-
-def _parse_counts(value) -> list:
-    """Parse a comma-separated list of positive counts (``"1,2,4"``)."""
-    if not isinstance(value, (list, tuple)):
-        value = [item for item in str(value).split(",") if item.strip()]
-    return [_positive_int(item) for item in value]
-
-
-def _parse_driver(value) -> str:
-    driver = str(value)
-    if driver not in ("inline", "mp"):
-        raise ValueError(f"unknown driver {driver!r}; use 'inline' or 'mp'")
-    return driver
-
-
-def _parse_transport(value) -> str:
-    transport = str(value)
-    if transport not in ("inline", "socket"):
-        raise ValueError(
-            f"unknown transport {transport!r}; use 'inline' or 'socket'"
-        )
-    return transport
 
 
 @evaluator(
@@ -472,39 +621,50 @@ def _parse_transport(value) -> str:
     summary="measured fleet txn/s vs shard count and cross-shard ratio, "
             "against the modelled E2 curve",
     options=(
-        EvalOption("shards", _parse_counts, None,
-                   "comma-separated shard counts (default: config shard_counts)"),
+        EvalOption("shards", _parse_counts, config="shard_counts",
+                   help="comma-separated shard counts"),
         EvalOption("cross", _parse_ratio, None,
-                   "cross-shard transaction ratio in [0, 1]"),
-        EvalOption("txns", _positive_int, None, "total transactions per point"),
-        EvalOption("driver", _parse_driver, None,
-                   "'inline' (any cross ratio) or 'mp' (one process per shard)"),
-        EvalOption("arrival", _parse_arrival_opt, None,
-                   "latency recording: closed (default) | poisson[:RATE] | "
+                   "cross-shard transaction ratio in [0, 1] (default: config "
+                   "shard_cross_ratio; 0 for the mp driver)"),
+        EvalOption("txns", _positive_int, config="shard_txns",
+                   help="total transactions per point"),
+        EvalOption("driver", _one_of("driver", "inline", "mp"),
+                   config="shard_driver",
+                   help="'inline' (any cross ratio) or 'mp' (one process per shard)"),
+        EvalOption("arrival", _parse_arrival_opt, "closed",
+                   "latency recording: closed | poisson[:RATE] | "
                    "burst[:RATE,N] (inline driver only)"),
-        EvalOption("transport", _parse_transport, None,
-                   "'inline' (in-process clients, default) or 'socket' "
-                   "(the same workload over the serving tier's loopback "
-                   "socket; inline driver only)"),
+        EvalOption("transport", _one_of("transport", "inline", "socket"), "inline",
+                   "'inline' (in-process clients) or 'socket' (the same "
+                   "workload over the serving tier's loopback socket; inline "
+                   "driver only)"),
     ),
 )
 def _scaleout_real(
-    bench: "CloudyBench", shards=None, cross=None, txns=None, driver=None,
-    arrival=None, transport=None,
+    bench: "CloudyBench", shards, cross, txns, driver, arrival, transport,
 ) -> EvalOutcome:
-    from repro.core.metrics import scale_out_tps
+    """Measured fleet throughput per shard count.
 
-    # validate() fills defaults without coercing (the CLI layer owns
-    # string parsing); coerce here so programmatic callers can pass
-    # "1,2,4" or [1, 2, 4] interchangeably.
-    data = bench._compute_scaleout_real(
-        shard_counts=None if shards is None else _parse_counts(shards),
-        cross_ratio=None if cross is None else _parse_ratio(cross),
-        transactions=None if txns is None else _positive_int(txns),
-        driver=None if driver is None else _parse_driver(driver),
-        arrival=None if arrival is None else str(arrival),
-        transport=None if transport is None else _parse_transport(transport),
-    )
+    Unlike the model-driven evaluators this loads one real sharded
+    fleet per point and drives the payment workload through it
+    (:mod:`repro.shard.driver`); the payload is ``{n_shards:
+    ShardRunResult}``.
+    """
+    from repro.shard.driver import run_scaleout
+
+    if cross is None:
+        # the mp driver has no cross-process coordinator, so its only
+        # valid ratio is 0; don't let the config default for the inline
+        # driver reject an explicit ``driver=mp``
+        cross = 0.0 if driver == "mp" else bench.config.shard_cross_ratio
+    data = {
+        result.n_shards: result
+        for result in run_scaleout(
+            list(shards), txns, cross_ratio=cross, seed=bench.config.seed,
+            row_scale=bench.config.row_scale, driver=driver,
+            observer=bench.observer, arrival=arrival, transport=transport,
+        )
+    }
     # The analytic counterpart: the MVA scale-out curve (E2's substrate)
     # for the first configured architecture under the RW mix.  Measured
     # speedup comes from hash partitioning, modelled speedup from read
@@ -538,22 +698,10 @@ def _scaleout_real(
                 result.openloop_latency_ms.get("p99", 0.0)
             )
     return _outcome(
-        bench, name="scaleout-real",
-        title="Real scale-out (sharded fleet, 2PC)",
-        headers=("shards", "driver", "cross", "committed", "aborted",
-                 "2PC commits", "node TPS", "speedup", "modelled",
-                 "fsyncs/txn"),
-        rows=rows, scores=scores, payload=data,
+        ("shards", "driver", "cross", "committed", "aborted", "2PC commits",
+         "node TPS", "speedup", "modelled", "fsyncs/txn"),
+        rows, scores=scores, payload=data,
     )
-
-
-def _parse_persona(value) -> str:
-    persona = str(value)
-    if persona not in ("payment", "reader", "mixed"):
-        raise ValueError(
-            f"unknown persona {persona!r}; use 'payment', 'reader' or 'mixed'"
-        )
-    return persona
 
 
 @evaluator(
@@ -562,48 +710,53 @@ def _parse_persona(value) -> str:
     summary="measured TPS / p50 / p99 vs connection count through the "
             "asyncio SQL server; optional qos-on/off knee comparison",
     options=(
-        EvalOption("connections", _parse_counts, None,
-                   "comma-separated connection counts "
-                   "(default: config serve_connections)"),
-        EvalOption("txns", _positive_int, None, "transactions per connection"),
-        EvalOption("qos", parse_bool, None,
-                   "admission queue + deadline shedding on "
-                   "(default: config serve_qos)"),
-        EvalOption("workers", _non_negative_int, None,
-                   "SO_REUSEPORT server processes "
-                   "(0 = single in-process server, deterministic)"),
-        EvalOption("arrival", _parse_arrival_opt, None,
-                   "client arrival process: closed (default) | "
-                   "poisson[:RATE] | burst[:RATE,N]"),
-        EvalOption("persona", _parse_persona, None,
-                   "load persona: payment | reader | mixed"),
+        EvalOption("connections", _parse_counts, config="serve_connections",
+                   help="comma-separated connection counts"),
+        EvalOption("txns", _positive_int, config="serve_txns_per_conn",
+                   help="transactions per connection"),
+        EvalOption("qos", parse_bool, config="serve_qos",
+                   help="admission queue + deadline shedding on"),
+        EvalOption("workers", _non_negative_int, config="serve_workers",
+                   help="SO_REUSEPORT server processes "
+                        "(0 = single in-process server, deterministic)"),
+        EvalOption("arrival", _parse_arrival_opt, config="serve_arrival",
+                   help="client arrival process: closed | poisson[:RATE] | "
+                        "burst[:RATE,N]"),
+        EvalOption("persona", _one_of("persona", "payment", "reader", "mixed"),
+                   config="serve_persona",
+                   help="load persona: payment | reader | mixed"),
         EvalOption("rate", _positive_float, None,
                    "total offered rate for open arrivals (txns/s)"),
-        EvalOption("deadline", _positive_float, None,
-                   "per-request deadline in seconds (expired work is shed)"),
+        EvalOption("deadline", _positive_float, config="serve_deadline_s",
+                   help="per-request deadline in seconds (expired work is shed)"),
         EvalOption("knee", parse_bool, False,
                    "also drive a qos-on vs qos-off overload pair past the "
                    "knee at the deepest connection count"),
     ),
 )
 def _serve(
-    bench: "CloudyBench", connections=None, txns=None, qos=None,
-    workers=None, arrival=None, persona=None, rate=None, deadline=None,
-    knee=False,
+    bench: "CloudyBench", connections, txns, qos, workers, arrival, persona,
+    rate, deadline, knee,
 ) -> EvalOutcome:
-    txns_opt = None if txns is None else _positive_int(txns)
-    workers_opt = None if workers is None else _non_negative_int(workers)
-    persona_opt = None if persona is None else _parse_persona(persona)
-    data = bench._compute_serve(
-        connections=None if connections is None else _parse_counts(connections),
-        txns_per_conn=txns_opt,
-        qos=None if qos is None else parse_bool(qos),
-        workers=workers_opt,
-        arrival=None if arrival is None else str(arrival),
-        persona=persona_opt,
-        rate_tps=None if rate is None else _positive_float(rate),
-        deadline_s=None if deadline is None else _positive_float(deadline),
-    )
+    """One serve sweep, payload ``{connections: ServeRunResult}``.
+
+    Boots the real serving tier (:mod:`repro.serve`) per connection
+    count and drives it with the async load generator -- measured
+    end-to-end over a loopback socket, like the scale-out runs.
+    Testbed-level (one run covers every architecture row).
+    """
+    from repro.serve.driver import run_sweep
+
+    config = bench.config
+
+    def sweep(counts, **shape):
+        results = run_sweep(
+            counts, txns, n_shards=config.serve_shards, workers=workers,
+            persona=persona, seed=config.seed, row_scale=config.row_scale,
+            max_connections=config.serve_max_connections,
+            observer=bench.observer, **shape,
+        )
+        return {result.connections: result for result in results}
 
     def _row(count, result):
         return (
@@ -615,6 +768,10 @@ def _serve(
             round(result.latency_ms.get("p99", 0.0), 2),
         )
 
+    data = sweep(
+        connections, qos=qos, arrival=arrival, rate_tps=rate,
+        deadline_s=deadline, max_queue=config.serve_max_queue,
+    )
     rows = []
     scores = {}
     for count in sorted(data):
@@ -624,7 +781,7 @@ def _serve(
         scores[f"serve.goodput@{count}"] = result.goodput_tps
         scores[f"serve.p99_ms@{count}"] = result.latency_ms.get("p99", 0.0)
     notes = ""
-    if parse_bool(knee):
+    if knee:
         # Overload the deepest point at ~2.5x its measured closed-loop
         # service rate with a tight deadline and a short admission queue
         # -- the regime where shedding pays -- once with the qos stack
@@ -632,21 +789,14 @@ def _serve(
         # measured over a real socket.
         deepest = max(data)
         knee_rate = max(data[deepest].tps, 1.0) * 2.5
-        knee_deadline = 0.1 if deadline is None else float(deadline)
+        knee_deadline = deadline or 0.1
         pair = {}
         for flag in (True, False):
-            run = bench._compute_serve(
-                connections=[deepest],
-                txns_per_conn=txns_opt,
-                qos=flag,
-                workers=workers_opt,
-                arrival=f"poisson:{knee_rate:.6g}",
-                persona=persona_opt,
-                deadline_s=knee_deadline,
-                max_queue=8,
+            pair[flag] = sweep(
+                [deepest], qos=flag, arrival=f"poisson:{knee_rate:.6g}",
+                deadline_s=knee_deadline, max_queue=8,
             )[deepest]
-            pair[flag] = run
-            rows.append(_row(deepest, run))
+            rows.append(_row(deepest, pair[flag]))
         ratio = pair[True].goodput_tps / max(pair[False].goodput_tps, 1e-9)
         scores["serve.knee_ratio"] = ratio
         notes = (
@@ -656,21 +806,17 @@ def _serve(
             f"{pair[False].goodput_tps:.1f} ({ratio:.2f}x)"
         )
     return _outcome(
-        bench, name="serve", title="Serving tier (SQL over sockets)",
-        headers=("conns", "qos", "driver", "offered", "committed",
-                 "shed+exp", "errors", "TPS", "goodput", "p50 ms", "p99 ms"),
-        rows=rows, scores=scores, notes=notes, payload=data,
+        ("conns", "qos", "driver", "offered", "committed", "shed+exp",
+         "errors", "TPS", "goodput", "p50 ms", "p99 ms"),
+        rows, scores=scores, notes=notes, payload=data,
     )
 
 
-def _parse_workloads(value) -> list:
-    """Parse a comma-separated perf workload list (``"oltp,shard"``)."""
+def _parse_workloads(value) -> tuple:
+    """Parse a perf workload list (``"oltp,shard"`` or a sequence)."""
     from repro.perf.harness import perf_workload_names
 
-    if isinstance(value, (list, tuple)):
-        names = [str(item) for item in value]
-    else:
-        names = [item.strip() for item in str(value).split(",") if item.strip()]
+    names = tuple(str(item) for item in _items(value))
     known = perf_workload_names()
     unknown = [name for name in names if name not in known]
     if unknown:
@@ -686,24 +832,40 @@ def _parse_workloads(value) -> list:
     options=(
         EvalOption("workloads", _parse_workloads, None,
                    "comma-separated perf workloads (default: all)"),
-        EvalOption("arrival", _parse_arrival_opt, None,
-                   "arrival spec: closed | poisson[:RATE] | burst[:RATE,N]"),
-        EvalOption("txns", _positive_int, None,
-                   "fixed measured iteration count (default: config/pilot)"),
-        EvalOption("profile", parse_bool, None,
-                   "run the subsystem-profile pass (default: config)"),
+        EvalOption("arrival", _parse_arrival_opt, config="perf_arrival",
+                   help="arrival spec: closed | poisson[:RATE] | burst[:RATE,N]"),
+        EvalOption("txns", _positive_int, config="perf_txns",
+                   help="fixed measured iteration count (unset: the pilot "
+                        "run calibrates it)"),
+        EvalOption("profile", parse_bool, config="perf_profile",
+                   help="run the subsystem-profile pass"),
     ),
 )
-def _perf(
-    bench: "CloudyBench", workloads=None, arrival=None, txns=None,
-    profile=None,
-) -> EvalOutcome:
-    data = bench._compute_perf(
-        workloads=None if workloads is None else _parse_workloads(workloads),
-        arrival=None if arrival is None else str(arrival),
-        txns=None if txns is None else _positive_int(txns),
-        profile=None if profile is None else parse_bool(profile),
+def _perf(bench: "CloudyBench", workloads, arrival, txns, profile) -> EvalOutcome:
+    """Measured perf runs, payload ``{workload: MeasuredRun}``.
+
+    Testbed-level, like the shard/HA evaluators: it measures the
+    engine's own hot paths (single-shard payment loop, cross-shard
+    2PC) through the two-stage harness, so one run covers every
+    architecture row.
+    """
+    from repro.perf.harness import TwoStageHarness, perf_workload_names
+
+    config = bench.config
+    harness = TwoStageHarness(
+        seed=config.seed,
+        row_scale=config.row_scale,
+        pilot_txns=config.perf_pilot_txns,
+        target_s=config.perf_target_s,
+        txns=txns,
+        arrival=arrival,
+        profile=profile,
+        shard_cross_ratio=config.shard_cross_ratio,
+        observer=bench.observer,
     )
+    data = {
+        name: harness.run(name) for name in workloads or perf_workload_names()
+    }
     rows = []
     scores = {}
     for name in sorted(data):
@@ -735,13 +897,86 @@ def _perf(
         if sojourn:
             scores[f"perf.openloop_p99_ms.{name}"] = sojourn.get("p99", 0.0)
     return _outcome(
-        bench, name="perf",
-        title="Perf trajectory (two-stage measured harness)",
-        headers=("workload", "arrival", "txns", "committed", "aborted",
-                 "TPS", "wall s", "CPU s", "p50 ms", "p99 ms",
-                 "open p99 ms", "top subsystem"),
-        rows=rows, scores=scores, payload=data,
+        ("workload", "arrival", "txns", "committed", "aborted", "TPS",
+         "wall s", "CPU s", "p50 ms", "p99 ms", "open p99 ms", "top subsystem"),
+        rows, scores=scores, payload=data,
     )
+
+
+def _perfect_scores(bench: "CloudyBench", duration_s: float) -> Dict[str, PerfectScores]:
+    """All seven scores plus the O-Score for every SUT."""
+    pscore_rows = {row.arch_name: row for row in bench.run("pscore").payload}
+    elasticity = bench.run("elasticity").payload
+    tenancy = bench.run("multitenancy").payload
+    failover = bench.run("failover").payload
+    lag = bench.run("lagtime").payload
+    sf = min(bench.config.scale_factors)
+
+    # Scores of evaluations the score card does not force ride along
+    # when their run is already memoised
+    overload, ha, dr = (bench.memoised(name) for name in ("overload", "ha", "dr"))
+
+    scores: Dict[str, PerfectScores] = {}
+    for arch in bench.architectures:
+        name = arch.name
+        row = pscore_rows[name]
+        avg_tps = sum(row.tps_by_mode.values()) / max(1, len(row.tps_by_mode))
+        runs = [
+            result
+            for by_mode in elasticity[name].values()
+            for result in by_mode.values()
+        ]
+        # E1*: recompute the denominator with the vendor's prices
+        billed = actual_cost(arch.pricing, arch.provisioned, duration_s)
+        e1_star_values = []
+        for result in runs:
+            denom = billed * (result.elastic_cost / max(result.total_cost, 1e-9))
+            e1_star_values.append(result.avg_tps / denom if denom > 0 else 0.0)
+
+        t_star_values = []
+        for result in tenancy[name].values():
+            per_minute = actual_cost(
+                arch.pricing, result.package, duration_s
+            ) / (duration_s / 60.0)
+            t_star_values.append(
+                result.t_score * result.cost_per_minute / per_minute
+                if per_minute > 0
+                else 0.0
+            )
+
+        # "d" is the overload D-Score; "r" the shard-HA R-Score and "dr"
+        # the DR-Score (RPO-discounted restore fidelity) are
+        # testbed-level, so the same number annotates every row
+        extras = {}
+        if overload is not None and name in overload.payload:
+            extras["d"] = overload.payload[name].dscore
+        if ha is not None:
+            extras["r"] = ha.payload.r_score
+        if dr is not None:
+            extras["dr"] = dr.payload.dr_score
+
+        fo = failover[name]
+        lag_mixed = lag[name].get("mixed") or next(iter(lag[name].values()))
+        scores[name] = PerfectScores(
+            arch_name=name,
+            p=row.p_avg,
+            p_star=p_score_actual(avg_tps, arch, arch.provisioned, duration_s),
+            # E1: average over patterns and modes of the elasticity runs
+            e1=_mean(result.e1_score for result in runs),
+            e1_star=_mean(e1_star_values),
+            e2=e2_score(arch, bench.workload_mix("RW", sf)),
+            r_s=fo.r_avg_s,
+            f_s=fo.f_avg_s,
+            # Table IX's C column is the average replication lag of
+            # the mixed IUD pattern in milliseconds (Equation (6)'s
+            # per-kind sum is reported by the lag bench itself).
+            c_ms=lag_mixed.avg_lag_s * 1000.0,
+            t=_mean(result.t_score for result in tenancy[name].values()),
+            t_star=_mean(t_star_values),
+            scale_factor=1.0,
+            extras=extras,
+        )
+    return scores
 
 
 @evaluator(
@@ -752,9 +987,10 @@ def _perf(
         EvalOption("duration_s", _positive_float, 300.0,
                    "billing window in seconds"),
     ),
+    memoise=False,  # its optional columns grow as overload/ha/dr runs land
 )
-def _overall(bench: "CloudyBench", duration_s: float = 300.0) -> EvalOutcome:
-    data = bench._compute_overall(duration_s=duration_s)
+def _overall(bench: "CloudyBench", duration_s: float) -> EvalOutcome:
+    data = _perfect_scores(bench, duration_s)
     headers = ["arch", "P", "P*", "E1", "E1*", "R", "F", "E2",
                "C(ms)", "T", "T*", "O", "O*"]
     # extra score columns append after O* when the corresponding
@@ -777,7 +1013,4 @@ def _overall(bench: "CloudyBench", duration_s: float = 300.0) -> EvalOutcome:
         rows.append(tuple(row))
         flat[f"o.{arch}"] = scores.o
         flat[f"o_star.{arch}"] = scores.o_star
-    return _outcome(
-        bench, name="overall", title="Overall performance (Table IX)",
-        headers=tuple(headers), rows=rows, scores=flat, payload=data,
-    )
+    return _outcome(tuple(headers), rows, scores=flat, payload=data)

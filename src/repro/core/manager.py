@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.workload import SalesWorkload, TransactionMix
 from repro.engine.database import Database
+from repro.obs.metrics import Histogram
 from repro.sim.rng import derive_seed
 
 
@@ -29,18 +30,17 @@ class OltpResult:
     elapsed_s: float
     counts: Dict[str, int] = field(default_factory=dict)
     aborted: int = 0
-    latencies_s: List[float] = field(default_factory=list)
+    #: per-transaction latencies in seconds (``record_latencies`` runs)
+    histogram: Histogram = field(
+        default_factory=lambda: Histogram("oltp.latency_s")
+    )
 
     @property
     def tps(self) -> float:
         return self.transactions / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
     def latency_percentile(self, percentile: float) -> float:
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        index = min(len(ordered) - 1, int(len(ordered) * percentile / 100.0))
-        return ordered[index]
+        return self.histogram.percentile(percentile)
 
 
 class WorkloadManager:
@@ -77,14 +77,14 @@ class WorkloadManager:
         """Execute ``total`` transactions round-robin across workers."""
         if total < 1:
             raise ValueError("total must be >= 1")
-        latencies: List[float] = []
+        histogram = Histogram("oltp.latency_s")
         started = time.perf_counter()
         for index in range(total):
             worker = self.workers[index % self.concurrency]
             if self.record_latencies:
                 txn_start = time.perf_counter()
                 worker.run_one()
-                latencies.append(time.perf_counter() - txn_start)
+                histogram.observe(time.perf_counter() - txn_start)
             else:
                 worker.run_one()
         elapsed = time.perf_counter() - started
@@ -99,7 +99,7 @@ class WorkloadManager:
             elapsed_s=elapsed,
             counts=counts,
             aborted=aborted,
-            latencies_s=latencies,
+            histogram=histogram,
         )
 
     def run_for(self, duration_s: float, batch: int = 64) -> OltpResult:
@@ -107,7 +107,6 @@ class WorkloadManager:
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         executed = 0
-        latencies: List[float] = []
         started = time.perf_counter()
         while time.perf_counter() - started < duration_s:
             for _ in range(batch):
@@ -126,5 +125,4 @@ class WorkloadManager:
             elapsed_s=elapsed,
             counts=counts,
             aborted=aborted,
-            latencies_s=latencies,
         )

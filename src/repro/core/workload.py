@@ -29,14 +29,13 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cloud.workload_model import TxnClass, WorkloadMix
-from repro.core.client import Client, EngineClient
+from repro.core.client import Client, EngineClient, quiet_rollback
 from repro.core.datagen import nominal_bytes
 from repro.core.distributions import KeyDistribution, UniformDistribution, make_distribution
 from repro.core.schema import BASE_ROWS
 from repro.core.resilience import retry_transaction
 from repro.core.sqlreader import SqlStmts
 from repro.engine.database import Database
-from repro.engine.errors import EngineError
 
 #: calibrated resource footprints of the four transactions
 TXN_CLASSES: Dict[str, TxnClass] = {
@@ -236,11 +235,7 @@ class SalesWorkload:
             )
             client.commit()
         except BaseException:
-            if client.in_txn:
-                try:
-                    client.rollback()
-                except EngineError:
-                    pass
+            quiet_rollback(client)
             raise
         return o_id, now
 

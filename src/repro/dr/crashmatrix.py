@@ -34,8 +34,6 @@ Run as a module for the CI smoke job::
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -43,6 +41,7 @@ from repro.dr.archive import FleetArchiver
 from repro.dr.backup import BACKUP_PHASES, BackupJob
 from repro.dr.restore import RESTORE_PHASES, RestoreJob
 from repro.engine.errors import SimulatedCrash
+from repro.ha.crashmatrix import MatrixResult, main as sweep_main
 from repro.ha.history import HistoryChecker, Violation
 from repro.ha.workload import PairWorkload, build_pairs_fleet
 from repro.sim.rng import derive_seed
@@ -87,51 +86,23 @@ class CellResult:
             and self.post_reads > 0
         )
 
-
-@dataclass
-class MatrixResult:
-    """The whole sweep."""
-
-    seed: int
-    cells: List[CellResult] = field(default_factory=list)
-
-    @property
-    def violations(self) -> List[Violation]:
-        return [violation for cell in self.cells for violation in cell.violations]
-
-    @property
-    def passed(self) -> bool:
-        return all(cell.passed for cell in self.cells)
-
-    def fingerprint(self) -> str:
-        """SHA-256 over every cell's outcome -- the determinism contract."""
-        digest = hashlib.sha256()
-        digest.update(f"seed={self.seed}".encode())
-        for cell in self.cells:
-            digest.update(cell.label.encode())
-            digest.update(
-                f"|fired={cell.fault_fired}|retried={cell.retried}"
-                f"|rows={cell.rows_restored}|replayed={cell.records_replayed}"
-                f"|t={cell.post_transfers}|r={cell.post_reads}"
-                f"|ops={cell.ops}|v={len(cell.violations)}".encode()
-            )
-        return digest.hexdigest()
-
-    def describe(self) -> List[str]:
-        lines = [
-            f"{cell.label}  rows={cell.rows_restored:<3d} "
-            f"replayed={cell.records_replayed:<4d} "
-            f"{'retried' if cell.retried else 'absorbed':<8s} "
-            f"post={cell.post_transfers}/{cell.post_reads}  "
-            f"{'ok' if cell.passed else 'FAIL'}"
-            for cell in self.cells
-        ]
-        lines.append(
-            f"{len(self.cells)} cells, {len(self.violations)} violations, "
-            f"fingerprint {self.fingerprint()[:16]}"
+    def outcome(self) -> str:
+        """Everything the sweep's fingerprint pins about this cell."""
+        return (
+            f"|fired={self.fault_fired}|retried={self.retried}"
+            f"|rows={self.rows_restored}|replayed={self.records_replayed}"
+            f"|t={self.post_transfers}|r={self.post_reads}"
+            f"|ops={self.ops}|v={len(self.violations)}"
         )
-        lines.extend(str(violation) for violation in self.violations)
-        return lines
+
+    def describe(self) -> str:
+        return (
+            f"{self.label}  rows={self.rows_restored:<3d} "
+            f"replayed={self.records_replayed:<4d} "
+            f"{'retried' if self.retried else 'absorbed':<8s} "
+            f"post={self.post_transfers}/{self.post_reads}  "
+            f"{'ok' if self.passed else 'FAIL'}"
+        )
 
 
 def run_cell(
@@ -262,19 +233,11 @@ def run_matrix(seed: int = 7, quick: bool = False) -> MatrixResult:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="backup/restore crash-point sweep (zero tolerated violations)"
+    return sweep_main(
+        argv, run_matrix,
+        "backup/restore crash-point sweep (zero tolerated violations)",
+        "coordinator cells only (8 instead of 16)",
     )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="coordinator cells only (8 instead of 16)",
-    )
-    args = parser.parse_args(argv)
-    result = run_matrix(seed=args.seed, quick=args.quick)
-    for line in result.describe():
-        print(line)
-    return 0 if result.passed else 1
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ The package layers availability on top of the sharded fleet:
 """
 
 from repro.ha.cluster import HAFleet, HAShard
-from repro.ha.crashmatrix import CellResult, MatrixResult, run_cell, run_matrix
 from repro.ha.evaluator import HAEvaluator, HAResult
 from repro.ha.history import CheckReport, History, HistoryChecker, Op, Violation
 from repro.ha.lease import LeaderLease, LeaseConfig, VirtualClock
@@ -32,10 +31,6 @@ __all__ = [
     "HAShard",
     "HAEvaluator",
     "HAResult",
-    "CellResult",
-    "MatrixResult",
-    "run_cell",
-    "run_matrix",
     "CheckReport",
     "History",
     "HistoryChecker",

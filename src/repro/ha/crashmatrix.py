@@ -33,7 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.engine.errors import SimulatedCrash
 from repro.ha.cluster import HAFleet
@@ -74,13 +74,31 @@ class CellResult:
             and self.post_reads > 0
         )
 
+    def outcome(self) -> str:
+        """Everything the sweep's fingerprint pins about this cell."""
+        return (
+            f"|fired={self.fault_fired}|t={self.post_transfers}"
+            f"|r={self.post_reads}|ops={self.ops}|v={len(self.violations)}"
+        )
+
+    def describe(self) -> str:
+        return (
+            f"{self.label}  ops={self.ops:<4d} "
+            f"post={self.post_transfers}/{self.post_reads}  "
+            f"{'ok' if self.passed else 'FAIL'}"
+        )
+
 
 @dataclass
 class MatrixResult:
-    """The whole sweep."""
+    """A whole sweep, of this matrix or of :mod:`repro.dr.crashmatrix`.
+
+    A cell contributes its ``label``, ``outcome()`` (the fingerprinted
+    fields), ``describe()`` line, ``violations`` and ``passed``.
+    """
 
     seed: int
-    cells: List[CellResult] = field(default_factory=list)
+    cells: list = field(default_factory=list)
 
     @property
     def violations(self) -> List[Violation]:
@@ -96,20 +114,11 @@ class MatrixResult:
         digest.update(f"seed={self.seed}".encode())
         for cell in self.cells:
             digest.update(cell.label.encode())
-            digest.update(
-                f"|fired={cell.fault_fired}|t={cell.post_transfers}"
-                f"|r={cell.post_reads}|ops={cell.ops}"
-                f"|v={len(cell.violations)}".encode()
-            )
+            digest.update(cell.outcome().encode())
         return digest.hexdigest()
 
     def describe(self) -> List[str]:
-        lines = [
-            f"{cell.label}  ops={cell.ops:<4d} "
-            f"post={cell.post_transfers}/{cell.post_reads}  "
-            f"{'ok' if cell.passed else 'FAIL'}"
-            for cell in self.cells
-        ]
+        lines = [cell.describe() for cell in self.cells]
         lines.append(
             f"{len(self.cells)} cells, {len(self.violations)} violations, "
             f"fingerprint {self.fingerprint()[:16]}"
@@ -224,21 +233,22 @@ def run_matrix(
     return result
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="HA crash-schedule sweep (zero tolerated violations)"
-    )
+def main(
+    argv: Optional[List[str]] = None,
+    sweep: Callable[..., MatrixResult] = run_matrix,
+    description: str = "HA crash-schedule sweep (zero tolerated violations)",
+    quick_help: str = "failover cells only (21 instead of 42)",
+) -> int:
+    """The sweep CLI, shared with :mod:`repro.dr.crashmatrix`."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="failover cells only (21 instead of 42)",
-    )
-    parser.add_argument(
-        "--ack-mode", choices=("sync", "semisync"), default=None,
-        help="pin one replication mode (default: alternate both)",
-    )
-    args = parser.parse_args(argv)
-    result = run_matrix(seed=args.seed, quick=args.quick, ack_mode=args.ack_mode)
+    parser.add_argument("--quick", action="store_true", help=quick_help)
+    if sweep is run_matrix:  # only the HA sweep has a replication mode to pin
+        parser.add_argument(
+            "--ack-mode", choices=("sync", "semisync"), default=None,
+            help="pin one replication mode (default: alternate both)",
+        )
+    result = sweep(**vars(parser.parse_args(argv)))
     for line in result.describe():
         print(line)
     return 0 if result.passed else 1

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Type
 
-from repro.core.client import Client, FleetClient
+from repro.core.client import Client, FleetClient, quiet_rollback
 from repro.engine.errors import EngineError, ShardUnavailableError, SimulatedCrash
 from repro.engine.txn import IsolationLevel
 from repro.engine.types import Column, ColumnType, Schema
@@ -148,7 +148,7 @@ class PairWorkload:
             # The coordinator survived and aborted everything (prepare-
             # stage participant death, or a statement hit a dead shard):
             # presumed abort guarantees this transfer never happened.
-            self._quiet_rollback(client)
+            quiet_rollback(client)
             self.history.fail(worker, "transfer", pair, version=version)
             if self.reraise_unavailable:
                 raise
@@ -164,13 +164,13 @@ class PairWorkload:
                     worker, "transfer", pair, version=version, gtid=gtid
                 )
             else:
-                self._quiet_rollback(client)
+                quiet_rollback(client)
                 self.history.fail(worker, "transfer", pair, version=version)
             raise
         except EngineError as error:
             if not error.retryable:
                 raise
-            self._quiet_rollback(client)
+            quiet_rollback(client)
             self.history.fail(worker, "transfer", pair, version=version)
             return False
         self.history.ok(worker, "transfer", pair, version=version, gtid=gtid)
@@ -193,11 +193,11 @@ class PairWorkload:
             stamp_a = client.execute(SELECT_STAMP, [row_a]).rows[0][0]
             stamp_b = client.execute(SELECT_STAMP, [row_b]).rows[0][0]
         except SimulatedCrash:
-            self._quiet_rollback(client)
+            quiet_rollback(client)
             self.history.fail(worker, "read", pair)
             raise
         except ShardUnavailableError:
-            self._quiet_rollback(client)
+            quiet_rollback(client)
             self.history.fail(worker, "read", pair)
             if self.reraise_unavailable:
                 raise
@@ -205,11 +205,11 @@ class PairWorkload:
         except EngineError as error:
             if not error.retryable:
                 raise
-            self._quiet_rollback(client)
+            quiet_rollback(client)
             self.history.fail(worker, "read", pair)
             return None
         # Rollback, not commit: releases the S locks without a 2PC round.
-        self._quiet_rollback(client)
+        quiet_rollback(client)
         self.history.ok(worker, "read", pair, observed=(stamp_a, stamp_b))
         return (stamp_a, stamp_b)
 
@@ -221,18 +221,3 @@ class PairWorkload:
             stamp_b = self.client.execute(SELECT_STAMP, [row_b]).rows[0][0]
             out[pair] = (stamp_a, stamp_b)
         return out
-
-    @staticmethod
-    def _quiet_rollback(client: Client) -> None:
-        if not client.in_txn:
-            return
-        try:
-            client.rollback()
-        except EngineError:
-            # A branch's shard is down; recovery presumes abort anyway.
-            pass
-        finally:
-            # a rollback the dead shard swallowed must not pin the
-            # client: the next operation begins a fresh transaction
-            if client.in_txn:
-                client.abandon()

@@ -34,15 +34,17 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from repro.engine.errors import (
     DeadlineExceededError,
     EngineError,
     OverloadError,
 )
+from repro.obs.metrics import Histogram
 from repro.perf.openloop import ArrivalSpec, arrival_offsets
 from repro.serve.client import AsyncSQLClient
+from repro.shard.workload import UPDATE_CUSTOMER, UPDATE_ORDER
 from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -55,11 +57,6 @@ __all__ = [
     "run_load",
 ]
 
-#: same statement shapes as the shard payment workload
-UPDATE_ORDER = (
-    "UPDATE ORDERS SET O_STATUS = 'PAID', O_UPDATEDDATE = ? WHERE O_ID = ?"
-)
-UPDATE_CUSTOMER = "UPDATE CUSTOMER SET C_CREDIT = C_CREDIT + ? WHERE C_ID = ?"
 READ_CUSTOMER = "SELECT C_CREDIT FROM CUSTOMER WHERE C_ID = ?"
 
 #: fixed epoch base keeps generated timestamps reproducible
@@ -176,7 +173,10 @@ class LoadResult:
     rejected: int = 0          # connections never admitted at all
     deadline_misses: int = 0   # commits that landed past deadline_s
     wall_s: float = 0.0
-    latencies_s: List[float] = field(default_factory=list)
+    #: commit latencies in seconds
+    histogram: Histogram = field(
+        default_factory=lambda: Histogram("serve.latency_s")
+    )
 
     @property
     def tps(self) -> float:
@@ -188,13 +188,7 @@ class LoadResult:
         return good / self.wall_s if self.wall_s > 0 else 0.0
 
     def percentile_ms(self, pct: float) -> float:
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        rank = max(
-            0, min(len(ordered) - 1, round(pct / 100.0 * len(ordered)) - 1)
-        )
-        return ordered[rank] * 1000.0
+        return self.histogram.percentile(pct) * 1000.0
 
     def latency_summary_ms(self) -> Dict[str, float]:
         return {
@@ -258,7 +252,7 @@ class _Conn:
             self.result.errors += 1
 
     def _record(self, latency_s: float) -> None:
-        self.result.latencies_s.append(latency_s)
+        self.result.histogram.observe(latency_s)
         self.result.committed += 1
         if self.deadline_s is not None and latency_s > self.deadline_s:
             self.result.deadline_misses += 1

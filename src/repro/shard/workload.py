@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.client import Client, EngineClient, FleetClient
+from repro.core.client import Client, EngineClient, FleetClient, quiet_rollback
 from repro.engine.database import Database
 from repro.engine.errors import EngineError, SimulatedCrash
 from repro.sim.rng import RngRegistry, derive_seed
@@ -49,20 +49,6 @@ def _order_keys(db: Database) -> List[int]:
 def _customer_keys(db: Database) -> List[int]:
     index = db.table("CUSTOMER").schema.primary_key_index
     return sorted(row[index] for _rid, row in db.table("CUSTOMER").scan())
-
-
-def _quiet_rollback(client: Client) -> None:
-    """Roll back an open transaction without masking the real error."""
-    if not client.in_txn:
-        return
-    try:
-        client.rollback()
-    except EngineError:
-        pass
-    finally:
-        # a rollback a dead shard swallowed must not pin the client
-        if client.in_txn:
-            client.abandon()
 
 
 class ShardSalesWorkload:
@@ -122,7 +108,7 @@ class ShardSalesWorkload:
                 client.abandon()
                 raise
             except BaseException:
-                _quiet_rollback(client)
+                quiet_rollback(client)
                 raise
         except SimulatedCrash:
             # Not a transaction abort: the coordinator (or a shard) died
@@ -182,7 +168,7 @@ class LocalShardWorkload:
                 client.execute(UPDATE_CUSTOMER, [amount, customer_id])
                 client.commit()
             except BaseException:
-                _quiet_rollback(client)
+                quiet_rollback(client)
                 raise
         except EngineError as error:
             if not error.retryable:

@@ -5,10 +5,11 @@ import pytest
 from repro.core.collector import PerformanceCollector
 from repro.core.config import BenchConfig
 from repro.core.datagen import load_sales_database
-from repro.core.manager import WorkloadManager
+from repro.core.manager import OltpResult, WorkloadManager
 from repro.core.report import TextTable, figure_series, sparkline
 from repro.core.runner import CloudyBench
 from repro.core.workload import READ_WRITE
+from repro.serve.loadgen import LoadResult
 
 
 class TestBenchConfig:
@@ -75,8 +76,19 @@ class TestWorkloadManager:
         db, _ = load_sales_database(row_scale=0.001)
         manager = WorkloadManager(db, READ_WRITE, concurrency=2, record_latencies=True)
         result = manager.run_transactions(50)
-        assert len(result.latencies_s) == 50
+        assert result.histogram.count == 50
         assert result.latency_percentile(50) <= result.latency_percentile(99)
+
+    def test_median_of_one_to_five_ms_is_the_middle(self):
+        # both result types answer from the shared Histogram: no
+        # round-half-even rank (2.0 ms) and no upper median
+        oltp = OltpResult(transactions=5, elapsed_s=1.0)
+        load = LoadResult(connections=1)
+        for ms in (1, 2, 3, 4, 5):
+            oltp.histogram.observe(ms / 1000.0)
+            load.histogram.observe(ms / 1000.0)
+        assert 2.5 <= oltp.latency_percentile(50) * 1000.0 <= 3.5
+        assert 2.5 <= load.percentile_ms(50) <= 3.5
 
     def test_run_for_wall_duration(self):
         db, _ = load_sales_database(row_scale=0.001)

@@ -94,6 +94,28 @@ class TestOutcomes:
         # results are cached per underlying computation
         assert bench.run("elasticity").payload is bench.run("elasticity").payload
 
+    def test_payload_is_memoised_but_obs_is_taken_per_call(self):
+        bench = CloudyBench(BenchConfig.quick())
+        before = bench.run("pscore")
+        bench.observer.metrics.counter("test.between_runs").inc()
+        after = bench.run("pscore")
+        assert after.payload is before.payload
+        assert after.rows is before.rows
+        assert "test.between_runs" not in before.obs["metrics"]["counters"]
+        assert after.obs["metrics"]["counters"]["test.between_runs"] == 1
+
+    def test_each_option_set_keeps_its_own_memo_entry(self):
+        config = BenchConfig.quick()
+        config.chaos_duration_s = 4.0
+        bench = CloudyBench(config)
+        open_loop = bench.run("oltp", arrival="poisson")
+        closed = bench.run("oltp")
+        assert closed.payload is not open_loop.payload
+        # neither run evicted the other
+        assert bench.run("oltp", arrival="poisson").payload is open_loop.payload
+        assert bench.run("oltp").payload is closed.payload
+        assert bench.run("oltp", arrival="closed").payload is closed.payload
+
     def test_option_changes_the_result(self, bench):
         one = bench.run("pscore", n_ro_nodes=1)
         three = bench.run("pscore", n_ro_nodes=3)
@@ -175,6 +197,39 @@ class TestOptRanges:
         assert "Traceback" not in done.stderr
         (message,) = done.stderr.strip().splitlines()
         assert message.startswith(f"--opt {opt.split('=')[0]}: ")
+
+    @pytest.mark.parametrize("evaluation,opts,option", [
+        ("pscore", {"n_ro_nodes": -1}, "n_ro_nodes"),
+        ("pscore", {"n_ro_nodes": "two"}, "n_ro_nodes"),
+        ("pscore", {"n_ro_nodes": [2]}, "n_ro_nodes"),
+        ("overall", {"duration_s": 0}, "duration_s"),
+    ])
+    def test_programmatic_values_are_validated_like_cli_ones(
+        self, bench, evaluation, opts, option
+    ):
+        with pytest.raises(ValueError, match=f"^{option}: "):
+            bench.run(evaluation, **opts)
+
+    def test_programmatic_values_are_coerced_like_cli_ones(self, bench):
+        # one coercion path: a numeric string is the number, as on the CLI
+        assert (
+            bench.run("pscore", n_ro_nodes="2").payload
+            is bench.run("pscore", n_ro_nodes=2).payload
+        )
+
+    def test_list_option_spellings_share_one_memo_entry(self):
+        config = BenchConfig.quick()
+        config.shard_txns = 20
+        bench = CloudyBench(config)
+        text = bench.run("scaleout-real", shards="1,2")
+        assert bench.run("scaleout-real", shards=[1, 2]).payload is text.payload
+
+    def test_config_backed_options_name_real_config_fields(self):
+        config = BenchConfig()
+        for spec in evaluator_specs():
+            for option in spec.options:
+                if option.config is not None:
+                    assert hasattr(config, option.config), (spec.name, option.name)
 
 
 class TestBoolOpts:

@@ -28,7 +28,7 @@ def main() -> int:
     bench = CloudyBench(BenchConfig.quick())
     failures = []
     for qos in (True, False):
-        for arch, result in bench._compute_overload(qos=qos).items():
+        for arch, result in bench.run("overload", qos=qos).payload.items():
             dscore = result.dscore
             if qos:
                 ok = dscore >= QOS_MIN

@@ -128,9 +128,9 @@ class TestRegistry:
 
     def test_results_are_cached_per_flag(self, bench):
         bench.run("overload", qos=True)
-        first = bench._compute_overload(qos=True)
-        assert bench._compute_overload(qos=True) is first
-        assert bench._compute_overload(qos=False) is not first
+        first = bench.run("overload", qos=True).payload
+        assert bench.run("overload", qos=True).payload is first
+        assert bench.run("overload", qos=False).payload is not first
 
     def test_overall_carries_the_dscore(self, bench):
         bench.run("overload")  # populate the cache for the config's flag

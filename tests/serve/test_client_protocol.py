@@ -13,7 +13,10 @@ from repro.core.client import (
     ClientError,
     EngineClient,
     FleetClient,
+    quiet_rollback,
 )
+from repro.core.datagen import load_sales_database
+from repro.core.workload import READ_WRITE, SalesWorkload
 from repro.engine.database import Database
 from repro.engine.errors import EngineError
 from repro.serve.client import SocketClient
@@ -35,6 +38,48 @@ class TestProtocolShape:
         assert isinstance(FleetClient(fleet), Client)
         assert isinstance(EngineClient(Database("proto-db")), Client)
         assert isinstance(SocketClient("127.0.0.1", 1), Client)
+
+
+class _DeadShardClient(EngineClient):
+    """Statements and rollback fail the way a dead shard makes them:
+    the failed rollback leaves the client inside its transaction."""
+
+    dead = False
+
+    def execute(self, sql, params=()):
+        if self.dead:
+            raise EngineError("shard down")
+        return super().execute(sql, params)
+
+    def rollback(self):
+        if self.dead:
+            raise EngineError("shard down")
+        super().rollback()
+
+
+class TestQuietRollback:
+    def test_swallowed_rollback_abandons_the_client(self):
+        client = _DeadShardClient(Database("quiet-db"))
+        client.begin()
+        client.dead = True
+        quiet_rollback(client)  # must not raise, must not stay pinned
+        assert not client.in_txn
+        client.begin()
+        client.dead = False
+        quiet_rollback(client)
+        assert not client.in_txn
+        quiet_rollback(client)  # no-op outside a transaction
+
+    def test_sales_workload_is_not_pinned_by_a_dead_shard(self):
+        db, _data = load_sales_database(row_scale=0.001)
+        client = _DeadShardClient(db)
+        workload = SalesWorkload(db, READ_WRITE, client=client)
+        client.dead = True
+        with pytest.raises(EngineError, match="shard down"):
+            workload.run_t2()
+        assert not client.in_txn
+        client.dead = False
+        assert workload.run_t2() is not None
 
 
 class _ParityHarness:
