@@ -26,7 +26,6 @@ from repro.serve.wire import (
     FrameError,
     MAX_FRAME_BYTES,
     encode_frame,
-    read_frame,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "encode_frame",
     "from_wire",
     "make_persona",
-    "read_frame",
     "run_load",
     "run_serve",
     "run_sweep",

@@ -43,6 +43,26 @@ def _unwrap(frame: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     raise from_wire(frame.get("error", {}))
 
 
+def _statement(
+    op: str, sql: str, params: Sequence[Any], sids: Dict[str, int]
+) -> Dict[str, Any]:
+    """The request frame of one statement.
+
+    ``sids`` is the connection's statement-id table: the text travels
+    with the first frame that uses it, which registers the next free id
+    for it, and later frames carry the id alone.  Past
+    :data:`~repro.serve.wire.MAX_STATEMENT_IDS` texts the rest are sent
+    in full every time.
+    """
+    sid = sids.get(sql)
+    if sid is not None:
+        return {"op": op, "sid": sid, "params": list(params)}
+    if len(sids) >= wire.MAX_STATEMENT_IDS:
+        return {"op": op, "sql": sql, "params": list(params)}
+    sids[sql] = sid = len(sids)
+    return {"op": op, "sql": sql, "sid": sid, "params": list(params)}
+
+
 def _result_set(frame: Dict[str, Any]) -> ResultSet:
     """Rebuild an engine :class:`ResultSet` from a response frame."""
     return ResultSet(
@@ -78,6 +98,8 @@ class SocketClient:
         self._sock: Optional[socket.socket] = None
         self._decoder = wire.FrameDecoder(max_frame=max_frame)
         self._inbox: "deque[Dict[str, Any]]" = deque()
+        #: statement ids registered on this connection (sql -> id)
+        self._sids: Dict[str, int] = {}
         self._in_txn = False
         #: deadlines do not cross the wire (accepted for protocol parity)
         self.deadline = None
@@ -96,25 +118,31 @@ class SocketClient:
             raise ClientError("client is not connected")
         try:
             self._sock.sendall(wire.encode_frame(frame))
-            return _unwrap(self._read_frame())
+            return _unwrap(self._next_frame())
         except (ConnectionError, OSError, wire.FrameError):
             # the stream is gone or poisoned: this session is over
             self._teardown()
             raise
 
-    def _read_frame(self) -> Optional[Dict[str, Any]]:
+    def _next_frame(self) -> Optional[Dict[str, Any]]:
+        decoder = self._decoder
         while not self._inbox:
+            if decoder.error is not None:
+                raise decoder.error  # after the good frames before it
             data = self._sock.recv(65536)
             if not data:
-                if self._decoder.pending_bytes:
-                    raise wire.FrameError("stream truncated inside a frame")
+                decoder.end_of_stream()
                 return None
-            self._inbox.extend(self._decoder.feed(data))
+            self._inbox.extend(decoder.feed(data))
         return self._inbox.popleft()
 
     def _teardown(self) -> None:
         sock, self._sock = self._sock, None
         self._in_txn = False
+        # a new connection is a new stream and a new id table
+        self._decoder = wire.FrameDecoder(max_frame=self._decoder.max_frame)
+        self._inbox.clear()
+        self._sids.clear()
         if sock is not None:
             try:
                 sock.close()
@@ -148,14 +176,12 @@ class SocketClient:
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         return _result_set(
-            self._request({"op": "execute", "sql": sql,
-                           "params": list(params)})
+            self._request(_statement("execute", sql, params, self._sids))
         )
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         return _result_set(
-            self._request({"op": "query", "sql": sql,
-                           "params": list(params)})
+            self._request(_statement("query", sql, params, self._sids))
         )
 
     def begin(self, isolation: Optional[object] = None) -> None:
@@ -225,14 +251,75 @@ class SocketClient:
         return bool(self._request({"op": "ping"}).get("ok"))
 
 
+class _ClientConnection(asyncio.Protocol):
+    """The client end of one connection: responses are decoded into
+    ``inbox`` as they arrive; ``error`` says why the connection ended."""
+
+    def __init__(self, max_frame: int):
+        self.transport: Optional[asyncio.Transport] = None
+        self.decoder = wire.FrameDecoder(max_frame=max_frame)
+        self.inbox: "deque[Dict[str, Any]]" = deque()
+        #: what a ``recv_response`` / ``drain`` in progress waits on
+        self.reader: Optional[asyncio.Future] = None
+        self.writer: Optional[asyncio.Future] = None
+        self.paused = False
+        self.error: Optional[BaseException] = None
+        self.lost = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self.inbox.extend(self.decoder.feed(data))
+        except wire.FrameError:
+            pass  # decoder.error is set
+        if self.decoder.error is not None:
+            self._end(self.decoder.error)
+            self.transport.abort()
+        _wake(self.reader)
+
+    def eof_received(self) -> None:
+        try:
+            self.decoder.end_of_stream()
+        except wire.FrameError as error:
+            self._end(error)
+        else:
+            self._end(ConnectionError("server closed the connection"))
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        _wake(self.writer)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._end(exc or ConnectionError("connection lost"))
+        self.lost.set_result(None)
+
+    def _end(self, error: BaseException) -> None:
+        if self.error is None:
+            self.error = error
+        _wake(self.reader)
+        _wake(self.writer)
+
+
+def _wake(waiter: Optional[asyncio.Future]) -> None:
+    if waiter is not None and not waiter.done():
+        waiter.set_result(None)
+
+
 class AsyncSQLClient:
     """Asyncio client with pipelining support.
 
     The request/response halves are split -- :meth:`send_nowait` queues
     a frame on the socket without waiting, :meth:`recv_response` takes
     the next response off the stream (the server answers strictly in
-    order, so FIFO matching is exact).  The plain ``await``-per-request
-    helpers (:meth:`execute`, :meth:`batch`, ...) compose the two.
+    order, so FIFO matching is exact) and suspends only when none has
+    arrived yet.  The plain ``await``-per-request helpers
+    (:meth:`execute`, :meth:`batch`, ...) compose the two.  One task
+    sends and one task receives on a client at a time.
     """
 
     def __init__(
@@ -248,15 +335,16 @@ class AsyncSQLClient:
         self.client_name = client_name
         self.priority = priority
         self.max_frame = max_frame
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._conn: Optional[_ClientConnection] = None
+        #: statement ids registered on this connection (sql -> id)
+        self._sids: Dict[str, int] = {}
         self._pending = 0
         self.gtid: Optional[str] = None
         self.n_shards: Optional[int] = None
 
     @property
     def connected(self) -> bool:
-        return self._writer is not None
+        return self._conn is not None
 
     @property
     def pending(self) -> int:
@@ -264,10 +352,13 @@ class AsyncSQLClient:
         return self._pending
 
     async def connect(self) -> None:
-        if self._writer is not None:
+        if self._conn is not None:
             return
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+        _transport, self._conn = await (
+            asyncio.get_running_loop().create_connection(
+                lambda: _ClientConnection(self.max_frame),
+                self.host, self.port,
+            )
         )
         try:
             hello = await self.request(
@@ -281,54 +372,69 @@ class AsyncSQLClient:
             raise
         self.n_shards = hello.get("n_shards")
 
-    async def close(self) -> None:
-        writer, self._writer = self._writer, None
-        self._reader = None
+    def _detach(self) -> Optional[_ClientConnection]:
+        """Forget the connection and what was registered on it."""
+        conn, self._conn = self._conn, None
         self._pending = 0
-        if writer is None:
+        self._sids.clear()
+        return conn
+
+    async def close(self) -> None:
+        conn = self._detach()
+        if conn is None:
             return
-        try:
-            writer.write(wire.encode_frame({"op": "goodbye"}))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        if conn.error is None:
+            conn.transport.write(wire.encode_frame({"op": "goodbye"}))
+        conn.transport.close()
+        await conn.lost
 
     def abort(self) -> None:
         """Drop the connection on the floor (simulates a client crash)."""
-        writer, self._writer = self._writer, None
-        self._reader = None
-        self._pending = 0
-        if writer is not None:
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
+        conn = self._detach()
+        if conn is not None:
+            conn.transport.abort()
 
     # -- pipelined halves ----------------------------------------------------
 
     def send_nowait(self, frame: Dict[str, Any]) -> None:
         """Queue one request frame without waiting for the response."""
-        if self._writer is None:
+        if self._conn is None:
             raise ClientError("client is not connected")
-        self._writer.write(wire.encode_frame(frame))
+        self._conn.transport.write(wire.encode_frame(frame))
         self._pending += 1
 
     async def drain(self) -> None:
-        if self._writer is not None:
-            await self._writer.drain()
+        """Suspend while the transport's write buffer is over its high
+        water mark; raises what ended the connection, if it has."""
+        conn = self._conn
+        if conn is None:
+            return
+        while conn.paused and conn.error is None:
+            waiter = conn.writer = asyncio.get_running_loop().create_future()
+            try:
+                await waiter
+            finally:
+                conn.writer = None
+        if conn.error is not None:
+            raise conn.error
 
     async def recv_response(self) -> Dict[str, Any]:
-        """Await the next response; raises the reconstructed exception
-        on an error frame."""
-        if self._reader is None:
+        """The next response, awaited only if it is not there yet;
+        raises the reconstructed exception on an error frame."""
+        conn = self._conn
+        if conn is None:
             raise ClientError("client is not connected")
-        frame = await wire.read_frame(self._reader, max_frame=self.max_frame)
+        inbox = conn.inbox
+        while not inbox:
+            if conn.error is not None:
+                raise conn.error
+            waiter = conn.reader = asyncio.get_running_loop().create_future()
+            try:
+                await waiter
+            finally:
+                conn.reader = None
         self._pending = max(0, self._pending - 1)
-        return _unwrap(frame)
+        return _unwrap(inbox.popleft())
 
     async def request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         self.send_nowait(frame)
@@ -341,12 +447,12 @@ class AsyncSQLClient:
         self, sql: str, params: Sequence[Any] = ()
     ) -> ResultSet:
         return _result_set(await self.request(
-            {"op": "execute", "sql": sql, "params": list(params)}
+            _statement("execute", sql, params, self._sids)
         ))
 
     async def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         return _result_set(await self.request(
-            {"op": "query", "sql": sql, "params": list(params)}
+            _statement("query", sql, params, self._sids)
         ))
 
     async def begin(self, isolation: Optional[object] = None) -> None:

@@ -44,6 +44,7 @@ from repro.engine.errors import (
 from repro.obs.metrics import Histogram
 from repro.perf.openloop import ArrivalSpec, arrival_offsets
 from repro.serve.client import AsyncSQLClient
+from repro.serve.wire import FrameError
 from repro.shard.workload import UPDATE_CUSTOMER, UPDATE_ORDER
 from repro.sim.rng import RngRegistry, derive_seed
 
@@ -279,7 +280,7 @@ class _Conn:
             except EngineError as error:
                 self._classify(error)
                 continue
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            except (ConnectionError, OSError, FrameError):
                 self.result.lost += 1
                 if not await self._reconnect():
                     return
@@ -326,9 +327,7 @@ class _Conn:
                 except EngineError as error:
                     self._classify(error)
                     continue
-                except (
-                    ConnectionError, OSError, asyncio.IncompleteReadError
-                ):
+                except (ConnectionError, OSError, FrameError):
                     # the pipeline died: everything still queued is lost
                     self.result.lost += 1 + inflight.qsize()
                     return

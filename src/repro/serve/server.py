@@ -9,18 +9,23 @@ ShardedDatabase` and serves the frame protocol of
   frames between ``begin`` and ``commit`` enlist in it, exactly like
   the in-process :class:`~repro.core.client.FleetClient`.
 * **Statement pipelining** -- clients may stream many request frames
-  without waiting; the session processes them in arrival order and
-  responses come back in the same order.  A ``batch`` frame goes
+  without waiting; a connection is an :class:`asyncio.Protocol` whose
+  ``data_received`` decodes them into an inbox that is served in
+  arrival order, one statement of a connection in the admission queue
+  at a time, so responses come back in the same order.  A client that
+  does not read its responses is not read from either (``pause_writing``
+  pauses reading) until it catches up.  A ``batch`` frame goes
   further: the whole transaction executes atomically with respect to
-  the event loop (no awaits between its statements), which is what
-  makes measured counters deterministic under arbitrary connection
-  interleavings.
+  the event loop (no callbacks run between its statements), which is
+  what makes measured counters deterministic under arbitrary
+  connection interleavings.
 * **Admission control** -- connection admission and statement admission
   both run through the existing qos machinery
   (:class:`~repro.qos.admission.AdmissionController`, the engine behind
   :class:`~repro.qos.gate.AdmissionGate`).  Connections hit a
   fixed-limit gate at accept; statements flow through a server-wide
-  *bounded* admission queue drained by one worker task.  A full queue
+  *bounded* admission queue drained by one loop callback, scheduled
+  whenever work is queued and none is scheduled.  A full queue
   sheds immediately with a retryable ``overload`` wire error carrying
   the drain-based ``retry_after_s`` hint, and admitted statements that
   outlived ``deadline_s`` in the queue are expired *without* executing
@@ -31,8 +36,8 @@ ShardedDatabase` and serves the frame protocol of
 * **Chaos** -- a :class:`ServeFaultInjector` driven by the standard
   :class:`~repro.chaos.plan.FaultPlan` machinery injects the two
   serving-tier fault kinds: ``CONN_DROP`` (the server hangs up
-  abruptly, possibly mid-pipeline) and ``CONN_STALL`` (statement
-  intake freezes for a window).
+  abruptly, possibly mid-pipeline) and ``CONN_STALL`` (the
+  connection's statement intake freezes for a window).
 
 The engine itself is synchronous pure Python, so statement execution
 runs on the event loop; the server's concurrency is at the *protocol*
@@ -47,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import socket as socket_module
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -148,31 +154,261 @@ class ServeFaultInjector:
 
 
 class _Session:
-    """Per-connection state: the open transaction and the priority."""
+    """Per-connection state: the open transaction, the priority and
+    the statement ids the client registered."""
 
-    __slots__ = ("conn_id", "priority", "gtxn", "client_name")
+    __slots__ = ("conn_id", "priority", "gtxn", "client_name", "statements")
 
     def __init__(self, conn_id: int):
         self.conn_id = conn_id
         self.priority = 1
         self.gtxn = None
         self.client_name = ""
+        self.statements: Dict[int, str] = {}
 
     @property
     def in_txn(self) -> bool:
         return self.gtxn is not None and self.gtxn.is_active
 
+    def statement_text(self, frame: Dict[str, Any]) -> str:
+        """The SQL text of a frame that carries a ``sid``: registered
+        first when the frame carries the text too, looked up when not."""
+        sid, sql = frame["sid"], frame.get("sql")
+        known = self.statements
+        if not isinstance(sid, int):
+            raise _protocol_error(f"statement id {sid!r} is not an integer")
+        if sql is None:
+            try:
+                return known[sid]
+            except KeyError:
+                raise _protocol_error(f"unknown statement id {sid}") from None
+        if not isinstance(sql, str):
+            raise _protocol_error("execute frame without sql")
+        if sid not in known and len(known) >= wire.MAX_STATEMENT_IDS:
+            raise _protocol_error(
+                f"statement id table is full "
+                f"({wire.MAX_STATEMENT_IDS} ids per connection)"
+            )
+        known[sid] = sql
+        return sql
 
-class _Work:
-    """One SQL frame waiting in the admission queue."""
 
-    __slots__ = ("session", "frame", "future", "enqueued_at_s")
+#: decoded requests one connection may have waiting before the server
+#: stops reading its socket (TCP pushes back on the client from there)
+_INBOX_HIGH_WATER = 256
 
-    def __init__(self, session, frame, future, enqueued_at_s):
-        self.session = session
-        self.frame = frame
-        self.future = future
-        self.enqueued_at_s = enqueued_at_s
+
+class _Connection(asyncio.Protocol):
+    """The server end of one connection.
+
+    ``data_received`` decodes into ``inbox``; :meth:`_pump` serves the
+    inbox in order and stops whenever a frame has to wait -- in the
+    admission queue, or stalled by a fault -- so responses keep request
+    order and a connection never has more than one statement admitted.
+    """
+
+    def __init__(self, server: "SQLServer"):
+        self.server = server
+        #: None when the connection gate turned the connection away
+        self.session: Optional[_Session] = None
+        #: None before admission, after a hang-up and once lost
+        self.transport: Optional[asyncio.Transport] = None
+        self.decoder = wire.FrameDecoder(max_frame=server.config.max_frame)
+        self.inbox: "deque[Dict[str, Any]]" = deque()
+        #: the frame of this connection in the admission queue, if any
+        self.queued: Optional[Dict[str, Any]] = None
+        #: that frame, or one stalled by a fault, is holding the inbox
+        self.waiting = False
+        #: the client is not reading its responses
+        self.write_paused = False
+        #: no more requests will arrive (EOF, or the stream is poisoned)
+        self.ended = False
+        #: set by a goodbye or an EOF at a frame boundary
+        self.clean = False
+
+    # -- transport callbacks ---------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        server = self.server
+        try:
+            if server._draining:
+                raise server._drain_error()
+            server._conn_gate.try_acquire(server._now())
+        except OverloadError as error:
+            server.rejected += 1
+            if server.obs.enabled:
+                server.obs.count("serve.reject")
+            transport.write(wire.encode_frame(_refusal(error)))
+            transport.close()
+            return
+        self.transport = transport
+        server.accepted += 1
+        server._next_conn_id += 1
+        self.session = _Session(server._next_conn_id)
+        if server.obs.enabled:
+            server.obs.count("serve.accept")
+            server._g_active.set(float(server.active_connections))
+
+    def data_received(self, data: bytes) -> None:
+        if self.transport is None:
+            return
+        try:
+            self.inbox.extend(self.decoder.feed(data))
+        except wire.FrameError:
+            pass  # decoder.error is set
+        if self.decoder.error is not None:
+            self.ended = True
+        if self.ended or len(self.inbox) > _INBOX_HIGH_WATER:
+            self.transport.pause_reading()  # _pump resumes it
+        self._pump()
+
+    def eof_received(self) -> bool:
+        if self.transport is not None:
+            self.ended = True
+            self._pump()
+        return True  # _pump closes, once the inbox is served
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._pump()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.transport is None:
+            return  # turned away at the gate, or hung up on
+        self.transport = None
+        self.inbox.clear()
+        # a statement still in the admission queue runs against this
+        # session: its transaction is rolled back after it, not under it
+        if not self.waiting:
+            self._finish()
+
+    # -- serving the inbox -------------------------------------------------------
+
+    def _pump(self) -> None:
+        """Serve inbox frames in order until one has to wait."""
+        inbox = self.inbox
+        faults = self.server.faults
+        while inbox and not self.waiting and not self.write_paused:
+            frame = inbox.popleft()
+            if faults is None or not self._faulted(frame):
+                self._dispatch(frame)
+        if (
+            inbox or self.waiting or self.write_paused
+            or self.transport is None
+        ):
+            return
+        if self.ended:
+            self._end_of_stream()
+        else:
+            self.transport.resume_reading()  # a no-op unless paused
+
+    def _end_of_stream(self) -> None:
+        """Every request that arrived is answered: close -- after one
+        final error frame when the stream did not end on a frame
+        boundary."""
+        try:
+            self.decoder.end_of_stream()
+            self.clean = True
+        except wire.FrameError as error:
+            self._respond(_refusal(_protocol_error(str(error))))
+        self._hang_up()
+
+    def _faulted(self, frame: Dict[str, Any]) -> bool:
+        """Apply the fault plan to one frame; True when it was dropped
+        or stalled (a stalled frame is dispatched later)."""
+        server = self.server
+        action, stall_s = server.faults.action(server._now())
+        if action == "drop":
+            if server.obs.enabled:
+                server.obs.count("serve.fault.drop")
+            self._hang_up()  # abrupt: no response
+            return True
+        if action == "stall":
+            if server.obs.enabled:
+                server.obs.count("serve.fault.stall")
+            self.waiting = True
+            server._loop.call_later(stall_s, self._stall_over, frame)
+            return True
+        return False
+
+    def _stall_over(self, frame: Dict[str, Any]) -> None:
+        self.waiting = False
+        if self.transport is None:
+            self._finish()
+            return
+        self._dispatch(frame)
+        self._pump()
+
+    def _dispatch(self, frame: Dict[str, Any]) -> None:
+        """Answer a control frame inline; queue a SQL frame."""
+        server = self.server
+        op = frame.get("op")
+        if op in _CONTROL_OPS or op not in server._HANDLERS:
+            self._respond(server._execute_frame(self.session, frame))
+            if op == "goodbye":
+                self.clean = True
+                self._hang_up()
+            return
+        if "sid" in frame:
+            # ids are registered as frames come off the wire, whatever
+            # admission then does with the statement
+            try:
+                frame["sql"] = self.session.statement_text(frame)
+            except EngineError as error:
+                self._respond(server._failure(error))
+                return
+        response = server._submit(self, frame)
+        if response is not None:
+            self._respond(response)  # shed
+
+    def _completed(self, response: Dict[str, Any]) -> None:
+        """The drain callback ran this connection's queued statement."""
+        self.queued = None
+        self.waiting = False
+        if self.transport is None:
+            self._finish()
+            return
+        self._respond(response)
+        if self.inbox:
+            # a pipelined follow-up queues up behind the requests that
+            # arrived meanwhile, not ahead of them in the slot this
+            # connection just vacated: the loop reads its sockets first
+            self.server._loop.call_soon(self._pump)
+        else:
+            self._pump()
+
+    def _respond(self, response: Dict[str, Any]) -> None:
+        try:
+            data = wire.encode_frame(response)
+        except wire.FrameError as error:
+            # the result does not fit a frame: say so instead
+            data = wire.encode_frame(_refusal(_protocol_error(str(error))))
+        self.transport.write(data)
+
+    def _hang_up(self) -> None:
+        """Close once what was written is flushed; nothing more is
+        served, and nothing is in flight (a waiting connection is not
+        pumped), so the session ends here."""
+        transport, self.transport = self.transport, None
+        self.inbox.clear()
+        transport.close()
+        self._finish()
+
+    def _finish(self) -> None:
+        """The connection is gone and none of its work is in flight."""
+        server = self.server
+        if not self.clean:
+            server.abrupt_disconnects += 1
+            if server.obs.enabled:
+                server.obs.count("serve.disconnect.abrupt")
+        server._cleanup_session(self.session)
+        server._conn_gate.release(server._now(), -1.0)
+        if server.obs.enabled:
+            server._g_active.set(float(server.active_connections))
 
 
 class SQLServer:
@@ -212,10 +448,12 @@ class SQLServer:
             observer=self.obs,
         )
         self._server: Optional[asyncio.base_events.Server] = None
-        self._drainer: Optional[asyncio.Task] = None
-        #: qos-off work queue (qos-on work lives inside the controller)
-        self._queue: Optional[asyncio.Queue] = None
-        self._wake: Optional[asyncio.Event] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: qos-off queue of connections with a statement to run (qos-on
+        #: they wait inside the controller)
+        self._fifo: "deque[_Connection]" = deque()
+        #: a _drain callback is on the loop's ready list
+        self._drain_scheduled = False
         self._started_at = 0.0
         self._next_conn_id = 0
         self._isolation = coerce_isolation(self.config.isolation)
@@ -263,15 +501,16 @@ class SQLServer:
             raise RuntimeError("server is already started")
         self._started_at = time.monotonic()
         self._draining = False
-        self._queue = asyncio.Queue()
-        self._wake = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
         if sock is not None:
-            self._server = await asyncio.start_server(self._handle, sock=sock)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle, host=self.config.host, port=self.config.port
+            self._server = await self._loop.create_server(
+                lambda: _Connection(self), sock=sock
             )
-        self._drainer = asyncio.ensure_future(self._drain())
+        else:
+            self._server = await self._loop.create_server(
+                lambda: _Connection(self),
+                host=self.config.host, port=self.config.port,
+            )
         return self.address
 
     async def stop(self, drain: bool = False) -> None:
@@ -292,18 +531,10 @@ class SQLServer:
             self._draining = True
             while self._pending_stmts > 0:
                 await asyncio.sleep(0)
-        drainer, self._drainer = self._drainer, None
-        if drainer is not None:
-            drainer.cancel()
-            try:
-                await drainer
-            except asyncio.CancelledError:
-                pass
         server.close()
         await server.wait_closed()
-        # Retired servers shed: a session that outlives the listener
-        # must not queue work for the dead drainer (its future would
-        # never resolve).  start() clears the flag.
+        # Retired servers shed: a session that outlives the listener is
+        # sent to the replacement server.  start() clears the flag.
         self._draining = True
 
     async def __aenter__(self) -> "SQLServer":
@@ -312,94 +543,6 @@ class SQLServer:
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.stop()
-
-    # -- the per-connection loop ----------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            if self._draining:
-                raise self._drain_error()
-            self._conn_gate.try_acquire(self._now())
-        except OverloadError as error:
-            self.rejected += 1
-            if self.obs.enabled:
-                self.obs.count("serve.reject")
-            try:
-                await self._send(writer, {"ok": False,
-                                          "error": to_wire(error)})
-            except (ConnectionError, OSError):
-                pass
-            writer.close()
-            return
-        self.accepted += 1
-        self._next_conn_id += 1
-        session = _Session(self._next_conn_id)
-        if self.obs.enabled:
-            self.obs.count("serve.accept")
-            self._g_active.set(float(self.active_connections))
-        clean = False
-        try:
-            clean = await self._serve_session(session, reader, writer)
-        except (
-            ConnectionError, asyncio.IncompleteReadError, BrokenPipeError
-        ):
-            pass
-        finally:
-            if not clean:
-                self.abrupt_disconnects += 1
-                if self.obs.enabled:
-                    self.obs.count("serve.disconnect.abrupt")
-            self._cleanup_session(session)
-            self._conn_gate.release(self._now(), -1.0)
-            if self.obs.enabled:
-                self._g_active.set(float(self.active_connections))
-            writer.close()
-
-    async def _serve_session(
-        self,
-        session: _Session,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        """The request loop; True on a clean ``goodbye`` or EOF."""
-        while True:
-            try:
-                frame = await wire.read_frame(
-                    reader, max_frame=self.config.max_frame
-                )
-            except wire.FrameError as error:
-                # the stream is poisoned: one final error frame, hang up
-                try:
-                    await self._send(
-                        writer, {"ok": False, "error": to_wire(
-                            _protocol_error(str(error))
-                        )}
-                    )
-                except (ConnectionError, OSError):
-                    pass
-                return False
-            if frame is None:
-                return True  # clean EOF at a frame boundary
-            if self.faults is not None:
-                action, stall_s = self.faults.action(self._now())
-                if action == "drop":
-                    if self.obs.enabled:
-                        self.obs.count("serve.fault.drop")
-                    return False  # abrupt close, no response
-                if action == "stall":
-                    if self.obs.enabled:
-                        self.obs.count("serve.fault.stall")
-                    await asyncio.sleep(stall_s)
-            op = frame.get("op")
-            if op in _CONTROL_OPS or op not in self._HANDLERS:
-                response = self._execute_frame(session, frame)
-            else:
-                response = await self._submit(session, frame)
-            await self._send(writer, response)
-            if op == "goodbye":
-                return True
 
     def _cleanup_session(self, session: _Session) -> None:
         """Roll back whatever the departed connection left open."""
@@ -413,13 +556,7 @@ class SQLServer:
                 pass
         session.gtxn = None
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, payload: Dict[str, Any]
-    ) -> None:
-        writer.write(wire.encode_frame(payload))
-        await writer.drain()
-
-    # -- the admission queue and its drainer ----------------------------------
+    # -- the admission queue and its drain callback ----------------------------
 
     def _drain_error(self) -> OverloadError:
         return OverloadError(
@@ -428,74 +565,84 @@ class SQLServer:
             retry_after_s=DRAIN_RETRY_AFTER_S,
         )
 
-    async def _submit(self, session: _Session, frame) -> Dict[str, Any]:
-        """Queue one SQL frame for the drainer; await its response."""
-        if self._draining:
+    def _submit(
+        self, conn: _Connection, frame: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        """Queue ``conn``'s next SQL frame for :meth:`_drain`, which
+        hands the response to ``conn._completed``; a shed statement's
+        error response is returned instead."""
+        try:
+            if self._draining:
+                raise self._drain_error()
+            if self.controller is not None:
+                self.controller.enqueue(
+                    conn, self._now(), priority=conn.session.priority
+                )
+            else:
+                self._fifo.append(conn)
+        except OverloadError as error:
             self.shed += 1
             if self.obs.enabled:
                 self.obs.count("serve.stmt.shed")
-            return {"ok": False, "error": to_wire(self._drain_error())}
-        future = asyncio.get_running_loop().create_future()
-        work = _Work(session, frame, future, self._now())
-        if self.controller is not None:
-            try:
-                self.controller.enqueue(
-                    work, work.enqueued_at_s, priority=session.priority
-                )
-            except OverloadError as error:
-                self.shed += 1
-                if self.obs.enabled:
-                    self.obs.count("serve.stmt.shed")
-                return {"ok": False, "error": to_wire(error)}
-            self._wake.set()
-        else:
-            self._queue.put_nowait(work)
+            return _refusal(error)
+        conn.queued = frame
+        conn.waiting = True
         self._pending_stmts += 1
-        return await future
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
+            self._loop.call_soon(self._drain)
+        return None
 
-    async def _drain(self) -> None:
-        """The single worker task executing admitted statements."""
+    def _drain(self) -> None:
+        """Execute every admitted statement, in admission order.
+
+        One plain loop callback: it is scheduled when work is queued
+        and none is scheduled, so statements always take the queue hop
+        (priority order, queue-full shedding and deadline expiry depend
+        on it) but cost no task switch.
+        """
+        self._drain_scheduled = False
+        controller, fifo = self.controller, self._fifo
         while True:
-            work = await self._next_work()
-            started = self._now()
-            if (
-                self.controller is not None
-                and self.config.deadline_s is not None
-                and started - work.enqueued_at_s > self.config.deadline_s
-            ):
-                # deadline propagation: the client gave up on this
-                # statement while it queued -- expire it unexecuted
-                self.expired += 1
-                if self.obs.enabled:
-                    self.obs.count("serve.stmt.expired")
-                response = {"ok": False, "error": to_wire(
-                    DeadlineExceededError(
-                        f"{self.config.name}: statement expired after "
-                        f"{started - work.enqueued_at_s:.3f}s in the "
-                        f"admission queue"
-                    )
-                )}
-                self.controller.release(self._now(), -1.0)
+            if controller is not None:
+                ticket = controller.next_ready(self._now())
+                if ticket is None:
+                    return
+                conn = ticket.item
+                response = self._run_admitted(conn, ticket.enqueued_at_s)
+            elif fifo:
+                conn = fifo.popleft()
+                response = self._execute_frame(conn.session, conn.queued)
             else:
-                response = self._execute_frame(work.session, work.frame)
-                if self.controller is not None:
-                    now = self._now()
-                    self.controller.release(
-                        now, now - started, ok=bool(response.get("ok"))
-                    )
+                return
             self._pending_stmts -= 1
-            if not work.future.done():
-                work.future.set_result(response)
+            conn._completed(response)
 
-    async def _next_work(self) -> _Work:
-        if self.controller is None:
-            return await self._queue.get()
-        while True:
-            ticket = self.controller.next_ready(self._now())
-            if ticket is not None:
-                return ticket.item
-            self._wake.clear()
-            await self._wake.wait()
+    def _run_admitted(
+        self, conn: _Connection, enqueued_at_s: float
+    ) -> Dict[str, Any]:
+        """Execute (or expire) a statement the controller let through,
+        and give the slot back."""
+        started = self._now()
+        waited = started - enqueued_at_s
+        deadline_s = self.config.deadline_s
+        if deadline_s is not None and waited > deadline_s:
+            # deadline propagation: the client gave up on this
+            # statement while it queued -- expire it unexecuted
+            self.expired += 1
+            if self.obs.enabled:
+                self.obs.count("serve.stmt.expired")
+            self.controller.release(self._now(), -1.0)
+            return _refusal(DeadlineExceededError(
+                f"{self.config.name}: statement expired after "
+                f"{waited:.3f}s in the admission queue"
+            ))
+        response = self._execute_frame(conn.session, conn.queued)
+        now = self._now()
+        self.controller.release(
+            now, now - started, ok=bool(response.get("ok"))
+        )
+        return response
 
     # -- request execution ------------------------------------------------------
 
@@ -508,19 +655,18 @@ class SQLServer:
         op = frame.get("op")
         handler = self._HANDLERS.get(op)
         if handler is None:
-            return {"ok": False, "error": to_wire(
-                _protocol_error(f"unknown op {op!r}")
-            )}
+            return _refusal(_protocol_error(f"unknown op {op!r}"))
         try:
             return handler(self, session, frame)
-        except EngineError as error:
-            self.errors += 1
-            if self.obs.enabled:
-                self.obs.count("serve.stmt.error")
-            return {"ok": False, "error": to_wire(error)}
         except Exception as error:  # noqa: BLE001 -- never kill the session
-            self.errors += 1
-            return {"ok": False, "error": to_wire(error)}
+            return self._failure(error)
+
+    def _failure(self, error: Exception) -> Dict[str, Any]:
+        """The error response of a frame that failed."""
+        self.errors += 1
+        if self.obs.enabled and isinstance(error, EngineError):
+            self.obs.count("serve.stmt.error")
+        return _refusal(error)
 
     def _op_hello(self, session, frame):
         session.client_name = str(frame.get("client", ""))
@@ -663,6 +809,12 @@ class SQLServer:
         "abandon": _op_abandon,
         "batch": _op_batch,
     }
+
+
+def _refusal(error: Exception) -> Dict[str, Any]:
+    """The response frame that carries ``error`` -- errors cross the
+    socket *only* through :func:`~repro.serve.errors.to_wire`."""
+    return {"ok": False, "error": to_wire(error)}
 
 
 def _protocol_error(message: str) -> EngineError:

@@ -11,8 +11,8 @@ The request vocabulary:
 op        payload
 ========  ==================================================
 hello     ``client`` (name), ``priority`` (0 = highest)
-execute   ``sql``, ``params``
-query     ``sql``, ``params`` (read-only)
+execute   ``sql`` and/or ``sid``, ``params``
+query     ``sql`` and/or ``sid``, ``params`` (read-only)
 begin     ``isolation`` (level name or null)
 commit    --
 rollback  --
@@ -23,28 +23,53 @@ ping      --
 goodbye   --
 ========  ==================================================
 
+**Statement ids.**  A statement's text need cross the wire once per
+connection: the first ``execute``/``query`` frame that carries a text
+may also carry ``sid``, an integer the *client* picks, and the server
+remembers ``sid -> sql`` for the life of the connection; later frames
+send ``sid`` and ``params`` alone.  There is no registration round
+trip, a connection holds at most :data:`MAX_STATEMENT_IDS` ids, the
+table is registered when the frame is taken off the wire (so a
+statement shed by admission still registered its id), an unknown id or
+one registration too many is a non-retryable protocol error that
+leaves the session usable, and a frame with ``sql`` and no ``sid``
+works as it always did.
+
+**Ordering.**  Responses come back in request order.  A connection may
+pipeline any number of requests, but the server keeps at most one
+statement of a connection in its admission queue at a time; the rest
+wait, decoded, in the connection's inbox.
+
+**Back-pressure.**  A client that stops reading its responses fills
+the server's write buffer; the server then stops reading that
+connection (and serving its inbox) until the buffer drains, as it does
+when the inbox itself grows long.  Other connections are unaffected.
+
 Framing errors are *protocol* errors, not SQL errors: a malformed or
 oversized length prefix poisons the byte stream (there is no way to
-find the next frame boundary), so the decoder raises
-:class:`FrameError` and the server hangs up after one final error
-frame.  Partial reads are normal -- :class:`FrameDecoder` buffers
-fragments until a frame completes, which is what makes the protocol
-safe over real sockets that deliver bytes in arbitrary chunks.
+find the next frame boundary).  Frames completed before the bad bytes
+are still good: :meth:`FrameDecoder.feed` delivers them first and
+raises :class:`FrameError` after, and the server answers them in
+order, sends one final protocol-error frame, then hangs up.  Partial
+reads are normal -- :class:`FrameDecoder` buffers fragments until a
+frame completes, which is what makes the protocol safe over real
+sockets that deliver bytes in arbitrary chunks.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "FrameDecoder",
     "FrameError",
     "HEADER_BYTES",
     "MAX_FRAME_BYTES",
+    "MAX_STATEMENT_IDS",
+    "decode_body",
     "encode_frame",
-    "read_frame",
 ]
 
 #: bytes of the length prefix
@@ -54,7 +79,16 @@ HEADER_BYTES = 4
 #: is a client bug (or an attack), not a workload
 MAX_FRAME_BYTES = 1 << 20
 
+#: statement ids one connection may register; a client past it sends
+#: the text every time
+MAX_STATEMENT_IDS = 1024
+
 _HEADER = struct.Struct(">I")
+
+# json.dumps(..., separators=...) and json.loads build an encoder /
+# re-check their arguments on every call; one of each is enough
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+_decode_json = json.JSONDecoder().decode
 
 
 class FrameError(Exception):
@@ -64,7 +98,7 @@ class FrameError(Exception):
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """One wire frame for ``payload``; raises :class:`FrameError` when
     the encoded payload exceeds :data:`MAX_FRAME_BYTES`."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _encode_json(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame payload is {len(body)} bytes "
@@ -76,19 +110,22 @@ def encode_frame(payload: Dict[str, Any]) -> bytes:
 class FrameDecoder:
     """Incremental frame decoder for a byte stream.
 
-    Feed arbitrary chunks (including single bytes) with :meth:`feed`;
-    iterate completed frames with :meth:`frames`.  The decoder is
-    strict about the prefix: a zero or oversized length raises
-    :class:`FrameError` immediately -- once the prefix is wrong the
-    stream has no recoverable frame boundary.
+    Feed arbitrary chunks (including single bytes) with :meth:`feed`,
+    which returns the frames each chunk completed.  The decoder is
+    strict about the prefix: a zero or oversized length poisons the
+    stream -- once the prefix is wrong there is no recoverable frame
+    boundary -- and so does a body that is not a JSON object.
     """
 
     def __init__(self, max_frame: int = MAX_FRAME_BYTES):
         if max_frame < 1:
             raise ValueError("max_frame must be >= 1")
         self.max_frame = max_frame
+        #: the tail of the stream that does not yet make a frame
         self._buffer = bytearray()
-        self._needed: Optional[int] = None
+        #: why the stream is poisoned (None while it is not); set even
+        #: when :meth:`feed` still had good frames to return
+        self.error: Optional[FrameError] = None
 
     @property
     def pending_bytes(self) -> int:
@@ -96,16 +133,25 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        """Absorb ``data``; return every frame it completed, in order."""
-        self._buffer.extend(data)
-        return list(self.frames())
+        """Absorb ``data``; return every frame it completed, in order.
 
-    def frames(self) -> Iterator[Dict[str, Any]]:
-        while True:
-            if self._needed is None:
-                if len(self._buffer) < HEADER_BYTES:
-                    return
-                (length,) = _HEADER.unpack_from(self._buffer)
+        Frames that precede a poisoned prefix in the same chunk are
+        returned, with :attr:`error` set; a call with nothing left to
+        return raises it, as does every call after.
+        """
+        if self.error is not None:
+            raise self.error
+        buffer = self._buffer
+        if buffer:
+            buffer.extend(data)
+            data = buffer
+        # a chunk that starts on a frame boundary (the usual case: one
+        # request, one response) is parsed where it lies
+        frames: List[Dict[str, Any]] = []
+        pos, end = 0, len(data)
+        try:
+            while end - pos >= HEADER_BYTES:
+                (length,) = _HEADER.unpack_from(data, pos)
                 if length == 0:
                     raise FrameError("zero-length frame")
                 if length > self.max_frame:
@@ -113,20 +159,38 @@ class FrameDecoder:
                         f"frame of {length} bytes exceeds the "
                         f"{self.max_frame}-byte limit"
                     )
-                del self._buffer[:HEADER_BYTES]
-                self._needed = length
-            if len(self._buffer) < self._needed:
-                return
-            body = bytes(self._buffer[: self._needed])
-            del self._buffer[: self._needed]
-            self._needed = None
-            yield decode_body(body)
+                stop = pos + HEADER_BYTES + length
+                if stop > end:
+                    break
+                frames.append(decode_body(data[pos + HEADER_BYTES:stop]))
+                pos = stop
+        except FrameError as error:
+            self.error = error
+            if not frames:
+                raise
+            return frames
+        if data is buffer:
+            del buffer[:pos]
+        elif pos < end:
+            buffer.extend(data[pos:])
+        return frames
+
+    def end_of_stream(self) -> None:
+        """The peer closed: raise :class:`FrameError` unless the stream
+        ended on a frame boundary (or was poisoned before it ended)."""
+        if self.error is None and self._buffer:
+            self.error = FrameError(
+                f"stream truncated inside a frame "
+                f"({len(self._buffer)} bytes pending)"
+            )
+        if self.error is not None:
+            raise self.error
 
 
 def decode_body(body: bytes) -> Dict[str, Any]:
     """Decode one frame body; malformed JSON is a protocol error."""
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = _decode_json(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise FrameError(f"frame body is not valid JSON: {error}") from error
     if not isinstance(payload, dict):
@@ -134,40 +198,3 @@ def decode_body(body: bytes) -> Dict[str, Any]:
             f"frame payload must be an object, got {type(payload).__name__}"
         )
     return payload
-
-
-async def read_frame(
-    reader, max_frame: int = MAX_FRAME_BYTES
-) -> Optional[Dict[str, Any]]:
-    """Read one frame from an :class:`asyncio.StreamReader`.
-
-    Returns ``None`` on clean EOF at a frame boundary; raises
-    :class:`FrameError` on a bad prefix or a stream truncated inside a
-    frame (the peer died mid-write).
-    """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(HEADER_BYTES)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise FrameError(
-            f"stream truncated inside a frame header "
-            f"({len(error.partial)}/{HEADER_BYTES} bytes)"
-        ) from error
-    (length,) = _HEADER.unpack(header)
-    if length == 0:
-        raise FrameError("zero-length frame")
-    if length > max_frame:
-        raise FrameError(
-            f"frame of {length} bytes exceeds the {max_frame}-byte limit"
-        )
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise FrameError(
-            f"stream truncated inside a frame body "
-            f"({len(error.partial)}/{length} bytes)"
-        ) from error
-    return decode_body(body)

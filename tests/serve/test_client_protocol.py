@@ -6,6 +6,8 @@ classification whether the transport is a function call
 (:class:`FleetClient`) or a real TCP socket (:class:`SocketClient`).
 """
 
+import asyncio
+
 import pytest
 
 from repro.core.client import (
@@ -19,7 +21,7 @@ from repro.core.datagen import load_sales_database
 from repro.core.workload import READ_WRITE, SalesWorkload
 from repro.engine.database import Database
 from repro.engine.errors import EngineError
-from repro.serve.client import SocketClient
+from repro.serve.client import AsyncSQLClient, SocketClient
 from repro.serve.driver import BackgroundServer, collect_keys
 from repro.shard.fleet import load_sales_fleet
 
@@ -176,3 +178,63 @@ class TestParity:
                 client.abandon()  # idempotent outside a transaction
                 client.begin()
                 client.commit()
+
+
+class _Blocking:
+    """An :class:`AsyncSQLClient` behind blocking verbs, on its own loop."""
+
+    def __init__(self, host, port):
+        self._loop = asyncio.new_event_loop()
+        self._client = AsyncSQLClient(host, port, client_name="parity-async")
+
+    def connect(self):
+        self._loop.run_until_complete(self._client.connect())
+
+    def execute(self, sql, params=()):
+        return self._loop.run_until_complete(self._client.execute(sql, params))
+
+    def query(self, sql, params=()):
+        return self._loop.run_until_complete(self._client.query(sql, params))
+
+    def close(self):
+        self._loop.run_until_complete(self._client.close())
+        self._loop.close()
+
+
+class TestParityWithStatementIds:
+    """Every statement below runs more than once per connection, so
+    after its first use it crosses the wire as an id: rows, rowcounts,
+    error classes and ``retryable`` must not notice."""
+
+    def test_three_transports_agree(self):
+        with _ParityHarness() as harness:
+            async_fleet = _fleet("parity-async")
+            with BackgroundServer(async_fleet) as bg:
+                blocking = _Blocking(*bg.server.address)
+                blocking.connect()
+                clients = (*harness.clients, blocking)
+                cids = harness.keys["customers"][:4]
+                seen = []
+                for client in clients:
+                    rowcounts, errors = [], []
+                    for index, cid in enumerate(cids):
+                        result = client.execute(
+                            BUMP_CREDIT, [float(index), cid]
+                        )
+                        rowcounts.append(result.rowcount)
+                    rows = [
+                        client.query(READ_CREDIT, [cid]).rows for cid in cids
+                    ]
+                    for _ in range(2):  # by text, then by id
+                        with pytest.raises(EngineError) as exc_info:
+                            client.query("SELECT * FROM NO_SUCH_TABLE", [])
+                        errors.append((
+                            type(exc_info.value), exc_info.value.retryable,
+                            str(exc_info.value),
+                        ))
+                    seen.append((rowcounts, rows, errors))
+                blocking.close()
+            assert seen[0] == seen[1] == seen[2]
+            assert seen[0][0] == [1, 1, 1, 1]
+            assert harness.socket._sids[BUMP_CREDIT] == 0
+            assert len(harness.socket._sids) == 3

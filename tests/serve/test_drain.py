@@ -40,7 +40,8 @@ class TestDrain:
                 host, port, connections=4, txns_per_conn=48,
                 keys=keys, persona="payment", seed=42,
             ))
-            await asyncio.sleep(0.02)  # let the drive get airborne
+            while server.statements == 0:  # let the drive get airborne
+                await asyncio.sleep(0.001)
             stop = asyncio.ensure_future(server.stop(drain=True))
             result = await load
             await stop

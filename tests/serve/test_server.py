@@ -160,9 +160,7 @@ class TestPipelining:
                 for _ in range(4):
                     client.send_nowait({"op": "ping"})
                 await client.drain()
-                with pytest.raises(
-                    (ConnectionError, OSError, asyncio.IncompleteReadError)
-                ):
+                with pytest.raises((ConnectionError, OSError)):
                     for _ in range(4):
                         await client.recv_response()
                 client.abort()
@@ -197,7 +195,9 @@ class TestSessionCleanup:
                 # the client dies mid-write: half a frame, then the
                 # connection is gone -- a truncated stream, not a clean
                 # EOF at a frame boundary
-                victim._writer.write(struct.pack(">I", 64) + b'{"op')
+                victim._conn.transport.write(
+                    struct.pack(">I", 64) + b'{"op'
+                )
                 await victim.drain()
                 await asyncio.sleep(0.05)
                 victim.abort()
@@ -213,6 +213,72 @@ class TestSessionCleanup:
                 # transaction on the same row commits cleanly
                 after = (await probe.query(READ_CREDIT, [cid])).rows[0][0]
                 assert after == pytest.approx(before)
+                await probe.begin()
+                await probe.execute(BUMP_CREDIT, [1.0, cid])
+                await probe.commit()
+                await probe.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("how", ["reset", "eof"])
+    def test_disconnect_with_a_statement_queued_rolls_back_after_it(
+        self, fleet, how
+    ):
+        """The connection dies (RST), or ends (FIN), while its statement
+        sits in the admission queue: the statement still runs inside
+        the session's transaction, and only then -- but before anyone
+        else's statement -- is the orphan rolled back, once."""
+        keys = collect_keys(fleet)
+        cid = keys["customers"][0]
+        # one admission slot, held by the test: queued work stays queued
+        config = ServerConfig(qos=True, policy=AdmissionPolicy(
+            initial_limit=1.0, min_limit=1.0, max_limit=1.0, max_queue=8,
+        ))
+
+        async def scenario():
+            async with SQLServer(fleet, config) as server:
+                host, port = server.address
+                probe = AsyncSQLClient(host, port, client_name="probe")
+                await probe.connect()
+                before = (await probe.query(READ_CREDIT, [cid])).rows[0][0]
+
+                victim = AsyncSQLClient(host, port, client_name="victim")
+                await victim.connect()
+                await victim.begin()
+                await victim.execute(BUMP_CREDIT, [9.0, cid])
+                server.controller.try_acquire(server._now())
+                victim.send_nowait(
+                    {"op": "execute", "sql": BUMP_CREDIT,
+                     "params": [4.0, cid]}
+                )
+                for _ in range(200):
+                    if server.controller.queue_depth:
+                        break
+                    await asyncio.sleep(0.005)
+                assert server.controller.queue_depth == 1
+                if how == "reset":  # close() sends RST, not FIN
+                    victim._conn.transport.get_extra_info("socket").setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0),
+                    )
+                victim.abort()
+                await asyncio.sleep(0.1)
+                # the session outlives its socket: its statement is queued
+                assert server.active_connections == 2
+                assert server.orphan_rollbacks == 0
+                assert server.abrupt_disconnects == 0
+
+                # free the slot; the probe's query drains the queue, the
+                # victim's statement first
+                server.controller.release(server._now(), -1.0)
+                after = (await probe.query(READ_CREDIT, [cid])).rows[0][0]
+                assert server.orphan_rollbacks == 1
+                # a FIN on a frame boundary is a clean goodbye
+                assert server.abrupt_disconnects == (how == "reset")
+                assert server.active_connections == 1
+                assert server.errors == 0  # it ran, inside the txn
+                assert after == pytest.approx(before)
+                # the row lock went with the rollback
                 await probe.begin()
                 await probe.execute(BUMP_CREDIT, [1.0, cid])
                 await probe.commit()
@@ -240,6 +306,24 @@ class TestFraming:
                 client.ping()
             time.sleep(0.05)
             assert bg.server.abrupt_disconnects == 1
+
+    def test_a_response_too_big_for_a_frame_is_an_error_frame(
+        self, fleet, monkeypatch
+    ):
+        """The result does not fit a frame: the client is told so, and
+        the session goes on."""
+        from repro.serve import wire
+
+        with BackgroundServer(fleet) as bg:
+            client = SocketClient(*bg.server.address)
+            client.connect()
+            monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 2048)
+            with pytest.raises(SqlError, match="protocol: frame payload"):
+                client.query("SELECT * FROM CUSTOMER WHERE C_ID >= ?", [0])
+            assert client.ping()
+            client.close()
+            time.sleep(0.05)
+            assert bg.server.abrupt_disconnects == 0
 
     def test_malformed_length_prefix_gets_one_error_frame(self, fleet):
         with BackgroundServer(fleet) as bg:
@@ -290,6 +374,100 @@ class TestFraming:
                     frames.extend(decoder.feed(raw.recv(65536)))
                 assert frames[0] == {"ok": True}
             finally:
+                raw.close()
+
+    def test_good_frames_before_a_poisoned_prefix_are_answered(self, fleet):
+        """Two pings and a zero-length prefix in one segment: both pings
+        are answered in order, then the one error frame, then EOF."""
+        from repro.serve.wire import encode_frame
+
+        with BackgroundServer(fleet) as bg:
+            host, port = bg.server.address
+            raw = socket.create_connection((host, port), timeout=5.0)
+            try:
+                ping = encode_frame({"op": "ping"})
+                raw.sendall(ping + ping + b"\x00\x00\x00\x00")
+                decoder = FrameDecoder()
+                frames = []
+                while True:
+                    data = raw.recv(65536)
+                    if not data:
+                        break
+                    frames.extend(decoder.feed(data))
+                assert decoder.pending_bytes == 0
+                assert frames[:2] == [{"ok": True}, {"ok": True}]
+                assert len(frames) == 3
+                assert frames[2]["ok"] is False
+                assert "zero-length" in frames[2]["error"]["message"]
+                assert frames[2]["error"]["retryable"] is False
+            finally:
+                raw.close()
+            time.sleep(0.05)
+            assert bg.server.abrupt_disconnects == 1
+
+    def test_a_client_that_never_reads_is_paused_alone(self, fleet):
+        """Back-pressure: a raw client pipelines far more than it reads,
+        the server stops reading (and serving) that connection once its
+        write buffer is full -- and goes on serving everyone else."""
+        from repro.serve.wire import encode_frame
+
+        n_requests = 600
+        with BackgroundServer(fleet) as bg:
+            server = bg.server
+            host, port = server.address
+            raw = socket.socket()
+            # a small receive window: the kernel holds little for us
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            raw.settimeout(10.0)
+            raw.connect((host, port))
+            other = SocketClient(host, port, client_name="other")
+            try:
+                request = encode_frame({
+                    "op": "query",
+                    "sql": "SELECT * FROM CUSTOMER WHERE C_ID >= ?",
+                    "params": [0],
+                })
+                raw.setblocking(False)
+                pipeline = memoryview(request * n_requests)
+                sent = 0
+                steady = 0
+                last = -1
+                while steady < 5:  # until the server has stopped serving it
+                    if sent < len(pipeline):
+                        try:
+                            sent += raw.send(pipeline[sent:])
+                        except BlockingIOError:
+                            pass  # our own send buffer is full, too
+                    time.sleep(0.05)
+                    steady = steady + 1 if server.statements == last else 0
+                    last = server.statements
+                paused_at = server.statements
+                assert 0 < paused_at < n_requests
+
+                other.connect()
+                assert other.ping()
+                assert _credit(other, collect_keys(fleet)["customers"][0]) >= 0
+                assert server.statements == paused_at + 1
+
+                # the slow client catches up: everything is answered
+                raw.setblocking(True)
+                raw.settimeout(30.0)
+                decoder = FrameDecoder()
+                answered = 0
+                while answered < n_requests:
+                    if sent < len(pipeline):
+                        raw.setblocking(False)
+                        try:
+                            sent += raw.send(pipeline[sent:])
+                        except BlockingIOError:
+                            pass
+                        raw.setblocking(True)
+                    frames = decoder.feed(raw.recv(1 << 20))
+                    assert all(frame["ok"] for frame in frames)
+                    answered += len(frames)
+                assert server.statements == n_requests + 1
+            finally:
+                other.close()
                 raw.close()
 
 
@@ -345,6 +523,134 @@ class TestAdmission:
             client.close()
             assert bg.server.expired == 1
             assert bg.server.statements == 0  # never executed
+
+
+class TestStatementIds:
+    def test_text_crosses_the_wire_once_per_connection(
+        self, fleet, monkeypatch
+    ):
+        from repro.serve import wire
+
+        sent = []
+        encode = wire.encode_frame
+
+        def recording(payload):
+            if payload.get("op") == "query":
+                sent.append((dict(payload), len(encode(payload))))
+            return encode(payload)
+
+        monkeypatch.setattr(wire, "encode_frame", recording)
+        cids = collect_keys(fleet)["customers"][:3]
+        with BackgroundServer(fleet) as bg:
+            client = SocketClient(*bg.server.address)
+            client.connect()
+            for cid in cids:
+                assert client.query(READ_CREDIT, [cid]).rows
+            client.close()
+        (first, first_len), *later = sent
+        assert first["sql"] == READ_CREDIT and first["sid"] == 0
+        for frame, length in later:
+            assert "sql" not in frame and frame["sid"] == 0
+            assert length <= first_len - len(READ_CREDIT)
+
+    def test_unknown_id_is_a_protocol_error_the_session_survives(
+        self, fleet
+    ):
+        cid = collect_keys(fleet)["customers"][0]
+        with BackgroundServer(fleet) as bg:
+            client = SocketClient(*bg.server.address)
+            client.connect()
+            for sid in (7, "seven", None):
+                with pytest.raises(SqlError, match="protocol") as exc_info:
+                    client._request(
+                        {"op": "query", "sid": sid, "params": [cid]}
+                    )
+                assert exc_info.value.retryable is False
+            assert _credit(client, cid) >= 0  # still usable
+            client.close()
+            assert bg.server.errors == 3
+
+    def test_one_registration_too_many_is_refused(self, fleet):
+        from repro.serve.wire import MAX_STATEMENT_IDS
+
+        cid = collect_keys(fleet)["customers"][0]
+        with BackgroundServer(fleet) as bg:
+            client = SocketClient(*bg.server.address)
+            client.connect()
+            for sid in range(MAX_STATEMENT_IDS):
+                client._request({"op": "query", "sql": READ_CREDIT,
+                                 "sid": sid, "params": [cid]})
+            with pytest.raises(SqlError, match="table is full") as exc_info:
+                client._request(
+                    {"op": "query", "sql": READ_CREDIT,
+                     "sid": MAX_STATEMENT_IDS, "params": [cid]}
+                )
+            assert exc_info.value.retryable is False
+            # ids already registered still work, and may be re-registered
+            assert client._request(
+                {"op": "query", "sid": 3, "params": [cid]}
+            )["rows"]
+            assert client._request(
+                {"op": "query", "sql": READ_CREDIT, "sid": 3,
+                 "params": [cid]}
+            )["rows"]
+            client.close()
+
+    def test_a_client_past_the_limit_sends_the_text(self):
+        from repro.serve.client import _statement
+        from repro.serve.wire import MAX_STATEMENT_IDS
+
+        sids = {f"SELECT {i}": i for i in range(MAX_STATEMENT_IDS)}
+        frame = _statement("query", "SELECT 'one more'", [1], sids)
+        assert frame == {
+            "op": "query", "sql": "SELECT 'one more'", "params": [1]
+        }
+        assert len(sids) == MAX_STATEMENT_IDS
+
+    def test_a_shed_statement_still_registered_its_id(self, fleet):
+        """Ids are registered as frames come off the wire: a retry by id
+        after an admission shed is shed again, not a protocol error."""
+        config = ServerConfig(qos=True, policy=AdmissionPolicy(max_queue=0))
+        with BackgroundServer(fleet, config) as bg:
+            client = SocketClient(*bg.server.address)
+            client.connect()
+            for _ in range(2):
+                with pytest.raises(OverloadError):
+                    client.query(READ_CREDIT, [1])
+            client.close()
+            assert bg.server.shed == 2
+            assert bg.server.errors == 0
+
+    def test_reconnect_starts_a_new_table(self, fleet):
+        cid = collect_keys(fleet)["customers"][0]
+        with BackgroundServer(fleet) as bg:
+            host, port = bg.server.address
+            client = SocketClient(host, port)
+            client.connect()
+            assert _credit(client, cid) >= 0
+            assert client._sids == {READ_CREDIT: 0}
+            client.close()
+            assert client._sids == {}
+            client.connect()  # a new session: the server knows no ids
+            assert _credit(client, cid) >= 0
+            assert _credit(client, cid) >= 0
+            client.close()
+
+            async def scenario():
+                client = AsyncSQLClient(host, port)
+                await client.connect()
+                assert (await client.query(READ_CREDIT, [cid])).rows
+                assert client._sids == {READ_CREDIT: 0}
+                client.abort()
+                assert client._sids == {}
+                await client.connect()
+                assert (await client.query(READ_CREDIT, [cid])).rows
+                assert (await client.query(READ_CREDIT, [cid])).rows
+                await client.close()
+                assert client._sids == {}
+
+            asyncio.run(scenario())
+            assert bg.server.errors == 0
 
 
 class TestFaultInjector:

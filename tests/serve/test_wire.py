@@ -1,9 +1,10 @@
 """Wire framing edge cases: partial reads, bad prefixes, truncation."""
 
-import asyncio
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.wire import (
     HEADER_BYTES,
@@ -11,7 +12,6 @@ from repro.serve.wire import (
     FrameError,
     decode_body,
     encode_frame,
-    read_frame,
 )
 
 
@@ -89,51 +89,77 @@ class TestFrameDecoder:
         with pytest.raises(ValueError):
             FrameDecoder(max_frame=0)
 
+    def test_good_frames_before_a_poisoned_prefix_are_delivered(self):
+        """One chunk, two good frames then garbage: the frames come
+        out first, the error after them and on every later call."""
+        decoder = FrameDecoder()
+        chunk = _frame({"i": 0}) + _frame({"i": 1}) + b"\x00\x00\x00\x00"
+        assert decoder.feed(chunk) == [{"i": 0}, {"i": 1}]
+        assert isinstance(decoder.error, FrameError)
+        with pytest.raises(FrameError, match="zero-length"):
+            decoder.feed(b"")
+        with pytest.raises(FrameError, match="zero-length"):
+            decoder.feed(_frame({"i": 2}))
 
-def _reader_with(data, eof=True):
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    if eof:
-        reader.feed_eof()
-    return reader
+    def test_good_frames_before_a_bad_body_on_the_buffered_path(self):
+        decoder = FrameDecoder()
+        body = b"{not json"
+        chunk = _frame({"i": 0}) + struct.pack(">I", len(body)) + body
+        assert decoder.feed(chunk[:2]) == []  # mid-header: buffered path
+        assert decoder.feed(chunk[2:]) == [{"i": 0}]
+        with pytest.raises(FrameError, match="not valid JSON"):
+            decoder.feed(b"")
+
+    def test_clean_eof_at_a_frame_boundary(self):
+        decoder = FrameDecoder()
+        assert decoder.feed(_frame({"op": "ping"})) == [{"op": "ping"}]
+        decoder.end_of_stream()  # nothing pending: no error
+        FrameDecoder().end_of_stream()  # nor on a stream that never spoke
+
+    def test_eof_inside_a_header_is_a_truncated_stream(self):
+        decoder = FrameDecoder()
+        assert decoder.feed(b"\x00\x00") == []
+        with pytest.raises(FrameError, match="truncated"):
+            decoder.end_of_stream()
+
+    def test_eof_inside_a_body_is_a_truncated_stream(self):
+        decoder = FrameDecoder()
+        data = _frame({"op": "execute", "sql": "SELECT 1"})
+        assert decoder.feed(data[:-2]) == []
+        with pytest.raises(FrameError, match="truncated"):
+            decoder.end_of_stream()
+        assert decoder.error is not None  # and the stream stays dead
+        with pytest.raises(FrameError, match="truncated"):
+            decoder.feed(data[-2:])
 
 
-class TestReadFrame:
-    def test_one_frame(self):
-        async def scenario():
-            reader = _reader_with(_frame({"op": "ping"}))
-            assert await read_frame(reader) == {"op": "ping"}
-            assert await read_frame(reader) is None  # clean EOF after
+_PAYLOADS = st.lists(
+    st.dictionaries(
+        st.text(max_size=6),
+        st.one_of(
+            st.none(), st.booleans(), st.integers(), st.text(max_size=40),
+            st.lists(st.integers(), max_size=4),
+        ),
+        max_size=4,
+    ),
+    min_size=1, max_size=6,
+)
 
-        asyncio.run(scenario())
 
-    def test_clean_eof_at_boundary_is_none(self):
-        async def scenario():
-            return await read_frame(_reader_with(b""))
-
-        assert asyncio.run(scenario()) is None
-
-    def test_truncated_header(self):
-        async def scenario():
-            with pytest.raises(FrameError, match="inside a frame header"):
-                await read_frame(_reader_with(b"\x00\x00"))
-
-        asyncio.run(scenario())
-
-    def test_truncated_body(self):
-        async def scenario():
-            data = _frame({"op": "ping"})
-            with pytest.raises(FrameError, match="inside a frame body"):
-                await read_frame(_reader_with(data[:-2]))
-
-        asyncio.run(scenario())
-
-    def test_oversized_prefix(self):
-        async def scenario():
-            with pytest.raises(FrameError, match="exceeds"):
-                await read_frame(
-                    _reader_with(struct.pack(">I", 512) + b"x" * 512),
-                    max_frame=256,
-                )
-
-        asyncio.run(scenario())
+@settings(max_examples=200, deadline=None)
+@given(payloads=_PAYLOADS, data=st.data())
+def test_property_any_chunking_yields_the_same_frames(payloads, data):
+    """However a valid multi-frame stream is cut into chunks -- on frame
+    boundaries (the whole-frame path), inside headers or bodies (the
+    buffered path), or byte by byte -- the same frames come out."""
+    stream = b"".join(encode_frame(payload) for payload in payloads)
+    cuts = sorted(data.draw(
+        st.lists(st.integers(0, len(stream)), max_size=12), label="cuts"
+    ))
+    decoder = FrameDecoder()
+    frames = []
+    for start, stop in zip([0, *cuts], [*cuts, len(stream)]):
+        frames.extend(decoder.feed(stream[start:stop]))
+    assert frames == payloads
+    assert decoder.pending_bytes == 0
+    decoder.end_of_stream()
