@@ -7,7 +7,7 @@ arrived during it.  An open-loop driver keeps the arrival schedule and
 measures from each request's *scheduled* start, so the backlog lands in
 the tail.
 
-This bench drives the perf harness's oltp workload through both
+This bench drives the single-shard payment workload through both
 recordings of the *same* service-time sequence at a sweep of offered
 rates around the measured capacity (the knee) and asserts:
 
@@ -33,8 +33,9 @@ import time
 
 from repro.core.report import TextTable
 from repro.obs.metrics import Histogram
-from repro.perf.harness import TwoStageHarness
 from repro.perf.openloop import ArrivalSpec, arrival_offsets, replay_open_loop
+from repro.shard.fleet import load_sales_fleet
+from repro.shard.workload import ShardSalesWorkload
 from repro.sim.rng import RngRegistry, derive_seed
 
 RATE_FACTORS = (0.5, 1.0, 1.2)
@@ -44,16 +45,18 @@ KNEE_FACTORS = (1.0, 1.2)
 def run_sweep(quick: bool = False, seed: int = 42):
     """Measure one service-time sequence, replay it under each rate.
 
-    The service durations come from one closed-loop drive of the perf
-    harness's oltp workload; each open-loop view is then pure
+    The service durations come from one closed-loop drive of the payment
+    workload on a one-shard fleet; each open-loop view is then pure
     virtual-queue arithmetic over those same durations and a seeded
     Poisson schedule at ``factor x capacity``.  One execution, N
     recordings -- the comparison cannot be polluted by run-to-run
     service noise, and both tails use the same histogram estimator.
     """
     txns = 192 if quick else 768
-    spec = TwoStageHarness(seed=seed, profile=False).workload("oltp")
-    run_one, _counters = spec.build(derive_seed(seed, "bench.tail.measured"))
+    run_one = ShardSalesWorkload(
+        load_sales_fleet(1, row_scale=0.002, seed=seed)[0],
+        seed=derive_seed(seed, "bench.tail.measured"),
+    ).run_one
     service_s = []
     for _ in range(txns):
         begin = time.perf_counter()

@@ -141,7 +141,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print(markdown)
     else:
-        outcome = bench.run(evaluation, **_parse_opts(args, bench))
+        opts = _parse_opts(args, bench)
+        try:
+            outcome = bench.run(evaluation, **opts)
+        except ValueError as error:  # options valid alone, refused together
+            raise SystemExit(f"--eval {evaluation}: {error}") from None
         if outcome.notes:
             print(outcome.notes)
         outcome_table(outcome).print()

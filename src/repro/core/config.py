@@ -100,13 +100,6 @@ class BenchConfig:
     chaos_replicas: int = 1
     chaos_slo: float = 0.9
 
-    # -- perf trajectory (two-stage measured harness)
-    perf_pilot_txns: int = 48
-    perf_target_s: float = 1.5
-    perf_txns: Optional[int] = None       # None -> pilot-calibrated
-    perf_arrival: str = "poisson"         # closed | poisson[:RATE] | burst[:RATE,N]
-    perf_profile: bool = True
-
     # -- serving tier (SQL over sockets)
     serve_connections: List[int] = field(default_factory=lambda: [8, 32, 128])
     serve_txns_per_conn: int = 16
@@ -171,13 +164,6 @@ class BenchConfig:
             raise ValueError("shard_txns must be >= 1")
         if self.shard_driver not in ("inline", "mp"):
             raise ValueError("shard_driver must be 'inline' or 'mp'")
-        if self.perf_pilot_txns < 1 or self.perf_target_s <= 0:
-            raise ValueError("perf pilot needs >= 1 txn and a positive target")
-        if self.perf_txns is not None and self.perf_txns < 1:
-            raise ValueError("perf_txns must be >= 1 (or None to calibrate)")
-        from repro.perf.openloop import parse_arrival
-
-        parse_arrival(self.perf_arrival)  # raises on a malformed spec
         if not self.serve_connections or any(
             n < 1 for n in self.serve_connections
         ):
@@ -198,7 +184,9 @@ class BenchConfig:
             raise ValueError(
                 "serve_persona must be 'payment', 'reader' or 'mixed'"
             )
-        parse_arrival(self.serve_arrival)
+        from repro.perf.openloop import parse_arrival
+
+        parse_arrival(self.serve_arrival)  # raises on a malformed spec
         if self.ha_shards < 2:
             raise ValueError("ha_shards must be >= 2 (transfers are cross-shard)")
         if self.ha_pairs < 1 or self.ha_txns < 1:
@@ -284,6 +272,4 @@ class BenchConfig:
             ha_pairs=4,
             dr_txns=80,
             dr_pairs=3,
-            perf_pilot_txns=16,
-            perf_txns=256,
         )

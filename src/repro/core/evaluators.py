@@ -674,6 +674,7 @@ def _scaleout_real(
     workload = bench.workload_mix("RW", bench.config.scale_factors[0])
     model_base = scale_out_tps(arch, workload, 150, 0)
     base = data[min(data)]
+    open_arrival = bool(base.openloop_latency_ms)  # every point shares it
     rows = []
     scores = {}
     for n_shards in sorted(data):
@@ -685,23 +686,28 @@ def _scaleout_real(
             scale_out_tps(arch, workload, 150, n_shards - 1) / model_base
             if model_base > 0 else 0.0
         )
-        rows.append((
+        row = (
             n_shards, result.driver, f"{result.cross_ratio:.0%}",
             result.committed, result.aborted, result.cross_committed,
             round(result.tps_node), round(speedup, 2), round(modelled, 2),
             round(result.fsyncs / max(1, result.committed), 2),
-        ))
+        )
         scores[f"scaleout.tps@{n_shards}"] = result.tps_node
         scores[f"scaleout.speedup@{n_shards}"] = speedup
-        if result.openloop_latency_ms:
-            scores[f"scaleout.openloop_p99_ms@{n_shards}"] = (
-                result.openloop_latency_ms.get("p99", 0.0)
+        if open_arrival:
+            open_p99 = result.openloop_latency_ms["p99"]
+            scores[f"scaleout.openloop_p99_ms@{n_shards}"] = open_p99
+            row += (
+                round(result.latency_ms["p50"], 3),
+                round(result.latency_ms["p99"], 3),
+                round(open_p99, 3),
             )
-    return _outcome(
-        ("shards", "driver", "cross", "committed", "aborted", "2PC commits",
-         "node TPS", "speedup", "modelled", "fsyncs/txn"),
-        rows, scores=scores, payload=data,
-    )
+        rows.append(row)
+    headers = ("shards", "driver", "cross", "committed", "aborted",
+               "2PC commits", "node TPS", "speedup", "modelled", "fsyncs/txn")
+    if open_arrival:
+        headers += ("p50 ms", "p99 ms", "open p99 ms")
+    return _outcome(headers, rows, scores=scores, payload=data)
 
 
 @evaluator(
@@ -809,97 +815,6 @@ def _serve(
         ("conns", "qos", "driver", "offered", "committed", "shed+exp",
          "errors", "TPS", "goodput", "p50 ms", "p99 ms"),
         rows, scores=scores, notes=notes, payload=data,
-    )
-
-
-def _parse_workloads(value) -> tuple:
-    """Parse a perf workload list (``"oltp,shard"`` or a sequence)."""
-    from repro.perf.harness import perf_workload_names
-
-    names = tuple(str(item) for item in _items(value))
-    known = perf_workload_names()
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise ValueError(f"unknown perf workloads {unknown}; one of {known}")
-    return names
-
-
-@evaluator(
-    "perf",
-    title="Perf trajectory (two-stage measured harness)",
-    summary="pilot-calibrated measured runs: wall/CPU/RSS, CO-free tail "
-            "latency, subsystem cost breakdown",
-    options=(
-        EvalOption("workloads", _parse_workloads, None,
-                   "comma-separated perf workloads (default: all)"),
-        EvalOption("arrival", _parse_arrival_opt, config="perf_arrival",
-                   help="arrival spec: closed | poisson[:RATE] | burst[:RATE,N]"),
-        EvalOption("txns", _positive_int, config="perf_txns",
-                   help="fixed measured iteration count (unset: the pilot "
-                        "run calibrates it)"),
-        EvalOption("profile", parse_bool, config="perf_profile",
-                   help="run the subsystem-profile pass"),
-    ),
-)
-def _perf(bench: "CloudyBench", workloads, arrival, txns, profile) -> EvalOutcome:
-    """Measured perf runs, payload ``{workload: MeasuredRun}``.
-
-    Testbed-level, like the shard/HA evaluators: it measures the
-    engine's own hot paths (single-shard payment loop, cross-shard
-    2PC) through the two-stage harness, so one run covers every
-    architecture row.
-    """
-    from repro.perf.harness import TwoStageHarness, perf_workload_names
-
-    config = bench.config
-    harness = TwoStageHarness(
-        seed=config.seed,
-        row_scale=config.row_scale,
-        pilot_txns=config.perf_pilot_txns,
-        target_s=config.perf_target_s,
-        txns=txns,
-        arrival=arrival,
-        profile=profile,
-        shard_cross_ratio=config.shard_cross_ratio,
-        observer=bench.observer,
-    )
-    data = {
-        name: harness.run(name) for name in workloads or perf_workload_names()
-    }
-    rows = []
-    scores = {}
-    for name in sorted(data):
-        run = data[name]
-        latency = run.service.latency_summary_ms()
-        sojourn = (
-            run.openloop.latency_summary_ms() if run.openloop is not None
-            else {}
-        )
-        top = ""
-        if run.profile is not None:
-            shares = {
-                k: v for k, v in run.profile.shares().items() if k != "other"
-            }
-            if shares:
-                name_top, share_top = max(shares.items(), key=lambda kv: kv[1])
-                top = f"{name_top} {share_top:.0%}"
-        rows.append((
-            name, run.arrival.describe(), run.txns, run.committed,
-            run.aborted, round(run.tps), round(run.wall_s, 3),
-            round(run.cpu_s, 3),
-            round(latency.get("p50", 0.0), 3),
-            round(latency.get("p99", 0.0), 3),
-            round(sojourn.get("p99", 0.0), 3) if sojourn else "-",
-            top or "-",
-        ))
-        scores[f"perf.tps.{name}"] = run.tps
-        scores[f"perf.p99_ms.{name}"] = latency.get("p99", 0.0)
-        if sojourn:
-            scores[f"perf.openloop_p99_ms.{name}"] = sojourn.get("p99", 0.0)
-    return _outcome(
-        ("workload", "arrival", "txns", "committed", "aborted", "TPS",
-         "wall s", "CPU s", "p50 ms", "p99 ms", "open p99 ms", "top subsystem"),
-        rows, scores=scores, payload=data,
     )
 
 

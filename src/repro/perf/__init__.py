@@ -1,23 +1,19 @@
-"""``repro.perf``: the performance-observability subsystem.
+"""``repro.perf``: arrival schedules and coordinated-omission-free replay.
 
-Three layers, built on :mod:`repro.obs`:
+* :mod:`repro.perf.openloop` -- Poisson/burst arrival schedules
+  (:func:`arrival_offsets`, :func:`arrival_offsets_window`, parsed from
+  the ``arrival=`` option by :func:`parse_arrival`) and
+  :func:`replay_open_loop`, which charges already-measured service
+  times their queueing delay from the *scheduled* start.  The
+  ``scaleout-real``, ``oltp``, ``overload``, ``ha`` and ``serve``
+  evaluators all build their open-loop view from these.
+* :mod:`repro.perf.trajectory` -- the home of ``calibration_spin``,
+  which ``bench/run.py`` imports from that path.
 
-* :mod:`repro.perf.openloop` -- coordinated-omission-free load
-  generation: Poisson/burst arrival schedules per client class, with
-  latency timestamped from the *scheduled* start, not the actual one.
-* :mod:`repro.perf.profiler` -- a deterministic subsystem profiler
-  (``sys.setprofile`` tracer, plus a virtual-clock sampler for DES
-  runs) attributing measured time to engine subsystems.
-* :mod:`repro.perf.harness` -- the two-stage measured harness: a pilot
-  run calibrates iteration count and target rate, a measured run
-  records wall/CPU/RSS and tail percentiles, an optional profile pass
-  produces the subsystem cost breakdown.
-
-Comparing commits is not done here: ``bench/`` (see ``bench/README.md``)
-is the repo's one benchmark.
+Measuring and comparing commits is not done here: ``bench/`` (see
+``bench/README.md``) is the repo's one benchmark.
 """
 
-from repro.perf.harness import MeasuredRun, TwoStageHarness, perf_workload_names
 from repro.perf.openloop import (
     ArrivalSpec,
     OpenLoopResult,
@@ -25,24 +21,13 @@ from repro.perf.openloop import (
     arrival_offsets_window,
     parse_arrival,
     replay_open_loop,
-    run_closed_loop,
-    run_open_loop,
 )
-from repro.perf.profiler import SUBSYSTEMS, ClockSampler, SubsystemProfiler
 
 __all__ = [
     "ArrivalSpec",
-    "ClockSampler",
-    "MeasuredRun",
     "OpenLoopResult",
-    "SUBSYSTEMS",
-    "SubsystemProfiler",
-    "TwoStageHarness",
     "arrival_offsets",
     "arrival_offsets_window",
     "parse_arrival",
-    "perf_workload_names",
     "replay_open_loop",
-    "run_closed_loop",
-    "run_open_loop",
 ]

@@ -1,4 +1,4 @@
-"""Open-loop, coordinated-omission-free load generation and recording.
+"""Open-loop arrival schedules and coordinated-omission-free replay.
 
 A *closed-loop* driver issues the next operation only after the
 previous one returned, so a stall in the server also stalls the load
@@ -12,36 +12,30 @@ charged its queueing delay; nothing is omitted.
 This module provides both halves:
 
 * **Arrival schedules** -- :func:`arrival_offsets` turns an
-  :class:`ArrivalSpec` (Poisson or burst, per client class) into a
-  sorted list of scheduled start offsets.  Randomness comes from a
-  caller-supplied :class:`random.Random` so the schedule is pinned by
-  the usual :func:`~repro.sim.rng.derive_seed` named streams.
-* **CO-free execution** -- :func:`run_open_loop` replays a schedule
-  against a synchronous ``run_one`` callable, accounting service on a
+  :class:`ArrivalSpec` (Poisson or burst) into a sorted list of
+  scheduled start offsets.  Randomness comes from a caller-supplied
+  :class:`random.Random` so the schedule is pinned by the usual
+  :func:`~repro.sim.rng.derive_seed` named streams.
+* **CO-free accounting** -- :func:`replay_open_loop` replays a schedule
+  against service durations a driver already measured, on a
   single-server virtual queue: each operation starts at
   ``max(scheduled, previous completion)`` and its recorded latency is
-  ``completion - scheduled``.  The wall clock only measures *service*
-  durations; waiting is bookkept, not slept, so a measured run costs
-  the same wall time as the closed-loop equivalent while recording
-  honest open-loop sojourn times.
-* :func:`run_closed_loop` -- the traditional recording (latency =
-  service time of the operation just run), kept for the side-by-side
-  comparison in ``benchmarks/bench_tail_openloop.py``.
+  ``completion - scheduled``.  Waiting is bookkept, not slept, so one
+  closed-loop execution yields both the service-time view and honest
+  open-loop sojourn times.
 
-Latencies land in a mergeable :class:`~repro.obs.metrics.Histogram`
-(and optionally in a shared observer under a caller-chosen metric
-name) so per-class and per-worker results aggregate exactly.
+Latencies land in a mergeable :class:`~repro.obs.metrics.Histogram` so
+per-worker results aggregate exactly.
 """
 
 from __future__ import annotations
 
+import math
 import random
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.metrics import Histogram
-from repro.obs.observer import Observer
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -49,11 +43,8 @@ __all__ = [
     "OpenLoopResult",
     "arrival_offsets",
     "arrival_offsets_window",
-    "merge_schedules",
     "parse_arrival",
     "replay_open_loop",
-    "run_closed_loop",
-    "run_open_loop",
 ]
 
 #: supported arrival processes ("closed" means: no schedule, classic loop)
@@ -67,8 +58,8 @@ DEFAULT_BURST = 8
 class ArrivalSpec:
     """One client class's arrival process.
 
-    ``rate`` is in operations per second; ``None`` lets the harness
-    substitute its pilot-calibrated target rate.  ``burst`` groups that
+    ``rate`` is in operations per second; ``None`` lets the driver
+    substitute the service rate it observed.  ``burst`` groups that
     many arrivals at the same instant (bursty tenants, connection
     storms); groups are spaced so the long-run rate still holds.
     """
@@ -83,8 +74,12 @@ class ArrivalSpec:
             raise ValueError(
                 f"unknown arrival kind {self.kind!r}; one of {ARRIVAL_KINDS}"
             )
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError("arrival rate must be positive")
+        if self.rate is not None and not (
+            math.isfinite(self.rate) and self.rate > 0
+        ):
+            raise ValueError(
+                f"arrival rate must be finite and positive, got {self.rate!r}"
+            )
         if self.burst < 1:
             raise ValueError("burst size must be >= 1")
 
@@ -149,7 +144,7 @@ def arrival_offsets(
     """
     if spec.kind == "closed":
         raise ValueError("closed-loop runs have no arrival schedule")
-    if rate <= 0:
+    if not rate > 0:  # also rejects NaN
         raise ValueError("arrival rate must be positive")
     if count < 1:
         raise ValueError("need at least one arrival")
@@ -182,7 +177,7 @@ def arrival_offsets_window(
     """
     if spec.kind == "closed":
         raise ValueError("closed-loop runs have no arrival schedule")
-    if rate <= 0:
+    if not rate > 0:  # also rejects NaN
         raise ValueError("arrival rate must be positive")
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -199,23 +194,6 @@ def arrival_offsets_window(
             offsets.extend([t] * spec.burst)
             t += gap
     return offsets
-
-
-def merge_schedules(
-    schedules: Dict[str, Sequence[float]],
-) -> List[Tuple[float, str]]:
-    """Interleave per-class schedules into one ``(offset, class)`` list.
-
-    Stable on ties (sorted by offset, then class name) so multi-class
-    runs stay deterministic.
-    """
-    merged = [
-        (offset, name)
-        for name, offsets in schedules.items()
-        for offset in offsets
-    ]
-    merged.sort()
-    return merged
 
 
 @dataclass
@@ -236,8 +214,6 @@ class OpenLoopResult:
     service_histogram: Histogram = field(
         default_factory=lambda: Histogram("openloop.service_s")
     )
-    #: per-class histograms when the schedule carries classes
-    by_class: Dict[str, Histogram] = field(default_factory=dict)
 
     def percentile_ms(self, pct: float) -> float:
         return self.histogram.percentile(pct) * 1000.0
@@ -273,65 +249,6 @@ class OpenLoopResult:
         )
 
 
-def _class_histogram(result: OpenLoopResult, name: str) -> Histogram:
-    histogram = result.by_class.get(name)
-    if histogram is None:
-        histogram = result.by_class[name] = Histogram(
-            f"openloop.latency_s.{name}"
-        )
-    return histogram
-
-
-def run_open_loop(
-    run_one: Callable[[], object],
-    schedule: Sequence[float] | Sequence[Tuple[float, str]],
-    observer: Optional[Observer] = None,
-    metric: str = "perf.openloop.latency_s",
-    clock: Callable[[], float] = time.perf_counter,
-) -> OpenLoopResult:
-    """Drive ``run_one`` once per scheduled arrival, recording CO-free.
-
-    Service is accounted on a single-server virtual queue: operation
-    *i* begins service at ``max(scheduled_i, completion_{i-1})`` and
-    its latency is ``completion_i - scheduled_i`` -- queueing delay
-    plus service time, exactly what a client that sent the request at
-    its scheduled instant would observe.  ``run_one`` returning
-    ``False`` (the workloads' retryable-abort convention) counts as an
-    error but still consumes service time.
-
-    ``schedule`` entries are either plain offsets or ``(offset,
-    class_name)`` pairs (see :func:`merge_schedules`); classes get
-    per-class histograms on top of the merged one.
-    """
-    result = OpenLoopResult(mode="open")
-    free_at = 0.0
-    wall = 0.0
-    for entry in schedule:
-        if isinstance(entry, tuple):
-            scheduled, cls = entry
-        else:
-            scheduled, cls = entry, None
-        begin = clock()
-        ok = run_one()
-        service_s = clock() - begin
-        wall += service_s
-        start = scheduled if scheduled > free_at else free_at
-        free_at = start + service_s
-        latency = free_at - scheduled
-        result.histogram.observe(latency)
-        result.service_histogram.observe(service_s)
-        if cls is not None:
-            _class_histogram(result, cls).observe(latency)
-        if observer is not None and observer.enabled:
-            observer.observe(metric, latency)
-        result.operations += 1
-        if ok is False:
-            result.errors += 1
-    result.wall_s = wall
-    result.makespan_s = free_at
-    return result
-
-
 def replay_open_loop(
     service_s: Sequence[float],
     schedule: Sequence[float],
@@ -339,12 +256,14 @@ def replay_open_loop(
 ) -> OpenLoopResult:
     """Open-loop accounting over already-measured service durations.
 
-    The virtual-queue arithmetic of :func:`run_open_loop` needs only
-    the per-operation service times (in execution order) and the
-    arrival schedule -- not the operations themselves.  Drivers that
-    already ran their loop can therefore record closed-loop and
-    *replay* the same durations against an arrival schedule to get the
-    CO-free view, paying zero extra execution time.
+    A single-server virtual queue: operation *i* begins service at
+    ``max(scheduled_i, completion_{i-1})`` and its latency is
+    ``completion_i - scheduled_i`` -- queueing delay plus service time,
+    what a client that sent the request at its scheduled instant would
+    observe.  That arithmetic needs only the per-operation service
+    times (in execution order) and the arrival schedule, so a driver
+    records its loop closed-loop and *replays* the durations against
+    the schedule for the CO-free view, paying zero extra execution time.
     """
     if len(service_s) != len(schedule):
         raise ValueError(
@@ -364,38 +283,4 @@ def replay_open_loop(
     result.errors = errors
     result.wall_s = wall
     result.makespan_s = free_at
-    return result
-
-
-def run_closed_loop(
-    run_one: Callable[[], object],
-    count: int,
-    observer: Optional[Observer] = None,
-    metric: str = "perf.closedloop.latency_s",
-    clock: Callable[[], float] = time.perf_counter,
-) -> OpenLoopResult:
-    """The traditional recording: latency = the operation's own duration.
-
-    This is the coordinated-omission-*prone* baseline the open-loop
-    runner is compared against; a backlog that delays every subsequent
-    operation leaves no trace here.
-    """
-    if count < 1:
-        raise ValueError("need at least one operation")
-    result = OpenLoopResult(mode="closed")
-    result.service_histogram = result.histogram
-    wall = 0.0
-    for _ in range(count):
-        begin = clock()
-        ok = run_one()
-        service_s = clock() - begin
-        wall += service_s
-        result.histogram.observe(service_s)
-        if observer is not None and observer.enabled:
-            observer.observe(metric, service_s)
-        result.operations += 1
-        if ok is False:
-            result.errors += 1
-    result.wall_s = wall
-    result.makespan_s = wall
     return result

@@ -33,7 +33,7 @@ from repro.perf.openloop import parse_arrival
 from repro.serve.loadgen import run_load
 from repro.serve.server import ServeFaultInjector, ServerConfig, SQLServer
 from repro.shard.fleet import load_sales_fleet
-from repro.shard.workload import _customer_keys, _order_keys
+from repro.shard.workload import primary_keys
 
 __all__ = [
     "BackgroundServer",
@@ -79,8 +79,8 @@ def collect_keys(fleet) -> Dict[str, List[int]]:
     orders: List[int] = []
     customers: List[int] = []
     for shard in fleet.shards:
-        orders.extend(_order_keys(shard))
-        customers.extend(_customer_keys(shard))
+        orders.extend(primary_keys(shard, "ORDERS"))
+        customers.extend(primary_keys(shard, "CUSTOMER"))
     return {"orders": sorted(orders), "customers": sorted(customers)}
 
 

@@ -31,7 +31,7 @@ from repro.shard.fleet import (
     sales_router,
 )
 from repro.shard.router import ShardError, ShardRouter, stable_hash
-from repro.shard.workload import LocalShardWorkload, ShardSalesWorkload
+from repro.shard.workload import ShardSalesWorkload
 
 __all__ = [
     "PHASES",
@@ -51,6 +51,5 @@ __all__ = [
     "ShardError",
     "ShardRouter",
     "stable_hash",
-    "LocalShardWorkload",
     "ShardSalesWorkload",
 ]

@@ -23,16 +23,20 @@ scale-out acceptance criterion checks.
 
 from __future__ import annotations
 
+import queue
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.perf.openloop import parse_arrival
 from repro.shard.fleet import load_sales_fleet, load_sales_shard
 from repro.shard.router import ShardError
-from repro.shard.workload import LocalShardWorkload, ShardSalesWorkload
+from repro.shard.workload import ShardSalesWorkload
 
-#: seconds a multiprocess worker may run before the driver gives up on it
+#: seconds the multiprocess workers may run before the driver gives up
 _WORKER_TIMEOUT_S = 600.0
+#: seconds between looks at the workers while no result is queued
+_WORKER_POLL_S = 0.2
 
 
 @dataclass
@@ -99,8 +103,6 @@ def run_inline(
     statement sequence, same counters, but every statement pays the
     real wire.
     """
-    from repro.perf.openloop import parse_arrival
-
     if transactions < 1:
         raise ValueError("transactions must be >= 1")
     if transport not in ("inline", "socket"):
@@ -192,7 +194,7 @@ def _run_local_shard(
         shard_id, n_shards, scale_factor=scale_factor,
         row_scale=row_scale, seed=seed,
     )
-    workload = LocalShardWorkload(db, shard_id, seed=seed)
+    workload = ShardSalesWorkload.on_shard(db, shard_id, seed=seed)
     fsyncs_before = db.wal.fsyncs
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
@@ -210,10 +212,13 @@ def _run_local_shard(
     }
 
 
-def _mp_worker(shard_id, n_shards, transactions, seed, scale_factor, row_scale, queue):
-    queue.put(
-        _run_local_shard(shard_id, n_shards, transactions, seed, scale_factor, row_scale)
-    )
+def _mp_worker(results, shard_id, *shape):
+    """Queue ``(shard_id, stats)`` -- or the exception that ended the run."""
+    try:
+        outcome = _run_local_shard(shard_id, *shape)
+    except Exception as error:  # the parent re-raises it
+        outcome = error
+    results.put((shard_id, outcome))
 
 
 def _split(total: int, parts: int) -> List[int]:
@@ -233,10 +238,12 @@ def run_multiprocess(
     """One worker per shard, each with a private slice of the data.
 
     ``transactions`` is the fleet total, split evenly across shards.
-    If spawning OS processes fails (restricted sandboxes), the workers
-    run sequentially in-process -- the per-shard results are identical
-    (same seeds, no shared state), only the wall clock differs, and the
-    driver label says ``mp-fallback`` so reports stay honest.
+    If spawning OS processes is refused (restricted sandboxes), the
+    workers run sequentially in-process -- the per-shard results are
+    identical (same seeds, no shared state), only the wall clock
+    differs, and the driver label says ``mp-fallback`` so reports stay
+    honest.  A worker that *fails* is not papered over that way: its
+    exception is re-raised here.
     """
     if transactions < 1:
         raise ValueError("transactions must be >= 1")
@@ -287,30 +294,73 @@ def _try_processes(
     scale_factor: int,
     row_scale: float,
 ) -> Optional[List[Dict]]:
-    """Fork one worker per shard; None when the environment refuses."""
+    """Fork one worker per shard; None when the environment refuses.
+
+    Raises what a worker raised, or :class:`ShardError` for a worker
+    that died (or overran ``_WORKER_TIMEOUT_S``) with nothing queued;
+    either way the other children are reaped first.
+    """
     try:
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
-        queue = context.Queue()
-        workers = [
-            context.Process(
-                target=_mp_worker,
-                args=(
-                    shard_id, n_shards, per_shard_txns[shard_id],
-                    seed, scale_factor, row_scale, queue,
-                ),
-            )
-            for shard_id in range(n_shards)
+        results = context.Queue()
+    except (ImportError, OSError, ValueError):
+        return None  # no fork, or no semaphores
+    workers = [
+        context.Process(
+            target=_mp_worker,
+            args=(
+                results, shard_id, n_shards, per_shard_txns[shard_id],
+                seed, scale_factor, row_scale,
+            ),
+        )
+        for shard_id in range(n_shards)
+    ]
+    try:
+        for worker in workers:
+            try:
+                worker.start()
+            except OSError:
+                return None  # no more processes
+        return _collect(workers, results)
+    finally:
+        for worker in workers:
+            if worker.pid is not None:  # it was started
+                if worker.is_alive():
+                    worker.terminate()
+                worker.join()
+
+
+def _collect(workers, results) -> List[Dict]:
+    """One stats dict per worker, or the first failure among them."""
+    stats: Dict[int, Dict] = {}
+    deadline = time.monotonic() + _WORKER_TIMEOUT_S
+    while len(stats) < len(workers):
+        # Looked at before the read: a worker flushes its queue before it
+        # exits, so one seen dead here has its result, if any, readable.
+        lost = [
+            shard_id for shard_id, worker in enumerate(workers)
+            if shard_id not in stats and not worker.is_alive()
         ]
-        for worker in workers:
-            worker.start()
-        stats = [queue.get(timeout=_WORKER_TIMEOUT_S) for _ in workers]
-        for worker in workers:
-            worker.join(timeout=_WORKER_TIMEOUT_S)
-        return stats
-    except Exception:
-        return None
+        try:
+            shard_id, outcome = results.get(timeout=_WORKER_POLL_S)
+        except queue.Empty:
+            if lost:
+                codes = [workers[shard_id].exitcode for shard_id in lost]
+                raise ShardError(
+                    f"shard worker(s) {lost} exited without a result "
+                    f"(exit codes {codes})"
+                ) from None
+            if time.monotonic() > deadline:
+                raise ShardError(
+                    f"shard workers still running after {_WORKER_TIMEOUT_S:g} s"
+                ) from None
+            continue
+        if isinstance(outcome, Exception):
+            raise outcome
+        stats[shard_id] = outcome
+    return list(stats.values())
 
 
 def run_scaleout(
@@ -327,17 +377,30 @@ def run_scaleout(
 ) -> List[ShardRunResult]:
     """Sweep shard counts with a fixed workload; one result per count.
 
-    ``transport`` only applies to the inline driver (the mp driver's
-    workers are already process-isolated); ``"socket"`` reruns the same
-    sweep through the serving tier's loopback socket.
+    ``arrival`` and ``transport`` belong to the inline driver (the mp
+    driver's workers are process-isolated engines with no coordinator,
+    no latency recording and no socket in front); ``"socket"`` reruns
+    the same sweep through the serving tier's loopback socket.  Asking
+    the mp driver for any of them is refused before anything is loaded.
     """
     if driver not in ("inline", "mp"):
         raise ValueError(f"unknown driver {driver!r}; use 'inline' or 'mp'")
+    if driver == "mp":
+        for option, value, conflicts in (
+            ("cross", cross_ratio, cross_ratio != 0.0),
+            ("arrival", arrival, parse_arrival(arrival).is_open),
+            ("transport", transport, transport != "inline"),
+        ):
+            if conflicts:
+                raise ValueError(
+                    f"driver='mp' does not support {option}={value!r}; "
+                    "use driver='inline'"
+                )
     results = []
     for n_shards in shard_counts:
         if driver == "mp":
             results.append(run_multiprocess(
-                n_shards, transactions, cross_ratio=cross_ratio, seed=seed,
+                n_shards, transactions, seed=seed,
                 scale_factor=scale_factor, row_scale=row_scale,
             ))
         else:

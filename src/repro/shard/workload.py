@@ -8,21 +8,20 @@ transactions picks the customer on a *different* shard, forcing the
 coordinator through full two-phase commit.  Sweeping the ratio is how
 the scale-out evaluator prices distributed transactions.
 
-Both workloads speak the transport-agnostic
-:class:`~repro.core.client.Client` protocol: by default they build an
-in-process :class:`~repro.core.client.FleetClient` /
-:class:`~repro.core.client.EngineClient`, but any client with the same
-verbs -- notably :class:`repro.serve.client.SocketClient` -- can be
-passed in, and the workload (statement sequence, RNG draws, outcome
-classification) is byte-identical over the wire.
-
-:class:`LocalShardWorkload` is the same transaction against one
-standalone shard -- what each multiprocess load-driver worker runs.
+The workload speaks the transport-agnostic
+:class:`~repro.core.client.Client` protocol and draws its keys from the
+shard databases it is bound to: a fleet supplies ``fleet.shards`` and a
+:class:`~repro.core.client.FleetClient` (or any client with the same
+verbs -- notably :class:`repro.serve.client.SocketClient`, over which
+statement sequence, RNG draws and outcome classification are
+byte-identical); a multiprocess load-driver worker supplies its one
+standalone shard and an :class:`~repro.core.client.EngineClient`
+(:meth:`ShardSalesWorkload.on_shard`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.client import Client, EngineClient, FleetClient, quiet_rollback
 from repro.engine.database import Database
@@ -41,18 +40,14 @@ UPDATE_CUSTOMER = "UPDATE CUSTOMER SET C_CREDIT = C_CREDIT + ? WHERE C_ID = ?"
 _EPOCH = 1_700_000_000.0
 
 
-def _order_keys(db: Database) -> List[int]:
-    index = db.table("ORDERS").schema.primary_key_index
-    return sorted(row[index] for _rid, row in db.table("ORDERS").scan())
-
-
-def _customer_keys(db: Database) -> List[int]:
-    index = db.table("CUSTOMER").schema.primary_key_index
-    return sorted(row[index] for _rid, row in db.table("CUSTOMER").scan())
+def primary_keys(db: Database, table: str) -> List[int]:
+    """The sorted primary keys of the rows ``db`` holds of ``table``."""
+    index = db.table(table).schema.primary_key_index
+    return sorted(row[index] for _rid, row in db.table(table).scan())
 
 
 class ShardSalesWorkload:
-    """Payment transactions against a :class:`ShardedDatabase`."""
+    """Payment transactions over a fleet's shards, through one client."""
 
     def __init__(
         self,
@@ -63,15 +58,46 @@ class ShardSalesWorkload:
     ):
         if not 0.0 <= cross_ratio <= 1.0:
             raise ValueError("cross_ratio must be in [0, 1]")
-        self.fleet = fleet
+        self._bind(
+            dict(enumerate(fleet.shards)),
+            client if client is not None else FleetClient(fleet),
+            cross_ratio, seed,
+        )
+
+    @classmethod
+    def on_shard(
+        cls, db: Database, shard_id: int, seed: int = 42
+    ) -> "ShardSalesWorkload":
+        """The workload of one multiprocess worker: a standalone shard.
+
+        Every order and customer is drawn from the rows this shard owns
+        (the fleet workload's shard-local case), on the worker's own
+        seed stream, so the driver measures pure single-shard throughput.
+        """
+        workload = cls.__new__(cls)
+        workload._bind(
+            {shard_id: db}, EngineClient(db), 0.0,
+            derive_seed(seed, f"shard.{shard_id}"),
+        )
+        return workload
+
+    def _bind(
+        self,
+        shards: Dict[int, Database],
+        client: Client,
+        cross_ratio: float,
+        seed: int,
+    ) -> None:
         self.cross_ratio = cross_ratio
-        self.client: Client = client if client is not None else FleetClient(fleet)
-        self.client.connect()
+        self.client = client
+        client.connect()
         self._rng = RngRegistry(seed).stream("shard.workload")
-        self._orders = [_order_keys(shard) for shard in fleet.shards]
-        self._customers = [_customer_keys(shard) for shard in fleet.shards]
-        for shard_id, keys in enumerate(self._orders):
-            if not keys or not self._customers[shard_id]:
+        self._orders = [primary_keys(db, "ORDERS") for db in shards.values()]
+        self._customers = [primary_keys(db, "CUSTOMER") for db in shards.values()]
+        for shard_id, orders, customers in zip(
+            shards, self._orders, self._customers
+        ):
+            if not orders or not customers:
                 raise ValueError(f"shard {shard_id} holds no orders or customers")
         self._now = _EPOCH
         self.committed = 0
@@ -81,7 +107,7 @@ class ShardSalesWorkload:
     def run_one(self) -> bool:
         """One payment; returns True on commit, False on (retryable) abort."""
         rng = self._rng
-        n_shards = self.fleet.n_shards
+        n_shards = len(self._orders)
         cross = n_shards > 1 and rng.random() < self.cross_ratio
         order_shard = rng.randrange(n_shards)
         order_id = rng.choice(self._orders[order_shard])
@@ -122,58 +148,4 @@ class ShardSalesWorkload:
         self.committed += 1
         if cross:
             self.cross_committed += 1
-        return True
-
-
-class LocalShardWorkload:
-    """The same payment transaction against one standalone shard.
-
-    Key choices replicate the fleet workload's shard-local case: every
-    order and customer is drawn from the rows this shard owns, so the
-    multiprocess driver measures pure single-shard throughput.
-    """
-
-    def __init__(
-        self,
-        db: Database,
-        shard_id: int,
-        seed: int = 42,
-        client: Optional[Client] = None,
-    ):
-        self.db = db
-        self.client: Client = client if client is not None else EngineClient(db)
-        self.client.connect()
-        self._rng = RngRegistry(
-            derive_seed(seed, f"shard.{shard_id}")
-        ).stream("shard.workload")
-        self._orders = _order_keys(db)
-        self._customers = _customer_keys(db)
-        if not self._orders or not self._customers:
-            raise ValueError(f"shard {shard_id} holds no orders or customers")
-        self._now = _EPOCH
-        self.committed = 0
-        self.aborted = 0
-
-    def run_one(self) -> bool:
-        rng = self._rng
-        order_id = rng.choice(self._orders)
-        customer_id = rng.choice(self._customers)
-        amount = round(rng.uniform(1.0, 100.0), 2)
-        self._now += 1.0
-        client = self.client
-        try:
-            client.begin()
-            try:
-                client.execute(UPDATE_ORDER, [self._now, order_id])
-                client.execute(UPDATE_CUSTOMER, [amount, customer_id])
-                client.commit()
-            except BaseException:
-                quiet_rollback(client)
-                raise
-        except EngineError as error:
-            if not error.retryable:
-                raise
-            self.aborted += 1
-            return False
-        self.committed += 1
         return True

@@ -181,7 +181,8 @@ class TestOptRanges:
         ("scaleout-real", "txns=0"),
         ("serve", "connections=0"),
         ("serve", "txns=-1"),
-        ("perf", "txns=0"),
+        ("scaleout-real", "arrival=poisson:nan"),
+        ("oltp", "arrival=burst:inf,2"),
         ("overall", "duration_s=0"),
         ("pscore", "n_ro_nodes=-1"),
     ])

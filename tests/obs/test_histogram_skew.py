@@ -1,6 +1,6 @@
 """Histogram percentiles under extreme skew, and merging worker snapshots.
 
-The perf harness leans on two histogram properties the basic tests do
+The open-loop replay leans on two histogram properties the basic tests do
 not stress: percentile estimates must stay honest when the whole
 distribution collapses into one bucket (a uniform service time, a
 single sample, a bimodal knee), and folding per-worker / per-shard

@@ -13,12 +13,10 @@ from repro.perf.openloop import (
     ArrivalSpec,
     arrival_offsets,
     arrival_offsets_window,
-    merge_schedules,
     parse_arrival,
     replay_open_loop,
-    run_closed_loop,
-    run_open_loop,
 )
+from repro.perf.trajectory import calibration_spin
 
 
 # -- parse_arrival -------------------------------------------------------------
@@ -51,6 +49,7 @@ class TestParseArrival:
 
     @pytest.mark.parametrize("bad", [
         "open", "closed:5", "poisson:0", "poisson:100,8", "burst:10,-1",
+        "poisson:nan", "burst:inf,2", "poisson:-inf",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -98,11 +97,12 @@ class TestSchedules:
         with pytest.raises(ValueError):
             arrival_offsets(ArrivalSpec(kind="closed"), 10.0, 5, random.Random(0))
 
-    def test_merge_is_sorted_and_stable(self):
-        merged = merge_schedules({
-            "b": [0.2, 0.4], "a": [0.2, 0.1],
-        })
-        assert merged == [(0.1, "a"), (0.2, "a"), (0.2, "b"), (0.4, "b")]
+    def test_nan_rate_has_no_schedule(self):
+        # a rate handed straight to the generator, past ArrivalSpec
+        with pytest.raises(ValueError):
+            arrival_offsets(
+                ArrivalSpec(kind="poisson"), float("nan"), 5, random.Random(0)
+            )
 
 
 # -- replay accounting ---------------------------------------------------------
@@ -154,50 +154,9 @@ class TestReplayAccounting:
         assert view.operations == 2
 
 
-# -- live drivers (virtual clock) ---------------------------------------------
+# -- the other resident of repro.perf -------------------------------------------
 
 
-class FakeClock:
-    """Deterministic clock: each read advances by the next tick."""
-
-    def __init__(self, step: float):
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        value = self.now
-        self.now += self.step
-        return value
-
-
-class TestDrivers:
-    def test_open_loop_matches_replay(self):
-        # run_open_loop with a fake clock (each op costs one step)
-        # must agree with replay_open_loop over the same durations
-        clock = FakeClock(step=0.005)
-        schedule = [0.0, 0.001, 0.002, 0.5]
-        live = run_open_loop(lambda: True, schedule, clock=clock)
-        replayed = replay_open_loop([0.005] * 4, schedule)
-        assert live.histogram.bucket_counts == replayed.histogram.bucket_counts
-        assert live.makespan_s == pytest.approx(replayed.makespan_s)
-
-    def test_open_loop_counts_errors(self):
-        outcomes = iter([True, False, True])
-        result = run_open_loop(
-            lambda: next(outcomes), [0.0, 0.0, 0.0], clock=FakeClock(0.001)
-        )
-        assert result.operations == 3
-        assert result.errors == 1
-
-    def test_closed_loop_histogram_is_service(self):
-        result = run_closed_loop(lambda: True, 5, clock=FakeClock(0.002))
-        assert result.mode == "closed"
-        assert result.operations == 5
-        assert result.histogram is result.service_histogram
-
-    def test_classed_schedule_gets_per_class_histograms(self):
-        schedule = [(0.0, "gold"), (0.0, "bronze"), (0.1, "gold")]
-        result = run_open_loop(lambda: True, schedule, clock=FakeClock(0.001))
-        assert set(result.by_class) == {"gold", "bronze"}
-        assert result.by_class["gold"].count == 2
-        assert result.by_class["bronze"].count == 1
+def test_calibration_spin_import_path():
+    # bench/run.py imports calibration_spin from exactly this path
+    assert calibration_spin(1000) > 0

@@ -1,5 +1,7 @@
 """Load drivers and the ``scaleout-real`` evaluator wiring."""
 
+import time
+
 import pytest
 
 from repro.core.config import BenchConfig
@@ -38,6 +40,63 @@ class TestInlineDriver:
         assert result.committed == 20
 
 
+def _counters(result):
+    return (
+        result.committed, result.aborted, result.fsyncs, result.cross_committed
+    )
+
+
+class TestPinnedShape:
+    """Deterministic counters at the ``BenchConfig.quick()`` shape, seed
+    42, read off the commit that retired the second harness: any drift
+    is a behaviour change, not noise."""
+
+    SHAPES = [
+        pytest.param(
+            (1, 256), {"cross_ratio": 0.0}, (256, 0, 256, 0), id="1-shard"
+        ),
+        pytest.param(
+            (2, 256), {"cross_ratio": 0.1}, (256, 0, 326, 14), id="2-shards"
+        ),
+    ]
+
+    @pytest.mark.parametrize("extra", [
+        {}, {"arrival": "poisson"}, {"arrival": "burst:500,4"},
+        {"transport": "socket"},
+    ], ids=["closed", "poisson", "burst", "socket"])
+    @pytest.mark.parametrize("args,shape,counters", SHAPES)
+    def test_inline_counters(self, args, shape, counters, extra):
+        # neither the arrival process nor the transport perturbs the work
+        result = run_inline(*args, seed=42, row_scale=0.001, **shape, **extra)
+        assert _counters(result) == counters
+
+    def test_different_seed_changes_the_work(self):
+        # same txn count, but the cross-shard draws (and so the 2PC
+        # fsyncs) differ
+        result = run_inline(2, 256, cross_ratio=0.1, seed=43, row_scale=0.001)
+        assert result.committed == 256
+        assert _counters(result) != (256, 0, 326, 14)
+
+    def test_open_arrival_fills_both_latency_views(self):
+        result = run_inline(2, 96, seed=42, row_scale=0.001, arrival="poisson")
+        assert result.arrival == "poisson:auto"
+        for view in (result.latency_ms, result.openloop_latency_ms):
+            assert sorted(view) == ["p50", "p95", "p99", "p999"]
+            assert view["p99"] > 0
+
+    def test_closed_arrival_records_no_latency(self):
+        result = run_inline(2, 96, seed=42, row_scale=0.001)
+        assert result.arrival == "closed"
+        assert result.latency_ms == {} and result.openloop_latency_ms == {}
+
+    def test_multiprocess_counters(self):
+        result = run_multiprocess(
+            2, 256, seed=42, row_scale=0.001, processes=False
+        )
+        assert (result.committed, result.aborted, result.fsyncs) == (256, 0, 256)
+        assert [entry["committed"] for entry in result.per_shard] == [128, 128]
+
+
 class TestMultiprocessDriver:
     def test_rejects_cross_shard(self):
         with pytest.raises(ShardError):
@@ -62,6 +121,19 @@ class TestMultiprocessDriver:
         result = run_multiprocess(2, 30, seed=11, processes=False)
         assert result.node_s == max(e["cpu_s"] for e in result.per_shard)
         assert result.tps_node > 0
+
+    @pytest.mark.parametrize("processes", [False, True])
+    def test_worker_failure_is_raised_promptly(self, processes):
+        # at this row scale some shards own no rows, so their workers
+        # fail; that must surface as the worker's own error (whichever
+        # forked worker reports first), not as a 600 s wait followed by
+        # a sequential re-run labelled "mp-fallback"
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="holds no orders or customers"):
+            run_multiprocess(
+                40, 40, seed=11, row_scale=1e-9, processes=processes
+            )
+        assert time.monotonic() - start < 10.0
 
 
 class TestScaleoutEvaluator:
@@ -95,6 +167,37 @@ class TestScaleoutEvaluator:
         bench = self.make_bench()
         with pytest.raises(TypeError):
             bench.run("scaleout-real", bogus=1)
+
+    def test_latency_columns_iff_the_arrival_is_open(self):
+        bench = self.make_bench()
+        latency = ("p50 ms", "p99 ms", "open p99 ms")
+        closed = bench.run("scaleout-real")
+        assert closed.headers[-1] == "fsyncs/txn"
+        assert not set(latency) & set(closed.headers)
+        opened = bench.run("scaleout-real", arrival="poisson")
+        assert opened.headers == closed.headers + latency
+        assert all(len(row) == len(opened.headers) for row in opened.rows)
+        assert [row[:6] for row in opened.rows] == [
+            row[:6] for row in closed.rows
+        ]
+        assert opened.rows[1][-1] == round(
+            opened.scores["scaleout.openloop_p99_ms@2"], 3
+        )
+
+    @pytest.mark.parametrize("option,value", [
+        ("arrival", "poisson"), ("transport", "socket"), ("cross", 0.5),
+    ])
+    def test_mp_driver_refuses_inline_only_options(self, option, value, monkeypatch):
+        import repro.shard.driver as driver
+
+        def loaded(*_args, **_kwargs):
+            raise AssertionError("refused before anything is loaded")
+
+        monkeypatch.setattr(driver, "load_sales_fleet", loaded)
+        monkeypatch.setattr(driver, "load_sales_shard", loaded)
+        bench = self.make_bench()
+        with pytest.raises(ValueError, match=f"driver='mp'.*{option}="):
+            bench.run("scaleout-real", driver="mp", **{option: value})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
