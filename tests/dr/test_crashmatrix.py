@@ -44,7 +44,21 @@ class TestSingleCells:
             run_cell("backup", "after_pin", "operator")
 
 
+#: the determinism contract at ``--seed 7`` (quick flag -> (cells,
+#: full SHA-256 fingerprint)); see ``tests/ha/test_crashmatrix.py``
+PINNED = {
+    False: (16, "e6146fdb39b05325b2cfd476029b7031b06439df5f121ce4c06bd8cdf88b3d17"),
+    True: (8, "f4ebee842d1b3f005c6f76615f0faba11bbe2871e851903d4f04058ef56e238a"),
+}
+
+
 class TestQuickMatrix:
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_seed_7_fingerprint_is_pinned(self, quick):
+        result = run_matrix(seed=7, quick=quick)
+        assert result.passed, "\n".join(result.describe())
+        assert (len(result.cells), result.fingerprint()) == PINNED[quick]
+
     def test_quick_matrix_passes_and_is_deterministic(self):
         first = run_matrix(seed=7, quick=True)
         assert len(first.cells) == len(CELLS)

@@ -36,7 +36,22 @@ class TestCells:
             run_cell(PHASES[0], "bystander", failover=True)
 
 
+#: the determinism contract at ``--seed 7``: any change to the fleet,
+#: the workload, the protocol or the sweep that moves one of these has
+#: to say why (quick flag -> (cells, full SHA-256 fingerprint))
+PINNED = {
+    False: (42, "be64805f2379310b2192915cbb66136d494fc057ec845ead674fb828b283970d"),
+    True: (21, "33ad5c98dff54b1f59678bb5d31ecad1055d06725bdbc5fb19e244260dc89533"),
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_seed_7_fingerprint_is_pinned(self, quick):
+        result = run_matrix(seed=7, quick=quick)
+        assert result.passed, "\n".join(result.describe())
+        assert (len(result.cells), result.fingerprint()) == PINNED[quick]
+
     def test_same_seed_same_fingerprint(self):
         first = run_matrix(seed=7, quick=True)
         second = run_matrix(seed=7, quick=True)
