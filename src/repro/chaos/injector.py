@@ -14,13 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.chaos.plan import (
-    DR_CRASH_KINDS,
-    HA_KINDS,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec
 from repro.obs import NULL_OBSERVER, Observer
 
 #: cap on the modelled retransmit blow-up of a lossy link
@@ -39,13 +33,8 @@ class ChaosInjector:
         self.observed: Dict[str, int] = {}
         #: specs whose first bite was already traced (one marker each)
         self._bitten: Set[Tuple] = set()
-        #: one-shot COORD_CRASH specs that already fired
-        self._coord_fired: Set[Tuple] = set()
-        #: one-shot PRIMARY_CRASH / REPLICA_CRASH specs that already fired
-        self._node_fired: Set[Tuple] = set()
-        #: one-shot DR specs (BACKUP/RESTORE_CRASH, ARCHIVE_CORRUPT)
-        #: that already fired
-        self._dr_fired: Set[Tuple] = set()
+        #: one-shot specs (see :meth:`take_once`) that already fired
+        self._fired: Set[Tuple] = set()
         # The scheduled fault windows are known up-front: emit them as
         # complete spans so the timeline shows fault -> degradation ->
         # recovery causality even before anything consults the injector.
@@ -138,80 +127,37 @@ class ChaosInjector:
             or self.stalled_until(target, now) is not None
         )
 
-    # -- coordinator faults ---------------------------------------------------
+    # -- one-shot faults ------------------------------------------------------
 
-    def take_coordinator_crash(self, phase: str) -> bool:
-        """One-shot: should the 2PC coordinator die at ``phase``?
+    def take_once(
+        self, kind: FaultKind, target: str, now: Optional[float] = None
+    ) -> bool:
+        """One-shot: has a ``kind`` fault aimed at ``target`` come due?
 
-        COORD_CRASH specs target a phase boundary by name (see
-        :data:`repro.shard.coordinator.PHASES`); each spec fires at most
-        once, mirroring :meth:`~repro.engine.wal.WriteAheadLog.arm_crash`'s
-        one-shot semantics.  Time windows are ignored -- the coordinator
-        runs outside the DES clock, so the phase name *is* the trigger.
+        A crash or a corruption is an event, not a window: each spec
+        fires at most once, so the recovery, retried job or scrub pass
+        that follows cannot re-trip the fault it is cleaning up after.
+        Callers on the DES clock pass ``now`` and the spec fires once its
+        ``start_s`` has passed (``PRIMARY_CRASH`` / ``REPLICA_CRASH`` on
+        ``"shard:1"``, ``ARCHIVE_CORRUPT`` on ``"archive:0"``).  The 2PC
+        coordinator and the backup/restore jobs run outside that clock:
+        a ``COORD_CRASH`` / ``BACKUP_CRASH`` / ``RESTORE_CRASH`` target
+        names a phase boundary, reaching it *is* the trigger, and time
+        windows are ignored.
         """
-        for spec in self.plan.by_kind(FaultKind.COORD_CRASH):
-            key = spec.canonical()
-            if spec.target == phase and key not in self._coord_fired:
-                self._coord_fired.add(key)
-                self._note(spec)
-                return True
-        return False
-
-    def take_node_crash(self, kind: FaultKind, target: str, now: float) -> bool:
-        """One-shot: should the named node of an HA pair die at ``now``?
-
-        ``kind`` is :data:`~repro.chaos.plan.FaultKind.PRIMARY_CRASH` or
-        ``REPLICA_CRASH``; ``target`` names the shard (``"shard:1"``).
-        A spec fires once its ``start_s`` has passed and never again --
-        a crash is an event, so the recovery run after the kill must not
-        re-trip the same fault.
-        """
-        if kind not in HA_KINDS:
-            raise ValueError(f"not an HA fault kind: {kind!r}")
         for spec in self.plan.by_kind(kind):
             key = spec.canonical()
-            if spec.target == target and now >= spec.start_s and key not in self._node_fired:
-                self._node_fired.add(key)
+            if (
+                spec.target == target
+                and key not in self._fired
+                and (now is None or now >= spec.start_s)
+            ):
+                self._fired.add(key)
                 self._note(spec, now)
                 return True
         return False
 
-    # -- DR (backup/archive/restore) faults ----------------------------------
-
-    def take_dr_crash(self, kind: FaultKind, phase: str) -> bool:
-        """One-shot: should the backup/restore job die at ``phase``?
-
-        ``kind`` is :data:`~repro.chaos.plan.FaultKind.BACKUP_CRASH` or
-        ``RESTORE_CRASH``; ``target`` names the job phase boundary (see
-        ``repro.dr.backup.BACKUP_PHASES`` / ``repro.dr.restore.
-        RESTORE_PHASES``).  Each spec fires at most once, mirroring
-        :meth:`take_coordinator_crash` -- the retried job after recovery
-        must not re-trip the same fault.
-        """
-        if kind not in DR_CRASH_KINDS:
-            raise ValueError(f"not a DR crash fault kind: {kind!r}")
-        for spec in self.plan.by_kind(kind):
-            key = spec.canonical()
-            if spec.target == phase and key not in self._dr_fired:
-                self._dr_fired.add(key)
-                self._note(spec)
-                return True
-        return False
-
-    def take_archive_corrupt(self, target: str, now: float) -> bool:
-        """One-shot: should a bit flip land in ``target``'s archive now?
-
-        A corruption is an event, not a window: the spec fires once its
-        ``start_s`` has passed and never again, so the scrub-and-repair
-        pass that follows cannot re-corrupt the segment it just healed.
-        """
-        for spec in self.plan.by_kind(FaultKind.ARCHIVE_CORRUPT):
-            key = spec.canonical()
-            if spec.target == target and now >= spec.start_s and key not in self._dr_fired:
-                self._dr_fired.add(key)
-                self._note(spec, now)
-                return True
-        return False
+    # -- DR archive windows ----------------------------------------------------
 
     def archive_lagging(self, target: str, now: float) -> bool:
         """Is ``target``'s archiver forced into lagged (buffering) mode?

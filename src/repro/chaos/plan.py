@@ -73,8 +73,6 @@ class FaultKind(enum.Enum):
 ENGINE_KINDS = (FaultKind.CRASH, FaultKind.TORN_WRITE, FaultKind.BIT_FLIP)
 #: kinds applied to the shard-fleet transaction coordinator
 COORDINATOR_KINDS = (FaultKind.COORD_CRASH,)
-#: kinds killing one node of an HA shard pair (one-shot, like COORD_CRASH)
-HA_KINDS = (FaultKind.PRIMARY_CRASH, FaultKind.REPLICA_CRASH)
 #: kinds degrading the network path to a target
 NETWORK_KINDS = (FaultKind.PARTITION, FaultKind.DELAY, FaultKind.LOSS, FaultKind.FLAP)
 #: kinds degrading the target node itself
@@ -88,8 +86,6 @@ DR_KINDS = (
     FaultKind.BACKUP_CRASH,
     FaultKind.RESTORE_CRASH,
 )
-#: the DR kinds that are one-shot crash points at a job phase boundary
-DR_CRASH_KINDS = (FaultKind.BACKUP_CRASH, FaultKind.RESTORE_CRASH)
 
 
 @dataclass(frozen=True)

@@ -20,26 +20,27 @@ branches *inside* the replay range are fine -- restore resolves them
 with the same commit-iff-any-shard-holds-DECISION rule as
 ``fleet.recover()``.
 
-Crash points mirror the 2PC coordinator's: :data:`BACKUP_PHASES` names
-every phase boundary, :meth:`BackupJob.arm_crash` kills the job there
-(:class:`BackupCrash`), :meth:`BackupJob.arm_action` runs an arbitrary
-action there (the crash matrix kills shard WALs; the online-ness test
-injects a concurrent transfer), and a chaos
-:class:`~repro.chaos.injector.ChaosInjector` can fire ``BACKUP_CRASH``
-specs at the same boundaries.
+Crash points are the 2PC coordinator's, inherited
+(:class:`~repro.shard.coordinator.PhaseFaults`): :data:`BACKUP_PHASES`
+names every phase boundary, ``arm_crash`` kills the job there
+(:class:`BackupCrash`), ``arm_action`` runs an arbitrary action there
+(the crash matrix kills shard WALs; the online-ness test injects a
+concurrent transfer), and a chaos plan can fire ``BACKUP_CRASH`` specs
+at the same boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.plan import FaultKind
 from repro.dr.archive import FleetArchiver
 from repro.engine.errors import EngineError, SimulatedCrash
 from repro.engine.txn import IsolationLevel, Transaction
 from repro.engine.types import Schema
-from repro.obs import NULL_OBSERVER, Observer
+from repro.obs import Observer
+from repro.shard.coordinator import PhaseFaults
 
 #: backup phase boundaries a crash can be scheduled at
 BACKUP_PHASES = ("before_pin", "after_pin", "after_image", "after_manifest")
@@ -107,8 +108,14 @@ class BackupManifest:
         ]
 
 
-class BackupJob:
+class BackupJob(PhaseFaults):
     """One online backup run over a sharded fleet."""
+
+    phases = BACKUP_PHASES
+    crash_class = BackupCrash
+    chaos_kind = FaultKind.BACKUP_CRASH
+    crash_event = ("dr.backup_crash", "dr")
+    role = protocol = "backup"
 
     def __init__(
         self,
@@ -121,56 +128,11 @@ class BackupJob:
     ):
         if archiver.fleet is not fleet:
             raise EngineError("archiver is attached to a different fleet")
+        super().__init__(chaos, name, observer)
         self.fleet = fleet
         self.archiver = archiver
-        self.chaos = chaos
-        self.name = name
         self.max_barrier_attempts = max_barrier_attempts
-        self.obs = observer or NULL_OBSERVER
-        self._armed: set = set()
-        self._armed_actions: Dict[str, List[Callable[[], None]]] = {}
         self.runs = 0
-
-    # -- crash points (mirroring TxnCoordinator) -----------------------------
-
-    def arm_crash(self, phase: str) -> None:
-        """One-shot: die when the run reaches ``phase``."""
-        if phase not in BACKUP_PHASES:
-            raise ValueError(
-                f"unknown backup phase {phase!r}; one of {BACKUP_PHASES}"
-            )
-        self._armed.add(phase)
-
-    def arm_action(self, phase: str, action: Callable[[], None]) -> None:
-        """One-shot: run ``action`` when the run reaches ``phase``."""
-        if phase not in BACKUP_PHASES:
-            raise ValueError(
-                f"unknown backup phase {phase!r}; one of {BACKUP_PHASES}"
-            )
-        self._armed_actions.setdefault(phase, []).append(action)
-
-    @property
-    def armed(self) -> bool:
-        return bool(self._armed or self._armed_actions)
-
-    def _crash_point(self, phase: str) -> None:
-        actions = self._armed_actions.pop(phase, ())
-        for action in actions:
-            action()
-        fire = phase in self._armed
-        if fire:
-            self._armed.discard(phase)
-        elif self.chaos is not None and self.chaos.take_dr_crash(
-            FaultKind.BACKUP_CRASH, phase
-        ):
-            fire = True
-        if fire:
-            if self.obs.enabled:
-                self.obs.event(
-                    "dr.backup_crash", "dr", track="dr",
-                    attrs={"phase": phase},
-                )
-            raise BackupCrash(f"backup {self.name} crashed at {phase}")
 
     # -- the run -------------------------------------------------------------
 

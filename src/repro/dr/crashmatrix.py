@@ -34,15 +34,12 @@ Run as a module for the CI smoke job::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
-
+import itertools
 from repro.dr.archive import FleetArchiver
 from repro.dr.backup import BACKUP_PHASES, BackupJob
 from repro.dr.restore import RESTORE_PHASES, RestoreJob
 from repro.engine.errors import SimulatedCrash
-from repro.ha.crashmatrix import MatrixResult, main as sweep_main
-from repro.ha.history import HistoryChecker, Violation
+from repro.ha.crashmatrix import CellResult, MatrixResult, main, sweep
 from repro.ha.workload import PairWorkload, build_pairs_fleet
 from repro.sim.rng import derive_seed
 
@@ -53,56 +50,6 @@ CELLS = tuple(
     for stage, phases in (("backup", BACKUP_PHASES), ("restore", RESTORE_PHASES))
     for phase in phases
 )
-
-
-@dataclass
-class CellResult:
-    """One (stage, phase, target) cell's outcome."""
-
-    stage: str
-    phase: str
-    target: str
-    violations: List[Violation] = field(default_factory=list)
-    fault_fired: bool = False
-    #: the faulted job needed a clean re-run (vs absorbing the fault)
-    retried: bool = False
-    rows_restored: int = 0
-    records_replayed: int = 0
-    #: acked transfers / reads against the restored fleet
-    post_transfers: int = 0
-    post_reads: int = 0
-    ops: int = 0
-
-    @property
-    def label(self) -> str:
-        return f"{self.stage:<8s} {self.phase:<15s} {self.target:<12s}"
-
-    @property
-    def passed(self) -> bool:
-        return (
-            not self.violations
-            and self.fault_fired
-            and self.post_transfers > 0
-            and self.post_reads > 0
-        )
-
-    def outcome(self) -> str:
-        """Everything the sweep's fingerprint pins about this cell."""
-        return (
-            f"|fired={self.fault_fired}|retried={self.retried}"
-            f"|rows={self.rows_restored}|replayed={self.records_replayed}"
-            f"|t={self.post_transfers}|r={self.post_reads}"
-            f"|ops={self.ops}|v={len(self.violations)}"
-        )
-
-    def describe(self) -> str:
-        return (
-            f"{self.label}  rows={self.rows_restored:<3d} "
-            f"replayed={self.records_replayed:<4d} "
-            f"{'retried' if self.retried else 'absorbed':<8s} "
-            f"post={self.post_transfers}/{self.post_reads}  "
-            f"{'ok' if self.passed else 'FAIL'}"
-        )
 
 
 def run_cell(
@@ -121,7 +68,12 @@ def run_cell(
         raise ValueError(f"unknown cell {stage!r}/{phase!r}")
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
-    cell = CellResult(stage=stage, phase=phase, target=target)
+    cell = CellResult(
+        f"{stage:<8s} {phase:<15s} {target:<12s}",
+        dict(stage=stage, phase=phase, target=target),
+    )
+    #: the faulted job needed a clean re-run (vs absorbing the fault)
+    retried = False
     label = f"dr.{stage}.{phase}.{target}"
     fleet, pairs = build_pairs_fleet(n_shards=2, n_pairs=n_pairs, name="drmatrix")
     archiver = FleetArchiver(fleet, mode="sync")
@@ -142,15 +94,13 @@ def run_cell(
         manifest = backup.run()
     except SimulatedCrash:
         pass
-    if stage == "backup":
-        cell.fault_fired = not backup.armed
     dead = any(shard.wal.is_dead for shard in fleet.shards)
     if manifest is None or dead:
         # Recovery revives killed shards and aborts the leaked pin of a
         # torn barrier; the retried backup must then run clean.
         fleet.recover()
         if manifest is None:
-            cell.retried = True
+            retried = True
             manifest = backup.run()
 
     # -- post-backup live traffic (the PITR replay range) --------------------
@@ -174,12 +124,11 @@ def run_cell(
         restored, report = restore.run(target=target_lsns)
     except SimulatedCrash:
         pass
-    if stage == "restore":
-        cell.fault_fired = not restore.armed
+    cell.fault_fired = not (backup if stage == "backup" else restore).armed
     if restored is None:
         # The torn target fleet is garbage; the manifest and archives
         # are read-only inputs, so a fresh run must succeed.
-        cell.retried = True
+        retried = True
         restored, report = RestoreJob(
             manifest, archiver, name=f"{label}.retry"
         ).run(target=target_lsns)
@@ -187,58 +136,35 @@ def run_cell(
         # The job absorbed the kill (e.g. after the replay); restart
         # recovery revives the shard from its own restored log.
         restored.recover()
-    cell.rows_restored = report.rows_loaded
-    cell.records_replayed = report.records_replayed
+    rows, replayed = report.rows_loaded, report.records_replayed
+    cell.extras.update(retried=retried, rows_restored=rows, records_replayed=replayed)
+    cell.pinned = f"|retried={retried}|rows={rows}|replayed={replayed}"
+    cell.columns = (
+        f"rows={rows:<3d} replayed={replayed:<4d} "
+        f"{'retried' if retried else 'absorbed':<8s}"
+    )
 
     # -- liveness + checkable history against the restored fleet -------------
-    post_workload = PairWorkload(
-        restored, pairs, history=workload.history,
-        seed=derive_seed(seed, f"{label}.post"),
-    )
-    # Versions are strictly increasing across the whole timeline; the
-    # restored fleet continues the pre-disaster sequence, it does not
-    # restart it (a restarted sequence would read as lost updates).
-    post_workload._versions.update(workload._versions)
-    for _ in range(post):
-        cell.post_transfers += 1 if post_workload.transfer() else 0
-        cell.post_reads += 1 if post_workload.read() is not None else 0
-
-    check = HistoryChecker().check(
-        post_workload.history, post_workload.final_stamps()
-    )
-    cell.violations = list(check.violations)
-    cell.ops = len(post_workload.history)
-    if not cell.fault_fired:
-        cell.violations.append(Violation(
-            "fault_not_fired",
-            f"armed {target} fault at {stage}/{phase} never consumed",
-        ))
-    return cell
+    post_workload = workload.continued_on(restored, derive_seed(seed, f"{label}.post"))
+    return cell.finish(post_workload, post, f"{target} fault at {stage}/{phase}")
 
 
 def run_matrix(seed: int = 7, quick: bool = False) -> MatrixResult:
     """Sweep all 8 phase boundaries x 2 targets (coordinator only when
     quick).  The shard victim alternates per cell so both protocol
     orders -- first shard imaged/replayed vs last -- are swept."""
-    result = MatrixResult(seed=seed)
     targets = ("coordinator",) if quick else TARGETS
-    index = 0
-    for stage, phase in CELLS:
-        for target in targets:
-            result.cells.append(run_cell(
-                stage, phase, target, seed=seed, victim=index % 2,
-            ))
-            index += 1
-    return result
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    return sweep_main(
-        argv, run_matrix,
-        "backup/restore crash-point sweep (zero tolerated violations)",
-        "coordinator cells only (8 instead of 16)",
-    )
+    return sweep(run_cell, seed=seed, table=[
+        dict(stage=stage, phase=phase, target=target, victim=index % 2)
+        for index, ((stage, phase), target) in enumerate(
+            itertools.product(CELLS, targets)
+        )
+    ])
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(
+        run_matrix,
+        "backup/restore crash-point sweep (zero tolerated violations)",
+        "coordinator cells only (8 instead of 16)",
+    ))

@@ -29,9 +29,9 @@ start until the disaster, so the buffered tail is the measured,
 non-zero RPO -- the cost of asynchronous archiving, priced in lost
 transactions.
 
-Virtual time is op-counted at :data:`OP_LATENCY_S` per client call,
-the same constant the HA evaluator uses, so fault windows land at
-deterministic points for a given seed.
+Virtual time is op-counted at the HA evaluator's
+:data:`~repro.ha.evaluator.OP_LATENCY_S` per client call, so fault
+windows land at deterministic points for a given seed.
 """
 
 from __future__ import annotations
@@ -45,14 +45,11 @@ from repro.dr.archive import ARCHIVE_MODES, FleetArchiver
 from repro.dr.backup import BackupJob, BackupManifest
 from repro.dr.restore import RestoreJob, RestoreReport
 from repro.dr.scrub import ScrubReport, scrub_fleet
+from repro.ha.evaluator import OP_LATENCY_S
 from repro.ha.history import HistoryChecker, Violation
 from repro.ha.workload import PairWorkload, build_pairs_fleet
 from repro.obs import NULL_OBSERVER, Observer
 from repro.sim.rng import derive_seed
-
-#: modelled service time of one client operation (virtual seconds) --
-#: the same constant as :data:`repro.ha.evaluator.OP_LATENCY_S`
-OP_LATENCY_S = 0.004
 
 
 @dataclass
@@ -243,11 +240,9 @@ class DREvaluator:
         result.restore = report
 
         # -- RPO: acked transfers the restored state does not hold -----------
-        post_workload = PairWorkload(
-            restored, pairs, history=workload.history,
-            seed=derive_seed(self.seed, "dr.eval.post"),
+        post_workload = workload.continued_on(
+            restored, derive_seed(self.seed, "dr.eval.post")
         )
-        post_workload._versions.update(workload._versions)
         restored_stamps = post_workload.final_stamps()
         result.rpo_txns = sum(
             1 for pair, version in acked_versions
@@ -294,7 +289,7 @@ class DREvaluator:
         for shard, shard_archiver in enumerate(archiver.archivers):
             target = f"archive:{shard}"
             archive = shard_archiver.archive
-            if len(archive) and injector.take_archive_corrupt(target, now):
+            if len(archive) and injector.take_once(FaultKind.ARCHIVE_CORRUPT, target, now):
                 lsn = (archive.first_lsn + archive.last_lsn) // 2
                 if not archive.has(lsn):
                     lsn = archive.last_lsn

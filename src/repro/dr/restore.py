@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.chaos.plan import FaultKind
 from repro.dr.archive import FleetArchiver, ShardArchive
@@ -37,6 +37,7 @@ from repro.engine.database import Database
 from repro.engine.errors import EngineError, SimulatedCrash
 from repro.ha.replication import WalShipper, bootstrap_standby
 from repro.obs import NULL_OBSERVER, Observer
+from repro.shard.coordinator import PhaseFaults
 from repro.shard.fleet import ShardedDatabase
 
 #: restore phase boundaries a crash can be scheduled at
@@ -94,8 +95,14 @@ class RestoreReport:
         ]
 
 
-class RestoreJob:
+class RestoreJob(PhaseFaults):
     """Rebuild a fleet from a manifest plus archives."""
+
+    phases = RESTORE_PHASES
+    crash_class = RestoreCrash
+    chaos_kind = FaultKind.RESTORE_CRASH
+    crash_event = ("dr.restore_crash", "dr")
+    role = protocol = "restore"
 
     def __init__(
         self,
@@ -107,6 +114,7 @@ class RestoreJob:
         load_rate_rows_s: float = LOAD_RATE_ROWS_S,
         replay_rate_records_s: float = REPLAY_RATE_RECORDS_S,
     ):
+        super().__init__(chaos, name, observer)
         self.manifest = manifest
         if isinstance(archives, FleetArchiver):
             archives = archives.archives
@@ -116,57 +124,11 @@ class RestoreJob:
                 f"{manifest.n_shards} shards in the manifest but "
                 f"{len(self.archives)} archives"
             )
-        self.chaos = chaos
-        self.name = name
-        self.obs = observer or NULL_OBSERVER
         self.load_rate_rows_s = load_rate_rows_s
         self.replay_rate_records_s = replay_rate_records_s
-        self._armed: set = set()
-        self._armed_actions: Dict[str, List[Callable[[], None]]] = {}
         #: the fleet being restored into -- set as soon as the run
         #: starts, so armed actions can aim at its shards
         self.fleet: Optional[ShardedDatabase] = None
-
-    # -- crash points --------------------------------------------------------
-
-    def arm_crash(self, phase: str) -> None:
-        """One-shot: die when the run reaches ``phase``."""
-        if phase not in RESTORE_PHASES:
-            raise ValueError(
-                f"unknown restore phase {phase!r}; one of {RESTORE_PHASES}"
-            )
-        self._armed.add(phase)
-
-    def arm_action(self, phase: str, action: Callable[[], None]) -> None:
-        """One-shot: run ``action`` when the run reaches ``phase``."""
-        if phase not in RESTORE_PHASES:
-            raise ValueError(
-                f"unknown restore phase {phase!r}; one of {RESTORE_PHASES}"
-            )
-        self._armed_actions.setdefault(phase, []).append(action)
-
-    @property
-    def armed(self) -> bool:
-        return bool(self._armed or self._armed_actions)
-
-    def _crash_point(self, phase: str) -> None:
-        actions = self._armed_actions.pop(phase, ())
-        for action in actions:
-            action()
-        fire = phase in self._armed
-        if fire:
-            self._armed.discard(phase)
-        elif self.chaos is not None and self.chaos.take_dr_crash(
-            FaultKind.RESTORE_CRASH, phase
-        ):
-            fire = True
-        if fire:
-            if self.obs.enabled:
-                self.obs.event(
-                    "dr.restore_crash", "dr", track="dr",
-                    attrs={"phase": phase},
-                )
-            raise RestoreCrash(f"restore {self.name} crashed at {phase}")
 
     # -- the run -------------------------------------------------------------
 

@@ -79,18 +79,20 @@ class CompiledAccess:
         #: ``(op, source)`` pairs on the range column
         self.range_ops: Optional[List[Tuple[str, Source]]] = None
         #: ``(col_idx, op, op_fn, source)`` for *every* WHERE condition --
-        #: the residual re-checks the key predicates too, matching the
-        #: interpreted executor (duplicate conditions must all hold).
+        #: the residual re-checks the key predicates too (duplicate
+        #: conditions must all hold).
         self.residual: Tuple[Tuple[int, str, Any, Source], ...] = ()
 
 
 def compile_access(table, where) -> CompiledAccess:
-    """Choose the access path from the statement shape.
+    """Choose the access path from the statement shape -- the one
+    planner: the executor runs it, ``Database.explain`` describes it.
 
-    Mirrors the interpreted planner exactly -- same priority order,
-    same last-equality-wins key semantics -- but resolves no parameter
-    values: which column is bound decides the shape; *what* it is bound
-    to stays a run-time source.
+    Priority: primary-key point lookup, a secondary index fully covered
+    by equalities (the last one on a column wins the key), a range scan
+    on the primary key or a single-column ordered index, a full scan.
+    No parameter value is resolved: which column is bound decides the
+    shape; *what* it is bound to stays a run-time source.
     """
     from repro.engine.executor import _OPS  # late: executor imports us too
 

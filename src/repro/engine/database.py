@@ -402,20 +402,7 @@ class Database:
 
     def explain(self, sql: str, params: Sequence[Any] = ()) -> str:
         """Describe the access plan a statement would use, without running it."""
-        from repro.engine.sql import SelectStatement, InsertStatement
-
-        prepared = self.prepare(sql)
-        statement = prepared.statement
-        if isinstance(statement, InsertStatement):
-            return f"insert into {prepared.table.name}"
-        where = getattr(statement, "where", ())
-        plan = self._executor.choose_plan(prepared.table, where, params)
-        description = plan.describe()
-        if isinstance(statement, SelectStatement) and statement.order_by:
-            description += f"; sort by {statement.order_by}"
-            if statement.limit is not None:
-                description += f" limit {statement.limit}"
-        return description
+        return self._executor.explain(self.prepare(sql), params)
 
     # -- write internals (called by the executor) ----------------------------------------
 

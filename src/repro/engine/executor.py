@@ -35,20 +35,15 @@ from repro.engine.compiler import (
 from repro.engine.errors import SchemaError, SqlError
 from repro.engine.locks import LockMode
 from repro.engine.sql import (
-    Condition,
-    DeleteStatement,
     InsertStatement,
     SelectItem,
     SelectStatement,
     Statement,
     UpdateStatement,
-    Value,
     count_params,
     parse,
 )
-from repro.engine.index import OrderedIndex
 from repro.engine.table import Table
-from repro.engine.types import DEFAULT
 from repro.engine.txn import IsolationLevel, Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,35 +57,6 @@ _OPS = {
     "<=": lambda a, b: a <= b,
     ">=": lambda a, b: a >= b,
 }
-
-
-@dataclass(frozen=True)
-class AccessPlan:
-    """The access path chosen for a statement's WHERE clause.
-
-    ``kind`` is one of ``pk_point``, ``index_eq``, ``index_range`` or
-    ``table_scan``; ``bound`` carries the resolved predicates for the
-    residual filter.  Exposed through ``Database.explain``.
-    """
-
-    kind: str
-    index_name: Optional[str]
-    bound: List[Tuple[str, str, Any]]
-    key: Any = None
-    bounds: Optional[Tuple[Any, bool, Any, bool]] = None
-
-    def describe(self) -> str:
-        if self.kind == "pk_point":
-            return f"primary-key lookup via {self.index_name} (key={self.key!r})"
-        if self.kind == "index_eq":
-            return f"index lookup via {self.index_name} (key={self.key!r})"
-        if self.kind == "index_range":
-            low, incl_low, high, incl_high = self.bounds
-            left = "[" if incl_low else "("
-            right = "]" if incl_high else ")"
-            return (f"index range scan via {self.index_name} "
-                    f"{left}{low!r}, {high!r}{right}")
-        return "full table scan"
 
 
 @dataclass(slots=True)
@@ -158,20 +124,13 @@ class Prepared:
         self.compiled = compile_statement(self.table, self.statement)
         return self.compiled
 
+    def arity_error(self, given: int) -> SqlError:
+        return SqlError(
+            f"{self.sql!r} expects {self.param_count} parameters, got {given}"
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Prepared {self.sql!r}>"
-
-
-def _resolve(value: Value, params: Sequence[Any]) -> Any:
-    if value.kind == "literal":
-        return value.literal
-    if value.kind == "default":
-        return DEFAULT
-    if value.param_index >= len(params):
-        raise SqlError(
-            f"statement needs parameter {value.param_index + 1}, got {len(params)}"
-        )
-    return params[value.param_index]
 
 
 class Executor:
@@ -185,10 +144,7 @@ class Executor:
     ) -> ResultSet:
         txn.ensure_active()
         if prepared.param_count != len(params):
-            raise SqlError(
-                f"{prepared.sql!r} expects {prepared.param_count} parameters, "
-                f"got {len(params)}"
-            )
+            raise prepared.arity_error(len(params))
         compiled = prepared.compiled
         table = prepared.table
         if compiled.epoch != table.plan_epoch:
@@ -204,6 +160,41 @@ class Executor:
         if kind == "insert":
             return self._insert(prepared, compiled, params, txn)
         return self._delete(prepared, compiled, params, txn)
+
+    def explain(self, prepared: Prepared, params: Sequence[Any]) -> str:
+        """Describe the plan :meth:`execute` would run for ``params``:
+        the compiled statement itself, checked and refreshed as there
+        and bound the way :meth:`_match_rows` binds it -- there is no
+        second planner for EXPLAIN to drift from."""
+        if prepared.param_count != len(params):
+            raise prepared.arity_error(len(params))
+        compiled = prepared.compiled
+        if compiled.epoch != prepared.table.plan_epoch:
+            compiled = prepared.recompile()
+        if compiled.kind == "insert":
+            return f"insert into {prepared.table.name}"
+        access = compiled.access
+        if access.shape == "table_scan":
+            description = "full table scan"
+        elif access.shape == "index_range":
+            low, incl_low, high, incl_high = self._resolve_bounds(access, params)
+            left = "[" if incl_low else "("
+            right = "]" if incl_high else ")"
+            description = (f"index range scan via {access.index_name} "
+                           f"{left}{low!r}, {high!r}{right}")
+        else:
+            key = tuple(
+                params[payload] if is_param else payload
+                for is_param, payload in access.key_sources or (access.key_source,)
+            )
+            lookup = "primary-key lookup" if access.shape == "pk_point" else "index lookup"
+            description = (f"{lookup} via {access.index_name} "
+                           f"(key={key if access.key_sources else key[0]!r})")
+        if compiled.order_by:
+            description += f"; sort by {compiled.order_by}"
+            if compiled.limit is not None:
+                description += f" limit {compiled.limit}"
+        return description
 
     # -- planning and row matching -----------------------------------------------
 
@@ -238,19 +229,6 @@ class Executor:
         return low, incl_low, high, incl_high
 
     @classmethod
-    def _range_bounds(cls, bound, column: str):
-        """(low, incl_low, high, incl_high) from the range predicates on
-        ``column``, or ``None`` when there are none."""
-        merged = (None, True, None, True)
-        found = False
-        for col, op, value in bound:
-            if col != column or op in ("=", "<>"):
-                continue
-            found = True
-            merged = cls._merge_bound(op, value, column, merged)
-        return merged if found else None
-
-    @classmethod
     def _resolve_bounds(cls, access, params):
         """Bind params into a compiled range access's bounds."""
         merged = (None, True, None, True)
@@ -259,48 +237,6 @@ class Executor:
             value = params[payload] if is_param else payload
             merged = cls._merge_bound(op, value, column, merged)
         return merged
-
-    def choose_plan(
-        self,
-        table: Table,
-        where: Tuple[Condition, ...],
-        params: Sequence[Any],
-    ) -> AccessPlan:
-        """Pick the cheapest access path for ``where``.
-
-        Priority: primary-key point lookup, then an equality-covered
-        secondary index, then an ordered-index range scan, then a full
-        table scan.
-        """
-        schema = table.schema
-        bound = [
-            (condition.column, condition.op, _resolve(condition.value, params))
-            for condition in where
-        ]
-        equalities = {column: value for column, op, value in bound if op == "="}
-
-        if schema.primary_key in equalities:
-            return AccessPlan("pk_point", table.primary_index.name, bound,
-                              key=equalities[schema.primary_key])
-        for index in table.secondary_indexes.values():
-            if all(column in equalities for column in index.columns):
-                if len(index.columns) == 1:
-                    key = equalities[index.columns[0]]
-                else:
-                    key = tuple(equalities[column] for column in index.columns)
-                return AccessPlan("index_eq", index.name, bound, key=key)
-        # range scan on the primary key or an ordered secondary index
-        candidates = [(schema.primary_key, table.primary_index)]
-        candidates += [
-            (index.columns[0], index)
-            for index in table.secondary_indexes.values()
-            if isinstance(index, OrderedIndex) and len(index.columns) == 1
-        ]
-        for column, index in candidates:
-            bounds = self._range_bounds(bound, column)
-            if bounds is not None:
-                return AccessPlan("index_range", index.name, bound, bounds=bounds)
-        return AccessPlan("table_scan", None, bound)
 
     @staticmethod
     def _filter_batch(pairs, residual):
@@ -370,10 +306,16 @@ class Executor:
             low, incl_low, high, incl_high = self._resolve_bounds(access, params)
             index = table.index_for_name(access.index_name)
             read = table.read_row
-            pairs = [
-                (rid, read(rid))
-                for _key, rid in index.range(low, high, incl_low, incl_high)
-            ]
+            try:
+                pairs = [
+                    (rid, read(rid))
+                    for _key, rid in index.range(low, high, incl_low, incl_high)
+                ]
+            except TypeError as exc:
+                # A bound the indexed column cannot be ordered against
+                # fails inside the index's bisect; like the same
+                # predicate on an unindexed column, a statement error.
+                raise SqlError(f"predicate comparison failed: {exc}") from None
         else:
             pairs = list(table.scan())
         return self._filter_batch(pairs, residual)

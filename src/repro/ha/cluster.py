@@ -194,9 +194,9 @@ class HAFleet(ShardedDatabase):
         if self.chaos is None:
             return
         target = f"shard:{shard_id}"
-        if self.chaos.take_node_crash(FaultKind.PRIMARY_CRASH, target, now):
+        if self.chaos.take_once(FaultKind.PRIMARY_CRASH, target, now):
             self.kill_primary(shard_id)
-        if self.chaos.take_node_crash(FaultKind.REPLICA_CRASH, target, now):
+        if self.chaos.take_once(FaultKind.REPLICA_CRASH, target, now):
             self.kill_standby(shard_id)
 
     def _fail_over(self, shard_id: int, group: HAShard, now: float) -> None:

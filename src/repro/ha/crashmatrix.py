@@ -23,6 +23,12 @@ protocol orders are swept: killing shard 0 (first in prepare *and*
 decision order) exercises the dangling/blocking window, killing
 shard 1 exercises prepare-stage aborts and survivor-side commits.
 
+This module is also the sweep engine of every crash matrix
+(:class:`CellResult` and its :meth:`~CellResult.finish` epilogue,
+:func:`sweep`, :class:`MatrixResult`, :func:`main`); a matrix adds its
+table of cells and the arm/recover body of ``run_cell`` -- here, and
+in :mod:`repro.dr.crashmatrix` for backup/restore.
+
 Run as a module for the CI smoke job::
 
     python -m repro.ha.crashmatrix --quick --seed 7
@@ -32,8 +38,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.errors import SimulatedCrash
 from repro.ha.cluster import HAFleet
@@ -47,12 +54,19 @@ TARGETS = ("coordinator", "participant", "replica")
 
 @dataclass
 class CellResult:
-    """One (phase, target, failover) cell's outcome."""
+    """One cell's outcome, whichever matrix ran it: what every cell
+    proves (its fault fired, the recovered fleet serves, the history
+    checks out) plus what only its own matrix records."""
 
-    phase: str
-    target: str
-    failover: bool
-    ack_mode: str
+    #: the cell's coordinates, as its matrix's table prints them
+    label: str
+    #: the coordinates and the matrix's own measurements by name,
+    #: readable as attributes (``cell.phase``, ``cell.retried``);
+    #: ``pinned`` is how the measurements enter the fingerprint
+    #: (``|name=value``...), ``columns`` how the printed row shows them
+    extras: Dict[str, Any]
+    pinned: str = ""
+    columns: str = ""
     violations: List[Violation] = field(default_factory=list)
     fault_fired: bool = False
     #: acked transfers / reads after recovery (liveness evidence)
@@ -60,10 +74,12 @@ class CellResult:
     post_reads: int = 0
     ops: int = 0
 
-    @property
-    def label(self) -> str:
-        mode = "failover" if self.failover else "restart"
-        return f"{self.phase:<14s} {self.target:<11s} {mode:<8s} {self.ack_mode}"
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for names that are not fields: the extras.
+        extras = self.__dict__.get("extras", {})
+        if name in extras:
+            return extras[name]
+        raise AttributeError(name)
 
     @property
     def passed(self) -> bool:
@@ -74,16 +90,33 @@ class CellResult:
             and self.post_reads > 0
         )
 
+    def finish(self, workload: PairWorkload, post: int, fault: str) -> "CellResult":
+        """The epilogue of every cell: drive ``post`` rounds of traffic
+        against the recovered fleet, then hand the whole history and the
+        final state to the checker.  ``fault`` names what was armed, for
+        the violation a never-consumed fault is reported as."""
+        for _ in range(post):
+            self.post_transfers += 1 if workload.transfer() else 0
+            self.post_reads += 1 if workload.read() is not None else 0
+        report = HistoryChecker().check(workload.history, workload.final_stamps())
+        self.violations = list(report.violations)
+        self.ops = len(workload.history)
+        if not self.fault_fired:
+            self.violations.append(Violation(
+                "fault_not_fired", f"armed {fault} never consumed",
+            ))
+        return self
+
     def outcome(self) -> str:
         """Everything the sweep's fingerprint pins about this cell."""
         return (
-            f"|fired={self.fault_fired}|t={self.post_transfers}"
+            f"|fired={self.fault_fired}{self.pinned}|t={self.post_transfers}"
             f"|r={self.post_reads}|ops={self.ops}|v={len(self.violations)}"
         )
 
     def describe(self) -> str:
         return (
-            f"{self.label}  ops={self.ops:<4d} "
+            f"{self.label}  {self.columns} "
             f"post={self.post_transfers}/{self.post_reads}  "
             f"{'ok' if self.passed else 'FAIL'}"
         )
@@ -91,14 +124,10 @@ class CellResult:
 
 @dataclass
 class MatrixResult:
-    """A whole sweep, of this matrix or of :mod:`repro.dr.crashmatrix`.
-
-    A cell contributes its ``label``, ``outcome()`` (the fingerprinted
-    fields), ``describe()`` line, ``violations`` and ``passed``.
-    """
+    """A whole sweep, of any matrix."""
 
     seed: int
-    cells: list = field(default_factory=list)
+    cells: List[CellResult] = field(default_factory=list)
 
     @property
     def violations(self) -> List[Violation]:
@@ -127,6 +156,38 @@ class MatrixResult:
         return lines
 
 
+def sweep(
+    run_cell: Callable[..., CellResult], table: Iterable[Dict[str, Any]], seed: int
+) -> MatrixResult:
+    """Run every cell of ``table`` -- one mapping of ``run_cell`` keywords
+    per cell -- each on a fresh fleet, under one seed."""
+    return MatrixResult(seed, [run_cell(seed=seed, **coords) for coords in table])
+
+
+def main(
+    run_matrix: Callable[..., MatrixResult],
+    description: str,
+    quick_help: str,
+    options: Sequence[Tuple[str, Dict[str, Any]]] = (),
+    argv: Optional[List[str]] = None,
+) -> int:
+    """The sweep CLI of every matrix: ``--seed``, ``--quick`` and the
+    matrix's own ``options`` (argparse flag, keywords), all handed to
+    ``run_matrix`` by name."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--quick", action="store_true", help=quick_help)
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
+    result = run_matrix(**vars(parser.parse_args(argv)))
+    for line in result.describe():
+        print(line)
+    return 0 if result.passed else 1
+
+
+# -- the HA matrix -------------------------------------------------------------
+
+
 def run_cell(
     phase: str,
     target: str,
@@ -142,7 +203,11 @@ def run_cell(
         raise ValueError(f"unknown phase {phase!r}")
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
-    cell = CellResult(phase=phase, target=target, failover=failover, ack_mode=ack_mode)
+    mode = "failover" if failover else "restart"
+    cell = CellResult(
+        f"{phase:<14s} {target:<11s} {mode:<8s} {ack_mode}",
+        dict(phase=phase, target=target, failover=failover, ack_mode=ack_mode),
+    )
     label = f"{phase}.{target}.{failover}.{ack_mode}"
     fleet, pairs = build_pairs_fleet(
         n_shards=2, n_pairs=n_pairs, fleet_cls=HAFleet,
@@ -193,18 +258,8 @@ def run_cell(
 
     fleet.recover(failover=failover)
 
-    for _ in range(post):
-        cell.post_transfers += 1 if workload.transfer() else 0
-        cell.post_reads += 1 if workload.read() is not None else 0
-
-    report = HistoryChecker().check(workload.history, workload.final_stamps())
-    cell.violations = list(report.violations)
-    cell.ops = len(workload.history)
-    if not cell.fault_fired:
-        cell.violations.append(Violation(
-            "fault_not_fired",
-            f"armed {target} fault at {phase} never consumed",
-        ))
+    cell.finish(workload, post, f"{target} fault at {phase}")
+    cell.columns = f"ops={cell.ops:<4d}"
     return cell
 
 
@@ -219,40 +274,25 @@ def run_matrix(
     alternate sync / semisync deterministically so both ship paths are
     in every sweep.
     """
-    result = MatrixResult(seed=seed)
     failover_modes = (True,) if quick else (False, True)
-    index = 0
-    for phase in PHASES:
-        for target in TARGETS:
-            for failover in failover_modes:
-                mode = ack_mode or ("semisync" if index % 2 else "sync")
-                result.cells.append(run_cell(
-                    phase, target, failover, seed=seed, ack_mode=mode,
-                ))
-                index += 1
-    return result
-
-
-def main(
-    argv: Optional[List[str]] = None,
-    sweep: Callable[..., MatrixResult] = run_matrix,
-    description: str = "HA crash-schedule sweep (zero tolerated violations)",
-    quick_help: str = "failover cells only (21 instead of 42)",
-) -> int:
-    """The sweep CLI, shared with :mod:`repro.dr.crashmatrix`."""
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--quick", action="store_true", help=quick_help)
-    if sweep is run_matrix:  # only the HA sweep has a replication mode to pin
-        parser.add_argument(
-            "--ack-mode", choices=("sync", "semisync"), default=None,
-            help="pin one replication mode (default: alternate both)",
+    return sweep(run_cell, seed=seed, table=[
+        dict(
+            phase=phase, target=target, failover=failover,
+            ack_mode=ack_mode or ("semisync" if index % 2 else "sync"),
         )
-    result = sweep(**vars(parser.parse_args(argv)))
-    for line in result.describe():
-        print(line)
-    return 0 if result.passed else 1
+        for index, (phase, target, failover) in enumerate(
+            itertools.product(PHASES, TARGETS, failover_modes)
+        )
+    ])
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(
+        run_matrix,
+        "HA crash-schedule sweep (zero tolerated violations)",
+        "failover cells only (21 instead of 42)",
+        options=[("--ack-mode", dict(
+            choices=("sync", "semisync"), default=None,
+            help="pin one replication mode (default: alternate both)",
+        ))],
+    ))

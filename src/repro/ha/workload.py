@@ -115,6 +115,19 @@ class PairWorkload:
         #: aborted version is burned, never reissued)
         self._versions: Dict[int, int] = {k: 0 for k in range(len(pairs))}
 
+    def continued_on(self, fleet: ShardedDatabase, seed: int) -> "PairWorkload":
+        """This workload's successor on another fleet (a restored one).
+
+        Same pairs and same history -- the checker sees one timeline --
+        and the version sequence carries over: versions are strictly
+        increasing across the whole timeline, so the restored fleet
+        continues the pre-disaster sequence, it does not restart it (a
+        restarted sequence would read as lost updates).
+        """
+        successor = PairWorkload(fleet, self.pairs, history=self.history, seed=seed)
+        successor._versions.update(self._versions)
+        return successor
+
     def _pick_worker(self) -> int:
         worker = self._next_worker
         self._next_worker = (self._next_worker + 1) % self.n_workers

@@ -20,17 +20,20 @@ Abort needs no decision record: recovery *presumes abort* for any
 prepared branch with no DECISION anywhere in the fleet.
 
 Crash points: the coordinator can be killed at any of the
-:data:`PHASES` boundaries, either armed directly (:meth:`TxnCoordinator.
+:data:`PHASES` boundaries, either armed directly (:meth:`PhaseFaults.
 arm_crash`) or scheduled through a chaos plan (``FaultKind.COORD_CRASH``
 with the phase name as target).  A fired crash point raises
 :class:`~repro.engine.errors.SimulatedCrash` *without* cleaning up --
 the half-run protocol state is exactly what crash-recovery tests need.
+:class:`PhaseFaults` is that mechanism; the backup and restore jobs of
+:mod:`repro.dr` inherit it with their own phase tuples.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Type
 
+from repro.chaos.plan import FaultKind
 from repro.engine.database import Database
 from repro.engine.errors import (
     ShardUnavailableError,
@@ -62,6 +65,77 @@ class CoordinatorCrash(SimulatedCrash):
     nobody left to clean up, whereas a surviving coordinator can (and
     must) drive the remaining branches to a safe state.
     """
+
+
+class PhaseFaults:
+    """One-shot faults at the named phase boundaries of a multi-step job.
+
+    The host calls :meth:`_crash_point` at each boundary; a test or a
+    crash matrix arms a crash or an action at one, and a chaos plan can
+    schedule the crash (``chaos_kind`` specs targeting the phase name).
+    All one-shot: a crash is an event, so the recovery and the retried
+    job after it must not re-trip it.  Hosts inherit rather than hold
+    one, so a boundary stays a single method call on the commit path.
+    """
+
+    #: the host's phase boundaries, in protocol order
+    phases: Tuple[str, ...] = ()
+    crash_class: Type[SimulatedCrash] = SimulatedCrash
+    chaos_kind: Optional[FaultKind] = None
+    #: (name, category-and-track) of the trace event a fired crash emits
+    crash_event: Tuple[str, str] = ("", "")
+    #: how messages name the dying process, and the protocol it runs
+    role = protocol = ""
+
+    def __init__(self, chaos=None, name: str = "", observer: Optional[Observer] = None):
+        self.chaos = chaos
+        self.name = name
+        self.obs = observer or NULL_OBSERVER
+        self._armed: Set[str] = set()
+        self._armed_actions: Dict[str, List[Callable[[], None]]] = {}
+
+    def _check_phase(self, phase: str) -> None:
+        if phase not in self.phases:
+            raise ValueError(
+                f"unknown {self.protocol} phase {phase!r}; one of {self.phases}"
+            )
+
+    def arm_crash(self, phase: str) -> None:
+        """One-shot: die when the next run reaches ``phase``."""
+        self._check_phase(phase)
+        self._armed.add(phase)
+
+    def arm_action(self, phase: str, action: Callable[[], None]) -> None:
+        """One-shot: run ``action`` when the next run reaches ``phase``.
+
+        The crash matrices use this to kill a participant's WAL (or an
+        HA standby) at an exact protocol position; unlike
+        :meth:`arm_crash` the boundary itself does not raise -- the
+        protocol discovers the damage at its next touch of the dead
+        node.
+        """
+        self._check_phase(phase)
+        self._armed_actions.setdefault(phase, []).append(action)
+
+    @property
+    def armed(self) -> bool:
+        """Is any crash point or phase action still waiting to fire?"""
+        return bool(self._armed or self._armed_actions)
+
+    def _crash_point(self, phase: str) -> None:
+        actions = self._armed_actions.pop(phase, ())
+        for action in actions:
+            action()
+        fire = phase in self._armed
+        if fire:
+            self._armed.discard(phase)
+        elif self.chaos is not None and self.chaos.take_once(self.chaos_kind, phase):
+            fire = True
+        if fire:
+            if self.obs.enabled:
+                event, track = self.crash_event
+                self.obs.event(event, track, track=track, attrs={"phase": phase})
+            raise self.crash_class(f"{self.role} {self.name} crashed at {phase}")
 
 
 class GlobalTransaction:
@@ -148,8 +222,14 @@ class GlobalTransaction:
         )
 
 
-class TxnCoordinator:
+class TxnCoordinator(PhaseFaults):
     """Drives presumed-abort 2PC over a list of shard databases."""
+
+    phases = PHASES
+    crash_class = CoordinatorCrash
+    chaos_kind = FaultKind.COORD_CRASH
+    crash_event = ("2pc.coord_crash", "shard")
+    role, protocol = "coordinator", "2PC"
 
     def __init__(
         self,
@@ -159,8 +239,8 @@ class TxnCoordinator:
         name: str = "fleet",
         start_gtid: int = 1,
     ):
+        super().__init__(chaos, name, observer)
         self.shards = list(shards)
-        self.obs = observer or NULL_OBSERVER
         # Pre-resolved counters: 2PC accounting runs on the commit hot
         # path, so the registry lookup happens once here instead of a
         # dict lookup per protocol step (same idiom as qos.admission).
@@ -181,13 +261,7 @@ class TxnCoordinator:
             }
         else:
             self._c = None
-        self.chaos = chaos
-        self.name = name
         self._gtid_counter = start_gtid
-        self._armed: Set[str] = set()
-        #: one-shot callables to run at a phase boundary (the crash
-        #: matrix kills participants / standbys here)
-        self._armed_actions: Dict[str, List[Callable[[], None]]] = {}
         #: global transactions a participant crash left half-decided:
         #: the decision phase had started but no decision is durable on
         #: a *reachable* shard, so the survivors' prepared branches must
@@ -229,48 +303,6 @@ class TxnCoordinator:
         gtid = f"{self.name}:{self._gtid_counter}"
         self._gtid_counter += 1
         return GlobalTransaction(self, gtid, isolation=isolation, deadline=deadline)
-
-    # -- crash points --------------------------------------------------------
-
-    def arm_crash(self, phase: str) -> None:
-        """One-shot: die when the next commit reaches ``phase``."""
-        if phase not in PHASES:
-            raise ValueError(f"unknown 2PC phase {phase!r}; one of {PHASES}")
-        self._armed.add(phase)
-
-    def arm_action(self, phase: str, action: Callable[[], None]) -> None:
-        """One-shot: run ``action`` when the next commit reaches ``phase``.
-
-        The crash matrix uses this to kill a participant's WAL (or an HA
-        standby) at an exact protocol position; unlike :meth:`arm_crash`
-        the boundary itself does not raise -- the protocol discovers the
-        damage at its next touch of the dead node.
-        """
-        if phase not in PHASES:
-            raise ValueError(f"unknown 2PC phase {phase!r}; one of {PHASES}")
-        self._armed_actions.setdefault(phase, []).append(action)
-
-    @property
-    def armed(self) -> bool:
-        """Is any crash point or phase action still waiting to fire?"""
-        return bool(self._armed or self._armed_actions)
-
-    def _crash_point(self, phase: str) -> None:
-        actions = self._armed_actions.pop(phase, ())
-        for action in actions:
-            action()
-        fire = phase in self._armed
-        if fire:
-            self._armed.discard(phase)
-        elif self.chaos is not None and self.chaos.take_coordinator_crash(phase):
-            fire = True
-        if fire:
-            if self.obs.enabled:
-                self.obs.event(
-                    "2pc.coord_crash", "shard", track="shard",
-                    attrs={"phase": phase},
-                )
-            raise CoordinatorCrash(f"coordinator {self.name} crashed at {phase}")
 
     # -- commit / abort ------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """DR fault kinds are events too: one-shot triggers disarm after firing.
 
-Mirrors ``test_disarm.py`` for the DR families: ``BACKUP_CRASH`` /
+``test_disarm.py`` for the DR kinds of ``take_once``: ``BACKUP_CRASH`` /
 ``RESTORE_CRASH`` fire at most once per spec (the retried job after
 recovery must run clean), and ``ARCHIVE_CORRUPT`` flips its bit exactly
 once (the scrub pass that follows must not find the segment
@@ -26,32 +26,25 @@ class TestDrCrashOneShot:
         chaos = injector(
             FaultSpec(FaultKind.BACKUP_CRASH, "after_pin", 0.0, 0.0)
         )
-        assert chaos.take_dr_crash(FaultKind.BACKUP_CRASH, "after_pin")
-        assert not chaos.take_dr_crash(FaultKind.BACKUP_CRASH, "after_pin")
+        assert chaos.take_once(FaultKind.BACKUP_CRASH, "after_pin")
+        assert not chaos.take_once(FaultKind.BACKUP_CRASH, "after_pin")
 
     def test_other_phases_untouched(self):
         chaos = injector(
             FaultSpec(FaultKind.BACKUP_CRASH, "after_pin", 0.0, 0.0)
         )
-        assert not chaos.take_dr_crash(FaultKind.BACKUP_CRASH, "after_image")
-        assert chaos.take_dr_crash(FaultKind.BACKUP_CRASH, "after_pin")
+        assert not chaos.take_once(FaultKind.BACKUP_CRASH, "after_image")
+        assert chaos.take_once(FaultKind.BACKUP_CRASH, "after_pin")
 
     def test_backup_and_restore_specs_fire_independently(self):
         chaos = injector(
             FaultSpec(FaultKind.BACKUP_CRASH, "after_pin", 0.0, 0.0),
             FaultSpec(FaultKind.RESTORE_CRASH, "after_replay", 0.0, 0.0),
         )
-        assert chaos.take_dr_crash(FaultKind.BACKUP_CRASH, "after_pin")
-        assert chaos.take_dr_crash(FaultKind.RESTORE_CRASH, "after_replay")
-        assert not chaos.take_dr_crash(FaultKind.BACKUP_CRASH, "after_pin")
-        assert not chaos.take_dr_crash(FaultKind.RESTORE_CRASH, "after_replay")
-
-    def test_non_dr_kind_rejected(self):
-        chaos = injector(
-            FaultSpec(FaultKind.COORD_CRASH, "after_prepare", 0.0, 0.0)
-        )
-        with pytest.raises(ValueError, match="not a DR crash fault kind"):
-            chaos.take_dr_crash(FaultKind.COORD_CRASH, "after_prepare")
+        assert chaos.take_once(FaultKind.BACKUP_CRASH, "after_pin")
+        assert chaos.take_once(FaultKind.RESTORE_CRASH, "after_replay")
+        assert not chaos.take_once(FaultKind.BACKUP_CRASH, "after_pin")
+        assert not chaos.take_once(FaultKind.RESTORE_CRASH, "after_replay")
 
     def test_chaos_armed_backup_crash_does_not_retrip(self):
         """End to end: the chaos spec kills the first backup run; the
@@ -74,18 +67,18 @@ class TestArchiveCorruptOneShot:
         chaos = injector(
             FaultSpec(FaultKind.ARCHIVE_CORRUPT, "archive:0", 1.0, 0.0)
         )
-        assert not chaos.take_archive_corrupt("archive:0", now=0.5)
-        assert chaos.take_archive_corrupt("archive:0", now=1.5)
-        assert not chaos.take_archive_corrupt("archive:0", now=2.0)
+        assert not chaos.take_once(FaultKind.ARCHIVE_CORRUPT, "archive:0", now=0.5)
+        assert chaos.take_once(FaultKind.ARCHIVE_CORRUPT, "archive:0", now=1.5)
+        assert not chaos.take_once(FaultKind.ARCHIVE_CORRUPT, "archive:0", now=2.0)
 
     def test_targets_are_independent(self):
         chaos = injector(
             FaultSpec(FaultKind.ARCHIVE_CORRUPT, "archive:0", 0.0, 0.0),
             FaultSpec(FaultKind.ARCHIVE_CORRUPT, "archive:1", 0.0, 0.0),
         )
-        assert chaos.take_archive_corrupt("archive:0", now=0.0)
-        assert chaos.take_archive_corrupt("archive:1", now=0.0)
-        assert not chaos.take_archive_corrupt("archive:0", now=9.0)
+        assert chaos.take_once(FaultKind.ARCHIVE_CORRUPT, "archive:0", now=0.0)
+        assert chaos.take_once(FaultKind.ARCHIVE_CORRUPT, "archive:1", now=0.0)
+        assert not chaos.take_once(FaultKind.ARCHIVE_CORRUPT, "archive:0", now=9.0)
 
 
 class TestArchiveLagWindow:

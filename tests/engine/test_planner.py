@@ -3,13 +3,13 @@
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.errors import SchemaError
+from repro.engine.errors import SchemaError, SqlError
 from repro.engine.types import Column, ColumnType, Schema
 
 
-@pytest.fixture
-def db():
-    db = Database("planner")
+def load_events(db):
+    """The EVENTS table, its two indexes and 100 rows -- on an engine
+    or on a sharded fleet (both speak create_table/create_index/execute)."""
     db.create_table(Schema(
         "EVENTS",
         (
@@ -27,6 +27,11 @@ def db():
             [e_id, e_id * 10, "a" if e_id % 2 else "b"],
         )
     return db
+
+
+@pytest.fixture
+def db():
+    return load_events(Database("planner"))
 
 
 def plan_of(db, sql, params=()):
@@ -67,6 +72,95 @@ def test_explain_includes_sort(db):
 def test_explain_insert(db):
     assert plan_of(db, "INSERT INTO events (E_TS) VALUES (?)", [1]) == \
         "insert into EVENTS"
+
+
+def test_explain_rejects_what_execute_rejects(db):
+    sql = "SELECT E_TS FROM events WHERE E_ID = ?"
+    for params in ([1, 2], []):
+        with pytest.raises(SqlError) as explained:
+            db.explain(sql, params)
+        with pytest.raises(SqlError) as executed:
+            db.execute(sql, params)
+        assert str(explained.value) == str(executed.value)
+        assert f"expects 1 parameters, got {len(params)}" in str(explained.value)
+
+
+#: every statement this file plans or runs, with the index ``explain``
+#: must name for it (None: full table scan)
+STATEMENTS = [
+    ("SELECT E_TS FROM events WHERE E_ID = ?", [5], "EVENTS_pkey"),
+    ("SELECT E_ID FROM events WHERE E_KIND = ?", ["a"], "events_kind"),
+    ("SELECT E_ID FROM events WHERE E_ID >= ? AND E_ID <= ?", [10, 20], "EVENTS_pkey"),
+    ("SELECT E_ID FROM events WHERE E_TS > ? AND E_TS < ?", [100, 300], "events_ts"),
+    ("SELECT E_ID FROM events WHERE E_KIND > ?", ["a"], None),
+    ("SELECT E_ID FROM events WHERE E_KIND = ? ORDER BY E_TS DESC LIMIT 3", ["a"],
+     "events_kind"),
+    ("SELECT E_ID FROM events WHERE E_ID >= ? AND E_ID < ?", [10, 20], "EVENTS_pkey"),
+    ("SELECT E_ID FROM events WHERE E_ID > ?", [95], "EVENTS_pkey"),
+    ("SELECT E_ID FROM events WHERE E_ID <= ?", [3], "EVENTS_pkey"),
+    ("SELECT E_ID FROM events WHERE E_ID >= ? AND E_ID >= ? AND E_ID < ?", [5, 8, 11],
+     "EVENTS_pkey"),
+    ("SELECT E_ID FROM events WHERE E_ID >= ? AND E_ID <= ? AND E_KIND = ?",
+     [1, 10, "b"], "events_kind"),
+    ("SELECT E_TS FROM events WHERE E_TS >= ? AND E_TS <= ?", [100, 150], "events_ts"),
+    ("SELECT E_ID FROM events WHERE E_KIND = ? AND E_ID > ?", ["a", 50], "events_kind"),
+    ("UPDATE events SET E_KIND = ? WHERE E_ID >= ? AND E_ID <= ?", ["z", 1, 5],
+     "EVENTS_pkey"),
+    ("DELETE FROM events WHERE E_ID > ?", [90], "EVENTS_pkey"),
+    ("SELECT COUNT(*) FROM events", [], None),
+]
+
+
+@pytest.mark.parametrize("sql,params,index_name", STATEMENTS)
+def test_explain_names_the_index_execution_touches(db, monkeypatch, sql, params, index_name):
+    """EXPLAIN describes the plan the executor runs, not a second one."""
+    plan = db.explain(sql, params)
+    assert (f"via {index_name} " in plan) if index_name else plan.startswith("full table scan")
+
+    table = db.table("EVENTS")
+    calls = {}
+
+    def count(owner, method, key):
+        original = getattr(owner, method)
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, method, counted)
+
+    indexes = [table.primary_index, *table.secondary_indexes.values()]
+    for index in indexes:
+        for method in ("lookup", "lookup_unique", "range"):
+            if hasattr(index, method):
+                count(index, method, index.name)
+    count(table, "scan", "scan")
+
+    db.execute(sql, params)
+    if index_name is None:
+        assert calls == {"scan": 1}
+    else:
+        assert calls.get(index_name, 0) > 0
+        assert "scan" not in calls
+        if sql.startswith("SELECT"):  # writes also probe unique indexes
+            assert set(calls) == {index_name}
+
+
+#: range bounds the column cannot be ordered against
+UNORDERABLE = [
+    ("SELECT E_TS FROM events WHERE E_TS > ?", ["a"]),
+    ("SELECT E_TS FROM events WHERE E_ID > ?", ["a"]),
+    ("SELECT E_TS FROM events WHERE E_TS > ? AND E_TS < ?", [1, "a"]),
+    # no ordered index, so a scan + filter: this one always said so
+    ("SELECT E_TS FROM events WHERE E_KIND > ?", [1]),
+]
+
+
+@pytest.mark.parametrize("sql,params", UNORDERABLE)
+def test_unorderable_range_bound_is_a_sql_error(db, sql, params):
+    # the index range scans used to leak the ordered index's bisect TypeError
+    with pytest.raises(SqlError, match="predicate comparison failed"):
+        db.execute(sql, params)
 
 
 def test_range_results_match_scan(db):

@@ -20,10 +20,13 @@ from repro.core.client import (
 from repro.core.datagen import load_sales_database
 from repro.core.workload import READ_WRITE, SalesWorkload
 from repro.engine.database import Database
-from repro.engine.errors import EngineError
+from repro.engine.errors import EngineError, SqlError
 from repro.serve.client import AsyncSQLClient, SocketClient
 from repro.serve.driver import BackgroundServer, collect_keys
-from repro.shard.fleet import load_sales_fleet
+from repro.serve.errors import wire_code
+from repro.shard.fleet import ShardedDatabase, load_sales_fleet
+
+from tests.engine.test_planner import UNORDERABLE, load_events
 
 READ_CREDIT = "SELECT C_CREDIT FROM CUSTOMER WHERE C_ID = ?"
 BUMP_CREDIT = "UPDATE CUSTOMER SET C_CREDIT = C_CREDIT + ? WHERE C_ID = ?"
@@ -153,6 +156,25 @@ class TestParity:
             assert (
                 caught["inline"].retryable == caught["socket"].retryable
             )
+
+    def test_unorderable_range_bound_is_a_sql_error_on_both(self):
+        """A bound the ordered index cannot compare used to leak a bare
+        TypeError: raw in process, wire code ``internal`` over the
+        socket.  It is a statement error on both."""
+        fleet = load_events(ShardedDatabase(2, name="parity-events"))
+        with BackgroundServer(fleet) as bg:
+            inline = FleetClient(fleet)
+            inline.connect()
+            remote = SocketClient(*bg.server.address)
+            remote.connect()
+            for client in (inline, remote):
+                for sql, params in UNORDERABLE:
+                    with pytest.raises(
+                        SqlError, match="predicate comparison failed"
+                    ) as exc_info:
+                        client.query(sql, params)
+                    assert wire_code(exc_info.value) == "sql"
+            remote.close()
 
     def test_protocol_misuse_matches(self):
         with _ParityHarness() as harness:
