@@ -30,13 +30,11 @@ loses the buffered tail, which is exactly the RPO > 0 surface the
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.engine.database import Database
 from repro.engine.errors import EngineError, WalCorruptionError
-from repro.engine.wal import LogRecord
-from repro.engine.walcodec import records_equivalent
+from repro.engine.wal import LogRecord, flip_record_bit
 from repro.obs import NULL_OBSERVER, Observer
 
 #: supported archiver modes
@@ -87,7 +85,7 @@ class ShardArchive:
     def ingest(self, record: LogRecord) -> bool:
         """Adopt one record; returns True if it changed the archive.
 
-        A byte-identical duplicate is a no-op (healing passes re-offer
+        An identical duplicate is a no-op (healing passes re-offer
         records).  The same LSN with a *different* payload is a
         timeline rewind: the engine discarded its tail after a crash
         and reused the LSN, so every archived record at or above it is
@@ -100,16 +98,14 @@ class ShardArchive:
             )
         existing = self._records.get(record.lsn)
         if existing is not None:
-            # Value-identity, not field identity: a re-offered record
-            # that round-tripped through a wire frame or backup may
-            # carry a list where a tuple was archived (or 1.0 for 1);
-            # treating that as divergence would trigger a spurious
-            # timeline rewind.
-            if records_equivalent(existing, record):
+            # Field equality (stored CRC included) is exact here: the
+            # log hands the archive the record object it appended, so a
+            # re-offer from the truncate hook, flush() or catch_up() is
+            # the archived object itself.
+            if existing == record:
                 self.duplicates += 1
                 return False
-            mirror = self._mirror.get(record.lsn)
-            if not existing.is_intact and mirror is not None and records_equivalent(mirror, record):
+            if not existing.is_intact and self._mirror.get(record.lsn) == record:
                 # The primary copy rotted in place and the re-offer
                 # matches the intact mirror: heal the primary.  This is
                 # storage rot, not a timeline rewind -- rewinding here
@@ -199,11 +195,7 @@ class ShardArchive:
 
     def flip_bit(self, lsn: int, bit: int = 0) -> LogRecord:
         """Corrupt the *primary* copy in place (the mirror stays intact)."""
-        record = self.record(lsn)
-        if isinstance(record.key, int):
-            corrupted = replace(record, key=record.key ^ (1 << (bit % 31)))
-        else:
-            corrupted = replace(record, crc=record.crc ^ (1 << (bit % 32)))
+        corrupted = flip_record_bit(self.record(lsn), bit)
         self._records[lsn] = corrupted
         return corrupted
 

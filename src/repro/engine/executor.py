@@ -279,7 +279,11 @@ class Executor:
         shape = access.shape
         if shape == "pk_point":
             is_param, payload = access.key_source
-            rid = table.find_by_key(params[payload] if is_param else payload)
+            try:
+                rid = table.find_by_key(params[payload] if is_param else payload)
+            except TypeError as exc:
+                # an unhashable parameter ([1], {...}) from a JSON client
+                raise SqlError(f"key lookup failed: {exc}") from None
             if rid is None:
                 return []
             row = table.read_row(rid)
@@ -300,8 +304,12 @@ class Executor:
                     params[payload] if is_param else payload
                     for is_param, payload in access.key_sources
                 )
+            try:
+                rids = index.lookup(key)
+            except TypeError as exc:
+                raise SqlError(f"key lookup failed: {exc}") from None
             read = table.read_row
-            pairs = [(rid, read(rid)) for rid in index.lookup(key)]
+            pairs = [(rid, read(rid)) for rid in rids]
         elif shape == "index_range":
             low, incl_low, high, incl_high = self._resolve_bounds(access, params)
             index = table.index_for_name(access.index_name)
@@ -337,7 +345,10 @@ class Executor:
         if access.shape == "pk_point":
             is_param, payload = access.key_source
             key = params[payload] if is_param else payload
-            row = table.visible_by_key(key, txn.snapshot_lsn, txn.txn_id)
+            try:
+                row = table.visible_by_key(key, txn.snapshot_lsn, txn.txn_id)
+            except TypeError as exc:
+                raise SqlError(f"key lookup failed: {exc}") from None
             if row is None:
                 return []
             raw = access.residual
@@ -538,7 +549,12 @@ class Executor:
                         raise SchemaError(
                             f"{table.name}.{delta_col} is NULL in arithmetic"
                         )
-                    operand = base + sign * operand
+                    try:
+                        operand = base + sign * operand
+                    except TypeError as exc:
+                        raise SqlError(
+                            f"{table.name}.{delta_col} arithmetic failed: {exc}"
+                        ) from None
                 if fast:
                     operand = column.type.coerce(operand)
                     if operand is None and not column.nullable:

@@ -31,16 +31,23 @@ class ColumnType(enum.Enum):
         """Coerce ``value`` into the Python representation of this type."""
         if value is None:
             return None
-        if self in (ColumnType.INT, ColumnType.BIGINT):
-            if isinstance(value, bool):
-                raise SchemaError(f"boolean is not valid for {self.value}")
-            return int(value)
-        if self is ColumnType.DECIMAL:
-            return float(value)
-        if self is ColumnType.VARCHAR:
-            return str(value)
-        if self is ColumnType.TIMESTAMP:
-            return float(value)
+        try:
+            if self in (ColumnType.INT, ColumnType.BIGINT):
+                if isinstance(value, bool):
+                    raise SchemaError(f"boolean is not valid for {self.value}")
+                return int(value)
+            if self is ColumnType.DECIMAL:
+                return float(value)
+            if self is ColumnType.VARCHAR:
+                return str(value)
+            if self is ColumnType.TIMESTAMP:
+                return float(value)
+        except (TypeError, ValueError, OverflowError):
+            # "abc" for a DECIMAL, nan/inf/{}/[] for an INT: bad input
+            # from a client, not an engine fault.
+            raise SchemaError(
+                f"{value!r} is not valid for {self.value}"
+            ) from None
         raise SchemaError(f"unknown column type {self!r}")  # pragma: no cover
 
     def byte_size(self, length: int = 0) -> int:

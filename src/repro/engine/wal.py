@@ -5,14 +5,17 @@ which makes them equally usable for ARIES-style crash recovery on the
 primary and for log shipping to read replicas (the paper's replication
 lag-time evaluator reads exactly this stream).
 
-Every record carries a **CRC32 checksum** over its logical payload,
-computed at append time.  The chaos layer can corrupt retained records
-(bit flips) or arm **crash points** that fire during an append -- before
-the write (record lost), after it (record durable), or mid-write (a
-*torn* record: a truncated image whose stored checksum no longer
-matches).  Recovery detects either corruption mode by re-computing the
-CRC and truncates the log at the first corrupt record, which is exactly
-what a real engine does with a torn tail.
+Every record carries a **CRC32 checksum** over its logical payload
+(:func:`checksum`), computed at append time.  A record is built once,
+by :meth:`WriteAheadLog.append`; log shipping, archiving, restore and
+scrub all pass that same object on, so the payload has exactly one
+encoding.  The chaos layer can corrupt retained records (bit flips) or
+arm **crash points** that fire during an append -- before the write
+(record lost), after it (record durable), or mid-write (a *torn*
+record whose stored checksum no longer matches).  Recovery detects
+either corruption mode by re-computing the CRC and truncates the log
+at the first corrupt record, which is exactly what a real engine does
+with a torn tail.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from marshal import dumps as _marshal_dumps
 from zlib import crc32 as _crc32
 
 from repro.engine.errors import SimulatedCrash, WalCorruptionError
-from repro.engine.walcodec import _FOLDABLE, _fold, payload_crc
 from repro.obs import NULL_OBSERVER, Observer
 
 
@@ -62,11 +64,6 @@ CRASH_MODES = ("before", "after", "torn")
 #: tests membership once per record).
 _TXN_END_KINDS = (LogKind.COMMIT, LogKind.ABORT)
 
-#: member -> ``.value`` string, resolved once.  The enum descriptor
-#: costs a dynamic lookup per access, and ``append`` needs the string
-#: for every record's CRC.
-_KIND_VALUE = {kind: kind.value for kind in LogKind}
-
 #: member -> ``(value, ends_txn, fsyncs, is_data)``: one dict probe in
 #: ``append`` replaces the value lookup plus three membership tests.
 _KIND_INFO = {
@@ -80,27 +77,28 @@ _KIND_INFO = {
 }
 
 
-
-def record_crc(
+def checksum(
     lsn: int,
     txn_id: int,
-    kind: LogKind,
+    kind_value: str,
     table: Optional[str],
     key: Any,
     before: Optional[Tuple[Any, ...]],
     after: Optional[Tuple[Any, ...]],
     prev_lsn: int,
 ) -> int:
-    """CRC32 over the canonical binary encoding of the logical payload.
+    """CRC32 over a record's payload -- the one place its layout is written.
 
-    Canonical means value-identity, not type-identity: a key that
-    round-trips through archive ingest as ``1.0`` instead of ``1``, or
-    an image rebuilt as a list instead of a tuple, still checksums
-    identically (see :mod:`repro.engine.walcodec`).
+    The payload is the ``marshal`` serialisation of the 8-field tuple,
+    so the CRC is type-exact (``1``, ``1.0``, ``"1"``, ``True`` and
+    ``b"1"`` all differ) and runs in C.  Format **2** on purpose:
+    formats 3+ emit identity-based back-references, so two value-equal
+    records could serialise differently depending on string interning
+    or object sharing; format 2 depends on values only.
     """
-    return payload_crc(
-        lsn, txn_id, kind.value, table, key, before, after, prev_lsn
-    )
+    return _crc32(_marshal_dumps(
+        (lsn, txn_id, kind_value, table, key, before, after, prev_lsn), 2
+    ))
 
 
 @dataclass(slots=True)
@@ -131,7 +129,7 @@ class LogRecord:
     crc: int = 0
 
     def expected_crc(self) -> int:
-        return payload_crc(
+        return checksum(
             self.lsn, self.txn_id, self.kind.value, self.table,
             self.key, self.before, self.after, self.prev_lsn,
         )
@@ -148,6 +146,17 @@ class LogRecord:
             if image is not None:
                 size += 8 * len(image) + 16
         return size
+
+
+def flip_record_bit(record: LogRecord, bit: int = 0) -> LogRecord:
+    """A copy of ``record`` with one bit flipped, so it fails its CRC.
+
+    The flip lands in the key when it is an integer, otherwise in the
+    stored CRC itself; either way re-verification fails.
+    """
+    if isinstance(record.key, int):
+        return replace(record, key=record.key ^ (1 << (bit % 31)))
+    return replace(record, crc=record.crc ^ (1 << (bit % 32)))
 
 
 class WriteAheadLog:
@@ -283,26 +292,20 @@ class WriteAheadLog:
         lsn = self._next_lsn
         last_of_txn = self._last_lsn_of_txn
         prev_lsn = last_of_txn.get(txn_id, 0)
-        # Inlined walcodec.payload_crc (one call frame per record saved,
-        # plus the _fold frames for fields already in canonical form --
-        # int/str/None fold to themselves).  Must stay byte-equivalent
-        # to walcodec.canonical_payload; test_walcodec pins that.
         record = LogRecord(
             lsn, txn_id, kind, table, key, before, after, prev_lsn,
-            _crc32(_marshal_dumps(
-                (lsn, txn_id, kind_value, table,
-                 _fold(key) if key.__class__ in _FOLDABLE else key,
-                 _fold(before) if before is not None else None,
-                 _fold(after) if after is not None else None,
-                 prev_lsn),
-                2,
-            )),
+            checksum(lsn, txn_id, kind_value, table, key, before, after, prev_lsn),
         )
         if mode == "torn":
-            # Half the after image reached storage before the crash; the
-            # stored CRC is the full record's, so verification fails.
-            torn_after = record.after[: len(record.after) // 2] if record.after else None
-            record = replace(record, after=torn_after)
+            if after:
+                # Half the after image reached storage before the crash;
+                # the stored CRC is the full record's, so verification
+                # fails.
+                record = replace(record, after=after[: len(after) // 2])
+            else:
+                # No after image to halve (DELETE, COMMIT, PREPARE,
+                # DECISION): the tear lands in the header instead.
+                record = flip_record_bit(record)
         self._next_lsn = lsn + 1
         self._records.append(record)
         if ends_txn:
@@ -519,20 +522,12 @@ class WriteAheadLog:
         self._group_pending = 0
 
     def flip_bit(self, lsn: int, bit: int = 0) -> LogRecord:
-        """Corrupt a retained record in place (a bit flip on the tail).
-
-        The flip lands in the key when it is an integer, otherwise in the
-        stored CRC itself; either way re-verification fails.  Returns the
-        corrupted record.
-        """
+        """Corrupt a retained record in place (a bit flip on the tail,
+        see :func:`flip_record_bit`).  Returns the corrupted record."""
         index = lsn - self._truncated_before
         if index < 0 or index >= len(self._records):
             raise ValueError(f"LSN {lsn} is not retained")
-        record = self._records[index]
-        if isinstance(record.key, int):
-            corrupted = replace(record, key=record.key ^ (1 << (bit % 31)))
-        else:
-            corrupted = replace(record, crc=record.crc ^ (1 << (bit % 32)))
+        corrupted = flip_record_bit(self._records[index], bit)
         self._records[index] = corrupted
         return corrupted
 

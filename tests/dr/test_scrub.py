@@ -12,7 +12,9 @@ from repro.dr.archive import FleetArchiver, WalArchiver
 from repro.dr.scrub import scrub_archive, scrub_fleet, scrub_wal
 from repro.engine.database import Database
 from repro.engine.types import Column, ColumnType, Schema
+from repro.ha.replication import WalShipper, bootstrap_standby
 from repro.ha.workload import PairWorkload, build_pairs_fleet
+from repro.shard.fleet import ShardedDatabase
 from repro.sim.rng import derive_seed
 
 
@@ -117,3 +119,57 @@ class TestScrubFleet:
             manifest, archiver, name="scrubf"
         ).run()
         assert restore_report.rows_loaded == 4
+
+    def test_whole_valued_float_cells_survive_every_real_path(self):
+        """Rows of whole-valued DECIMAL/TIMESTAMP cells (``10.0``,
+        ``-0.0``) are checksummed type-exactly.  Every path a record
+        really takes hands on the object ``append`` built, so none of
+        them may mistake a re-offer for a rewind or a healthy copy for
+        rot: sync ingest, the truncate hook's re-offer, ``catch_up``,
+        HA shipping and a scrub pass."""
+        fleet = ShardedDatabase(1, name="wholefloat")
+        fleet.create_table(Schema(
+            "LEDGER",
+            (Column("L_ID", ColumnType.INT, nullable=False),
+             Column("L_AMOUNT", ColumnType.DECIMAL, default=0.0),
+             Column("L_TS", ColumnType.TIMESTAMP)),
+            primary_key="L_ID",
+        ))
+        shard = fleet.shards[0]
+        archiver = FleetArchiver(fleet, mode="sync")
+        archive = archiver.archives[0]
+        standby = bootstrap_standby(shard)
+        shipper = WalShipper(shard, standby)
+
+        def write(base):
+            for l_id, amount, ts in ((base, 10.0, 1000.0), (base + 1, -0.0, 0.0)):
+                fleet.execute(
+                    "INSERT INTO ledger (L_ID, L_AMOUNT, L_TS) VALUES (?, ?, ?)",
+                    [l_id, amount, ts],
+                )
+            fleet.execute(
+                "UPDATE ledger SET L_AMOUNT = L_AMOUNT + ? WHERE L_ID = ?",
+                [5.0, base],
+            )
+            fleet.execute("DELETE FROM ledger WHERE L_ID = ?", [base + 1])
+
+        write(1)
+        assert len(archive) == shard.wal.last_lsn  # sync ingest kept up
+        shard.checkpoint(truncate_wal=True)  # the hook re-offers the prefix
+        write(11)
+        assert archiver.catch_up() == 0  # everything retained is archived
+        assert archive.duplicates > 0
+        assert (archive.rewinds, archive.healed) == (0, 0)
+        assert shipper.is_fresh and shipper.shipped == shard.wal.last_lsn
+        report = scrub_fleet(fleet, archiver)
+        assert report.repaired == 0 and report.clean
+        copies = [
+            *archive.records_between(0, archive.last_lsn),
+            *shard.wal.records_from(shard.wal.first_retained_lsn),
+            *standby.wal.records_from(standby.wal.first_retained_lsn),
+        ]
+        assert any(
+            isinstance(cell, float) and cell.is_integer()
+            for record in copies for cell in record.after or ()
+        )
+        assert all(record.is_intact for record in copies)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.errors import SchemaError, SqlError
+from repro.engine.txn import IsolationLevel
 from repro.engine.types import Column, ColumnType, Schema
 
 
@@ -161,6 +162,23 @@ def test_unorderable_range_bound_is_a_sql_error(db, sql, params):
     # the index range scans used to leak the ordered index's bisect TypeError
     with pytest.raises(SqlError, match="predicate comparison failed"):
         db.execute(sql, params)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT E_TS FROM events WHERE E_ID = ?",      # primary-key probe
+    "SELECT E_ID FROM events WHERE E_KIND = ?",    # secondary hash index
+    "DELETE FROM events WHERE E_ID = ?",
+])
+def test_unhashable_key_is_a_sql_error(db, sql):
+    # the hash-index probes used to leak "TypeError: unhashable type"
+    with pytest.raises(SqlError, match="key lookup failed"):
+        db.execute(sql, [[1]])
+
+
+def test_unhashable_key_is_a_sql_error_on_a_snapshot_read(db):
+    snapshot = db.begin(IsolationLevel.SNAPSHOT)  # probes the version chain
+    with pytest.raises(SqlError, match="key lookup failed"):
+        db.execute("SELECT E_TS FROM events WHERE E_ID = ?", [{"k": 1}], txn=snapshot)
 
 
 def test_range_results_match_scan(db):

@@ -89,6 +89,21 @@ def test_boolean_is_not_an_int():
         ColumnType.INT.coerce(True)
 
 
+@pytest.mark.parametrize("column_type, value", [
+    (ColumnType.DECIMAL, "abc"),
+    (ColumnType.TIMESTAMP, [1.0]),
+    (ColumnType.INT, float("nan")),
+    (ColumnType.INT, float("inf")),
+    (ColumnType.INT, {"a": 1}),
+    (ColumnType.BIGINT, [1]),
+])
+def test_uncoercible_value_is_a_schema_error(column_type, value):
+    # used to leak ValueError / OverflowError / TypeError from int()/float()
+    with pytest.raises(SchemaError, match=column_type.value) as exc_info:
+        column_type.coerce(value)
+    assert repr(value) in str(exc_info.value)
+
+
 def test_row_byte_size_positive_and_stable():
     schema = make_schema()
     assert schema.row_byte_size() == schema.row_byte_size()

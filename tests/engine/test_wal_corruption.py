@@ -146,20 +146,37 @@ def test_crash_after_keeps_record_durable_but_txn_uncommitted():
     assert report.losers
 
 
+#: statement, offset of the torn record from the last LSN (BEGIN is +1,
+#: the data record +2, COMMIT +3), and its kind
+TORN_CASES = [
+    ("INSERT INTO kv (K, V) VALUES (?, ?)", [2, 2], 2, LogKind.INSERT),
+    # no after image to halve: these two used to be left intact and durable
+    ("DELETE FROM kv WHERE K = ?", [1], 2, LogKind.DELETE),
+    ("INSERT INTO kv (K, V) VALUES (?, ?)", [2, 2], 3, LogKind.COMMIT),
+]
+
+
 def test_torn_write_truncates_at_the_torn_record():
-    db = fresh_db()
-    db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])
-    torn_lsn = db.wal.last_lsn + 2
-    db.wal.arm_crash(torn_lsn, mode="torn")
-    with pytest.raises(SimulatedCrash):
-        db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [2, 2])
-    assert db.wal.first_corrupt_lsn() == torn_lsn
-    db.crash()
-    report = db.recover()
-    assert kv_state(db) == {1: 1}
-    assert report.corrupt_from_lsn == torn_lsn
-    assert report.records_discarded >= 1
-    assert db.wal.first_corrupt_lsn() is None  # the tail is clean again
+    # one test over the cases, not a parametrised one: its id is pinned
+    for sql, params, offset, kind in TORN_CASES:
+        db = fresh_db()
+        db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])
+        torn_lsn = db.wal.last_lsn + offset
+        db.wal.arm_crash(torn_lsn, mode="torn")
+        with pytest.raises(SimulatedCrash):
+            db.execute(sql, params)
+        torn = db.wal.record_at(torn_lsn)
+        assert torn.kind is kind
+        assert not torn.is_intact
+        assert db.wal.first_corrupt_lsn() == torn_lsn
+        db.crash()
+        report = db.recover()
+        # the torn statement's transaction never committed -- not even
+        # when the torn record *is* its COMMIT
+        assert kv_state(db) == {1: 1}
+        assert report.corrupt_from_lsn == torn_lsn
+        assert report.records_discarded >= 1
+        assert db.wal.first_corrupt_lsn() is None  # the tail is clean again
 
 
 def test_bit_flip_rolls_back_commits_beyond_the_corruption():

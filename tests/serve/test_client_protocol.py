@@ -7,6 +7,7 @@ classification whether the transport is a function call
 """
 
 import asyncio
+import contextlib
 
 import pytest
 
@@ -20,11 +21,12 @@ from repro.core.client import (
 from repro.core.datagen import load_sales_database
 from repro.core.workload import READ_WRITE, SalesWorkload
 from repro.engine.database import Database
-from repro.engine.errors import EngineError, SqlError
+from repro.engine.errors import EngineError, SchemaError, SqlError
 from repro.serve.client import AsyncSQLClient, SocketClient
 from repro.serve.driver import BackgroundServer, collect_keys
 from repro.serve.errors import wire_code
 from repro.shard.fleet import ShardedDatabase, load_sales_fleet
+from repro.shard.workload import primary_keys
 
 from tests.engine.test_planner import UNORDERABLE, load_events
 
@@ -200,6 +202,63 @@ class TestParity:
                 client.abandon()  # idempotent outside a transaction
                 client.begin()
                 client.commit()
+
+
+#: Parameters a JSON client can send that the schema cannot take: each
+#: used to leak a bare ValueError/TypeError out of ``execute`` (wire
+#: code ``internal``).  ``params`` is built from a live customer id.
+BAD_PARAMETERS = [
+    pytest.param(
+        "UPDATE CUSTOMER SET C_CREDIT = ? WHERE C_ID = ?",
+        lambda cid: ["abc", cid], SchemaError, "schema", id="uncoercible",
+    ),
+    pytest.param(
+        BUMP_CREDIT, lambda cid: ["a", cid], SqlError, "sql", id="arithmetic",
+    ),
+    pytest.param(
+        READ_CREDIT, lambda cid: [[cid]], SqlError, "sql", id="unhashable-key",
+    ),
+]
+
+
+@contextlib.contextmanager
+def _transport(kind):
+    """``(execute, engines behind it)`` for one of the three ways in;
+    the engines are there to check that nothing leaked."""
+    if kind == "database":
+        db, _data = load_sales_database(row_scale=0.001)
+        yield db.execute, [db]
+        return
+    fleet = _fleet(f"badparam-{kind}")
+    with contextlib.ExitStack() as stack:
+        if kind == "fleet":
+            client = FleetClient(fleet)
+        else:
+            bg = stack.enter_context(BackgroundServer(fleet))
+            client = SocketClient(*bg.server.address)
+        client.connect()
+        stack.callback(client.close)  # runs before the server stops
+        yield client.execute, fleet.shards
+
+
+@pytest.mark.parametrize("kind", ["database", "fleet", "socket"])
+@pytest.mark.parametrize("sql, make_params, error, code", BAD_PARAMETERS)
+def test_bad_parameter_is_a_typed_error(kind, sql, make_params, error, code):
+    with _transport(kind) as (execute, engines):
+        cid = min(primary_keys(engines[0], "CUSTOMER"))
+        before = execute(READ_CREDIT, [cid]).rows
+        with pytest.raises(error) as exc_info:
+            execute(sql, make_params(cid))
+        assert type(exc_info.value) is error
+        assert wire_code(exc_info.value) == code
+        # the statement's transaction rolled back and holds nothing...
+        for engine in engines:
+            assert not engine.txns.active
+            engine.locks.sanity_check()
+            assert not engine.locks._held_by_txn
+        # ...and the session serves the next statements, on the same row
+        assert execute(READ_CREDIT, [cid]).rows == before
+        assert execute(BUMP_CREDIT, [1.0, cid]).rowcount == 1
 
 
 class _Blocking:
