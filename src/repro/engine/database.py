@@ -115,6 +115,9 @@ class Database:
         self._commit_listeners: List[CommitListener] = []
         self.checkpoint_lsn = 0
         self._checkpoint_snapshots: Dict[str, TableSnapshot] = {}
+        #: the tables are the checkpoint image: True from :meth:`crash`
+        #: until :meth:`recover` ends or a transaction begins
+        self._at_image = False
         #: MVCC: snapshots never start below this LSN.  Replica appliers
         #: raise it to the applied primary LSN so snapshot reads on a
         #: replica see the shipped versions (which carry primary LSNs).
@@ -176,6 +179,7 @@ class Database:
     ) -> Transaction:
         txn = self.txns.begin(self, isolation or self.default_isolation)
         txn.deadline = deadline
+        self._at_image = False
         if self._c_txn is not None:
             txn.start_s = self.obs.now()
             self._c_txn["begin"].value += 1.0
@@ -702,12 +706,9 @@ class Database:
         WAL survives (it is the durable part).  Locks and active
         transactions vanish.  Call :meth:`recover` to replay the tail.
         """
+        empty = TableSnapshot(pages=[], next_auto=1)
         for name, table in self._tables.items():
-            snapshot = self._checkpoint_snapshots.get(name)
-            if snapshot is not None:
-                table.restore_snapshot(snapshot)
-            else:
-                table.restore_snapshot(TableSnapshot(pages=[], next_auto=1))
+            table.restore_snapshot(self._checkpoint_snapshots.get(name, empty))
         if self.buffer is not None:
             self.buffer.clear()
         # In-flight transaction handles die with the instance.
@@ -727,10 +728,21 @@ class Database:
         # A fired crash point left the log refusing appends; the restart
         # revives it (the durable records themselves survived).
         self.wal.revive()
+        self._at_image = True
 
     def recover(self) -> RecoveryReport:
-        """ARIES-style restart recovery (see :mod:`repro.engine.recovery`)."""
-        return recover(self)
+        """ARIES-style restart recovery (see :mod:`repro.engine.recovery`).
+
+        Replay starts from the checkpoint image, restored once: an
+        instance :meth:`crash` has not just reset (live, or already
+        recovered) is reset here first, never redone on top of itself.
+        """
+        if not self._at_image:
+            self.crash()
+        try:
+            return recover(self)
+        finally:
+            self._at_image = False
 
     # -- consistency checking -------------------------------------------------------------
 

@@ -9,7 +9,8 @@ variant keeps keys sorted for range scans and ORDER BY ... LIMIT plans
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from collections import defaultdict
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.errors import DuplicateKeyError, EngineError
 from repro.engine.page import RowId
@@ -43,10 +44,25 @@ class HashIndex:
         if not bucket:
             del self._map[key]
 
+    def rebuild(self, keys: Sequence[Any], rids: Sequence[RowId]) -> None:
+        """Replace the contents with ``keys[i] -> rids[i]`` in bulk: the
+        result, and the unique check, of one :meth:`insert` per pair."""
+        if self.unique:
+            self._map = {key: {rid} for key, rid in zip(keys, rids)}
+            if len(self._map) != len(rids):
+                seen: Set[Any] = set()
+                key = next(k for k in keys if k in seen or seen.add(k))
+                raise DuplicateKeyError(
+                    f"duplicate key {key!r} in unique index {self.name!r}"
+                )
+        else:
+            buckets: Dict[Any, Set[RowId]] = defaultdict(set)
+            for key, rid in zip(keys, rids):
+                buckets[key].add(rid)
+            self._map = dict(buckets)
+
     def lookup(self, key: Any) -> List[RowId]:
-        return sorted(
-            self._map.get(key, ()), key=lambda rid: (rid.page_no, rid.slot)
-        )
+        return sorted(self._map.get(key, ()))
 
     def lookup_unique(self, key: Any) -> Optional[RowId]:
         bucket = self._map.get(key)
@@ -55,12 +71,6 @@ class HashIndex:
         if len(bucket) > 1:  # pragma: no cover - guarded by insert()
             raise EngineError(f"unique index {self.name!r} has duplicates")
         return next(iter(bucket))
-
-    def keys(self) -> Iterator[Any]:
-        return iter(self._map)
-
-    def clear(self) -> None:
-        self._map.clear()
 
 
 class OrderedIndex(HashIndex):
@@ -74,6 +84,10 @@ class OrderedIndex(HashIndex):
     def __init__(self, name: str, columns: Tuple[str, ...], unique: bool = False):
         super().__init__(name, columns, unique)
         self._sorted_keys: List[Any] = []
+
+    def rebuild(self, keys: Sequence[Any], rids: Sequence[RowId]) -> None:
+        super().rebuild(keys, rids)
+        self._sorted_keys = sorted(self._map)
 
     def insert(self, key: Any, rid: RowId) -> None:
         existed = key in self._map
@@ -115,13 +129,3 @@ class OrderedIndex(HashIndex):
         for key in keys:
             for rid in self.lookup(key):
                 yield key, rid
-
-    def min_key(self) -> Optional[Any]:
-        return self._sorted_keys[0] if self._sorted_keys else None
-
-    def max_key(self) -> Optional[Any]:
-        return self._sorted_keys[-1] if self._sorted_keys else None
-
-    def clear(self) -> None:
-        super().clear()
-        self._sorted_keys.clear()

@@ -8,8 +8,7 @@ drive the cloud cost model and the buffer-size experiments (Figure 8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.engine.errors import EngineError
 
@@ -17,8 +16,7 @@ from repro.engine.errors import EngineError
 PAGE_SIZE_BYTES = 8192
 
 
-@dataclass(frozen=True)
-class RowId:
+class RowId(NamedTuple):
     """Physical address of a row version: (page number, slot number)."""
 
     page_no: int

@@ -143,7 +143,7 @@ def recover(db: "Database") -> RecoveryReport:
     """Run analysis/redo/undo over the retained log after a crash.
 
     The database must already be reset to its last checkpoint image
-    (``Database.crash`` does that); this function replays the log tail.
+    (``Database.recover`` sees to that); this function replays the tail.
 
     Corruption tolerance: the log tail is CRC-verified first, and the
     log is truncated at the first corrupt record (torn write, bit flip).

@@ -18,6 +18,7 @@ once no live snapshot can need the history.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.buffer import BufferPool
@@ -526,15 +527,19 @@ class Table:
         self._rebuild_indexes()
 
     def _rebuild_indexes(self) -> None:
-        self.primary_index.clear()
-        for index in self.secondary_indexes.values():
-            index.clear()
+        """Bulk build from the heap: one pass collects the live rows and
+        their addresses, then each index takes its key column whole
+        (``itemgetter`` keeps :meth:`_index_key`'s scalar-or-tuple shape)."""
+        rids: List[RowId] = []
+        rows: List[Tuple[Any, ...]] = []
         for page in self._pages:
+            page_no = page.page_no
             for slot, row in page.rows():
-                rid = RowId(page.page_no, slot)
-                self.primary_index.insert(row[self.schema.primary_key_index], rid)
-                for index in self.secondary_indexes.values():
-                    index.insert(self._index_key(index.columns, row), rid)
+                rids.append(RowId(page_no, slot))
+                rows.append(row)
+        for index in (self.primary_index, *self.secondary_indexes.values()):
+            key_of = itemgetter(*map(self.schema.column_index, index.columns))
+            index.rebuild(list(map(key_of, rows)), rids)
 
     # -- internals --------------------------------------------------------------
 

@@ -316,15 +316,14 @@ class ShardedDatabase:
     def _recover_shard(self, shard_id: int) -> RecoveryReport:
         """Restart one shard and replay its log.
 
-        Resets to the checkpoint image first (``crash()`` is a no-op on
-        state a crash already wiped) and disarms any still-armed WAL
-        crash point, so recovery converges to the same resolved state
+        Disarms any still-armed WAL crash point; ``Database.recover``
+        resets a shard no crash has just reset.  So recovery converges to
+        the same resolved state, and restores the checkpoint image once,
         whether the fleet crashed once, twice, never, or with a fault
         scheduled but unfired.
         """
         shard = self.shards[shard_id]
         shard.wal.disarm_crash()
-        shard.crash()
         return shard.recover()
 
     def recover(self) -> FleetRecoveryReport:

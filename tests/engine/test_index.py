@@ -1,5 +1,7 @@
 """Tests for hash and ordered indexes."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,14 +90,6 @@ class TestOrderedIndex:
         index.delete(1, rid(1))
         assert [k for k, _ in index.range()] == [2]
 
-    def test_min_max(self):
-        index = OrderedIndex("i", ("K",))
-        assert index.min_key() is None
-        for key in (5, 1, 9):
-            index.insert(key, rid(key))
-        assert index.min_key() == 1
-        assert index.max_key() == 9
-
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=50), unique=True, min_size=1))
     def test_property_range_matches_sorted_filter(self, keys):
@@ -136,3 +130,93 @@ class TestOrderedIndex:
         assert sorted(k for k, _ in index.range()) == sorted(
             k for k, rids in model.items() for _ in rids
         )
+
+
+def _observe(index, probes):
+    """Everything a caller can read from an index, for comparison."""
+    seen = {
+        "len": len(index),
+        "lookup": {key: index.lookup(key) for key in probes},
+    }
+    if index.unique:
+        seen["unique"] = {key: index.lookup_unique(key) for key in probes}
+    if isinstance(index, OrderedIndex):
+        def scan(**bounds):
+            try:
+                return list(index.range(**bounds))
+            except TypeError:  # a lone None key does not compare to a bound
+                return TypeError
+
+        seen["range"] = [
+            scan(low=lo, high=hi, include_low=inc_lo, include_high=inc_hi,
+                 reverse=reverse)
+            for lo in (None, 3) for hi in (None, 9)
+            for inc_lo in (True, False) for inc_hi in (True, False)
+            for reverse in (False, True)
+        ]
+    return seen
+
+
+class TestBulkRebuild:
+    """``rebuild(keys, rids)`` == one ``insert`` per pair."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index_class=st.sampled_from([HashIndex, OrderedIndex]),
+        unique=st.booleans(),
+        keys=st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+            max_size=40,
+        ),
+    )
+    def test_property_rebuild_matches_incremental(self, index_class, unique, keys):
+        rids = [rid(n) for n in range(len(keys))]
+        incremental = index_class("i", ("K",), unique)
+        try:
+            for key, row_id in zip(keys, rids):
+                incremental.insert(key, row_id)
+        except DuplicateKeyError:
+            with pytest.raises(DuplicateKeyError):
+                index_class("i", ("K",), unique).rebuild(keys, rids)
+            return
+        except TypeError:  # an ordered index cannot sort None beside ints
+            with pytest.raises((TypeError, DuplicateKeyError)):
+                index_class("i", ("K",), unique).rebuild(keys, rids)
+            return
+        bulk = index_class("i", ("K",), unique)
+        bulk.insert(99, rid(9999))  # rebuild replaces, it does not merge
+        bulk.rebuild(keys, rids)
+        probes = [None, *range(14), 99]
+        assert _observe(bulk, probes) == _observe(incremental, probes)
+        if None in keys:
+            return
+        # and the rebuilt index keeps working incrementally
+        for index in (bulk, incremental):
+            index.insert(50, rid(5000))
+            if keys:
+                index.delete(keys[0], rids[0])
+        assert _observe(bulk, probes + [50]) == _observe(incremental, probes + [50])
+
+    @pytest.mark.parametrize("index_class", [HashIndex, OrderedIndex])
+    def test_unique_rebuild_rejects_duplicates(self, index_class):
+        index = index_class("i", ("K",), unique=True)
+        with pytest.raises(DuplicateKeyError, match="duplicate key 7 in unique index 'i'"):
+            index.rebuild([1, 7, 3, 7], [rid(n) for n in range(4)])
+
+    def test_composite_keys_are_tuples(self):
+        index = OrderedIndex("i", ("A", "B"))
+        index.rebuild([(2, "x"), (1, "y"), (2, "x")], [rid(3), rid(2), rid(1)])
+        assert index.lookup((2, "x")) == [rid(1), rid(3)]
+        assert [k for k, _ in index.range()] == [(1, "y"), (2, "x"), (2, "x")]
+
+
+class TestRowId:
+    def test_hashable_orderable_picklable_printable(self):
+        a, b = RowId(1, 200), RowId(2, 3)
+        assert a == RowId(1, 200) and hash(a) == hash(RowId(1, 200))
+        assert len({a, RowId(1, 200), b}) == 2
+        assert sorted([b, a]) == [a, b]
+        assert (a.page_no, a.slot) == (1, 200)
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert type(pickle.loads(pickle.dumps(a))) is RowId
+        assert str(a) == "(1,200)"

@@ -117,6 +117,70 @@ class TestCrashRecovery:
         db.recover()
         assert kv_state(db) == first
 
+    @staticmethod
+    def _loaded_db():
+        """A checkpoint, then inserts and updates only the log holds."""
+        db = fresh_db()
+        db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])
+        db.checkpoint()
+        db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [2, 2])
+        db.execute("UPDATE kv SET V = ? WHERE K = ?", [100, 1])
+        return db
+
+    @staticmethod
+    def _state(db):
+        return kv_state(db), db.live_versions(), db.content_hash()
+
+    def _state_after_clean_restart(self):
+        db = self._loaded_db()
+        db.crash()
+        db.recover()
+        return self._state(db)
+
+    def test_recover_without_crash_restarts_from_the_image(self):
+        """recover() on a live instance used to redo the log on top of
+        the tables that already held it: DuplicateKeyError on the first
+        re-inserted key, doubled version chains with updates only."""
+        expected = self._state_after_clean_restart()
+        assert expected[0] == {1: 100, 2: 2}
+
+        live = self._loaded_db()
+        report = live.recover()
+        assert report.records_redone == 2
+        assert self._state(live) == expected
+        live.recover()  # and again: each pass resets, none stacks
+        assert self._state(live) == expected
+
+    def test_work_after_crash_forces_a_reset_in_recover(self):
+        db = self._loaded_db()
+        db.crash()
+        db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [3, 3])
+        db.recover()
+        assert kv_state(db) == {1: 100, 2: 2, 3: 3}
+
+    def test_failed_recover_does_not_leave_the_image_mark(self, monkeypatch):
+        from repro.engine import recovery
+
+        db = self._loaded_db()
+        expected = self._state_after_clean_restart()
+        redo = recovery._apply_redo
+        calls = []
+
+        def fail_on_second(database, record):
+            calls.append(record.lsn)
+            if len(calls) == 2:
+                raise EngineError("injected redo failure")
+            redo(database, record)
+
+        monkeypatch.setattr(recovery, "_apply_redo", fail_on_second)
+        db.crash()
+        with pytest.raises(EngineError, match="injected"):
+            db.recover()
+        monkeypatch.undo()
+        assert kv_state(db) != expected[0]  # redo stopped half way
+        db.recover()  # must reset: the tables are no longer the image
+        assert self._state(db) == expected
+
 
 class TestReplicaApplier:
     def test_commit_batches_replicate(self):

@@ -159,6 +159,52 @@ def test_snapshot_restore_roundtrip():
     assert table.secondary_indexes["t_k"].lookup(20)
 
 
+def test_restore_snapshot_rebuilds_every_index_in_bulk():
+    """Vacated slots, a composite secondary index and an ordered one:
+    the restored table answers every lookup with the same RowIds."""
+    table = make_table()
+    table.create_index("t_kn", ("K", "NAME"))
+    table.create_index("t_k", ("K",), ordered=True)
+    per_page = PAGE_SIZE_BYTES // table.schema.row_byte_size()
+    for i in range(1, per_page + 20):
+        table.insert_row((i, i % 7, f"n{i % 3}"))
+    for key in (2, 3, per_page, per_page + 5):  # holes on both pages
+        table.delete_row(table.find_by_key(key))
+
+    def lookups():
+        composite = table.secondary_indexes["t_kn"]
+        ordered = table.secondary_indexes["t_k"]
+        return (
+            list(table.primary_index.range()),
+            {(k, n): composite.lookup((k, n)) for k in range(7) for n in ("n0", "n1", "n2")},
+            list(ordered.range(2, 5, include_low=False, reverse=True)),
+            table.row_count,
+        )
+
+    before = lookups()
+    snapshot = table.snapshot()
+    for i in (1, 4, 5):
+        table.delete_row(table.find_by_key(i))
+    table.insert_row((9999, 1, "n1"))
+    table.restore_snapshot(snapshot)
+    assert lookups() == before
+    assert table.find_by_key(2) is None
+    # and the rebuilt indexes are maintained from there on
+    rid = table.insert_row((2, 6, "n0"))
+    assert rid in table.secondary_indexes["t_kn"].lookup((6, "n0"))
+
+
+def test_restore_snapshot_rejects_duplicate_unique_keys():
+    table = make_table()
+    table.create_index("t_name", ("NAME",), unique=True)
+    table.insert_row((1, 0, "a"))
+    table.insert_row((2, 0, "b"))
+    snapshot = table.snapshot()
+    snapshot.pages[0].write(1, (2, 0, "a"))  # a damaged image
+    with pytest.raises(DuplicateKeyError, match="t_name"):
+        table.restore_snapshot(snapshot)
+
+
 def test_restore_row_after_delete():
     table = make_table()
     rid = table.insert_row((1, 10, "a"))
