@@ -40,7 +40,7 @@ REPEATS = 5
 
 
 def _make_db(observer=None) -> Database:
-    db = Database("bench-obs", buffer_size_bytes=1 << 22, observer=observer)
+    db = Database("bench-obs", observer=observer)
     db.create_table(Schema(
         "ACCOUNTS",
         (

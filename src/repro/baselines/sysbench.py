@@ -144,20 +144,6 @@ class SysbenchWorkload:
         table, row_id = self._pick()
         self.db.execute(f"UPDATE {table} SET K = K + ? WHERE ID = ?", [1, row_id])
 
-    def _non_index_update(self) -> None:
-        table, row_id = self._pick()
-        self.db.execute(
-            f"UPDATE {table} SET C = ? WHERE ID = ?",
-            [f"u-{self.executed:012d}", row_id],
-        )
-
-    def _range_sum(self) -> None:
-        table, row_id = self._pick()
-        self.db.query(
-            f"SELECT SUM(K) FROM {table} WHERE ID >= ? AND ID <= ?",
-            [row_id, row_id + 99],
-        )
-
     def _oltp_read_write(self) -> None:
         """The classic transaction: 10 point selects, 1 range sum,
         2 updates, 1 delete+insert pair, in one transaction."""

@@ -79,7 +79,9 @@ class AScore:
         return self.goodput >= self.slo
 
     def goodput_between(self, start_s: float, end_s: float) -> float:
-        """Goodput restricted to requests started in ``[start_s, end_s)``."""
+        """Goodput restricted to requests started in ``[start_s, end_s)``.
+        Unused by the evaluator: the probe the chaos tests and the verify
+        skill read a fault window's dip with."""
         window = [ok for at, ok in self.samples if start_s <= at < end_s]
         if not window:
             return 1.0

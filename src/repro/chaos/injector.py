@@ -12,7 +12,7 @@ request.  All queries are pure functions of the plan and the current
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec
 from repro.obs import NULL_OBSERVER, Observer
@@ -170,20 +170,3 @@ class ChaosInjector:
             self._note(spec, now)
             return True
         return False
-
-    # -- engine-layer faults -------------------------------------------------
-
-    def engine_faults(self, target: str = "primary") -> List[FaultSpec]:
-        """CRASH/TORN_WRITE/BIT_FLIP specs aimed at ``target``.
-
-        The WAL cannot consult virtual time, so the driver of the engine
-        (availability evaluator, torture test) arms these explicitly via
-        :meth:`~repro.engine.wal.WriteAheadLog.arm_crash` /
-        :meth:`~repro.engine.wal.WriteAheadLog.flip_bit`.
-        """
-        return [
-            spec for spec in self.plan.by_kind(
-                FaultKind.CRASH, FaultKind.TORN_WRITE, FaultKind.BIT_FLIP
-            )
-            if spec.target == target
-        ]

@@ -110,10 +110,6 @@ class Architecture:
     def second_cache_bytes_at(self, allocation: ComputeAllocation) -> int:
         return int(allocation.memory_gb * GIB * self.second_cache_fraction)
 
-    def with_buffer(self, buffer_bytes: int) -> "Architecture":
-        """A copy with a different local buffer (the Figure 8 sweep)."""
-        return replace(self, buffer_bytes=buffer_bytes)
-
 
 _REGISTRY: Dict[str, Callable[[], Architecture]] = {}
 

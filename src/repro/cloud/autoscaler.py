@@ -89,22 +89,14 @@ class Autoscaler:
         #: instance can ever provide -- scaling is out of moves and only
         #: overload protection (shedding, brownout) can help
         self.overload_windows = 0
-        self._overloaded = False
+        #: True while demand exceeds what the max allocation can serve
+        self.is_overloaded = False
 
     # -- public API ------------------------------------------------------------
 
     @property
     def is_paused(self) -> bool:
         return self.allocation.is_paused
-
-    @property
-    def is_resuming(self) -> bool:
-        return self._resuming_until is not None
-
-    @property
-    def is_overloaded(self) -> bool:
-        """True while demand exceeds what the max allocation can serve."""
-        return self._overloaded
 
     def step(self, now_s: float, demand_concurrency: int) -> ComputeAllocation:
         """Advance to ``now_s`` with the current demand; returns allocation."""
@@ -124,7 +116,7 @@ class Autoscaler:
 
     def _note_saturation(self, now_s: float, demand: int) -> None:
         if demand <= 0:
-            self._overloaded = False
+            self.is_overloaded = False
             return
         saturated = self._saturation_cache.get(demand)
         if saturated is None:
@@ -138,7 +130,7 @@ class Autoscaler:
             )
             saturated = unbounded > max_vcores + 1e-9
             self._saturation_cache[demand] = saturated
-        if saturated and not self._overloaded:
+        if saturated and not self.is_overloaded:
             self.overload_windows += 1
             if self.obs.enabled:
                 self.obs.count("cloud.autoscaler.overload")
@@ -146,7 +138,7 @@ class Autoscaler:
                     "overload", "autoscaler", ts=now_s, track="autoscaler",
                     attrs={"demand": demand, "target_vcores": round(target, 2)},
                 )
-        self._overloaded = saturated
+        self.is_overloaded = saturated
 
     # -- shared helpers -----------------------------------------------------------
 

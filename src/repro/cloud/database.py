@@ -1,27 +1,18 @@
 """``CloudDatabase``: one provisioned deployment of an architecture.
 
-This facade is what the CloudyBench evaluators talk to.  It bundles an
-:class:`~repro.cloud.architectures.Architecture` with a current compute
-allocation and replica count, and hands out the right simulator for
-each evaluation (throughput estimates, autoscalers, tenancy schedulers,
-fail-over and replication pipelines).
+It bundles an :class:`~repro.cloud.architectures.Architecture` with a
+current compute allocation and replica count, and answers steady-state
+throughput questions for that deployment.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.cloud.architectures import Architecture, get as get_architecture
-from repro.cloud.autoscaler import Autoscaler
-from repro.cloud.failure import FailoverSimulator
 from repro.cloud.mva_model import ThroughputEstimate, estimate_throughput
-from repro.cloud.replication import ReplicationPipeline
-from repro.cloud.specs import ComputeAllocation, ProvisionedPackage
-from repro.cloud.tenancy import TenantScheduler
+from repro.cloud.specs import ComputeAllocation
 from repro.cloud.workload_model import WorkloadMix
-from repro.engine.database import Database
-from repro.sim.events import Environment
 
 
 class CloudDatabase:
@@ -63,67 +54,6 @@ class CloudDatabase:
             concurrency,
             allocation or self.allocation,
             **kwargs,
-        )
-
-    def provisioned_package(
-        self, data_gb: Optional[float] = None, tenants: int = 1
-    ) -> ProvisionedPackage:
-        """The billed resource bundle for this deployment.
-
-        ``data_gb`` overrides the billed storage (data x replication
-        factor); ``tenants`` > 1 multiplies per-instance resources for
-        isolated tenancy (separate instances triple network and IOPS).
-        """
-        package = self.arch.provisioned
-        if data_gb is not None:
-            package = replace(
-                package,
-                storage_gb=data_gb * self.arch.storage.replication_factor,
-            )
-        if tenants > 1:
-            factor = self.arch.tenancy.isolation_cost_factor
-            separate = factor > 1
-            package = replace(
-                package,
-                vcores=package.vcores * tenants,
-                memory_gb=package.memory_gb * tenants,
-                storage_gb=package.storage_gb * tenants,
-                iops=package.iops * (tenants if separate else 1),
-                network_gbps=package.network_gbps * (tenants if separate else 1),
-            )
-        return package
-
-    # -- dynamic simulators ----------------------------------------------------------
-
-    def autoscaler(self, workload: WorkloadMix) -> Autoscaler:
-        return Autoscaler(self.arch, workload)
-
-    def admission_gate(self, db: Database, **kwargs) -> "AdmissionGate":
-        """Overload-protected facade over an engine of this deployment.
-
-        Keyword arguments are forwarded to
-        :class:`~repro.qos.gate.AdmissionGate` (controller, clock,
-        default_timeout_s).
-        """
-        from repro.qos.gate import AdmissionGate
-
-        return AdmissionGate(db, **kwargs)
-
-    def failover_simulator(
-        self, workload: WorkloadMix, concurrency: int = 150, **kwargs
-    ) -> FailoverSimulator:
-        return FailoverSimulator(self.arch, workload, concurrency, **kwargs)
-
-    def tenant_scheduler(
-        self, workload: WorkloadMix, n_tenants: int, slot_seconds: float = 60.0
-    ) -> TenantScheduler:
-        return TenantScheduler(self.arch, workload, n_tenants, slot_seconds)
-
-    def replication_pipeline(
-        self, env: Environment, primary: Database
-    ) -> ReplicationPipeline:
-        return ReplicationPipeline(
-            env, self.arch, primary, n_replicas=max(1, self.n_replicas)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -204,19 +204,14 @@ class ReplicationPipeline:
 
     # -- observability -----------------------------------------------------------
 
-    def replica_lag_records(self, index: int = 0) -> int:
-        return self.appliers[index].lag_behind(self.primary.wal.last_lsn)
-
-    def visible_on_replica(self, index: int, sql: str, params=()) -> bool:
-        """Real read against the replica: is the probe row visible?"""
-        return bool(self.replicas[index].query(sql, params).rows)
-
     def converged(self) -> bool:
         """True when every replica's content equals the primary's.
 
         This is the consistency check the paper's lag-time evaluator
         performs ("until the data is consistent between the RW node and
-        RO nodes"), done with order-independent content hashes.
+        RO nodes"), done with order-independent content hashes.  The
+        evaluator itself probes one row; this whole-database form is the
+        oracle the replication, chaos and recovery tests assert.
         """
         reference = self.primary.content_hash()
         return all(

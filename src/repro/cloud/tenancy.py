@@ -57,14 +57,6 @@ class SlotResult:
     def total_tps(self) -> float:
         return sum(tenant.tps for tenant in self.tenants)
 
-    @property
-    def total_vcores(self) -> float:
-        return sum(tenant.allocation.vcores for tenant in self.tenants)
-
-    @property
-    def total_shed(self) -> int:
-        return sum(tenant.shed for tenant in self.tenants)
-
 
 def _cold_slot_fraction(tau_s: float, slot_s: float) -> float:
     """Average throughput fraction over a slot that starts cache-cold.

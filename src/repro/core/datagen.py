@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.core.schema import (
     ORDERLINE_MULTIPLIER,
@@ -158,10 +158,9 @@ def load_sales_database(
     scale_factor: int = 1,
     row_scale: float = 0.01,
     seed: int = 42,
-    buffer_size_bytes: Optional[int] = None,
     observer=None,
 ) -> tuple[Database, GeneratedData]:
     """One-call helper: new engine database with the sales data loaded."""
-    db = Database(name, buffer_size_bytes=buffer_size_bytes, observer=observer)
+    db = Database(name, observer=observer)
     data = DataGenerator(scale_factor, row_scale, seed).populate(db)
     return db, data

@@ -70,19 +70,6 @@ ELASTIC_PATTERNS: Dict[str, ElasticPattern] = {
 }
 
 
-def pareto_proportions(n_slots: int, alpha: float = 1.16) -> Tuple[float, ...]:
-    """Default proportions via the Pareto distribution (Section II-C).
-
-    Deterministic: slot ``i`` gets the Pareto survival weight of rank
-    ``i+1``, normalised so the largest slot is 1.0.
-    """
-    if n_slots < 1:
-        raise ValueError("need at least one slot")
-    weights = [(1.0 / (rank + 1)) ** alpha for rank in range(n_slots)]
-    top = max(weights)
-    return tuple(weight / top for weight in weights)
-
-
 def custom_pattern(key: str, proportions: Sequence[float], name: str = "") -> ElasticPattern:
     """User-defined pattern (the props-file extensibility path)."""
     return ElasticPattern(
@@ -90,45 +77,6 @@ def custom_pattern(key: str, proportions: Sequence[float], name: str = "") -> El
         name=name or key,
         proportions=tuple(proportions),
         description="user-defined pattern",
-    )
-
-
-def pattern_from_trace(
-    key: str,
-    samples: Sequence[Tuple[float, float]],
-    slot_seconds: float = SLOT_SECONDS,
-    name: str = "",
-) -> ElasticPattern:
-    """Build a pattern from a recorded concurrency trace.
-
-    ``samples`` are (time_s, concurrency) points from a production
-    trace (or a collector's demand series).  The trace is bucketed into
-    ``slot_seconds`` slots by time-weighted averaging and normalised to
-    proportions of its peak, so it can be replayed at any tau -- the
-    same mechanism CAB-style benchmarks use to replay arrival patterns.
-    """
-    if not samples:
-        raise ValueError("a trace needs at least one sample")
-    ordered = sorted(samples)
-    end = ordered[-1][0] + slot_seconds
-    n_slots = max(1, int(end // slot_seconds))
-    totals = [0.0] * n_slots
-    weights = [0.0] * n_slots
-    for index, (t, value) in enumerate(ordered):
-        next_t = ordered[index + 1][0] if index + 1 < len(ordered) else t + 1.0
-        span = max(1e-9, next_t - t)
-        slot = min(n_slots - 1, int(t // slot_seconds))
-        totals[slot] += value * span
-        weights[slot] += span
-    levels = [totals[i] / weights[i] if weights[i] else 0.0 for i in range(n_slots)]
-    peak = max(levels)
-    if peak <= 0:
-        raise ValueError("trace never exceeds zero concurrency")
-    return ElasticPattern(
-        key=key,
-        name=name or key,
-        proportions=tuple(level / peak for level in levels),
-        description=f"replayed trace ({len(samples)} samples)",
     )
 
 

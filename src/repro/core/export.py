@@ -1,103 +1,17 @@
-"""Exporting results: CSV/JSON serialisation of collector series and
-score cards, for plotting outside the testbed.
+"""Exporting results: JSON/CSV serialisation of an evaluator outcome,
+for plotting outside the testbed.
 
-Kept dependency-free (``csv`` + ``json`` from the standard library);
-every evaluator result that carries a
-:class:`~repro.core.collector.PerformanceCollector` can be dumped.
+Kept dependency-free (``csv`` + ``json`` from the standard library).
+Nothing in the package calls these: they are the documented export API
+of :class:`~repro.core.evalapi.EvalOutcome` (docs/api.md), the one
+result shape every evaluator returns.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
-from typing import Mapping, TextIO
-
-from repro.core.collector import PerformanceCollector
-from repro.core.metrics import PerfectScores
-
-
-def collector_to_csv(collector: PerformanceCollector, out: TextIO) -> int:
-    """Write the collector's step series as tidy CSV rows.
-
-    Columns: ``time_s, tps, vcores, memory_gb, cost_cumulative``.
-    Returns the number of data rows written.  Series are sampled at the
-    union of their timestamps (step semantics: last value carries
-    forward).
-    """
-    times = sorted(
-        set(collector.tps.times)
-        | set(collector.vcores.times)
-        | set(collector.cost.times)
-    )
-    writer = csv.writer(out)
-    writer.writerow(["time_s", "tps", "vcores", "memory_gb", "cost_cumulative"])
-    rows = 0
-    for t in times:
-        writer.writerow([
-            t,
-            _value_or_zero(collector.tps, t),
-            _value_or_zero(collector.vcores, t),
-            _value_or_zero(collector.memory_gb, t),
-            _value_or_zero(collector.cost, t),
-        ])
-        rows += 1
-    return rows
-
-
-def _value_or_zero(series, t: float) -> float:
-    try:
-        return series.value_at(t)
-    except Exception:
-        return 0.0
-
-
-def collector_to_csv_string(collector: PerformanceCollector) -> str:
-    buffer = io.StringIO()
-    collector_to_csv(collector, buffer)
-    return buffer.getvalue()
-
-
-def events_to_csv(collector: PerformanceCollector, out: TextIO) -> int:
-    """Write the collector's annotations (``note`` calls) as CSV rows.
-
-    Columns: ``time_s, message``.  Returns the number of event rows.
-    """
-    writer = csv.writer(out)
-    writer.writerow(["time_s", "message"])
-    for time_s, message in collector.events:
-        writer.writerow([time_s, message])
-    return len(collector.events)
-
-
-def events_to_json(collector: PerformanceCollector, indent: int = 2) -> str:
-    """Serialise collector annotations as a JSON event list."""
-    return json.dumps(
-        [{"time_s": time_s, "message": message}
-         for time_s, message in collector.events],
-        indent=indent,
-    )
-
-
-def scores_to_json(scores: Mapping[str, PerfectScores], indent: int = 2) -> str:
-    """Serialise a Table IX score card (one entry per SUT) to JSON."""
-    payload = {}
-    for name, s in scores.items():
-        payload[name] = {
-            "p_score": s.p,
-            "p_score_actual": s.p_star,
-            "e1_score": s.e1,
-            "e1_score_actual": s.e1_star,
-            "e2_score": s.e2,
-            "r_score_s": s.r_s,
-            "f_score_s": s.f_s,
-            "c_score_ms": s.c_ms,
-            "t_score": s.t,
-            "t_score_actual": s.t_star,
-            "o_score": s.o,
-            "o_score_actual": s.o_star,
-        }
-    return json.dumps(payload, indent=indent, sort_keys=True)
+from typing import TextIO
 
 
 def outcome_to_json(outcome, indent: int = 2) -> str:
@@ -117,19 +31,5 @@ def outcome_to_csv(outcome, out: TextIO) -> int:
     rows = 0
     for row in outcome.rows:
         writer.writerow(list(row))
-        rows += 1
-    return rows
-
-
-def throughput_to_csv(
-    data: Mapping[tuple, float], out: TextIO
-) -> int:
-    """Write a Figure 5 throughput matrix keyed by
-    ``(arch, scale_factor, mode, concurrency)``."""
-    writer = csv.writer(out)
-    writer.writerow(["architecture", "scale_factor", "mode", "concurrency", "tps"])
-    rows = 0
-    for (arch, sf, mode, con), tps in sorted(data.items()):
-        writer.writerow([arch, sf, mode, con, tps])
         rows += 1
     return rows

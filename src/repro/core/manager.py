@@ -101,28 +101,3 @@ class WorkloadManager:
             aborted=aborted,
             histogram=histogram,
         )
-
-    def run_for(self, duration_s: float, batch: int = 64) -> OltpResult:
-        """Execute transactions until ``duration_s`` wall seconds pass."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        executed = 0
-        started = time.perf_counter()
-        while time.perf_counter() - started < duration_s:
-            for _ in range(batch):
-                worker = self.workers[executed % self.concurrency]
-                worker.run_one()
-                executed += 1
-        elapsed = time.perf_counter() - started
-        counts: Dict[str, int] = {}
-        aborted = 0
-        for worker in self.workers:
-            aborted += worker.aborted
-            for task, count in worker.executed.items():
-                counts[task] = counts.get(task, 0) + count
-        return OltpResult(
-            transactions=executed,
-            elapsed_s=elapsed,
-            counts=counts,
-            aborted=aborted,
-        )

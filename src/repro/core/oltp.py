@@ -17,7 +17,7 @@ once and measured twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.cloud.architectures import Architecture
 from repro.cloud.mva_model import estimate_throughput
@@ -58,12 +58,6 @@ class OltpReport:
     distribution: str
     functional: List[FunctionalPoint] = field(default_factory=list)
     modelled: List[ModelledPoint] = field(default_factory=list)
-
-    def functional_tps(self) -> Dict[int, float]:
-        return {point.concurrency: point.tps for point in self.functional}
-
-    def modelled_tps(self) -> Dict[int, float]:
-        return {point.concurrency: point.tps for point in self.modelled}
 
 
 class OltpEvaluator:

@@ -6,7 +6,7 @@ uses, so paper-vs-measured comparison is a visual diff.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 
 def _fmt(value: Any) -> str:
@@ -66,40 +66,6 @@ def outcome_table(outcome) -> TextTable:
     for row in outcome.rows:
         table.add_row(*row)
     return table
-
-
-def figure_series(
-    title: str,
-    x_label: str,
-    xs: Iterable[Any],
-    series: dict[str, Sequence[float]],
-) -> str:
-    """Render figure data as one table: x column plus one column per line."""
-    table = TextTable([x_label, *series.keys()], title=title)
-    xs = list(xs)
-    for index, x in enumerate(xs):
-        table.add_row(x, *[values[index] for values in series.values()])
-    return table.render()
-
-
-def events_table(
-    events: Sequence[tuple],
-    title: str = "Timeline events",
-    limit: Optional[int] = None,
-) -> str:
-    """Render collector annotations (``(time_s, message)`` pairs).
-
-    ``limit`` keeps long runs readable: the first ``limit`` events are
-    shown and a trailing row counts the elision.
-    """
-    table = TextTable(["t (s)", "event"], title=title)
-    shown = list(events) if limit is None else list(events)[:limit]
-    for time_s, message in shown:
-        table.add_row(round(float(time_s), 1), message)
-    hidden = len(events) - len(shown)
-    if hidden > 0:
-        table.add_row("...", f"({hidden} more events)")
-    return table.render()
 
 
 def sparkline(values: Sequence[float], width: int = 60) -> str:

@@ -263,8 +263,8 @@ class SalesWorkload:
         transaction body up to ``retry_attempts`` times; non-retryable
         engine errors propagate -- replaying them cannot succeed.
         ``deadline`` (anything with ``.expired()``/``.check()``) rides
-        into the engine and cancels the transaction at its lock-wait,
-        buffer-miss and WAL-append points.
+        into the engine and cancels the transaction at its lock-wait
+        and WAL-append points.
         """
         chosen = task or self.next_task()
         runner = {

@@ -77,9 +77,6 @@ class ShardArchive:
         """Highest archived LSN (0 when empty)."""
         return max(self._records, default=0)
 
-    def bytes_total(self) -> int:
-        return sum(record.byte_size() for record in self._records.values())
-
     # -- ingest --------------------------------------------------------------
 
     def ingest(self, record: LogRecord) -> bool:
@@ -250,11 +247,6 @@ class WalArchiver:
         self._truncate_cb = self._on_truncate
         self.attach()
 
-    @property
-    def lag_records(self) -> int:
-        """Records buffered but not yet archived (the RPO exposure)."""
-        return len(self._pending)
-
     def attach(self) -> None:
         if self._attached:
             return
@@ -354,14 +346,6 @@ class FleetArchiver:
     @property
     def mode(self) -> str:
         return self.archivers[0].mode if self.archivers else "sync"
-
-    def set_mode(self, mode: str) -> None:
-        if mode not in ARCHIVE_MODES:
-            raise ValueError(
-                f"archive mode must be one of {ARCHIVE_MODES}, got {mode!r}"
-            )
-        for archiver in self.archivers:
-            archiver.mode = mode
 
     def flush(self) -> int:
         return sum(archiver.flush() for archiver in self.archivers)

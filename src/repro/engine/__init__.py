@@ -8,8 +8,7 @@ OLTP workload really executes SQL against tables.
 Components
 ----------
 * :mod:`repro.engine.types`   -- column/row model and schema objects.
-* :mod:`repro.engine.page`    -- slotted pages holding row versions.
-* :mod:`repro.engine.buffer`  -- LRU buffer pool with dirty tracking.
+* :mod:`repro.engine.page`    -- slotted pages holding rows.
 * :mod:`repro.engine.wal`     -- write-ahead log with LSNs.
 * :mod:`repro.engine.index`   -- hash and ordered indexes.
 * :mod:`repro.engine.table`   -- heap tables over pages + indexes.

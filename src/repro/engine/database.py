@@ -2,7 +2,7 @@
 
 This is the only class most callers need::
 
-    db = Database("primary", buffer_size_bytes=128 * 2**20)
+    db = Database("primary")
     db.create_table(schema)
     with db.begin() as txn:
         db.execute("INSERT INTO t VALUES (DEFAULT, ?)", [1], txn=txn)
@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.buffer import BufferPool
 from repro.engine.errors import (
     DeadlineExceededError,
     EngineError,
@@ -54,7 +53,6 @@ class Database:
     def __init__(
         self,
         name: str = "db",
-        buffer_size_bytes: Optional[int] = None,
         default_isolation: IsolationLevel = IsolationLevel.READ_COMMITTED,
         observer: Optional[Observer] = None,
         auto_vacuum_versions: int = 4096,
@@ -90,10 +88,6 @@ class Database:
             self._h_txn_s = None
             self._c_mvcc = None
             self._c_plan = None
-        self.buffer: Optional[BufferPool] = (
-            BufferPool(buffer_size_bytes, observer=self.obs)
-            if buffer_size_bytes else None
-        )
         self.wal = WriteAheadLog(observer=self.obs)
         self.locks = LockManager(observer=self.obs)
         self.txns = TransactionManager()
@@ -125,20 +119,14 @@ class Database:
         #: vacuum automatically once this many versions accumulate
         self.auto_vacuum_versions = auto_vacuum_versions
         self.vacuum_runs = 0
-        #: deadline of the statement currently executing (set by
-        #: :meth:`execute`); the buffer pool's miss guard reads it so a
-        #: doomed read is cancelled before paying for a page fetch.
-        self._stmt_deadline = None
         self.deadline_cancellations = 0
-        if self.buffer is not None:
-            self.buffer.miss_guard = self._buffer_miss_guard
 
     # -- catalog ----------------------------------------------------------------
 
     def create_table(self, schema: Schema) -> Table:
         if schema.table in self._tables:
             raise SchemaError(f"table {schema.table!r} already exists")
-        table = Table(schema, self.buffer)
+        table = Table(schema)
         self._tables[schema.table] = table
         self._version_stores = tuple(t.versions for t in self._tables.values())
         return table
@@ -162,13 +150,6 @@ class Database:
 
     def total_rows(self) -> int:
         return sum(table.row_count for table in self._tables.values())
-
-    def data_bytes(self) -> int:
-        """Nominal on-heap data size (pages x page size is the I/O view)."""
-        return sum(
-            table.row_count * table.schema.row_byte_size()
-            for table in self._tables.values()
-        )
 
     # -- transactions -------------------------------------------------------------
 
@@ -342,16 +323,23 @@ class Database:
 
         ``deadline`` (an object with ``expired() -> bool``, normally a
         :class:`repro.qos.deadline.Deadline`) bounds the statement: the
-        engine cancels doomed work at its lock-wait, buffer-miss and
-        WAL-append points, rolling the transaction back.  Inside an
-        explicit ``txn`` the transaction's own deadline takes precedence.
+        engine cancels doomed work at its lock-wait and WAL-append
+        points, rolling the transaction back.  An explicit ``txn`` is
+        bounded by the deadline it was begun with, which takes
+        precedence; passing one beside a deadline-less ``txn`` is an
+        error, because nothing would enforce it.
         """
         prepared = self.prepare(sql) if isinstance(sql, str) else sql
         if txn is not None:
-            return self._execute_in(prepared, params, txn, txn.deadline or deadline)
+            if deadline is not None and txn.deadline is None:
+                raise EngineError(
+                    "execute(deadline=...) cannot bound a transaction begun "
+                    "without one; pass it to begin(deadline=...)"
+                )
+            return self._execute_in(prepared, params, txn)
         autocommit_txn = self.begin(deadline=deadline)
         try:
-            result = self._execute_in(prepared, params, autocommit_txn, deadline)
+            result = self._execute_in(prepared, params, autocommit_txn)
             autocommit_txn.commit()
             return result
         except BaseException:
@@ -360,31 +348,15 @@ class Database:
             raise
 
     def _execute_in(
-        self, prepared: Prepared, params: Sequence[Any], txn: Transaction, deadline
+        self, prepared: Prepared, params: Sequence[Any], txn: Transaction
     ) -> ResultSet:
-        """Run one statement with its deadline visible to the buffer pool."""
-        if deadline is None and self._stmt_deadline is None:
-            # No deadline anywhere: skip the save/restore (try/except
-            # without finally is free until it raises).
-            try:
-                return self._executor.execute(prepared, params, txn)
-            except DeadlineExceededError:
-                if txn.is_active:
-                    self._rollback(txn)
-                raise
-        prior = self._stmt_deadline
-        self._stmt_deadline = deadline
+        """Run one statement; a cancelled one leaves nothing held."""
         try:
             return self._executor.execute(prepared, params, txn)
         except DeadlineExceededError:
-            # Cancellation points that fire outside the write internals
-            # (buffer misses on the read path) must still release
-            # everything the doomed transaction holds.
             if txn.is_active:
                 self._rollback(txn)
             raise
-        finally:
-            self._stmt_deadline = prior
 
     def query(
         self, sql: str, params: Sequence[Any] = (), deadline=None
@@ -428,17 +400,6 @@ class Database:
         raise DeadlineExceededError(
             f"txn {txn.txn_id} cancelled at {where}: deadline exceeded"
         )
-
-    def _buffer_miss_guard(self) -> None:
-        """Called by the buffer pool before paying for a read-path miss."""
-        deadline = self._stmt_deadline
-        if deadline is not None and deadline.expired():
-            self.deadline_cancellations += 1
-            if self.obs.enabled:
-                self.obs.count("engine.deadline.cancelled")
-            raise DeadlineExceededError(
-                "statement cancelled at buffer miss: deadline exceeded"
-            )
 
     def _lock_row(self, txn: Transaction, table: str, key: Any, mode: LockMode) -> None:
         if txn.deadline is not None:
@@ -618,13 +579,10 @@ class Database:
     def add_commit_listener(self, listener: CommitListener) -> None:
         self._commit_listeners.append(listener)
 
-    def remove_commit_listener(self, listener: CommitListener) -> None:
-        self._commit_listeners.remove(listener)
-
     # -- checkpointing and crash recovery -------------------------------------------------
 
     def checkpoint(self, truncate_wal: bool = False) -> int:
-        """Quiesced checkpoint: flush, snapshot every table, log it.
+        """Quiesced checkpoint: vacuum, snapshot every table, log it.
 
         Returns the checkpoint LSN.  Raises if transactions are active,
         because the recovery protocol assumes checkpoint images contain
@@ -642,8 +600,6 @@ class Database:
         # Quiescence means no live snapshot: vacuum collapses every chain
         # so the checkpoint images carry no version history.
         self.vacuum()
-        if self.buffer is not None:
-            self.buffer.flush()
         self._checkpoint_snapshots = {
             name: table.snapshot() for name, table in self._tables.items()
         }
@@ -691,8 +647,6 @@ class Database:
         self._checkpoint_snapshots = {}
         self.checkpoint_lsn = 0
         self.snapshot_floor = 0
-        if self.buffer is not None:
-            self.buffer.clear()
         self.wal.reset_for_restore()
         self.locks = LockManager(observer=self.obs)
         self.txns = TransactionManager()
@@ -709,8 +663,6 @@ class Database:
         empty = TableSnapshot(pages=[], next_auto=1)
         for name, table in self._tables.items():
             table.restore_snapshot(self._checkpoint_snapshots.get(name, empty))
-        if self.buffer is not None:
-            self.buffer.clear()
         # In-flight transaction handles die with the instance.
         for txn in list(self.txns.active.values()):
             txn.state = TxnState.ABORTED
@@ -769,7 +721,8 @@ class Database:
         return digest.hexdigest()
 
     def same_content(self, other: "Database", table: Optional[str] = None) -> bool:
-        """True when both databases hold the same committed rows."""
+        """True when both databases hold the same committed rows.
+        Unused by the product: the oracle replica tests compare with."""
         return self.content_hash(table) == other.content_hash(table)
 
     # -- cloning (replica bootstrap) ----------------------------------------------------
@@ -777,12 +730,10 @@ class Database:
     def clone_schema(
         self,
         name: str,
-        buffer_size_bytes: Optional[int] = None,
         observer: Optional[Observer] = None,
     ) -> "Database":
         """A new empty database with the same tables and indexes."""
-        clone = Database(name, buffer_size_bytes=buffer_size_bytes,
-                         default_isolation=self.default_isolation,
+        clone = Database(name, default_isolation=self.default_isolation,
                          observer=observer)
         for table in self._tables.values():
             clone.create_table(table.schema)
@@ -796,11 +747,11 @@ class Database:
                 )
         return clone
 
-    def clone_full(self, name: str, buffer_size_bytes: Optional[int] = None) -> "Database":
+    def clone_full(self, name: str) -> "Database":
         """Schema clone plus a copy of all current rows (base backup)."""
         if self.txns.active:
             raise EngineError("clone_full requires quiescence")
-        clone = self.clone_schema(name, buffer_size_bytes=buffer_size_bytes)
+        clone = self.clone_schema(name)
         for table in self._tables.values():
             target = clone.table(table.name)
             for _rid, row in table.scan():

@@ -84,10 +84,10 @@ class OverloadError(EngineError):
 class DeadlineExceededError(EngineError):
     """The request's deadline expired while work was still in flight.
 
-    Raised at the engine's cancellation points (lock wait, buffer miss,
-    WAL append) after the transaction has been rolled back.  *Not*
-    retryable: the client's deadline has passed, so replaying the work
-    cannot produce an answer anyone is still waiting for.
+    Raised at the engine's cancellation points (lock wait, WAL append)
+    after the transaction has been rolled back.  *Not* retryable: the
+    client's deadline has passed, so replaying the work cannot produce
+    an answer anyone is still waiting for.
     """
 
     retryable = False

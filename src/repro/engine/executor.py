@@ -25,7 +25,7 @@ end of the statement; under SERIALIZABLE they are held to commit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.engine.compiler import (
     CompiledStatement,
@@ -77,9 +77,6 @@ class ResultSet:
 
     def first(self) -> Optional[Tuple[Any, ...]]:
         return self.rows[0] if self.rows else None
-
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
 
 
 class Prepared:

@@ -95,10 +95,10 @@ class LockManager:
         return [waiter for waiter, _mode in lock.queue] if lock else []
 
     def locks_held(self, txn_id: int) -> Set[LockKey]:
+        """A transaction's lock footprint.  Unused by the engine: the
+        oracle tests compare against (what a statement locked, what a
+        rollback released)."""
         return set(self._held_by_txn.get(txn_id, ()))
-
-    def is_waiting(self, txn_id: int) -> bool:
-        return txn_id in self._waits_for
 
     # -- acquisition ----------------------------------------------------------
 
@@ -321,7 +321,8 @@ class LockManager:
         return False
 
     def sanity_check(self) -> None:
-        """Internal invariant check used by property tests."""
+        """Raise unless the lock table is self-consistent.  Unused by the
+        engine: the invariant oracle of the lock, DES and serve tests."""
         for key, lock in self._locks.items():
             modes = set(lock.holders.values())
             if LockMode.EXCLUSIVE in modes and len(lock.holders) > 1:

@@ -1,9 +1,9 @@
-"""Slotted pages: the unit of buffering and I/O accounting.
+"""Slotted pages: the unit of row addressing and checkpoint copying.
 
 The engine is memory-resident, but rows are still grouped into fixed
-size pages so the buffer pool can account hits, misses and dirty
-write-backs exactly the way a disk-based engine would -- those counts
-drive the cloud cost model and the buffer-size experiments (Figure 8).
+size pages: a :class:`RowId` is a stable (page, slot) address that
+indexes hold, a vacated slot is reused by the next insert, and a
+checkpoint image is the list of per-page clones.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class Page:
     def live_rows(self) -> int:
         return self._live
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._slots) >= self.capacity and self._live == len(self._slots)
-
     def has_free_slot(self) -> bool:
         return len(self._slots) < self.capacity or self._live < len(self._slots)
 
@@ -85,15 +81,6 @@ class Page:
         self._slots[slot] = None
         self._live -= 1
         return row
-
-    def restore(self, slot: int, row: Tuple[Any, ...]) -> None:
-        """Re-materialise a previously deleted slot (undo of a delete)."""
-        while len(self._slots) <= slot:
-            self._slots.append(None)
-        if self._slots[slot] is not None:
-            raise EngineError(f"slot ({self.page_no},{slot}) is occupied")
-        self._slots[slot] = row
-        self._live += 1
 
     def rows(self) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
         """Yield (slot, row) for every live row."""

@@ -254,7 +254,3 @@ class ReplicaApplier:
         if self.applied_lsn > self.replica.snapshot_floor:
             self.replica.snapshot_floor = self.applied_lsn
         return applied
-
-    def lag_behind(self, primary_lsn: int) -> int:
-        """How many LSNs the replica trails the primary."""
-        return max(0, primary_lsn - self.applied_lsn)

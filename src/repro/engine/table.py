@@ -2,9 +2,7 @@
 
 Every mutation goes through the owning :class:`~repro.engine.database.
 Database` (for WAL and locking); the table provides the physical
-storage operations and index maintenance.  All reads and writes report
-page touches to the buffer pool, which is how buffer-size effects reach
-the cost model.
+storage operations and index maintenance.
 
 MVCC state lives beside the heap: each mutated primary key owns a
 **version chain** (:class:`VersionStore`) ordered oldest to newest and
@@ -19,9 +17,8 @@ once no live snapshot can need the history.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.engine.buffer import BufferPool
 from repro.engine.errors import DuplicateKeyError, EngineError, SchemaError
 from repro.engine.index import HashIndex, OrderedIndex
 from repro.engine.page import Page, RowId, rows_per_page
@@ -248,12 +245,11 @@ class VersionStore:
 class Table:
     """A heap of pages with a unique primary-key index."""
 
-    def __init__(self, schema: Schema, buffer_pool: Optional[BufferPool] = None):
+    def __init__(self, schema: Schema):
         self.schema = schema
         self.name = schema.table
         self._rows_per_page = rows_per_page(schema.row_byte_size())
         self._pages: List[Page] = []
-        self._buffer = buffer_pool
         self._next_auto = 1
         self.primary_index = OrderedIndex(
             f"{self.name}_pkey", (schema.primary_key,), unique=True
@@ -266,9 +262,6 @@ class Table:
         self.versions = VersionStore()
 
     # -- administrative ----------------------------------------------------
-
-    def attach_buffer(self, buffer_pool: Optional[BufferPool]) -> None:
-        self._buffer = buffer_pool
 
     def create_index(
         self, name: str, columns: Tuple[str, ...], unique: bool = False, ordered: bool = False
@@ -288,10 +281,6 @@ class Table:
     @property
     def row_count(self) -> int:
         return len(self.primary_index)
-
-    @property
-    def page_count(self) -> int:
-        return len(self._pages)
 
     def next_autoincrement(self) -> int:
         value = self._next_auto
@@ -342,7 +331,6 @@ class Table:
         page = self._page_with_space()
         slot = page.insert(row)
         rid = RowId(page.page_no, slot)
-        self._touch(page.page_no, dirty=True)
         self.primary_index.insert(key, rid)
         for index in self.secondary_indexes.values():
             index.insert(self._index_key(index.columns, row), rid)
@@ -351,9 +339,7 @@ class Table:
         return rid
 
     def read_row(self, rid: RowId) -> Tuple[Any, ...]:
-        page = self._page(rid.page_no)
-        self._touch(rid.page_no, dirty=False)
-        return page.read(rid.slot)
+        return self._page(rid.page_no).read(rid.slot)
 
     def update_row(
         self, rid: RowId, new_row: Tuple[Any, ...], keys_unchanged: bool = False
@@ -372,13 +358,11 @@ class Table:
         before = page.read(rid.slot)
         if keys_unchanged:
             page.write(rid.slot, new_row)
-            self._touch(rid.page_no, dirty=True)
             return before
         new_key = new_row[self.schema.primary_key_index]
         old_key = before[self.schema.primary_key_index]
         self.check_unique(new_row, exclude_rid=rid)
         page.write(rid.slot, new_row)
-        self._touch(rid.page_no, dirty=True)
         if new_key != old_key:
             self.primary_index.delete(old_key, rid)
             self.primary_index.insert(new_key, rid)
@@ -397,31 +381,15 @@ class Table:
         maintenance of :meth:`update_row` are all skipped.
         """
         self._pages[rid.page_no].write(rid.slot, new_row)
-        if self._buffer is not None:
-            self._buffer.access(self.name, rid.page_no, dirty=True)
 
     def delete_row(self, rid: RowId) -> Tuple[Any, ...]:
         """Remove a row; returns the before image."""
-        page = self._page(rid.page_no)
-        before = page.delete(rid.slot)
-        self._touch(rid.page_no, dirty=True)
+        before = self._page(rid.page_no).delete(rid.slot)
         key = before[self.schema.primary_key_index]
         self.primary_index.delete(key, rid)
         for index in self.secondary_indexes.values():
             index.delete(self._index_key(index.columns, before), rid)
         return before
-
-    def restore_row(self, rid: RowId, row: Tuple[Any, ...]) -> None:
-        """Undo of a delete: put the row back at its original address."""
-        while len(self._pages) <= rid.page_no:
-            self._pages.append(Page(len(self._pages), self._rows_per_page))
-        page = self._page(rid.page_no)
-        page.restore(rid.slot, row)
-        self._touch(rid.page_no, dirty=True)
-        key = row[self.schema.primary_key_index]
-        self.primary_index.insert(key, rid)
-        for index in self.secondary_indexes.values():
-            index.insert(self._index_key(index.columns, row), rid)
 
     # -- lookups -------------------------------------------------------------
 
@@ -443,15 +411,6 @@ class Table:
         except KeyError:
             raise SchemaError(f"table {self.name!r} has no index {name!r}") from None
 
-    def index_for_columns(self, columns: Tuple[str, ...]) -> Optional[HashIndex]:
-        """The best index whose column list exactly matches ``columns``."""
-        if columns == (self.schema.primary_key,):
-            return self.primary_index
-        for index in self.secondary_indexes.values():
-            if index.columns == columns:
-                return index
-        return None
-
     # -- snapshot (MVCC) reads ------------------------------------------------
 
     def visible_by_key(
@@ -465,9 +424,6 @@ class Table:
         """
         has_chain, row = self.versions.visible_row(key, snapshot_lsn, txn_id)
         if has_chain:
-            rid = self.find_by_key(key)
-            if rid is not None:
-                self._touch(rid.page_no, dirty=False)
             return row
         return self.read_by_key(key)
 
@@ -494,20 +450,12 @@ class Table:
                 yield None, visible
 
     def scan(self) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
-        """Full scan in physical order, touching each page once."""
+        """Full scan in physical order."""
         for page in self._pages:
             if page.live_rows == 0:
                 continue
-            self._touch(page.page_no, dirty=False)
             for slot, row in page.rows():
                 yield RowId(page.page_no, slot), row
-
-    def filter_scan(
-        self, predicate: Callable[[Tuple[Any, ...]], bool]
-    ) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
-        for rid, row in self.scan():
-            if predicate(row):
-                yield rid, row
 
     # -- snapshot for checkpoints ---------------------------------------------
 
@@ -562,10 +510,6 @@ class Table:
         page = Page(len(self._pages), self._rows_per_page)
         self._pages.append(page)
         return page
-
-    def _touch(self, page_no: int, dirty: bool) -> None:
-        if self._buffer is not None:
-            self._buffer.access(self.name, page_no, dirty=dirty)
 
 
 class TableSnapshot:

@@ -94,9 +94,9 @@ class Transaction:
         #: optional per-request deadline (duck-typed: anything with
         #: ``expired() -> bool``, normally :class:`repro.qos.deadline.
         #: Deadline`).  The engine checks it at its cancellation points
-        #: -- lock wait, buffer miss, WAL append -- and rolls the
-        #: transaction back when it has passed, so doomed work is
-        #: abandoned early instead of holding locks.
+        #: -- lock wait, WAL append -- and rolls the transaction back
+        #: when it has passed, so doomed work is abandoned early
+        #: instead of holding locks.
         self.deadline = None
 
     @property
@@ -164,11 +164,6 @@ class TransactionManager:
             self.committed += 1
         else:
             self.aborted += 1
-
-    def oldest_active(self) -> Optional[Transaction]:
-        if not self.active:
-            return None
-        return self.active[min(self.active)]
 
     def oldest_snapshot_lsn(self, default: int) -> int:
         """The GC horizon: the oldest snapshot any live transaction holds.

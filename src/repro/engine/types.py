@@ -163,7 +163,3 @@ class Schema:
                 )
             row.append(value)
         return tuple(row)
-
-    def row_dict(self, row: Sequence[Any]) -> Dict[str, Any]:
-        """Project a stored tuple into a name->value mapping."""
-        return dict(zip(self.column_names, row))

@@ -596,6 +596,9 @@ class WriteAheadLog:
     def transaction_chain(self, txn_id: int, from_lsn: int) -> List[LogRecord]:
         """The records of one transaction ending at ``from_lsn``, newest first.
 
+        Unused by recovery (which scans forward from the checkpoint): the
+        oracle the WAL and archive tests check ``prev_lsn`` linkage with.
+
         Raises :class:`ValueError` if the chain crosses the truncation
         boundary: a silently shortened chain would undo only part of a
         transaction, which is corruption, not recovery.

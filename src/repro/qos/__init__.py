@@ -5,7 +5,7 @@ Four cooperating pieces (see ``docs/robustness.md``):
 * :mod:`repro.qos.admission` -- bounded priority queues + an AIMD
   adaptive concurrency limit, shedding with a retryable ``OverloadError``;
 * :mod:`repro.qos.deadline` -- per-request deadlines that propagate into
-  the engine's cancellation points (lock wait, buffer miss, WAL append);
+  the engine's cancellation points (lock wait, WAL append);
 * :mod:`repro.qos.budget` -- retry budgets so client retries cannot
   amplify an overload into a retry storm;
 * :mod:`repro.qos.overload` -- the ``--eval overload`` evaluator: sweeps

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Optional
 
 from repro.engine.errors import OverloadError
 from repro.obs import NULL_OBSERVER, Observer
@@ -161,10 +161,6 @@ class AdmissionController:
     @property
     def queue_depth(self) -> int:
         return self._depth
-
-    @property
-    def latency_baseline_s(self) -> Optional[float]:
-        return self._baseline
 
     def has_capacity(self) -> bool:
         return self.inflight < int(self.limit)

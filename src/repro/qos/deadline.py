@@ -12,7 +12,6 @@ Cancellation points in the engine (see :mod:`repro.engine.database`):
 
 * **lock wait** -- before requesting a row lock, so a doomed transaction
   never joins a queue or takes a lock it cannot use;
-* **buffer miss** -- before paying for a page fetch on the read path;
 * **WAL append** -- before a log record is durably written, the last
   point where a write can be abandoned without undo work.
 """

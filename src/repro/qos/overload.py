@@ -68,10 +68,6 @@ class OverloadPoint:
     peak_queue_depth: int
     final_limit: float         # AIMD limit at the end (qos) or 0
 
-    @property
-    def goodput_fraction(self) -> float:
-        return self.succeeded / self.requests if self.requests else 0.0
-
 
 @dataclass
 class OverloadResult:

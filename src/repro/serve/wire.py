@@ -127,11 +127,6 @@ class FrameDecoder:
         #: when :meth:`feed` still had good frames to return
         self.error: Optional[FrameError] = None
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet consumed as a frame."""
-        return len(self._buffer)
-
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
         """Absorb ``data``; return every frame it completed, in order.
 

@@ -64,10 +64,6 @@ class ShardRunResult:
     openloop_latency_ms: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def tps_wall(self) -> float:
-        return self.committed / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
     def tps_node(self) -> float:
         return self.committed / self.node_s if self.node_s > 0 else 0.0
 

@@ -61,7 +61,6 @@ class ShardedDatabase:
         observer: Optional[Observer] = None,
         default_isolation: IsolationLevel = IsolationLevel.READ_COMMITTED,
         chaos=None,
-        buffer_size_bytes: Optional[int] = None,
     ):
         if n_shards < 1:
             raise ShardError("a fleet needs at least one shard")
@@ -73,7 +72,6 @@ class ShardedDatabase:
                 f"{name}-s{shard_id}",
                 observer=observer,
                 default_isolation=default_isolation,
-                buffer_size_bytes=buffer_size_bytes,
             )
             for shard_id in range(n_shards)
         ]
@@ -106,7 +104,9 @@ class ShardedDatabase:
         return sum(shard.total_rows() for shard in self.shards)
 
     def all_rows(self, table: str) -> List[Tuple[Any, ...]]:
-        """Every committed row of ``table`` across the fleet, sorted."""
+        """Every committed row of ``table`` across the fleet, sorted.
+        Unused by the product: the oracle the router tests compare the
+        placement of routed writes against."""
         return sorted(
             itertools.chain.from_iterable(
                 (row for _rid, row in shard.table(table).scan())

@@ -19,7 +19,6 @@ from repro.engine.sql import (
     SelectStatement,
     Statement,
     UpdateStatement,
-    Value,
 )
 from repro.engine.types import Schema
 
@@ -71,16 +70,6 @@ class ShardRouter:
         return self.shard_for(schema.table, row[schema.column_index(column)])
 
     # -- statement routing ---------------------------------------------------
-
-    @staticmethod
-    def _concrete(value: Value, params: Sequence[Any]) -> Any:
-        """Resolve a parser :class:`Value` to a Python value, or None
-        when the statement carries no concrete value (DEFAULT)."""
-        if value.kind == "param":
-            return params[value.param_index]
-        if value.kind == "literal":
-            return value.literal
-        return None  # DEFAULT: decided by the shard, unknowable here
 
     def route_statement(
         self, statement: Statement, params: Sequence[Any], schema: Schema

@@ -22,7 +22,7 @@ ties), so repeated runs produce identical traces.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 
 class SimulationError(RuntimeError):
@@ -230,48 +230,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that succeeds once every event in ``events`` has.
-
-        The result value is the list of the individual event values in
-        input order.  A failure in any child fails the aggregate.
-        """
-        pending = list(events)
-        result = Event(self)
-        values: list[Any] = [None] * len(pending)
-        remaining = len(pending)
-        if remaining == 0:
-            result.succeed([])
-            return result
-
-        def make_callback(index: int) -> Callable[[Event], None]:
-            def callback(event: Event) -> None:
-                nonlocal remaining
-                if result._triggered:
-                    return
-                if not event._ok:
-                    result.fail(event.value)
-                    return
-                values[index] = event.value
-                remaining -= 1
-                if remaining == 0:
-                    result.succeed(list(values))
-
-            return callback
-
-        for index, event in enumerate(pending):
-            if event._triggered:
-                callback = make_callback(index)
-                relay = Event(self)
-                relay.callbacks.append(callback)
-                relay._triggered = True
-                relay._ok = event._ok
-                relay._value = event._value
-                self._schedule(relay)
-            else:
-                event.callbacks.append(make_callback(index))
-        return result
-
     # -- execution --------------------------------------------------------
 
     def step(self) -> None:
@@ -285,10 +243,6 @@ class Environment:
         callbacks, event.callbacks = event.callbacks, []
         for callback in callbacks:
             callback(event)
-
-    def peek(self) -> float:
-        """Time of the next event, or ``inf`` when the queue is empty."""
-        return self._heap[0][0] if self._heap else float("inf")
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``."""

@@ -169,29 +169,3 @@ class ClosedNetwork:
             queue_lengths=folded_queue,
             utilizations=utilizations,
         )
-
-    # -- asymptotic bounds -------------------------------------------------
-
-    def max_throughput(self) -> float:
-        """Upper bound 1/max_k(D_k / servers_k) over queueing centres."""
-        per_server = [
-            center.demand / center.servers
-            for center in self.centers
-            if center.kind == "queue" and center.demand > 0
-        ]
-        if not per_server:
-            return float("inf")
-        return 1.0 / max(per_server)
-
-    def light_load_throughput(self, population: int) -> float:
-        """Lower-load bound N / (Z + sum_k D_k)."""
-        total_demand = sum(center.demand for center in self.centers)
-        return population / (self.think_time + total_demand)
-
-    def saturation_population(self) -> float:
-        """N* where the light-load asymptote crosses the capacity bound."""
-        bound = self.max_throughput()
-        if bound == float("inf"):
-            return float("inf")
-        total_demand = sum(center.demand for center in self.centers)
-        return (self.think_time + total_demand) * bound

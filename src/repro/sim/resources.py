@@ -26,48 +26,14 @@ class Resource:
         if capacity < 1:
             raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
         self.env = env
-        self._capacity = capacity
+        self.capacity = capacity
         self._in_use = 0
         self._waiters: deque[Event] = deque()
-        # Aggregate busy-time accounting for utilisation reporting.
-        self._busy_time = 0.0
-        self._last_change = env.now
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def _account(self) -> None:
-        now = self.env.now
-        self._busy_time += self._in_use * (now - self._last_change)
-        self._last_change = now
-
-    def busy_time(self) -> float:
-        """Integral of slots-in-use over time (core-seconds)."""
-        self._account()
-        return self._busy_time
-
-    def set_capacity(self, capacity: int) -> None:
-        """Resize the resource; shrinking never evicts current holders."""
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self._account()
-        self._capacity = capacity
-        self._drain()
 
     def request(self) -> Event:
         """Return an event that succeeds once a slot is available."""
         event = self.env.event()
-        if self._in_use < self._capacity:
-            self._account()
+        if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed()
         else:
@@ -77,12 +43,11 @@ class Resource:
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError("release() without a matching request()")
-        self._account()
         self._in_use -= 1
         self._drain()
 
     def _drain(self) -> None:
-        while self._waiters and self._in_use < self._capacity:
+        while self._waiters and self._in_use < self.capacity:
             waiter = self._waiters.popleft()
             self._in_use += 1
             waiter.succeed()
@@ -129,23 +94,11 @@ class Container:
         self._drain()
         return event
 
-    def try_get(self, amount: float) -> bool:
-        """Withdraw immediately if possible; never blocks."""
-        if self._getters or amount > self._level:
-            return False
-        self._level -= amount
-        return True
-
     def _drain(self) -> None:
         while self._getters and self._getters[0][0] <= self._level:
             amount, event = self._getters.popleft()
             self._level -= amount
             event.succeed(amount)
-
-
-def monitored_timeseries() -> "TimeSeries":
-    """Convenience constructor mirroring the collector API."""
-    return TimeSeries()
 
 
 class TimeSeries:

@@ -72,16 +72,6 @@ def test_degraded_aggregates_everything():
     assert not inj.degraded("a", 2.0)
 
 
-def test_engine_faults_filtered_by_target():
-    inj = make(
-        FaultSpec(FaultKind.CRASH, "primary", start_s=1.0, duration_s=0.0),
-        FaultSpec(FaultKind.BIT_FLIP, "primary", start_s=2.0, duration_s=0.0),
-        FaultSpec(FaultKind.TORN_WRITE, "replica:0", start_s=3.0, duration_s=0.0),
-    )
-    kinds = {spec.kind for spec in inj.engine_faults("primary")}
-    assert kinds == {FaultKind.CRASH, FaultKind.BIT_FLIP}
-
-
 def test_observed_counters_record_bites():
     inj = make(FaultSpec(FaultKind.PARTITION, "x", start_s=0.0, duration_s=1.0))
     inj.partitioned("x", 0.5)

@@ -102,12 +102,6 @@ def test_fixed_instance_buffer_does_not_scale():
     assert small == arch.buffer_bytes
 
 
-def test_with_buffer_override():
-    arch = aws_rds().with_buffer(10 * 2**30)
-    assert arch.buffer_bytes == 10 * 2**30
-    assert arch.name == "aws_rds"
-
-
 def test_provisioned_packages_match_table_v():
     expect = {
         "aws_rds": (4, 16, 42, 1000, 10),

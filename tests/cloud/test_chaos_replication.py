@@ -34,7 +34,8 @@ def chaotic_pipeline(*specs, arch_factory=cdb3):
 
 
 def visible(pipeline, key):
-    return pipeline.visible_on_replica(0, "SELECT K FROM kv WHERE K = ?", [key])
+    """Real read against replica 0: is the probe row visible?"""
+    return bool(pipeline.replicas[0].query("SELECT K FROM kv WHERE K = ?", [key]).rows)
 
 
 # -- replication under chaos ---------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud import CloudDatabase
-from repro.cloud.architectures import aws_rds, cdb2, cdb3, cdb4
+from repro.cloud.architectures import cdb3
 from repro.cloud.specs import (
     ComputeAllocation,
     NetworkKind,
@@ -13,7 +13,7 @@ from repro.cloud.specs import (
     TCP_10G,
 )
 from repro.cloud.workload_model import TxnClass, WorkloadMix, blend
-from repro.core.workload import READ_ONLY, READ_WRITE
+from repro.core.workload import READ_ONLY
 
 
 class TestNetworkSpec:
@@ -110,29 +110,3 @@ class TestCloudDatabaseFacade:
         db_full = CloudDatabase("cdb3")
         full = db_full.estimate(READ_ONLY.to_workload_mix(1), 200)
         assert small.tps < full.tps
-
-    def test_provisioned_package_data_override(self):
-        db = CloudDatabase("cdb3")
-        package = db.provisioned_package(data_gb=10.0)
-        assert package.storage_gb == 10.0 * db.arch.storage.replication_factor
-
-    def test_provisioned_package_isolated_tenants_triple_io(self):
-        db = CloudDatabase("aws_rds")
-        package = db.provisioned_package(tenants=3)
-        base = aws_rds().provisioned
-        assert package.iops == 3 * base.iops
-        assert package.network_gbps == 3 * base.network_gbps
-
-    def test_provisioned_package_shared_tenants_keep_io(self):
-        db = CloudDatabase("cdb2")
-        package = db.provisioned_package(tenants=3)
-        base = cdb2().provisioned
-        assert package.iops == base.iops
-        assert package.vcores == 3 * base.vcores
-
-    def test_factories(self):
-        db = CloudDatabase("cdb4")
-        mix = READ_WRITE.to_workload_mix(1)
-        assert db.autoscaler(mix).arch.name == "cdb4"
-        assert db.failover_simulator(mix).steady_tps > 0
-        assert db.tenant_scheduler(mix, 3).n_tenants == 3

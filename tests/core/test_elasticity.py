@@ -7,7 +7,6 @@ from repro.core.elasticity import (
     ELASTIC_PATTERNS,
     ElasticityEvaluator,
     custom_pattern,
-    pareto_proportions,
 )
 from repro.core.workload import READ_WRITE
 
@@ -36,14 +35,6 @@ class TestPatterns:
     def test_custom_pattern_extension(self):
         pattern = custom_pattern("double_peak", [0, 1.0, 0.1, 1.0, 0])
         assert pattern.concurrency_slots(100) == [0, 100, 10, 100, 0]
-
-    def test_pareto_proportions(self):
-        props = pareto_proportions(4)
-        assert props[0] == 1.0
-        assert all(a >= b for a, b in zip(props, props[1:]))
-        assert all(0 < p <= 1 for p in props)
-        with pytest.raises(ValueError):
-            pareto_proportions(0)
 
 
 class TestSaturationProbe:

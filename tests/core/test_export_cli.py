@@ -1,62 +1,8 @@
-"""Tests for result export and the command-line interface."""
-
-import csv
-import io
-import json
+"""Tests for the command-line interface."""
 
 import pytest
 
 from repro.core.cli import build_parser, main
-from repro.core.collector import PerformanceCollector
-from repro.core.export import (
-    collector_to_csv,
-    collector_to_csv_string,
-    scores_to_json,
-    throughput_to_csv,
-)
-from repro.core.metrics import PerfectScores
-
-
-class TestExport:
-    def make_collector(self):
-        collector = PerformanceCollector()
-        for t in range(5):
-            collector.record(float(t), tps=100.0 + t, vcores=2.0,
-                             memory_gb=8.0, cost_delta=0.01)
-        return collector
-
-    def test_collector_csv_roundtrip(self):
-        text = collector_to_csv_string(self.make_collector())
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 5
-        assert float(rows[0]["tps"]) == 100.0
-        assert float(rows[4]["tps"]) == 104.0
-        assert float(rows[4]["cost_cumulative"]) == pytest.approx(0.05)
-
-    def test_collector_csv_row_count(self):
-        out = io.StringIO()
-        assert collector_to_csv(self.make_collector(), out) == 5
-
-    def test_scores_json(self):
-        scores = {
-            "x": PerfectScores(
-                arch_name="x", p=1e5, p_star=1e3, e1=5e4, e1_star=1e3,
-                e2=10, r_s=10, f_s=5, c_ms=15, t=7e4, t_star=1e3,
-            )
-        }
-        payload = json.loads(scores_to_json(scores))
-        assert payload["x"]["p_score"] == 1e5
-        assert "o_score" in payload["x"]
-        assert payload["x"]["o_score"] > payload["x"]["o_score_actual"]
-
-    def test_throughput_csv(self):
-        out = io.StringIO()
-        rows = throughput_to_csv(
-            {("a", 1, "RW", 50): 1234.5, ("a", 1, "RW", 100): 2000.0}, out
-        )
-        assert rows == 2
-        parsed = list(csv.DictReader(io.StringIO(out.getvalue())))
-        assert parsed[0]["concurrency"] == "50"
 
 
 class TestCli:

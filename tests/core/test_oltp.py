@@ -9,7 +9,7 @@ from repro.core.workload import READ_ONLY, READ_WRITE
 def test_functional_sweep_reports_all_levels():
     evaluator = OltpEvaluator(READ_WRITE, row_scale=0.001)
     report = evaluator.run_functional(concurrencies=[1, 4], transactions_per_level=300)
-    assert sorted(report.functional_tps()) == [1, 4]
+    assert [point.concurrency for point in report.functional] == [1, 4]
     for point in report.functional:
         assert point.tps > 0
         assert point.result.transactions == 300
@@ -26,7 +26,7 @@ def test_functional_runs_are_independent_per_level():
 def test_modelled_sweep_shapes():
     evaluator = OltpEvaluator(READ_ONLY)
     report = evaluator.run_modelled(aws_rds(), concurrencies=[50, 100, 200])
-    tps = report.modelled_tps()
+    tps = {point.concurrency: point.tps for point in report.modelled}
     assert tps[100] >= tps[50]
     assert all(point.bottleneck for point in report.modelled)
     assert all(point.latency_s > 0 for point in report.modelled)

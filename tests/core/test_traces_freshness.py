@@ -1,69 +1,7 @@
-"""Trace-replay patterns and the latest-distribution freshness claim."""
-
-import pytest
-from hypothesis import given, settings, strategies as st
+"""The latest-distribution freshness claim."""
 
 from repro.core.datagen import load_sales_database
-from repro.core.elasticity import pattern_from_trace
 from repro.core.workload import SalesWorkload, TransactionMix
-
-
-class TestTraceReplay:
-    def test_buckets_by_slot_and_normalises_to_peak(self):
-        pattern = pattern_from_trace(
-            "trace", [(0, 10), (70, 50), (130, 5)], slot_seconds=60.0
-        )
-        assert pattern.proportions == (0.2, 1.0, 0.1)
-        assert pattern.concurrency_slots(100) == [20, 100, 10]
-
-    def test_time_weighted_averaging_within_slot(self):
-        # 40s at 10 then 20s at 40 inside one slot -> (10*40 + 40*20)/60 = 20
-        pattern = pattern_from_trace(
-            "trace", [(0, 10), (40, 40), (60, 20)], slot_seconds=60.0
-        )
-        assert pattern.proportions[0] == pytest.approx(1.0)  # slot0 is the peak
-
-    def test_unsorted_samples_accepted(self):
-        pattern = pattern_from_trace("t", [(70, 50), (0, 10)])
-        assert pattern.proportions == (0.2, 1.0)  # sorted before bucketing
-
-    def test_empty_or_flatzero_rejected(self):
-        with pytest.raises(ValueError):
-            pattern_from_trace("t", [])
-        with pytest.raises(ValueError):
-            pattern_from_trace("t", [(0, 0.0)])
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        samples=st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=600),
-                st.floats(min_value=0, max_value=500),
-            ),
-            min_size=1, max_size=30,
-        )
-    )
-    def test_property_proportions_bounded(self, samples):
-        if max(value for _t, value in samples) <= 0:
-            return
-        pattern = pattern_from_trace("t", samples)
-        assert all(0.0 <= p <= 1.0 + 1e-9 for p in pattern.proportions)
-        assert max(pattern.proportions) == pytest.approx(1.0)
-        assert len(pattern.proportions) >= 1
-
-    def test_trace_round_trip_through_evaluator(self):
-        """A replayed trace drives the elasticity evaluator end to end."""
-        from repro.cloud.architectures import cdb3
-        from repro.core.elasticity import ElasticityEvaluator
-        from repro.core.workload import READ_WRITE
-
-        pattern = pattern_from_trace("spiky", [(0, 5), (65, 100), (125, 5)])
-        evaluator = ElasticityEvaluator(
-            cdb3(), READ_WRITE.to_workload_mix(1), measure_window_s=240.0
-        )
-        result = evaluator.run(pattern, 100)
-        assert result.avg_tps > 0
-        assert max(result.collector.demand.values) == 100
 
 
 class TestLatestFreshness:

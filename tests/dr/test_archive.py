@@ -18,7 +18,7 @@ from repro.engine.types import Column, ColumnType, Schema
 
 
 def fresh_db(name="arch"):
-    db = Database(name, buffer_size_bytes=1 << 22)
+    db = Database(name)
     db.create_table(Schema(
         "KV",
         (Column("K", ColumnType.INT, nullable=False),
@@ -174,7 +174,7 @@ class TestWalArchiverModes:
         archiver = WalArchiver(db, mode="sync")
         insert(db, 1)
         assert archiver.archive.last_lsn == db.wal.last_lsn
-        assert archiver.lag_records == 0
+        assert archiver.flush() == 0  # nothing was buffered
 
     def test_lagged_buffers_until_flush(self):
         db = fresh_db()
@@ -182,20 +182,17 @@ class TestWalArchiverModes:
         for k in (1, 2):
             insert(db, k)
         assert len(archiver.archive) == 0
-        assert archiver.lag_records > 0
-        pending = archiver.lag_records
-        assert archiver.flush() == pending
-        assert archiver.lag_records == 0
+        assert archiver.flush() == db.wal.last_lsn  # the whole log was buffered
+        assert archiver.flush() == 0
         assert archiver.archive.last_lsn == db.wal.last_lsn
 
     def test_drop_pending_returns_the_rpo_exposure(self):
         db = fresh_db()
         archiver = WalArchiver(db, mode="lagged")
         insert(db, 1)
-        pending = archiver.lag_records
-        assert pending > 0
-        assert archiver.drop_pending() == pending
-        assert archiver.lag_records == 0
+        assert archiver.drop_pending() == db.wal.last_lsn  # the whole log
+        assert archiver.drop_pending() == 0
+        assert archiver.flush() == 0
         assert len(archiver.archive) == 0
 
     def test_truncation_ingests_the_doomed_prefix(self):
@@ -255,8 +252,4 @@ class TestFleetArchiver:
         assert archiver.catch_up() > 0
         for shard, archive in zip(fleet.shards, archiver.archives):
             assert archive.last_lsn == shard.wal.last_lsn
-        archiver.set_mode("lagged")
-        assert all(a.mode == "lagged" for a in archiver.archivers)
-        with pytest.raises(ValueError, match="archive mode"):
-            archiver.set_mode("eventual")
         archiver.detach()

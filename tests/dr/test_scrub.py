@@ -19,7 +19,7 @@ from repro.sim.rng import derive_seed
 
 
 def fresh_db(name="scrub"):
-    db = Database(name, buffer_size_bytes=1 << 22)
+    db = Database(name)
     db.create_table(Schema(
         "KV",
         (Column("K", ColumnType.INT, nullable=False),

@@ -9,7 +9,7 @@ from repro.engine.types import Column, ColumnType, Schema
 
 @pytest.fixture
 def db():
-    db = Database("exec-test", buffer_size_bytes=1 << 22)
+    db = Database("exec-test")
     db.create_table(Schema(
         "ACCOUNTS",
         (
@@ -153,7 +153,6 @@ def test_result_set_helpers(db):
     result = db.query("SELECT OWNER FROM accounts WHERE A_ID = ?", [1])
     assert result.scalar() == "ann"
     assert result.first() == ("ann",)
-    assert result.as_dicts() == [{"OWNER": "ann"}]
     empty = db.query("SELECT OWNER FROM accounts WHERE A_ID = ?", [99])
     assert empty.first() is None
     with pytest.raises(SqlError):

@@ -9,7 +9,7 @@ from repro.engine.types import Column, ColumnType, Schema
 
 
 def fresh_db(name="crash"):
-    db = Database(name, buffer_size_bytes=1 << 22)
+    db = Database(name)
     db.create_table(Schema(
         "KV",
         (Column("K", ColumnType.INT, nullable=False),
@@ -229,10 +229,10 @@ class TestReplicaApplier:
             lambda _txn, _lsn, records: batches.append(records)
         )
         primary.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])
-        assert applier.lag_behind(primary.wal.last_lsn) > 0
+        assert primary.wal.last_lsn - applier.applied_lsn > 0
         applier.apply_batch(batches[0])
         # commit record itself is not applied, so lag is the commit LSN gap
-        assert applier.lag_behind(primary.wal.last_lsn) <= 1
+        assert primary.wal.last_lsn - applier.applied_lsn <= 1
 
 
 class TestDatabaseCloning:

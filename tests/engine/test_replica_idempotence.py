@@ -78,7 +78,7 @@ def test_lag_behind_tracks_applied_lsn():
     replica = primary.clone_full("replica")
     applier = ReplicaApplier(replica)
     primary.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])
-    assert applier.lag_behind(primary.wal.last_lsn) == primary.wal.last_lsn
+    assert applier.applied_lsn == 0
     for batch in shipped_batches(primary):
         applier.apply_batch(batch)
-    assert applier.lag_behind(primary.wal.last_lsn) == 0
+    assert applier.applied_lsn == primary.wal.last_lsn

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.engine.buffer import BufferPool
 from repro.engine.errors import DuplicateKeyError, SchemaError
 from repro.engine.page import PAGE_SIZE_BYTES
 from repro.engine.table import Table
 from repro.engine.types import Column, ColumnType, Schema
 
 
-def make_table(buffer_pool=None):
+def make_table():
     schema = Schema(
         "T",
         (
@@ -19,7 +18,7 @@ def make_table(buffer_pool=None):
         ),
         primary_key="ID",
     )
-    return Table(schema, buffer_pool)
+    return Table(schema)
 
 
 def test_insert_and_read_by_key():
@@ -127,20 +126,9 @@ def test_scan_skips_deleted():
 def test_rows_span_multiple_pages():
     table = make_table()
     per_page = PAGE_SIZE_BYTES // table.schema.row_byte_size()
-    for i in range(1, per_page * 2 + 2):
-        table.insert_row((i, 0, ""))
-    assert table.page_count >= 3
+    rids = [table.insert_row((i, 0, "")) for i in range(1, per_page * 2 + 2)]
+    assert rids[-1].page_no >= 2
     assert table.row_count == per_page * 2 + 1
-
-
-def test_buffer_pool_sees_accesses():
-    pool = BufferPool(size_bytes=64 * PAGE_SIZE_BYTES)
-    table = make_table(pool)
-    table.insert_row((1, 0, ""))
-    assert pool.stats.accesses >= 1
-    before = pool.stats.accesses
-    table.read_by_key(1)
-    assert pool.stats.accesses == before + 1
 
 
 def test_snapshot_restore_roundtrip():
@@ -204,10 +192,3 @@ def test_restore_snapshot_rejects_duplicate_unique_keys():
     with pytest.raises(DuplicateKeyError, match="t_name"):
         table.restore_snapshot(snapshot)
 
-
-def test_restore_row_after_delete():
-    table = make_table()
-    rid = table.insert_row((1, 10, "a"))
-    before = table.delete_row(rid)
-    table.restore_row(rid, before)
-    assert table.read_by_key(1) == (1, 10, "a")

@@ -9,7 +9,7 @@ from repro.engine.types import Column, ColumnType, Schema
 
 
 def fresh_db():
-    db = Database("acid", buffer_size_bytes=1 << 22)
+    db = Database("acid")
     db.create_table(Schema(
         "KV",
         (

@@ -108,9 +108,3 @@ def test_row_byte_size_positive_and_stable():
     schema = make_schema()
     assert schema.row_byte_size() == schema.row_byte_size()
     assert schema.row_byte_size() >= 8 * 3 + 20
-
-
-def test_row_dict_projection():
-    schema = make_schema()
-    row = schema.coerce_row((1, "n", 2.0, 3.0))
-    assert schema.row_dict(row) == {"ID": 1, "NAME": "n", "AMOUNT": 2.0, "WHEN": 3.0}

@@ -18,7 +18,7 @@ from repro.engine.wal import LogKind
 
 
 def fresh_db(name="walb"):
-    db = Database(name, buffer_size_bytes=1 << 22)
+    db = Database(name)
     db.create_table(Schema(
         "KV",
         (Column("K", ColumnType.INT, nullable=False),

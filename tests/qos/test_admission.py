@@ -212,4 +212,9 @@ class TestConvergence:
             latency = min(latency * 1.01, 0.019)
             controller.try_acquire(float(step))
             controller.release(float(step), latency_s=latency)
-        assert controller.latency_baseline_s <= 1.5 * 0.010 + 1e-12
+        # anchored at 1.5 x 10 ms, a sample just past threshold x 15 ms
+        # is congestion; a baseline that crept to 19 ms would admit it
+        signals = controller.congestion_signals
+        controller.try_acquire(500.0)
+        controller.release(500.0, latency_s=2.0 * 0.015 + 1e-6)
+        assert controller.congestion_signals == signals + 1

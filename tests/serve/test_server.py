@@ -394,7 +394,7 @@ class TestFraming:
                     if not data:
                         break
                     frames.extend(decoder.feed(data))
-                assert decoder.pending_bytes == 0
+                decoder.end_of_stream()  # the server closed on a frame boundary
                 assert frames[:2] == [{"ok": True}, {"ok": True}]
                 assert len(frames) == 3
                 assert frames[2]["ok"] is False

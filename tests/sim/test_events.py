@@ -184,38 +184,6 @@ def iter_timeout(env, delay):
     yield env.timeout(delay)
 
 
-def test_all_of_collects_values_in_order():
-    env = Environment()
-
-    def child(delay, value):
-        yield env.timeout(delay)
-        return value
-
-    def parent():
-        results = yield env.all_of([
-            env.process(child(3.0, "slow")),
-            env.process(child(1.0, "fast")),
-        ])
-        return results
-
-    parent_process = env.process(parent())
-    env.run()
-    assert parent_process.value == ["slow", "fast"]
-    assert env.now == 3.0
-
-
-def test_all_of_empty_succeeds_immediately():
-    env = Environment()
-
-    def parent():
-        results = yield env.all_of([])
-        return results
-
-    process = env.process(parent())
-    env.run()
-    assert process.value == []
-
-
 def test_yielding_non_event_is_an_error():
     env = Environment()
 
@@ -225,15 +193,6 @@ def test_yielding_non_event_is_an_error():
     env.process(bad())
     with pytest.raises(SimulationError):
         env.run()
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.process(iter_timeout(env, 7.0))
-    # Before any execution the bootstrap event is pending at t=0.
-    assert env.peek() == pytest.approx(0.0)
-    env.run(until=0.0)  # runs the bootstrap, arming the timeout
-    assert env.peek() == pytest.approx(7.0)
 
 
 def test_deterministic_repeated_runs():

@@ -104,13 +104,6 @@ def test_invalid_inputs_rejected():
         ClosedNetwork([Center("x", 0.1)]).solve(-1)
 
 
-def test_bounds_helpers():
-    network = ClosedNetwork([Center("cpu", 0.05), Center("disk", 0.1)])
-    assert network.max_throughput() == pytest.approx(10.0)
-    assert network.light_load_throughput(3) == pytest.approx(3 / 0.15)
-    assert network.saturation_population() == pytest.approx(1.5)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     demands=st.lists(st.floats(min_value=1e-4, max_value=0.5), min_size=1, max_size=5),

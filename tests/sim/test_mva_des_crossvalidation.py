@@ -67,7 +67,7 @@ def test_des_throughput_matches_mva(population, service, servers, delay, think):
     simulated = simulate_closed_system(population, service, servers, delay, think)
 
     upper = min(
-        network.max_throughput(),
+        servers / service,  # the one queueing centre's capacity
         population / (think + service + delay),
     )
     # deterministic service: at or above the exponential-service MVA

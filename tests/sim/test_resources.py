@@ -67,48 +67,10 @@ def test_release_without_request_raises():
         resource.release()
 
 
-def test_set_capacity_grows_and_wakes_waiters():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    entered = []
-
-    def worker(name):
-        yield resource.request()
-        entered.append((env.now, name))
-        yield env.timeout(10.0)
-        resource.release()
-
-    def grower():
-        yield env.timeout(1.0)
-        resource.set_capacity(2)
-
-    env.process(worker("a"))
-    env.process(worker("b"))
-    env.process(grower())
-    env.run()
-    assert entered == [(0.0, "a"), (1.0, "b")]
-
-
-def test_busy_time_accounting():
-    env = Environment()
-    resource = Resource(env, capacity=2)
-
-    def worker(hold):
-        yield from resource.use(hold)
-
-    env.process(worker(4.0))
-    env.process(worker(2.0))
-    env.run()
-    assert resource.busy_time() == pytest.approx(6.0)
-
-
 def test_invalid_capacity_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         Resource(env, capacity=0)
-    resource = Resource(env, capacity=1)
-    with pytest.raises(SimulationError):
-        resource.set_capacity(0)
 
 
 class TestContainer:
@@ -166,12 +128,6 @@ class TestContainer:
         container = Container(env, capacity=4.0)
         container.put(10.0)
         assert container.level == pytest.approx(4.0)
-
-    def test_try_get(self):
-        env = Environment()
-        container = Container(env, initial=2.0)
-        assert container.try_get(1.5)
-        assert not container.try_get(1.0)
 
 
 class TestTimeSeries:
