@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Why a cloud benchmark needs cloud workloads (the Figure 9 story).
 
-Runs three functional workloads against the real engine -- CloudyBench's
-sales transactions, SysBench OLTP, and TPC-C -- then drives CDB3's
+Runs four functional workloads against the real engine -- CloudyBench's
+sales transactions, SysBench OLTP, YCSB, and TPC-C -- then drives CDB3's
 autoscaler with each of them to show that only CloudyBench's elastic
 patterns actually exercise the scaling range.
 
@@ -13,6 +13,7 @@ Run with::
 
 from repro.baselines.sysbench import SysbenchWorkload, load_sysbench, sysbench_mix
 from repro.baselines.tpcc import TpccWorkload, load_tpcc, tpcc_mix
+from repro.baselines.ycsb import YcsbWorkload, load_ycsb, ycsb_mix
 from repro.cloud.architectures import get
 from repro.core import READ_WRITE, load_sales_database
 from repro.core.elasticity import ELASTIC_PATTERNS, ElasticityEvaluator, custom_pattern
@@ -22,7 +23,7 @@ from repro.engine.database import Database
 
 
 def functional_side_by_side() -> None:
-    print("== the same engine, three benchmarks (functional, scaled down) ==")
+    print("== the same engine, four benchmarks (functional, scaled down) ==")
     table = TextTable(["benchmark", "tables", "transactions run", "notes"])
 
     sales_db, _ = load_sales_database(row_scale=0.001)
@@ -37,6 +38,13 @@ def functional_side_by_side() -> None:
     sysbench.run_many(200)
     table.add_row("SysBench", len(sysbench_db.table_names), 200,
                   "single-table read/write, no business logic")
+
+    ycsb_db = Database("ycsb")
+    records = load_ycsb(ycsb_db, records=300)
+    ycsb = YcsbWorkload(ycsb_db, "A", records=records)
+    ycsb.run_many(200)
+    table.add_row("YCSB", len(ycsb_db.table_names), 200,
+                  f"key-value, no transactions, mix {ycsb.executed}")
 
     tpcc_db = Database("tpcc")
     scale = load_tpcc(tpcc_db, warehouses=1, customer_scale=0.003, item_scale=0.003)
@@ -59,6 +67,7 @@ def autoscaler_comparison() -> None:
                         READ_WRITE.to_workload_mix(1), 110),
         "SysBench": (custom_pattern("flat", [1.0] * 12),
                      sysbench_mix("oltp_read_write"), 11),
+        "YCSB": (custom_pattern("flat", [1.0] * 12), ycsb_mix("A"), 11),
         "TPC-C": (custom_pattern("flat", [1.0] * 12), tpcc_mix(1), 44),
     }
     for name, (pattern, mix, tau) in runs.items():

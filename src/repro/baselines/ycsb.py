@@ -104,9 +104,7 @@ USERTABLE = Schema(
 
 
 def load_ycsb(db: Database, records: int = DEFAULT_RECORDS, seed: int = 42) -> int:
-    """Create and populate the usertable; returns records loaded.
-    Called only by tests: it is the one loader of the table
-    :class:`YcsbWorkload` runs against."""
+    """Create and populate the usertable; returns records loaded."""
     db.create_table(USERTABLE)
     rng = random.Random(seed)
     table = db.table("USERTABLE")

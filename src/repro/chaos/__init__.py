@@ -2,13 +2,14 @@
 
 A :class:`~repro.chaos.plan.FaultPlan` is a declarative, seeded
 schedule of faults; a :class:`~repro.chaos.injector.ChaosInjector`
-evaluates it at query time-points for the replication pipeline, the
-failover simulator, and the client resilience stack.  Determinism
+evaluates it at query time-points for the replication pipeline and
+the client resilience stack.  Determinism
 contract: the plan's :meth:`~repro.chaos.plan.FaultPlan.fingerprint`
 pins the exact fault schedule, so equal seeds produce byte-identical
 chaos runs.
 """
 
+from repro.chaos.availability import AScore, AvailabilityEvaluator
 from repro.chaos.injector import GRAY_SLOWDOWN, MAX_LOSS, ChaosInjector
 from repro.chaos.plan import (
     ENGINE_KINDS,
@@ -18,11 +19,6 @@ from repro.chaos.plan import (
     FaultPlan,
     FaultSpec,
 )
-
-# availability imports the cloud layer, which imports the injector
-# above -- keep it last so the partially-initialised package already
-# exposes the submodules the cloud layer needs.
-from repro.chaos.availability import AScore, AvailabilityEvaluator  # noqa: E402
 
 __all__ = [
     "AScore",

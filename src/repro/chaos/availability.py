@@ -74,10 +74,6 @@ class AScore:
             return 0.0 if self.failed == 0 else float("inf")
         return (1.0 - self.goodput) / budget
 
-    @property
-    def available(self) -> bool:
-        return self.goodput >= self.slo
-
     def goodput_between(self, start_s: float, end_s: float) -> float:
         """Goodput restricted to requests started in ``[start_s, end_s)``.
         Unused by the evaluator: the probe the chaos tests and the verify

@@ -118,15 +118,6 @@ class ChaosInjector:
             self._note(spec, now)
         return max(ends)
 
-    def degraded(self, target: str, now: float) -> bool:
-        """Is the target anything other than fully healthy at ``now``?"""
-        return (
-            self.partitioned(target, now)
-            or self.delay_factor(target, now) > 1.0
-            or self.slowdown(target, now) > 1.0
-            or self.stalled_until(target, now) is not None
-        )
-
     # -- one-shot faults ------------------------------------------------------
 
     def take_once(

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.chaos.injector import GRAY_SLOWDOWN, MAX_LOSS
-from repro.chaos.plan import ENGINE_KINDS, FaultKind, FaultSpec
 from repro.cloud.architectures import Architecture
 from repro.cloud.mva_model import estimate_throughput
 from repro.cloud.specs import ComputeAllocation
@@ -270,139 +268,6 @@ class FailoverSimulator:
             arch_name=self.arch.name,
             node=node,
             inject_s=inject_at_s,
-            service_restored_s=service_restored,
-            tps_recovered_s=tps_recovered,
-            steady_tps=self._steady,
-            phases=phases,
-            timeline=timeline,
-        )
-
-    # -- dirty faults --------------------------------------------------------------
-
-    def _fault_floor(self, spec: FaultSpec) -> float:
-        """TPS while ``spec`` actively bites (the degraded plateau).
-
-        An RW-target fault gates all traffic; an RO-target fault only
-        the read share routed to that replica (half, as in :meth:`run`).
-        Partitions sever their share entirely, gray/delay/loss faults
-        scale it by the modelled slowdown of the degraded path.
-        """
-        rw = spec.target in ("rw", "primary")
-        share = 1.0 if rw else (1.0 - self.workload.write_fraction) * 0.5
-        kind = spec.kind
-        if kind in (FaultKind.PARTITION, FaultKind.FLAP):
-            lost = share
-        elif kind is FaultKind.STALL:
-            # replay is parked, not the server: stale reads still answer
-            lost = share * 0.5
-        elif kind is FaultKind.GRAY:
-            lost = share * spec.intensity * (1.0 - 1.0 / GRAY_SLOWDOWN)
-        elif kind is FaultKind.DELAY:
-            lost = share * (1.0 - 1.0 / (1.0 + spec.intensity))
-        elif kind is FaultKind.LOSS:
-            lost = share * min(MAX_LOSS, spec.intensity)
-        else:  # pragma: no cover - guarded by run_fault
-            raise ValueError(f"no throughput model for {kind}")
-        return self._steady * (1.0 - lost)
-
-    def run_fault(
-        self,
-        spec: FaultSpec,
-        tick_s: float = 0.5,
-        max_duration_s: float = 600.0,
-    ) -> FailoverResult:
-        """Trace TPS through a *dirty* fault (paper's restart model only
-        covers clean crashes).
-
-        Gray, delayed, lossy, stalled, partitioned and flapping targets
-        degrade rather than kill the service, so F/R-Scores take their
-        degraded-plateau meaning: F-Score is zero whenever some goodput
-        survives the whole fault, and R-Score measures the backlog
-        catch-up plus ramp after the fault clears.  CRASH specs delegate
-        to :meth:`run` -- that *is* the clean restart model.
-        """
-        if spec.kind is FaultKind.CRASH:
-            node = "rw" if spec.target in ("rw", "primary") else "ro"
-            return self.run(
-                node=node, inject_at_s=spec.start_s,
-                tick_s=tick_s, max_duration_s=max_duration_s,
-            )
-        if spec.kind in ENGINE_KINDS:
-            raise ValueError(
-                f"{spec.kind.value} is a WAL-level fault; arm it on the "
-                "engine (see repro.engine.wal) instead of the simulator"
-            )
-        recovery = self.arch.recovery
-        rw = spec.target in ("rw", "primary")
-        floor = self._fault_floor(spec)
-
-        # Replication-blocking faults owe a log backlog once they clear.
-        blocked_s = spec.duration_s * (
-            0.5 if spec.kind is FaultKind.FLAP else 1.0
-        )
-        catchup_s = 0.0
-        if not rw and spec.kind in (
-            FaultKind.PARTITION, FaultKind.FLAP, FaultKind.STALL
-        ):
-            write_tps = self._steady * self.workload.write_fraction
-            backlog = write_tps * RECORDS_PER_WRITE_TXN * blocked_s
-            catchup_s = backlog / recovery.redo_rate_records_s
-
-        phases = [
-            FailoverPhase(
-                "detect", spec.start_s, spec.start_s + recovery.heartbeat_s,
-                "probe latencies flag the degraded target",
-            ),
-            FailoverPhase(
-                spec.kind.value, spec.start_s, spec.end_s,
-                f"{spec.target} degraded at intensity {spec.intensity:g}",
-            ),
-        ]
-        if catchup_s > 0:
-            phases.append(
-                FailoverPhase(
-                    "catchup", spec.end_s, spec.end_s + catchup_s,
-                    "replica replays the log held back during the fault",
-                )
-            )
-
-        # Dirty faults do not flush caches, so the post-fault ramp is
-        # far quicker than a restart warm-up.
-        warm_tau = (
-            recovery.warmup_tau_rw_s if rw else recovery.warmup_tau_ro_s
-        )
-        tau = min(2.0, 0.25 * warm_tau)
-        ramp_start = spec.end_s + catchup_s
-        service_restored = spec.end_s if floor <= 0 else spec.start_s
-        target = self.recovery_threshold * self._steady
-
-        timeline: List[Tuple[float, float]] = []
-        tps_recovered: Optional[float] = None
-        t = 0.0
-        while t <= max_duration_s:
-            if t < spec.start_s:
-                tps = self._steady
-            elif t < spec.end_s:
-                tps = floor if spec.active_at(t) else self._steady
-            elif t < ramp_start:
-                tps = floor
-            else:
-                since = t - ramp_start
-                ramp = 1.0 - math.exp(-since / tau) if tau > 0 else 1.0
-                tps = floor + (self._steady - floor) * ramp
-                if tps_recovered is None and tps >= target:
-                    tps_recovered = t
-            timeline.append((t, tps))
-            if tps_recovered is not None and t > tps_recovered + 5.0:
-                break
-            t += tick_s
-        if tps_recovered is None:
-            tps_recovered = max_duration_s
-        self._emit_phases(spec.target, phases)
-        return FailoverResult(
-            arch_name=self.arch.name,
-            node=spec.target,
-            inject_s=spec.start_s,
             service_restored_s=service_restored,
             tps_recovered_s=tps_recovered,
             steady_tps=self._steady,

@@ -22,15 +22,17 @@ Timing model per architecture (:class:`StorageProfile`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.chaos.injector import ChaosInjector
 from repro.cloud.architectures import Architecture
 from repro.engine.database import Database
 from repro.engine.recovery import ReplicaApplier
 from repro.engine.wal import LogKind, LogRecord
 from repro.obs import NULL_OBSERVER, Observer
 from repro.sim.events import Environment, Event
+
+if TYPE_CHECKING:  # annotation only: repro.chaos imports this module
+    from repro.chaos.injector import ChaosInjector
 
 
 @dataclass

@@ -23,9 +23,8 @@ from repro.core.elasticity import ELASTIC_PATTERNS, ElasticityEvaluator
 from repro.core.failover import FailOverEvaluator
 from repro.core.lagtime import LagTimeEvaluator
 from repro.core.manager import WorkloadManager
-from repro.core.metrics import PerfectScores, o_score, p_score
+from repro.core.metrics import PerfectScores, o_score
 from repro.core.multitenancy import TENANCY_PATTERNS, MultiTenancyEvaluator
-from repro.core.oltp import OltpEvaluator
 from repro.core.runner import CloudyBench
 from repro.core.summary import generate_report
 from repro.core.schema import create_sales_schema
@@ -56,7 +55,6 @@ __all__ = [
     "LAG_PATTERNS",
     "LagTimeEvaluator",
     "MultiTenancyEvaluator",
-    "OltpEvaluator",
     "PerfectScores",
     "READ_ONLY",
     "READ_WRITE",
@@ -73,5 +71,4 @@ __all__ = [
     "nominal_bytes",
     "generate_report",
     "o_score",
-    "p_score",
 ]

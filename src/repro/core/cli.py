@@ -73,8 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> BenchConfig:
+    """The props of this run; an unusable ``--config`` is a usage error."""
+    if args.config and args.quick:
+        raise SystemExit(
+            "--config and --quick each choose the whole configuration; pass one"
+        )
     if args.config:
-        config = BenchConfig.from_toml(args.config)
+        try:
+            config = BenchConfig.from_toml(args.config)
+        except (OSError, KeyError, TypeError, ValueError) as error:
+            # unreadable file, unknown key, or a value of the wrong type,
+            # out of range or not TOML (KeyError's str() would quote it)
+            reason = error.args[0] if isinstance(error, KeyError) else error
+            raise SystemExit(f"--config {args.config}: {reason}") from None
     elif args.quick:
         config = BenchConfig.quick()
     else:
@@ -128,7 +139,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _print_registry()
         return 0
 
-    bench = CloudyBench(_config(args))
+    config = _config(args)
+    try:
+        bench = CloudyBench(config)
+    except KeyError as error:  # an architecture the registry does not have
+        flag = "--arch" if args.arch else f"--config {args.config}"
+        raise SystemExit(f"{flag}: {error.args[0]}") from None
 
     if evaluation == "report":
         from repro.core.summary import generate_report

@@ -12,9 +12,6 @@ transport:
   :class:`~repro.shard.fleet.ShardedDatabase`, with cross-shard
   transaction affinity (statements inside ``begin``/``commit`` enlist
   in one global transaction);
-* :class:`ResilientClient` -- wraps other clients behind a
-  :class:`~repro.core.resilience.ResilientSession`, so autocommit
-  statements retry/fail over exactly as the resilience stack dictates;
 * :class:`repro.serve.client.SocketClient` -- the same verbs over a
   real TCP socket to a :class:`repro.serve.server.SQLServer`.
 
@@ -36,7 +33,6 @@ from __future__ import annotations
 
 from typing import (
     Any,
-    Dict,
     Optional,
     Protocol,
     Sequence,
@@ -44,17 +40,15 @@ from typing import (
 )
 
 from repro.engine.database import Database
-from repro.engine.errors import EngineError, SqlError
+from repro.engine.errors import EngineError
 from repro.engine.executor import ResultSet
 from repro.engine.txn import IsolationLevel
-from repro.core.resilience import ResilientSession
 
 __all__ = [
     "Client",
     "ClientError",
     "EngineClient",
     "FleetClient",
-    "ResilientClient",
     "coerce_isolation",
     "quiet_rollback",
 ]
@@ -273,112 +267,3 @@ class FleetClient:
             raise ClientError(f"{verb}() outside a transaction")
         return self._gtxn
 
-
-class ResilientClient:
-    """A :class:`Client` whose autocommit statements ride the
-    resilience stack.
-
-    ``clients`` maps endpoint names to inner clients; ``session`` (a
-    :class:`~repro.core.resilience.ResilientSession` over the same
-    endpoint names) owns retries, backoff, breakers and failover.
-    Autocommit ``execute``/``query`` go through ``session.call`` --
-    retryable errors replay against the next healthy endpoint, exactly
-    as the availability evaluator's raw sessions do.  Transactions pin
-    to one endpoint at ``begin()`` (statement replay inside an open
-    transaction would duplicate writes); ``commit``/``rollback`` run on
-    the pinned endpoint and unpin.
-    """
-
-    def __init__(
-        self,
-        clients: Dict[str, "Client"],
-        session: Optional[ResilientSession] = None,
-        timeout_budget_s: Optional[float] = None,
-    ):
-        if not clients:
-            raise ValueError("need at least one endpoint client")
-        self.clients = dict(clients)
-        self.session = session or ResilientSession(list(self.clients))
-        unknown = [e for e in self.session.endpoints if e not in self.clients]
-        if unknown:
-            raise ValueError(f"session endpoints without clients: {unknown}")
-        self.timeout_budget_s = timeout_budget_s
-        self._pinned: Optional[str] = None
-        self.deadline = None
-        self.gtid: Optional[str] = None
-
-    def connect(self) -> None:
-        for client in self.clients.values():
-            client.connect()
-
-    @property
-    def in_txn(self) -> bool:
-        return (
-            self._pinned is not None
-            and self.clients[self._pinned].in_txn
-        )
-
-    def _call(self, attempt) -> ResultSet:
-        outcome = self.session.call(
-            attempt, timeout_budget_s=self.timeout_budget_s
-        )
-        if outcome.ok:
-            return outcome.value
-        raise outcome.error or SqlError("resilient call failed without error")
-
-    def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        if self.in_txn:
-            return self.clients[self._pinned].execute(sql, params)
-        return self._call(
-            lambda endpoint: self.clients[endpoint].execute(sql, params)
-        )
-
-    def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        if self.in_txn:
-            return self.clients[self._pinned].query(sql, params)
-        return self._call(
-            lambda endpoint: self.clients[endpoint].query(sql, params)
-        )
-
-    def begin(self, isolation: Optional[object] = None) -> None:
-        if self.in_txn:
-            raise ClientError("begin() inside an open transaction")
-
-        def attempt(endpoint: str):
-            self.clients[endpoint].begin(isolation)
-            return endpoint
-
-        self._pinned = self._call(attempt)
-        self.gtid = getattr(self.clients[self._pinned], "gtid", None)
-
-    def commit(self) -> None:
-        pinned = self._require_pin("commit")
-        try:
-            self.clients[pinned].commit()
-        finally:
-            if not self.clients[pinned].in_txn:
-                self._pinned = None
-
-    def rollback(self) -> None:
-        pinned = self._require_pin("rollback")
-        try:
-            self.clients[pinned].rollback()
-        finally:
-            if not self.clients[pinned].in_txn:
-                self._pinned = None
-
-    def close(self) -> None:
-        for client in self.clients.values():
-            client.close()
-        self._pinned = None
-
-    def abandon(self) -> None:
-        """Drop transaction affinity without rolling back (post-crash)."""
-        if self._pinned is not None:
-            self.clients[self._pinned].abandon()
-            self._pinned = None
-
-    def _require_pin(self, verb: str) -> str:
-        if self._pinned is None:
-            raise ClientError(f"{verb}() outside a transaction")
-        return self._pinned

@@ -29,16 +29,10 @@ from repro.cloud.architectures import Architecture
 from repro.cloud.mva_model import estimate_throughput
 from repro.cloud.specs import ProvisionedPackage
 from repro.cloud.workload_model import WorkloadMix
-from repro.core.pricing import actual_cost, package_cost_per_minute
+from repro.core.pricing import actual_cost
 
 #: the E2 normalisation factor delta of Equation (5)
 E2_DELTA = 1000.0
-
-
-def p_score(avg_tps: float, package: ProvisionedPackage) -> float:
-    """Equation (1): average TPS over the per-minute RUC of the bundle."""
-    cost = package_cost_per_minute(package)
-    return avg_tps / cost if cost > 0 else 0.0
 
 
 def p_score_actual(

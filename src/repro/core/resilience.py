@@ -45,6 +45,7 @@ from repro.engine.errors import (
 from repro.obs import NULL_OBSERVER, Observer
 from repro.qos.budget import RetryBudget as _RetryBudget
 from repro.qos.deadline import Deadline
+from repro.sim.events import VirtualClock
 
 #: errors that indict the endpoint (breaker-relevant), not the request
 HEALTH_ERRORS = (NodeUnavailableError, RequestTimeout, SimulatedCrash)
@@ -294,19 +295,6 @@ class CallOutcome:
     budget_exhausted: bool = False
 
 
-class _ManualClock:
-    """Virtual clock for synchronous (non-DES) sessions."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, delta_s: float) -> None:
-        self.now += delta_s
-
-
 def _run_attempt(attempt_fn: Callable[[str], Any], endpoint: str) -> AttemptResult:
     """Invoke one attempt, normalising returns and exceptions."""
     try:
@@ -349,7 +337,7 @@ class ResilientSession:
         self.endpoints = list(endpoints)
         self.policy = policy or RetryPolicy()
         self.obs = observer or NULL_OBSERVER
-        self._own_clock = _ManualClock() if clock is None else None
+        self._own_clock = VirtualClock() if clock is None else None
         self._clock = clock or self._own_clock
         #: with an external ``clock``, the synchronous driver cannot move
         #: time itself; ``advance(delta_s)`` lets it push a shared

@@ -4,7 +4,7 @@ The package layers availability on top of the sharded fleet:
 
 * :mod:`repro.ha.replication` -- synchronous WAL shipping from each
   shard primary to a warm standby (``sync`` / ``semisync`` ack modes);
-* :mod:`repro.ha.lease` -- virtual time and the lease-based failure
+* :mod:`repro.ha.lease` -- the lease-based failure
   detector bounding how long a dead primary goes unnoticed;
 * :mod:`repro.ha.cluster` -- :class:`HAFleet`, which promotes a fresh
   standby through the engine's own restart path and reroutes traffic,
@@ -22,9 +22,10 @@ The package layers availability on top of the sharded fleet:
 from repro.ha.cluster import HAFleet, HAShard
 from repro.ha.evaluator import HAEvaluator, HAResult
 from repro.ha.history import CheckReport, History, HistoryChecker, Op, Violation
-from repro.ha.lease import LeaderLease, LeaseConfig, VirtualClock
+from repro.ha.lease import LeaderLease, LeaseConfig
 from repro.ha.replication import ACK_MODES, WalShipper, bootstrap_standby
 from repro.ha.workload import PairWorkload, build_pairs_fleet, pairs_schema, place_pairs
+from repro.sim.events import VirtualClock
 
 __all__ = [
     "HAFleet",

@@ -3,7 +3,7 @@
 :class:`HAFleet` extends the sharded fleet with one warm standby per
 shard, kept current by synchronous WAL shipping
 (:class:`~repro.ha.replication.WalShipper`).  Leadership is a
-time-bounded lease on a shared :class:`~repro.ha.lease.VirtualClock`:
+time-bounded lease on a shared :class:`~repro.sim.events.VirtualClock`:
 a primary whose WAL died stops renewing, and the first :meth:`poll`
 after the lease expires triggers failover.
 
@@ -34,9 +34,10 @@ from repro.chaos.plan import FaultKind
 from repro.engine.database import Database
 from repro.engine.errors import EngineError, ShardUnavailableError
 from repro.engine.recovery import RecoveryReport
-from repro.ha.lease import LeaderLease, LeaseConfig, VirtualClock
+from repro.ha.lease import LeaderLease, LeaseConfig
 from repro.ha.replication import WalShipper, bootstrap_standby
 from repro.shard.fleet import FleetRecoveryReport, ShardedDatabase
+from repro.sim.events import VirtualClock
 
 
 @dataclass

@@ -33,10 +33,11 @@ from repro.core.resilience import AttemptResult, ResilientSession, RetryPolicy
 from repro.engine.errors import EngineError
 from repro.ha.cluster import HAFleet
 from repro.ha.history import HistoryChecker, Violation
-from repro.ha.lease import LeaseConfig, VirtualClock
+from repro.ha.lease import LeaseConfig
 from repro.ha.workload import PairWorkload, build_pairs_fleet
 from repro.obs import NULL_OBSERVER, Observer
 from repro.obs.metrics import Histogram
+from repro.sim.events import VirtualClock
 from repro.sim.rng import RngRegistry, derive_seed
 
 #: modelled service time of one client operation (virtual seconds)

@@ -1,38 +1,18 @@
-"""Virtual time and lease-based leadership for HA shard pairs.
+"""Lease-based leadership for HA shard pairs.
 
 Failure detection here is deliberately boring: the primary holds a
 time-bounded lease and renews it on a heartbeat cadence; a primary that
 stops renewing (because its WAL is dead) is declared failed the first
 time anyone looks *after* the lease expired.  Everything runs against a
-shared :class:`VirtualClock`, so the detection delay -- and therefore
-the unavailability window the failover bench asserts on -- is an exact,
-reproducible function of the lease parameters, never of wall time.
+shared :class:`~repro.sim.events.VirtualClock`, so the detection delay
+-- and therefore the unavailability window the failover bench asserts
+on -- is an exact, reproducible function of the lease parameters, never
+of wall time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-class VirtualClock:
-    """A manually advanced clock shared by every HA component.
-
-    The client session advances it by modelled latencies and retry
-    backoffs (see ``ResilientSession``'s ``advance`` hook), the fleet
-    reads it for lease renewal and expiry.  Callable so it can slot in
-    anywhere a ``clock()`` function is expected.
-    """
-
-    def __init__(self, now: float = 0.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, delta_s: float) -> None:
-        if delta_s < 0:
-            raise ValueError(f"time cannot run backwards: {delta_s}")
-        self.now += delta_s
 
 
 @dataclass(frozen=True)

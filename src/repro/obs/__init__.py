@@ -4,16 +4,14 @@
 the cloud discrete-event simulation, and the resilient client -- one
 :class:`~repro.obs.observer.Observer` handle that collects typed
 metrics (counters / gauges / mergeable latency histograms) and
-structured spans, then exports them as Chrome ``trace_event`` JSON,
-JSONL, or a Prometheus-style text snapshot.  See
+structured spans, then exports them as Chrome ``trace_event`` JSON
+or a Prometheus-style text snapshot.  See
 ``docs/observability.md`` for the span taxonomy and metric names.
 """
 
 from repro.obs.export import (
     chrome_trace,
     metrics_to_prometheus,
-    observer_to_jsonl,
-    spans_to_jsonl,
     write_chrome_trace,
     write_prometheus,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "Span",
     "chrome_trace",
     "write_chrome_trace",
-    "spans_to_jsonl",
-    "observer_to_jsonl",
     "metrics_to_prometheus",
     "write_prometheus",
 ]

@@ -1,6 +1,6 @@
-"""Exporters: Chrome ``trace_event`` JSON, JSONL dumps, Prometheus text.
+"""Exporters: Chrome ``trace_event`` JSON and Prometheus text.
 
-Three formats, one source of truth (an :class:`~repro.obs.observer.
+Two formats, one source of truth (an :class:`~repro.obs.observer.
 Observer`):
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` -- the Trace Event
@@ -8,8 +8,6 @@ Observer`):
   become named "threads", sim-time seconds become microsecond ``ts``
   values, instants render as markers -- a whole chaos run opens as one
   timeline.
-* :func:`spans_to_jsonl` / :func:`observer_to_jsonl` -- one JSON object
-  per line, trivially greppable and streamable.
 * :func:`metrics_to_prometheus` / :func:`write_prometheus` -- a
   text-format snapshot (counters as ``_total``, histograms with
   ``_bucket``/``_sum``/``_count``) that ``promtool`` and scrapers parse.
@@ -19,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, TextIO
+from typing import Any, Dict, List
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
@@ -76,39 +74,6 @@ def write_chrome_trace(observer: Observer | Tracer, path: str) -> int:
     with open(path, "w") as handle:
         json.dump(document, handle)
     return len(document["traceEvents"])
-
-
-def spans_to_jsonl(tracer: Tracer, out: TextIO) -> int:
-    """One span per line; returns lines written."""
-    written = 0
-    for span in tracer.spans():
-        out.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-        written += 1
-    return written
-
-
-def observer_to_jsonl(observer: Observer, out: TextIO) -> int:
-    """Spans plus one trailing ``{"kind": "metrics", ...}`` line.
-
-    The trailing line carries the tracer's own accounting too
-    (``trace.recorded`` / ``trace.dropped``): a consumer must be able
-    to tell a quiet run from one whose ring buffer silently shed the
-    spans it was looking for.
-    """
-    written = spans_to_jsonl(observer.tracer, out)
-    out.write(json.dumps(
-        {
-            "kind": "metrics",
-            "trace": {
-                "recorded": observer.tracer.recorded,
-                "dropped": observer.tracer.dropped,
-                "capacity": observer.tracer.capacity,
-            },
-            **observer.metrics.snapshot(),
-        },
-        sort_keys=True,
-    ) + "\n")
-    return written + 1
 
 
 # ---------------------------------------------------------------------------

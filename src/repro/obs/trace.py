@@ -64,22 +64,6 @@ class Span:
     def duration_s(self) -> float:
         return self.end_s - self.start_s
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "id": self.span_id,
-            "name": self.name,
-            "cat": self.category,
-            "track": self.track,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "kind": self.kind,
-        }
-        if self.parent_id is not None:
-            out["parent"] = self.parent_id
-        if self.attrs:
-            out["attrs"] = self.attrs
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Span {self.span_id} {self.name!r} [{self.start_s:.6f}, "
@@ -265,14 +249,6 @@ class Tracer:
     def spans(self) -> Iterator[Span]:
         """All retained spans, oldest first."""
         return iter(self._buffer)
-
-    def find(self, name: Optional[str] = None,
-             category: Optional[str] = None) -> List[Span]:
-        return [
-            span for span in self._buffer
-            if (name is None or span.name == name)
-            and (category is None or span.category == category)
-        ]
 
     def clear(self) -> None:
         self._buffer.clear()

@@ -25,12 +25,10 @@ from repro.qos.admission import (
 )
 from repro.qos.budget import RetryBudget
 from repro.qos.deadline import Deadline, DeadlineExceededError
-from repro.qos.gate import AdmissionGate
 
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
-    "AdmissionGate",
     "BrownoutPolicy",
     "Deadline",
     "DeadlineExceededError",

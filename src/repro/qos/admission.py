@@ -143,7 +143,7 @@ class AdmissionController:
         self._queues: List[Deque[Ticket]] = [
             deque() for _ in range(self.policy.priorities)
         ]
-        self._depth = 0
+        self.queue_depth = 0
         self._baseline: Optional[float] = None
         self._min_latency: Optional[float] = None
         self._last_decrease_s = float("-inf")
@@ -157,10 +157,6 @@ class AdmissionController:
         self.peak_inflight = 0
 
     # -- queries -------------------------------------------------------------
-
-    @property
-    def queue_depth(self) -> int:
-        return self._depth
 
     def has_capacity(self) -> bool:
         return self.inflight < int(self.limit)
@@ -188,16 +184,16 @@ class AdmissionController:
     ) -> Ticket:
         """Queue a request; sheds (raises) when the queue is full."""
         priority = min(max(priority, 0), self.policy.priorities - 1)
-        if self._depth >= self.policy.max_queue:
+        if self.queue_depth >= self.policy.max_queue:
             self._shed(now, priority, reason="queue_full")
         ticket = Ticket(item, priority, now, deadline)
         self._queues[priority].append(ticket)
-        self._depth += 1
-        if self._depth > self.peak_queue_depth:
-            self.peak_queue_depth = self._depth
+        self.queue_depth += 1
+        if self.queue_depth > self.peak_queue_depth:
+            self.peak_queue_depth = self.queue_depth
         if self._c is not None:
             self._c["queued"].value += 1.0
-            self._g_depth.set(float(self._depth))
+            self._g_depth.set(float(self.queue_depth))
             self._g_prio[priority].set(float(len(self._queues[priority])))
         return ticket
 
@@ -229,10 +225,10 @@ class AdmissionController:
     def _pop(self, now: float) -> Optional[Ticket]:
         for priority, queue in enumerate(self._queues):
             if queue:
-                self._depth -= 1
+                self.queue_depth -= 1
                 ticket = queue.popleft()
                 if self._g_depth is not None:
-                    self._g_depth.set(float(self._depth))
+                    self._g_depth.set(float(self.queue_depth))
                     self._g_prio[priority].set(float(len(queue)))
                 return ticket
         return None
@@ -305,13 +301,13 @@ class AdmissionController:
             self._c["shed"].value += 1.0
         # Hint the client to stay away for roughly one queue drain.
         drain_s = (
-            self._baseline * max(1, self._depth) / max(1.0, self.limit)
+            self._baseline * max(1, self.queue_depth) / max(1.0, self.limit)
             if self._baseline
             else 0.0
         )
         raise OverloadError(
             f"{self.name}: shed priority-{priority} request ({reason}; "
             f"inflight {self.inflight}/{self.limit:.1f}, "
-            f"queue {self._depth}/{self.policy.max_queue})",
+            f"queue {self.queue_depth}/{self.policy.max_queue})",
             retry_after_s=drain_s,
         )

@@ -47,6 +47,7 @@ from repro.obs import NULL_OBSERVER, Observer
 from repro.qos.admission import AdmissionController, AdmissionPolicy
 from repro.qos.budget import RetryBudget
 from repro.qos.deadline import Deadline
+from repro.sim.events import VirtualClock
 
 __all__ = ["OverloadEvaluator", "OverloadPoint", "OverloadResult", "d_score"]
 
@@ -245,7 +246,7 @@ class OverloadEvaluator:
             + seed_offset * 31
             + (1 if self.qos else 0)
         )
-        clock = _VirtualClock()
+        clock = VirtualClock()
         primary = _Server(self.workers, self.capacity_rps, self._extra_latency_s)
         replica = (
             _Server(
@@ -440,14 +441,3 @@ class OverloadEvaluator:
             final_limit=final_limit,
         )
 
-
-class _VirtualClock:
-    """The sweep's time source; deadlines read it directly."""
-
-    __slots__ = ("now",)
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now

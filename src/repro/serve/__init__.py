@@ -7,11 +7,11 @@ in front of a :class:`~repro.shard.fleet.ShardedDatabase`, errors cross
 the wire with their ``retryable`` / ``retry_after_s`` semantics intact
 (:mod:`repro.serve.errors`), and an NDBench-style load generator
 (:mod:`repro.serve.loadgen`) drives thousands of concurrent
-connections at it through the async client pool
+connections at it through the async client
 (:mod:`repro.serve.client`).
 """
 
-from repro.serve.client import AsyncClientPool, AsyncSQLClient, SocketClient
+from repro.serve.client import AsyncSQLClient, SocketClient
 from repro.serve.driver import (
     BackgroundServer,
     ServeRunResult,
@@ -29,7 +29,6 @@ from repro.serve.wire import (
 )
 
 __all__ = [
-    "AsyncClientPool",
     "BackgroundServer",
     "AsyncSQLClient",
     "FrameDecoder",

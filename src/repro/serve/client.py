@@ -1,6 +1,6 @@
 """Clients for the SQL-over-socket protocol.
 
-Three layers, innermost first:
+Two layers, innermost first:
 
 * :class:`SocketClient` -- a *synchronous* blocking-socket client
   implementing the transport-agnostic :class:`~repro.core.client.
@@ -13,10 +13,6 @@ Three layers, innermost first:
 * :class:`AsyncSQLClient` -- the asyncio counterpart, with split
   ``send_nowait``/``recv_response`` halves for statement pipelining
   (the load generator keeps many requests in flight per connection).
-* :class:`AsyncClientPool` -- a bounded pool of connected
-  :class:`AsyncSQLClient` instances with an ``acquire()`` context
-  manager, for callers that multiplex a few connections rather than
-  owning one per task.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from repro.engine.executor import ResultSet
 from repro.serve import wire
 from repro.serve.errors import from_wire
 
-__all__ = ["AsyncClientPool", "AsyncSQLClient", "SocketClient"]
+__all__ = ["AsyncSQLClient", "SocketClient"]
 
 
 def _unwrap(frame: Optional[Dict[str, Any]]) -> Dict[str, Any]:
@@ -482,66 +478,3 @@ class AsyncSQLClient:
     async def ping(self) -> bool:
         return bool((await self.request({"op": "ping"})).get("ok"))
 
-
-class AsyncClientPool:
-    """A bounded pool of connected :class:`AsyncSQLClient` instances."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        size: int = 8,
-        client_name: str = "pool",
-    ):
-        if size < 1:
-            raise ValueError("pool size must be >= 1")
-        self.host = host
-        self.port = port
-        self.size = size
-        self.client_name = client_name
-        self._idle: "asyncio.Queue[AsyncSQLClient]" = asyncio.Queue()
-        self._clients: List[AsyncSQLClient] = []
-
-    async def open(self) -> None:
-        for index in range(self.size):
-            client = AsyncSQLClient(
-                self.host, self.port,
-                client_name=f"{self.client_name}.{index}",
-            )
-            await client.connect()
-            self._clients.append(client)
-            self._idle.put_nowait(client)
-
-    async def close(self) -> None:
-        clients, self._clients = self._clients, []
-        self._idle = asyncio.Queue()
-        for client in clients:
-            await client.close()
-
-    def acquire(self) -> "_PoolLease":
-        """``async with pool.acquire() as client: ...``"""
-        return _PoolLease(self)
-
-    async def __aenter__(self) -> "AsyncClientPool":
-        await self.open()
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.close()
-
-
-class _PoolLease:
-    def __init__(self, pool: AsyncClientPool):
-        self.pool = pool
-        self.client: Optional[AsyncSQLClient] = None
-
-    async def __aenter__(self) -> AsyncSQLClient:
-        self.client = await self.pool._idle.get()
-        if not self.client.connected:
-            await self.client.connect()
-        return self.client
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        if self.client is not None:
-            self.pool._idle.put_nowait(self.client)
-            self.client = None

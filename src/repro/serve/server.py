@@ -21,8 +21,7 @@ ShardedDatabase` and serves the frame protocol of
   connection interleavings.
 * **Admission control** -- connection admission and statement admission
   both run through the existing qos machinery
-  (:class:`~repro.qos.admission.AdmissionController`, the engine behind
-  :class:`~repro.qos.gate.AdmissionGate`).  Connections hit a
+  (:class:`~repro.qos.admission.AdmissionController`).  Connections hit a
   fixed-limit gate at accept; statements flow through a server-wide
   *bounded* admission queue drained by one loop callback, scheduled
   whenever work is queued and none is scheduled.  A full queue

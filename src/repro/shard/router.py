@@ -71,8 +71,8 @@ class ShardRouter:
 
     # -- statement routing ---------------------------------------------------
 
-    def route_statement(
-        self, statement: Statement, params: Sequence[Any], schema: Schema
+    def route_prepared(
+        self, prepared, params: Sequence[Any]
     ) -> Optional[int]:
         """The single shard a statement targets, or ``None`` for fan-out.
 
@@ -81,15 +81,6 @@ class ShardRouter:
         row being inserted carries a concrete partition-key value).
         Everything else scatters to all shards; INSERTs must always
         route, so an INSERT without a concrete partition value raises.
-        """
-        partition = self.partition_column(statement.table)
-        plan = self._compile_route(statement, schema, partition)
-        return self._run_route(plan, statement.table, partition, params)
-
-    def route_prepared(
-        self, prepared, params: Sequence[Any]
-    ) -> Optional[int]:
-        """Route a prepared statement, caching its route plan.
 
         The plan -- which statement value pins the partition key -- is
         a function of the statement shape alone, so it compiles once

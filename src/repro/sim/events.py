@@ -12,7 +12,8 @@ audit:
 * :class:`Timeout` -- an event that triggers after a virtual delay.
 * :class:`Process` -- wraps a generator; itself an event that triggers
   when the generator returns.
-* :class:`Interrupt` -- thrown into a process by ``Process.interrupt``.
+* :class:`VirtualClock` -- the manually advanced clock of the runs
+  that are not event-driven (HA, resilience, the overload sweep).
 
 Determinism: events scheduled for the same instant are processed in
 scheduling order (a monotonically increasing sequence number breaks
@@ -29,16 +30,26 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupts.
+class VirtualClock:
+    """A manually advanced clock for runs that own their time.
 
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
+    Whoever drives the run moves it -- a client session by modelled
+    latencies and retry backoffs (``ResilientSession``'s ``advance``
+    hook), the overload sweep by setting ``now`` -- and everything else
+    (leases, deadlines, breakers) reads it.  Callable so it can slot in
+    anywhere a ``clock()`` function is expected.
     """
 
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
+    def __init__(self, now: float = 0.0):
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, delta_s: float) -> None:
+        if delta_s < 0:
+            raise ValueError(f"time cannot run backwards: {delta_s}")
+        self.now += delta_s
 
 
 class Event:
@@ -123,14 +134,13 @@ class Process(Event):
     exception that escaped the generator.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send"):
             raise SimulationError("process target must be a generator")
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         # Kick off the generator at the current instant.
         bootstrap = Event(env)
         bootstrap.callbacks.append(self._resume)
@@ -140,30 +150,7 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant.
-
-        Interrupting a finished process is a no-op, mirroring SimPy's
-        forgiving behaviour, because failure injection frequently races
-        with natural completion.
-        """
-        if self._triggered:
-            return
-        interrupt_event = Event(self.env)
-        interrupt_event.callbacks.append(self._handle_interrupt)
-        interrupt_event.succeed(Interrupt(cause))
-
-    def _handle_interrupt(self, event: Event) -> None:
-        if self._triggered:
-            return
-        waiting = self._waiting_on
-        if waiting is not None and self._resume in waiting.callbacks:
-            waiting.callbacks.remove(self._resume)
-        self._waiting_on = None
-        self._step(event.value, throw=True)
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         if event._ok:
             self._step(event.value, throw=False)
         else:
@@ -179,7 +166,7 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate to waiters
-            if not self.callbacks and not isinstance(exc, Interrupt):
+            if not self.callbacks:
                 raise
             self.fail(exc)
             return
@@ -187,7 +174,6 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield events"
             )
-        self._waiting_on = target
         if target._triggered and not target._scheduled:
             # The event already fired and was consumed; resume immediately.
             immediate = Event(self.env)

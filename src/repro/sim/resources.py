@@ -1,14 +1,13 @@
 """Shared resources for the DES kernel.
 
-Two primitives cover everything the cloud substrate needs:
+Two primitives:
 
 * :class:`Resource` -- a FIFO resource with integral capacity, used for
   CPU cores, I/O channels and replay worker slots.  Processes obtain a
   slot by yielding :meth:`Resource.request` and must release it with
   :meth:`Resource.release` (the :meth:`Resource.use` helper wraps a
   timed hold).
-* :class:`Container` -- a continuous quantity (e.g. log backlog bytes)
-  with blocking ``get``.
+* :class:`TimeSeries` -- an append-only step function with integration.
 """
 
 from __future__ import annotations
@@ -62,43 +61,6 @@ class Resource:
             yield self.env.timeout(duration)
         finally:
             self.release()
-
-
-class Container:
-    """A continuous quantity with blocking ``get`` and immediate ``put``."""
-
-    def __init__(self, env: Environment, initial: float = 0.0, capacity: float = float("inf")):
-        if initial < 0 or capacity <= 0:
-            raise SimulationError("container needs initial >= 0 and capacity > 0")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(initial)
-        self._getters: deque[tuple[float, Event]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> None:
-        if amount < 0:
-            raise SimulationError("cannot put a negative amount")
-        self._level = min(self.capacity, self._level + amount)
-        self._drain()
-
-    def get(self, amount: float) -> Event:
-        """Event that succeeds once ``amount`` can be withdrawn (FIFO)."""
-        if amount < 0:
-            raise SimulationError("cannot get a negative amount")
-        event = self.env.event()
-        self._getters.append((amount, event))
-        self._drain()
-        return event
-
-    def _drain(self) -> None:
-        while self._getters and self._getters[0][0] <= self._level:
-            amount, event = self._getters.popleft()
-            self._level -= amount
-            event.succeed(amount)
 
 
 class TimeSeries:

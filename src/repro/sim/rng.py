@@ -31,11 +31,3 @@ class RngRegistry:
         if name not in self._streams:
             self._streams[name] = random.Random(derive_seed(self.master_seed, name))
         return self._streams[name]
-
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of the parent's."""
-        return RngRegistry(derive_seed(self.master_seed, f"fork:{name}"))
-
-    def reset(self) -> None:
-        """Drop all streams; the next access recreates them from scratch."""
-        self._streams.clear()

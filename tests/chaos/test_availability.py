@@ -52,7 +52,6 @@ def test_healthy_run_is_perfect():
     assert score.requests > 0
     assert score.goodput == 1.0
     assert score.error_budget_burn == 0.0
-    assert score.available
     assert score.breaker_opened == 0
 
 

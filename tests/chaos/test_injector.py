@@ -61,17 +61,6 @@ def test_stalled_until():
     assert inj.stalled_until("replica:0", 9.0) is None
 
 
-def test_degraded_aggregates_everything():
-    inj = make(
-        FaultSpec(FaultKind.GRAY, "a", start_s=0.0, duration_s=1.0),
-        FaultSpec(FaultKind.PARTITION, "b", start_s=0.0, duration_s=1.0),
-    )
-    assert inj.degraded("a", 0.5)
-    assert inj.degraded("b", 0.5)
-    assert not inj.degraded("c", 0.5)
-    assert not inj.degraded("a", 2.0)
-
-
 def test_observed_counters_record_bites():
     inj = make(FaultSpec(FaultKind.PARTITION, "x", start_s=0.0, duration_s=1.0))
     inj.partitioned("x", 0.5)

@@ -1,14 +1,9 @@
-"""Chaos wired into the cloud DES: replication under faults, dirty
-fail-over timelines."""
-
-import pytest
+"""Chaos wired into the cloud DES: replication under faults."""
 
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec
 from repro.cloud.architectures import cdb1, cdb3
-from repro.cloud.failure import FailoverSimulator
 from repro.cloud.replication import ReplicationPipeline
-from repro.core.workload import READ_WRITE
 from repro.engine.database import Database
 from repro.engine.types import Column, ColumnType, Schema
 from repro.sim.events import Environment
@@ -104,74 +99,3 @@ def test_gray_replica_replays_slower_but_converges():
         primary.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [key, key])
     env.run(until=60.0)
     assert pipeline.converged()
-
-
-# -- dirty fail-over timelines -------------------------------------------------
-
-
-def simulator():
-    return FailoverSimulator(cdb1(), READ_WRITE.to_workload_mix(1), concurrency=50)
-
-
-def test_gray_fault_never_kills_service():
-    sim = simulator()
-    spec = FaultSpec(FaultKind.GRAY, "rw", start_s=10.0, duration_s=20.0,
-                     intensity=0.8)
-    result = sim.run_fault(spec)
-    assert result.f_score_s == 0.0       # goodput never hit zero
-    floor = min(tps for _t, tps in result.timeline)
-    assert 0.0 < floor < sim.steady_tps
-    assert result.tps_recovered_s > spec.end_s
-
-
-def test_ro_partition_owes_catchup():
-    sim = simulator()
-    short = sim.run_fault(FaultSpec(
-        FaultKind.PARTITION, "ro", start_s=10.0, duration_s=5.0))
-    long = sim.run_fault(FaultSpec(
-        FaultKind.PARTITION, "ro", start_s=10.0, duration_s=30.0))
-    assert any(phase.name == "catchup" for phase in short.phases)
-    # a longer partition accumulates a bigger backlog -> later recovery
-    short_catchup = next(p for p in short.phases if p.name == "catchup")
-    long_catchup = next(p for p in long.phases if p.name == "catchup")
-    assert long_catchup.duration_s > short_catchup.duration_s
-    # reads kept flowing through the primary the whole time
-    assert min(tps for _t, tps in short.timeline) > 0.0
-
-
-def test_rw_partition_is_a_full_outage_until_heal():
-    sim = simulator()
-    spec = FaultSpec(FaultKind.PARTITION, "rw", start_s=10.0, duration_s=8.0)
-    result = sim.run_fault(spec)
-    assert result.service_restored_s == spec.end_s
-    assert result.f_score_s == pytest.approx(spec.duration_s)
-    assert min(tps for _t, tps in result.timeline) == 0.0
-
-
-def test_flap_alternates_outage_and_service():
-    sim = simulator()
-    spec = FaultSpec(FaultKind.FLAP, "rw", start_s=10.0, duration_s=8.0,
-                     period_s=2.0)
-    result = sim.run_fault(spec, tick_s=0.5)
-    window = [tps for t, tps in result.timeline if 10.0 <= t < 18.0]
-    assert min(window) == 0.0            # down half-periods
-    assert max(window) == sim.steady_tps  # up half-periods
-
-
-def test_crash_spec_delegates_to_restart_model():
-    sim = simulator()
-    spec = FaultSpec(FaultKind.CRASH, "rw", start_s=30.0, duration_s=0.0)
-    via_fault = sim.run_fault(spec)
-    via_run = sim.run(node="rw", inject_at_s=30.0)
-    assert via_fault.service_restored_s == via_run.service_restored_s
-    assert [phase.name for phase in via_fault.phases] == [
-        phase.name for phase in via_run.phases
-    ]
-
-
-def test_wal_level_faults_are_rejected():
-    sim = simulator()
-    with pytest.raises(ValueError):
-        sim.run_fault(FaultSpec(FaultKind.TORN_WRITE, "rw", start_s=0.0, duration_s=0.0))
-    with pytest.raises(ValueError):
-        sim.run_fault(FaultSpec(FaultKind.BIT_FLIP, "rw", start_s=0.0, duration_s=0.0))

@@ -233,6 +233,32 @@ class TestOptRanges:
                     assert hasattr(config, option.config), (spec.name, option.name)
 
 
+class TestConfigErrors:
+    """An unusable ``--config`` / ``--arch`` is a usage error too."""
+
+    @pytest.mark.parametrize("props,extra,flag,says", [
+        (None, ["--arch", "nope"], "--arch", "unknown architecture 'nope'"),
+        (None, ["--config", "{missing}"], "--config", "No such file"),
+        ("[workload]\nbogus = 1\n", [], "--config", "unknown config key workload.'bogus'"),
+        ("shard_txns = 0\n", [], "--config", "shard_txns must be >= 1"),
+        ("concurrencies = 5\n", [], "--config", "not iterable"),
+        ("seed = = 1\n", [], "--config", "line 1"),
+        ('architectures = ["nope"]\n', [], "--config", "unknown architecture 'nope'"),
+        ("seed = 3\n", ["--quick"], "--config", "--quick"),
+    ], ids=["arch", "missing-file", "unknown-key", "bad-value", "bad-type",
+            "bad-toml", "props-arch", "config-and-quick"])
+    def test_one_line_naming_the_flag(self, tmp_path, props, extra, flag, says):
+        argv = ["--eval", "pscore"]
+        if props is not None:
+            (tmp_path / "props.toml").write_text(props)
+            argv += ["--config", str(tmp_path / "props.toml")]
+        argv += [arg.format(missing=tmp_path / "missing.toml") for arg in extra]
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        (message,) = str(raised.value.code).splitlines()  # a str code: exit 1, no traceback
+        assert message.startswith(flag) and says in message
+
+
 class TestBoolOpts:
     """--opt boolean handling: ``shed=true`` works, bare ``--opt shed``
     is a clean usage error (bool("false") is True, so booleans need a

@@ -5,12 +5,11 @@ import math
 import pytest
 
 from repro.cloud.architectures import all_architectures, aws_rds, cdb2, cdb4
-from repro.cloud.specs import NetworkKind, ProvisionedPackage
+from repro.cloud.specs import NetworkKind
 from repro.core.metrics import (
     PerfectScores,
     e2_score,
     o_score,
-    p_score,
     p_score_actual,
     scale_out_tps,
 )
@@ -96,17 +95,10 @@ def test_elastic_pool_bills_hourly():
 
 
 class TestScores:
-    def test_p_score_definition(self):
-        package = aws_rds().provisioned
-        cost = package_cost_per_minute(package)
-        assert p_score(12_000, package) == pytest.approx(12_000 / cost)
-        zero = ProvisionedPackage(0, 0, 0, 0, 0, NetworkKind.TCP)
-        assert p_score(12_000, zero) == 0.0
-
     def test_p_score_actual_penalises_billing_minimum(self):
         arch = aws_rds()
         starred = p_score_actual(12_000, arch, arch.provisioned, duration_s=60)
-        normal = p_score(12_000, arch.provisioned)
+        normal = 12_000 / package_cost_per_minute(arch.provisioned)
         assert starred < normal
 
     def test_scale_out_adds_read_capacity(self):

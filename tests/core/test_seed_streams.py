@@ -50,12 +50,6 @@ class TestRngRegistry:
         assert first.stream("a") is first.stream("a")
         assert first.stream("b").random() != second.stream("a").random()
 
-    def test_fork_diverges_from_parent(self):
-        parent = RngRegistry(7)
-        child = parent.fork("child")
-        assert parent.stream("a").random() != child.stream("a").random()
-
-
 class TestWorkerSeeding:
     def test_workers_draw_distinct_streams(self):
         db = tiny_db()

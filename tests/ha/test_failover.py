@@ -4,8 +4,9 @@ import pytest
 
 from repro.engine.errors import ShardUnavailableError
 from repro.ha.cluster import HAFleet
-from repro.ha.lease import LeaseConfig, VirtualClock
+from repro.ha.lease import LeaseConfig
 from repro.ha.workload import SELECT_STAMP, UPDATE_STAMP, build_pairs_fleet
+from repro.sim.events import VirtualClock
 
 LEASE = LeaseConfig(lease_s=0.5, heartbeat_s=0.1)
 

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.engine.errors import EngineError
-from repro.ha.lease import LeaseConfig, VirtualClock
+from repro.ha.lease import LeaseConfig
 from repro.ha.replication import WalShipper, bootstrap_standby
 from repro.ha.workload import SELECT_STAMP, UPDATE_STAMP, build_pairs_fleet
 from repro.ha.cluster import HAFleet
+from repro.sim.events import VirtualClock
 
 
 def ha_fleet(n_pairs=3, **kwargs):

@@ -1,4 +1,4 @@
-"""Exporter formats: Chrome trace_event, JSONL, Prometheus text."""
+"""Exporter formats: Chrome trace_event, Prometheus text."""
 
 import io
 import json
@@ -7,8 +7,6 @@ from repro.obs.export import (
     TRACE_PID,
     chrome_trace,
     metrics_to_prometheus,
-    observer_to_jsonl,
-    spans_to_jsonl,
     write_chrome_trace,
     write_prometheus,
 )
@@ -61,26 +59,6 @@ def test_write_chrome_trace_is_valid_json(tmp_path):
     doc = json.loads(path.read_text())
     assert len(doc["traceEvents"]) == count
     assert count == 3 + 4  # 3 track metadata + 4 span events
-
-
-def test_jsonl_roundtrip():
-    obs = make_observer()
-    buffer = io.StringIO()
-    lines_written = spans_to_jsonl(obs.tracer, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert len(lines) == lines_written == 4
-    parsed = [json.loads(line) for line in lines]
-    assert parsed[0]["name"] == "txn"
-    assert parsed[0]["cat"] == "engine"
-    assert parsed[2]["parent"] == parsed[1]["id"]
-
-    buffer = io.StringIO()
-    total = observer_to_jsonl(obs, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert total == len(lines) == 5
-    trailer = json.loads(lines[-1])
-    assert trailer["kind"] == "metrics"
-    assert trailer["counters"]["engine.txn.commit"] == 1.0
 
 
 def test_prometheus_text_format():

@@ -3,24 +3,18 @@
 The regression these tests pin: a metric that exists in the registry
 but never shows up in an export is invisible to dashboards, and a
 tracer that silently dropped spans looks identical to a quiet run.
-The contract is *completeness* -- the Prometheus snapshot and the JSONL
-dump each carry every counter, gauge and histogram in the registry plus
-the tracer's own recorded/dropped accounting -- and *eagerness*: hot
+The contract is *completeness* -- the Prometheus snapshot carries every
+counter, gauge and histogram in the registry plus the tracer's own
+recorded/dropped accounting -- and *eagerness*: hot
 components register their series at construction, so a zero-traffic run
 still exports the series (at zero) instead of omitting them.
 """
 
 import io
-import json
 
 from repro.engine.database import Database
 from repro.engine.types import Column, ColumnType, Schema
-from repro.obs.export import (
-    metrics_to_prometheus,
-    observer_to_jsonl,
-    write_prometheus,
-)
-from repro.obs.export import _prom_name
+from repro.obs.export import _prom_name, metrics_to_prometheus, write_prometheus
 from repro.obs.observer import Observer
 from repro.qos.admission import AdmissionController, AdmissionPolicy
 from repro.shard.coordinator import TxnCoordinator
@@ -56,17 +50,6 @@ class TestExportCompleteness:
         missing = expected - exported
         assert not missing, f"registered but not exported: {sorted(missing)}"
 
-    def test_jsonl_trailer_carries_every_registered_metric(self):
-        obs = busy_observer()
-        out = io.StringIO()
-        observer_to_jsonl(obs, out)
-        trailer = json.loads(out.getvalue().splitlines()[-1])
-        assert trailer["kind"] == "metrics"
-        assert set(trailer["counters"]) == set(obs.metrics.counters)
-        assert set(trailer["gauges"]) == set(obs.metrics.gauges)
-        assert set(trailer["histograms"]) == set(obs.metrics.histograms)
-
-
 # -- tracer self-accounting ----------------------------------------------------
 
 
@@ -91,16 +74,6 @@ class TestTracerAccounting:
         obs = busy_observer()
         text = write_prometheus(obs, str(tmp_path / "metrics.prom"))
         assert "tracer_spans_dropped_total" in text
-
-    def test_jsonl_trailer_reports_drops(self):
-        obs = busy_observer()
-        out = io.StringIO()
-        observer_to_jsonl(obs, out)
-        trailer = json.loads(out.getvalue().splitlines()[-1])
-        assert trailer["trace"]["recorded"] == obs.tracer.recorded
-        assert trailer["trace"]["dropped"] == obs.tracer.dropped
-        assert trailer["trace"]["capacity"] == 4
-
 
 # -- eager registration: series exist before any traffic ----------------------
 

@@ -20,6 +20,15 @@ class FakeClock:
         return self.now
 
 
+def find(obs, name=None, category=None):
+    """The retained spans with this name and/or category, oldest first."""
+    return [
+        span for span in obs.tracer.spans()
+        if (name is None or span.name == name)
+        and (category is None or span.category == category)
+    ]
+
+
 def make_db(obs=None):
     db = Database("obs-test", observer=obs)
     db.create_table(Schema(
@@ -56,7 +65,7 @@ def test_commit_and_abort_emit_counters_and_spans():
     clock.now = 10.5
     txn.commit()
     assert counters["engine.txn.commit"].value >= 1
-    spans = obs.tracer.find(name="txn", category="engine")
+    spans = find(obs, name="txn", category="engine")
     committed = [s for s in spans if s.attrs["outcome"] == "commit"][-1]
     assert committed.start_s == 10.0 and committed.end_s == 10.5
     assert committed.attrs["writes"] == 1
@@ -65,7 +74,7 @@ def test_commit_and_abort_emit_counters_and_spans():
     db.execute("UPDATE accounts SET BALANCE = ? WHERE A_ID = ?", [2.0, 2], txn=txn)
     txn.rollback()
     assert counters["engine.txn.abort"].value == 1
-    aborted = obs.tracer.find(name="txn", category="engine")[-1]
+    aborted = find(obs, name="txn", category="engine")[-1]
     assert aborted.attrs["outcome"] == "abort"
 
     hist = obs.metrics.histograms["engine.txn.duration_s"]
@@ -96,12 +105,12 @@ def test_crash_and_recovery_spans():
     counters = obs.metrics.counters
     assert counters["engine.crash"].value == 1
     assert counters["engine.recovery.runs"].value == 1
-    root = obs.tracer.find(name="recovery", category="engine")
+    root = find(obs, name="recovery", category="engine")
     assert len(root) == 1
     for phase in ("recovery.analysis", "recovery.redo", "recovery.undo"):
-        (span,) = obs.tracer.find(name=phase)
+        (span,) = find(obs, name=phase)
         assert span.parent_id == root[0].span_id
-    assert obs.tracer.find(name="db.crash")[0].kind == "instant"
+    assert find(obs, name="db.crash")[0].kind == "instant"
 
 
 # -- chaos -------------------------------------------------------------------
@@ -113,14 +122,14 @@ def test_injector_emits_fault_windows_and_bite_markers():
         FaultSpec(FaultKind.PARTITION, "replica:0", start_s=5.0, duration_s=10.0),
     ], seed=1, name="t")
     injector = ChaosInjector(plan, observer=obs)
-    (window,) = obs.tracer.find(category="chaos")
+    (window,) = find(obs, category="chaos")
     assert window.name == "partition"
     assert window.start_s == 5.0 and window.end_s == 15.0
     assert obs.metrics.counters["chaos.fault.partition"].value == 1
 
     assert injector.partitioned("replica:0", 6.0)
     assert injector.partitioned("replica:0", 7.0)  # bites once in the trace
-    bites = obs.tracer.find(name="fault.bite")
+    bites = find(obs, name="fault.bite")
     assert len(bites) == 1
     assert bites[0].attrs == {"kind": "partition", "target": "replica:0"}
 
@@ -149,7 +158,7 @@ def test_resilient_session_observability():
     assert counters["client.retries"].value == 1
     assert counters["client.backoff"].value == 1
     assert obs.metrics.histograms["client.call_s"].count == 1
-    (span,) = obs.tracer.find(name="call", category="client")
+    (span,) = find(obs, name="call", category="client")
     assert span.attrs["ok"] is True and span.attrs["attempts"] == 2
 
 
@@ -166,7 +175,7 @@ def test_breaker_transitions_traced():
 
     session.call(down, timeout_budget_s=5.0)
     assert obs.metrics.counters["client.breaker.open"].value >= 1
-    assert obs.tracer.find(name="breaker.open")
+    assert find(obs, name="breaker.open")
 
 
 # -- end to end --------------------------------------------------------------

@@ -47,7 +47,7 @@ def test_explicit_timestamps_and_parents():
         "replay", "replication", 2.0, 3.0, parent=parent, track="replica:0"
     )
     assert child != parent
-    replay = tracer.find(name="replay")[0]
+    (replay,) = [span for span in tracer.spans() if span.name == "replay"]
     assert replay.parent_id == parent
     assert replay.track == "replica:0"
 

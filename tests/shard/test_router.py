@@ -72,9 +72,7 @@ class TestShardRouter:
     def test_routes_pk_equality_select(self):
         fleet = kv_fleet(4)
         prepared = fleet.shards[0].prepare("SELECT * FROM kv WHERE K = ?")
-        shard = fleet.router.route_statement(
-            prepared.statement, [17], prepared.table.schema
-        )
+        shard = fleet.router.route_prepared(prepared, [17])
         assert shard == fleet.router.shard_for("KV", 17)
 
     def test_non_partition_predicates_fan_out(self):
@@ -87,9 +85,7 @@ class TestShardRouter:
             ("DELETE FROM kv WHERE W = ?", [3]),
         ):
             prepared = fleet.shards[0].prepare(sql)
-            assert fleet.router.route_statement(
-                prepared.statement, params, prepared.table.schema
-            ) is None
+            assert fleet.router.route_prepared(prepared, params) is None
 
     def test_insert_routes_by_partition_value(self):
         fleet = kv_fleet(4)
@@ -98,17 +94,15 @@ class TestShardRouter:
             ("INSERT INTO kv VALUES (9, 1, 2)", []),
         ):
             prepared = fleet.shards[0].prepare(sql)
-            assert fleet.router.route_statement(
-                prepared.statement, params, prepared.table.schema
+            assert fleet.router.route_prepared(
+                prepared, params
             ) == fleet.router.shard_for("KV", 9)
 
     def test_insert_without_partition_value_raises(self):
         fleet = kv_fleet(4)
         prepared = fleet.shards[0].prepare("INSERT INTO kv (V, W) VALUES (?, ?)")
         with pytest.raises(ShardError):
-            fleet.router.route_statement(
-                prepared.statement, [1, 2], prepared.table.schema
-            )
+            fleet.router.route_prepared(prepared, [1, 2])
 
 
 class TestFleetSql:

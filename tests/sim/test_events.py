@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Environment, Interrupt, SimulationError
+from repro.sim.events import Environment, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -123,38 +123,6 @@ def test_event_failure_raises_in_waiter():
     env.process(failer())
     env.run()
     assert caught == ["boom"]
-
-
-def test_interrupt_is_raised_inside_process():
-    env = Environment()
-    interrupted = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            interrupted.append((env.now, interrupt.cause))
-
-    def interrupter(target):
-        yield env.timeout(2.0)
-        target.interrupt("failure-injection")
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert interrupted == [(2.0, "failure-injection")]
-
-
-def test_interrupting_finished_process_is_noop():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1.0)
-
-    process = env.process(quick())
-    env.run()
-    process.interrupt("too late")  # must not raise
-    env.run()
 
 
 def test_run_until_stops_the_clock():

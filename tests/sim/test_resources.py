@@ -1,9 +1,9 @@
-"""Tests for Resource, Container and TimeSeries."""
+"""Tests for Resource and TimeSeries."""
 
 import pytest
 
 from repro.sim.events import Environment, SimulationError
-from repro.sim.resources import Container, Resource, TimeSeries
+from repro.sim.resources import Resource, TimeSeries
 
 
 def test_resource_serialises_holders():
@@ -71,63 +71,6 @@ def test_invalid_capacity_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         Resource(env, capacity=0)
-
-
-class TestContainer:
-    def test_put_then_get(self):
-        env = Environment()
-        container = Container(env, initial=5.0)
-        got = []
-
-        def taker():
-            amount = yield container.get(3.0)
-            got.append((env.now, amount))
-
-        env.process(taker())
-        env.run()
-        assert got == [(0.0, 3.0)]
-        assert container.level == pytest.approx(2.0)
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        container = Container(env)
-        got = []
-
-        def taker():
-            yield container.get(2.0)
-            got.append(env.now)
-
-        def putter():
-            yield env.timeout(3.0)
-            container.put(1.0)
-            yield env.timeout(3.0)
-            container.put(1.0)
-
-        env.process(taker())
-        env.process(putter())
-        env.run()
-        assert got == [6.0]
-
-    def test_fifo_getters(self):
-        env = Environment()
-        container = Container(env)
-        order = []
-
-        def taker(name, amount):
-            yield container.get(amount)
-            order.append(name)
-
-        env.process(taker("big", 5.0))
-        env.process(taker("small", 1.0))
-        container.put(10.0)
-        env.run()
-        assert order == ["big", "small"]  # FIFO, not best-fit
-
-    def test_capacity_clamps_level(self):
-        env = Environment()
-        container = Container(env, capacity=4.0)
-        container.put(10.0)
-        assert container.level == pytest.approx(4.0)
 
 
 class TestTimeSeries:

@@ -37,21 +37,6 @@ def test_adding_stream_does_not_perturb_existing():
     assert draws_before == draws_after
 
 
-def test_fork_is_independent_but_deterministic():
-    parent = RngRegistry(7)
-    fork1 = parent.fork("child").stream("x").random()
-    fork2 = RngRegistry(7).fork("child").stream("x").random()
-    assert fork1 == fork2
-    assert fork1 != parent.stream("x").random()
-
-
-def test_reset_recreates_streams():
-    registry = RngRegistry(7)
-    first = registry.stream("a").random()
-    registry.reset()
-    assert registry.stream("a").random() == first
-
-
 def test_derive_seed_stable():
     assert derive_seed(42, "abc") == derive_seed(42, "abc")
     assert derive_seed(42, "abc") != derive_seed(42, "abd")
