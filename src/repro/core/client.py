@@ -145,7 +145,7 @@ class EngineClient:
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         if self.in_txn:
             # reads inside the transaction must see its own writes
-            return self.db.execute(sql, params, txn=self._txn)
+            return self.db.query(sql, params, txn=self._txn)
         return self.db.query(sql, params, deadline=self.deadline)
 
     def begin(self, isolation: Optional[object] = None) -> None:
@@ -224,7 +224,7 @@ class FleetClient:
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         gtxn = self._gtxn
         if gtxn is not None and gtxn.is_active:
-            return self.fleet.execute(sql, params, gtxn=gtxn)
+            return self.fleet.query(sql, params, gtxn=gtxn)
         return self.fleet.query(sql, params)
 
     def begin(self, isolation: Optional[object] = None) -> None:

@@ -359,13 +359,17 @@ class Database:
             raise
 
     def query(
-        self, sql: str, params: Sequence[Any] = (), deadline=None
+        self,
+        sql: str,
+        params: Sequence[Any] = (),
+        deadline=None,
+        txn: Optional[Transaction] = None,
     ) -> ResultSet:
         """Read-only :meth:`execute`: rejects anything but SELECT.
 
-        Historically this silently executed writes and returned an empty
-        :class:`ResultSet`; it now raises :class:`SqlError` so callers
-        can't mutate through the read path by accident.
+        Raises :class:`SqlError` for any other statement, inside ``txn``
+        as well as outside, so callers can't mutate through the read
+        path by accident.
         """
         from repro.engine.sql import SelectStatement
 
@@ -374,7 +378,7 @@ class Database:
             raise SqlError(
                 f"query() is read-only; use execute() for: {sql.strip()[:60]!r}"
             )
-        return self.execute(prepared, params, deadline=deadline)
+        return self.execute(prepared, params, txn=txn, deadline=deadline)
 
     def explain(self, sql: str, params: Sequence[Any] = ()) -> str:
         """Describe the access plan a statement would use, without running it."""

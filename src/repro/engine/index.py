@@ -17,38 +17,44 @@ from repro.engine.page import RowId
 
 
 class HashIndex:
-    """Equality-only index: key -> set of row ids (or a single id if unique)."""
+    """Equality-only index: key -> row id when unique, key -> set of row
+    ids otherwise."""
 
     def __init__(self, name: str, columns: Tuple[str, ...], unique: bool = False):
         self.name = name
         self.columns = columns
         self.unique = unique
-        self._map: Dict[Any, Set[RowId]] = {}
+        self._map: Dict[Any, Any] = {}
 
     def __len__(self) -> int:
+        if self.unique:
+            return len(self._map)
         return sum(len(rids) for rids in self._map.values())
 
     def insert(self, key: Any, rid: RowId) -> None:
-        bucket = self._map.setdefault(key, set())
-        if self.unique and bucket:
+        if not self.unique:
+            self._map.setdefault(key, set()).add(rid)
+        elif key in self._map:
             raise DuplicateKeyError(
                 f"duplicate key {key!r} in unique index {self.name!r}"
             )
-        bucket.add(rid)
+        else:
+            self._map[key] = rid
 
     def delete(self, key: Any, rid: RowId) -> None:
-        bucket = self._map.get(key)
-        if bucket is None or rid not in bucket:
+        held = self._map.get(key)
+        if held != rid if self.unique else (held is None or rid not in held):
             raise EngineError(f"index {self.name!r} has no entry {key!r}->{rid}")
-        bucket.discard(rid)
-        if not bucket:
+        if self.unique or len(held) == 1:
             del self._map[key]
+        else:
+            held.discard(rid)
 
     def rebuild(self, keys: Sequence[Any], rids: Sequence[RowId]) -> None:
         """Replace the contents with ``keys[i] -> rids[i]`` in bulk: the
         result, and the unique check, of one :meth:`insert` per pair."""
         if self.unique:
-            self._map = {key: {rid} for key, rid in zip(keys, rids)}
+            self._map = dict(zip(keys, rids))
             if len(self._map) != len(rids):
                 seen: Set[Any] = set()
                 key = next(k for k in keys if k in seen or seen.add(k))
@@ -62,15 +68,15 @@ class HashIndex:
             self._map = dict(buckets)
 
     def lookup(self, key: Any) -> List[RowId]:
-        return sorted(self._map.get(key, ()))
+        held = self._map.get(key)
+        if self.unique:
+            return [] if held is None else [held]
+        return sorted(held or ())
 
     def lookup_unique(self, key: Any) -> Optional[RowId]:
-        bucket = self._map.get(key)
-        if not bucket:
-            return None
-        if len(bucket) > 1:  # pragma: no cover - guarded by insert()
-            raise EngineError(f"unique index {self.name!r} has duplicates")
-        return next(iter(bucket))
+        """The row id under ``key``, else ``None``; unique indexes only
+        (the map of any other holds sets)."""
+        return self._map.get(key)
 
 
 class OrderedIndex(HashIndex):

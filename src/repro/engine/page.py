@@ -56,12 +56,13 @@ class Page:
             self._slots.append(row)
             self._live += 1
             return len(self._slots) - 1
-        for slot, existing in enumerate(self._slots):
-            if existing is None:
-                self._slots[slot] = row
-                self._live += 1
-                return slot
-        raise EngineError(f"page {self.page_no} is full")
+        try:
+            slot = self._slots.index(None)  # the lowest vacated slot
+        except ValueError:
+            raise EngineError(f"page {self.page_no} is full") from None
+        self._slots[slot] = row
+        self._live += 1
+        return slot
 
     def read(self, slot: int) -> Tuple[Any, ...]:
         row = self._slot(slot)

@@ -16,6 +16,7 @@ once no live snapshot can need the history.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -250,6 +251,11 @@ class Table:
         self.name = schema.table
         self._rows_per_page = rows_per_page(schema.row_byte_size())
         self._pages: List[Page] = []
+        #: min-heap of the page numbers that had a row deleted: every
+        #: page with a vacated slot is in it, so an insert need not scan
+        #: the heap file for one.  Entries outlive their vacancy and
+        #: repeat; :meth:`_page_with_space` pops the stale ones.
+        self._vacated: List[int] = []
         self._next_auto = 1
         self.primary_index = OrderedIndex(
             f"{self.name}_pkey", (schema.primary_key,), unique=True
@@ -385,6 +391,7 @@ class Table:
     def delete_row(self, rid: RowId) -> Tuple[Any, ...]:
         """Remove a row; returns the before image."""
         before = self._page(rid.page_no).delete(rid.slot)
+        heappush(self._vacated, rid.page_no)
         key = before[self.schema.primary_key_index]
         self.primary_index.delete(key, rid)
         for index in self.secondary_indexes.values():
@@ -467,6 +474,10 @@ class Table:
 
     def restore_snapshot(self, snapshot: "TableSnapshot") -> None:
         self._pages = [page.clone() for page in snapshot.pages]
+        # ascending page numbers are already a valid min-heap
+        self._vacated = [
+            page.page_no for page in self._pages if page.has_free_slot()
+        ]
         self._next_auto = snapshot.next_auto
         # Checkpoint images are quiesced and vacuumed: the restored heap
         # is committed base data, so all version history resets with it
@@ -502,13 +513,19 @@ class Table:
         return self._pages[page_no]
 
     def _page_with_space(self) -> Page:
-        if self._pages and self._pages[-1].has_free_slot():
-            return self._pages[-1]
-        for page in self._pages:
+        """Placement: the tail page first, else the lowest-numbered page
+        with a vacated slot, else a new page."""
+        pages = self._pages
+        if pages and pages[-1].has_free_slot():
+            return pages[-1]
+        vacated = self._vacated
+        while vacated:
+            page = pages[vacated[0]]
             if page.has_free_slot():
                 return page
-        page = Page(len(self._pages), self._rows_per_page)
-        self._pages.append(page)
+            heappop(vacated)
+        page = Page(len(pages), self._rows_per_page)
+        pages.append(page)
         return page
 
 

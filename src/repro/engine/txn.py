@@ -103,6 +103,15 @@ class Transaction:
     def uses_mvcc(self) -> bool:
         return self.snapshot_lsn is not None
 
+    @property
+    def is_read_only(self) -> bool:
+        """Has this (open) transaction logged no data record so far?
+
+        Such a transaction has nothing to make durable: its COMMIT is
+        not a flush, and as a 2PC branch it votes read-only.
+        """
+        return not self._db._txn_records.get(self.txn_id)
+
     # -- lifecycle -------------------------------------------------------------
 
     def commit(self) -> None:

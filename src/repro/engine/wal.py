@@ -53,8 +53,8 @@ class LogKind(enum.Enum):
 DATA_KINDS = (LogKind.INSERT, LogKind.UPDATE, LogKind.DELETE)
 
 #: Record kinds that must be durable before the append returns -- each
-#: one is an fsync point unless a :meth:`WriteAheadLog.group_commit`
-#: batch is open.
+#: one is an fsync point (:meth:`WriteAheadLog._durability_point` holds
+#: the one exception and the group-commit deferral).
 FSYNC_KINDS = (LogKind.COMMIT, LogKind.PREPARE, LogKind.DECISION)
 
 #: Crash-point modes accepted by :meth:`WriteAheadLog.arm_crash`.
@@ -313,12 +313,7 @@ class WriteAheadLog:
         else:
             last_of_txn[txn_id] = lsn
         if needs_fsync:
-            # Durability point.  Inside a group_commit() batch the flush
-            # is deferred: the whole batch costs one fsync at exit.
-            if self._group_depth > 0:
-                self._group_pending += 1
-            else:
-                self._count_fsync()
+            self._durability_point(kind, prev_lsn)
         if self._c_append is not None:
             self._c_append.value += 1.0
             # inline byte_size(): this runs once per record appended
@@ -348,9 +343,9 @@ class WriteAheadLog:
         The record keeps its primary LSN (the standby's log *is* the
         primary's log suffix), so LSNs must arrive gap-free and the
         record must verify -- a torn or corrupt record never ships.
-        Fsync accounting mirrors :meth:`append`: COMMIT/PREPARE/DECISION
-        records are durability points on the standby too, amortizable
-        through :meth:`group_commit` (semisync batches use this).
+        Fsync accounting is :meth:`append`'s (:meth:`_durability_point`),
+        so a standby counts what its primary counts, amortizable through
+        :meth:`group_commit` (semisync batches use this).
         """
         if self._dead:
             raise SimulatedCrash("standby is down: shipped append rejected")
@@ -367,15 +362,32 @@ class WriteAheadLog:
         elif record.kind is not LogKind.CHECKPOINT:
             self._last_lsn_of_txn[record.txn_id] = record.lsn
         if record.kind in FSYNC_KINDS:
-            if self._group_depth > 0:
-                self._group_pending += 1
-            else:
-                self._count_fsync()
+            self._durability_point(record.kind, record.prev_lsn)
         if self._c_append is not None:
             self._c_append.value += 1.0
             self._c_bytes.value += record.byte_size()
 
-    # -- group commit --------------------------------------------------------
+    # -- durability points and group commit ----------------------------------
+
+    def _durability_point(self, kind: LogKind, prev_lsn: int) -> None:
+        """Pay for a just-appended record of :data:`FSYNC_KINDS`.
+
+        Only writers pay: a COMMIT whose chain holds nothing but its
+        BEGIN (``prev_lsn`` names a retained BEGIN) makes nothing
+        durable, so it is not a flush.  PREPARE, DECISION and every
+        other COMMIT are -- including one whose predecessor cannot be
+        read back (``prev_lsn`` 0 or truncated), the safe reading.
+        Inside a :meth:`group_commit` batch the flush is deferred: the
+        whole batch costs one fsync at exit.
+        """
+        if kind is LogKind.COMMIT:
+            index = prev_lsn - self._truncated_before
+            if index >= 0 and self._records[index].kind is LogKind.BEGIN:
+                return
+        if self._group_depth > 0:
+            self._group_pending += 1
+        else:
+            self._count_fsync()
 
     def _count_fsync(self) -> None:
         self.fsyncs += 1

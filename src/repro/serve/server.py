@@ -687,11 +687,9 @@ class SQLServer:
     def _run_statement(
         self, session: _Session, sql: str, params, read_only: bool
     ):
-        if session.in_txn:
-            return self.fleet.execute(sql, list(params), gtxn=session.gtxn)
-        if read_only:
-            return self.fleet.query(sql, list(params))
-        return self.fleet.execute(sql, list(params))
+        gtxn = session.gtxn if session.in_txn else None
+        run = self.fleet.query if read_only else self.fleet.execute
+        return run(sql, list(params), gtxn=gtxn)
 
     def _op_execute(self, session, frame, read_only: bool = False):
         sql = frame.get("sql")

@@ -1,8 +1,14 @@
 """Presumed-abort two-phase commit across the shard fleet.
 
-Protocol (the classic presumed-abort variant):
+Protocol (the classic presumed-abort variant, with its read-only
+optimisation):
 
-1. **Prepare.**  Every participant branch appends a PREPARE record
+0. **Read-only vote.**  A branch that logged no data record has nothing
+   to make durable and nothing to recover: it commits at once (locks
+   released, no flush) and leaves the protocol.  If at most one branch
+   wrote, that one commits one-phase, exactly like a local commit; the
+   steps below run over two or more *writing* branches only.
+1. **Prepare.**  Every writing branch appends a PREPARE record
    (carrying the global transaction id) and moves to ``PREPARED`` --
    durable, locks held, fate undecided.  Any prepare failure aborts all
    branches: nothing was promised yet.
@@ -185,10 +191,6 @@ class GlobalTransaction:
         return sorted(self.locals)
 
     @property
-    def is_cross_shard(self) -> bool:
-        return len(self.locals) > 1
-
-    @property
     def is_active(self) -> bool:
         return self.state is TxnState.ACTIVE
 
@@ -312,11 +314,13 @@ class TxnCoordinator(PhaseFaults):
     def commit_many(self, gtxns: Sequence[GlobalTransaction]) -> None:
         """Commit a batch of global transactions.
 
-        Single-shard transactions commit directly (no prepare, no
-        decision record -- one fsync, same as a local commit).  The
-        cross-shard remainder runs the two-phase protocol as one batch,
-        so coordinator decisions landing on the same shard share a
-        group-committed fsync.
+        Only writers pay for the protocol.  Each transaction's read-only
+        branches vote first (:meth:`_vote_read_only`); with at most one
+        writer left it commits directly (no prepare, no decision record
+        -- one fsync, same as a local commit, none if nothing wrote).
+        Transactions with two or more writers run the two-phase protocol
+        as one batch, so coordinator decisions landing on the same shard
+        share a group-committed fsync.
         """
         for gtxn in gtxns:
             if not gtxn.is_active:
@@ -327,17 +331,43 @@ class TxnCoordinator(PhaseFaults):
         for gtxn in gtxns:
             if gtxn.is_retry and self._absorb_retry(gtxn):
                 continue
-            if gtxn.is_cross_shard:
-                crosses.append(gtxn)
+            writers = self._vote_read_only(gtxn)
+            if len(writers) > 1:
+                crosses.append((gtxn, writers))
             else:
-                for txn in gtxn.locals.values():
-                    txn.commit()
+                for shard_id in writers:
+                    gtxn.locals[shard_id].commit()
                 gtxn.state = TxnState.COMMITTED
                 self.single_commits += 1
                 if self._c is not None:
                     self._c["single_shard"].inc()
         if crosses:
             self._two_phase(crosses)
+
+    def _vote_read_only(self, gtxn: GlobalTransaction) -> List[int]:
+        """Commit ``gtxn``'s read-only branches; return the writers' shards.
+
+        A branch that logged no data record votes "read-only": its
+        COMMIT releases its locks, flushes nothing, and the branch takes
+        no further part -- no PREPARE, no DECISION, no phase two --
+        because it has nothing a crash could lose or recovery could find
+        in doubt.  A shard that dies casting this vote died in phase
+        one: nothing was promised, so the transaction aborts.
+        """
+        writers = []
+        try:
+            for shard_id in gtxn.participants:
+                txn = gtxn.locals[shard_id]
+                if txn.is_read_only:
+                    txn.commit()
+                else:
+                    writers.append(shard_id)
+        except SimulatedCrash as crash:
+            self._participant_died([gtxn], "prepare", crash)
+        except BaseException:
+            self._abort_all([gtxn])
+            raise
+        return writers
 
     def _decided_union(self) -> Set[object]:
         """Union of durable DECISION gtids across every reachable shard."""
@@ -372,19 +402,24 @@ class TxnCoordinator(PhaseFaults):
             self._c["idempotent"].inc()
         return True
 
-    def _two_phase(self, gtxns: List[GlobalTransaction]) -> None:
+    def _two_phase(
+        self, crosses: List[Tuple[GlobalTransaction, List[int]]]
+    ) -> None:
+        """Presumed-abort 2PC over each transaction's writing shards."""
+        gtxns = [gtxn for gtxn, _writers in crosses]
         stage = "prepare"
         try:
             with self.obs.span(
                 "2pc.commit", "shard", track="shard",
                 attrs={"txns": len(gtxns)},
             ):
-                # Phase one: prepare every branch of every transaction.
+                # Phase one: prepare every writing branch of every
+                # transaction.
                 with self.obs.span("2pc.prepare", "shard", track="shard"):
                     self._crash_point("before_prepare")
                     first = True
-                    for gtxn in gtxns:
-                        for shard_id in gtxn.participants:
+                    for gtxn, writers in crosses:
+                        for shard_id in writers:
                             self.shards[shard_id].prepare_commit(
                                 gtxn.locals[shard_id], gtxn.gtid
                             )
@@ -400,8 +435,8 @@ class TxnCoordinator(PhaseFaults):
                 # so N decisions on one shard cost one fsync.
                 with self.obs.span("2pc.decision", "shard", track="shard"):
                     by_shard: Dict[int, List[GlobalTransaction]] = {}
-                    for gtxn in gtxns:
-                        for shard_id in gtxn.participants:
+                    for gtxn, writers in crosses:
+                        for shard_id in writers:
                             by_shard.setdefault(shard_id, []).append(gtxn)
                     first = True
                     for shard_id in sorted(by_shard):
@@ -426,8 +461,8 @@ class TxnCoordinator(PhaseFaults):
 
                 # Phase two: the outcome is durable; finish the branches.
                 first = True
-                for gtxn in gtxns:
-                    for shard_id in gtxn.participants:
+                for gtxn, writers in crosses:
+                    for shard_id in writers:
                         gtxn.locals[shard_id].commit()
                         if first:
                             first = False

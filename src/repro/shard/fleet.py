@@ -168,12 +168,18 @@ class ShardedDatabase:
                 return self._fanout(sql, params, statement, wrapper)
         return self._fanout(sql, params, statement, gtxn)
 
-    def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        """Read-only :meth:`execute`; rejects anything but SELECT."""
+    def query(
+        self,
+        sql: str,
+        params: Sequence[Any] = (),
+        gtxn: Optional[GlobalTransaction] = None,
+    ) -> ResultSet:
+        """Read-only :meth:`execute`; rejects anything but SELECT,
+        inside ``gtxn`` as well as outside."""
         prepared = self.shards[0].prepare(sql)
         if not isinstance(prepared.statement, SelectStatement):
             raise ShardError(f"query() is read-only: {sql.strip()[:60]!r}")
-        return self.execute(sql, params)
+        return self.execute(sql, params, gtxn=gtxn)
 
     def _shard_db(self, shard_id: int) -> Database:
         """The live database currently serving ``shard_id``.

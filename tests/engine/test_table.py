@@ -1,9 +1,10 @@
 """Tests for heap tables and index maintenance."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.errors import DuplicateKeyError, SchemaError
-from repro.engine.page import PAGE_SIZE_BYTES
+from repro.engine.page import PAGE_SIZE_BYTES, RowId
 from repro.engine.table import Table
 from repro.engine.types import Column, ColumnType, Schema
 
@@ -192,3 +193,100 @@ def test_restore_snapshot_rejects_duplicate_unique_keys():
     with pytest.raises(DuplicateKeyError, match="t_name"):
         table.restore_snapshot(snapshot)
 
+
+
+class _LinearScanHeap:
+    """Placement oracle: the heap file as it was placed before the table
+    tracked its free space -- every page scanned, then every slot."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.pages = []  # page -> list of slots, None where vacated
+
+    def _has_free_slot(self, slots):
+        return len(slots) < self.capacity or None in slots
+
+    def insert(self, key):
+        pages = self.pages
+        if pages and self._has_free_slot(pages[-1]):
+            page_no = len(pages) - 1
+        else:
+            for page_no, slots in enumerate(pages):
+                if self._has_free_slot(slots):
+                    break
+            else:
+                pages.append([])
+                page_no = len(pages) - 1
+        slots = pages[page_no]
+        if len(slots) < self.capacity:
+            slots.append(key)
+            return RowId(page_no, len(slots) - 1)
+        for slot, existing in enumerate(slots):
+            if existing is None:
+                slots[slot] = key
+                return RowId(page_no, slot)
+        raise AssertionError("chose a full page")
+
+    def delete(self, rid):
+        self.pages[rid.page_no][rid.slot] = None
+
+    def snapshot(self):
+        return [list(slots) for slots in self.pages]
+
+    def restore(self, image):
+        self.pages = [list(slots) for slots in image]
+
+
+def _wide_table():
+    """Three rows to a page, so a short sequence spans many pages."""
+    schema = Schema(
+        "W",
+        (
+            Column("ID", ColumnType.INT, nullable=False),
+            Column("PAD", ColumnType.VARCHAR, length=2400, default=""),
+        ),
+        primary_key="ID",
+    )
+    table = Table(schema)
+    assert table._rows_per_page == 3
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(
+    st.one_of(
+        st.just(("insert", 0)),
+        st.tuples(st.just("delete"), st.integers(min_value=0, max_value=10_000)),
+        st.sampled_from([("snapshot", 0), ("restore", 0)]),
+    ),
+    max_size=120,
+))
+def test_property_placement_matches_the_linear_scan(ops):
+    """Tail page first, else the lowest-numbered page with a vacancy,
+    else a new page; lowest vacant slot -- every ``RowId`` the table
+    returns is the one the linear scan would have, across deletes and
+    checkpoint-image restores."""
+    table, oracle = _wide_table(), _LinearScanHeap(3)
+    live = {}  # key -> rid
+    image = (table.snapshot(), oracle.snapshot(), {})
+    next_key = 1
+    for op, pick in ops:
+        if op == "insert":
+            rid = table.insert_row((next_key, ""))
+            assert rid == oracle.insert(next_key)
+            live[next_key] = rid
+            next_key += 1
+        elif op == "delete":
+            if not live:
+                continue
+            key = sorted(live)[pick % len(live)]
+            rid = live.pop(key)
+            table.delete_row(rid)
+            oracle.delete(rid)
+        elif op == "snapshot":
+            image = (table.snapshot(), oracle.snapshot(), dict(live))
+        else:
+            table.restore_snapshot(image[0])
+            oracle.restore(image[1])
+            live = dict(image[2])
+    assert {key: table.find_by_key(key) for key in live} == live

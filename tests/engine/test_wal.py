@@ -148,3 +148,59 @@ def test_append_stamps_the_expected_crc():
     for record in records:
         assert record.crc == record.expected_crc()
         assert record.is_intact
+
+
+#: (txn's record kinds after any BEGIN it has, fsync points they cost)
+_CHAINS = [
+    ((LogKind.BEGIN, LogKind.COMMIT), 0),  # nothing to make durable
+    ((LogKind.BEGIN, LogKind.ABORT), 0),
+    ((LogKind.BEGIN, LogKind.INSERT, LogKind.COMMIT), 1),
+    ((LogKind.BEGIN, LogKind.UPDATE, LogKind.PREPARE, LogKind.DECISION,
+      LogKind.COMMIT), 3),
+    # a prepared branch promised something, even with no data behind it
+    ((LogKind.BEGIN, LogKind.PREPARE, LogKind.COMMIT), 2),
+    # no BEGIN to read back (recovery finishing an in-doubt branch)
+    ((LogKind.COMMIT,), 1),
+]
+
+
+def _append_chains(wal):
+    """Log every chain of ``_CHAINS``, two at a time and interleaved;
+    returns the fsync points each transaction's records cost."""
+    cost = {}
+    for first in range(0, len(_CHAINS), 2):
+        pair = list(enumerate(_CHAINS[first:first + 2], start=first + 1))
+        for step in range(max(len(kinds) for _txn, (kinds, _n) in pair)):
+            for txn_id, (kinds, _n) in pair:
+                if step < len(kinds):
+                    before = wal.fsyncs
+                    wal.append(txn_id, kinds[step], key=txn_id)
+                    cost[txn_id] = cost.get(txn_id, 0) + wal.fsyncs - before
+    return cost
+
+
+def test_only_a_commit_with_work_behind_it_is_a_durability_point():
+    wal = WriteAheadLog()
+    cost = _append_chains(wal)
+    assert cost == {
+        txn_id: fsyncs for txn_id, (_kinds, fsyncs) in enumerate(_CHAINS, start=1)
+    }
+    # a BEGIN that checkpointing truncated away cannot vouch for its COMMIT
+    wal.append(9, LogKind.BEGIN)
+    wal.truncate(wal.last_lsn + 1)
+    before = wal.fsyncs
+    wal.append(9, LogKind.COMMIT)
+    assert wal.fsyncs - before == 1
+    with wal.group_commit():
+        wal.append(10, LogKind.BEGIN)
+        wal.append(10, LogKind.COMMIT)
+    assert wal.fsyncs - before == 1  # an empty batch flushes nothing
+
+
+def test_shipped_records_cost_the_standby_what_they_cost_the_primary():
+    primary = WriteAheadLog()
+    _append_chains(primary)
+    standby = WriteAheadLog()
+    for record in primary.records_from(1):
+        standby.append_shipped(record)
+    assert standby.fsyncs == primary.fsyncs == sum(n for _kinds, n in _CHAINS)

@@ -103,6 +103,35 @@ class TestShipping:
             assert semi_group.shipper._buffer == []
 
 
+    @pytest.mark.parametrize("mode", ["sync", "semisync"])
+    def test_standby_counts_the_fsyncs_its_primary_counts(self, mode):
+        """Readers are free on both nodes, writers cost both the same:
+        the standby applies the primary's durability rule to the
+        shipped stream, whichever way the stream is batched."""
+        fleet, pairs = ha_fleet(ack_mode=mode)
+        groups = list(fleet.groups.values())
+        before = [(g.primary.wal.fsyncs, g.standby.wal.fsyncs) for g in groups]
+        row_a, row_b = pairs[0]
+        with fleet.begin() as gtxn:  # two writers: full 2PC
+            fleet.execute(UPDATE_STAMP, [5, row_a], gtxn=gtxn)
+            fleet.execute(UPDATE_STAMP, [5, row_b], gtxn=gtxn)
+        with fleet.begin() as gtxn:  # a writer and a reader: one-phase
+            fleet.execute(UPDATE_STAMP, [6, row_a], gtxn=gtxn)
+            fleet.query(SELECT_STAMP, [row_b], gtxn=gtxn)
+        with fleet.begin() as gtxn:  # two readers: nothing to flush
+            fleet.query(SELECT_STAMP, [row_a], gtxn=gtxn)
+            fleet.query(SELECT_STAMP, [row_b], gtxn=gtxn)
+        fleet.query(SELECT_STAMP, [row_a])  # autocommit read
+        paid = [
+            (g.primary.wal.fsyncs - p, g.standby.wal.fsyncs - s)
+            for g, (p, s) in zip(groups, before)
+        ]
+        shard_a = fleet.router.shard_for("PAIRS", row_a)
+        assert paid[shard_a] == (4, 4)  # PREPARE + DECISION + COMMIT, COMMIT
+        assert paid[1 - shard_a] == (3, 3)
+        assert all(g.shipper.is_fresh for g in groups)
+
+
 class TestDisconnect:
     def test_standby_death_never_fails_the_primary(self):
         fleet, pairs = ha_fleet()

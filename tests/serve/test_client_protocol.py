@@ -222,14 +222,13 @@ BAD_PARAMETERS = [
 
 
 @contextlib.contextmanager
-def _transport(kind):
-    """``(execute, engines behind it)`` for one of the three ways in;
-    the engines are there to check that nothing leaked."""
-    if kind == "database":
+def _client(kind):
+    """``(client, engines behind it)`` for one of the three transports."""
+    if kind == "engine":
         db, _data = load_sales_database(row_scale=0.001)
-        yield db.execute, [db]
+        yield EngineClient(db), [db]
         return
-    fleet = _fleet(f"badparam-{kind}")
+    fleet = _fleet(f"client-{kind}")
     with contextlib.ExitStack() as stack:
         if kind == "fleet":
             client = FleetClient(fleet)
@@ -238,7 +237,40 @@ def _transport(kind):
             client = SocketClient(*bg.server.address)
         client.connect()
         stack.callback(client.close)  # runs before the server stops
-        yield client.execute, fleet.shards
+        yield client, fleet.shards
+
+
+@contextlib.contextmanager
+def _transport(kind):
+    """``(execute, engines behind it)`` for one of the three ways in;
+    the engines are there to check that nothing leaked."""
+    if kind == "database":
+        db, _data = load_sales_database(row_scale=0.001)
+        yield db.execute, [db]
+        return
+    with _client(kind) as (client, engines):
+        yield client.execute, engines
+
+
+@pytest.mark.parametrize("kind", ["engine", "fleet", "socket"])
+def test_query_is_read_only_inside_a_transaction_too(kind):
+    """``query`` used to fall through to ``execute`` once a transaction
+    was open: the DELETE it refused outside ran inside (rowcount 1)."""
+    delete = "DELETE FROM CUSTOMER WHERE C_ID = ?"
+    with _client(kind) as (client, engines):
+        cid = min(
+            key for engine in engines for key in primary_keys(engine, "CUSTOMER")
+        )
+        with pytest.raises(EngineError, match="read-only"):
+            client.query(delete, [cid])
+        client.begin()
+        client.execute(BUMP_CREDIT, [1.0, cid])
+        inside = client.query(READ_CREDIT, [cid]).rows  # sees its own write
+        with pytest.raises(EngineError, match="read-only"):
+            client.query(delete, [cid])
+        assert client.in_txn  # refused before it ran, nothing rolled back
+        client.commit()
+        assert client.query(READ_CREDIT, [cid]).rows == inside
 
 
 @pytest.mark.parametrize("kind", ["database", "fleet", "socket"])

@@ -33,7 +33,6 @@ class TestCrossShardCommit:
                 fleet.execute(
                     "UPDATE kv SET V = ? WHERE K = ?", [7, keys[0]], gtxn=gtxn
                 )
-            assert gtxn.is_cross_shard
             assert gtxn.participants == [0, 1, 2]
         assert gtxn.state is TxnState.COMMITTED
         assert all(value_of(fleet, keys[0]) == 7 for keys in by_shard)
@@ -111,7 +110,7 @@ class TestFastPathAndFsyncs:
             fleet.execute(
                 "UPDATE kv SET V = ? WHERE K = ?", [5, by_shard[0][1]], gtxn=gtxn
             )
-            assert not gtxn.is_cross_shard
+            assert gtxn.participants == [0]
         assert fleet.coordinator.single_commits == 1
         assert fleet.coordinator.cross_commits == 0
         kinds = [record.kind for record in fleet.shards[0].wal._records]

@@ -5,7 +5,14 @@ import pytest
 
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec
-from repro.engine.errors import EngineError, SimulatedCrash
+from repro.engine.errors import (
+    EngineError,
+    ShardUnavailableError,
+    SimulatedCrash,
+    TransactionAborted,
+)
+from repro.engine.txn import IsolationLevel, TxnState
+from repro.engine.wal import LogKind
 from repro.shard import PHASES, ShardSalesWorkload, load_sales_fleet
 
 from tests.shard.test_2pc import load_keys, value_of
@@ -91,6 +98,97 @@ class TestCrashAtEveryPhase:
         fleet = kv_fleet(2)
         with pytest.raises(ValueError):
             fleet.coordinator.arm_crash("between_things")
+
+
+def writers_and_a_reader(fleet, by_shard):
+    """A global transaction that writes the first key of every shard but
+    the last and only reads the last one's (S lock held to commit)."""
+    gtxn = fleet.begin(isolation=IsolationLevel.SERIALIZABLE)
+    for keys in by_shard[:-1]:
+        fleet.execute("UPDATE kv SET V = ? WHERE K = ?", [99, keys[0]], gtxn=gtxn)
+    fleet.query("SELECT V FROM kv WHERE K = ?", [by_shard[-1][0]], gtxn=gtxn)
+    return gtxn
+
+
+def assert_nothing_left_behind(fleet):
+    for shard in fleet.shards:
+        assert not shard.txns.active
+        assert not shard.wal.in_doubt_txns()
+        assert not shard.locks._held_by_txn
+
+
+class TestReadOnlyBranch:
+    """The reader votes and leaves; what it left behind is nothing, so
+    every crash after it recovers as if it had never enlisted."""
+
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_coordinator_crash_with_a_reader_present(self, phase):
+        fleet = kv_fleet(3)
+        by_shard = load_keys(fleet)
+        fleet.coordinator.arm_crash(phase)
+        gtxn = writers_and_a_reader(fleet, by_shard)
+        with pytest.raises(SimulatedCrash):
+            gtxn.commit()
+        reader = fleet.shards[2]
+        assert gtxn.locals[2].state is TxnState.COMMITTED
+        assert not reader.locks._held_by_txn
+        fleet.crash()
+        report = fleet.recover()
+        decided = phase in _DECIDED_PHASES
+        assert [value_of(fleet, keys[0]) for keys in by_shard] == (
+            [99, 99, 0] if decided else [0, 0, 0]
+        )
+        # only the writers were ever in doubt; the reader's log holds
+        # no trace of the protocol
+        assert report.in_doubt <= 2
+        assert not {LogKind.PREPARE, LogKind.DECISION} & {
+            record.kind for record in reader.wal.records_from(1)
+        }
+        assert_nothing_left_behind(fleet)
+
+    def test_crash_between_the_readers_vote_and_the_writers_commit(self):
+        """One writer: no PREPARE protects it, and none is needed -- the
+        commit that dies is the only record that could have made the
+        transaction durable."""
+        fleet = kv_fleet(2)
+        by_shard = load_keys(fleet)
+        gtxn = writers_and_a_reader(fleet, by_shard)
+        writer = fleet.shards[0]
+        writer.wal.arm_crash(writer.wal.last_lsn + 1, "before")  # its COMMIT
+        with pytest.raises(SimulatedCrash):
+            gtxn.commit()
+        assert gtxn.locals[1].state is TxnState.COMMITTED  # the reader left
+        fleet.crash()
+        report = fleet.recover()
+        assert report.in_doubt == 0
+        assert value_of(fleet, by_shard[0][0]) == 0
+        assert_nothing_left_behind(fleet)
+        with writers_and_a_reader(fleet, by_shard):
+            pass
+        assert value_of(fleet, by_shard[0][0]) == 99
+        assert fleet.coordinator.single_commits == 1
+
+    def test_reader_shard_dying_at_its_vote_aborts_the_writers(self):
+        fleet = kv_fleet(3)
+        by_shard = load_keys(fleet)
+        gtxn = writers_and_a_reader(fleet, by_shard)
+        fleet.shards[2].wal.kill()
+        with pytest.raises(ShardUnavailableError, match="during prepare"):
+            gtxn.commit()
+        assert gtxn.state is TxnState.ABORTED
+        assert [value_of(fleet, keys[0]) for keys in by_shard[:2]] == [0, 0]
+        assert not any(shard.locks._held_by_txn for shard in fleet.shards[:2])
+
+    def test_branch_the_engine_rolled_back_aborts_the_rest(self):
+        fleet = kv_fleet(3)
+        by_shard = load_keys(fleet)
+        gtxn = writers_and_a_reader(fleet, by_shard)
+        gtxn.locals[2].rollback()  # what a lock timeout does to a branch
+        with pytest.raises(TransactionAborted):
+            gtxn.commit()
+        assert gtxn.state is TxnState.ABORTED
+        assert [value_of(fleet, keys[0]) for keys in by_shard[:2]] == [0, 0]
+        assert_nothing_left_behind(fleet)
 
 
 class TestChaosDrivenCoordinatorCrash:

@@ -91,6 +91,29 @@ class TestIdempotentCommit:
         assert all(value_of(fleet, keys[0]) == 20 for keys in by_shard)
         assert fleet.coordinator.idempotent_commits == 0
 
+    def test_one_phase_commit_leaves_no_decision_to_absorb(self):
+        """A writer plus a reader commits one-phase, so -- like every
+        single-shard commit -- it logs no DECISION, and a retry under
+        its gtid is a new transaction: the increment applies again.
+        The retry token protects 2PC outcomes only; a client that may
+        retry a one-phase commit has to make the writes idempotent."""
+        fleet = kv_fleet(2)
+        by_shard = load_keys(fleet)
+
+        def writer_and_reader(gtxn):
+            fleet.execute(INCREMENT, [10, by_shard[0][0]], gtxn=gtxn)
+            fleet.query("SELECT V FROM kv WHERE K = ?", [by_shard[1][0]], gtxn=gtxn)
+            gtxn.commit()
+
+        first = fleet.begin()
+        writer_and_reader(first)
+        assert fleet.coordinator.single_commits == 1
+        assert not any(shard.wal.decided_gtids() for shard in fleet.shards)
+        writer_and_reader(fleet.begin(gtid=first.gtid))
+        assert value_of(fleet, by_shard[0][0]) == 20
+        assert fleet.coordinator.idempotent_commits == 0
+        assert fleet.coordinator.single_commits == 2
+
     def test_crash_exception_is_a_simulated_crash(self):
         # the coordinator's own death surfaces as CoordinatorCrash, a
         # SimulatedCrash subtype: "outcome unknown", not "aborted"
