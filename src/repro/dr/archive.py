@@ -30,11 +30,11 @@ loses the buffered tail, which is exactly the RPO > 0 surface the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.engine.database import Database
 from repro.engine.errors import EngineError, WalCorruptionError
-from repro.engine.wal import LogRecord, flip_record_bit
+from repro.engine.wal import LogRecord, corrupt_records, flip_record_bit
 from repro.obs import NULL_OBSERVER, Observer
 
 #: supported archiver modes
@@ -196,11 +196,14 @@ class ShardArchive:
         self._records[lsn] = corrupted
         return corrupted
 
+    def corrupt_records(self) -> Iterator[LogRecord]:
+        """The primary copies failing their CRC, in LSN order."""
+        return corrupt_records(map(self._records.get, sorted(self._records)))
+
     def first_corrupt_lsn(self) -> Optional[int]:
         """Lowest archived LSN whose primary copy fails its CRC."""
-        for lsn in sorted(self._records):
-            if not self._records[lsn].is_intact:
-                return lsn
+        for record in self.corrupt_records():
+            return record.lsn
         return None
 
     def repair(self, lsn: int) -> bool:

@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple
 from repro.dr.archive import FleetArchiver, ShardArchive
 from repro.engine.database import Database
 from repro.engine.errors import WalCorruptionError
+from repro.engine.wal import corrupt_records
 from repro.obs import NULL_OBSERVER, Observer
 
 
@@ -65,14 +66,12 @@ def scrub_archive(
 ) -> ScrubReport:
     """Verify every archived record; repair primaries from the mirror."""
     report = report or ScrubReport()
-    for lsn in sorted(archive._records):
-        report.archive_records += 1
-        if archive._records[lsn].is_intact:
-            continue
-        if archive.repair(lsn):
+    report.archive_records += len(archive)
+    for record in archive.corrupt_records():
+        if archive.repair(record.lsn):
             report.archive_repaired += 1
         else:
-            report.unrepairable.append((archive.shard_name, lsn))
+            report.unrepairable.append((archive.shard_name, record.lsn))
     return report
 
 
@@ -84,10 +83,9 @@ def scrub_wal(
     """Verify the retained live WAL; repair from the archive's copy."""
     report = report or ScrubReport()
     wal = db.wal
-    for record in wal.records_from(wal.first_retained_lsn):
-        report.wal_records += 1
-        if record.is_intact:
-            continue
+    records = wal.records_from(wal.first_retained_lsn)
+    report.wal_records += len(records)
+    for record in corrupt_records(records):
         fixed = False
         if archive is not None and archive.has(record.lsn):
             try:

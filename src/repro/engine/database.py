@@ -677,8 +677,8 @@ class Database:
                            attrs={"db": self.name})
         # Transaction ids must stay monotone across restarts: a reused id
         # would let a post-crash ABORT record poison an identically-
-        # numbered committed transaction from before the crash.  Real
-        # engines recover the XID high-water mark from the log.
+        # numbered committed transaction from before the crash.  The log
+        # keeps the XID high-water mark, truncated records included.
         self.txns = TransactionManager(start_id=self.wal.max_txn_id() + 1)
         self._txn_records.clear()
         # A fired crash point left the log refusing appends; the restart

@@ -89,6 +89,11 @@ class Page:
             if row is not None:
                 yield slot, row
 
+    def dense_rows(self) -> Optional[List[Tuple[Any, ...]]]:
+        """The slot list itself (row ``i`` in slot ``i``; read-only) when
+        no slot is vacated, else ``None``."""
+        return self._slots if self._live == len(self._slots) else None
+
     def _slot(self, slot: int) -> Optional[Tuple[Any, ...]]:
         if slot < 0 or slot >= len(self._slots):
             raise EngineError(f"slot {slot} out of range on page {self.page_no}")

@@ -16,7 +16,7 @@ Two consumers of the WAL live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Set, TYPE_CHECKING
 
 from repro.engine.errors import EngineError
 from repro.engine.table import RowVersion, Table
@@ -83,23 +83,23 @@ def _apply_redo(db: "Database", record: LogRecord) -> None:
     crash every later snapshot sees the replayed history as committed.
     """
     table = db.table(record.table)
-    if record.kind is LogKind.INSERT:
+    kind = record.kind
+    if kind is LogKind.UPDATE:
+        key, after = record.key, record.after
+        rid = table.find_by_key(key)
+        if rid is None:
+            raise EngineError(f"redo UPDATE: key {key!r} missing in {record.table}")
+        table.update_row(rid, after)
+        table.versions.transition(
+            key, after[table.schema.primary_key_index], record.before, after,
+            lsn=record.lsn,
+        )
+    elif kind is LogKind.INSERT:
         table.insert_row(record.after)
         table.versions.append(
             record.key, RowVersion(record.after, begin_lsn=record.lsn)
         )
-    elif record.kind is LogKind.UPDATE:
-        rid = table.find_by_key(record.key)
-        if rid is None:
-            raise EngineError(f"redo UPDATE: key {record.key!r} missing in {record.table}")
-        table.update_row(rid, record.after)
-        _chain_base(table, record.key, record.before)
-        _chain_end(table, record.key, record.lsn)
-        table.versions.append(
-            record.after[table.schema.primary_key_index],
-            RowVersion(record.after, begin_lsn=record.lsn),
-        )
-    elif record.kind is LogKind.DELETE:
+    elif kind is LogKind.DELETE:
         rid = table.find_by_key(record.key)
         if rid is None:
             raise EngineError(f"redo DELETE: key {record.key!r} missing in {record.table}")
@@ -164,56 +164,64 @@ def recover(db: "Database") -> RecoveryReport:
                 "wal.corruption", "engine", track="engine",
                 attrs={"lsn": corrupt_lsn, "discarded": report.records_discarded},
             )
-        records = [record for record in db.wal.records_from(start_lsn)]
+        records = db.wal.records_from(start_lsn)
         report.records_scanned = len(records)
 
-        # Analysis: who committed, who aborted, who was in flight, and
-        # which prepared branches are in doubt?
+        # Analysis: one pass classes every record -- who committed, who
+        # aborted, who was in flight, which prepared branches are in
+        # doubt -- and sets the data records aside for redo and undo.
+        begin, commit, abort = LogKind.BEGIN, LogKind.COMMIT, LogKind.ABORT
+        prepare, decision = LogKind.PREPARE, LogKind.DECISION
         seen: Set[int] = set()
+        winners = report.winners
         aborted: Set[int] = set()
         prepared: Dict[int, object] = {}
+        data: List[LogRecord] = []
         with obs.span("recovery.analysis", "engine", track="engine"):
             for record in records:
-                if record.kind in DATA_KINDS or record.kind is LogKind.BEGIN:
+                kind = record.kind
+                if kind is begin:
                     seen.add(record.txn_id)
-                elif record.kind is LogKind.COMMIT:
-                    report.winners.add(record.txn_id)
-                elif record.kind is LogKind.ABORT:
-                    aborted.add(record.txn_id)
-                elif record.kind is LogKind.PREPARE:
-                    prepared[record.txn_id] = record.key
-                elif record.kind is LogKind.DECISION:
+                elif kind is commit or kind is decision:
                     # a durable local decision is as good as COMMIT: the
                     # coordinator had already decided before the crash
-                    report.winners.add(record.txn_id)
+                    winners.add(record.txn_id)
+                elif kind in DATA_KINDS:
+                    seen.add(record.txn_id)
+                    data.append(record)
+                elif kind is prepare:
+                    prepared[record.txn_id] = record.key
+                elif kind is abort:
+                    aborted.add(record.txn_id)
             report.in_doubt = {
                 txn_id: gtid
                 for txn_id, gtid in prepared.items()
-                if txn_id not in report.winners and txn_id not in aborted
+                if txn_id not in winners and txn_id not in aborted
             }
             # In-doubt transactions are neither winners nor losers: redo
             # them (locks are gone, but so is everyone who could look),
             # never undo them -- the fleet pass decides their fate.
-            report.losers = (
-                seen - report.winners - aborted - set(report.in_doubt)
-            )
+            report.losers = seen - winners - aborted - set(report.in_doubt)
 
         # Redo: replay history (repeating history, ARIES-style).  Aborted
         # transactions are skipped entirely: their rollback ran synchronously
         # before the crash and compensations are not logged (no CLRs), so
         # neither their changes nor their undo exist in the checkpoint image.
         with obs.span("recovery.redo", "engine", track="engine"):
-            for record in records:
-                if record.kind in DATA_KINDS and record.txn_id not in aborted:
-                    _apply_redo(db, record)
-                    report.records_redone += 1
+            if aborted:
+                data = [record for record in data if record.txn_id not in aborted]
+            for record in data:
+                _apply_redo(db, record)
+            report.records_redone = len(data)
 
         # Undo losers in reverse LSN order.
         with obs.span("recovery.undo", "engine", track="engine"):
-            for record in reversed(records):
-                if record.kind in DATA_KINDS and record.txn_id in report.losers:
-                    _apply_undo(db, record)
-                    report.records_undone += 1
+            losers = report.losers
+            if losers:
+                for record in reversed(data):
+                    if record.txn_id in losers:
+                        _apply_undo(db, record)
+                        report.records_undone += 1
         root.set("scanned", report.records_scanned)
         root.set("redone", report.records_redone)
         root.set("undone", report.records_undone)

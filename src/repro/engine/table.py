@@ -17,6 +17,7 @@ once no live snapshot can need the history.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -116,16 +117,20 @@ class VersionStore:
         new_key: Any,
         before: Tuple[Any, ...],
         after: Tuple[Any, ...],
-        txn_id: int,
+        txn_id: Optional[int] = None,
+        lsn: Optional[int] = None,
     ) -> Tuple[Optional[RowVersion], RowVersion]:
         """Fused update-path mutation: base + supersede + append.
 
         One chain lookup instead of three (the separate helpers each
         re-resolved the chain dict on the OLTP hot path): ensure a
         bootstrap base version exists for ``key``, mark the chain head
-        as ended by ``txn_id`` (unless already ended), and append the
-        new version under ``new_key``.  Returns ``(ended_or_None,
-        created)`` for the caller's commit/rollback bookkeeping.
+        as ended (unless already ended), and append the new version
+        under ``new_key``.  A live writer passes its ``txn_id`` and the
+        marks stay uncommitted until its commit stamps them; redo passes
+        the record's ``lsn`` instead and they are committed history at
+        once.  Returns ``(ended_or_None, created)`` for the caller's
+        commit/rollback bookkeeping.
         """
         chains = self._chains
         chain = chains.get(key)
@@ -138,8 +143,9 @@ class VersionStore:
         ended = None
         if head.end_txn is None and head.end_lsn is None:
             head.end_txn = txn_id
+            head.end_lsn = lsn
             ended = head
-        created = RowVersion(after, begin_txn=txn_id)
+        created = RowVersion(after, lsn, txn_id)
         if new_key == key:
             chain.append(created)
         else:  # primary-key update: the new version starts its own chain
@@ -261,6 +267,8 @@ class Table:
             f"{self.name}_pkey", (schema.primary_key,), unique=True
         )
         self.secondary_indexes: Dict[str, HashIndex] = {}
+        #: reads the primary key and every indexed column off a row
+        self._keys_of = itemgetter(schema.primary_key_index)
         #: bumped whenever the index set changes; compiled statements
         #: pin the epoch they were planned under and recompile on drift
         self.plan_epoch = 0
@@ -282,6 +290,10 @@ class Table:
         for rid, row in self.scan():
             index.insert(self._index_key(columns, row), rid)
         self.secondary_indexes[name] = index
+        positions = {self.schema.primary_key_index}
+        for held in self.secondary_indexes.values():
+            positions.update(map(self.schema.column_index, held.columns))
+        self._keys_of = itemgetter(*sorted(positions))
         self.plan_epoch += 1
 
     @property
@@ -347,22 +359,19 @@ class Table:
     def read_row(self, rid: RowId) -> Tuple[Any, ...]:
         return self._page(rid.page_no).read(rid.slot)
 
-    def update_row(
-        self, rid: RowId, new_row: Tuple[Any, ...], keys_unchanged: bool = False
-    ) -> Tuple[Any, ...]:
+    def update_row(self, rid: RowId, new_row: Tuple[Any, ...]) -> Tuple[Any, ...]:
         """Overwrite a row in place; returns the before image.
 
         All unique constraints are validated before any mutation, so a
-        :class:`DuplicateKeyError` leaves the table untouched.
-
-        ``keys_unchanged=True`` is the caller asserting that no primary
-        key or indexed column differs from the stored row (the compiled
-        executor proves this from the SET clause shape); the uniqueness
-        check and index maintenance are then skipped.
+        :class:`DuplicateKeyError` leaves the table untouched.  When the
+        stored row already holds ``new_row``'s primary key and every
+        indexed column there is nothing to validate and no index entry
+        to move: the row is written and that is all.
         """
         page = self._page(rid.page_no)
         before = page.read(rid.slot)
-        if keys_unchanged:
+        keys_of = self._keys_of
+        if keys_of(new_row) == keys_of(before):
             page.write(rid.slot, new_row)
             return before
         new_key = new_row[self.schema.primary_key_index]
@@ -487,12 +496,22 @@ class Table:
 
     def _rebuild_indexes(self) -> None:
         """Bulk build from the heap: one pass collects the live rows and
-        their addresses, then each index takes its key column whole
-        (``itemgetter`` keeps :meth:`_index_key`'s scalar-or-tuple shape)."""
+        their addresses -- a page at a time where no slot is vacated, its
+        ``RowId`` s built in C -- then each index takes its key column
+        whole (``itemgetter`` keeps :meth:`_index_key`'s scalar-or-tuple
+        shape)."""
         rids: List[RowId] = []
         rows: List[Tuple[Any, ...]] = []
         for page in self._pages:
             page_no = page.page_no
+            dense = page.dense_rows()
+            if dense is not None:
+                rows += dense
+                rids += map(
+                    tuple.__new__, repeat(RowId),
+                    zip(repeat(page_no), range(len(dense))),
+                )
+                continue
             for slot, row in page.rows():
                 rids.append(RowId(page_no, slot))
                 rows.append(row)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from marshal import dumps as _marshal_dumps
 from zlib import crc32 as _crc32
@@ -130,7 +130,7 @@ class LogRecord:
 
     def expected_crc(self) -> int:
         return checksum(
-            self.lsn, self.txn_id, self.kind.value, self.table,
+            self.lsn, self.txn_id, self.kind._value_, self.table,
             self.key, self.before, self.after, self.prev_lsn,
         )
 
@@ -146,6 +146,18 @@ class LogRecord:
             if image is not None:
                 size += 8 * len(image) + 16
         return size
+
+
+def corrupt_records(records: Iterable[LogRecord]) -> Iterator[LogRecord]:
+    """Those of ``records`` whose stored CRC does not match their payload.
+
+    The one bulk verify loop: restart recovery, the archive and the
+    scrubber all read their logs through it (:attr:`LogRecord.is_intact`
+    is the same comparison for callers holding a single record).
+    """
+    for record in records:
+        if record.crc != record.expected_crc():
+            yield record
 
 
 def flip_record_bit(record: LogRecord, bit: int = 0) -> LogRecord:
@@ -180,6 +192,10 @@ class WriteAheadLog:
         self._records: List[LogRecord] = []
         self._next_lsn = 1
         self._last_lsn_of_txn: Dict[int, int] = {}
+        #: highest transaction id ever logged here; only ever rises --
+        #: :meth:`truncate`, :meth:`discard_from` and
+        #: :meth:`reset_for_restore` all leave it alone
+        self._max_txn_id = 0
         #: fsync points paid so far (always maintained: the sharding
         #: benches compare group-commit amortisation with obs off)
         self.fsyncs = 0
@@ -217,12 +233,15 @@ class WriteAheadLog:
         return self._truncated_before
 
     def max_txn_id(self) -> int:
-        """Highest transaction id among retained records (0 if none).
+        """Highest transaction id ever appended or shipped (0 if none).
 
-        Restart recovery uses this as the XID high-water mark so new
-        transactions never reuse a logged id.
+        The XID high-water mark a restart seeds its transaction manager
+        from, so new transactions never reuse a logged id -- not one a
+        truncating checkpoint or a discarded tail took out of the
+        retained log either: the archive, a backup or a standby may
+        still hold those records.
         """
-        return max((record.txn_id for record in self._records), default=0)
+        return self._max_txn_id
 
     @property
     def retained_records(self) -> int:
@@ -308,6 +327,8 @@ class WriteAheadLog:
                 record = flip_record_bit(record)
         self._next_lsn = lsn + 1
         self._records.append(record)
+        if txn_id > self._max_txn_id:
+            self._max_txn_id = txn_id
         if ends_txn:
             last_of_txn.pop(txn_id, None)
         else:
@@ -357,6 +378,8 @@ class WriteAheadLog:
             raise WalCorruptionError(f"shipped LSN {record.lsn} fails its CRC")
         self._records.append(record)
         self._next_lsn = record.lsn + 1
+        if record.txn_id > self._max_txn_id:
+            self._max_txn_id = record.txn_id
         if record.kind in _TXN_END_KINDS:
             self._last_lsn_of_txn.pop(record.txn_id, None)
         elif record.kind is not LogKind.CHECKPOINT:
@@ -522,7 +545,9 @@ class WriteAheadLog:
         :meth:`start_from`, and replays archived records through
         :meth:`append_shipped`.  Everything is dropped -- records, the
         LSN sequence, per-transaction chains, armed crash points, group
-        state -- and a dead instance is revived.
+        state -- and a dead instance is revived.  The transaction-id
+        high-water mark stays: ids are never reused, whatever timeline
+        the instance ends up on.
         """
         self._records = []
         self._next_lsn = 1
@@ -562,9 +587,8 @@ class WriteAheadLog:
     def first_corrupt_lsn(self, from_lsn: int = 0) -> Optional[int]:
         """LSN of the first retained record failing its CRC, if any."""
         start = max(from_lsn, self._truncated_before)
-        for record in self.records_from(start):
-            if not record.is_intact:
-                return record.lsn
+        for record in corrupt_records(self.records_from(start)):
+            return record.lsn
         return None
 
     def discard_from(self, lsn: int) -> int:
@@ -591,14 +615,13 @@ class WriteAheadLog:
 
     # -- reading -------------------------------------------------------------
 
-    def records_from(self, lsn: int) -> Iterator[LogRecord]:
+    def records_from(self, lsn: int) -> List[LogRecord]:
         """All retained records with LSN >= ``lsn``, in LSN order."""
         if lsn < self._truncated_before:
             raise ValueError(
                 f"LSN {lsn} was truncated (log starts at {self._truncated_before})"
             )
-        start = lsn - self._truncated_before
-        yield from self._records[max(0, start):]
+        return self._records[lsn - self._truncated_before:]
 
     def record_at(self, lsn: int) -> LogRecord:
         if lsn < self._truncated_before or lsn > self.last_lsn:

@@ -15,7 +15,12 @@ from repro.dr.backup import BackupJob
 from repro.dr.restore import RestoreJob
 from repro.engine.errors import EngineError
 from repro.ha.history import HistoryChecker
-from repro.ha.workload import SELECT_STAMP, PairWorkload, build_pairs_fleet
+from repro.ha.workload import (
+    SELECT_STAMP,
+    UPDATE_STAMP,
+    PairWorkload,
+    build_pairs_fleet,
+)
 from repro.sim.rng import derive_seed
 
 N_PAIRS = 3
@@ -82,6 +87,46 @@ class TestRoundTrip:
         assert report.records_replayed == 0
         for row, expected in as_of_backup.items():
             assert stamp(restored, row) == expected
+
+    def test_restart_after_a_truncating_checkpoint_reuses_no_txn_id(self):
+        """Regression (lost committed write): the restart seeded its
+        transaction ids from the *retained* log, so after a truncating
+        checkpoint they began again at 1.  The archive still held the
+        older log; a later rolled-back transaction on a reused id made
+        the restore's analysis class the committed 777 as aborted."""
+        fleet, pairs, archiver, _workload = dr_rig("drxid")
+        manifest = BackupJob(fleet, archiver, name="drxid").run()
+        row = pairs[0][0]
+        shard = next(
+            shard for shard in fleet.shards
+            if shard.table("PAIRS").find_by_key(row) is not None
+        )
+        other = next(
+            key for _rid, (key, _stamp) in shard.table("PAIRS").scan()
+            if key != row
+        )
+        fleet.execute(UPDATE_STAMP, [777, row])
+        winner = shard.wal.max_txn_id()
+        for one in fleet.shards:
+            one.checkpoint(truncate_wal=True)
+        fleet.crash()
+        fleet.recover()
+        # walk the ids forward to where the parent handed ``winner`` out
+        # again, and roll a write to another row back there
+        while True:
+            txn = shard.begin()
+            if txn.txn_id >= winner:
+                break
+            txn.commit()
+        assert txn.txn_id > winner
+        shard.execute(UPDATE_STAMP, [5, other], txn=txn)
+        txn.rollback()
+        archiver.catch_up()
+        restored, _report = RestoreJob(manifest, archiver, name="drxid").run(
+            target=[archive.last_lsn for archive in archiver.archives]
+        )
+        assert stamp(fleet, row) == 777
+        assert stamp(restored, row) == 777
 
     def test_target_below_the_barrier_is_refused(self):
         fleet, pairs, archiver, workload = dr_rig("drlow")

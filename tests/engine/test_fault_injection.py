@@ -174,3 +174,26 @@ def test_txn_ids_stay_monotone_across_crashes():
     db.crash()
     db.recover()
     assert kv_state(db) == {1: 1, 2: 2}
+
+
+def test_txn_ids_stay_monotone_across_a_truncating_checkpoint():
+    """Regression: the restart took its next id from the retained log, so
+    a truncating checkpoint just before the crash sent ids back to 1 --
+    while archives, backups and standbys still held the older records."""
+    db = fresh_db()
+    db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])
+    db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [2, 2])
+    max_before = db.wal.max_txn_id()
+    assert max_before == 2
+    db.checkpoint(truncate_wal=True)
+    assert {record.txn_id for record in db.wal.records_from(db.checkpoint_lsn)} == {0}
+    db.crash()
+    db.recover()
+    assert db.begin().txn_id == max_before + 1
+    # a corrupt tail is discarded with its records, not with their ids
+    db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [3, 3])
+    last = db.wal.last_lsn
+    db.wal.flip_bit(last)
+    db.crash()
+    assert db.recover().corrupt_from_lsn == last
+    assert db.begin().txn_id == max_before + 3

@@ -290,3 +290,155 @@ def test_property_placement_matches_the_linear_scan(ops):
             oracle.restore(image[1])
             live = dict(image[2])
     assert {key: table.find_by_key(key) for key in live} == live
+
+
+# -- update_row: the proven-unchanged write against the full update ------------
+
+
+def _full_update_row(table, rid, new_row):
+    """``update_row`` as it was before it compared the key columns:
+    every write validates and walks every index."""
+    page = table._page(rid.page_no)
+    before = page.read(rid.slot)
+    new_key = new_row[table.schema.primary_key_index]
+    old_key = before[table.schema.primary_key_index]
+    table.check_unique(new_row, exclude_rid=rid)
+    page.write(rid.slot, new_row)
+    if new_key != old_key:
+        table.primary_index.delete(old_key, rid)
+        table.primary_index.insert(new_key, rid)
+    for index in table.secondary_indexes.values():
+        old_entry = table._index_key(index.columns, before)
+        new_entry = table._index_key(index.columns, new_row)
+        if old_entry != new_entry:
+            index.delete(old_entry, rid)
+            index.insert(new_entry, rid)
+    return before
+
+
+def _indexed_table():
+    """Primary key, a unique index, a non-unique composite one and a
+    column no index covers."""
+    schema = Schema(
+        "U",
+        (
+            Column("ID", ColumnType.INT, nullable=False),
+            Column("CODE", ColumnType.INT, default=0),
+            Column("GRP", ColumnType.INT, default=0),
+            Column("TAG", ColumnType.INT, default=0),
+            Column("FREE", ColumnType.INT, default=0),
+        ),
+        primary_key="ID",
+    )
+    table = Table(schema)
+    table.create_index("u_code", ("CODE",), unique=True)
+    table.create_index("u_grp_tag", ("GRP", "TAG"), ordered=True)
+    for i in range(6):
+        table.insert_row((i, 100 + i, i % 2, i % 3, 0))
+    return table
+
+
+def _index_state(table):
+    return (
+        dict(table.primary_index._map), list(table.primary_index._sorted_keys),
+        {
+            name: ({key: held if index.unique else set(held)
+                    for key, held in index._map.items()},
+                   list(getattr(index, "_sorted_keys", ())))
+            for name, index in table.secondary_indexes.items()
+        },
+        list(table.scan()),
+    )
+
+
+def _outcome(update, *args):
+    try:
+        return update(*args)
+    except DuplicateKeyError as error:
+        return str(error)
+
+
+_small = st.integers(min_value=0, max_value=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(updates=st.lists(
+    st.tuples(
+        _small,  # which row
+        # None keeps the stored value: most updates leave most keys alone
+        st.tuples(*(st.one_of(st.none(), _small) for _ in range(5))),
+    ),
+    max_size=30,
+))
+def test_property_update_row_matches_the_full_update(updates):
+    """Same before image, same ``DuplicateKeyError``, same heap and the
+    same index contents whether or not the write takes the short path."""
+    fast, full = _indexed_table(), _indexed_table()
+    for pick, changes in updates:
+        keys = sorted(fast.primary_index._map)
+        rid = fast.find_by_key(keys[pick % len(keys)])
+        stored = fast.read_row(rid)
+        new_row = tuple(
+            old if new is None else (100 + new if col == 1 else new)
+            for col, (old, new) in enumerate(zip(stored, changes))
+        )
+        assert _outcome(fast.update_row, rid, new_row) == \
+            _outcome(_full_update_row, full, rid, new_row)
+        assert _index_state(fast) == _index_state(full)
+
+
+def test_update_row_skips_the_indexes_only_when_no_key_column_moves(monkeypatch):
+    table = _indexed_table()
+    checked = []
+    check_unique = Table.check_unique
+    monkeypatch.setattr(
+        Table, "check_unique",
+        lambda self, row, exclude_rid=None: (
+            checked.append(row), check_unique(self, row, exclude_rid))[1],
+    )
+    rid = table.find_by_key(3)
+    table.update_row(rid, (3, 103, 1, 0, 42))  # FREE alone
+    assert checked == []
+    table.update_row(rid, (3, 103, 1, 2, 42))  # TAG is indexed
+    assert checked == [(3, 103, 1, 2, 42)]
+    assert rid in table.secondary_indexes["u_grp_tag"].lookup((1, 2))
+
+
+# -- _rebuild_indexes: whole pages and pages with holes ------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_rows=st.integers(min_value=0, max_value=14),
+    doomed=st.sets(st.integers(min_value=0, max_value=13)),
+)
+def test_property_rebuild_indexes_matches_one_insert_per_row(n_rows, doomed):
+    """Dense pages are taken whole, pages with vacated slots row by row:
+    either way each index holds what one ``insert`` per live row gives."""
+    schema = Schema(
+        "W",
+        (
+            Column("ID", ColumnType.INT, nullable=False),
+            Column("GRP", ColumnType.INT, default=0),
+            Column("PAD", ColumnType.VARCHAR, length=2400, default=""),
+        ),
+        primary_key="ID",
+    )
+    table = Table(schema)
+    assert table._rows_per_page == 3
+    table.create_index("w_grp", ("GRP",))
+    table.create_index("w_grp_id", ("GRP", "ID"), unique=True, ordered=True)
+    for i in range(n_rows):
+        table.insert_row((i, i % 4, ""))
+    for i in doomed:
+        if i < n_rows:
+            table.delete_row(table.find_by_key(i))
+    expected = _index_state(table)  # maintained one insert/delete at a time
+    assert all(type(rid) is RowId for rid in expected[0].values())
+
+    for index in (table.primary_index, *table.secondary_indexes.values()):
+        index.rebuild([], [])
+    table._rebuild_indexes()
+    assert _index_state(table) == expected
+    rebuilt = list(table.primary_index._map.values())
+    assert all(type(rid) is RowId for rid in rebuilt)

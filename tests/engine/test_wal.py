@@ -109,6 +109,23 @@ def test_max_txn_id_and_first_retained():
     assert wal.first_retained_lsn == 1
     wal.truncate(3)
     assert wal.first_retained_lsn == 3
+    # a high-water mark, not a max over what is retained: the record of
+    # txn 7 is gone, its id stays taken -- through a discarded tail and
+    # a restore reset as well
+    assert [record.txn_id for record in wal.records_from(3)] == [5]
+    assert wal.max_txn_id() == 7
+    wal.append(9, LogKind.BEGIN)
+    wal.discard_from(4)
+    assert wal.max_txn_id() == 9
+    wal.reset_for_restore()
+    assert wal.max_txn_id() == 9
+
+
+def test_shipped_records_raise_the_txn_id_high_water_mark():
+    primary, standby = WriteAheadLog(), WriteAheadLog()
+    standby.append_shipped(primary.append(4, LogKind.BEGIN))
+    standby.append_shipped(primary.append(2, LogKind.BEGIN))
+    assert standby.max_txn_id() == 4
 
 
 # -- the record checksum -------------------------------------------------------
