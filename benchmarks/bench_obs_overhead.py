@@ -49,8 +49,7 @@ def _make_db(observer=None) -> Database:
         ),
         primary_key="A_ID",
     ))
-    for a_id in range(1, N_ROWS + 1):
-        db.table("ACCOUNTS").insert_row((a_id, 100.0))
+    db.table("ACCOUNTS").load((a_id, 100.0) for a_id in range(1, N_ROWS + 1))
     return db
 
 

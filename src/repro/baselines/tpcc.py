@@ -200,38 +200,40 @@ def load_tpcc(
     items = max(10, int(ITEMS * item_scale))
     now = 1_700_000_000.0
 
-    for i_id in range(1, items + 1):
-        db.table("ITEM").insert_row((i_id, f"item-{i_id:06d}", round(rng.uniform(1, 100), 2)))
-
+    db.table("ITEM").load(
+        (i_id, f"item-{i_id:06d}", round(rng.uniform(1, 100), 2))
+        for i_id in range(1, items + 1)
+    )
+    # Rows are drawn in the order the random stream expects and collected
+    # per table; surrogate keys count up from 1 as on a fresh table.
+    warehouse, stock, district, customer, orders, order_line = ([] for _ in range(6))
     for w_id in range(1, warehouses + 1):
-        db.table("WAREHOUSE").insert_row((w_id, f"W{w_id}", 0.08, 300_000.0))
+        warehouse.append((w_id, f"W{w_id}", 0.08, 300_000.0))
         for i_id in range(1, items + 1):
-            db.table("STOCK").insert_row(
-                (db.table("STOCK").next_autoincrement(), i_id, w_id,
-                 rng.randint(10, 100), 0, 0)
-            )
+            stock.append((len(stock) + 1, i_id, w_id, rng.randint(10, 100), 0, 0))
         for d_id in range(1, DISTRICTS_PER_WAREHOUSE + 1):
-            db.table("DISTRICT").insert_row(
-                (db.table("DISTRICT").next_autoincrement(), d_id, w_id,
-                 0.09, 30_000.0, customers + 1)
+            district.append(
+                (len(district) + 1, d_id, w_id, 0.09, 30_000.0, customers + 1)
             )
             for c_id in range(1, customers + 1):
-                c_key = db.table("CUSTOMER").next_autoincrement()
-                db.table("CUSTOMER").insert_row(
-                    (c_key, c_id, d_id, w_id, f"LAST{c_id:04d}",
+                customer.append(
+                    (len(customer) + 1, c_id, d_id, w_id, f"LAST{c_id:04d}",
                      -10.0, 10.0, 1, 0)
                 )
                 # one initial order per customer, already delivered
-                o_key = db.table("ORDERS").next_autoincrement()
-                db.table("ORDERS").insert_row(
-                    (o_key, c_id, d_id, w_id, c_id, rng.randint(1, 10), 5, now)
+                orders.append(
+                    (len(orders) + 1, c_id, d_id, w_id, c_id, rng.randint(1, 10), 5, now)
                 )
                 for number in range(1, 6):
-                    db.table("ORDER_LINE").insert_row(
-                        (db.table("ORDER_LINE").next_autoincrement(),
-                         c_id, d_id, w_id, number, rng.randint(1, items),
-                         5, round(rng.uniform(1, 100), 2))
+                    order_line.append(
+                        (len(order_line) + 1, c_id, d_id, w_id, number,
+                         rng.randint(1, items), 5, round(rng.uniform(1, 100), 2))
                     )
+    for name, rows in (
+        ("WAREHOUSE", warehouse), ("STOCK", stock), ("DISTRICT", district),
+        ("CUSTOMER", customer), ("ORDERS", orders), ("ORDER_LINE", order_line),
+    ):
+        db.table(name).load(rows)
     return TpccScale(
         warehouses=warehouses,
         districts=DISTRICTS_PER_WAREHOUSE,

@@ -107,13 +107,14 @@ def load_ycsb(db: Database, records: int = DEFAULT_RECORDS, seed: int = 42) -> i
     """Create and populate the usertable; returns records loaded."""
     db.create_table(USERTABLE)
     rng = random.Random(seed)
-    table = db.table("USERTABLE")
-    for key in range(1, records + 1):
-        table.insert_row((
+    db.table("USERTABLE").load(
+        (
             key,
             *(f"f{field}-{key}-{rng.randint(0, 999999):06d}"
               for field in range(FIELD_COUNT)),
-        ))
+        )
+        for key in range(1, records + 1)
+    )
     return records
 
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, Iterator, Tuple
 
 from repro.core.schema import (
     ORDERLINE_MULTIPLIER,
@@ -80,14 +82,21 @@ class DataGenerator:
             for table, count in rows_at_scale(self.scale_factor).items()
         }
 
-    def iter_rows(self) -> Iterator[tuple]:
-        """Yield ``(table_name, row)`` in deterministic generation order.
+    def iter_tables(self) -> Iterator[Tuple[str, Iterator[tuple]]]:
+        """Yield ``(table_name, rows)`` per table, in generation order.
 
         The single stream serves both the whole-database loader below
         and the sharded fleet loader, which routes each row to the shard
         owning its partition key -- every consumer sees byte-identical
-        rows for a given seed.
+        rows for a given seed.  Each ``rows`` is valid until the next
+        table is drawn.
         """
+        for table_name, pairs in groupby(self._iter_rows(), key=itemgetter(0)):
+            yield table_name, map(itemgetter(1), pairs)
+
+    def _iter_rows(self) -> Iterator[tuple]:
+        """``(table_name, row)`` in deterministic generation order: each
+        table's rows contiguous, so :meth:`iter_tables` can group them."""
         rng = random.Random(self.seed)
         counts = self.materialised_rows()
         now = 1_700_000_000.0  # fixed epoch base keeps runs reproducible
@@ -142,9 +151,8 @@ class DataGenerator:
         """Generate and load all rows; returns a summary."""
         if create_schema:
             create_sales_schema(db)
-        tables = {name: db.table(name) for name in ("CUSTOMER", "ORDERS", "ORDERLINE")}
-        for table_name, row in self.iter_rows():
-            tables[table_name].insert_row(row)
+        for table_name, rows in self.iter_tables():
+            db.table(table_name).load(rows)
         return GeneratedData(
             scale_factor=self.scale_factor,
             row_scale=self.row_scale,

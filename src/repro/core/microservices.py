@@ -142,24 +142,21 @@ def load_extended(
     products = max(30, int(PRODUCTS * scale_factor * row_scale))
     now = 1_700_000_000.0
 
-    product = db.table("PRODUCT")
-    for p_id in range(1, products + 1):
-        product.insert_row((p_id, f"Product#{p_id:06d}", round(rng.uniform(1, 500), 2)))
-
-    inventory = db.table("INVENTORY")
-    i_id = 0
-    for p_id in range(1, products + 1):
-        for warehouse in range(1, WAREHOUSES + 1):
-            i_id += 1
-            inventory.insert_row((i_id, p_id, warehouse, rng.randint(0, 500), now))
-
-    bom = db.table("BOM")
-    b_id = 0
-    for p_id in range(1, products + 1):
-        for _ in range(COMPONENTS_PER_PRODUCT):
-            b_id += 1
-            bom.insert_row((b_id, p_id, rng.randint(1, products), rng.randint(1, 4)))
-
+    db.table("PRODUCT").load(
+        (p_id, f"Product#{p_id:06d}", round(rng.uniform(1, 500), 2))
+        for p_id in range(1, products + 1)
+    )
+    db.table("INVENTORY").load(
+        ((p_id - 1) * WAREHOUSES + warehouse, p_id, warehouse, rng.randint(0, 500), now)
+        for p_id in range(1, products + 1)
+        for warehouse in range(1, WAREHOUSES + 1)
+    )
+    db.table("BOM").load(
+        ((p_id - 1) * COMPONENTS_PER_PRODUCT + part, p_id,
+         rng.randint(1, products), rng.randint(1, 4))
+        for p_id in range(1, products + 1)
+        for part in range(1, COMPONENTS_PER_PRODUCT + 1)
+    )
     return ExtendedScale(products=products, warehouses=WAREHOUSES)
 
 

@@ -3,7 +3,7 @@
 Per shard the restore is the standby-bootstrap path pointed at the
 archive instead of a live primary: blank the engine
 (``reset_for_restore``), rebuild schema and indexes from the manifest,
-insert the image rows, stamp the copy as a checkpoint at the barrier
+load the image rows in bulk, stamp the copy as a checkpoint at the barrier
 LSN (``install_checkpoint`` positions the pristine WAL at
 ``barrier + 1`` via ``start_from``), adopt the archived records in
 ``(barrier, target]`` through ``append_shipped`` (continuity and CRC
@@ -212,7 +212,6 @@ class RestoreJob(PhaseFaults):
     @staticmethod
     def _load_shard(shard: Database, shard_backup) -> int:
         shard.reset_for_restore()
-        rows = 0
         for image in shard_backup.tables:
             table = shard.create_table(image.schema)
             for name, columns, unique, ordered in image.indexes:
@@ -220,11 +219,9 @@ class RestoreJob(PhaseFaults):
                     image.schema.table, name, columns,
                     unique=unique, ordered=ordered,
                 )
-            for row in image.rows:
-                table.insert_row(row)
-                rows += 1
+            table.load(image.rows)
         shard.install_checkpoint(shard_backup.barrier_lsn)
-        return rows
+        return shard_backup.rows
 
 
 def rebootstrap_standbys(

@@ -17,6 +17,7 @@ with the transaction's record batch, and releases all locks.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.errors import (
@@ -536,8 +537,16 @@ class Database:
             # Validate unique constraints before the WAL record exists.
             table.check_unique(after, exclude_rid=rid)
         key = before[schema.primary_key_index]
+        new_key = key if keys_unchanged else after[schema.primary_key_index]
         self._lock_row(txn, table.name, key, LockMode.EXCLUSIVE)
         self._check_write_conflict(txn, table, key)
+        if new_key != key:
+            # The moved row is this transaction's uncommitted insert under
+            # its new key: lock that key as an INSERT would, or another
+            # writer could delete the row (or own a delete of the key that
+            # its rollback would undo on top of it).
+            self._lock_row(txn, table.name, new_key, LockMode.EXCLUSIVE)
+            self._check_write_conflict(txn, table, new_key)
         if txn.deadline is not None:
             self._deadline_guard(txn, "WAL append")
         record = self.wal.append(
@@ -548,9 +557,7 @@ class Database:
         else:
             table.update_row(rid, after)
         ended, created = table.versions.transition(
-            key,
-            key if keys_unchanged else after[schema.primary_key_index],
-            before, after, txn.txn_id,
+            key, new_key, before, after, txn.txn_id,
         )
         if ended is not None:
             txn.ended_versions.append(ended)
@@ -751,13 +758,12 @@ class Database:
                 )
         return clone
 
-    def clone_full(self, name: str) -> "Database":
-        """Schema clone plus a copy of all current rows (base backup)."""
+    def clone_full(self, name: str, observer: Optional[Observer] = None) -> "Database":
+        """Schema clone plus a copy of all current rows (base backup),
+        each table loaded in bulk from a scan of this one."""
         if self.txns.active:
-            raise EngineError("clone_full requires quiescence")
-        clone = self.clone_schema(name)
+            raise EngineError(f"clone_full requires a quiesced database, {self.name!r} is not")
+        clone = self.clone_schema(name, observer=observer)
         for table in self._tables.values():
-            target = clone.table(table.name)
-            for _rid, row in table.scan():
-                target.insert_row(row)
+            clone.table(table.name).load(map(itemgetter(1), table.scan()))
         return clone

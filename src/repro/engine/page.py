@@ -99,6 +99,16 @@ class Page:
             raise EngineError(f"slot {slot} out of range on page {self.page_no}")
         return self._slots[slot]
 
+    @classmethod
+    def dense(cls, page_no: int, capacity: int, rows: List[Tuple[Any, ...]]) -> "Page":
+        """A page holding ``rows[i]`` in slot ``i`` -- what ``len(rows)``
+        (at most ``capacity``) inserts into a new page give.  Takes the
+        list as its slot list."""
+        page = cls(page_no, capacity)
+        page._slots = rows
+        page._live = len(rows)
+        return page
+
     def clone(self) -> "Page":
         """Deep-enough copy used by checkpoint snapshots."""
         copy = Page(self.page_no, self.capacity)

@@ -17,9 +17,9 @@ once no live snapshot can need the history.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.engine.errors import DuplicateKeyError, EngineError, SchemaError
 from repro.engine.index import HashIndex, OrderedIndex
@@ -287,8 +287,8 @@ class Table:
             self.schema.column_index(column)  # validates
         index_class = OrderedIndex if ordered else HashIndex
         index = index_class(name, columns, unique)
-        for rid, row in self.scan():
-            index.insert(self._index_key(columns, row), rid)
+        if self._pages:
+            self._build_indexes(index)
         self.secondary_indexes[name] = index
         positions = {self.schema.primary_key_index}
         for held in self.secondary_indexes.values():
@@ -355,6 +355,32 @@ class Table:
         if isinstance(key, int):
             self.bump_autoincrement(key)
         return rid
+
+    def load(self, rows: Iterable[Tuple[Any, ...]]) -> None:
+        """Bulk-insert validated rows into a table that has never held
+        one, with the result of one :meth:`insert_row` per row: pages
+        filled in row order, a page at a time from the iterable, then
+        every index built once as a checkpoint restore builds them.  All
+        or nothing: a duplicate primary or unique key raises
+        :class:`DuplicateKeyError` naming it and leaves the table empty.
+        """
+        if self._pages:
+            raise EngineError(f"load needs an empty table, {self.name!r} has pages")
+        rows = iter(rows)
+        capacity = self._rows_per_page
+        pages = self._pages
+        try:
+            for chunk in iter(lambda: list(islice(rows, capacity)), []):
+                pages.append(Page.dense(len(pages), capacity, chunk))
+            self._rebuild_indexes()
+        except BaseException:
+            self._pages = []
+            self._rebuild_indexes()
+            raise
+        for key, _rid in self.primary_index.range(reverse=True):
+            if isinstance(key, int):
+                self.bump_autoincrement(key)
+                break
 
     def read_row(self, rid: RowId) -> Tuple[Any, ...]:
         return self._page(rid.page_no).read(rid.slot)
@@ -495,6 +521,9 @@ class Table:
         self._rebuild_indexes()
 
     def _rebuild_indexes(self) -> None:
+        self._build_indexes(self.primary_index, *self.secondary_indexes.values())
+
+    def _build_indexes(self, *indexes: HashIndex) -> None:
         """Bulk build from the heap: one pass collects the live rows and
         their addresses -- a page at a time where no slot is vacated, its
         ``RowId`` s built in C -- then each index takes its key column
@@ -515,7 +544,7 @@ class Table:
             for slot, row in page.rows():
                 rids.append(RowId(page_no, slot))
                 rows.append(row)
-        for index in (self.primary_index, *self.secondary_indexes.values()):
+        for index in indexes:
             key_of = itemgetter(*map(self.schema.column_index, index.columns))
             index.rebuild(list(map(key_of, rows)), rids)
 

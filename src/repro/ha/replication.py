@@ -45,21 +45,14 @@ def bootstrap_standby(
 ) -> Database:
     """Seed a standby from a quiesced primary (base backup).
 
-    Copies schema and rows, stamps the copy as a checkpoint taken at
-    the primary's durable horizon, and positions the standby's pristine
-    WAL so shipped records continue the primary's LSN sequence.  From
-    then on ``crash() + recover()`` on the standby replays exactly the
-    shipped suffix -- which is what promotion does.
+    Copies schema and rows (:meth:`~repro.engine.database.Database.
+    clone_full`), stamps the copy as a checkpoint taken at the primary's
+    durable horizon, and positions the standby's pristine WAL so shipped
+    records continue the primary's LSN sequence.  From then on
+    ``crash() + recover()`` on the standby replays exactly the shipped
+    suffix -- which is what promotion does.
     """
-    if primary.txns.active:
-        raise EngineError("standby bootstrap requires a quiesced primary")
-    standby = primary.clone_schema(
-        name or f"{primary.name}-standby", observer=observer
-    )
-    for table_name in primary.table_names:
-        target = standby.table(table_name)
-        for _rid, row in primary.table(table_name).scan():
-            target.insert_row(row)
+    standby = primary.clone_full(name or f"{primary.name}-standby", observer=observer)
     standby.install_checkpoint(primary.wal.last_lsn)
     return standby
 

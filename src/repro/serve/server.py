@@ -495,20 +495,23 @@ class SQLServer:
         self, sock: Optional[socket_module.socket] = None
     ) -> Tuple[str, int]:
         """Bind and serve; ``sock`` lets cluster workers share a
-        pre-bound SO_REUSEPORT socket."""
+        pre-bound SO_REUSEPORT socket.  The accept backlog is
+        ``max_connections`` (asyncio's default of 100 would park a
+        larger burst of connects in the kernel's SYN retransmit)."""
         if self._server is not None:
             raise RuntimeError("server is already started")
         self._started_at = time.monotonic()
         self._draining = False
         self._loop = asyncio.get_running_loop()
+        backlog = self.config.max_connections
         if sock is not None:
             self._server = await self._loop.create_server(
-                lambda: _Connection(self), sock=sock
+                lambda: _Connection(self), sock=sock, backlog=backlog
             )
         else:
             self._server = await self._loop.create_server(
                 lambda: _Connection(self),
-                host=self.config.host, port=self.config.port,
+                host=self.config.host, port=self.config.port, backlog=backlog,
             )
         return self.address
 

@@ -419,17 +419,7 @@ def load_sales_fleet(
     fleet = ShardedDatabase(n_shards, name=name, observer=observer, chaos=chaos)
     _create_sales_fleet_schema(fleet)
     generator = DataGenerator(scale_factor, row_scale, seed)
-    schemas: Dict[str, Schema] = {
-        table: fleet.shards[0].table(table).schema
-        for table in ("CUSTOMER", "ORDERS", "ORDERLINE")
-    }
-    for table_name, row in generator.iter_rows():
-        shard_id = fleet.router.shard_for_row(schemas[table_name], row)
-        fleet.shards[shard_id].table(table_name).insert_row(row)
-    # The bulk load bypassed the WAL; checkpoint so the loaded state is
-    # each shard's durable base image (crash() restores it).
-    for shard in fleet.shards:
-        shard.checkpoint()
+    _load_routed(generator, fleet.router, dict(enumerate(fleet.shards)))
     data = GeneratedData(
         scale_factor=scale_factor,
         row_scale=row_scale,
@@ -458,10 +448,24 @@ def load_sales_shard(
         raise ShardError(f"shard_id {shard_id} out of range for {n_shards} shards")
     db = Database(f"shard-{shard_id}", observer=observer)
     create_sales_schema(db)
-    router = sales_router(n_shards)
-    for table_name, row in DataGenerator(scale_factor, row_scale, seed).iter_rows():
-        schema = db.table(table_name).schema
-        if router.shard_for_row(schema, row) == shard_id:
-            db.table(table_name).insert_row(row)
-    db.checkpoint()  # durable base image: the bulk load bypassed the WAL
+    _load_routed(
+        DataGenerator(scale_factor, row_scale, seed), sales_router(n_shards),
+        {shard_id: db},
+    )
     return db
+
+
+def _load_routed(
+    generator: DataGenerator, router: ShardRouter, shards: Dict[int, Database]
+) -> None:
+    """Load ``shards`` (shard id -> database) with the rows ``router``
+    gives them, a table at a time, then checkpoint each: the bulk load
+    bypassed the WAL, so the loaded state becomes each shard's durable
+    base image (``crash()`` restores it)."""
+    for table_name, rows in generator.iter_tables():
+        schema = next(iter(shards.values())).table(table_name).schema
+        buckets = router.split_rows(schema, rows)
+        for shard_id, db in shards.items():
+            db.table(table_name).load(buckets[shard_id])
+    for db in shards.values():
+        db.checkpoint()

@@ -10,7 +10,7 @@ value's canonical repr is deterministic everywhere and cheap.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.engine.errors import EngineError
 from repro.engine.sql import (
@@ -64,10 +64,18 @@ class ShardRouter:
         self.partition_column(table)  # validate registration
         return stable_hash(value) % self.n_shards
 
-    def shard_for_row(self, schema: Schema, row: Sequence[Any]) -> int:
-        """Owning shard of a full row (used by the fleet loaders)."""
-        column = self.partition_column(schema.table)
-        return self.shard_for(schema.table, row[schema.column_index(column)])
+    def split_rows(
+        self, schema: Schema, rows: Iterable[Sequence[Any]]
+    ) -> List[List[Sequence[Any]]]:
+        """Full rows of one table bucketed by owning shard, each bucket
+        in input order (the fleet loaders): the partition column is
+        resolved once, then each row costs one hash."""
+        position = schema.column_index(self.partition_column(schema.table))
+        n_shards = self.n_shards
+        buckets: List[List[Sequence[Any]]] = [[] for _ in range(n_shards)]
+        for row in rows:
+            buckets[stable_hash(row[position]) % n_shards].append(row)
+        return buckets
 
     # -- statement routing ---------------------------------------------------
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import recovery
 from repro.engine.database import Database
-from repro.engine.errors import EngineError, SimulatedCrash
+from repro.engine.errors import EngineError, LockTimeoutError, SimulatedCrash
 from repro.engine.recovery import RecoveryReport, ReplicaApplier
 from repro.engine.table import RowVersion
 from repro.engine.txn import TxnState
@@ -261,6 +261,48 @@ class TestDatabaseCloning:
         txn.rollback()
 
 
+@pytest.mark.parametrize("end", ["crash", "rollback"])
+class TestPrimaryKeyMove:
+    """An UPDATE that moves a row's primary key holds the new key as an
+    INSERT would, so no other open transaction can write under it."""
+
+    def _end(self, db, end, txn):
+        """Crash-recover, or roll ``txn`` back live; either must undo it."""
+        if end == "crash":
+            db.crash()
+            db.recover()
+        else:
+            txn.rollback()
+            assert db._txn_records == {}
+
+    def test_a_moved_uncommitted_row_cannot_be_deleted_under_its_new_key(self, end):
+        db = fresh_db()
+        db.checkpoint()
+        mover = db.begin()
+        db.execute("INSERT INTO kv (K, V) VALUES (2, 0)", txn=mover)
+        db.execute("UPDATE kv SET K = 3 WHERE K = 2", txn=mover)
+        other = db.begin()
+        with pytest.raises(LockTimeoutError):
+            db.execute("DELETE FROM kv WHERE K = 3", txn=other)
+        assert other.state is TxnState.ABORTED
+        self._end(db, end, mover)
+        assert kv_state(db) == {}
+
+    def test_a_row_cannot_move_onto_a_key_another_open_txn_deleted(self, end):
+        db = fresh_db()
+        db.execute("INSERT INTO kv (K, V) VALUES (2, 20)")
+        db.execute("INSERT INTO kv (K, V) VALUES (3, 30)")
+        db.checkpoint()
+        deleter = db.begin()
+        db.execute("DELETE FROM kv WHERE K = 3", txn=deleter)
+        mover = db.begin()
+        with pytest.raises(LockTimeoutError):
+            db.execute("UPDATE kv SET K = 3 WHERE K = 2", txn=mover)
+        assert mover.state is TxnState.ABORTED
+        self._end(db, end, deleter)
+        assert kv_state(db) == {2: 20, 3: 30}
+
+
 class TestWalTruncation:
     def test_checkpoint_with_truncation_keeps_recovery_working(self):
         db = fresh_db()
@@ -436,25 +478,15 @@ def _play(history, damage):
     if damage is not None and damage[0] == "torn":
         db.wal.arm_crash(db.wal.last_lsn + damage[1], "torn")
     open_txns = {}
-    mover = None
     try:
         for slot, statement, then, checkpoint in history:
             if checkpoint == 0 and not db.txns.active:
                 db.checkpoint(truncate_wal=bool(len(history) % 2))
-            # A primary-key UPDATE X-locks the old key only, so a second
-            # open transaction could dirty-write the moved row (ROADMAP
-            # item 2): a mover runs alone until it ends.
-            if (mover is not None and slot != mover) or (
-                statement[0] == "move" and set(open_txns) - {slot}
-            ):
-                continue
             txn = open_txns.get(slot)
             if txn is None:
                 txn = open_txns[slot] = db.begin()
             try:
                 if txn.state is not TxnState.PREPARED:
-                    if statement[0] == "move":
-                        mover = slot
                     _run_statement(db, txn, *statement)
                     if then in ("prepare", "decide"):
                         db.prepare_commit(txn, f"g{txn.txn_id}")
@@ -470,8 +502,6 @@ def _play(history, damage):
                 pass  # duplicate key, no-wait lock conflict: the txn may be gone
             if not (txn.is_active or txn.state is TxnState.PREPARED):
                 del open_txns[slot]
-                if slot == mover:
-                    mover = None
     except SimulatedCrash:
         pass
     db.wal.disarm_crash()

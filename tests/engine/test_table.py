@@ -1,9 +1,12 @@
 """Tests for heap tables and index maintenance."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.errors import DuplicateKeyError, SchemaError
+from repro.engine.errors import DuplicateKeyError, EngineError, SchemaError
+from repro.engine.index import OrderedIndex
 from repro.engine.page import PAGE_SIZE_BYTES, RowId
 from repro.engine.table import Table
 from repro.engine.types import Column, ColumnType, Schema
@@ -442,3 +445,149 @@ def test_property_rebuild_indexes_matches_one_insert_per_row(n_rows, doomed):
     assert _index_state(table) == expected
     rebuilt = list(table.primary_index._map.values())
     assert all(type(rid) is RowId for rid in rebuilt)
+
+    # create_index backfills the same way, against one insert per live row
+    table.create_index("w_id_grp", ("ID", "GRP"), ordered=True)
+    backfilled = OrderedIndex("oracle", ("ID", "GRP"))
+    for rid, row in table.scan():
+        backfilled.insert((row[0], row[1]), rid)
+    assert _index_entries(table.secondary_indexes["w_id_grp"]) == \
+        _index_entries(backfilled)
+
+
+# -- load: the bulk insert against one insert_row per row ---------------------
+
+
+def _index_entries(index):
+    """An index's map in insertion order (row-id sets sorted) and its
+    sorted key list."""
+    return (
+        [(key, held if index.unique else sorted(held))
+         for key, held in index._map.items()],
+        list(getattr(index, "_sorted_keys", ())),
+    )
+
+
+def physical_state(table):
+    """Everything one ``insert_row`` per row decides: every page slot by
+    slot, the row-id type, the vacancy heap, the auto-increment counter
+    and every index map in insertion order."""
+    return (
+        [(page.page_no, page.capacity, page.live_rows, list(page._slots))
+         for page in table._pages],
+        {type(rid) for rid in table.primary_index._map.values()},
+        list(table._vacated),
+        table._next_auto,
+        _index_entries(table.primary_index),
+        {name: _index_entries(index) for name, index in table.secondary_indexes.items()},
+    )
+
+
+def insert_one_per_row(table, rows):
+    """The oracle: what every loader did before :meth:`Table.load`."""
+    for row in rows:
+        table.insert_row(row)
+
+
+def _loadable_table():
+    """Three rows to a page; a unique, a non-unique, a composite ordered
+    and an ordered unique secondary index."""
+    schema = Schema(
+        "L",
+        (
+            Column("ID", ColumnType.INT, nullable=False),
+            Column("CODE", ColumnType.INT),
+            Column("GRP", ColumnType.INT),
+            Column("TAG", ColumnType.INT, default=0),
+            Column("NAME", ColumnType.VARCHAR, length=16, default=""),
+            Column("PAD", ColumnType.VARCHAR, length=2300, default=""),
+        ),
+        primary_key="ID",
+    )
+    table = Table(schema)
+    assert table._rows_per_page == 3
+    table.create_index("l_code", ("CODE",), unique=True)
+    table.create_index("l_grp", ("GRP",))
+    table.create_index("l_tag_name", ("TAG", "NAME"), ordered=True)
+    table.create_index("l_name", ("NAME",), unique=True, ordered=True)
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=st.lists(
+        st.tuples(
+            st.integers(min_value=-20, max_value=5000),  # ID
+            st.one_of(st.none(), st.integers(0, 3)),  # GRP: None is a key too
+            st.integers(0, 3),  # TAG
+        ),
+        unique_by=lambda drawn: drawn[0],
+        max_size=40,
+    ),
+    code_none=st.booleans(),  # one CODE of None (a unique None key)
+    clash=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(["ID", "CODE"]), st.integers(0, 39), st.integers(0, 39)),
+    ),
+)
+def test_property_load_matches_one_insert_row_per_row(drawn, code_none, clash):
+    """Same pages, slots and ``RowId`` s, the same index maps in the same
+    order, the same counter -- or, on a duplicate primary or unique key,
+    the same error and an empty table."""
+    rows = [
+        [key, key * 7, grp, tag, f"n{key}", ""] for key, grp, tag in drawn
+    ]
+    if code_none and rows:
+        rows[len(rows) // 2][1] = None
+    if clash is not None and len(rows) > 1:
+        column, src, dst = clash
+        src, dst = src % len(rows), dst % len(rows)
+        if src != dst:
+            position = 0 if column == "ID" else 1
+            rows[dst][position] = rows[src][position]
+    rows = [tuple(row) for row in rows]
+
+    loaded, oracle = _loadable_table(), _loadable_table()
+    try:
+        insert_one_per_row(oracle, rows)
+    except DuplicateKeyError as error:
+        duplicate = re.search(r"key (\S+) in ", str(error)).group(1)
+        with pytest.raises(DuplicateKeyError, match=rf"key {re.escape(duplicate)} in "):
+            loaded.load(iter(rows))
+        assert physical_state(loaded) == physical_state(_loadable_table())
+        return
+    loaded.load(iter(rows))
+    assert physical_state(loaded) == physical_state(oracle)
+    # and the loaded table goes on exactly as the inserted one
+    for table in (loaded, oracle):
+        if rows:
+            table.delete_row(table.find_by_key(rows[0][0]))
+        table.insert_row((6001, -1, 1, 1, "n6001", ""))
+    assert physical_state(loaded) == physical_state(oracle)
+
+
+def test_load_refuses_a_table_that_has_pages():
+    table = make_table()
+    table.delete_row(table.insert_row((1, 0, "")))  # empty, but with a page
+    with pytest.raises(EngineError, match="empty table"):
+        table.load([(2, 0, "")])
+    assert table.row_count == 0
+
+
+@pytest.mark.parametrize("index, duplicate", [
+    ("T_pkey", (2, 2, "b")),  # the primary key
+    ("t_name", (3, 3, "a")),  # a unique secondary
+])
+def test_load_is_all_or_nothing_on_a_duplicate_key(index, duplicate):
+    table = make_table()
+    table.create_index("t_name", ("NAME",), unique=True)
+    empty = physical_state(table)
+    per_page = table._rows_per_page
+    rows = [(i, i, f"r{i}") for i in range(4, per_page + 9)]
+    rows[per_page + 2] = duplicate  # on the second page
+    rows[0:2] = [(1, 1, "a"), (2, 2, "x")]
+    with pytest.raises(DuplicateKeyError, match=index):
+        table.load(rows)
+    assert physical_state(table) == empty
+    table.load(rows[:per_page + 2])  # and the table is still loadable
+    assert table.row_count == per_page + 2

@@ -105,6 +105,37 @@ class TestSessions:
             assert first is not None
             client.close()
 
+    @pytest.mark.parametrize("pre_bound", [False, True], ids=["host_port", "sock"])
+    def test_accept_backlog_follows_max_connections(self, fleet, monkeypatch, pre_bound):
+        """Both listen paths -- host/port and the pre-bound socket cluster
+        workers share -- queue up to ``max_connections`` connects."""
+        seen = []
+        create_server = asyncio.BaseEventLoop.create_server
+
+        async def spy(loop, factory, *args, **kwargs):
+            seen.append(kwargs)
+            return await create_server(loop, factory, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "create_server", spy)
+
+        async def scenario():
+            sock = None
+            if pre_bound:
+                sock = socket.socket()
+                sock.bind(("127.0.0.1", 0))
+            server = SQLServer(fleet, ServerConfig(qos=False, max_connections=300))
+            await server.start(sock)
+            try:
+                client = AsyncSQLClient(*server.address)
+                await client.connect()
+                await client.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(scenario())
+        assert len(seen) == 1 and seen[0]["backlog"] == 300
+        assert ("sock" in seen[0]) is pre_bound
+
 
 class TestPipelining:
     def test_responses_come_back_in_request_order(self, fleet):

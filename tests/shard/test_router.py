@@ -62,12 +62,18 @@ class TestShardRouter:
         with pytest.raises(ShardError):
             router.shard_for("KV", 1)
 
-    def test_shard_for_row_uses_partition_column(self):
+    def test_split_rows_uses_partition_column(self):
         router = ShardRouter(3)
         router.register("KV", "W")  # partition by a non-pk column
-        schema = kv_schema()
-        row = (1, 2, 77)
-        assert router.shard_for_row(schema, row) == router.shard_for("KV", 77)
+        rows = [(k, 2, 70 + k % 9) for k in range(60)]
+        buckets = router.split_rows(kv_schema(), iter(rows))
+        assert buckets == [
+            [row for row in rows if router.shard_for("KV", row[2]) == shard]
+            for shard in range(3)
+        ]
+        assert all(buckets)
+        with pytest.raises(ShardError):
+            ShardRouter(2).split_rows(kv_schema(), rows)
 
     def test_routes_pk_equality_select(self):
         fleet = kv_fleet(4)
