@@ -26,7 +26,10 @@ Two optional attributes ride along for workloads that need them:
 ``gtid`` (the id of the most recently begun global transaction --
 ``None`` for single-node clients) and ``deadline`` (anything with
 ``expired() -> bool``, propagated into the engine's cancellation
-points where the transport supports it).
+points where the transport supports it).  Read ``gtid`` once the
+transaction's first statement (or its commit) has been answered, not
+right after ``begin()``: the socket client's ``begin`` sends nothing,
+it rides on that first frame.
 """
 
 from __future__ import annotations

@@ -151,9 +151,12 @@ class PairWorkload:
         commit_started = False
         client = self.client
         client.begin(isolation=IsolationLevel.SERIALIZABLE)
-        gtid = client.gtid
+        gtid = None
         try:
             client.execute(UPDATE_STAMP, [version, row_a])
+            # known once the server has answered: a socket client's
+            # begin rides on this first statement
+            gtid = client.gtid
             client.execute(UPDATE_STAMP, [version, row_b])
             commit_started = True
             client.commit()

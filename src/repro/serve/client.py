@@ -13,6 +13,9 @@ Two layers, innermost first:
 * :class:`AsyncSQLClient` -- the asyncio counterpart, with split
   ``send_nowait``/``recv_response`` halves for statement pipelining
   (the load generator keeps many requests in flight per connection).
+
+On both, a transaction costs its statements and its commit: ``begin()``
+rides on the next frame (:class:`_LocalBegin`).
 """
 
 from __future__ import annotations
@@ -59,6 +62,57 @@ def _statement(
     return {"op": op, "sql": sql, "sid": sid, "params": list(params)}
 
 
+#: ``_begin`` of a client with no begin waiting for a frame to carry it
+_NO_BEGIN = object()
+
+
+class _LocalBegin:
+    """The begin rule both socket clients share: a transaction's round
+    trips are its statements.
+
+    ``begin()`` sends nothing; the transaction's next ``execute``,
+    ``query`` or ``commit`` frame carries it as a ``begin`` field (the
+    isolation name, or null), and the server opens the transaction and
+    runs that frame's op as one request.  Every response of a frame
+    whose begin ran carries ``gtid`` -- an error response too -- and
+    that is what settles the begin.  A frame that never ran (shed,
+    expired) carries none: the begin stays pending, so the next frame
+    carries it again and a rollback has nothing to send.
+    """
+
+    #: the pending begin's isolation name (None: the server's default),
+    #: or :data:`_NO_BEGIN`
+    _begin: Any = _NO_BEGIN
+    #: gtid of the server-side transaction the last answer named
+    gtid: Optional[str] = None
+
+    def _note_begin(self, isolation: Optional[object]) -> None:
+        if self._begin is not _NO_BEGIN:
+            raise ClientError("begin() while a begin is pending")
+        level = coerce_isolation(isolation)
+        self._begin = None if level is None else level.name
+
+    def _carry(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """``frame`` with the pending begin riding on it, if there is one."""
+        if self._begin is not _NO_BEGIN:
+            frame["begin"] = self._begin
+        return frame
+
+    def _settled(self, response: Dict[str, Any]) -> Dict[str, Any]:
+        """Take what a response says about the transaction."""
+        if "gtid" in response:
+            self.gtid = response["gtid"]
+            self._begin = _NO_BEGIN
+        return response
+
+    def _forget_begin(self) -> bool:
+        """Drop a pending begin; True when there was one -- the server
+        then holds no transaction of this client's to end."""
+        pending = self._begin is not _NO_BEGIN
+        self._begin = _NO_BEGIN
+        return pending
+
+
 def _result_set(frame: Dict[str, Any]) -> ResultSet:
     """Rebuild an engine :class:`ResultSet` from a response frame."""
     return ResultSet(
@@ -68,13 +122,15 @@ def _result_set(frame: Dict[str, Any]) -> ResultSet:
     )
 
 
-class SocketClient:
+class SocketClient(_LocalBegin):
     """Blocking-socket :class:`~repro.core.client.Client` implementation.
 
     One instance is one connection is one session: transaction affinity
     lives server-side, so ``begin()`` .. ``commit()`` here brackets a
     server-held global transaction exactly as
-    :class:`~repro.core.client.FleetClient` brackets an in-process one.
+    :class:`~repro.core.client.FleetClient` brackets an in-process one
+    -- opened by the first frame after ``begin()`` (see
+    :class:`_LocalBegin`), so ``gtid`` names it once the server answered.
     """
 
     def __init__(
@@ -99,8 +155,6 @@ class SocketClient:
         self._in_txn = False
         #: deadlines do not cross the wire (accepted for protocol parity)
         self.deadline = None
-        #: gtid of the most recently begun server-side transaction
-        self.gtid: Optional[str] = None
         self.n_shards: Optional[int] = None
 
     # -- plumbing ------------------------------------------------------------
@@ -130,11 +184,12 @@ class SocketClient:
                 decoder.end_of_stream()
                 return None
             self._inbox.extend(decoder.feed(data))
-        return self._inbox.popleft()
+        return self._settled(self._inbox.popleft())
 
     def _teardown(self) -> None:
         sock, self._sock = self._sock, None
         self._in_txn = False
+        self._forget_begin()
         # a new connection is a new stream and a new id table
         self._decoder = wire.FrameDecoder(max_frame=self._decoder.max_frame)
         self._inbox.clear()
@@ -171,39 +226,36 @@ class SocketClient:
         return self._in_txn
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        return _result_set(
-            self._request(_statement("execute", sql, params, self._sids))
-        )
+        return _result_set(self._request(
+            self._carry(_statement("execute", sql, params, self._sids))
+        ))
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        return _result_set(
-            self._request(_statement("query", sql, params, self._sids))
-        )
+        return _result_set(self._request(
+            self._carry(_statement("query", sql, params, self._sids))
+        ))
 
     def begin(self, isolation: Optional[object] = None) -> None:
         if self._in_txn:
             raise ClientError("begin() inside an open transaction")
-        level = coerce_isolation(isolation)
-        response = self._request(
-            {"op": "begin",
-             "isolation": None if level is None else level.name}
-        )
+        self._note_begin(isolation)
         self._in_txn = True
-        self.gtid = response.get("gtid")
 
     def commit(self) -> None:
         if not self._in_txn:
             raise ClientError("commit() outside a transaction")
         try:
-            self._request({"op": "commit"})
+            self._request(self._carry({"op": "commit"}))
         finally:
             self._in_txn = False
+            self._forget_begin()
 
     def rollback(self) -> None:
         if not self._in_txn:
             raise ClientError("rollback() outside a transaction")
         try:
-            self._request({"op": "rollback"})
+            if not self._forget_begin():
+                self._request({"op": "rollback"})
         finally:
             self._in_txn = False
 
@@ -217,7 +269,8 @@ class SocketClient:
         if not self._in_txn:
             return
         try:
-            self._request({"op": "abandon"})
+            if not self._forget_begin():
+                self._request({"op": "abandon"})
         except (ConnectionError, OSError, wire.FrameError):
             pass
         finally:
@@ -236,11 +289,10 @@ class SocketClient:
 
     def batch(self, stmts: Sequence[Tuple[str, Sequence[Any]]]) -> List[int]:
         """One whole transaction in one frame; returns the rowcounts."""
-        response = self._request(
+        response = self._request(self._carry(
             {"op": "batch",
              "stmts": [[sql, list(params)] for sql, params in stmts]}
-        )
-        self.gtid = response.get("gtid")
+        ))
         return [int(n) for n in response.get("rowcounts", ())]
 
     def ping(self) -> bool:
@@ -306,7 +358,7 @@ def _wake(waiter: Optional[asyncio.Future]) -> None:
         waiter.set_result(None)
 
 
-class AsyncSQLClient:
+class AsyncSQLClient(_LocalBegin):
     """Asyncio client with pipelining support.
 
     The request/response halves are split -- :meth:`send_nowait` queues
@@ -335,7 +387,6 @@ class AsyncSQLClient:
         #: statement ids registered on this connection (sql -> id)
         self._sids: Dict[str, int] = {}
         self._pending = 0
-        self.gtid: Optional[str] = None
         self.n_shards: Optional[int] = None
 
     @property
@@ -373,6 +424,7 @@ class AsyncSQLClient:
         conn, self._conn = self._conn, None
         self._pending = 0
         self._sids.clear()
+        self._forget_begin()
         return conn
 
     async def close(self) -> None:
@@ -430,7 +482,7 @@ class AsyncSQLClient:
             finally:
                 conn.reader = None
         self._pending = max(0, self._pending - 1)
-        return _unwrap(inbox.popleft())
+        return _unwrap(self._settled(inbox.popleft()))
 
     async def request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         self.send_nowait(frame)
@@ -443,36 +495,32 @@ class AsyncSQLClient:
         self, sql: str, params: Sequence[Any] = ()
     ) -> ResultSet:
         return _result_set(await self.request(
-            _statement("execute", sql, params, self._sids)
+            self._carry(_statement("execute", sql, params, self._sids))
         ))
 
     async def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         return _result_set(await self.request(
-            _statement("query", sql, params, self._sids)
+            self._carry(_statement("query", sql, params, self._sids))
         ))
 
     async def begin(self, isolation: Optional[object] = None) -> None:
-        level = coerce_isolation(isolation)
-        response = await self.request(
-            {"op": "begin",
-             "isolation": None if level is None else level.name}
-        )
-        self.gtid = response.get("gtid")
+        """Sends nothing: the next execute, query or commit carries it."""
+        self._note_begin(isolation)
 
     async def commit(self) -> None:
-        await self.request({"op": "commit"})
+        await self.request(self._carry({"op": "commit"}))
 
     async def rollback(self) -> None:
-        await self.request({"op": "rollback"})
+        if not self._forget_begin():
+            await self.request({"op": "rollback"})
 
     async def batch(
         self, stmts: Sequence[Tuple[str, Sequence[Any]]]
     ) -> List[int]:
-        response = await self.request(
+        response = await self.request(self._carry(
             {"op": "batch",
              "stmts": [[sql, list(params)] for sql, params in stmts]}
-        )
-        self.gtid = response.get("gtid")
+        ))
         return [int(n) for n in response.get("rowcounts", ())]
 
     async def ping(self) -> bool:

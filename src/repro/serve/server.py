@@ -7,7 +7,9 @@ ShardedDatabase` and serves the frame protocol of
 * **Per-connection sessions with transaction affinity** -- each
   connection holds at most one open global transaction; ``execute``
   frames between ``begin`` and ``commit`` enlist in it, exactly like
-  the in-process :class:`~repro.core.client.FleetClient`.
+  the in-process :class:`~repro.core.client.FleetClient`.  The begin
+  may ride on the transaction's first frame as a ``begin`` field, so
+  a transaction costs its statements, not a round trip more.
 * **Statement pipelining** -- clients may stream many request frames
   without waiting; a connection is an :class:`asyncio.Protocol` whose
   ``data_received`` decodes them into an inbox that is served in
@@ -27,7 +29,7 @@ ShardedDatabase` and serves the frame protocol of
   whenever work is queued and none is scheduled.  A full queue
   sheds immediately with a retryable ``overload`` wire error carrying
   the drain-based ``retry_after_s`` hint, and admitted statements that
-  outlived ``deadline_s`` in the queue are expired *without* executing
+  outlived ``deadline_s`` since they arrived are expired *without* executing
   -- the two behaviours that keep goodput alive past the saturation
   knee.  With qos off the queue is unbounded and nothing expires: the
   server does 100% of the work arbitrarily late, which is the
@@ -74,6 +76,13 @@ __all__ = ["ServeFaultInjector", "ServerConfig", "SQLServer"]
 #: ops answered inline by the session (no admission, no engine work)
 _CONTROL_OPS = frozenset({"hello", "ping", "goodbye"})
 
+#: ops a ``begin`` field may ride on (the transaction's first frame)
+_BEGIN_CARRIERS = frozenset({"execute", "query", "commit"})
+
+#: key of a decoded frame's arrival time, stamped only when requests
+#: have a deadline; not a string, so no frame off the wire can carry it
+_ARRIVED_S = ("arrived_s",)
+
 #: backoff hint shipped with drain-shed errors: long enough for the
 #: replacement server to take the socket over, short enough that a
 #: retrying client barely notices the handover
@@ -95,8 +104,10 @@ class ServerConfig:
     #: knob that matters for a synchronous executor (the concurrency
     #: limit never binds when statements run one at a time)
     policy: AdmissionPolicy = AdmissionPolicy(max_queue=64)
-    #: server-side statement deadline: queued work older than this is
-    #: expired without executing (qos on only; None disables)
+    #: server-side statement deadline: work that has waited longer than
+    #: this since it came off the wire -- in its connection's inbox and
+    #: the admission queue -- is expired without executing (qos on
+    #: only; None disables)
     deadline_s: Optional[float] = None
     max_frame: int = wire.MAX_FRAME_BYTES
     #: default isolation of served transactions (None = fleet default)
@@ -252,9 +263,16 @@ class _Connection(asyncio.Protocol):
         if self.transport is None:
             return
         try:
-            self.inbox.extend(self.decoder.feed(data))
+            frames = self.decoder.feed(data)
         except wire.FrameError:
-            pass  # decoder.error is set
+            frames = ()  # decoder.error is set
+        if frames and self.server.config.deadline_s is not None:
+            # the deadline counts from here: time in the inbox, behind
+            # this connection's earlier requests, is time waited too
+            now = self.server._now()
+            for frame in frames:
+                frame[_ARRIVED_S] = now
+        self.inbox.extend(frames)
         if self.decoder.error is not None:
             self.ended = True
         if self.ended or len(self.inbox) > _INBOX_HIGH_WATER:
@@ -384,8 +402,12 @@ class _Connection(asyncio.Protocol):
         try:
             data = wire.encode_frame(response)
         except wire.FrameError as error:
-            # the result does not fit a frame: say so instead
-            data = wire.encode_frame(_refusal(_protocol_error(str(error))))
+            # the result does not fit a frame: say so instead (keeping
+            # the gtid -- a begin that ran must not look pending)
+            refusal = _refusal(_protocol_error(str(error)))
+            if "gtid" in response:
+                refusal["gtid"] = response["gtid"]
+            data = wire.encode_frame(refusal)
         self.transport.write(data)
 
     def _hang_up(self) -> None:
@@ -611,7 +633,7 @@ class SQLServer:
                 if ticket is None:
                     return
                 conn = ticket.item
-                response = self._run_admitted(conn, ticket.enqueued_at_s)
+                response = self._run_admitted(conn)
             elif fifo:
                 conn = fifo.popleft()
                 response = self._execute_frame(conn.session, conn.queued)
@@ -620,24 +642,22 @@ class SQLServer:
             self._pending_stmts -= 1
             conn._completed(response)
 
-    def _run_admitted(
-        self, conn: _Connection, enqueued_at_s: float
-    ) -> Dict[str, Any]:
+    def _run_admitted(self, conn: _Connection) -> Dict[str, Any]:
         """Execute (or expire) a statement the controller let through,
         and give the slot back."""
         started = self._now()
-        waited = started - enqueued_at_s
         deadline_s = self.config.deadline_s
+        waited = 0.0 if deadline_s is None else started - conn.queued[_ARRIVED_S]
         if deadline_s is not None and waited > deadline_s:
             # deadline propagation: the client gave up on this
-            # statement while it queued -- expire it unexecuted
+            # statement while it waited -- expire it unexecuted
             self.expired += 1
             if self.obs.enabled:
                 self.obs.count("serve.stmt.expired")
             self.controller.release(self._now(), -1.0)
             return _refusal(DeadlineExceededError(
                 f"{self.config.name}: statement expired after "
-                f"{waited:.3f}s in the admission queue"
+                f"{waited:.3f}s waiting to run"
             ))
         response = self._execute_frame(conn.session, conn.queued)
         now = self._now()
@@ -659,9 +679,29 @@ class SQLServer:
         if handler is None:
             return _refusal(_protocol_error(f"unknown op {op!r}"))
         try:
+            if "begin" in frame:
+                return self._begun(session, frame, handler)
             return handler(self, session, frame)
         except Exception as error:  # noqa: BLE001 -- never kill the session
             return self._failure(error)
+
+    def _begun(self, session: _Session, frame: Dict[str, Any], handler):
+        """Run a frame that carries its transaction's ``begin``: the
+        begin op first, then the frame's own op.  Once the begin ran,
+        the response carries the ``gtid`` -- an error response too --
+        which is how the client knows the transaction is open."""
+        op = frame["op"]
+        if op not in _BEGIN_CARRIERS:
+            raise _protocol_error(
+                f"begin rides on execute, query or commit, not on {op}"
+            )
+        gtid = self._op_begin(session, {"isolation": frame["begin"]})["gtid"]
+        try:
+            response = handler(self, session, frame)
+        except Exception as error:  # noqa: BLE001 -- never kill the session
+            response = self._failure(error)
+        response["gtid"] = gtid
+        return response
 
     def _failure(self, error: Exception) -> Dict[str, Any]:
         """The error response of a frame that failed."""

@@ -11,10 +11,11 @@ The request vocabulary:
 op        payload
 ========  ==================================================
 hello     ``client`` (name), ``priority`` (0 = highest)
-execute   ``sql`` and/or ``sid``, ``params``
-query     ``sql`` and/or ``sid``, ``params`` (read-only)
+execute   ``sql`` and/or ``sid``, ``params``; ``begin``?
+query     ``sql`` and/or ``sid``, ``params`` (read-only);
+          ``begin``?
 begin     ``isolation`` (level name or null)
-commit    --
+commit    ``begin``?
 rollback  --
 abandon   -- (drop txn affinity without rollback; post-crash)
 batch     ``stmts``: ``[[sql, params], ...]`` -- one whole
@@ -22,6 +23,19 @@ batch     ``stmts``: ``[[sql, params], ...]`` -- one whole
 ping      --
 goodbye   --
 ========  ==================================================
+
+**A transaction costs its statements.**  ``begin`` need not be a round
+trip of its own: an ``execute``, ``query`` or ``commit`` frame may carry
+``"begin": <isolation name or null>``, and the server opens the
+session's transaction (exactly as the ``begin`` op does) and then runs
+the frame's op, as one admitted request.  Every response of a frame
+whose begin ran carries ``gtid`` -- error responses included -- and a
+frame that never ran (shed, expired, an unknown ``sid``) carries none,
+so the client knows whether the server holds a transaction.  So
+``begin`` + k statements + ``commit`` is k + 1 requests, and ``begin`` +
+``commit`` one.  The field on any other op is a ``protocol:`` error.
+Both clients of :mod:`repro.serve.client` send it; the ``begin`` op
+stays for clients that write raw frames.
 
 **Statement ids.**  A statement's text need cross the wire once per
 connection: the first ``execute``/``query`` frame that carries a text

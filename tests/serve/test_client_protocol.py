@@ -8,6 +8,8 @@ classification whether the transport is a function call
 
 import asyncio
 import contextlib
+import inspect
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,10 +23,21 @@ from repro.core.client import (
 from repro.core.datagen import load_sales_database
 from repro.core.workload import READ_WRITE, SalesWorkload
 from repro.engine.database import Database
-from repro.engine.errors import EngineError, SchemaError, SqlError
+from repro.engine.errors import (
+    DeadlineExceededError,
+    EngineError,
+    OverloadError,
+    SchemaError,
+    SqlError,
+)
+from repro.engine.txn import IsolationLevel
+from repro.qos.admission import AdmissionPolicy
+from repro.serve import server as server_module
+from repro.serve import wire
 from repro.serve.client import AsyncSQLClient, SocketClient
 from repro.serve.driver import BackgroundServer, collect_keys
 from repro.serve.errors import wire_code
+from repro.serve.server import ServerConfig
 from repro.shard.fleet import ShardedDatabase, load_sales_fleet
 from repro.shard.workload import primary_keys
 
@@ -90,30 +103,33 @@ class TestQuietRollback:
 
 
 class _ParityHarness:
-    """One in-process client and one socket client over twin fleets."""
+    """One in-process client and one socket client over twin fleets --
+    and, ``asynchronous``, an :class:`AsyncSQLClient` over a third."""
 
-    def __init__(self):
+    def __init__(self, asynchronous=False):
         self.inline_fleet = _fleet("parity-inline")
-        self.socket_fleet = _fleet("parity-socket")
         self.keys = collect_keys(self.inline_fleet)
-        self.bg = BackgroundServer(self.socket_fleet)
+        self.servers = [BackgroundServer(_fleet("parity-socket"))]
+        if asynchronous:
+            self.servers.append(BackgroundServer(_fleet("parity-async")))
 
     def __enter__(self):
-        host, port = self.bg.start()
+        addresses = [bg.start() for bg in self.servers]
         self.inline = FleetClient(self.inline_fleet)
-        self.inline.connect()
-        self.socket = SocketClient(host, port, client_name="parity")
-        self.socket.connect()
+        self.socket = SocketClient(*addresses[0], client_name="parity")
+        #: (in-process, socket[, async]): the transports under comparison
+        self.clients = (
+            self.inline, self.socket, *(_Blocking(*a) for a in addresses[1:])
+        )
+        for client in self.clients:
+            client.connect()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self.socket.close()
-        self.inline.close()
-        self.bg.stop()
-
-    @property
-    def clients(self):
-        return (self.inline, self.socket)
+        for client in reversed(self.clients):
+            client.close()
+        for bg in self.servers:
+            bg.stop()
 
 
 class TestParity:
@@ -202,6 +218,42 @@ class TestParity:
                 client.abandon()  # idempotent outside a transaction
                 client.begin()
                 client.commit()
+
+    def test_transactions_agree_step_by_step_on_three_transports(self):
+        """Each answered step gives the same rows, rowcount or error
+        class, and knows a gtid exactly when the in-process client does
+        -- although the socket clients' begin rides on the next frame."""
+        with _ParityHarness(asynchronous=True) as harness:
+            cid = harness.keys["customers"][0]
+            seen = []
+            for client in harness.clients:
+                steps = []
+
+                def step(verb, *args):
+                    try:
+                        result = getattr(client, verb)(*args)
+                    except EngineError as error:
+                        result = type(error)
+                    else:
+                        result = result and (result.rows, result.rowcount)
+                    steps.append((verb, result, client.gtid is not None))
+
+                step("execute", BUMP_CREDIT, [1.0, cid])  # autocommit
+                client.begin()
+                step("query", "SELECT * FROM NO_SUCH_TABLE", [])
+                step("rollback")
+                client.begin("SERIALIZABLE")
+                step("execute", BUMP_CREDIT, [2.0, cid])
+                step("query", READ_CREDIT, [cid])
+                step("commit")
+                client.begin()
+                step("commit")  # an empty transaction
+                step("query", READ_CREDIT, [cid])
+                seen.append(steps)
+            assert seen[0] == seen[1] == seen[2]
+            assert [known for _verb, _result, known in seen[0]] == [
+                False, True, True, True, True, True, True, True
+            ]
 
 
 #: Parameters a JSON client can send that the schema cannot take: each
@@ -294,20 +346,18 @@ def test_bad_parameter_is_a_typed_error(kind, sql, make_params, error, code):
 
 
 class _Blocking:
-    """An :class:`AsyncSQLClient` behind blocking verbs, on its own loop."""
+    """An :class:`AsyncSQLClient` behind blocking verbs, on its own loop:
+    every coroutine method runs to completion, attributes pass through."""
 
     def __init__(self, host, port):
         self._loop = asyncio.new_event_loop()
         self._client = AsyncSQLClient(host, port, client_name="parity-async")
 
-    def connect(self):
-        self._loop.run_until_complete(self._client.connect())
-
-    def execute(self, sql, params=()):
-        return self._loop.run_until_complete(self._client.execute(sql, params))
-
-    def query(self, sql, params=()):
-        return self._loop.run_until_complete(self._client.query(sql, params))
+    def __getattr__(self, name):
+        value = getattr(self._client, name)
+        if not inspect.iscoroutinefunction(value):
+            return value
+        return lambda *args: self._loop.run_until_complete(value(*args))
 
     def close(self):
         self._loop.run_until_complete(self._client.close())
@@ -320,34 +370,189 @@ class TestParityWithStatementIds:
     error classes and ``retryable`` must not notice."""
 
     def test_three_transports_agree(self):
-        with _ParityHarness() as harness:
-            async_fleet = _fleet("parity-async")
-            with BackgroundServer(async_fleet) as bg:
-                blocking = _Blocking(*bg.server.address)
-                blocking.connect()
-                clients = (*harness.clients, blocking)
-                cids = harness.keys["customers"][:4]
-                seen = []
-                for client in clients:
-                    rowcounts, errors = [], []
-                    for index, cid in enumerate(cids):
-                        result = client.execute(
-                            BUMP_CREDIT, [float(index), cid]
-                        )
-                        rowcounts.append(result.rowcount)
-                    rows = [
-                        client.query(READ_CREDIT, [cid]).rows for cid in cids
-                    ]
-                    for _ in range(2):  # by text, then by id
-                        with pytest.raises(EngineError) as exc_info:
-                            client.query("SELECT * FROM NO_SUCH_TABLE", [])
-                        errors.append((
-                            type(exc_info.value), exc_info.value.retryable,
-                            str(exc_info.value),
-                        ))
-                    seen.append((rowcounts, rows, errors))
-                blocking.close()
+        with _ParityHarness(asynchronous=True) as harness:
+            cids = harness.keys["customers"][:4]
+            seen = []
+            for client in harness.clients:
+                rowcounts, errors = [], []
+                for index, cid in enumerate(cids):
+                    result = client.execute(BUMP_CREDIT, [float(index), cid])
+                    rowcounts.append(result.rowcount)
+                rows = [client.query(READ_CREDIT, [cid]).rows for cid in cids]
+                for _ in range(2):  # by text, then by id
+                    with pytest.raises(EngineError) as exc_info:
+                        client.query("SELECT * FROM NO_SUCH_TABLE", [])
+                    errors.append((
+                        type(exc_info.value), exc_info.value.retryable,
+                        str(exc_info.value),
+                    ))
+                seen.append((rowcounts, rows, errors))
             assert seen[0] == seen[1] == seen[2]
             assert seen[0][0] == [1, 1, 1, 1]
             assert harness.socket._sids[BUMP_CREDIT] == 0
             assert len(harness.socket._sids) == 3
+
+
+@contextlib.contextmanager
+def _served(kind, monkeypatch, config=None):
+    """A connected ``"socket"`` or ``"async"`` client, the request
+    frames it sent since it connected, and its session on the server."""
+    sessions = []
+
+    class Recorded(server_module._Session):
+        def __init__(self, conn_id):
+            super().__init__(conn_id)
+            sessions.append(self)
+
+    monkeypatch.setattr(server_module, "_Session", Recorded)
+    fleet = _fleet(f"rides-{kind}")
+    with BackgroundServer(fleet, config) as bg:
+        client = (SocketClient if kind == "socket" else _Blocking)(
+            *bg.server.address
+        )
+        client.connect()
+        sent = []
+        encode = wire.encode_frame
+
+        def spy(payload):
+            if "op" in payload:  # a request; responses carry none
+                sent.append(dict(payload))
+            return encode(payload)
+
+        monkeypatch.setattr(wire, "encode_frame", spy)
+        try:
+            yield SimpleNamespace(
+                client=client, sent=sent, session=sessions[0],
+                cid=collect_keys(fleet)["customers"][0],
+            )
+        finally:
+            client.close()
+
+
+def _txn(statements, end):
+    def shape(client, cid):
+        client.begin()
+        for _ in range(statements):
+            client.execute(BUMP_CREDIT, [1.0, cid])
+        getattr(client, end)()
+    return shape
+
+
+#: (what the client does, requests it sends, whether a gtid is known)
+REQUEST_SHAPES = [
+    pytest.param(
+        lambda client, cid: client.execute(BUMP_CREDIT, [1.0, cid]), 1, False,
+        id="autocommit",
+    ),
+    pytest.param(_txn(1, "commit"), 2, True, id="begin-1-commit"),
+    pytest.param(_txn(3, "commit"), 4, True, id="begin-3-commit"),
+    pytest.param(_txn(0, "commit"), 1, True, id="begin-commit"),
+    pytest.param(_txn(0, "rollback"), 0, False, id="begin-rollback"),
+    pytest.param(_txn(1, "rollback"), 2, True, id="begin-1-rollback"),
+]
+
+#: first frames that never run: shed by a full queue, or expired in it
+NEVER_RAN = [
+    pytest.param(
+        ServerConfig(qos=True, policy=AdmissionPolicy(max_queue=0)),
+        OverloadError, id="shed",
+    ),
+    pytest.param(
+        ServerConfig(qos=True, deadline_s=1e-9), DeadlineExceededError,
+        id="expired",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind", ["socket", "async"])
+class TestBeginRidesTheFirstFrame:
+    """A transaction's round trips are its statements (and its commit):
+    ``begin()`` sends nothing, the next frame carries it."""
+
+    @pytest.mark.parametrize("shape, requests, gtid", REQUEST_SHAPES)
+    def test_requests_per_transaction_shape(
+        self, kind, monkeypatch, shape, requests, gtid
+    ):
+        with _served(kind, monkeypatch) as s:
+            shape(s.client, s.cid)
+            assert len(s.sent) == requests
+            assert sum("begin" in frame for frame in s.sent) == gtid
+            assert (s.client.gtid is not None) is gtid
+            assert not s.session.in_txn
+
+    def test_a_failed_first_statement_leaves_the_transaction_open(
+        self, kind, monkeypatch
+    ):
+        with _served(kind, monkeypatch) as s:
+            s.client.begin()
+            with pytest.raises(EngineError, match="NO_SUCH_TABLE"):
+                s.client.query("SELECT * FROM NO_SUCH_TABLE", [])
+            assert s.client.gtid is not None  # the begin ran
+            assert s.session.in_txn
+            s.client.rollback()
+            assert [frame["op"] for frame in s.sent] == ["query", "rollback"]
+            assert not s.session.in_txn
+
+    @pytest.mark.parametrize("config, error", NEVER_RAN)
+    def test_a_first_frame_that_never_ran_leaves_the_begin_pending(
+        self, kind, monkeypatch, config, error
+    ):
+        with _served(kind, monkeypatch, config) as s:
+            s.client.begin("SERIALIZABLE")
+            for _ in range(2):  # the retry carries the begin again
+                with pytest.raises(error):
+                    s.client.execute(BUMP_CREDIT, [1.0, s.cid])
+            assert [frame.get("begin") for frame in s.sent] == ["SERIALIZABLE"] * 2
+            assert s.client.gtid is None
+            assert not s.session.in_txn
+            s.client.rollback()  # nothing to undo: no frame
+            assert len(s.sent) == 2
+            assert not s.session.in_txn
+
+    def test_begin_while_a_begin_is_pending_is_refused(self, kind, monkeypatch):
+        with _served(kind, monkeypatch) as s:
+            s.client.begin()
+            with pytest.raises(ClientError):
+                s.client.begin("SERIALIZABLE")
+            s.client.commit()
+            assert [frame.get("begin", "-") for frame in s.sent] == [None]
+
+    def test_the_field_is_refused_on_ping_and_batch(self, kind, monkeypatch):
+        with _served(kind, monkeypatch) as s:
+            request = getattr(s.client, "_request", None) or s.client.request
+            for frame in (
+                {"op": "ping", "begin": None},
+                {"op": "batch", "begin": None,
+                 "stmts": [[BUMP_CREDIT, [1.0, s.cid]]]},
+            ):
+                with pytest.raises(SqlError, match="protocol: begin rides") as exc_info:
+                    request(frame)
+                assert exc_info.value.retryable is False
+                assert not s.session.in_txn
+            # a batch under a pending begin carries it, and is refused alike
+            s.client.begin()
+            with pytest.raises(SqlError, match="protocol: begin rides"):
+                s.client.batch([[BUMP_CREDIT, [1.0, s.cid]]])
+            assert s.client.gtid is None and not s.session.in_txn
+            s.client.rollback()
+            assert len(s.sent) == 3
+
+    def test_isolation_reaches_the_fleet_as_through_the_begin_op(
+        self, kind, monkeypatch
+    ):
+        seen = []
+        begin = ShardedDatabase.begin
+
+        def spy(fleet, *args, **kwargs):
+            seen.append(kwargs.get("isolation"))
+            return begin(fleet, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedDatabase, "begin", spy)
+        with _served(kind, monkeypatch) as s:
+            request = getattr(s.client, "_request", None) or s.client.request
+            for isolation in ("SERIALIZABLE", None):
+                request({"op": "begin", "isolation": isolation})
+                request({"op": "rollback"})
+                s.client.begin(isolation)
+                s.client.commit()
+        assert seen == [IsolationLevel.SERIALIZABLE] * 2 + [None] * 2

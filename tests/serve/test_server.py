@@ -98,11 +98,13 @@ class TestSessions:
             client.execute(BUMP_CREDIT, [1.0, cid])
             client.abandon()
             assert not client.in_txn
-            # the session can begin afresh (fresh gtid, clean commit)
+            abandoned = client.gtid
+            # the session can begin afresh (fresh gtid, clean commit);
+            # the gtid is read after the commit because the begin only
+            # reaches the server on the commit's frame
             client.begin()
-            first = client.gtid
             client.commit()
-            assert first is not None
+            assert client.gtid not in (None, abandoned)
             client.close()
 
     @pytest.mark.parametrize("pre_bound", [False, True], ids=["host_port", "sock"])
@@ -352,9 +354,17 @@ class TestFraming:
             with pytest.raises(SqlError, match="protocol: frame payload"):
                 client.query("SELECT * FROM CUSTOMER WHERE C_ID >= ?", [0])
             assert client.ping()
+            # the frame that carried a begin says the begin ran, even
+            # when its result did not fit: the rollback is sent
+            client.begin()
+            with pytest.raises(SqlError, match="protocol: frame payload"):
+                client.query("SELECT * FROM CUSTOMER WHERE C_ID >= ?", [0])
+            assert client.gtid is not None
+            client.rollback()
             client.close()
             time.sleep(0.05)
             assert bg.server.abrupt_disconnects == 0
+            assert bg.server.orphan_rollbacks == 0
 
     def test_malformed_length_prefix_gets_one_error_frame(self, fleet):
         with BackgroundServer(fleet) as bg:
@@ -554,6 +564,46 @@ class TestAdmission:
             client.close()
             assert bg.server.expired == 1
             assert bg.server.statements == 0  # never executed
+
+    def test_time_in_the_inbox_counts_against_the_deadline(self, fleet):
+        """A pipelined burst waits in its connection's inbox, behind its
+        own first request, before any of it is admitted: that wait
+        counts too, so the whole late burst expires -- not just the one
+        request that waited in the admission queue."""
+        cid = collect_keys(fleet)["customers"][0]
+        # one admission slot, held by the test while the burst waits
+        config = ServerConfig(qos=True, deadline_s=0.05, policy=AdmissionPolicy(
+            initial_limit=1.0, min_limit=1.0, max_limit=1.0, max_queue=8,
+        ))
+
+        async def scenario():
+            async with SQLServer(fleet, config) as server:
+                probe = AsyncSQLClient(*server.address, client_name="probe")
+                burst = AsyncSQLClient(*server.address, client_name="burst")
+                await probe.connect()
+                await burst.connect()
+                server.controller.try_acquire(server._now())
+                for _ in range(3):
+                    burst.send_nowait(
+                        {"op": "query", "sql": READ_CREDIT, "params": [cid]}
+                    )
+                await burst.drain()
+                await asyncio.sleep(0.15)
+                server.controller.release(server._now(), -1.0)
+                # the probe's query runs the queue again
+                assert (await probe.query(READ_CREDIT, [cid])).rows
+                outcomes = []
+                for _ in range(3):
+                    try:
+                        await burst.recv_response()
+                        outcomes.append("ran")
+                    except DeadlineExceededError:
+                        outcomes.append("expired")
+                await probe.close()
+                await burst.close()
+                return outcomes
+
+        assert asyncio.run(scenario()) == ["expired"] * 3
 
 
 class TestStatementIds:
