@@ -15,10 +15,11 @@ Two views of the data exist side by side:
 
 from __future__ import annotations
 
+import gc
 import random
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import Dict, Iterator, Tuple
 
 from repro.core.schema import (
@@ -40,6 +41,100 @@ NOMINAL_BYTES: Dict[int, float] = {
 
 _REGIONS = ("NORTH", "SOUTH", "EAST", "WEST", "CENTRAL")
 _STATUSES = ("NEW", "PAID", "SHIPPED", "DONE")
+_ITEMS = 100_000
+_QUANTITIES = 10
+_NOW = 1_700_000_000.0  # fixed epoch base keeps runs reproducible
+_MONTH = 86_400 * 30
+
+# The row draws below are ``random.Random``'s own, without its three
+# Python frames per call (CPython 3.11, ``_randbelow_with_getrandbits``):
+#
+# * ``randint(1, n)`` is ``1 + r`` and ``choice(seq)`` is ``seq[r]``
+#   (``n = len(seq)``), where ``r = getrandbits(n.bit_length())`` is
+#   redrawn while ``r >= n``;
+# * ``uniform(a, b)`` is ``a + (b - a) * random()``, kept in that form.
+#
+# Each row draws in the order the stdlib calls did, so every seed gives
+# the rows it always gave (``tests/core/test_schema_datagen.py`` keeps
+# the stdlib-call generator as the oracle).
+
+
+def _customers(rng: random.Random, counts: Dict[str, int]) -> Iterator[tuple]:
+    bits, uniform01 = rng.getrandbits, rng.random
+    n_regions = len(_REGIONS)
+    region_bits = n_regions.bit_length()
+    for c_id in range(1, counts["CUSTOMER"] + 1):
+        balance = round(0 + (5000 - 0) * uniform01(), 2)
+        while (region := bits(region_bits)) >= n_regions:
+            pass
+        yield (c_id, f"Customer#{c_id:09d}", balance, _REGIONS[region],
+               _NOW - (0 + (_MONTH - 0) * uniform01()))
+
+
+def _orders(rng: random.Random, counts: Dict[str, int]) -> Iterator[tuple]:
+    bits, uniform01 = rng.getrandbits, rng.random
+    n_customers = counts["CUSTOMER"]
+    customer_bits = n_customers.bit_length()
+    n_statuses = len(_STATUSES)
+    status_bits = n_statuses.bit_length()
+    for o_id in range(1, counts["ORDERS"] + 1):
+        while (customer := bits(customer_bits)) >= n_customers:
+            pass
+        entered = _NOW - (0 + (_MONTH - 0) * uniform01())
+        while (status := bits(status_bits)) >= n_statuses:
+            pass
+        yield (o_id, 1 + customer, entered, _STATUSES[status],
+               round(5 + (500 - 5) * uniform01(), 2), _NOW - (0 + (_MONTH - 0) * uniform01()))
+
+
+def _orderlines(rng: random.Random, counts: Dict[str, int]) -> Iterator[tuple]:
+    """``ORDERLINE_MULTIPLIER`` lines per order while both last, then a
+    top-up of lines on random orders if ``row_scale`` rounding left the
+    orders too few for the line count."""
+    bits, uniform01 = rng.getrandbits, rng.random
+    n_lines, n_orders = counts["ORDERLINE"], counts["ORDERS"]
+    per_order = ORDERLINE_MULTIPLIER
+    item_bits, quantity_bits = _ITEMS.bit_length(), _QUANTITIES.bit_length()
+    order_bits = n_orders.bit_length()
+    placed = min(n_lines, n_orders * per_order)
+    for ol_id in range(1, n_lines + 1):
+        if ol_id <= placed:
+            o_id = (ol_id - 1) // per_order + 1
+        else:
+            while (o_id := bits(order_bits)) >= n_orders:
+                pass
+            o_id += 1
+        while (item := bits(item_bits)) >= _ITEMS:
+            pass
+        while (quantity := bits(quantity_bits)) >= _QUANTITIES:
+            pass
+        yield (ol_id, o_id, 1 + item, 1 + quantity, round(1 + (100 - 1) * uniform01(), 2))
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """No cyclic collection inside the block; the caller's GC state after.
+
+    A load builds tens of thousands of row tuples that hold only ints,
+    floats and strings, so they can never form a cycle -- yet each 700
+    of them start a young collection, and the surviving mass triggers
+    full ones.  Those full collections also freed the cycles the caller
+    had dropped (a previous database), so one runs on entry instead,
+    over the smaller heap: the pause must not raise a load's peak
+    memory.  The young collection owed runs once, at the first
+    allocation after the block.  A caller that had GC off keeps it off,
+    uncollected; an exception, or the context manager being dropped
+    mid-block (generator close), re-enables it all the same.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def nominal_bytes(scale_factor: int) -> float:
@@ -88,71 +183,26 @@ class DataGenerator:
         The single stream serves both the whole-database loader below
         and the sharded fleet loader, which routes each row to the shard
         owning its partition key -- every consumer sees byte-identical
-        rows for a given seed.  Each ``rows`` is valid until the next
-        table is drawn.
+        rows for a given seed.  The tables share one RNG, so each
+        ``rows`` is drained before the next table is drawn.
         """
-        for table_name, pairs in groupby(self._iter_rows(), key=itemgetter(0)):
-            yield table_name, map(itemgetter(1), pairs)
-
-    def _iter_rows(self) -> Iterator[tuple]:
-        """``(table_name, row)`` in deterministic generation order: each
-        table's rows contiguous, so :meth:`iter_tables` can group them."""
         rng = random.Random(self.seed)
         counts = self.materialised_rows()
-        now = 1_700_000_000.0  # fixed epoch base keeps runs reproducible
-
-        for c_id in range(1, counts["CUSTOMER"] + 1):
-            yield "CUSTOMER", (
-                c_id,
-                f"Customer#{c_id:09d}",
-                round(rng.uniform(0, 5000), 2),
-                rng.choice(_REGIONS),
-                now - rng.uniform(0, 86_400 * 30),
-            )
-
-        for o_id in range(1, counts["ORDERS"] + 1):
-            yield "ORDERS", (
-                o_id,
-                rng.randint(1, counts["CUSTOMER"]),
-                now - rng.uniform(0, 86_400 * 30),
-                rng.choice(_STATUSES),
-                round(rng.uniform(5, 500), 2),
-                now - rng.uniform(0, 86_400 * 30),
-            )
-
-        per_order = ORDERLINE_MULTIPLIER
-        ol_id = 0
-        for o_id in range(1, counts["ORDERS"] + 1):
-            for _ in range(per_order):
-                ol_id += 1
-                if ol_id > counts["ORDERLINE"]:
-                    break
-                yield "ORDERLINE", (
-                    ol_id,
-                    o_id,
-                    rng.randint(1, 100_000),
-                    rng.randint(1, 10),
-                    round(rng.uniform(1, 100), 2),
-                )
-            if ol_id > counts["ORDERLINE"]:
-                break
-        # Top up if the per-order loop undershot (row_scale rounding).
-        while ol_id < counts["ORDERLINE"]:
-            ol_id += 1
-            yield "ORDERLINE", (
-                ol_id,
-                rng.randint(1, counts["ORDERS"]),
-                rng.randint(1, 100_000),
-                rng.randint(1, 10),
-                round(rng.uniform(1, 100), 2),
-            )
+        for table_name, rows in (
+            ("CUSTOMER", _customers(rng, counts)),
+            ("ORDERS", _orders(rng, counts)),
+            ("ORDERLINE", _orderlines(rng, counts)),
+        ):
+            yield table_name, rows
+            deque(rows, maxlen=0)
 
     def populate(self, db: Database, create_schema: bool = True) -> GeneratedData:
         """Generate and load all rows; returns a summary."""
         if create_schema:
             create_sales_schema(db)
-        for table_name, rows in self.iter_tables():
-            db.table(table_name).load(rows)
+        with gc_paused():
+            for table_name, rows in self.iter_tables():
+                db.table(table_name).load(rows)
         return GeneratedData(
             scale_factor=self.scale_factor,
             row_scale=self.row_scale,

@@ -63,6 +63,16 @@ class ColumnType(enum.Enum):
         raise SchemaError(f"unknown column type {self!r}")  # pragma: no cover
 
 
+#: the Python type :meth:`ColumnType.coerce` stores for each column type
+STORED_TYPE = {
+    ColumnType.INT: int,
+    ColumnType.BIGINT: int,
+    ColumnType.DECIMAL: float,
+    ColumnType.VARCHAR: str,
+    ColumnType.TIMESTAMP: float,
+}
+
+
 @dataclass(frozen=True)
 class Column:
     """A single column definition."""

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.datagen import DataGenerator, GeneratedData, nominal_bytes
+from repro.core.datagen import DataGenerator, GeneratedData, gc_paused, nominal_bytes
 from repro.core.schema import create_sales_schema
 from repro.engine.database import Database
 from repro.engine.errors import ShardUnavailableError, SimulatedCrash
@@ -462,10 +462,11 @@ def _load_routed(
     gives them, a table at a time, then checkpoint each: the bulk load
     bypassed the WAL, so the loaded state becomes each shard's durable
     base image (``crash()`` restores it)."""
-    for table_name, rows in generator.iter_tables():
-        schema = next(iter(shards.values())).table(table_name).schema
-        buckets = router.split_rows(schema, rows)
-        for shard_id, db in shards.items():
-            db.table(table_name).load(buckets[shard_id])
-    for db in shards.values():
-        db.checkpoint()
+    with gc_paused():
+        for table_name, rows in generator.iter_tables():
+            schema = next(iter(shards.values())).table(table_name).schema
+            buckets = router.split_rows(schema, rows)
+            for shard_id, db in shards.items():
+                db.table(table_name).load(buckets[shard_id])
+        for db in shards.values():
+            db.checkpoint()

@@ -4,7 +4,10 @@ Routing is a pure function of (table, partition-key value, shard
 count).  The hash must be *stable across processes* -- Python's builtin
 ``hash`` is salted per interpreter, so the multiprocess load driver and
 the inline fleet would disagree about row placement.  CRC32 over the
-value's canonical repr is deterministic everywhere and cheap.
+repr of the value's :func:`canonical_key` is deterministic everywhere
+and cheap; the canonical key makes every value the engine's equality
+matches with a stored key hash like it (``2``, ``2.0`` and ``True`` are
+one key of an INT column).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.engine.errors import EngineError
+from repro.engine.errors import EngineError, SchemaError
 from repro.engine.sql import (
     DeleteStatement,
     InsertStatement,
@@ -20,7 +23,7 @@ from repro.engine.sql import (
     Statement,
     UpdateStatement,
 )
-from repro.engine.types import Schema
+from repro.engine.types import STORED_TYPE, ColumnType, Schema
 
 
 class ShardError(EngineError):
@@ -34,6 +37,28 @@ def stable_hash(value: Any) -> int:
     byte sequence per logical value, unlike the salted builtin ``hash``.
     """
     return zlib.crc32(repr(value).encode("utf-8"))
+
+
+def canonical_key(value: Any, column_type: ColumnType, insert: bool = False) -> Any:
+    """The value a partition key of ``column_type`` is hashed as.
+
+    An INSERT value hashes as the shard will store it (coerced).  Any
+    other value hashes as the stored value it equals, if the conversion
+    to the column's Python type is exact (``2.0`` and ``True`` as ``2``
+    and ``1`` in an INT column, ``2`` as ``2.0`` in a DECIMAL one), and
+    as itself when no stored key can equal it (``'2'`` in an INT
+    column).  A value of the column's own type is its own key.
+    """
+    stored = STORED_TYPE[column_type]
+    if type(value) is stored:
+        return value
+    try:
+        if insert:
+            return column_type.coerce(value)
+        as_stored = stored(value)
+    except (SchemaError, TypeError, ValueError, OverflowError):
+        return value  # the shard refuses it, or nothing stored equals it
+    return as_stored if as_stored == value else value
 
 
 class ShardRouter:
@@ -60,7 +85,8 @@ class ShardRouter:
             raise ShardError(f"no partition key registered for {table!r}") from None
 
     def shard_for(self, table: str, value: Any) -> int:
-        """Owning shard of the row of ``table`` keyed by ``value``."""
+        """Owning shard of the row of ``table`` keyed by ``value``, a
+        value of the partition column's stored type."""
         self.partition_column(table)  # validate registration
         return stable_hash(value) % self.n_shards
 
@@ -69,12 +95,23 @@ class ShardRouter:
     ) -> List[List[Sequence[Any]]]:
         """Full rows of one table bucketed by owning shard, each bucket
         in input order (the fleet loaders): the partition column is
-        resolved once, then each row costs one hash."""
+        resolved once, then each distinct partition value costs one
+        hash and every row one dict probe (ORDERLINE's ten rows an
+        order share its ``OL_O_ID``)."""
         position = schema.column_index(self.partition_column(schema.table))
+        column_type = schema.columns[position].type
         n_shards = self.n_shards
         buckets: List[List[Sequence[Any]]] = [[] for _ in range(n_shards)]
+        # equal values share one canonical key, so they may share an entry
+        owners: Dict[Any, int] = {}
         for row in rows:
-            buckets[stable_hash(row[position]) % n_shards].append(row)
+            value = row[position]
+            owner = owners.get(value)
+            if owner is None:
+                owner = owners[value] = (
+                    stable_hash(canonical_key(value, column_type)) % n_shards
+                )
+            buckets[owner].append(row)
         return buckets
 
     # -- statement routing ---------------------------------------------------
@@ -110,19 +147,24 @@ class ShardRouter:
     def _compile_route(statement: Statement, schema: Schema, partition: str):
         """Find the statement value that pins the partition key.
 
-        Returns ``("value", is_param, payload)`` when one exists,
-        ``("candidates", [...])`` for a WHERE clause whose equality
-        values must be inspected per call (a NULL falls through to the
-        next candidate), ``("fanout",)`` or ``("unroutable",)``.
+        Returns ``("insert", is_param, payload, column_type, stored)``
+        for an INSERT that carries one, ``("where", candidates,
+        column_type, stored)`` for a WHERE clause whose equality values
+        are inspected per call (a NULL falls through to the next
+        candidate; none left means fan-out), or ``("unroutable",)``.
+        ``stored`` is the partition column's Python type: a value of it
+        is hashed as is, any other through :func:`canonical_key`.
         """
+        column_type = schema.column(partition).type
+        stored = STORED_TYPE[column_type]
         if isinstance(statement, InsertStatement):
             columns = statement.columns or schema.column_names
             for column, value in zip(columns, statement.values):
                 if column.upper() == partition:
                     if value.kind == "param":
-                        return ("insert", True, value.param_index)
+                        return ("insert", True, value.param_index, column_type, stored)
                     if value.kind == "literal":
-                        return ("insert", False, value.literal)
+                        return ("insert", False, value.literal, column_type, stored)
                     break  # DEFAULT: decided by the shard, unknowable here
             return ("unroutable",)
         if isinstance(statement, (SelectStatement, UpdateStatement, DeleteStatement)):
@@ -134,7 +176,7 @@ class ShardRouter:
                         candidates.append((True, value.param_index))
                     elif value.kind == "literal":
                         candidates.append((False, value.literal))
-            return ("where", candidates)
+            return ("where", candidates, column_type, stored)
         raise ShardError(f"cannot route statement type {type(statement).__name__}")
 
     def _run_route(
@@ -146,14 +188,21 @@ class ShardRouter:
             for is_param, payload in plan[1]:
                 value = params[payload] if is_param else payload
                 if value is not None:
-                    # one shard: any pinned value routes there, unhashed
-                    return 0 if n == 1 else stable_hash(value) % n
+                    if n == 1:
+                        return 0  # one shard: any pinned value routes there, unhashed
+                    if type(value) is not plan[3]:
+                        value = canonical_key(value, plan[2])
+                    return stable_hash(value) % n
             return None
         if kind == "insert":
-            _kind, is_param, payload = plan
+            _kind, is_param, payload, column_type, stored = plan
             value = params[payload] if is_param else payload
             if value is not None:
-                return 0 if n == 1 else stable_hash(value) % n
+                if n == 1:
+                    return 0
+                if type(value) is not stored:
+                    value = canonical_key(value, column_type, insert=True)
+                return stable_hash(value) % n
         raise ShardError(
             f"INSERT into {table} carries no concrete value for "
             f"partition key {partition}; sharded inserts must supply one "

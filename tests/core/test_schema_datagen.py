@@ -1,5 +1,7 @@
 """Tests for the sales schema and data generation."""
 
+import random
+
 import pytest
 
 from repro.core.datagen import (
@@ -97,3 +99,89 @@ def test_invalid_row_scale_rejected():
         DataGenerator(row_scale=0.0)
     with pytest.raises(ValueError):
         DataGenerator(row_scale=1.5)
+
+
+# -- the row stream against the stdlib calls it replaced ---------------------
+
+
+def stdlib_rows(generator):
+    """``(table_name, row)`` as ``DataGenerator`` drew them with
+    ``random.Random.randint`` / ``choice`` / ``uniform``, kept as the
+    oracle of the inlined draws."""
+    rng = random.Random(generator.seed)
+    counts = generator.materialised_rows()
+    now = 1_700_000_000.0
+    regions = ("NORTH", "SOUTH", "EAST", "WEST", "CENTRAL")
+    statuses = ("NEW", "PAID", "SHIPPED", "DONE")
+
+    for c_id in range(1, counts["CUSTOMER"] + 1):
+        yield "CUSTOMER", (
+            c_id,
+            f"Customer#{c_id:09d}",
+            round(rng.uniform(0, 5000), 2),
+            rng.choice(regions),
+            now - rng.uniform(0, 86_400 * 30),
+        )
+
+    for o_id in range(1, counts["ORDERS"] + 1):
+        yield "ORDERS", (
+            o_id,
+            rng.randint(1, counts["CUSTOMER"]),
+            now - rng.uniform(0, 86_400 * 30),
+            rng.choice(statuses),
+            round(rng.uniform(5, 500), 2),
+            now - rng.uniform(0, 86_400 * 30),
+        )
+
+    per_order = ORDERLINE_MULTIPLIER
+    ol_id = 0
+    for o_id in range(1, counts["ORDERS"] + 1):
+        for _ in range(per_order):
+            ol_id += 1
+            if ol_id > counts["ORDERLINE"]:
+                break
+            yield "ORDERLINE", (
+                ol_id,
+                o_id,
+                rng.randint(1, 100_000),
+                rng.randint(1, 10),
+                round(rng.uniform(1, 100), 2),
+            )
+        if ol_id > counts["ORDERLINE"]:
+            break
+    while ol_id < counts["ORDERLINE"]:
+        ol_id += 1
+        yield "ORDERLINE", (
+            ol_id,
+            rng.randint(1, counts["ORDERS"]),
+            rng.randint(1, 100_000),
+            rng.randint(1, 10),
+            round(rng.uniform(1, 100), 2),
+        )
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("row_scale", [0.002, 0.0003351, 0.000001])
+def test_rows_match_the_stdlib_draws(seed, row_scale):
+    generator = DataGenerator(1, row_scale, seed)
+    rows = [
+        (table_name, row)
+        for table_name, table_rows in generator.iter_tables()
+        for row in table_rows
+    ]
+    # repr, not ==: the same floats to the last bit, the same types
+    assert repr(rows) == repr(list(stdlib_rows(generator)))
+
+
+def test_fractional_row_scale_reaches_the_orderline_top_up():
+    counts = DataGenerator(1, 0.0003351).materialised_rows()
+    assert counts["ORDERLINE"] > counts["ORDERS"] * ORDERLINE_MULTIPLIER
+
+
+def test_an_undrained_table_does_not_shift_the_next():
+    generator = DataGenerator(1, 0.0003351, 3)
+    drawn = []
+    for table_name, rows in generator.iter_tables():
+        if table_name != "CUSTOMER":  # left undrawn: iter_tables draws it
+            drawn.extend((table_name, row) for row in rows)
+    assert drawn == [pair for pair in stdlib_rows(generator) if pair[0] != "CUSTOMER"]

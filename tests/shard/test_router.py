@@ -3,8 +3,15 @@
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.errors import DuplicateKeyError
 from repro.engine.types import Column, ColumnType, Schema
-from repro.shard import ShardedDatabase, ShardError, ShardRouter, stable_hash
+from repro.shard import (
+    ShardedDatabase,
+    ShardError,
+    ShardRouter,
+    load_sales_fleet,
+    stable_hash,
+)
 
 
 def kv_schema():
@@ -111,19 +118,21 @@ class TestShardRouter:
             fleet.router.route_prepared(prepared, [1, 2])
 
 
-class TestFleetSql:
-    def load(self, n_shards=3, rows=30):
-        fleet = kv_fleet(n_shards)
-        reference = Database("ref")
-        reference.create_table(kv_schema())
-        for k in range(rows):
-            w = None if k % 5 == 0 else k * 10
-            fleet.execute("INSERT INTO kv VALUES (?, ?, ?)", [k, k % 7, w])
-            reference.execute("INSERT INTO kv VALUES (?, ?, ?)", [k, k % 7, w])
-        return fleet, reference
+def loaded_kv(n_shards=3, rows=30):
+    """A fleet and one engine holding the same KV rows."""
+    fleet = kv_fleet(n_shards)
+    reference = Database("ref")
+    reference.create_table(kv_schema())
+    for k in range(rows):
+        w = None if k % 5 == 0 else k * 10
+        fleet.execute("INSERT INTO kv VALUES (?, ?, ?)", [k, k % 7, w])
+        reference.execute("INSERT INTO kv VALUES (?, ?, ?)", [k, k % 7, w])
+    return fleet, reference
 
+
+class TestFleetSql:
     def test_rows_are_spread_and_complete(self):
-        fleet, reference = self.load()
+        fleet, reference = loaded_kv()
         assert fleet.total_rows() == reference.total_rows()
         assert all(shard.total_rows() > 0 for shard in fleet.shards)
         assert fleet.all_rows("KV") == sorted(
@@ -131,7 +140,7 @@ class TestFleetSql:
         )
 
     def test_point_read_matches_reference(self):
-        fleet, reference = self.load()
+        fleet, reference = loaded_kv()
         for k in (0, 7, 29):
             assert (
                 fleet.query("SELECT V FROM kv WHERE K = ?", [k]).rows
@@ -139,7 +148,7 @@ class TestFleetSql:
             )
 
     def test_fanout_aggregates_merge(self):
-        fleet, reference = self.load()
+        fleet, reference = loaded_kv()
         for sql in (
             "SELECT COUNT(*) FROM kv",
             "SELECT SUM(V) FROM kv",
@@ -149,7 +158,7 @@ class TestFleetSql:
             assert fleet.query(sql).rows == reference.query(sql).rows
 
     def test_fanout_order_by_limit_nulls_last(self):
-        fleet, reference = self.load()
+        fleet, reference = loaded_kv()
         sql = "SELECT K, W FROM kv ORDER BY W DESC LIMIT 7"
         assert fleet.query(sql).rows == reference.query(sql).rows
         sql = "SELECT K, W FROM kv ORDER BY W"
@@ -161,27 +170,27 @@ class TestFleetSql:
         assert all(row[1] is None for row in got[-6:])  # NULLS LAST
 
     def test_fanout_group_by_raises(self):
-        fleet, _ = self.load()
+        fleet, _ = loaded_kv()
         with pytest.raises(ShardError):
             fleet.query("SELECT V, COUNT(*) FROM kv GROUP BY V")
 
     def test_fanout_order_by_unprojected_column_raises(self):
-        fleet, _ = self.load()
+        fleet, _ = loaded_kv()
         with pytest.raises(ShardError):
             fleet.query("SELECT K FROM kv ORDER BY W")
 
     def test_count_distinct_is_not_decomposable(self):
-        fleet, _ = self.load()
+        fleet, _ = loaded_kv()
         with pytest.raises(ShardError):
             fleet.query("SELECT COUNT(DISTINCT V) FROM kv")
 
     def test_query_rejects_writes(self):
-        fleet, _ = self.load()
+        fleet, _ = loaded_kv()
         with pytest.raises(ShardError):
             fleet.query("DELETE FROM kv WHERE K = 1")
 
     def test_fanout_update_applies_everywhere(self):
-        fleet, reference = self.load()
+        fleet, reference = loaded_kv()
         fleet.execute("UPDATE kv SET V = V + ? WHERE V = ?", [100, 3])
         reference.execute("UPDATE kv SET V = V + ? WHERE V = ?", [100, 3])
         assert fleet.all_rows("KV") == sorted(
@@ -189,9 +198,81 @@ class TestFleetSql:
         )
 
     def test_fanout_delete_applies_everywhere(self):
-        fleet, reference = self.load()
+        fleet, reference = loaded_kv()
         assert (
             fleet.execute("DELETE FROM kv WHERE V = ?", [2]).rowcount
             == reference.execute("DELETE FROM kv WHERE V = ?", [2]).rowcount
         )
         assert fleet.total_rows() == reference.total_rows()
+
+
+def kv_rows(db):
+    return sorted(db.query("SELECT K, V, W FROM kv").rows)
+
+
+def equal_keys(k):
+    """Values the engine's equality matches with the INT key ``k``, and
+    its string, which matches nothing."""
+    return [k, float(k), str(k)] + ([True] if k == 1 else []) + ([False] if k == 0 else [])
+
+
+class TestKeyEquality:
+    """The fleet finds a key wherever one engine would: a WHERE value
+    routes as the stored key it equals, an INSERT as it will be stored."""
+
+    @pytest.mark.parametrize("value", [*equal_keys(0), *equal_keys(1), *equal_keys(2), 7.0, 13.0])
+    def test_point_statements_match_one_engine(self, value):
+        fleet, reference = loaded_kv(2)
+        for sql in (
+            "SELECT K, V FROM kv WHERE K = ?",
+            "UPDATE kv SET V = V + 100 WHERE K = ?",
+            "SELECT K, V FROM kv WHERE K = ?",
+            "DELETE FROM kv WHERE K = ?",
+        ):
+            got, want = fleet.execute(sql, [value]), reference.execute(sql, [value])
+            assert (got.rows, got.rowcount) == (want.rows, want.rowcount), sql
+        assert kv_rows(fleet) == kv_rows(reference)
+
+    def test_literal_float_key_routes_like_the_int(self):
+        fleet, reference = loaded_kv(2)
+        for k in range(30):
+            sql = f"SELECT K, V FROM kv WHERE K = {float(k)}"
+            assert fleet.query(sql).rows == reference.query(sql).rows == [(k, k % 7)]
+
+    def test_float_key_insert_lands_on_the_owner(self):
+        fleet = kv_fleet(2)
+        key = next(k for k in range(1000, 2000) if stable_hash(k) % 2 != stable_hash(float(k)) % 2)
+        fleet.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [float(key), 1])
+        owner = fleet.router.shard_for("KV", key)
+        assert fleet.shards[owner].query("SELECT K FROM kv").rows == [(key,)]
+        assert fleet.shards[1 - owner].total_rows() == 0
+        with pytest.raises(DuplicateKeyError):
+            fleet.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [key, 2])
+        assert fleet.total_rows() == 1
+
+    def test_decimal_partition_key_hashes_as_stored(self):
+        schema = Schema(
+            "PRICES",
+            (Column("P", ColumnType.DECIMAL, nullable=False), Column("Q", ColumnType.INT)),
+            primary_key="P",
+        )
+        fleet = ShardedDatabase(2)
+        fleet.create_table(schema)
+        for p in range(20):
+            fleet.execute("INSERT INTO prices VALUES (?, ?)", [p, p])  # stored as float(p)
+        for p in range(20):
+            for value in (p, float(p)):
+                assert fleet.query("SELECT Q FROM prices WHERE P = ?", [value]).rows == [(p,)]
+
+
+def test_every_loaded_row_routes_to_the_shard_holding_it():
+    fleet, _data = load_sales_fleet(3, row_scale=0.001, seed=9)
+    for table in fleet.shards[0].table_names:
+        column = fleet.router.partition_column(table)
+        prepared = fleet.shards[0].prepare(f"SELECT * FROM {table} WHERE {column} = ?")
+        position = prepared.table.schema.column_index(column)
+        for shard_id, shard in enumerate(fleet.shards):
+            for _rid, row in shard.table(table).scan():
+                value = row[position]
+                for probe in [value, float(value)] + ([True] if value == 1 else []):
+                    assert fleet.router.route_prepared(prepared, [probe]) == shard_id
