@@ -84,15 +84,15 @@ def load_sysbench(
 
 def sysbench_mix(
     kind: str = "oltp_read_write",
-    tables: int = DEFAULT_TABLES,
     rows: int = DEFAULT_ROWS,
 ) -> WorkloadMix:
-    """The cloud-model view of a sysbench run.
+    """The cloud-model view of a sysbench run over ``DEFAULT_TABLES``
+    tables of ``rows`` rows each.
 
     ``kind``: ``oltp_point_select``, ``oltp_read_write`` or
     ``oltp_write_only``.
     """
-    working_set = DATASET_BYTES * (tables / DEFAULT_TABLES) * (rows / DEFAULT_ROWS)
+    working_set = DATASET_BYTES * (rows / DEFAULT_ROWS)
     if kind == "oltp_point_select":
         classes = ((_POINT_SELECT, 1.0),)
     elif kind == "oltp_read_write":

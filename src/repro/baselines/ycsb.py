@@ -33,6 +33,10 @@ from repro.engine.types import Column, ColumnType, Schema
 DEFAULT_RECORDS = 1000
 FIELD_COUNT = 10
 FIELD_BYTES = 100
+#: YCSB's request-distribution skew
+ZIPFIAN_THETA = 0.99
+#: longest scan a workload-E SCAN draws, in records
+MAX_SCAN = 10
 #: nominal bytes per record (10 fields x 100 B + key overhead)
 RECORD_BYTES = FIELD_COUNT * FIELD_BYTES + 24
 
@@ -69,11 +73,11 @@ class ZipfianGenerator:
     zeta values.
     """
 
-    def __init__(self, n: int, theta: float = 0.99, rng: Optional[random.Random] = None):
+    def __init__(self, n: int, rng: Optional[random.Random] = None):
         if n < 1:
             raise ValueError("zipfian needs n >= 1")
+        theta = ZIPFIAN_THETA
         self.n = n
-        self.theta = theta
         self._rng = rng or random.Random(0)
         self._zetan = sum(1.0 / (i ** theta) for i in range(1, n + 1))
         self._zeta2 = 1.0 + 2.0 ** -theta
@@ -149,7 +153,6 @@ class YcsbWorkload:
         workload: str = "A",
         records: int = DEFAULT_RECORDS,
         seed: int = 42,
-        max_scan: int = 10,
     ):
         ops = WORKLOADS.get(workload.upper())
         if ops is None:
@@ -157,7 +160,6 @@ class YcsbWorkload:
         self.db = db
         self.workload = workload.upper()
         self.ops = ops
-        self.max_scan = max_scan
         self._rng = random.Random(seed)
         self._records = records
         self._zipf = ZipfianGenerator(records, rng=self._rng)
@@ -189,7 +191,7 @@ class YcsbWorkload:
 
     def _scan(self) -> None:
         start = self._next_key()
-        length = self._rng.randint(1, self.max_scan)
+        length = self._rng.randint(1, MAX_SCAN)
         self.db.query(
             "SELECT Y_ID, FIELD0 FROM usertable WHERE Y_ID >= ? AND Y_ID < ?",
             [start, start + length],

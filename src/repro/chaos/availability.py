@@ -30,11 +30,16 @@ from repro.cloud.architectures import Architecture
 from repro.cloud.replication import ReplicationPipeline
 from repro.core.datagen import load_sales_database
 from repro.core.resilience import AttemptResult, ResilientSession, RetryPolicy
-from repro.core.workload import READ_WRITE, SalesWorkload, TransactionMix
+from repro.core.workload import READ_WRITE, SalesWorkload
 from repro.engine.errors import NodeUnavailableError, RequestTimeout
 from repro.obs import NULL_OBSERVER, Observer
 from repro.sim.events import Environment
 from repro.sim.rng import RngRegistry
+
+#: mean think time between one client's requests
+REQUEST_INTERVAL_S = 0.05
+#: the timeout budget of one request, retries included
+BUDGET_S = 2.0
 
 
 @dataclass
@@ -102,12 +107,8 @@ class AvailabilityEvaluator:
         n_clients: int = 6,
         n_replicas: int = 1,
         duration_s: Optional[float] = None,
-        mix: TransactionMix = READ_WRITE,
-        request_interval_s: float = 0.05,
         base_latency_s: Optional[float] = None,
         attempt_timeout_s: float = 0.25,
-        budget_s: float = 2.0,
-        scale_factor: int = 1,
         row_scale: float = 0.001,
         observer: Optional[Observer] = None,
         arrival: str = "closed",
@@ -128,8 +129,6 @@ class AvailabilityEvaluator:
         self.n_replicas = n_replicas
         #: cool-down past the last fault lets breakers re-close on heal
         self.duration_s = duration_s or max(30.0, plan.horizon_s + 10.0)
-        self.mix = mix
-        self.request_interval_s = request_interval_s
         # Healthy request latency: a fixed server-side floor plus one
         # round trip on this architecture's network.
         self.base_latency_s = (
@@ -138,8 +137,6 @@ class AvailabilityEvaluator:
             else 0.002 + 2.0 * arch.network.transfer_time(2048)
         )
         self.attempt_timeout_s = attempt_timeout_s
-        self.budget_s = budget_s
-        self.scale_factor = scale_factor
         self.row_scale = row_scale
         self.rngs = RngRegistry(plan.seed)
 
@@ -197,7 +194,7 @@ class AvailabilityEvaluator:
     def _client(self, client_id: int, score: AScore):
         env = self._env
         rng = self.rngs.stream(f"chaos.client.{client_id}")
-        yield env.timeout(self.request_interval_s * client_id / self.n_clients)
+        yield env.timeout(REQUEST_INTERVAL_S * client_id / self.n_clients)
         while env.now < self.duration_s:
             task = self._workload.next_task()
             session = self._reads if task == "T3" else self._writes
@@ -206,7 +203,7 @@ class AvailabilityEvaluator:
                 session.call_in(
                     env,
                     lambda endpoint, chosen=task: self._attempt(endpoint, chosen),
-                    timeout_budget_s=self.budget_s,
+                    timeout_budget_s=BUDGET_S,
                 )
             )
             score.requests += 1
@@ -216,7 +213,7 @@ class AvailabilityEvaluator:
             else:
                 score.failed += 1
             score.samples.append((started, outcome.ok))
-            yield env.timeout(self.request_interval_s * (0.5 + rng.random()))
+            yield env.timeout(REQUEST_INTERVAL_S * (0.5 + rng.random()))
 
     def _client_open(self, client_id: int, score: AScore, sojourn):
         """Open-loop client: requests are due at seeded virtual instants.
@@ -233,7 +230,7 @@ class AvailabilityEvaluator:
         rate = (
             self.arrival.rate / self.n_clients
             if self.arrival.rate is not None
-            else 1.0 / (1.5 * self.request_interval_s)
+            else 1.0 / (1.5 * REQUEST_INTERVAL_S)
         )
         schedule = arrival_offsets_window(
             self.arrival, rate, self.duration_s,
@@ -248,7 +245,7 @@ class AvailabilityEvaluator:
                 session.call_in(
                     env,
                     lambda endpoint, chosen=task: self._attempt(endpoint, chosen),
-                    timeout_budget_s=self.budget_s,
+                    timeout_budget_s=BUDGET_S,
                 )
             )
             score.requests += 1
@@ -271,7 +268,6 @@ class AvailabilityEvaluator:
         self.obs.bind_clock(lambda: self._env.now)
         self._primary, _data = load_sales_database(
             "primary",
-            scale_factor=self.scale_factor,
             row_scale=self.row_scale,
             seed=self.plan.seed,
             observer=self.obs,
@@ -282,7 +278,7 @@ class AvailabilityEvaluator:
             observer=self.obs,
         )
         self._workload = SalesWorkload(
-            self._primary, self.mix, seed=self.plan.seed
+            self._primary, READ_WRITE, seed=self.plan.seed
         )
         replicas = [
             ReplicationPipeline.replica_target(index)
@@ -323,14 +319,9 @@ class AvailabilityEvaluator:
         else:
             for client_id in range(self.n_clients):
                 self._env.process(self._client(client_id, score))
-        self._env.run(until=self.duration_s + self.budget_s)
-        if sojourn is not None and sojourn.count:
-            score.openloop_latency_ms = {
-                "p50": sojourn.percentile(50.0) * 1000.0,
-                "p95": sojourn.percentile(95.0) * 1000.0,
-                "p99": sojourn.percentile(99.0) * 1000.0,
-                "p999": sojourn.percentile(99.9) * 1000.0,
-            }
+        self._env.run(until=self.duration_s + BUDGET_S)
+        if sojourn is not None:
+            score.openloop_latency_ms = sojourn.latency_summary_ms()
         score.breaker_opened = (
             self._reads.breaker_opens() + self._writes.breaker_opens()
         )

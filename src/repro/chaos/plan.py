@@ -221,10 +221,7 @@ class FaultPlan:
         seed: int,
         duration_s: float,
         targets: Sequence[str],
-        kinds: Sequence[FaultKind] = NETWORK_KINDS + NODE_KINDS,
         n_faults: int = 4,
-        min_fault_s: float = 2.0,
-        max_fault_s: float = 20.0,
         name: str = "generated",
     ) -> "FaultPlan":
         """A random-but-deterministic plan from a master seed.
@@ -238,11 +235,12 @@ class FaultPlan:
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         rng = RngRegistry(seed).stream("chaos.plan")
+        kinds = NETWORK_KINDS + NODE_KINDS
         specs = []
         for _ in range(n_faults):
             kind = kinds[rng.randrange(len(kinds))]
             target = targets[rng.randrange(len(targets))]
-            fault_s = min(duration_s, rng.uniform(min_fault_s, max_fault_s))
+            fault_s = min(duration_s, rng.uniform(2.0, 20.0))
             start_s = rng.uniform(0.0, max(1e-9, duration_s - fault_s))
             specs.append(FaultSpec(
                 kind=kind,

@@ -24,7 +24,7 @@ paper's extensibility claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro.cloud.specs import (
@@ -168,7 +168,6 @@ def aws_rds() -> Architecture:
             fetch_channels=16,
             log_write_s=60e-6,         # local fsync with group commit
             log_channels=4,
-            replication_factor=2,      # primary volume + standby copy
             redo_pushdown=False,
             replay_parallelism=1,
             replay_service_s={"insert": 90e-6, "update": 90e-6, "delete": 45e-6},
@@ -184,13 +183,12 @@ def aws_rds() -> Architecture:
             redo_rate_records_s=60_000,
             undo_rate_txns_s=100,
             remote_buffer_survives=False,
-            flush_before_restart=True,
             warmup_tau_rw_s=7.0,
             warmup_tau_ro_s=11.0,
             ro_restart_s=2.0,          # replica process restart, no ARIES
         ),
         scaling=ScalingPolicySpec(kind=ScalingKind.FIXED),
-        tenancy=TenancySpec(kind=TenancyKind.ISOLATED, isolation_cost_factor=3),
+        tenancy=TenancySpec(kind=TenancyKind.ISOLATED),
         pricing=PricingModel(
             # On-demand list prices: roughly 2x the reserved/RUC level,
             # and the instance bills at least ten minutes per run.  This
@@ -240,7 +238,6 @@ def cdb1() -> Architecture:
             fetch_channels=12,
             log_write_s=220e-6,        # quorum log write over the network
             log_channels=2,
-            replication_factor=6,      # six-way replication
             redo_pushdown=True,
             replay_parallelism=1,      # sequential replay on replicas
             replay_service_s={"insert": 900e-6, "update": 450e-6, "delete": 120e-6},
@@ -256,7 +253,6 @@ def cdb1() -> Architecture:
             redo_rate_records_s=400_000,  # storage already materialised pages
             undo_rate_txns_s=1_000,
             remote_buffer_survives=False,
-            flush_before_restart=False,
             warmup_tau_rw_s=6.0,
             warmup_tau_ro_s=0.5,       # replicas page in from storage fast
             ro_restart_s=4.0,
@@ -265,11 +261,10 @@ def cdb1() -> Architecture:
             kind=ScalingKind.THRESHOLD_GRADUAL,
             reaction_s=10.0,
             up_threshold=0.75,
-            down_threshold=0.5,
             gradual_step_s=120.0,      # one step down every two minutes
             scaling_warm_tau_s=45.0,   # slow buffer refill from shared storage
         ),
-        tenancy=TenancySpec(kind=TenancyKind.ISOLATED, isolation_cost_factor=3),
+        tenancy=TenancySpec(kind=TenancyKind.ISOLATED),
         pricing=PricingModel(
             vcore_hour=0.18,
             memory_gb_hour=0.02,
@@ -314,7 +309,6 @@ def cdb2() -> Architecture:
             fetch_channels=10,
             log_write_s=120e-6,        # log service on fast storage
             log_channels=1,
-            replication_factor=3,
             redo_pushdown=True,
             replay_parallelism=1,
             replay_service_s={"insert": 1.4e-3, "update": 1.6e-3, "delete": 300e-6},
@@ -330,7 +324,6 @@ def cdb2() -> Architecture:
             redo_rate_records_s=150_000,
             undo_rate_txns_s=800,
             remote_buffer_survives=False,
-            flush_before_restart=False,
             warmup_tau_rw_s=12.0,      # 44 MB buffer refills via page service
             warmup_tau_ro_s=6.5,
             ro_restart_s=4.0,
@@ -339,13 +332,11 @@ def cdb2() -> Architecture:
             kind=ScalingKind.ON_DEMAND,
             reaction_s=30.0,           # re-fits allocation roughly every 30 s
             up_threshold=0.75,
-            down_threshold=0.55,
             scaling_warm_tau_s=10.0,   # tiny buffer refills quickly
         ),
         tenancy=TenancySpec(
             kind=TenancyKind.ELASTIC_POOL,
             overcommit_penalty=0.45,
-            isolation_cost_factor=1,
         ),
         pricing=PricingModel(
             vcore_hour=0.42,
@@ -391,7 +382,6 @@ def cdb3() -> Architecture:
             fetch_channels=12,
             log_write_s=140e-6,        # safekeeper quorum append
             log_channels=2,
-            replication_factor=3,
             redo_pushdown=True,
             replay_parallelism=8,      # parallel log replay
             replay_service_s={"insert": 220e-6, "update": 420e-6, "delete": 90e-6},
@@ -409,7 +399,6 @@ def cdb3() -> Architecture:
             redo_rate_records_s=500_000,
             undo_rate_txns_s=1_000,
             remote_buffer_survives=False,
-            flush_before_restart=False,
             warmup_tau_rw_s=10.0,
             warmup_tau_ro_s=2.0,
             ro_restart_s=3.0,
@@ -418,13 +407,12 @@ def cdb3() -> Architecture:
             kind=ScalingKind.CU_PAUSE_RESUME,
             reaction_s=60.0,           # CU adaptation granularity
             up_threshold=0.75,
-            down_threshold=0.5,
             down_stabilization_s=180.0,
             pause_after_s=55.0,
             resume_s=4.0,
             scaling_warm_tau_s=12.0,   # LFC re-primes from the pageservers
         ),
-        tenancy=TenancySpec(kind=TenancyKind.BRANCH, isolation_cost_factor=1),
+        tenancy=TenancySpec(kind=TenancyKind.BRANCH),
         pricing=PricingModel(
             vcore_hour=0.16,           # startup pricing, cheapest CPU
             memory_gb_hour=0.008,
@@ -470,7 +458,6 @@ def cdb4() -> Architecture:
             fetch_channels=32,
             log_write_s=25e-6,         # RDMA log shipping
             log_channels=8,
-            replication_factor=3,
             redo_pushdown=False,
             replay_parallelism=8,
             replay_service_s={"insert": 30e-6, "update": 30e-6, "delete": 15e-6},
@@ -488,13 +475,12 @@ def cdb4() -> Architecture:
             redo_rate_records_s=2_000_000,
             undo_rate_txns_s=50,       # 150 active txns rolled back in ~3 s
             remote_buffer_survives=True,
-            flush_before_restart=False,
             warmup_tau_rw_s=1.2,
             warmup_tau_ro_s=1.5,
             ro_restart_s=1.0,
         ),
         scaling=ScalingPolicySpec(kind=ScalingKind.FIXED),
-        tenancy=TenancySpec(kind=TenancyKind.ISOLATED, isolation_cost_factor=3),
+        tenancy=TenancySpec(kind=TenancyKind.ISOLATED),
         pricing=PricingModel(
             vcore_hour=0.95,           # flagship tier, no serverless discount
             memory_gb_hour=0.046,      # includes the remote pool lease

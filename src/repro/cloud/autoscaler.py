@@ -33,7 +33,6 @@ from repro.cloud.architectures import Architecture
 from repro.cloud.mva_model import required_vcores
 from repro.cloud.specs import ComputeAllocation, ScalingKind
 from repro.cloud.workload_model import WorkloadMix
-from repro.obs import NULL_OBSERVER, Observer
 
 
 @dataclass(frozen=True)
@@ -56,13 +55,11 @@ class Autoscaler:
         arch: Architecture,
         workload: WorkloadMix,
         forecast: Optional[Sequence[Tuple[float, int]]] = None,
-        observer: Optional[Observer] = None,
     ):
         """``forecast`` is a step schedule of (start_s, demand) pairs,
         consumed by the PROACTIVE policy (ignored by the others)."""
         self.arch = arch
         self.workload = workload
-        self.obs = observer or NULL_OBSERVER
         self.policy = arch.scaling
         self.forecast = sorted(forecast) if forecast else None
         spec = arch.instance
@@ -100,7 +97,7 @@ class Autoscaler:
 
     def step(self, now_s: float, demand_concurrency: int) -> ComputeAllocation:
         """Advance to ``now_s`` with the current demand; returns allocation."""
-        self._note_saturation(now_s, demand_concurrency)
+        self._note_saturation(demand_concurrency)
         kind = self.policy.kind
         if kind is ScalingKind.FIXED:
             return self.allocation
@@ -114,7 +111,7 @@ class Autoscaler:
             self._proactive(now_s, demand_concurrency)
         return self.allocation
 
-    def _note_saturation(self, now_s: float, demand: int) -> None:
+    def _note_saturation(self, demand: int) -> None:
         if demand <= 0:
             self.is_overloaded = False
             return
@@ -132,12 +129,6 @@ class Autoscaler:
             self._saturation_cache[demand] = saturated
         if saturated and not self.is_overloaded:
             self.overload_windows += 1
-            if self.obs.enabled:
-                self.obs.count("cloud.autoscaler.overload")
-                self.obs.event(
-                    "overload", "autoscaler", ts=now_s, track="autoscaler",
-                    attrs={"demand": demand, "target_vcores": round(target, 2)},
-                )
         self.is_overloaded = saturated
 
     # -- shared helpers -----------------------------------------------------------
@@ -169,15 +160,6 @@ class Autoscaler:
                 trigger=trigger,
             )
         )
-        if self.obs.enabled:
-            self.obs.count(f"cloud.autoscaler.{trigger}")
-            self.obs.event(
-                trigger, "autoscaler", ts=now_s, track="autoscaler",
-                attrs={
-                    "from_vcores": self.allocation.vcores,
-                    "to_vcores": target.vcores,
-                },
-            )
         self.allocation = target
 
     def _target_vcores(self, demand: int) -> float:

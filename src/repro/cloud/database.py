@@ -40,21 +40,10 @@ class CloudDatabase:
 
     # -- steady state ------------------------------------------------------------
 
-    def estimate(
-        self,
-        workload: WorkloadMix,
-        concurrency: int,
-        allocation: Optional[ComputeAllocation] = None,
-        **kwargs,
-    ) -> ThroughputEstimate:
-        """Steady-state operating point under ``concurrency`` clients."""
-        return estimate_throughput(
-            self.arch,
-            workload,
-            concurrency,
-            allocation or self.allocation,
-            **kwargs,
-        )
+    def estimate(self, workload: WorkloadMix, concurrency: int) -> ThroughputEstimate:
+        """Steady-state operating point under ``concurrency`` clients at
+        the current allocation."""
+        return estimate_throughput(self.arch, workload, concurrency, self.allocation)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -25,12 +25,12 @@ from typing import List, Optional, Tuple
 
 from repro.cloud.architectures import Architecture
 from repro.cloud.mva_model import estimate_throughput
-from repro.cloud.specs import ComputeAllocation
 from repro.cloud.workload_model import WorkloadMix
-from repro.obs import NULL_OBSERVER, Observer
 
 #: log records produced per writing transaction (begin + data + commit)
 RECORDS_PER_WRITE_TXN = 3.0
+#: a timeline that never recovers is cut here
+MAX_DURATION_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -83,19 +83,13 @@ class FailoverSimulator:
         arch: Architecture,
         workload: WorkloadMix,
         concurrency: int = 150,
-        allocation: Optional[ComputeAllocation] = None,
         recovery_threshold: float = 0.95,
-        observer: Optional[Observer] = None,
     ):
         self.arch = arch
         self.workload = workload
-        self.obs = observer or NULL_OBSERVER
         self.concurrency = concurrency
-        self.allocation = allocation or arch.instance.max_allocation
         self.recovery_threshold = recovery_threshold
-        self._steady = estimate_throughput(
-            arch, workload, concurrency, self.allocation
-        ).tps
+        self._steady = estimate_throughput(arch, workload, concurrency).tps
 
     @property
     def steady_tps(self) -> float:
@@ -202,18 +196,6 @@ class FailoverSimulator:
         backlog_records = write_tps * RECORDS_PER_WRITE_TXN * interval / 2.0
         return backlog_records / recovery.redo_rate_records_s
 
-    def _emit_phases(self, node: str, phases: List[FailoverPhase]) -> None:
-        """One complete span per recovery phase on the node's track."""
-        if not self.obs.enabled:
-            return
-        for phase in phases:
-            self.obs.complete(
-                phase.name, "failover", phase.start_s, phase.end_s,
-                track=f"failover:{node}",
-                attrs={"description": phase.description},
-            )
-            self.obs.count(f"cloud.failover.phase.{phase.name}")
-
     # -- the run ----------------------------------------------------------------------
 
     def run(
@@ -221,7 +203,6 @@ class FailoverSimulator:
         node: str = "rw",
         inject_at_s: float = 30.0,
         tick_s: float = 0.5,
-        max_duration_s: float = 600.0,
     ) -> FailoverResult:
         """Inject a ``node`` failure and trace TPS until full recovery."""
         if node not in ("rw", "ro"):
@@ -246,7 +227,7 @@ class FailoverSimulator:
         timeline: List[Tuple[float, float]] = []
         tps_recovered: Optional[float] = None
         t = 0.0
-        while t <= max_duration_s:
+        while t <= MAX_DURATION_S:
             if t < inject_at_s:
                 tps = self._steady
             elif t < service_restored:
@@ -262,8 +243,7 @@ class FailoverSimulator:
                 break
             t += tick_s
         if tps_recovered is None:
-            tps_recovered = max_duration_s
-        self._emit_phases(node, phases)
+            tps_recovered = MAX_DURATION_S
         return FailoverResult(
             arch_name=self.arch.name,
             node=node,

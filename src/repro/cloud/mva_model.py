@@ -113,14 +113,13 @@ def cache_breakdown(
     workload: WorkloadMix,
     allocation: ComputeAllocation,
     warm_local: float = 1.0,
-    warm_remote: float = 1.0,
     buffer_bytes: Optional[int] = None,
 ) -> CacheBreakdown:
     """Stacked hit ratios across the architecture's cache hierarchy."""
     local = (buffer_bytes if buffer_bytes is not None
              else arch.buffer_bytes_at(allocation)) * warm_local
     second = arch.second_cache_bytes_at(allocation) * warm_local
-    remote = arch.remote_buffer_bytes * warm_remote
+    remote = arch.remote_buffer_bytes
     ws = workload.working_set_bytes
     hot_f, hot_b = workload.hot_fraction, workload.hot_set_bytes
     h_local = hit_ratio(local, ws, hot_f, hot_b)
@@ -166,28 +165,21 @@ def estimate_throughput(
     workload: WorkloadMix,
     concurrency: int,
     allocation: Optional[ComputeAllocation] = None,
-    warm_local: float = 1.0,
-    warm_remote: float = 1.0,
     efficiency_factor: float = 1.0,
     buffer_bytes: Optional[int] = None,
-    think_time_s: float = THINK_TIME_S,
 ) -> ThroughputEstimate:
     """Solve the closed network for ``concurrency`` clients.
 
-    ``allocation`` defaults to the instance's maximum.  ``warm_local`` /
-    ``warm_remote`` scale effective cache sizes (fail-over warm-up).
+    ``allocation`` defaults to the instance's maximum.
     ``efficiency_factor`` < 1 models shared-pool scheduling overhead in
     multi-tenant overcommit.  ``buffer_bytes`` overrides the local
-    buffer (the Figure 8 sweep).  ``think_time_s`` is the closed-loop
-    client processing time between transactions.
+    buffer (the Figure 8 sweep).
     """
     if concurrency < 0:
         raise ValueError("concurrency must be >= 0")
     if allocation is None:
         allocation = arch.instance.max_allocation
-    cache = cache_breakdown(
-        arch, workload, allocation, warm_local, warm_remote, buffer_bytes
-    )
+    cache = cache_breakdown(arch, workload, allocation, buffer_bytes=buffer_bytes)
     if concurrency == 0 or allocation.is_paused:
         return ThroughputEstimate(
             tps=0.0, latency_s=0.0, concurrency=concurrency, cache=cache
@@ -292,7 +284,7 @@ def estimate_throughput(
         if contention_demand > 0:
             centers.append(Center("contention", contention_demand, "delay"))
 
-    network = ClosedNetwork(centers, think_time=think_time_s)
+    network = ClosedNetwork(centers, think_time=THINK_TIME_S)
     solution = network.solve(concurrency)
     tps = solution.throughput
     consumed = ConsumedResources(

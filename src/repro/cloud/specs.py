@@ -39,8 +39,6 @@ class NetworkSpec:
 TCP_10G = NetworkSpec(NetworkKind.TCP, bandwidth_gbps=10.0, latency_s=80e-6)
 #: 10 Gbps RDMA: ~8 microseconds one way.
 RDMA_10G = NetworkSpec(NetworkKind.RDMA, bandwidth_gbps=10.0, latency_s=8e-6)
-#: 30 Gbps TCP used by tripled isolated-instance tenancy setups.
-TCP_30G = NetworkSpec(NetworkKind.TCP, bandwidth_gbps=30.0, latency_s=80e-6)
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,6 @@ class StorageProfile:
     log_write_s: float
     #: concurrent log append channels (group commit width)
     log_channels: int
-    #: replication factor billed for storage capacity
-    replication_factor: int
     #: True when redo is pushed to storage: compute never flushes dirty pages
     redo_pushdown: bool
     #: parallel replay workers on a read replica
@@ -146,8 +142,6 @@ class RecoveryProfile:
     undo_rate_txns_s: float
     #: does a warm remote buffer survive the failure? (CDB4)
     remote_buffer_survives: bool = False
-    #: must dirty pages be flushed before service resumes? (ARIES restart)
-    flush_before_restart: bool = False
     #: cache warm-up time constant after an RW fail-over, seconds
     warmup_tau_rw_s: float = 10.0
     #: cache warm-up time constant after an RO restart, seconds
@@ -172,8 +166,6 @@ class ScalingPolicySpec:
     reaction_s: float = 30.0
     #: utilisation above which the policy scales up
     up_threshold: float = 0.8
-    #: utilisation below which the policy scales down
-    down_threshold: float = 0.5
     #: gradual scale-down: one step every this many seconds (CDB1)
     gradual_step_s: float = 120.0
     #: demand must be stable this long before a partial scale-down (CDB3)
@@ -202,8 +194,6 @@ class TenancySpec:
     kind: TenancyKind
     #: throughput efficiency lost per 100% overcommit in a shared pool
     overcommit_penalty: float = 0.0
-    #: network/IOPS multiplier when instances are separate (tripled cost)
-    isolation_cost_factor: int = 1
 
 
 @dataclass(frozen=True)
@@ -217,8 +207,6 @@ class PricingModel:
     network_gbps_hour: float
     #: minimum billing granularity, seconds (RDS bills >= 10 minutes)
     min_billing_s: float = 1.0
-    #: flat hourly platform fee (elastic pools charge the pool)
-    platform_hour: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,15 @@ intact -- the socket client reconstructs them from wire frames (see
 :mod:`repro.serve.errors`), so ``is_retryable`` / breaker
 classification behave identically in-process and over the wire.
 
-Two optional attributes ride along for workloads that need them:
-``gtid`` (the id of the most recently begun global transaction --
-``None`` for single-node clients) and ``deadline`` (anything with
-``expired() -> bool``, propagated into the engine's cancellation
-points where the transport supports it).  Read ``gtid`` once the
-transaction's first statement (or its commit) has been answered, not
-right after ``begin()``: the socket client's ``begin`` sends nothing,
-it rides on that first frame.
+One attribute rides along for workloads that need it: ``gtid``, the
+id of the most recently begun global transaction (``None`` for
+single-node clients).  Read it once the transaction's first statement
+(or its commit) has been answered, not right after ``begin()``: the
+socket client's ``begin`` sends nothing, it rides on that first frame.
+No client carries a deadline; the engine's cancellation points are
+reached through ``Database.begin/execute(deadline=...)`` and
+``fleet.begin(deadline=...)`` directly, and the serving tier expires
+queued work at admission (``ServerConfig.deadline_s``).
 """
 
 from __future__ import annotations
@@ -127,9 +128,6 @@ class EngineClient:
     def __init__(self, db: Database):
         self.db = db
         self._txn = None
-        #: per-statement deadline, propagated into the engine's
-        #: cancellation points (set by deadline-aware workloads)
-        self.deadline = None
         #: single-node transport: no global transaction ids
         self.gtid = None
 
@@ -143,20 +141,18 @@ class EngineClient:
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         if self.in_txn:
             return self.db.execute(sql, params, txn=self._txn)
-        return self.db.execute(sql, params, deadline=self.deadline)
+        return self.db.execute(sql, params)
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         if self.in_txn:
             # reads inside the transaction must see its own writes
             return self.db.query(sql, params, txn=self._txn)
-        return self.db.query(sql, params, deadline=self.deadline)
+        return self.db.query(sql, params)
 
     def begin(self, isolation: Optional[object] = None) -> None:
         if self.in_txn:
             raise ClientError("begin() inside an open transaction")
-        self._txn = self.db.begin(
-            isolation=coerce_isolation(isolation), deadline=self.deadline
-        )
+        self._txn = self.db.begin(isolation=coerce_isolation(isolation))
 
     def commit(self) -> None:
         txn = self._require_txn("commit")
@@ -206,7 +202,6 @@ class FleetClient:
     def __init__(self, fleet):
         self.fleet = fleet
         self._gtxn = None
-        self.deadline = None
         #: id of the most recently begun global transaction (persists
         #: after commit -- history recorders read it post-ack)
         self.gtid: Optional[str] = None
@@ -233,9 +228,7 @@ class FleetClient:
     def begin(self, isolation: Optional[object] = None) -> None:
         if self.in_txn:
             raise ClientError("begin() inside an open transaction")
-        self._gtxn = self.fleet.begin(
-            isolation=coerce_isolation(isolation), deadline=self.deadline
-        )
+        self._gtxn = self.fleet.begin(isolation=coerce_isolation(isolation))
         self.gtid = self._gtxn.gtid
 
     def commit(self) -> None:

@@ -35,6 +35,8 @@ from repro.core.pricing import allocation_cost
 
 #: one slot is one minute (paper Section II-C)
 SLOT_SECONDS = 60.0
+#: the run's time step: the autoscaler and the cost meter see one tick
+TICK_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,11 @@ ELASTIC_PATTERNS: Dict[str, ElasticPattern] = {
 }
 
 
-def custom_pattern(key: str, proportions: Sequence[float], name: str = "") -> ElasticPattern:
+def custom_pattern(key: str, proportions: Sequence[float]) -> ElasticPattern:
     """User-defined pattern (the props-file extensibility path)."""
     return ElasticPattern(
         key=key,
-        name=name or key,
+        name=key,
         proportions=tuple(proportions),
         description="user-defined pattern",
     )
@@ -139,13 +141,11 @@ class ElasticityEvaluator:
         workload: WorkloadMix,
         slot_seconds: float = SLOT_SECONDS,
         measure_window_s: float = 600.0,
-        tick_s: float = 1.0,
     ):
         self.arch = arch
         self.workload = workload
         self.slot_seconds = slot_seconds
         self.measure_window_s = measure_window_s
-        self.tick_s = tick_s
 
     # -- helpers ---------------------------------------------------------------
 
@@ -246,7 +246,7 @@ class ElasticityEvaluator:
         while t < duration:
             slot_index = int(t // self.slot_seconds)
             demand = slots[slot_index] if slot_index < len(slots) else 0
-            if t > 0 and demand != previous_demand and t % self.slot_seconds < self.tick_s:
+            if t > 0 and demand != previous_demand and t % self.slot_seconds < TICK_S:
                 open_transition = SlotTransition(
                     from_concurrency=previous_demand,
                     to_concurrency=demand,
@@ -268,7 +268,7 @@ class ElasticityEvaluator:
                         last_up = event.time_s
                         break
                 if last_up is not None and t >= last_up:
-                    tps *= 1.0 - math.exp(-max(self.tick_s, t - last_up) / warm_tau)
+                    tps *= 1.0 - math.exp(-max(TICK_S, t - last_up) / warm_tau)
 
             # Cost: charge the allocated resources at RUC prices.  The
             # share matching the demand target is execution cost; any
@@ -280,13 +280,13 @@ class ElasticityEvaluator:
                 allocation.vcores,
                 allocation.memory_gb,
                 iops=iops_alloc,
-                duration_s=self.tick_s,
+                duration_s=TICK_S,
             )
             elastic_cost += tick_cost
             infra_cost += allocation_cost(
                 0.0,
                 0.0,
-                duration_s=self.tick_s,
+                duration_s=TICK_S,
                 storage_gb=self.arch.provisioned.storage_gb,
                 network_gbps=self.arch.provisioned.network_gbps,
                 network_kind=self.arch.provisioned.network_kind,
@@ -300,7 +300,7 @@ class ElasticityEvaluator:
                 surplus_vcores,
                 surplus_vcores
                 * (allocation.memory_gb / allocation.vcores if allocation.vcores else 0.0),
-                duration_s=self.tick_s,
+                duration_s=TICK_S,
             )
             scaling_cost += min(surplus_cost, tick_cost)
             execution_cost += tick_cost - min(surplus_cost, tick_cost)
@@ -312,7 +312,7 @@ class ElasticityEvaluator:
                 )
                 fixed = self.arch.scaling.kind is ScalingKind.FIXED
                 if settled or fixed:
-                    open_transition.settled_at_s = t + self.tick_s if not fixed else t
+                    open_transition.settled_at_s = t + TICK_S if not fixed else t
                     open_transition = None
 
             collector.record(
@@ -323,7 +323,7 @@ class ElasticityEvaluator:
                 cost_delta=tick_cost,
                 demand=demand,
             )
-            t += self.tick_s
+            t += TICK_S
 
         # Scaling decisions become collector annotations, so exports and
         # reports can line the allocation steps up with the TPS series.

@@ -23,7 +23,9 @@ from repro.core.elasticity import ELASTIC_PATTERNS, ElasticityEvaluator, custom_
 from repro.core.evalapi import EvalOption, EvalOutcome, evaluator, parse_bool
 from repro.core.failover import FailOverEvaluator
 from repro.core.lagtime import LagTimeEvaluator
-from repro.core.metrics import PerfectScores, e2_score, p_score_actual, scale_out_tps
+from repro.core.metrics import (
+    E2_CONCURRENCY, PerfectScores, e2_score, p_score_actual, scale_out_tps,
+)
 from repro.core.multitenancy import MultiTenancyEvaluator
 from repro.core.pricing import (
     actual_cost,
@@ -672,7 +674,7 @@ def _scaleout_real(
     # mechanisms price added nodes.
     arch = bench.architectures[0]
     workload = bench.workload_mix("RW", bench.config.scale_factors[0])
-    model_base = scale_out_tps(arch, workload, 150, 0)
+    model_base = scale_out_tps(arch, workload, E2_CONCURRENCY, 0)
     base = data[min(data)]
     open_arrival = bool(base.openloop_latency_ms)  # every point shares it
     rows = []
@@ -683,7 +685,7 @@ def _scaleout_real(
             result.tps_node / base.tps_node if base.tps_node > 0 else 0.0
         )
         modelled = (
-            scale_out_tps(arch, workload, 150, n_shards - 1) / model_base
+            scale_out_tps(arch, workload, E2_CONCURRENCY, n_shards - 1) / model_base
             if model_base > 0 else 0.0
         )
         row = (

@@ -14,14 +14,14 @@ import json
 from typing import TextIO
 
 
-def outcome_to_json(outcome, indent: int = 2) -> str:
+def outcome_to_json(outcome) -> str:
     """Serialise an :class:`~repro.core.evalapi.EvalOutcome` to JSON.
 
     Every evaluator exports identically: name, title, table headers and
     rows, flat scores, timeline events, notes.  The native payload is
     dropped (it is not, in general, JSON-serialisable).
     """
-    return json.dumps(outcome.to_dict(), indent=indent, sort_keys=True)
+    return json.dumps(outcome.to_dict(), indent=2, sort_keys=True)
 
 
 def outcome_to_csv(outcome, out: TextIO) -> int:

@@ -99,7 +99,6 @@ class LagTimeEvaluator:
         transactions: int = 240,
         seed: int = 42,
         distribution: str = "uniform",
-        latest_k: int = 10,
         isolation=None,
     ):
         self.arch = arch
@@ -110,7 +109,6 @@ class LagTimeEvaluator:
         self.transactions = transactions
         self.seed = seed
         self.distribution = distribution
-        self.latest_k = latest_k
         #: engine isolation the writer transactions run under (None =
         #: engine default); MVCC levels also discount the model's
         #: contention center when pacing workers
@@ -128,8 +126,7 @@ class LagTimeEvaluator:
             primary.default_isolation = self.isolation
         pipeline = ReplicationPipeline(env, self.arch, primary, self.n_replicas)
         workload = SalesWorkload(
-            primary, mix, distribution=self.distribution,
-            latest_k=self.latest_k, seed=self.seed,
+            primary, mix, distribution=self.distribution, seed=self.seed,
         )
         result = LagResult(
             arch_name=self.arch.name,
@@ -143,7 +140,7 @@ class LagTimeEvaluator:
 
         model_mix = mix.to_workload_mix(
             self.scale_factor, distribution=self.distribution,
-            latest_k=self.latest_k, mvcc=self.isolation in MVCC_LEVELS,
+            mvcc=self.isolation in MVCC_LEVELS,
         )
         estimate = estimate_throughput(self.arch, model_mix, self.concurrency)
         cycle_s = max(1e-4, estimate.latency_s)

@@ -33,6 +33,8 @@ from repro.core.pricing import actual_cost
 
 #: the E2 normalisation factor delta of Equation (5)
 E2_DELTA = 1000.0
+#: client threads E2 measures scale-out at (the paper's 150)
+E2_CONCURRENCY = 150
 
 
 def p_score_actual(
@@ -66,18 +68,16 @@ def scale_out_tps(
 def e2_score(
     arch: Architecture,
     workload: WorkloadMix,
-    concurrency: int = 150,
     n_ro_nodes: int = 1,
-    delta: float = E2_DELTA,
 ) -> float:
     """Equation (5): average TPS gained per added RO node, over delta."""
     if n_ro_nodes < 1:
         raise ValueError("need at least one added RO node")
     total = 0.0
-    previous = scale_out_tps(arch, workload, concurrency, 0)
+    previous = scale_out_tps(arch, workload, E2_CONCURRENCY, 0)
     for nodes in range(1, n_ro_nodes + 1):
-        current = scale_out_tps(arch, workload, concurrency, nodes)
-        total += (current - previous) / delta
+        current = scale_out_tps(arch, workload, E2_CONCURRENCY, nodes)
+        total += (current - previous) / E2_DELTA
         previous = current
     return total / n_ro_nodes
 

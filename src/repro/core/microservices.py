@@ -129,17 +129,15 @@ class ExtendedScale:
 
 def load_extended(
     db: Database,
-    scale_factor: int = 1,
     row_scale: float = 0.01,
     seed: int = 42,
-    create_schema: bool = True,
 ) -> ExtendedScale:
-    """Populate the extended services (optionally into the sales database:
-    the paper's tenants share schema/database/server among services)."""
-    if create_schema:
-        create_extended_schema(db)
+    """Create and populate the extended services' tables at scale factor
+    1 (``db`` may be the sales database: the paper's tenants share
+    schema/database/server among services)."""
+    create_extended_schema(db)
     rng = random.Random(seed)
-    products = max(30, int(PRODUCTS * scale_factor * row_scale))
+    products = max(30, int(PRODUCTS * row_scale))
     now = 1_700_000_000.0
 
     db.table("PRODUCT").load(
@@ -208,12 +206,11 @@ class ExtendedWorkload:
         scale: ExtendedScale,
         mix: ExtendedMix = INVENTORY_MIX,
         seed: int = 42,
-        stmts: Optional[SqlStmts] = None,
     ):
         self.db = db
         self.scale = scale
         self.mix = mix
-        self.stmts = stmts or SqlStmts.from_file(EXTENDED_STMT_FILE)
+        self.stmts = SqlStmts.from_file(EXTENDED_STMT_FILE)
         self._rng = random.Random(seed)
         self._clock = 1_700_000_000.0
         self._workorder_high = db.table("WORKORDER").row_count

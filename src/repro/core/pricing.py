@@ -126,6 +126,5 @@ def actual_cost(
         + package.storage_gb * pricing.storage_gb_hour
         + package.iops / 100.0 * pricing.iops_100_hour
         + package.network_gbps * pricing.network_gbps_hour
-        + pricing.platform_hour
     )
     return per_hour * billed_s / 3600.0

@@ -44,7 +44,6 @@ from repro.engine.errors import (
 )
 from repro.obs import NULL_OBSERVER, Observer
 from repro.qos.budget import RetryBudget as _RetryBudget
-from repro.qos.deadline import Deadline
 from repro.sim.events import VirtualClock
 
 #: errors that indict the endpoint (breaker-relevant), not the request
@@ -364,11 +363,6 @@ class ResilientSession:
             min_tokens=float(self.policy.max_attempts),
             max_tokens=max(10.0, 2.0 * self.policy.max_attempts),
         )
-        #: deadline of the call currently in flight (when it was given a
-        #: timeout budget); attempt functions read this and hand it to
-        #: ``Database.execute(deadline=...)`` so the engine can cancel
-        #: doomed work at its own cancellation points.
-        self.current_deadline = None
         self.calls = 0
         self.failures = 0
         self.budget_denials = 0
@@ -472,11 +466,6 @@ class ResilientSession:
         """
         self.calls += 1
         started = self._clock()
-        self.current_deadline = (
-            Deadline(started + timeout_budget_s, self._clock)
-            if timeout_budget_s is not None
-            else None
-        )
         script = self._script(timeout_budget_s, started)
         payload: Any = None
         while True:
@@ -486,7 +475,6 @@ class ResilientSession:
                 outcome: CallOutcome = stop.value
                 if not outcome.ok:
                     self.failures += 1
-                self.current_deadline = None
                 self._observe_outcome(started, self._clock(), outcome)
                 return outcome
             kind, arg = action
@@ -516,11 +504,6 @@ class ResilientSession:
         """
         self.calls += 1
         started = env.now
-        self.current_deadline = (
-            Deadline(started + timeout_budget_s, lambda: env.now)
-            if timeout_budget_s is not None
-            else None
-        )
         script = self._script(timeout_budget_s, started)
         payload: Any = None
         while True:
@@ -530,7 +513,6 @@ class ResilientSession:
                 outcome = stop.value
                 if not outcome.ok:
                     self.failures += 1
-                self.current_deadline = None
                 self._observe_outcome(started, env.now, outcome)
                 return outcome
             kind, arg = action

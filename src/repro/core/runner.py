@@ -54,16 +54,12 @@ def average_tps(data: Dict[ThroughputKey, float], arch_name: str, mode: str) -> 
 class CloudyBench:
     """End-to-end testbed over the configured architectures."""
 
-    def __init__(
-        self,
-        config: Optional[BenchConfig] = None,
-        observer: Optional[Observer] = None,
-    ):
+    def __init__(self, config: Optional[BenchConfig] = None):
         self.config = config or BenchConfig()
         #: one observer spans the whole bench run: engine, DES and client
         #: events land in a single timeline/metrics registry, and
         #: :meth:`snapshot` / the CLI exporters read it back out.
-        self.observer = observer if observer is not None else Observer()
+        self.observer = Observer()
         self.architectures: List[Architecture] = [
             get_architecture(name) for name in self.config.architectures
         ]

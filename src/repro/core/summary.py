@@ -13,7 +13,7 @@ Wired into the CLI as ``cloudybench --eval report [--out FILE]``.
 from __future__ import annotations
 
 import io
-from typing import Optional, TextIO
+from typing import TextIO
 
 from repro.core.evalapi import EvalOutcome
 from repro.core.runner import CloudyBench
@@ -57,9 +57,9 @@ def _events(out: TextIO, outcome: EvalOutcome) -> None:
     _table(out, ["t (s)", "event"], rows)
 
 
-def generate_report(bench: CloudyBench, out: Optional[TextIO] = None) -> str:
+def generate_report(bench: CloudyBench) -> str:
     """Run every evaluation and render the markdown report."""
-    buffer = out or io.StringIO()
+    buffer = io.StringIO()
     config = bench.config
 
     buffer.write("# CloudyBench report\n\n")
@@ -80,6 +80,4 @@ def generate_report(bench: CloudyBench, out: Optional[TextIO] = None) -> str:
             _heading(buffer, 3, "Timeline events")
             _events(buffer, outcome)
 
-    if isinstance(buffer, io.StringIO):
-        return buffer.getvalue()
-    return ""
+    return buffer.getvalue()

@@ -159,21 +159,19 @@ class SalesWorkload:
         db: Database,
         mix: TransactionMix,
         distribution: str = "uniform",
-        latest_k: int = 10,
         seed: int = 42,
-        stmts: Optional[SqlStmts] = None,
         client: Optional[Client] = None,
     ):
         self.db = db
         self.client: Client = client if client is not None else EngineClient(db)
         self.client.connect()
         self.mix = mix
-        self.stmts = stmts or SqlStmts()
+        self.stmts = SqlStmts()
         self._rng = random.Random(seed)
         order_rows = db.table("ORDERS").row_count
         customer_rows = db.table("CUSTOMER").row_count
         self._order_keys: KeyDistribution = make_distribution(
-            distribution, max(1, order_rows), self._rng, latest_k
+            distribution, max(1, order_rows), self._rng
         )
         self._customer_keys = UniformDistribution(max(1, customer_rows), self._rng)
         self._orderline_high = db.table("ORDERLINE").row_count
@@ -181,18 +179,6 @@ class SalesWorkload:
         self.executed: Dict[str, int] = {task: 0 for task in ("T1", "T2", "T3", "T4")}
         self.aborted = 0
         self.retry_attempts = 3
-
-    #: optional per-statement deadline (anything with ``.expired()``),
-    #: propagated into the engine's cancellation points; clients set
-    #: it per call via :meth:`run_one`'s ``deadline`` argument.  Stored
-    #: on the client so the transport (not the workload) owns it.
-    @property
-    def deadline(self):
-        return self.client.deadline
-
-    @deadline.setter
-    def deadline(self, value) -> None:
-        self.client.deadline = value
 
     # -- transaction bodies -----------------------------------------------------
 
@@ -256,28 +242,19 @@ class SalesWorkload:
         tasks, weights = zip(*self.mix.weights)
         return self._rng.choices(tasks, weights=weights, k=1)[0]
 
-    def run_one(self, task: Optional[str] = None, deadline=None) -> str:
+    def run_one(self, task: Optional[str] = None) -> str:
         """Execute one transaction (random task unless given); returns it.
 
         Retryable aborts (lock timeouts, deadlock victims) replay the
         transaction body up to ``retry_attempts`` times; non-retryable
         engine errors propagate -- replaying them cannot succeed.
-        ``deadline`` (anything with ``.expired()``/``.check()``) rides
-        into the engine and cancels the transaction at its lock-wait
-        and WAL-append points.
         """
         chosen = task or self.next_task()
         runner = {
             "T1": self.run_t1, "T2": self.run_t2,
             "T3": self.run_t3, "T4": self.run_t4,
         }[chosen]
-        prior = self.deadline
-        if deadline is not None:
-            self.deadline = deadline
-        try:
-            outcome = retry_transaction(runner, attempts=self.retry_attempts)
-        finally:
-            self.deadline = prior
+        outcome = retry_transaction(runner, attempts=self.retry_attempts)
         self.aborted += outcome.aborts
         if outcome.committed:
             self.executed[chosen] += 1

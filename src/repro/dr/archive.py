@@ -225,7 +225,6 @@ class WalArchiver:
     def __init__(
         self,
         db: Database,
-        archive: Optional[ShardArchive] = None,
         mode: str = "sync",
         observer: Optional[Observer] = None,
     ):
@@ -234,7 +233,7 @@ class WalArchiver:
                 f"archive mode must be one of {ARCHIVE_MODES}, got {mode!r}"
             )
         self.db = db
-        self.archive = archive or ShardArchive(db.name, observer=observer)
+        self.archive = ShardArchive(db.name, observer=observer)
         self.mode = mode
         self.obs = observer or NULL_OBSERVER
         #: lagged-mode buffer: appends not yet in the archive

@@ -58,10 +58,6 @@ def run_cell(
     target: str,
     seed: int = 7,
     victim: int = 0,
-    n_pairs: int = 3,
-    warmup: int = 4,
-    mid: int = 3,
-    post: int = 4,
 ) -> CellResult:
     """Run one cell of the matrix on a fresh fleet."""
     if (stage, phase) not in CELLS:
@@ -75,10 +71,10 @@ def run_cell(
     #: the faulted job needed a clean re-run (vs absorbing the fault)
     retried = False
     label = f"dr.{stage}.{phase}.{target}"
-    fleet, pairs = build_pairs_fleet(n_shards=2, n_pairs=n_pairs, name="drmatrix")
+    fleet, pairs = build_pairs_fleet(n_shards=2, n_pairs=3, name="drmatrix")
     archiver = FleetArchiver(fleet, mode="sync")
     workload = PairWorkload(fleet, pairs, seed=derive_seed(seed, label))
-    for _ in range(warmup):
+    for _ in range(4):
         workload.transfer()
         workload.read()
 
@@ -104,7 +100,7 @@ def run_cell(
             manifest = backup.run()
 
     # -- post-backup live traffic (the PITR replay range) --------------------
-    for _ in range(mid):
+    for _ in range(3):
         workload.transfer()
         workload.read()
 
@@ -146,7 +142,7 @@ def run_cell(
 
     # -- liveness + checkable history against the restored fleet -------------
     post_workload = workload.continued_on(restored, derive_seed(seed, f"{label}.post"))
-    return cell.finish(post_workload, post, f"{target} fault at {stage}/{phase}")
+    return cell.finish(post_workload, f"{target} fault at {stage}/{phase}")
 
 
 def run_matrix(seed: int = 7, quick: bool = False) -> MatrixResult:

@@ -37,7 +37,7 @@ windows land at deterministic points for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec
@@ -134,9 +134,6 @@ class DREvaluator:
         txns: int = 160,
         n_pairs: int = 4,
         archive_mode: str = "sync",
-        backup_frac: float = 0.4,
-        lag_frac: float = 0.55,
-        corrupt_frac: float = 0.6,
         post_txns: int = 12,
         seed: int = 42,
         observer: Optional[Observer] = None,
@@ -150,10 +147,12 @@ class DREvaluator:
         self.txns = txns
         self.n_pairs = n_pairs
         self.archive_mode = archive_mode
+        # the backup starts, the archive lags and a segment rots at these
+        # fractions of the run's estimated length
         est_duration = txns * 1.5 * OP_LATENCY_S
-        self.backup_at_s = backup_frac * est_duration
-        self.lag_from_s = lag_frac * est_duration
-        self.corrupt_at_s = corrupt_frac * est_duration
+        self.backup_at_s = 0.4 * est_duration
+        self.lag_from_s = 0.55 * est_duration
+        self.corrupt_at_s = 0.6 * est_duration
         self.est_duration_s = est_duration
         self.post_txns = post_txns
         self.seed = seed

@@ -20,7 +20,7 @@ keeps the restored fleet atomic anyway.
 ``target`` is a per-shard LSN vector (default: the manifest's sealed
 archive end).  RTO has two parts: the *measured* wall time of the
 restore and the *modelled* virtual time (rows loaded at
-``load_rate_rows_s`` + records replayed at ``replay_rate_records_s``,
+``LOAD_RATE_ROWS_S`` + records replayed at ``REPLAY_RATE_RECORDS_S``,
 the same constant family as HA promotion).
 """
 
@@ -68,15 +68,13 @@ class RestoreReport:
     standbys: int = 0
     #: measured wall-clock seconds of the whole restore
     wall_s: float = 0.0
-    load_rate_rows_s: float = LOAD_RATE_ROWS_S
-    replay_rate_records_s: float = REPLAY_RATE_RECORDS_S
 
     @property
     def virtual_s(self) -> float:
         """Modelled restore time: bulk load + WAL replay."""
         return (
-            self.rows_loaded / self.load_rate_rows_s
-            + self.records_replayed / self.replay_rate_records_s
+            self.rows_loaded / LOAD_RATE_ROWS_S
+            + self.records_replayed / REPLAY_RATE_RECORDS_S
         )
 
     @property
@@ -111,8 +109,6 @@ class RestoreJob(PhaseFaults):
         chaos=None,
         name: str = "restore",
         observer: Optional[Observer] = None,
-        load_rate_rows_s: float = LOAD_RATE_ROWS_S,
-        replay_rate_records_s: float = REPLAY_RATE_RECORDS_S,
     ):
         super().__init__(chaos, name, observer)
         self.manifest = manifest
@@ -124,8 +120,6 @@ class RestoreJob(PhaseFaults):
                 f"{manifest.n_shards} shards in the manifest but "
                 f"{len(self.archives)} archives"
             )
-        self.load_rate_rows_s = load_rate_rows_s
-        self.replay_rate_records_s = replay_rate_records_s
         #: the fleet being restored into -- set as soon as the run
         #: starts, so armed actions can aim at its shards
         self.fleet: Optional[ShardedDatabase] = None
@@ -166,8 +160,6 @@ class RestoreJob(PhaseFaults):
             shards=manifest.n_shards,
             barrier=list(manifest.barrier),
             target=list(target),
-            load_rate_rows_s=self.load_rate_rows_s,
-            replay_rate_records_s=self.replay_rate_records_s,
         )
         fleet = into if into is not None else ShardedDatabase(
             manifest.n_shards, name=f"{self.name}d", observer=self.obs

@@ -731,10 +731,10 @@ class Database:
             digest.update(acc.to_bytes(16, "big"))
         return digest.hexdigest()
 
-    def same_content(self, other: "Database", table: Optional[str] = None) -> bool:
+    def same_content(self, other: "Database") -> bool:
         """True when both databases hold the same committed rows.
         Unused by the product: the oracle replica tests compare with."""
-        return self.content_hash(table) == other.content_hash(table)
+        return self.content_hash() == other.content_hash()
 
     # -- cloning (replica bootstrap) ----------------------------------------------------
 

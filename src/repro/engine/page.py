@@ -117,8 +117,8 @@ class Page:
         return copy
 
 
-def rows_per_page(row_byte_size: int, page_size: int = PAGE_SIZE_BYTES) -> int:
+def rows_per_page(row_byte_size: int) -> int:
     """How many rows of ``row_byte_size`` bytes fit one page (>= 1)."""
     if row_byte_size <= 0:
         raise EngineError("row byte size must be positive")
-    return max(1, page_size // row_byte_size)
+    return max(1, PAGE_SIZE_BYTES // row_byte_size)

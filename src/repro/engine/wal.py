@@ -64,16 +64,10 @@ CRASH_MODES = ("before", "after", "torn")
 #: tests membership once per record).
 _TXN_END_KINDS = (LogKind.COMMIT, LogKind.ABORT)
 
-#: member -> ``(value, ends_txn, fsyncs, is_data)``: one dict probe in
-#: ``append`` replaces the value lookup plus three membership tests.
+#: member -> ``(value, ends_txn, fsyncs)``: one dict probe in ``append``
+#: replaces the value lookup plus two membership tests.
 _KIND_INFO = {
-    kind: (
-        kind.value,
-        kind in _TXN_END_KINDS,
-        kind in FSYNC_KINDS,
-        kind in DATA_KINDS,
-    )
-    for kind in LogKind
+    kind: (kind.value, kind in _TXN_END_KINDS, kind in FSYNC_KINDS) for kind in LogKind
 }
 
 
@@ -283,17 +277,10 @@ class WriteAheadLog:
         key: Any = None,
         before: Optional[Tuple[Any, ...]] = None,
         after: Optional[Tuple[Any, ...]] = None,
-        deadline=None,
     ) -> LogRecord:
         if self._dead:
             raise SimulatedCrash("instance is down: append rejected until restart")
-        kind_value, ends_txn, needs_fsync, is_data = _KIND_INFO[kind]
-        if deadline is not None and is_data:
-            # Cancellation point: the append is the last moment a data
-            # record can be abandoned without undo work.  Control records
-            # (COMMIT/ABORT) are never blocked -- an expired transaction
-            # must still be able to log its own rollback.
-            deadline.check(f"WAL append ({kind_value})")
+        kind_value, ends_txn, needs_fsync = _KIND_INFO[kind]
         if self._armed_crash is not None and self._next_lsn >= self._armed_crash[0]:
             mode = self._armed_crash[1]
             self._armed_crash = None

@@ -90,12 +90,12 @@ class CellResult:
             and self.post_reads > 0
         )
 
-    def finish(self, workload: PairWorkload, post: int, fault: str) -> "CellResult":
-        """The epilogue of every cell: drive ``post`` rounds of traffic
+    def finish(self, workload: PairWorkload, fault: str) -> "CellResult":
+        """The epilogue of every cell: drive four rounds of traffic
         against the recovered fleet, then hand the whole history and the
         final state to the checker.  ``fault`` names what was armed, for
         the violation a never-consumed fault is reported as."""
-        for _ in range(post):
+        for _ in range(4):
             self.post_transfers += 1 if workload.transfer() else 0
             self.post_reads += 1 if workload.read() is not None else 0
         report = HistoryChecker().check(workload.history, workload.final_stamps())
@@ -194,9 +194,6 @@ def run_cell(
     failover: bool,
     seed: int = 7,
     ack_mode: str = "sync",
-    n_pairs: int = 3,
-    warmup: int = 3,
-    post: int = 4,
 ) -> CellResult:
     """Run one cell of the matrix on a fresh fleet."""
     if phase not in PHASES:
@@ -210,12 +207,12 @@ def run_cell(
     )
     label = f"{phase}.{target}.{failover}.{ack_mode}"
     fleet, pairs = build_pairs_fleet(
-        n_shards=2, n_pairs=n_pairs, fleet_cls=HAFleet,
+        n_shards=2, n_pairs=3, fleet_cls=HAFleet,
         ack_mode=ack_mode, name=f"matrix-{target}",
     )
     fleet.start_replication()
     workload = PairWorkload(fleet, pairs, seed=derive_seed(seed, label))
-    for _ in range(warmup):
+    for _ in range(3):
         workload.transfer()
         workload.read()
 
@@ -231,8 +228,8 @@ def run_cell(
 
     # Every transfer is cross-shard, so the first commit walks all seven
     # boundaries; the loop only spins if an unrelated retryable abort
-    # got in first.
-    for _ in range(8 * n_pairs):
+    # got in first (eight tries per pair).
+    for _ in range(24):
         try:
             workload.transfer()
         except SimulatedCrash:
@@ -258,7 +255,7 @@ def run_cell(
 
     fleet.recover(failover=failover)
 
-    cell.finish(workload, post, f"{target} fault at {phase}")
+    cell.finish(workload, f"{target} fault at {phase}")
     cell.columns = f"ops={cell.ops:<4d}"
     return cell
 

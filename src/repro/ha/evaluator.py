@@ -145,8 +145,6 @@ class HAEvaluator:
         n_pairs: int = 6,
         ack_mode: str = "sync",
         lease: Optional[LeaseConfig] = None,
-        kill_at_s: Optional[float] = None,
-        victim: int = 0,
         seed: int = 42,
         observer: Optional[Observer] = None,
         arrival: str = "closed",
@@ -159,11 +157,9 @@ class HAEvaluator:
         self.ack_mode = ack_mode
         self.arrival = parse_arrival(arrival)
         self.lease = lease or LeaseConfig()
-        # By default the kill lands ~40% into the projected run, so there
-        # is a solid steady-state window on both sides of the outage.
-        est_duration = txns * 2 * OP_LATENCY_S
-        self.kill_at_s = 0.4 * est_duration if kill_at_s is None else kill_at_s
-        self.victim = victim
+        # The kill lands ~40% into the projected run, so there is a
+        # solid steady-state window on both sides of the outage.
+        self.kill_at_s = 0.4 * (txns * 2 * OP_LATENCY_S)
         self.seed = seed
         self.obs = observer or NULL_OBSERVER
 
@@ -172,7 +168,7 @@ class HAEvaluator:
         plan = FaultPlan(
             specs=(FaultSpec(
                 kind=FaultKind.PRIMARY_CRASH,
-                target=f"shard:{self.victim}",
+                target="shard:0",
                 start_s=self.kill_at_s,
                 duration_s=0.0,
             ),),
@@ -283,16 +279,7 @@ class HAEvaluator:
             counts=workload.history.counts(),
             transfer_log=transfer_log,
             arrival=self.arrival.describe(),
-            openloop_latency_ms=(
-                {
-                    "p50": sojourn.percentile(50.0) * 1000.0,
-                    "p95": sojourn.percentile(95.0) * 1000.0,
-                    "p99": sojourn.percentile(99.0) * 1000.0,
-                    "p999": sojourn.percentile(99.9) * 1000.0,
-                }
-                if sojourn is not None and sojourn.count
-                else {}
-            ),
+            openloop_latency_ms=sojourn.latency_summary_ms() if sojourn is not None else {},
         )
         replay_s = max(
             (served - detected for _k, detected, served in result.outages),

@@ -40,7 +40,6 @@ ACK_MODES = ("sync", "semisync")
 
 def bootstrap_standby(
     primary: Database,
-    name: Optional[str] = None,
     observer: Optional[Observer] = None,
 ) -> Database:
     """Seed a standby from a quiesced primary (base backup).
@@ -52,7 +51,7 @@ def bootstrap_standby(
     ``crash() + recover()`` on the standby replays exactly the shipped
     suffix -- which is what promotion does.
     """
-    standby = primary.clone_full(name or f"{primary.name}-standby", observer=observer)
+    standby = primary.clone_full(f"{primary.name}-standby", observer=observer)
     standby.install_checkpoint(primary.wal.last_lsn)
     return standby
 

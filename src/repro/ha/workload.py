@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Type
 
-from repro.core.client import Client, FleetClient, quiet_rollback
+from repro.core.client import FleetClient, quiet_rollback
 from repro.engine.errors import EngineError, ShardUnavailableError, SimulatedCrash
 from repro.engine.txn import IsolationLevel
 from repro.engine.types import Column, ColumnType, Schema
@@ -38,6 +38,8 @@ from repro.sim.rng import RngRegistry
 
 UPDATE_STAMP = "UPDATE PAIRS SET P_STAMP = ? WHERE P_ID = ?"
 SELECT_STAMP = "SELECT P_STAMP FROM PAIRS WHERE P_ID = ?"
+#: logical workers the operations rotate through (the history's client ids)
+N_WORKERS = 4
 
 
 def pairs_schema() -> Schema:
@@ -93,18 +95,15 @@ class PairWorkload:
         pairs: List[Tuple[int, int]],
         history: Optional[History] = None,
         seed: int = 42,
-        n_workers: int = 4,
         reraise_unavailable: bool = False,
-        client: Optional[Client] = None,
     ):
         if not pairs:
             raise ValueError("need at least one pair")
         self.fleet = fleet
-        self.client: Client = client if client is not None else FleetClient(fleet)
+        self.client = FleetClient(fleet)
         self.client.connect()
         self.pairs = pairs
         self.history = history if history is not None else History()
-        self.n_workers = max(1, n_workers)
         #: re-raise ShardUnavailableError after recording the clean
         #: abort, so a retrying client session can drive the failover
         #: (the crash matrix instead swallows it and moves on)
@@ -130,7 +129,7 @@ class PairWorkload:
 
     def _pick_worker(self) -> int:
         worker = self._next_worker
-        self._next_worker = (self._next_worker + 1) % self.n_workers
+        self._next_worker = (self._next_worker + 1) % N_WORKERS
         return worker
 
     # -- operations ----------------------------------------------------------

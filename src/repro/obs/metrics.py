@@ -35,6 +35,12 @@ DEFAULT_LATENCY_BOUNDS = _default_bounds()
 
 #: the tail percentiles every snapshot reports
 TAIL_PERCENTILES = (50.0, 90.0, 99.0, 99.9)
+#: the percentiles every latency table reports
+LATENCY_PERCENTILES = (50.0, 95.0, 99.0, 99.9)
+
+
+def _key(pct: float) -> str:
+    return "p" + f"{pct:g}".replace(".", "")
 
 
 class Counter:
@@ -141,10 +147,14 @@ class Histogram:
 
     def quantile_summary(self) -> Dict[str, float]:
         """The tail summary every report prints (p50/p90/p99/p999)."""
-        return {
-            "p" + f"{pct:g}".replace(".", ""): self.percentile(pct)
-            for pct in TAIL_PERCENTILES
-        }
+        return {_key(pct): self.percentile(pct) for pct in TAIL_PERCENTILES}
+
+    def latency_summary_ms(self) -> Dict[str, float]:
+        """The p50/p95/p99/p999 block of a latency table, in ms (the
+        observations are seconds); ``{}`` before the first observation."""
+        if not self.count:
+            return {}
+        return {_key(pct): self.percentile(pct) * 1000.0 for pct in LATENCY_PERCENTILES}
 
     def merge(self, other: "Histogram") -> None:
         """Add ``other``'s observations into this histogram (associative)."""

@@ -21,7 +21,7 @@ Typical wiring::
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, Tracer
@@ -63,10 +63,9 @@ class Observer:
         if self.enabled:
             self.metrics.gauge(name).set(value)
 
-    def observe(self, name: str, value: float,
-                bounds: Optional[Sequence[float]] = None) -> None:
+    def observe(self, name: str, value: float) -> None:
         if self.enabled:
-            self.metrics.histogram(name, bounds).observe(value)
+            self.metrics.histogram(name).observe(value)
 
     # -- tracing shortcuts ---------------------------------------------------
 
@@ -129,8 +128,7 @@ class _NullObserver(Observer):
     def gauge(self, name: str, value: float) -> None:
         pass
 
-    def observe(self, name: str, value: float,
-                bounds: Optional[Sequence[float]] = None) -> None:
+    def observe(self, name: str, value: float) -> None:
         pass
 
     def span(self, name: str, category: str, track: Optional[str] = None,

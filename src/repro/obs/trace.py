@@ -156,27 +156,23 @@ class Tracer:
         self,
         name: str,
         category: str,
-        parent: Optional[int] = None,
         track: Optional[str] = None,
         attrs: Optional[Dict[str, Any]] = None,
-        start_s: Optional[float] = None,
     ) -> ActiveSpan:
         if not self.enabled:
             return NOOP_SPAN  # type: ignore[return-value]
         span_id = next(self._ids)
-        if parent is None and self._stack:
-            parent = self._stack[-1]
+        parent = self._stack[-1] if self._stack else None
         return ActiveSpan(
-            self, span_id, parent, name, category, track,
-            self.clock() if start_s is None else start_s, attrs,
+            self, span_id, parent, name, category, track, self.clock(), attrs,
         )
 
-    def end(self, active: ActiveSpan, end_s: Optional[float] = None) -> None:
+    def end(self, active: ActiveSpan) -> None:
         if not self.enabled or active is NOOP_SPAN:
             return
         self._store(Span(
             active.span_id, active.name, active.category,
-            active.start_s, self.clock() if end_s is None else end_s,
+            active.start_s, self.clock(),
             parent_id=active.parent_id, track=active.track, attrs=active.attrs,
         ))
 

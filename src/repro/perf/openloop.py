@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.obs.metrics import Histogram
 
@@ -202,7 +202,6 @@ class OpenLoopResult:
 
     mode: str                       # "open" | "closed"
     operations: int = 0
-    errors: int = 0
     wall_s: float = 0.0             # wall time actually spent in run_one
     #: virtual completion time of the last operation (open loop only);
     #: >= wall_s by exactly the scheduled idle time
@@ -218,17 +217,6 @@ class OpenLoopResult:
     def percentile_ms(self, pct: float) -> float:
         return self.histogram.percentile(pct) * 1000.0
 
-    def latency_summary_ms(self) -> Dict[str, float]:
-        """The p50/p95/p99/p999 block every perf table reports."""
-        if not self.histogram.count:
-            return {}
-        return {
-            "p50": self.percentile_ms(50.0),
-            "p95": self.percentile_ms(95.0),
-            "p99": self.percentile_ms(99.0),
-            "p999": self.percentile_ms(99.9),
-        }
-
     def service_view(self) -> "OpenLoopResult":
         """This run's *service-time* record (closed-loop style latencies).
 
@@ -241,7 +229,6 @@ class OpenLoopResult:
         return OpenLoopResult(
             mode="closed",
             operations=self.operations,
-            errors=self.errors,
             wall_s=self.wall_s,
             makespan_s=self.wall_s,
             histogram=self.service_histogram,
@@ -252,7 +239,6 @@ class OpenLoopResult:
 def replay_open_loop(
     service_s: Sequence[float],
     schedule: Sequence[float],
-    errors: int = 0,
 ) -> OpenLoopResult:
     """Open-loop accounting over already-measured service durations.
 
@@ -280,7 +266,6 @@ def replay_open_loop(
         result.histogram.observe(free_at - scheduled)
         result.service_histogram.observe(duration)
         result.operations += 1
-    result.errors = errors
     result.wall_s = wall
     result.makespan_s = free_at
     return result

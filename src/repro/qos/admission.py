@@ -163,14 +163,15 @@ class AdmissionController:
 
     # -- gate mode: admit now or shed (no queueing) ---------------------------
 
-    def try_acquire(self, now: float, priority: int = 1) -> None:
+    def try_acquire(self, now: float) -> None:
         """Admit one request immediately or raise :class:`OverloadError`.
 
         Synchronous callers (the engine gate) have no scheduler to park
-        a queued request on, so the only decisions are run or shed.
+        a queued request on, so the only decisions are run or shed; the
+        request sheds as priority 1, the default class.
         """
         if not self.has_capacity():
-            self._shed(now, priority, reason="limit")
+            self._shed(now, 1, reason="limit")
         self._admit(now)
 
     # -- queue mode: enqueue / dequeue driven by a scheduler loop -------------

@@ -48,10 +48,10 @@ class RetryBudget:
         self.deposits += 1
         self.tokens = min(self.max_tokens, self.tokens + self.deposit_ratio)
 
-    def try_spend(self, cost: float = 1.0) -> bool:
-        """Spend ``cost`` tokens for one retry; False when exhausted."""
-        if self.tokens >= cost:
-            self.tokens -= cost
+    def try_spend(self) -> bool:
+        """Spend one token for one retry; False when exhausted."""
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             self.spends += 1
             return True
         self.exhausted += 1

@@ -49,6 +49,13 @@ from repro.qos.budget import RetryBudget
 from repro.qos.deadline import Deadline
 from repro.sim.events import VirtualClock
 
+#: cores of the primary; the read replica has half as many
+WORKERS = 16
+#: share of requests that are reads (and may fall back to the replica)
+READ_FRACTION = 0.8
+#: the replica's capacity as a share of the primary's
+REPLICA_RATIO = 0.5
+
 __all__ = ["OverloadEvaluator", "OverloadPoint", "OverloadResult", "d_score"]
 
 
@@ -165,14 +172,9 @@ class OverloadEvaluator:
         arch: Architecture,
         qos: bool = True,
         capacity_rps: float = 200.0,
-        workers: int = 16,
         deadline_s: float = 0.6,
         duration_s: float = 6.0,
         seed: int = 42,
-        read_fraction: float = 0.8,
-        read_fallback: bool = True,
-        replica_ratio: float = 0.5,
-        policy: Optional[AdmissionPolicy] = None,
         observer: Optional[Observer] = None,
         arrival: str = "poisson",
     ):
@@ -189,18 +191,14 @@ class OverloadEvaluator:
         self.arch = arch
         self.qos = qos
         self.capacity_rps = capacity_rps
-        self.workers = workers
         self.deadline_s = deadline_s
         self.duration_s = duration_s
         self.seed = seed
-        self.read_fraction = read_fraction
-        self.read_fallback = read_fallback and qos
-        self.replica_ratio = replica_ratio
         self.obs = observer or NULL_OBSERVER
-        self.policy = policy or AdmissionPolicy(
+        self.policy = AdmissionPolicy(
             max_queue=32,
-            initial_limit=float(workers),
-            max_limit=float(workers * 16),
+            initial_limit=float(WORKERS),
+            max_limit=float(WORKERS * 16),
             latency_threshold=2.0,
         )
         self.retry_policy = RetryPolicy(
@@ -247,14 +245,14 @@ class OverloadEvaluator:
             + (1 if self.qos else 0)
         )
         clock = VirtualClock()
-        primary = _Server(self.workers, self.capacity_rps, self._extra_latency_s)
+        primary = _Server(WORKERS, self.capacity_rps, self._extra_latency_s)
         replica = (
             _Server(
-                max(1, self.workers // 2),
-                self.capacity_rps * self.replica_ratio,
+                max(1, WORKERS // 2),
+                self.capacity_rps * REPLICA_RATIO,
                 self._extra_latency_s,
             )
-            if self.read_fallback
+            if self.qos
             else None
         )
         controller = (
@@ -301,7 +299,7 @@ class OverloadEvaluator:
             request = _Request(
                 rid=rid,
                 arrival_s=t,
-                is_read=rng.random() < self.read_fraction,
+                is_read=rng.random() < READ_FRACTION,
                 deadline=Deadline(t + self.deadline_s, clock),
             )
             requests.append(request)

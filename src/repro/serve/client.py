@@ -138,23 +138,16 @@ class SocketClient(_LocalBegin):
         host: str,
         port: int,
         client_name: str = "socket-client",
-        priority: int = 1,
-        timeout_s: Optional[float] = None,
-        max_frame: int = wire.MAX_FRAME_BYTES,
     ):
         self.host = host
         self.port = port
         self.client_name = client_name
-        self.priority = priority
-        self.timeout_s = timeout_s
         self._sock: Optional[socket.socket] = None
-        self._decoder = wire.FrameDecoder(max_frame=max_frame)
+        self._decoder = wire.FrameDecoder()
         self._inbox: "deque[Dict[str, Any]]" = deque()
         #: statement ids registered on this connection (sql -> id)
         self._sids: Dict[str, int] = {}
         self._in_txn = False
-        #: deadlines do not cross the wire (accepted for protocol parity)
-        self.deadline = None
         self.n_shards: Optional[int] = None
 
     # -- plumbing ------------------------------------------------------------
@@ -191,7 +184,7 @@ class SocketClient(_LocalBegin):
         self._in_txn = False
         self._forget_begin()
         # a new connection is a new stream and a new id table
-        self._decoder = wire.FrameDecoder(max_frame=self._decoder.max_frame)
+        self._decoder = wire.FrameDecoder()
         self._inbox.clear()
         self._sids.clear()
         if sock is not None:
@@ -205,15 +198,10 @@ class SocketClient(_LocalBegin):
     def connect(self) -> None:
         if self._sock is not None:
             return
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout_s
-        )
+        self._sock = socket.create_connection((self.host, self.port))
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
-            hello = self._request(
-                {"op": "hello", "client": self.client_name,
-                 "priority": self.priority}
-            )
+            hello = self._request({"op": "hello", "client": self.client_name})
         except BaseException:
             # a rejected handshake (connection cap) must not leave a
             # stale socket behind -- the caller retries with connect()
@@ -303,9 +291,9 @@ class _ClientConnection(asyncio.Protocol):
     """The client end of one connection: responses are decoded into
     ``inbox`` as they arrive; ``error`` says why the connection ended."""
 
-    def __init__(self, max_frame: int):
+    def __init__(self):
         self.transport: Optional[asyncio.Transport] = None
-        self.decoder = wire.FrameDecoder(max_frame=max_frame)
+        self.decoder = wire.FrameDecoder()
         self.inbox: "deque[Dict[str, Any]]" = deque()
         #: what a ``recv_response`` / ``drain`` in progress waits on
         self.reader: Optional[asyncio.Future] = None
@@ -375,14 +363,10 @@ class AsyncSQLClient(_LocalBegin):
         host: str,
         port: int,
         client_name: str = "async-client",
-        priority: int = 1,
-        max_frame: int = wire.MAX_FRAME_BYTES,
     ):
         self.host = host
         self.port = port
         self.client_name = client_name
-        self.priority = priority
-        self.max_frame = max_frame
         self._conn: Optional[_ClientConnection] = None
         #: statement ids registered on this connection (sql -> id)
         self._sids: Dict[str, int] = {}
@@ -403,15 +387,11 @@ class AsyncSQLClient(_LocalBegin):
             return
         _transport, self._conn = await (
             asyncio.get_running_loop().create_connection(
-                lambda: _ClientConnection(self.max_frame),
-                self.host, self.port,
+                _ClientConnection, self.host, self.port
             )
         )
         try:
-            hello = await self.request(
-                {"op": "hello", "client": self.client_name,
-                 "priority": self.priority}
-            )
+            hello = await self.request({"op": "hello", "client": self.client_name})
         except BaseException:
             # a rejected handshake (connection cap) must not leave a
             # stale half-open client -- the caller retries with connect()

@@ -106,7 +106,6 @@ class ServeCluster:
         qos: bool = True,
         max_connections: int = 2048,
         deadline_s: Optional[float] = None,
-        host: str = "127.0.0.1",
     ):
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -117,7 +116,7 @@ class ServeCluster:
         self.qos = qos
         self.max_connections = max_connections
         self.deadline_s = deadline_s
-        self.host = host
+        self.host = "127.0.0.1"
         self.port = 0
         self.driver = "cluster"
         self._procs: List = []

@@ -101,12 +101,10 @@ class BackgroundServer:
         fleet,
         config: Optional[ServerConfig] = None,
         observer=None,
-        fault_injector: Optional[ServeFaultInjector] = None,
     ):
         self.fleet = fleet
         self.config = config or ServerConfig(qos=False)
         self.observer = observer
-        self.fault_injector = fault_injector
         self.server: Optional[SQLServer] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
@@ -143,10 +141,7 @@ class BackgroundServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self.server = SQLServer(
-            self.fleet, self.config, observer=self.observer,
-            fault_injector=self.fault_injector,
-        )
+        self.server = SQLServer(self.fleet, self.config, observer=self.observer)
         await self.server.start()
         self._ready.set()
         await self._stop_event.wait()
@@ -291,7 +286,7 @@ def run_serve(
         wall_s=load.wall_s,
         tps=load.tps,
         goodput_tps=load.goodput_tps,
-        latency_ms=load.latency_summary_ms(),
+        latency_ms=load.histogram.latency_summary_ms(),
         server=server_stats,
         fsyncs=fsyncs,
     )

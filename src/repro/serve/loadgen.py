@@ -46,7 +46,7 @@ from repro.perf.openloop import ArrivalSpec, arrival_offsets
 from repro.serve.client import AsyncSQLClient
 from repro.serve.wire import FrameError
 from repro.shard.workload import UPDATE_CUSTOMER, UPDATE_ORDER
-from repro.sim.rng import RngRegistry, derive_seed
+from repro.sim.rng import RngRegistry
 
 __all__ = [
     "LoadResult",
@@ -62,6 +62,8 @@ READ_CUSTOMER = "SELECT C_CREDIT FROM CUSTOMER WHERE C_ID = ?"
 
 #: fixed epoch base keeps generated timestamps reproducible
 _EPOCH = 1_700_000_000.0
+#: connection attempts after the first before a connection counts rejected
+CONNECT_RETRIES = 5
 
 
 class Persona:
@@ -124,18 +126,12 @@ class ReaderPersona(Persona):
 
 
 class MixedPersona(Persona):
-    """``read_ratio`` point reads, the rest payments."""
+    """Half point reads, half payments."""
 
     name = "mixed"
 
-    def __init__(self, keys, read_ratio: float = 0.5):
-        super().__init__(keys)
-        if not 0.0 <= read_ratio <= 1.0:
-            raise ValueError("read_ratio must be in [0, 1]")
-        self.read_ratio = read_ratio
-
     def frame(self, rng) -> Dict[str, Any]:
-        if rng.random() < self.read_ratio:
+        if rng.random() < 0.5:
             return self._read(rng)
         return self._payment(rng)
 
@@ -191,14 +187,6 @@ class LoadResult:
     def percentile_ms(self, pct: float) -> float:
         return self.histogram.percentile(pct) * 1000.0
 
-    def latency_summary_ms(self) -> Dict[str, float]:
-        return {
-            "p50": self.percentile_ms(50.0),
-            "p95": self.percentile_ms(95.0),
-            "p99": self.percentile_ms(99.0),
-            "p999": self.percentile_ms(99.9),
-        }
-
 
 class _Conn:
     """One load connection: issue loop + classification + reconnects."""
@@ -212,7 +200,6 @@ class _Conn:
         rng,
         result: LoadResult,
         deadline_s: Optional[float],
-        connect_retries: int,
     ):
         self.index = index
         self.client = AsyncSQLClient(
@@ -222,12 +209,11 @@ class _Conn:
         self.rng = rng
         self.result = result
         self.deadline_s = deadline_s
-        self.connect_retries = connect_retries
 
     async def connect(self) -> bool:
         """Connect with overload-aware retries; False when never admitted."""
         backoff = 0.01
-        for _ in range(self.connect_retries + 1):
+        for _ in range(CONNECT_RETRIES + 1):
             try:
                 await self.client.connect()
                 return True
@@ -348,7 +334,6 @@ async def run_load(
     arrival: Optional[ArrivalSpec] = None,
     rate_tps: Optional[float] = None,
     deadline_s: Optional[float] = None,
-    connect_retries: int = 5,
 ) -> LoadResult:
     """Drive the server at ``host:port`` and aggregate the outcome.
 
@@ -370,7 +355,7 @@ async def run_load(
         conn = _Conn(
             index, host, port,
             make_persona(persona, keys), rng, result,
-            deadline_s, connect_retries,
+            deadline_s,
         )
         if open_loop:
             offsets = arrival_offsets(

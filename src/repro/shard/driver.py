@@ -73,10 +73,8 @@ def run_inline(
     transactions: int,
     cross_ratio: float = 0.0,
     seed: int = 42,
-    scale_factor: int = 1,
     row_scale: float = 0.002,
     observer=None,
-    chaos=None,
     arrival: str = "closed",
     transport: str = "inline",
 ) -> ShardRunResult:
@@ -107,8 +105,7 @@ def run_inline(
         )
     spec = parse_arrival(arrival)
     fleet, _data = load_sales_fleet(
-        n_shards, scale_factor=scale_factor, row_scale=row_scale,
-        seed=seed, observer=observer, chaos=chaos,
+        n_shards, row_scale=row_scale, seed=seed, observer=observer
     )
     background = None
     client = None
@@ -154,8 +151,8 @@ def run_inline(
             RngRegistry(seed).stream("shard.arrival"),
         )
         replay = replay_open_loop(service_s, schedule)
-        openloop_ms = replay.latency_summary_ms()
-        latency_ms = replay.service_view().latency_summary_ms()
+        openloop_ms = replay.histogram.latency_summary_ms()
+        latency_ms = replay.service_view().histogram.latency_summary_ms()
         if observer is not None and observer.enabled:
             for duration in service_s:
                 observer.observe("shard.txn.service_s", duration)
@@ -182,14 +179,10 @@ def _run_local_shard(
     n_shards: int,
     transactions: int,
     seed: int,
-    scale_factor: int,
     row_scale: float,
 ) -> Dict:
     """One worker's whole life: load its slice, run its transactions."""
-    db = load_sales_shard(
-        shard_id, n_shards, scale_factor=scale_factor,
-        row_scale=row_scale, seed=seed,
-    )
+    db = load_sales_shard(shard_id, n_shards, row_scale=row_scale, seed=seed)
     workload = ShardSalesWorkload.on_shard(db, shard_id, seed=seed)
     fsyncs_before = db.wal.fsyncs
     wall_start = time.perf_counter()
@@ -227,7 +220,6 @@ def run_multiprocess(
     transactions: int,
     cross_ratio: float = 0.0,
     seed: int = 42,
-    scale_factor: int = 1,
     row_scale: float = 0.002,
     processes: bool = True,
 ) -> ShardRunResult:
@@ -253,15 +245,12 @@ def run_multiprocess(
     stats: Optional[List[Dict]] = None
     driver = "mp"
     if processes and n_shards > 1:
-        stats = _try_processes(
-            n_shards, per_shard_txns, seed, scale_factor, row_scale
-        )
+        stats = _try_processes(n_shards, per_shard_txns, seed, row_scale)
     if stats is None:
         driver = "mp-fallback" if processes and n_shards > 1 else "mp"
         stats = [
             _run_local_shard(
-                shard_id, n_shards, per_shard_txns[shard_id],
-                seed, scale_factor, row_scale,
+                shard_id, n_shards, per_shard_txns[shard_id], seed, row_scale,
             )
             for shard_id in range(n_shards)
         ]
@@ -287,7 +276,6 @@ def _try_processes(
     n_shards: int,
     per_shard_txns: List[int],
     seed: int,
-    scale_factor: int,
     row_scale: float,
 ) -> Optional[List[Dict]]:
     """Fork one worker per shard; None when the environment refuses.
@@ -308,7 +296,7 @@ def _try_processes(
             target=_mp_worker,
             args=(
                 results, shard_id, n_shards, per_shard_txns[shard_id],
-                seed, scale_factor, row_scale,
+                seed, row_scale,
             ),
         )
         for shard_id in range(n_shards)
@@ -364,7 +352,6 @@ def run_scaleout(
     transactions: int,
     cross_ratio: float = 0.0,
     seed: int = 42,
-    scale_factor: int = 1,
     row_scale: float = 0.002,
     driver: str = "inline",
     observer=None,
@@ -396,13 +383,11 @@ def run_scaleout(
     for n_shards in shard_counts:
         if driver == "mp":
             results.append(run_multiprocess(
-                n_shards, transactions, seed=seed,
-                scale_factor=scale_factor, row_scale=row_scale,
+                n_shards, transactions, seed=seed, row_scale=row_scale,
             ))
         else:
             results.append(run_inline(
                 n_shards, transactions, cross_ratio=cross_ratio, seed=seed,
-                scale_factor=scale_factor, row_scale=row_scale,
-                observer=observer, arrival=arrival, transport=transport,
+                row_scale=row_scale, observer=observer, arrival=arrival, transport=transport,
             ))
     return results

@@ -59,7 +59,6 @@ class ShardedDatabase:
         n_shards: int,
         name: str = "fleet",
         observer: Optional[Observer] = None,
-        default_isolation: IsolationLevel = IsolationLevel.READ_COMMITTED,
         chaos=None,
     ):
         if n_shards < 1:
@@ -68,11 +67,7 @@ class ShardedDatabase:
         self.obs = observer or NULL_OBSERVER
         self.chaos = chaos
         self.shards = [
-            Database(
-                f"{name}-s{shard_id}",
-                observer=observer,
-                default_isolation=default_isolation,
-            )
+            Database(f"{name}-s{shard_id}", observer=observer)
             for shard_id in range(n_shards)
         ]
         self.router = ShardRouter(n_shards)
@@ -86,12 +81,11 @@ class ShardedDatabase:
 
     # -- catalog -------------------------------------------------------------
 
-    def create_table(self, schema: Schema, partition_key: Optional[str] = None) -> None:
-        """Create ``schema`` on every shard, partitioned by
-        ``partition_key`` (default: the primary key)."""
+    def create_table(self, schema: Schema) -> None:
+        """Create ``schema`` on every shard, partitioned by its primary key."""
         for shard in self.shards:
             shard.create_table(schema)
-        self.router.register(schema.table, partition_key or schema.primary_key)
+        self.router.register(schema.table, schema.primary_key)
 
     def create_index(
         self, table: str, name: str, columns: Sequence[str],
@@ -408,7 +402,6 @@ def _create_sales_fleet_schema(fleet: ShardedDatabase) -> None:
 
 def load_sales_fleet(
     n_shards: int,
-    scale_factor: int = 1,
     row_scale: float = 0.002,
     seed: int = 42,
     name: str = "fleet",
@@ -418,13 +411,13 @@ def load_sales_fleet(
     """A sharded fleet with the sales data loaded and routed."""
     fleet = ShardedDatabase(n_shards, name=name, observer=observer, chaos=chaos)
     _create_sales_fleet_schema(fleet)
-    generator = DataGenerator(scale_factor, row_scale, seed)
+    generator = DataGenerator(1, row_scale, seed)
     _load_routed(generator, fleet.router, dict(enumerate(fleet.shards)))
     data = GeneratedData(
-        scale_factor=scale_factor,
+        scale_factor=1,
         row_scale=row_scale,
         rows=generator.materialised_rows(),
-        nominal_bytes=nominal_bytes(scale_factor),
+        nominal_bytes=nominal_bytes(1),
     )
     return fleet, data
 
@@ -432,12 +425,11 @@ def load_sales_fleet(
 def load_sales_shard(
     shard_id: int,
     n_shards: int,
-    scale_factor: int = 1,
     row_scale: float = 0.002,
     seed: int = 42,
-    observer: Optional[Observer] = None,
 ) -> Database:
-    """One shard's slice of the sales data, as a standalone database.
+    """One shard's slice of the scale-factor-1 sales data, as a
+    standalone database.
 
     The multiprocess load driver calls this in each worker: the same
     deterministic row stream is generated everywhere and filtered by
@@ -446,10 +438,10 @@ def load_sales_shard(
     """
     if not 0 <= shard_id < n_shards:
         raise ShardError(f"shard_id {shard_id} out of range for {n_shards} shards")
-    db = Database(f"shard-{shard_id}", observer=observer)
+    db = Database(f"shard-{shard_id}")
     create_sales_schema(db)
     _load_routed(
-        DataGenerator(scale_factor, row_scale, seed), sales_router(n_shards),
+        DataGenerator(1, row_scale, seed), sales_router(n_shards),
         {shard_id: db},
     )
     return db

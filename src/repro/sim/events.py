@@ -189,8 +189,8 @@ class Process(Event):
 class Environment:
     """Virtual clock plus the pending-event heap."""
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._sequence = 0
 

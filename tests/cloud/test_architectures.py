@@ -71,11 +71,9 @@ def test_table_iv_configurations():
 
 def test_architectural_narrative_flags():
     assert cdb1().storage.redo_pushdown            # Aurora: redo at storage
-    assert cdb1().storage.replication_factor == 6  # six-way replication
     assert aws_rds().flush_coeff > 0               # ARIES flushing
     assert cdb1().flush_coeff == 0                 # no dirty flushing
     assert cdb4().recovery.remote_buffer_survives
-    assert aws_rds().recovery.flush_before_restart
     assert cdb2().tenancy.kind is TenancyKind.ELASTIC_POOL
     assert cdb3().tenancy.kind is TenancyKind.BRANCH
     assert aws_rds().tenancy.kind is TenancyKind.ISOLATED

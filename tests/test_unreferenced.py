@@ -160,9 +160,9 @@ def scan(root: Path) -> Tuple[List[Definition], Set[str]]:
     return definitions, used
 
 
-def unreachable(definitions: List[Definition], used: Set[str],
-                rooted: Iterable[str] = ()) -> List[Definition]:
-    """The definitions no root reaches; a dead class stands for its methods."""
+def reachable(definitions: List[Definition], used: Set[str],
+              rooted: Iterable[str] = ()) -> Set[Definition]:
+    """The definitions some root reaches."""
     rooted = set(rooted)
     used = set(used)
     live = set()
@@ -178,6 +178,13 @@ def unreachable(definitions: List[Definition], used: Set[str],
             d for d in definitions
             if d not in live and d.name in used and (d.owner is None or d.owner in live)
         ]
+    return live
+
+
+def unreachable(definitions: List[Definition], used: Set[str],
+                rooted: Iterable[str] = ()) -> List[Definition]:
+    """The definitions no root reaches; a dead class stands for its methods."""
+    live = reachable(definitions, used, rooted)
     return [d for d in definitions if d not in live and (d.owner is None or d.owner in live)]
 
 
@@ -202,6 +209,226 @@ def test_every_definition_is_named_outside_tests():
 
 def test_every_allowlist_entry_carries_a_reason():
     assert all(len(reason.split()) >= 4 for reason in ALLOWED.values())
+
+
+# -- every settable value has a setter ----------------------------------------
+#
+# A defaulted parameter of a live definition is a knob; some call in
+# SETTER_DIRS must turn it -- by keyword, by position, or through ``*`` /
+# ``**`` forwarding that can carry it (see ``setters``).  Callees match by
+# bare name, as above; a class's ``__init__`` also matches calls of the
+# class (and of subclasses that inherit it) and ``super().__init__``.
+# Tests count as setters here: a knob a test turns exercises a real branch.
+# A field of a spec dataclass is a knob too, and something in ``src/`` must
+# read it -- an attribute load or a ``getattr`` string -- outside the
+# factories that fill it in.
+
+#: every call under these can set a parameter
+SETTER_DIRS = ("src", "bench", "benchmarks", "examples", "tests")
+#: module -> the dataclasses whose fields are model knobs (``None``: all)
+SPECS = {
+    "src/repro/cloud/specs.py": None,
+    "src/repro/cloud/architectures.py": ("Architecture",),
+}
+#: the five SUT factories: they set every field, so their reads do not count
+FACTORIES = ("aws_rds", "cdb1", "cdb2", "cdb3", "cdb4")
+
+#: ``function(param)`` / ``Class.field`` -> how it is set (or read) where
+#: a bare-name match cannot see it
+KNOBS_ALLOWED = {
+    "Database._update(keys_unchanged)":
+        "the executor calls it through the alias db_update = self._db._update",
+    "HAFleet.__init__(ack_mode)":
+        "build_pairs_fleet(fleet_cls=HAFleet, ack_mode=...) calls fleet_cls(n, **fleet_kwargs)",
+    "HAFleet.__init__(clock)":
+        "build_pairs_fleet(fleet_cls=HAFleet, clock=...) calls fleet_cls(n, **fleet_kwargs)",
+    "HAFleet.__init__(lease)":
+        "build_pairs_fleet(fleet_cls=HAFleet, lease=...) calls fleet_cls(n, **fleet_kwargs)",
+    "SqlStmts.__init__(specs)": "SqlStmts.from_file builds it as cls(SqlReader(path).read())",
+    "AvailabilityEvaluator.__init__(attempt_timeout_s)":
+        "test_availability's evaluate() merges its keywords into the mapping it forwards",
+    "AvailabilityEvaluator.__init__(base_latency_s)":
+        "test_availability's evaluate() merges its keywords into the mapping it forwards",
+    "run_cell(victim)":
+        "dr/crashmatrix's cell table sets it; sweep() calls run_cell(**coords) per cell",
+    "Architecture.engine":
+        "a display label: examples and benchmarks/bench_table4_setup.py print it (Table IV)",
+}
+
+
+def _parameters(definition: ast.AST, method: bool) -> List[Tuple[int, str]]:
+    """``(position, name)`` of each defaulted parameter; a keyword-only one
+    has no position (``-1``), and a method's first parameter is its own."""
+    args = definition.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    static = any(ast.unparse(d) == "staticmethod" for d in definition.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(args.defaults)
+    found = [(i - skip, positional[i]) for i in range(first, len(positional))]
+    found += [(-1, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def knobs(definitions: List[Definition],
+          live: Set[Definition]) -> List[Tuple[str, str, str, int]]:
+    """``(callee name, key, parameter, position)`` for every defaulted
+    parameter of a live function or method; an ``__init__`` yields one row
+    per name that reaches it."""
+    inherits = {}  # class -> the classes whose __init__ it runs when called
+    for cls in (d for d in definitions if isinstance(d.node, ast.ClassDef)):
+        own = any(isinstance(c, _DEFS) and c.name == "__init__" for c in cls.node.body)
+        inherits[cls.name] = (own, {ast.unparse(b).rpartition(".")[2] for b in cls.node.bases})
+    found = []
+    for d in live:
+        if isinstance(d.node, _DEFS):
+            found += [(d.name, f"{d.qualname}({p})", p, i)
+                      for i, p in _parameters(d.node, d.owner is not None)]
+            continue
+        for fn in d.node.body:
+            if not (isinstance(fn, _DEFS) and _is_dunder(fn.name)):
+                continue
+            names = {fn.name}
+            if fn.name == "__init__":
+                names = {d.name}
+                grown = True
+                while grown:
+                    more = {c for c, (own, bases) in inherits.items() if not own and bases & names}
+                    grown = bool(more - names)
+                    names |= more
+            for i, p in _parameters(fn, True):
+                found += [(name, f"{d.qualname}.{fn.name}({p})", p, i) for name in names]
+    return found
+
+
+def setters(root: Path) -> dict:
+    """Callee name -> ``(most positional arguments, keywords)`` over every
+    call under ``SETTER_DIRS``.
+
+    Forwarding passes only what it can carry.  The ``*args`` / ``**kwargs``
+    a function received pass on the extra positions and the keywords its
+    own callers pass it.  Any other ``**mapping`` passes the names its file
+    spells as mapping keys: ``dict(...)`` keywords and string constants (a
+    dict key, a pytest parameter, an argparse flag: ``"--ack-mode"`` is
+    ``ack_mode``).  Any other ``*sequence`` passes no position the walk
+    can count."""
+    calls = {}
+    # (callee, the function whose * / ** it forwards, that function's
+    # named positions, the call's own positions, forwards *, forwards **)
+    forwards = []
+    for top in SETTER_DIRS:
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            spelled = {n.value.lstrip("-").replace("-", "_") for n in ast.walk(tree)
+                       if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+            spelled |= {k.arg for n in ast.walk(tree) if isinstance(n, ast.Call)
+                        and ast.unparse(n.func) == "dict" for k in n.keywords if k.arg}
+            callees, enclosing = {}, {}  # a call -> its callee names / function
+            methods = set()
+            for node in ast.walk(tree):  # breadth first: inner scopes win
+                if isinstance(node, ast.ClassDef):
+                    bases = [ast.unparse(b).rpartition(".")[2] for b in node.bases]
+                    callees.update({call: bases for call in ast.walk(node)
+                                    if isinstance(call, ast.Call)
+                                    and ast.unparse(call.func) == "super().__init__"})
+                    enclosing.update({fn: node.name for fn in node.body
+                                      if isinstance(fn, _DEFS) and fn.name == "__init__"})
+                    methods.update(fn for fn in node.body if isinstance(fn, _DEFS))
+                elif isinstance(node, _DEFS):
+                    enclosing.update({call: node for call in ast.walk(node)
+                                      if isinstance(call, ast.Call)})
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                fn = enclosing.get(node)
+                args = fn.args if fn else None
+                star = [a.value for a in node.args if isinstance(a, ast.Starred)]
+                double = [k.value for k in node.keywords if k.arg is None]
+                star_fwd = any(args and args.vararg and ast.unparse(s) == args.vararg.arg
+                               for s in star)
+                kw_fwd = any(args and args.kwarg and ast.unparse(d) == args.kwarg.arg
+                             for d in double)
+                own = len(node.args) - len(star)
+                keys = {k.arg for k in node.keywords if k.arg}
+                if len(double) > kw_fwd:
+                    keys |= spelled
+                for name in callees.get(node, [name] if name else []):
+                    positional, keywords = calls.get(name, (0, set()))
+                    calls[name] = (max(positional, own), keywords | keys)
+                    if star_fwd or kw_fwd:
+                        named = len(args.posonlyargs + args.args) - (fn in methods)
+                        forwards.append((name, enclosing.get(fn, fn.name), named, own,
+                                         star_fwd, kw_fwd))
+    grown = True
+    while grown:
+        grown = False
+        for name, source, named, own, star_fwd, kw_fwd in forwards:
+            passed, passed_keys = calls.get(source, (0, set()))
+            positional, keywords = calls.get(name, (0, set()))
+            more = (max(positional, own + passed - named) if star_fwd else positional,
+                    keywords | passed_keys if kw_fwd else keywords)
+            if more != (positional, keywords):
+                calls[name] = more
+                grown = True
+    return calls
+
+
+def unset(definitions: List[Definition], live: Set[Definition], calls: dict) -> List[str]:
+    """The knobs no call sets."""
+    found, is_set = set(), set()
+    for name, key, parameter, position in knobs(definitions, live):
+        found.add(key)
+        positional, keywords = calls.get(name, (0, set()))
+        if parameter in keywords or 0 <= position < positional:
+            is_set.add(key)
+    return sorted(found - is_set)
+
+
+def _skipping(node: ast.AST, skip: Set[str]) -> Iterable[ast.AST]:
+    """``ast.walk`` that does not enter a class or function named in ``skip``."""
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        yield node
+        pending += [child for child in ast.iter_child_nodes(node)
+                    if getattr(child, "name", None) not in skip]
+
+
+def unread_fields(root: Path, specs: dict = SPECS,
+                  factories: Iterable[str] = FACTORIES) -> List[str]:
+    """``Class.field`` for each spec field nothing in ``src/`` reads."""
+    fields = {}
+    for rel, wanted in specs.items():
+        for cls in ast.parse((root / rel).read_text()).body:
+            if isinstance(cls, ast.ClassDef) and (wanted is None or cls.name in wanted) and any(
+                ast.unparse(d).startswith("dataclass") for d in cls.decorator_list
+            ):
+                fields.update({f"{cls.name}.{a.target.id}": a.target.id for a in cls.body
+                               if isinstance(a, ast.AnnAssign)})
+    read = set()
+    for path in sorted((root / "src").rglob("*.py")):
+        for node in _skipping(ast.parse(path.read_text(), str(path)), set(factories)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr"
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return sorted(key for key, field in fields.items() if field not in read)
+
+
+def test_every_knob_has_a_setter():
+    definitions, used = scan(ROOT)
+    live = reachable(definitions, used, {*ENTRY_POINTS, *ALLOWED})
+    found = unset(definitions, live, setters(ROOT)) + unread_fields(ROOT)
+    knobs_left = sorted(set(found) - set(KNOBS_ALLOWED))
+    assert not knobs_left, (
+        "a parameter no call sets or a spec field nothing in src/ reads (delete "
+        "it: its default becomes a literal):\n  " + "\n  ".join(knobs_left)
+    )
+    entries = sorted(set(KNOBS_ALLOWED) - set(found))
+    assert not entries, f"knob allowlisted but set (or gone) -- drop the entry: {entries}"
+    assert all(len(reason.split()) >= 4 for reason in KNOBS_ALLOWED.values())
 
 
 # -- the walk itself, on a package small enough to read ----------------------
@@ -270,6 +497,56 @@ MINI = {
 
         only_bench_tests()
     """,
+    "src/pkg/knobs.py": """
+        class Base:
+            def __init__(self, by_super=0): ...
+
+        class Child(Base):
+            def __init__(self):
+                super().__init__(1)
+
+        def turned(by_position=0, by_keyword=0): ...
+        def forwarded(through_kwargs=0, not_carried=0): ...
+        def relayed(by_callers_kwargs=0): ...
+        def never_turned(unset=0): ...
+
+        def relay(**kwargs):
+            return relayed(**kwargs)
+    """,
+    "src/pkg/specs.py": """
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class Spec:
+            read: float = 1.0
+            by_name: float = 1.0
+            only_tested: float = 0.0
+
+        def factory():
+            spec = Spec(read=2.0)
+            assert spec.only_tested == 0.0  # a factory's read sets, it does not use
+            return spec
+
+        def model(spec):
+            return spec.read + getattr(spec, "by_name")
+    """,
+    "examples/knobs.py": """
+        from pkg.knobs import Child, forwarded, never_turned, relay, turned
+        from pkg.specs import factory, model
+
+        options = {"through_kwargs": 1}
+        turned(1)
+        turned(by_keyword=1)
+        forwarded(**options)
+        relay(by_callers_kwargs=1)
+        never_turned()
+        print(Child(), model(factory()))
+    """,
+    "tests/test_spec.py": """
+        from pkg.specs import factory
+
+        assert factory().only_tested == 0.0
+    """,
 }
 
 
@@ -305,4 +582,16 @@ def test_stale_allowlist_entries_are_reported(tmp_path):
     assert stale(definitions, used, {"in_all", "Live.unused", "DeadClass.method"}) == []
     assert stale(definitions, used, {"used", "gone", "Live.kept", "in_all"}) == [
         "Live.kept", "gone", "used",
+    ]
+
+
+def test_knob_walk_flags_only_what_no_call_sets_and_src_never_reads(tmp_path):
+    definitions, used = _mini(tmp_path)
+    live = reachable(definitions, used)
+    # a ** mapping carries only the keys spelled beside it
+    assert unset(definitions, live, setters(tmp_path)) == [
+        "forwarded(not_carried)", "never_turned(unset)",
+    ]
+    assert unread_fields(tmp_path, {"src/pkg/specs.py": None}, ("factory",)) == [
+        "Spec.only_tested",
     ]
