@@ -24,6 +24,8 @@ from repro.engine.types import Column, ColumnType, Schema
 DEFAULT_TABLES = 3
 DEFAULT_ROWS = 300_000
 DATASET_BYTES = 226 * 2**20
+#: the seed of every sysbench draw
+SEED = 42
 
 #: model footprints: sysbench statements are single-row primary-key ops
 _POINT_SELECT = TxnClass(
@@ -64,11 +66,10 @@ def load_sysbench(
     db: Database,
     tables: int = DEFAULT_TABLES,
     rows: int = DEFAULT_ROWS,
-    seed: int = 42,
 ) -> int:
     """Create and populate the sbtest tables; returns rows loaded."""
     create_sysbench_schema(db, tables)
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     for index in range(1, tables + 1):
         db.table(f"SBTEST{index}").load(
             (
@@ -82,17 +83,14 @@ def load_sysbench(
     return tables * rows
 
 
-def sysbench_mix(
-    kind: str = "oltp_read_write",
-    rows: int = DEFAULT_ROWS,
-) -> WorkloadMix:
-    """The cloud-model view of a sysbench run over ``DEFAULT_TABLES``
-    tables of ``rows`` rows each.
+def sysbench_mix(kind: str = "oltp_read_write") -> WorkloadMix:
+    """The cloud-model view of the paper's sysbench run (``DEFAULT_TABLES``
+    tables of ``DEFAULT_ROWS`` rows each).
 
     ``kind``: ``oltp_point_select``, ``oltp_read_write`` or
     ``oltp_write_only``.
     """
-    working_set = DATASET_BYTES * (rows / DEFAULT_ROWS)
+    working_set = float(DATASET_BYTES)
     if kind == "oltp_point_select":
         classes = ((_POINT_SELECT, 1.0),)
     elif kind == "oltp_read_write":
@@ -115,18 +113,16 @@ class SysbenchWorkload:
         self,
         db: Database,
         kind: str = "oltp_read_write",
-        tables: int = DEFAULT_TABLES,
-        seed: int = 42,
     ):
         if kind not in ("oltp_point_select", "oltp_read_write", "oltp_write_only"):
             raise ValueError(f"unknown sysbench workload {kind!r}")
         self.db = db
         self.kind = kind
-        self.tables = tables
-        self._rng = random.Random(seed)
+        self.tables = DEFAULT_TABLES
+        self._rng = random.Random(SEED)
         self._rows = {
             index: db.table(f"SBTEST{index}").row_count
-            for index in range(1, tables + 1)
+            for index in range(1, DEFAULT_TABLES + 1)
         }
         self.executed = 0
 

@@ -30,6 +30,8 @@ CUSTOMERS_PER_DISTRICT = 3000
 ITEMS = 100_000
 #: nominal on-disk footprint of one warehouse (~100 MB)
 BYTES_PER_WAREHOUSE = 100 * 2**20
+#: the seed of every TPC-C draw
+SEED = 42
 
 #: the standard transaction mix (percent)
 STANDARD_MIX = {
@@ -191,11 +193,10 @@ def load_tpcc(
     warehouses: int = 1,
     customer_scale: float = 0.01,
     item_scale: float = 0.01,
-    seed: int = 42,
 ) -> TpccScale:
     """Create and populate the TPC-C tables (scaled-down row counts)."""
     create_tpcc_schema(db)
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     customers = max(3, int(CUSTOMERS_PER_DISTRICT * customer_scale))
     items = max(10, int(ITEMS * item_scale))
     now = 1_700_000_000.0
@@ -249,10 +250,10 @@ class TpccAbort(Exception):
 class TpccWorkload:
     """Functional TPC-C driver over a loaded engine database."""
 
-    def __init__(self, db: Database, scale: TpccScale, seed: int = 42):
+    def __init__(self, db: Database, scale: TpccScale):
         self.db = db
         self.scale = scale
-        self._rng = random.Random(seed)
+        self._rng = random.Random(SEED)
         self.executed: Dict[str, int] = {name: 0 for name in STANDARD_MIX}
         self.aborted = 0
 

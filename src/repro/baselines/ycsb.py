@@ -39,6 +39,8 @@ ZIPFIAN_THETA = 0.99
 MAX_SCAN = 10
 #: nominal bytes per record (10 fields x 100 B + key overhead)
 RECORD_BYTES = FIELD_COUNT * FIELD_BYTES + 24
+#: the seed of every YCSB draw
+SEED = 42
 
 WORKLOADS: Dict[str, Dict[str, float]] = {
     "A": {"read": 0.5, "update": 0.5},
@@ -107,10 +109,10 @@ USERTABLE = Schema(
 )
 
 
-def load_ycsb(db: Database, records: int = DEFAULT_RECORDS, seed: int = 42) -> int:
+def load_ycsb(db: Database, records: int = DEFAULT_RECORDS) -> int:
     """Create and populate the usertable; returns records loaded."""
     db.create_table(USERTABLE)
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     db.table("USERTABLE").load(
         (
             key,
@@ -122,13 +124,14 @@ def load_ycsb(db: Database, records: int = DEFAULT_RECORDS, seed: int = 42) -> i
     return records
 
 
-def ycsb_mix(workload: str = "A", records: int = DEFAULT_RECORDS) -> WorkloadMix:
-    """The cloud-model view of one YCSB core workload."""
+def ycsb_mix(workload: str = "A") -> WorkloadMix:
+    """The cloud-model view of one YCSB core workload over
+    ``DEFAULT_RECORDS`` records."""
     ops = WORKLOADS.get(workload.upper())
     if ops is None:
         raise ValueError(f"unknown YCSB workload {workload!r} (A-F)")
     classes = tuple((_OP_CLASSES[op], weight) for op, weight in ops.items())
-    working_set = float(records * RECORD_BYTES)
+    working_set = float(DEFAULT_RECORDS * RECORD_BYTES)
     # zipfian(0.99): ~75% of accesses hit ~20% of the keys; latest is
     # even tighter.
     if workload.upper() == "D":
@@ -152,7 +155,6 @@ class YcsbWorkload:
         db: Database,
         workload: str = "A",
         records: int = DEFAULT_RECORDS,
-        seed: int = 42,
     ):
         ops = WORKLOADS.get(workload.upper())
         if ops is None:
@@ -160,7 +162,7 @@ class YcsbWorkload:
         self.db = db
         self.workload = workload.upper()
         self.ops = ops
-        self._rng = random.Random(seed)
+        self._rng = random.Random(SEED)
         self._records = records
         self._zipf = ZipfianGenerator(records, rng=self._rng)
         self.executed: Dict[str, int] = {op: 0 for op in ops}

@@ -40,6 +40,8 @@ from repro.sim.rng import RngRegistry
 REQUEST_INTERVAL_S = 0.05
 #: the timeout budget of one request, retries included
 BUDGET_S = 2.0
+#: how long one attempt may take before the client gives up on it
+ATTEMPT_TIMEOUT_S = 0.25
 
 
 @dataclass
@@ -47,14 +49,12 @@ class AScore:
     """Availability scorecard of one chaos run."""
 
     arch_name: str
-    plan_name: str
     plan_fingerprint: str
     slo: float
     duration_s: float
     requests: int = 0
     succeeded: int = 0
     failed: int = 0
-    retries: int = 0
     breaker_opened: int = 0
     breaker_reclosed: int = 0
     #: (request start, succeeded?) per request, in completion order
@@ -107,8 +107,6 @@ class AvailabilityEvaluator:
         n_clients: int = 6,
         n_replicas: int = 1,
         duration_s: Optional[float] = None,
-        base_latency_s: Optional[float] = None,
-        attempt_timeout_s: float = 0.25,
         row_scale: float = 0.001,
         observer: Optional[Observer] = None,
         arrival: str = "closed",
@@ -131,12 +129,7 @@ class AvailabilityEvaluator:
         self.duration_s = duration_s or max(30.0, plan.horizon_s + 10.0)
         # Healthy request latency: a fixed server-side floor plus one
         # round trip on this architecture's network.
-        self.base_latency_s = (
-            base_latency_s
-            if base_latency_s is not None
-            else 0.002 + 2.0 * arch.network.transfer_time(2048)
-        )
-        self.attempt_timeout_s = attempt_timeout_s
+        self.base_latency_s = 0.002 + 2.0 * arch.network.transfer_time(2048)
         self.row_scale = row_scale
         self.rngs = RngRegistry(plan.seed)
 
@@ -168,11 +161,11 @@ class AvailabilityEvaluator:
             error.latency_s = self.base_latency_s
             raise error
         latency = self._latency_s(endpoint, now)
-        if latency > self.attempt_timeout_s:
+        if latency > ATTEMPT_TIMEOUT_S:
             error = RequestTimeout(
-                f"{endpoint} needed {latency:.3f}s > {self.attempt_timeout_s:.3f}s"
+                f"{endpoint} needed {latency:.3f}s > {ATTEMPT_TIMEOUT_S:.3f}s"
             )
-            error.latency_s = self.attempt_timeout_s
+            error.latency_s = ATTEMPT_TIMEOUT_S
             raise error
         if task == "T3":
             (statement,) = self._workload.stmts.statements("T3")
@@ -207,7 +200,6 @@ class AvailabilityEvaluator:
                 )
             )
             score.requests += 1
-            score.retries += max(0, outcome.attempts - 1)
             if outcome.ok:
                 score.succeeded += 1
             else:
@@ -249,7 +241,6 @@ class AvailabilityEvaluator:
                 )
             )
             score.requests += 1
-            score.retries += max(0, outcome.attempts - 1)
             if outcome.ok:
                 score.succeeded += 1
             else:
@@ -303,7 +294,6 @@ class AvailabilityEvaluator:
         )
         score = AScore(
             arch_name=self.arch.name,
-            plan_name=self.plan.name,
             plan_fingerprint=self.plan.fingerprint(),
             slo=self.slo,
             duration_s=self.duration_s,

@@ -42,8 +42,6 @@ class ScalingEvent:
     time_s: float
     from_vcores: float
     to_vcores: float
-    from_memory_gb: float
-    to_memory_gb: float
     trigger: str  # "scale_up" | "scale_down" | "pause" | "resume"
 
 
@@ -155,8 +153,6 @@ class Autoscaler:
                 time_s=now_s,
                 from_vcores=self.allocation.vcores,
                 to_vcores=target.vcores,
-                from_memory_gb=self.allocation.memory_gb,
-                to_memory_gb=target.memory_gb,
                 trigger=trigger,
             )
         )

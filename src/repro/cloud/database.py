@@ -7,28 +7,18 @@ throughput questions for that deployment.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.cloud.architectures import Architecture, get as get_architecture
 from repro.cloud.mva_model import ThroughputEstimate, estimate_throughput
-from repro.cloud.specs import ComputeAllocation
 from repro.cloud.workload_model import WorkloadMix
 
 
 class CloudDatabase:
-    """A deployed instance (RW node + ``n_replicas`` RO nodes)."""
+    """A deployed instance at its largest compute allocation."""
 
-    def __init__(
-        self,
-        arch: Architecture | str,
-        n_replicas: int = 1,
-        allocation: Optional[ComputeAllocation] = None,
-    ):
+    def __init__(self, arch: Architecture | str):
         self.arch = get_architecture(arch) if isinstance(arch, str) else arch
-        if n_replicas < 0:
-            raise ValueError("replica count cannot be negative")
-        self.n_replicas = n_replicas
-        self.allocation = allocation or self.arch.instance.max_allocation
+        self.allocation = self.arch.instance.max_allocation
 
     @property
     def name(self) -> str:
@@ -48,6 +38,5 @@ class CloudDatabase:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CloudDatabase {self.arch.name} "
-            f"{self.allocation.vcores}vC/{self.allocation.memory_gb}GB "
-            f"+{self.n_replicas}RO>"
+            f"{self.allocation.vcores}vC/{self.allocation.memory_gb}GB>"
         )

@@ -52,7 +52,6 @@ class FailoverResult:
     """Outcome of one failure injection."""
 
     arch_name: str
-    node: str                      # "rw" or "ro"
     inject_s: float
     service_restored_s: float
     tps_recovered_s: float
@@ -246,7 +245,6 @@ class FailoverSimulator:
             tps_recovered = MAX_DURATION_S
         return FailoverResult(
             arch_name=self.arch.name,
-            node=node,
             inject_s=inject_at_s,
             service_restored_s=service_restored,
             tps_recovered_s=tps_recovered,

@@ -86,39 +86,26 @@ class CacheBreakdown:
 
 
 @dataclass
-class ConsumedResources:
-    """Per-second resource consumption at the estimated throughput."""
-
-    cpu_cores: float
-    iops: float
-    network_gbps: float
-    memory_gb: float
-
-
-@dataclass
 class ThroughputEstimate:
     """Everything the evaluators need about one operating point."""
 
     tps: float
     latency_s: float
     concurrency: int
-    cache: CacheBreakdown
     utilizations: Dict[str, float] = field(default_factory=dict)
     bottleneck: str = ""
-    consumed: Optional[ConsumedResources] = None
 
 
 def cache_breakdown(
     arch: Architecture,
     workload: WorkloadMix,
     allocation: ComputeAllocation,
-    warm_local: float = 1.0,
     buffer_bytes: Optional[int] = None,
 ) -> CacheBreakdown:
     """Stacked hit ratios across the architecture's cache hierarchy."""
     local = (buffer_bytes if buffer_bytes is not None
-             else arch.buffer_bytes_at(allocation)) * warm_local
-    second = arch.second_cache_bytes_at(allocation) * warm_local
+             else arch.buffer_bytes_at(allocation))
+    second = arch.second_cache_bytes_at(allocation)
     remote = arch.remote_buffer_bytes
     ws = workload.working_set_bytes
     hot_f, hot_b = workload.hot_fraction, workload.hot_set_bytes
@@ -181,9 +168,7 @@ def estimate_throughput(
         allocation = arch.instance.max_allocation
     cache = cache_breakdown(arch, workload, allocation, buffer_bytes=buffer_bytes)
     if concurrency == 0 or allocation.is_paused:
-        return ThroughputEstimate(
-            tps=0.0, latency_s=0.0, concurrency=concurrency, cache=cache
-        )
+        return ThroughputEstimate(tps=0.0, latency_s=0.0, concurrency=concurrency)
 
     storage = arch.storage
     misses = workload.page_reads * cache.storage
@@ -286,28 +271,12 @@ def estimate_throughput(
 
     network = ClosedNetwork(centers, think_time=THINK_TIME_S)
     solution = network.solve(concurrency)
-    tps = solution.throughput
-    consumed = ConsumedResources(
-        cpu_cores=min(allocation.vcores, tps * cpu_demand),
-        iops=tps * (misses + flush_pages + workload.write_fraction),
-        network_gbps=(
-            0.0
-            if storage.kind is StorageKind.LOCAL
-            else tps
-            * ((misses + remote_hits) * PAGE_BYTES + workload.write_fraction * workload.log_bytes)
-            * 8.0
-            / 1e9
-        ),
-        memory_gb=allocation.memory_gb,
-    )
     return ThroughputEstimate(
-        tps=tps,
+        tps=solution.throughput,
         latency_s=solution.response_time,
         concurrency=concurrency,
-        cache=cache,
         utilizations=solution.utilizations,
         bottleneck=solution.bottleneck(),
-        consumed=consumed,
     )
 
 

@@ -21,8 +21,7 @@ Timing model per architecture (:class:`StorageProfile`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.cloud.architectures import Architecture
 from repro.engine.database import Database
@@ -33,17 +32,6 @@ from repro.sim.events import Environment, Event
 
 if TYPE_CHECKING:  # annotation only: repro.chaos imports this module
     from repro.chaos.injector import ChaosInjector
-
-
-@dataclass
-class ReplicationStats:
-    """Counters per replica."""
-
-    batches_shipped: int = 0
-    records_applied: int = 0
-    busy_s: float = 0.0
-    #: (commit_time, visible_time) pairs for every shipped transaction
-    applied_at: Dict[int, float] = field(default_factory=dict)
 
 
 class ReplicationPipeline:
@@ -70,7 +58,6 @@ class ReplicationPipeline:
             for i in range(n_replicas)
         ]
         self.appliers = [ReplicaApplier(replica) for replica in self.replicas]
-        self.stats = [ReplicationStats() for _ in self.replicas]
         #: queued batches: (arrived_s, txn_id, records, commit_s)
         self._queues: List[List[Tuple[float, int, List[LogRecord], float]]] = [
             [] for _ in self.replicas
@@ -123,7 +110,6 @@ class ReplicationPipeline:
                  arrival: float, commit_s: float):
         yield self.env.timeout(max(0.0, arrival - self.env.now))
         self._queues[index].append((self.env.now, txn_id, records, commit_s))
-        self.stats[index].batches_shipped += 1
         if self.obs.enabled:
             self.obs.count("repl.batches")
             self.obs.count("repl.records", len(records))
@@ -153,7 +139,6 @@ class ReplicationPipeline:
         interval = storage.replay_batch_interval_s
         queue = self._queues[index]
         applier = self.appliers[index]
-        stats = self.stats[index]
         while True:
             if not queue:
                 wakeup = self.env.event()
@@ -185,7 +170,6 @@ class ReplicationPipeline:
             replay_start = self.env.now
             if replay_s > 0:
                 yield self.env.timeout(replay_s)
-            stats.busy_s += replay_s
             if drained and self.obs.enabled:
                 self.obs.complete(
                     "replay", "replication", replay_start, self.env.now,
@@ -195,12 +179,8 @@ class ReplicationPipeline:
                         "records": sum(len(r) for _, _, r, _ in drained),
                     },
                 )
-            for _arrived, txn_id, records, commit_s in drained:
+            for _arrived, _txn, records, commit_s in drained:
                 applier.apply_batch(records)
-                stats.records_applied += sum(
-                    1 for record in records if record.kind is not LogKind.COMMIT
-                )
-                stats.applied_at[txn_id] = self.env.now
                 if self.obs.enabled:
                     self.obs.observe("repl.lag_s", self.env.now - commit_s)
 

@@ -9,7 +9,7 @@ parameters and measure the consequences.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 GIB = 2**30
@@ -219,12 +219,3 @@ class ProvisionedPackage:
     iops: float
     network_gbps: float
     network_kind: NetworkKind
-
-    def scaled(self, compute_factor: float = 1.0, io_factor: float = 1.0) -> "ProvisionedPackage":
-        return replace(
-            self,
-            vcores=self.vcores * compute_factor,
-            memory_gb=self.memory_gb * compute_factor,
-            iops=self.iops * io_factor,
-            network_gbps=self.network_gbps * io_factor,
-        )

@@ -17,33 +17,22 @@ Three deployment models from the paper:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.cloud.architectures import Architecture
 from repro.cloud.mva_model import estimate_throughput, required_vcores
 from repro.cloud.specs import ComputeAllocation, TenancyKind
 from repro.cloud.workload_model import WorkloadMix
-from repro.qos.admission import BrownoutPolicy
 
 
 @dataclass
 class TenantSlotResult:
     """Per-tenant outcome of one time slot."""
 
-    tenant: int
     demand: int
     tps: float
     allocation: ComputeAllocation
-    efficiency: float = 1.0
-    resumed_cold: bool = False
-    #: concurrency turned away by brownout throttling this slot
-    shed: int = 0
-
-    @property
-    def admitted(self) -> int:
-        return self.demand - self.shed
 
 
 @dataclass
@@ -80,7 +69,6 @@ class TenantScheduler:
         workload: WorkloadMix,
         n_tenants: int,
         slot_seconds: float = 60.0,
-        brownout: Optional[BrownoutPolicy] = None,
     ):
         if n_tenants < 1:
             raise ValueError("need at least one tenant")
@@ -88,11 +76,6 @@ class TenantScheduler:
         self.workload = workload
         self.n_tenants = n_tenants
         self.slot_seconds = slot_seconds
-        #: optional graceful-degradation mode for the elastic pool: when
-        #: overcommit passes the policy threshold, part of each tenant's
-        #: demand is turned away (shed) instead of letting the contention
-        #: penalty collapse everyone's efficiency
-        self.brownout = brownout
         self._paused = [False] * n_tenants
         self._slot_index = 0
 
@@ -130,17 +113,12 @@ class TenantScheduler:
     def _isolated(self, demands: Sequence[int]) -> List[TenantSlotResult]:
         allocation = self.arch.instance.max_allocation
         tenants = []
-        for index, demand in enumerate(demands):
+        for demand in demands:
             estimate = estimate_throughput(
                 self.arch, self.workload, demand, allocation
             )
             tenants.append(
-                TenantSlotResult(
-                    tenant=index,
-                    demand=demand,
-                    tps=estimate.tps,
-                    allocation=allocation,
-                )
+                TenantSlotResult(demand=demand, tps=estimate.tps, allocation=allocation)
             )
         return tenants
 
@@ -161,8 +139,6 @@ class TenantScheduler:
             for demand in demands
         ]
         total_desired = sum(desired)
-        admitted = list(demands)
-        sheds = [0] * len(admitted)
         if total_desired <= pool_vcores:
             # Contention-free: everyone gets what they asked for, and the
             # spare capacity is shared among active tenants on demand.
@@ -174,96 +150,27 @@ class TenantScheduler:
             efficiency = 1.0
         else:
             overcommit = total_desired / pool_vcores - 1.0
-            if (
-                self.brownout is not None
-                and overcommit > self.brownout.overcommit_threshold
-            ):
-                admitted, sheds, desired = self._throttle(
-                    admitted, desired, pool_vcores
-                )
-                total_desired = sum(desired)
-                overcommit = max(0.0, total_desired / pool_vcores - 1.0)
             efficiency = max(
                 0.15, 1.0 - self.arch.tenancy.overcommit_penalty * min(1.5, overcommit)
             )
-            if total_desired <= pool_vcores:
-                shares = list(desired)  # throttling freed the pool up
-            else:
-                shares = [pool_vcores * d / total_desired for d in desired]
+            shares = [pool_vcores * d / total_desired for d in desired]
         tenants = []
-        for index, (demand, running, share, shed) in enumerate(
-            zip(demands, admitted, shares, sheds)
-        ):
+        for demand, share in zip(demands, shares):
             allocation = ComputeAllocation(share, share * mem_per_core)
-            if running <= 0 or share <= 0:
+            if demand <= 0 or share <= 0:
                 estimate_tps = 0.0
             else:
                 estimate_tps = estimate_throughput(
                     self.arch,
                     self.workload,
-                    running,
+                    demand,
                     allocation,
                     efficiency_factor=efficiency,
                 ).tps
             tenants.append(
-                TenantSlotResult(
-                    tenant=index,
-                    demand=demand,
-                    tps=estimate_tps,
-                    allocation=allocation,
-                    efficiency=efficiency,
-                    shed=shed,
-                )
+                TenantSlotResult(demand=demand, tps=estimate_tps, allocation=allocation)
             )
         return tenants
-
-    def _throttle(
-        self,
-        demands: List[int],
-        desired: List[float],
-        pool_vcores: float,
-    ) -> Tuple[List[int], List[int], List[float]]:
-        """Brownout: shed demand until overcommit sits at the threshold.
-
-        Each active tenant is scaled proportionally but keeps at least
-        ``min_share`` of what it asked for -- graceful degradation, not
-        eviction of the smallest tenants.  ``required_vcores`` saturates
-        (deep overload demands the whole pool at any concurrency), so a
-        single proportional cut can land far above the target; iterate
-        the cut until the target is met or the ``min_share`` floor binds.
-        """
-        policy = self.brownout
-        target = pool_vcores * (1.0 + policy.overcommit_threshold)
-        admitted = [max(0, demand) for demand in demands]
-        new_desired = list(desired)
-        for _ in range(8):
-            total = sum(new_desired)
-            if total <= target:
-                break
-            scale = target / max(total, 1e-9)
-            proposal: List[int] = []
-            for demand, keep in zip(demands, admitted):
-                if demand <= 0:
-                    proposal.append(0)
-                    continue
-                floor_keep = max(math.ceil(demand * policy.min_share), 1)
-                cut = max(math.floor(keep * scale), floor_keep)
-                proposal.append(min(cut, demand))
-            if proposal == admitted:
-                break  # every tenant sits on its floor; no further moves
-            admitted = proposal
-            new_desired = [
-                required_vcores(
-                    self.arch, self.workload, keep, max_vcores=pool_vcores
-                )
-                if keep > 0
-                else 0.0
-                for keep in admitted
-            ]
-        sheds = [
-            max(0, demand) - keep for demand, keep in zip(demands, admitted)
-        ]
-        return admitted, sheds, new_desired
 
     # -- copy-on-write branches -------------------------------------------------------
 
@@ -278,10 +185,7 @@ class TenantScheduler:
                 self._paused[index] = True
                 tenants.append(
                     TenantSlotResult(
-                        tenant=index,
-                        demand=0,
-                        tps=0.0,
-                        allocation=ComputeAllocation(0.0, 0.0),
+                        demand=0, tps=0.0, allocation=ComputeAllocation(0.0, 0.0)
                     )
                 )
                 continue
@@ -296,12 +200,6 @@ class TenantScheduler:
                 ramp = _cold_slot_fraction(tau, usable)
                 tps *= (usable / self.slot_seconds) * ramp
             tenants.append(
-                TenantSlotResult(
-                    tenant=index,
-                    demand=demand,
-                    tps=tps,
-                    allocation=allocation,
-                    resumed_cold=resumed_cold,
-                )
+                TenantSlotResult(demand=demand, tps=tps, allocation=allocation)
             )
         return tenants

@@ -129,6 +129,10 @@ def _print_registry() -> None:
         ) or "-"
         table.add_row(spec.name, options, spec.summary)
     table.print()
+    print("Options (--eval NAME --opt OPTION=VALUE):")
+    for spec in evaluator_specs():
+        for option in spec.options:
+            print(f"  {spec.name} {option.name}: {option.help}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -28,7 +28,7 @@ single-node clients).  Read it once the transaction's first statement
 (or its commit) has been answered, not right after ``begin()``: the
 socket client's ``begin`` sends nothing, it rides on that first frame.
 No client carries a deadline; the engine's cancellation points are
-reached through ``Database.begin/execute(deadline=...)`` and
+reached through ``Database.begin(deadline=...)`` and
 ``fleet.begin(deadline=...)`` directly, and the serving tier expires
 queued work at admission (``ServerConfig.deadline_s``).
 """

@@ -22,8 +22,6 @@ class CollectorSummary:
     avg_tps: float
     peak_tps: float
     total_cost: float
-    avg_vcores: float
-    avg_memory_gb: float
 
     @classmethod
     def zeroed(cls, start_s: float, end_s: float) -> "CollectorSummary":
@@ -40,8 +38,6 @@ class CollectorSummary:
             avg_tps=0.0,
             peak_tps=0.0,
             total_cost=0.0,
-            avg_vcores=0.0,
-            avg_memory_gb=0.0,
         )
 
 
@@ -102,8 +98,6 @@ class PerformanceCollector:
             avg_tps=self.tps.average(start_s, end_s),
             peak_tps=self.peak_tps(),
             total_cost=self.cost_between(start_s, end_s),
-            avg_vcores=self.vcores.average(start_s, end_s),
-            avg_memory_gb=self.memory_gb.average(start_s, end_s),
         )
 
     def series(self, name: str) -> TimeSeries:

@@ -32,6 +32,12 @@ DEFAULT_ARCHITECTURES = ["aws_rds", "cdb1", "cdb2", "cdb3", "cdb4"]
 ISOLATION_NAMES = ("read_committed", "repeatable_read", "snapshot", "serializable")
 
 
+def spelled(choices) -> str:
+    """A choice set as error messages spell it: ``'a', 'b' or 'c'``."""
+    *head, last = map(repr, choices)
+    return f"{', '.join(head)} or {last}" if head else last
+
+
 @dataclass
 class BenchConfig:
     """All knobs of the CloudyBench testbed."""
@@ -127,6 +133,14 @@ class BenchConfig:
     dr_archive_mode: str = "sync"
 
     def __post_init__(self) -> None:
+        # the owning modules spell each choice set; importing them at
+        # the top would be a cycle
+        from repro.dr.archive import ARCHIVE_MODES
+        from repro.ha.replication import ACK_MODES
+        from repro.perf.openloop import parse_arrival
+        from repro.serve.loadgen import PERSONAS
+        from repro.shard.driver import DRIVERS
+
         if not self.architectures:
             raise ValueError("configure at least one architecture")
         if any(sf < 1 for sf in self.scale_factors):
@@ -162,8 +176,8 @@ class BenchConfig:
             raise ValueError("shard_cross_ratio must be in [0, 1]")
         if self.shard_txns < 1:
             raise ValueError("shard_txns must be >= 1")
-        if self.shard_driver not in ("inline", "mp"):
-            raise ValueError("shard_driver must be 'inline' or 'mp'")
+        if self.shard_driver not in DRIVERS:
+            raise ValueError(f"shard_driver must be {spelled(DRIVERS)}")
         if not self.serve_connections or any(
             n < 1 for n in self.serve_connections
         ):
@@ -180,27 +194,23 @@ class BenchConfig:
             raise ValueError(
                 "serve_max_connections and serve_max_queue must be >= 1"
             )
-        if self.serve_persona not in ("payment", "reader", "mixed"):
-            raise ValueError(
-                "serve_persona must be 'payment', 'reader' or 'mixed'"
-            )
-        from repro.perf.openloop import parse_arrival
-
+        if self.serve_persona not in PERSONAS:
+            raise ValueError(f"serve_persona must be {spelled(PERSONAS)}")
         parse_arrival(self.serve_arrival)  # raises on a malformed spec
         if self.ha_shards < 2:
             raise ValueError("ha_shards must be >= 2 (transfers are cross-shard)")
         if self.ha_pairs < 1 or self.ha_txns < 1:
             raise ValueError("ha_pairs and ha_txns must be >= 1")
-        if self.ha_ack_mode not in ("sync", "semisync"):
-            raise ValueError("ha_ack_mode must be 'sync' or 'semisync'")
+        if self.ha_ack_mode not in ACK_MODES:
+            raise ValueError(f"ha_ack_mode must be {spelled(ACK_MODES)}")
         if not 0.0 < self.ha_heartbeat_s < self.ha_lease_s:
             raise ValueError("need 0 < ha_heartbeat_s < ha_lease_s")
         if self.dr_shards < 2:
             raise ValueError("dr_shards must be >= 2 (transfers are cross-shard)")
         if self.dr_pairs < 1 or self.dr_txns < 1:
             raise ValueError("dr_pairs and dr_txns must be >= 1")
-        if self.dr_archive_mode not in ("sync", "lagged"):
-            raise ValueError("dr_archive_mode must be 'sync' or 'lagged'")
+        if self.dr_archive_mode not in ARCHIVE_MODES:
+            raise ValueError(f"dr_archive_mode must be {spelled(ARCHIVE_MODES)}")
         if self.isolation not in ISOLATION_NAMES:
             raise ValueError(
                 f"isolation must be one of {sorted(ISOLATION_NAMES)}, "

@@ -153,7 +153,6 @@ class GeneratedData:
     scale_factor: int
     row_scale: float
     rows: Dict[str, int] = field(default_factory=dict)
-    nominal_bytes: float = 0.0
 
     @property
     def total_rows(self) -> int:
@@ -196,10 +195,9 @@ class DataGenerator:
             yield table_name, rows
             deque(rows, maxlen=0)
 
-    def populate(self, db: Database, create_schema: bool = True) -> GeneratedData:
-        """Generate and load all rows; returns a summary."""
-        if create_schema:
-            create_sales_schema(db)
+    def populate(self, db: Database) -> GeneratedData:
+        """Create the schema, generate and load all rows; returns a summary."""
+        create_sales_schema(db)
         with gc_paused():
             for table_name, rows in self.iter_tables():
                 db.table(table_name).load(rows)
@@ -207,7 +205,6 @@ class DataGenerator:
             scale_factor=self.scale_factor,
             row_scale=self.row_scale,
             rows=self.materialised_rows(),
-            nominal_bytes=nominal_bytes(self.scale_factor),
         )
 
 

@@ -51,28 +51,26 @@ class UniformDistribution:
         return f"UniformDistribution(key_space={self.key_space})"
 
 
+#: share of latest-k accesses that land on the ``k`` newest keys
+LATEST_SKEW = 0.9
+
+
 class LatestDistribution:
     """Latest-``k``: most accesses hit the ``k`` newest keys.
 
-    ``skew`` is the probability that an access targets the hot range;
-    the rest spill uniformly over the whole key space.  Latest-10 with
-    the paper's semantics is ``LatestDistribution(space, k=10)``.
+    ``skew`` (:data:`LATEST_SKEW`) is the probability that an access
+    targets the hot range; the rest spill uniformly over the whole key
+    space.  Latest-10 with the paper's semantics is
+    ``LatestDistribution(space, k=10)``.
     """
 
-    def __init__(
-        self,
-        key_space: int,
-        k: int,
-        rng: random.Random,
-        skew: float = 0.9,
-    ):
+    skew = LATEST_SKEW
+
+    def __init__(self, key_space: int, k: int, rng: random.Random):
         if key_space < 1 or k < 1:
             raise ValueError("key space and k must be >= 1")
-        if not 0 < skew <= 1:
-            raise ValueError("skew must be in (0, 1]")
         self.key_space = key_space
         self.k = min(k, key_space)
-        self.skew = skew
         self._rng = rng
 
     def next_key(self) -> int:

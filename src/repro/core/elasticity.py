@@ -109,15 +109,11 @@ class ElasticityResult:
 
     arch_name: str
     pattern: ElasticPattern
-    workload_name: str
-    tau: int
-    slots: List[int]
     collector: PerformanceCollector
     avg_tps: float
     execution_cost: float
     scaling_cost: float
     elastic_cost: float          # cpu + memory + iops share (E1 denominator)
-    infra_cost: float            # storage + network baseline
     transitions: List[SlotTransition] = field(default_factory=list)
 
     @property
@@ -238,7 +234,6 @@ class ElasticityEvaluator:
         execution_cost = 0.0
         scaling_cost = 0.0
         elastic_cost = 0.0
-        infra_cost = 0.0
 
         t = 0.0
         previous_demand = 0
@@ -283,14 +278,6 @@ class ElasticityEvaluator:
                 duration_s=TICK_S,
             )
             elastic_cost += tick_cost
-            infra_cost += allocation_cost(
-                0.0,
-                0.0,
-                duration_s=TICK_S,
-                storage_gb=self.arch.provisioned.storage_gb,
-                network_gbps=self.arch.provisioned.network_gbps,
-                network_kind=self.arch.provisioned.network_kind,
-            )
             target = target_vcores(demand)
             if self.arch.scaling.kind is ScalingKind.FIXED:
                 # Fixed instances never scale: everything is execution cost.
@@ -345,15 +332,11 @@ class ElasticityEvaluator:
         return ElasticityResult(
             arch_name=self.arch.name,
             pattern=pattern,
-            workload_name=self.workload.name,
-            tau=tau,
-            slots=slots,
             collector=collector,
             avg_tps=avg_tps,
             execution_cost=execution_cost,
             scaling_cost=scaling_cost,
             elastic_cost=elastic_cost,
-            infra_cost=infra_cost,
             transitions=transitions,
         )
 

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Dict
 from repro.chaos.availability import AvailabilityEvaluator
 from repro.chaos.plan import FaultPlan
 from repro.cloud.mva_model import estimate_throughput
+from repro.core.config import spelled
 from repro.core.elasticity import ELASTIC_PATTERNS, ElasticityEvaluator, custom_pattern
 from repro.core.evalapi import EvalOption, EvalOutcome, evaluator, parse_bool
 from repro.core.failover import FailOverEvaluator
@@ -34,7 +35,11 @@ from repro.core.pricing import (
 )
 from repro.core.runner import PScoreRow, average_tps
 from repro.core.workload import LAG_PATTERNS
+from repro.dr.archive import ARCHIVE_MODES
+from repro.ha.replication import ACK_MODES
 from repro.qos.overload import OverloadEvaluator
+from repro.serve.loadgen import PERSONAS
+from repro.shard.driver import DRIVERS, TRANSPORTS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runner import CloudyBench
@@ -67,15 +72,12 @@ _positive_float = _checked(float, lambda x: x > 0, "> 0")
 _parse_ratio = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 
 
-def _one_of(what: str, *choices: str):
-    """An option parser accepting exactly the listed spellings."""
+def _one_of(what: str, choices):
+    """An option parser accepting exactly the spellings in ``choices``."""
 
     def parse(value) -> str:
         if str(value) not in choices:
-            listed = ", ".join(repr(choice) for choice in choices[:-1])
-            raise ValueError(
-                f"unknown {what} {str(value)!r}; use {listed} or {choices[-1]!r}"
-            )
+            raise ValueError(f"unknown {what} {str(value)!r}; use {spelled(choices)}")
         return str(value)
 
     return parse
@@ -514,7 +516,7 @@ def _overload(bench: "CloudyBench", qos: bool, arrival: str) -> EvalOutcome:
     summary="availability through a primary kill, zeroed by any history "
             "violation (the R-Score)",
     options=(
-        EvalOption("ack_mode", _one_of("ack mode", "sync", "semisync"),
+        EvalOption("ack_mode", _one_of("ack mode", ACK_MODES),
                    config="ha_ack_mode", help="replication ack mode"),
         EvalOption("arrival", _parse_arrival_opt, "closed",
                    "client arrival process: closed | poisson[:RATE] | "
@@ -572,7 +574,7 @@ def _ha(bench: "CloudyBench", ack_mode: str, arrival: str) -> EvalOutcome:
     summary="RPO/RTO through backup-under-load, disaster and "
             "point-in-time restore (the DR-Score)",
     options=(
-        EvalOption("archive_mode", _one_of("archive mode", "sync", "lagged"),
+        EvalOption("archive_mode", _one_of("archive mode", ARCHIVE_MODES),
                    config="dr_archive_mode",
                    help="WAL archiving mode: sync (RPO=0 expected) | lagged "
                         "(buffered tail lost at disaster, RPO priced in)"),
@@ -630,13 +632,13 @@ def _dr(bench: "CloudyBench", archive_mode: str) -> EvalOutcome:
                    "shard_cross_ratio; 0 for the mp driver)"),
         EvalOption("txns", _positive_int, config="shard_txns",
                    help="total transactions per point"),
-        EvalOption("driver", _one_of("driver", "inline", "mp"),
+        EvalOption("driver", _one_of("driver", DRIVERS),
                    config="shard_driver",
                    help="'inline' (any cross ratio) or 'mp' (one process per shard)"),
         EvalOption("arrival", _parse_arrival_opt, "closed",
                    "latency recording: closed | poisson[:RATE] | "
                    "burst[:RATE,N] (inline driver only)"),
-        EvalOption("transport", _one_of("transport", "inline", "socket"), "inline",
+        EvalOption("transport", _one_of("transport", TRANSPORTS), "inline",
                    "'inline' (in-process clients) or 'socket' (the same "
                    "workload over the serving tier's loopback socket; inline "
                    "driver only)"),
@@ -730,7 +732,7 @@ def _scaleout_real(
         EvalOption("arrival", _parse_arrival_opt, config="serve_arrival",
                    help="client arrival process: closed | poisson[:RATE] | "
                         "burst[:RATE,N]"),
-        EvalOption("persona", _one_of("persona", "payment", "reader", "mixed"),
+        EvalOption("persona", _one_of("persona", PERSONAS),
                    config="serve_persona",
                    help="load persona: payment | reader | mixed"),
         EvalOption("rate", _positive_float, None,

@@ -17,8 +17,8 @@ rather than reading the pipeline parameters directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.cloud.architectures import Architecture
 from repro.cloud.failure import FailoverResult, FailoverSimulator
@@ -34,7 +34,6 @@ class FailoverScores:
     f_ro_s: float
     r_rw_s: float
     r_ro_s: float
-    results: Dict[str, FailoverResult] = field(default_factory=dict)
 
     @property
     def f_avg_s(self) -> float:
@@ -84,15 +83,11 @@ class FailOverEvaluator:
         workload: WorkloadMix,
         concurrency: int = 150,
         recovery_threshold: float = 0.95,
-        repeats: int = 1,
     ):
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
         self.arch = arch
         self.workload = workload
         self.concurrency = concurrency
         self.recovery_threshold = recovery_threshold
-        self.repeats = repeats
 
     def run(self) -> FailoverScores:
         simulator = FailoverSimulator(
@@ -101,21 +96,16 @@ class FailOverEvaluator:
             self.concurrency,
             recovery_threshold=self.recovery_threshold,
         )
-        results: Dict[str, FailoverResult] = {}
-        scores: Dict[str, List[float]] = {"f_rw": [], "f_ro": [], "r_rw": [], "r_ro": []}
-        for phase in range(self.repeats):
-            for node in ("rw", "ro"):
-                result = simulator.run(node=node, inject_at_s=30.0 + phase)
-                f_s, r_s = _measure_from_timeline(result, self.recovery_threshold)
-                scores[f"f_{node}"].append(f_s)
-                scores[f"r_{node}"].append(r_s)
-                results[f"{node}#{phase}"] = result
-        average = {key: sum(values) / len(values) for key, values in scores.items()}
+        scores = {}
+        for node in ("rw", "ro"):
+            result = simulator.run(node=node)
+            scores[f"f_{node}"], scores[f"r_{node}"] = _measure_from_timeline(
+                result, self.recovery_threshold
+            )
         return FailoverScores(
             arch_name=self.arch.name,
-            f_rw_s=average["f_rw"],
-            f_ro_s=average["f_ro"],
-            r_rw_s=average["r_rw"],
-            r_ro_s=average["r_ro"],
-            results=results,
+            f_rw_s=scores["f_rw"],
+            f_ro_s=scores["f_ro"],
+            r_rw_s=scores["r_rw"],
+            r_ro_s=scores["r_ro"],
         )

@@ -15,7 +15,7 @@ delete lag (T4) -- plus arbitrary IUD mixes.  The C-Score is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.cloud.architectures import Architecture
 from repro.cloud.mva_model import estimate_throughput
@@ -44,7 +44,6 @@ class LagResult:
     """Lag statistics of one IUD mix on one architecture."""
 
     arch_name: str
-    mix_label: str
     n_replicas: int
     samples: List[LagSample] = field(default_factory=list)
 
@@ -98,7 +97,6 @@ class LagTimeEvaluator:
         n_replicas: int = 1,
         transactions: int = 240,
         seed: int = 42,
-        distribution: str = "uniform",
         isolation=None,
     ):
         self.arch = arch
@@ -108,13 +106,12 @@ class LagTimeEvaluator:
         self.n_replicas = n_replicas
         self.transactions = transactions
         self.seed = seed
-        self.distribution = distribution
         #: engine isolation the writer transactions run under (None =
         #: engine default); MVCC levels also discount the model's
         #: contention center when pacing workers
         self.isolation = isolation
 
-    def run(self, mix: TransactionMix, label: Optional[str] = None) -> LagResult:
+    def run(self, mix: TransactionMix) -> LagResult:
         env = Environment()
         primary, _data = load_sales_database(
             "primary",
@@ -125,22 +122,15 @@ class LagTimeEvaluator:
         if self.isolation is not None:
             primary.default_isolation = self.isolation
         pipeline = ReplicationPipeline(env, self.arch, primary, self.n_replicas)
-        workload = SalesWorkload(
-            primary, mix, distribution=self.distribution, seed=self.seed,
-        )
-        result = LagResult(
-            arch_name=self.arch.name,
-            mix_label=label or mix.label,
-            n_replicas=self.n_replicas,
-        )
+        workload = SalesWorkload(primary, mix, seed=self.seed)
+        result = LagResult(arch_name=self.arch.name, n_replicas=self.n_replicas)
 
         # Pace workers at the modelled per-transaction latency so the
         # write rate matches what this architecture would sustain.
         from repro.engine.txn import MVCC_LEVELS
 
         model_mix = mix.to_workload_mix(
-            self.scale_factor, distribution=self.distribution,
-            mvcc=self.isolation in MVCC_LEVELS,
+            self.scale_factor, mvcc=self.isolation in MVCC_LEVELS,
         )
         estimate = estimate_throughput(self.arch, model_mix, self.concurrency)
         cycle_s = max(1e-4, estimate.latency_s)
@@ -223,5 +213,5 @@ class LagTimeEvaluator:
         self, patterns: Dict[str, TransactionMix]
     ) -> Dict[str, LagResult]:
         return {
-            name: self.run(mix, label=name) for name, mix in patterns.items()
+            name: self.run(mix) for name, mix in patterns.items()
         }

@@ -51,7 +51,6 @@ class WorkloadManager:
         db: Database,
         mix: TransactionMix,
         concurrency: int = 4,
-        seed: int = 42,
         record_latencies: bool = False,
     ):
         if concurrency < 1:
@@ -64,7 +63,7 @@ class WorkloadManager:
         # are derived by name -- ``seed + worker_id`` made worker i of a
         # run seeded S draw the exact stream of worker 0 seeded S+i.
         self.workers = [
-            SalesWorkload(db, mix, seed=derive_seed(seed, f"worker.{worker_id}"))
+            SalesWorkload(db, mix, seed=derive_seed(42, f"worker.{worker_id}"))
             for worker_id in range(concurrency)
         ]
 

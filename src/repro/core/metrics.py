@@ -65,21 +65,10 @@ def scale_out_tps(
     return base * (1.0 + n_ro_nodes * read_fraction * arch.replica_efficiency)
 
 
-def e2_score(
-    arch: Architecture,
-    workload: WorkloadMix,
-    n_ro_nodes: int = 1,
-) -> float:
-    """Equation (5): average TPS gained per added RO node, over delta."""
-    if n_ro_nodes < 1:
-        raise ValueError("need at least one added RO node")
-    total = 0.0
-    previous = scale_out_tps(arch, workload, E2_CONCURRENCY, 0)
-    for nodes in range(1, n_ro_nodes + 1):
-        current = scale_out_tps(arch, workload, E2_CONCURRENCY, nodes)
-        total += (current - previous) / E2_DELTA
-        previous = current
-    return total / n_ro_nodes
+def e2_score(arch: Architecture, workload: WorkloadMix) -> float:
+    """Equation (5): TPS gained by adding one RO node, over delta."""
+    base = scale_out_tps(arch, workload, E2_CONCURRENCY, 0)
+    return (scale_out_tps(arch, workload, E2_CONCURRENCY, 1) - base) / E2_DELTA
 
 
 def o_score(

@@ -130,13 +130,12 @@ class ExtendedScale:
 def load_extended(
     db: Database,
     row_scale: float = 0.01,
-    seed: int = 42,
 ) -> ExtendedScale:
     """Create and populate the extended services' tables at scale factor
     1 (``db`` may be the sales database: the paper's tenants share
     schema/database/server among services)."""
     create_extended_schema(db)
-    rng = random.Random(seed)
+    rng = random.Random(42)
     products = max(30, int(PRODUCTS * row_scale))
     now = 1_700_000_000.0
 

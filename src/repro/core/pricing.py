@@ -88,9 +88,6 @@ def allocation_cost(
     memory_gb: float,
     iops: float = 0.0,
     duration_s: float = 1.0,
-    storage_gb: float = 0.0,
-    network_gbps: float = 0.0,
-    network_kind: NetworkKind = NetworkKind.TCP,
 ) -> float:
     """RUC cost of holding an allocation for ``duration_s`` seconds.
 
@@ -101,9 +98,7 @@ def allocation_cost(
     per_hour = (
         vcores * CPU_VCORE_HOUR
         + memory_gb * MEMORY_GB_HOUR
-        + storage_gb * STORAGE_GB_HOUR
         + iops / 100.0 * IOPS_100_HOUR
-        + network_gbps * network_unit_price(network_kind)
     )
     return per_hour * duration_s / 3600.0
 

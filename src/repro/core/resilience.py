@@ -30,10 +30,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.qos.budget import RetryBudget
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.engine.errors import (
     EngineError,
@@ -43,7 +40,7 @@ from repro.engine.errors import (
     SimulatedCrash,
 )
 from repro.obs import NULL_OBSERVER, Observer
-from repro.qos.budget import RetryBudget as _RetryBudget
+from repro.qos.budget import RetryBudget
 from repro.sim.events import VirtualClock
 
 #: errors that indict the endpoint (breaker-relevant), not the request
@@ -151,47 +148,34 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+#: consecutive health failures that open a closed breaker
+FAILURE_THRESHOLD = 3
+
+
 class CircuitBreaker:
     """Per-endpoint circuit breaker with a half-open probe state.
 
     Time is always passed in by the caller, so the breaker works under
-    both wall-clock and DES virtual time.
+    both wall-clock and DES virtual time.  Half-open admits one probe and
+    its verdict decides: unbounded probing let every queued retry flood
+    through the instant the breaker half-opened, re-tripping it and
+    restarting the reset clock under sustained faults -- the retry storm
+    the breaker exists to prevent.
     """
 
     def __init__(
         self,
-        failure_threshold: int = 3,
         reset_timeout_s: float = 5.0,
-        half_open_successes: int = 1,
-        half_open_max_probes: Optional[int] = None,
         name: str = "",
         observer: Optional[Observer] = None,
     ):
-        if failure_threshold < 1 or half_open_successes < 1:
-            raise ValueError("thresholds must be >= 1")
         if reset_timeout_s <= 0:
             raise ValueError("reset timeout must be positive")
-        if half_open_max_probes is not None and half_open_max_probes < 1:
-            raise ValueError("half_open_max_probes must be >= 1")
         self.name = name
         self.obs = observer or NULL_OBSERVER
-        self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
-        self.half_open_successes = half_open_successes
-        #: probes admitted per half-open episode before a verdict.
-        #: Unbounded probing let every queued retry flood through the
-        #: instant the breaker half-opened, re-tripping it and restarting
-        #: the reset clock under sustained faults -- the retry storm the
-        #: breaker exists to prevent.
-        self.half_open_max_probes = (
-            half_open_max_probes
-            if half_open_max_probes is not None
-            else half_open_successes
-        )
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
-        self.probe_successes = 0
-        self.probes_admitted = 0
         self.opened_at: Optional[float] = None
         self.times_opened = 0
         self.times_reclosed = 0
@@ -200,17 +184,9 @@ class CircuitBreaker:
         """May a request be sent to this endpoint at ``now``?"""
         if self.state is BreakerState.CLOSED:
             return True
-        if self.state is BreakerState.OPEN:
-            if now - self.opened_at >= self.reset_timeout_s:
-                self.state = BreakerState.HALF_OPEN
-                self.probe_successes = 0
-                self.probes_admitted = 1
-                return True
-            return False
-        # HALF_OPEN: admit a bounded number of probes until a verdict
-        if self.probes_admitted < self.half_open_max_probes:
-            self.probes_admitted += 1
-            return True
+        if self.state is BreakerState.OPEN and now - self.opened_at >= self.reset_timeout_s:
+            self.state = BreakerState.HALF_OPEN
+            return True  # the probe; HALF_OPEN admits nothing else until its verdict
         return False
 
     def time_until_probe(self, now: float) -> float:
@@ -220,24 +196,17 @@ class CircuitBreaker:
         return 0.0
 
     def record_success(self, now: float) -> None:
+        self.consecutive_failures = 0
         if self.state is BreakerState.HALF_OPEN:
-            self.probe_successes += 1
-            if self.probes_admitted > 0:
-                self.probes_admitted -= 1  # verdict in: free the probe slot
-            if self.probe_successes >= self.half_open_successes:
-                self.state = BreakerState.CLOSED
-                self.consecutive_failures = 0
-                self.probes_admitted = 0
-                self.opened_at = None
-                self.times_reclosed += 1
-                if self.obs.enabled:
-                    self.obs.count("client.breaker.close")
-                    self.obs.event(
-                        "breaker.close", "client", ts=now, track="client",
-                        attrs={"endpoint": self.name},
-                    )
-        else:
-            self.consecutive_failures = 0
+            self.state = BreakerState.CLOSED
+            self.opened_at = None
+            self.times_reclosed += 1
+            if self.obs.enabled:
+                self.obs.count("client.breaker.close")
+                self.obs.event(
+                    "breaker.close", "client", ts=now, track="client",
+                    attrs={"endpoint": self.name},
+                )
 
     def record_failure(self, now: float) -> None:
         if self.state is BreakerState.HALF_OPEN:
@@ -245,7 +214,7 @@ class CircuitBreaker:
             return
         self.consecutive_failures += 1
         if self.state is BreakerState.CLOSED and (
-            self.consecutive_failures >= self.failure_threshold
+            self.consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._open(now)
 
@@ -253,8 +222,6 @@ class CircuitBreaker:
         self.state = BreakerState.OPEN
         self.opened_at = now
         self.times_opened += 1
-        self.probe_successes = 0
-        self.probes_admitted = 0
         if self.obs.enabled:
             self.obs.count("client.breaker.open")
             self.obs.event(
@@ -290,8 +257,6 @@ class CallOutcome:
     elapsed_s: float = 0.0
     #: endpoints tried, in order (observability)
     path: List[str] = field(default_factory=list)
-    #: the retry budget denied a replay (the call gave up early)
-    budget_exhausted: bool = False
 
 
 def _run_attempt(attempt_fn: Callable[[str], Any], endpoint: str) -> AttemptResult:
@@ -313,7 +278,7 @@ class ResilientSession:
     ``endpoints`` is a preference order (e.g. ``["replica:0",
     "replica:1", "primary"]`` for reads).  Each call walks the retry
     state machine: pick the first endpoint whose breaker admits traffic,
-    attempt, classify the failure, back off, fail over.  A per-request
+    attempt, classify the failure, back off, fail over.  A DES call's
     ``timeout_budget_s`` bounds total elapsed time (attempt latencies
     plus backoffs); when the next backoff cannot fit, the call fails
     with the last error rather than overrunning its budget.
@@ -325,10 +290,8 @@ class ResilientSession:
         policy: Optional[RetryPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
         rng: Optional[random.Random] = None,
-        breaker_threshold: int = 3,
         breaker_reset_s: float = 5.0,
         observer: Optional[Observer] = None,
-        retry_budget: Optional["RetryBudget"] = None,
         advance: Optional[Callable[[float], None]] = None,
     ):
         if not endpoints:
@@ -346,20 +309,16 @@ class ResilientSession:
         self._advance_external = advance
         self._rng = rng or random.Random(0)
         self.breakers: Dict[str, CircuitBreaker] = {
-            name: CircuitBreaker(
-                breaker_threshold, breaker_reset_s,
-                name=name, observer=self.obs,
-            )
+            name: CircuitBreaker(breaker_reset_s, name=name, observer=self.obs)
             for name in self.endpoints
         }
         #: token-bucket retry budget (see :mod:`repro.qos.budget`): every
         #: session gets one so a fleet of clients cannot amplify a server
-        #: brownout into a retry storm.  Pass an explicit budget to share
-        #: one bucket across sessions or to tune the ratio.
-        # The default reserve covers one call's full retry schedule so a
-        # quiet session is never throttled; sustained retry traffic still
-        # drains the bucket and gets capped at the deposit ratio.
-        self.retry_budget = retry_budget or _RetryBudget(
+        #: brownout into a retry storm.  The reserve covers one call's
+        #: full retry schedule so a quiet session is never throttled;
+        #: sustained retry traffic still drains the bucket and gets
+        #: capped at the deposit ratio.
+        self.retry_budget = RetryBudget(
             min_tokens=float(self.policy.max_attempts),
             max_tokens=max(10.0, 2.0 * self.policy.max_attempts),
         )
@@ -434,7 +393,6 @@ class ResilientSession:
                 # overload.  The breaker consumes the same signal --
                 # sustained budget exhaustion is endpoint pressure, and
                 # backing the breaker off sheds this client entirely.
-                outcome.budget_exhausted = True
                 self.budget_denials += 1
                 breaker.record_failure(now)
                 if self.obs.enabled:
@@ -453,11 +411,7 @@ class ResilientSession:
 
     # -- drivers --------------------------------------------------------------
 
-    def call(
-        self,
-        attempt_fn: Callable[[str], Any],
-        timeout_budget_s: Optional[float] = None,
-    ) -> CallOutcome:
+    def call(self, attempt_fn: Callable[[str], Any]) -> CallOutcome:
         """Synchronous driver (virtual clock; no real sleeping).
 
         ``attempt_fn(endpoint)`` either returns a value, returns an
@@ -466,7 +420,7 @@ class ResilientSession:
         """
         self.calls += 1
         started = self._clock()
-        script = self._script(timeout_budget_s, started)
+        script = self._script(None, started)
         payload: Any = None
         while True:
             try:

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 from repro.cloud.workload_model import TxnClass, WorkloadMix
 from repro.core.client import Client, EngineClient, quiet_rollback
 from repro.core.datagen import nominal_bytes
-from repro.core.distributions import KeyDistribution, UniformDistribution, make_distribution
+from repro.core.distributions import UniformDistribution, make_distribution
 from repro.core.schema import BASE_ROWS
 from repro.core.resilience import retry_transaction
 from repro.core.sqlreader import SqlStmts
@@ -147,32 +147,26 @@ LAG_PATTERNS: Dict[str, TransactionMix] = {
 class SalesWorkload:
     """Functional executor of T1-T4 against a real engine database.
 
-    All statement traffic goes through a transport-agnostic
-    :class:`~repro.core.client.Client` (default: an in-process
-    :class:`~repro.core.client.EngineClient` over ``db``), so the same
-    four transaction bodies run unchanged over the socket transport.
-    ``db`` is still required for key-space setup (row counts).
+    All statement traffic goes through an in-process
+    :class:`~repro.core.client.EngineClient` over ``db``, behind the
+    transport-agnostic :class:`~repro.core.client.Client` interface.
     """
 
     def __init__(
         self,
         db: Database,
         mix: TransactionMix,
-        distribution: str = "uniform",
         seed: int = 42,
-        client: Optional[Client] = None,
     ):
         self.db = db
-        self.client: Client = client if client is not None else EngineClient(db)
+        self.client: Client = EngineClient(db)
         self.client.connect()
         self.mix = mix
         self.stmts = SqlStmts()
         self._rng = random.Random(seed)
         order_rows = db.table("ORDERS").row_count
         customer_rows = db.table("CUSTOMER").row_count
-        self._order_keys: KeyDistribution = make_distribution(
-            distribution, max(1, order_rows), self._rng
-        )
+        self._order_keys = UniformDistribution(max(1, order_rows), self._rng)
         self._customer_keys = UniformDistribution(max(1, customer_rows), self._rng)
         self._orderline_high = db.table("ORDERLINE").row_count
         self._clock = 1_700_000_000.0

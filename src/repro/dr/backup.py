@@ -108,6 +108,10 @@ class BackupManifest:
         ]
 
 
+#: tries at a clean global cut before an online backup refuses
+MAX_BARRIER_ATTEMPTS = 8
+
+
 class BackupJob(PhaseFaults):
     """One online backup run over a sharded fleet."""
 
@@ -123,7 +127,6 @@ class BackupJob(PhaseFaults):
         archiver: FleetArchiver,
         chaos=None,
         name: str = "backup",
-        max_barrier_attempts: int = 8,
         observer: Optional[Observer] = None,
     ):
         if archiver.fleet is not fleet:
@@ -131,7 +134,6 @@ class BackupJob(PhaseFaults):
         super().__init__(chaos, name, observer)
         self.fleet = fleet
         self.archiver = archiver
-        self.max_barrier_attempts = max_barrier_attempts
         self.runs = 0
 
     # -- the run -------------------------------------------------------------
@@ -165,7 +167,7 @@ class BackupJob(PhaseFaults):
         because the cut would tear it.
         """
         last_straddlers: Dict[str, List[int]] = {}
-        for _attempt in range(self.max_barrier_attempts):
+        for _attempt in range(MAX_BARRIER_ATTEMPTS):
             pins = [
                 shard.begin(isolation=IsolationLevel.SNAPSHOT)
                 for shard in self.fleet.shards
@@ -190,7 +192,7 @@ class BackupJob(PhaseFaults):
                 self._release_pin(pin)
         raise EngineError(
             f"online backup barrier refused after "
-            f"{self.max_barrier_attempts} attempts: transactions with "
+            f"{MAX_BARRIER_ATTEMPTS} attempts: transactions with "
             f"logged work would straddle the cut ({last_straddlers}); "
             f"dangling prepared branches must be resolved first -- run "
             f"fleet.recover() and retry the backup"

@@ -51,6 +51,9 @@ from repro.ha.workload import PairWorkload, build_pairs_fleet
 from repro.obs import NULL_OBSERVER, Observer
 from repro.sim.rng import derive_seed
 
+#: checked transfers (and reads) the restored fleet serves after the disaster
+POST_TXNS = 12
+
 
 @dataclass
 class DRResult:
@@ -65,8 +68,7 @@ class DRResult:
     archived_records: int = 0
     #: archiver-buffered records the disaster took (lagged mode)
     lag_lost_records: int = 0
-    #: ARCHIVE_CORRUPT bit flips injected / scrub outcome
-    corrupted_segments: int = 0
+    #: the pre-restore scrub (it repairs the ARCHIVE_CORRUPT flip)
     scrub: Optional[ScrubReport] = None
     manifest: Optional[BackupManifest] = None
     restore: Optional[RestoreReport] = None
@@ -134,7 +136,6 @@ class DREvaluator:
         txns: int = 160,
         n_pairs: int = 4,
         archive_mode: str = "sync",
-        post_txns: int = 12,
         seed: int = 42,
         observer: Optional[Observer] = None,
     ):
@@ -154,7 +155,6 @@ class DREvaluator:
         self.lag_from_s = 0.55 * est_duration
         self.corrupt_at_s = 0.6 * est_duration
         self.est_duration_s = est_duration
-        self.post_txns = post_txns
         self.seed = seed
         self.obs = observer or NULL_OBSERVER
 
@@ -249,7 +249,7 @@ class DREvaluator:
         )
 
         # -- liveness + end-to-end history check ------------------------------
-        for _ in range(self.post_txns):
+        for _ in range(POST_TXNS):
             result.post_transfers += 1 if post_workload.transfer() else 0
             result.post_reads += 1 if post_workload.read() is not None else 0
             now += 2 * OP_LATENCY_S
@@ -293,7 +293,6 @@ class DREvaluator:
                 if not archive.has(lsn):
                     lsn = archive.last_lsn
                 archive.flip_bit(lsn, bit=5)
-                result.corrupted_segments += 1
             lagging = injector.archive_lagging(target, now)
             if lagging and shard_archiver.mode == "sync":
                 shard_archiver.mode = "lagged"

@@ -131,7 +131,6 @@ class RestoreJob(PhaseFaults):
         target: Optional[Sequence[int]] = None,
         into: Optional[ShardedDatabase] = None,
         ha: bool = False,
-        ack_mode: str = "sync",
     ) -> Tuple[ShardedDatabase, RestoreReport]:
         """Restore to ``target`` (per-shard LSN vector; default: the
         sealed archive end).  ``into`` reuses an existing fleet via
@@ -194,7 +193,7 @@ class RestoreJob(PhaseFaults):
         self._crash_point("after_resolve")
         if ha:
             report.standbys = len(
-                rebootstrap_standbys(fleet, ack_mode=ack_mode, observer=self.obs)
+                rebootstrap_standbys(fleet, observer=self.obs)
             )
         report.wall_s = time.perf_counter() - started
         if self.obs.enabled:
@@ -218,7 +217,6 @@ class RestoreJob(PhaseFaults):
 
 def rebootstrap_standbys(
     fleet: ShardedDatabase,
-    ack_mode: str = "sync",
     observer: Optional[Observer] = None,
 ) -> List[Tuple[Database, WalShipper]]:
     """Re-seed one standby per restored shard and start shipping.
@@ -232,6 +230,6 @@ def rebootstrap_standbys(
     out: List[Tuple[Database, WalShipper]] = []
     for shard in fleet.shards:
         standby = bootstrap_standby(shard, observer=obs)
-        shipper = WalShipper(shard, standby, mode=ack_mode, observer=obs)
+        shipper = WalShipper(shard, standby, observer=obs)
         out.append((standby, shipper))
     return out

@@ -318,27 +318,17 @@ class Database:
         sql: str | Prepared,
         params: Sequence[Any] = (),
         txn: Optional[Transaction] = None,
-        deadline=None,
     ) -> ResultSet:
         """Execute a statement; without ``txn`` it autocommits.
 
-        ``deadline`` (an object with ``expired() -> bool``, normally a
-        :class:`repro.qos.deadline.Deadline`) bounds the statement: the
-        engine cancels doomed work at its lock-wait and WAL-append
-        points, rolling the transaction back.  An explicit ``txn`` is
-        bounded by the deadline it was begun with, which takes
-        precedence; passing one beside a deadline-less ``txn`` is an
-        error, because nothing would enforce it.
+        An explicit ``txn`` is bounded by the deadline it was begun with
+        (:meth:`begin`): the engine cancels doomed work at its lock-wait
+        and WAL-append points, rolling the transaction back.
         """
         prepared = self.prepare(sql) if isinstance(sql, str) else sql
         if txn is not None:
-            if deadline is not None and txn.deadline is None:
-                raise EngineError(
-                    "execute(deadline=...) cannot bound a transaction begun "
-                    "without one; pass it to begin(deadline=...)"
-                )
             return self._execute_in(prepared, params, txn)
-        autocommit_txn = self.begin(deadline=deadline)
+        autocommit_txn = self.begin()
         try:
             result = self._execute_in(prepared, params, autocommit_txn)
             autocommit_txn.commit()
@@ -363,7 +353,6 @@ class Database:
         self,
         sql: str,
         params: Sequence[Any] = (),
-        deadline=None,
         txn: Optional[Transaction] = None,
     ) -> ResultSet:
         """Read-only :meth:`execute`: rejects anything but SELECT.
@@ -379,7 +368,7 @@ class Database:
             raise SqlError(
                 f"query() is read-only; use execute() for: {sql.strip()[:60]!r}"
             )
-        return self.execute(prepared, params, txn=txn, deadline=deadline)
+        return self.execute(prepared, params, txn=txn)
 
     def explain(self, sql: str, params: Sequence[Any] = ()) -> str:
         """Describe the access plan a statement would use, without running it."""
@@ -709,7 +698,7 @@ class Database:
 
     # -- consistency checking -------------------------------------------------------------
 
-    def content_hash(self, table: Optional[str] = None) -> str:
+    def content_hash(self) -> str:
         """Order-independent hash of committed row contents.
 
         Identical logical states hash identically regardless of physical
@@ -718,11 +707,8 @@ class Database:
         """
         import hashlib
 
-        tables = [self.table(table)] if table else [
-            self._tables[name] for name in sorted(self._tables)
-        ]
         digest = hashlib.sha256()
-        for tbl in tables:
+        for tbl in (self._tables[name] for name in sorted(self._tables)):
             digest.update(tbl.name.encode())
             acc = 0
             for _rid, row in tbl.scan():

@@ -55,7 +55,6 @@ class HAShard:
     down_until: Optional[float] = None
     failovers: int = 0
     restarts: int = 0
-    resyncs: int = 0
     #: virtual time the serving primary was last killed (None = never)
     last_killed_at: Optional[float] = None
     #: completed failovers as (killed_at, detected_at, served_at)
@@ -138,7 +137,6 @@ class HAFleet(ShardedDatabase):
         group.shipper = WalShipper(
             primary, group.standby, mode=self.ack_mode, observer=self.obs
         )
-        group.resyncs += 1
         if self.obs.enabled:
             self.obs.count("ha.resyncs")
 

@@ -52,7 +52,6 @@ class HAResult:
     txns: int
     acked: int
     failed: int
-    reads_attempted: int
     reads_ok: int
     failovers: int
     restarts: int
@@ -230,7 +229,7 @@ class HAEvaluator:
             )
             sojourn = Histogram("ha.openloop.latency_s")
 
-        acked = failed = reads_attempted = reads_ok = 0
+        acked = failed = reads_ok = 0
         transfer_log: List[Tuple[float, bool]] = []
         for i in range(self.txns):
             if schedule is not None:
@@ -251,7 +250,6 @@ class HAEvaluator:
             else:
                 failed += 1
             if i % 2 == 0:
-                reads_attempted += 1
                 read = session.call(self._attempt(fleet, workload.read))
                 if read.ok and read.value is not None:
                     reads_ok += 1
@@ -268,7 +266,6 @@ class HAEvaluator:
             txns=self.txns,
             acked=acked,
             failed=failed,
-            reads_attempted=reads_attempted,
             reads_ok=reads_ok,
             failovers=sum(g.failovers for g in fleet.groups.values()),
             restarts=sum(g.restarts for g in fleet.groups.values()),

@@ -134,14 +134,13 @@ class PairWorkload:
 
     # -- operations ----------------------------------------------------------
 
-    def transfer(self, worker: Optional[int] = None) -> bool:
+    def transfer(self) -> bool:
         """One cross-shard stamp write; True iff the commit was acked.
 
         Re-raises :class:`SimulatedCrash` (after recording the unknown
         outcome) -- a crash point fired and the caller owns failover.
         """
-        if worker is None:
-            worker = self._pick_worker()
+        worker = self._pick_worker()
         pair = self._rng.randrange(len(self.pairs))
         row_a, row_b = self.pairs[pair]
         self._versions[pair] += 1

@@ -77,13 +77,11 @@ class Observer:
 
     def complete(self, name: str, category: str, start_s: float, end_s: float,
                  track: Optional[str] = None,
-                 attrs: Optional[Dict[str, Any]] = None,
-                 parent: Optional[int] = None) -> int:
+                 attrs: Optional[Dict[str, Any]] = None) -> int:
         if not self.enabled:
             return 0
         return self.tracer.add_complete(
-            name, category, start_s, end_s,
-            parent=parent, track=track, attrs=attrs,
+            name, category, start_s, end_s, track=track, attrs=attrs,
         )
 
     def event(self, name: str, category: str, ts: Optional[float] = None,
@@ -137,8 +135,7 @@ class _NullObserver(Observer):
 
     def complete(self, name: str, category: str, start_s: float, end_s: float,
                  track: Optional[str] = None,
-                 attrs: Optional[Dict[str, Any]] = None,
-                 parent: Optional[int] = None) -> int:
+                 attrs: Optional[Dict[str, Any]] = None) -> int:
         return 0
 
     def event(self, name: str, category: str, ts: Optional[float] = None,

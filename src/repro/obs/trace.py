@@ -195,7 +195,6 @@ class Tracer:
         category: str,
         start_s: float,
         end_s: float,
-        parent: Optional[int] = None,
         track: Optional[str] = None,
         attrs: Optional[Dict[str, Any]] = None,
     ) -> int:
@@ -204,8 +203,7 @@ class Tracer:
             return 0
         span_id = next(self._ids)
         self._store(Span(
-            span_id, name, category, start_s, end_s,
-            parent_id=parent, track=track, attrs=attrs,
+            span_id, name, category, start_s, end_s, track=track, attrs=attrs,
         ))
         return span_id
 

@@ -203,9 +203,6 @@ class OpenLoopResult:
     mode: str                       # "open" | "closed"
     operations: int = 0
     wall_s: float = 0.0             # wall time actually spent in run_one
-    #: virtual completion time of the last operation (open loop only);
-    #: >= wall_s by exactly the scheduled idle time
-    makespan_s: float = 0.0
     histogram: Histogram = field(
         default_factory=lambda: Histogram("openloop.latency_s")
     )
@@ -230,7 +227,6 @@ class OpenLoopResult:
             mode="closed",
             operations=self.operations,
             wall_s=self.wall_s,
-            makespan_s=self.wall_s,
             histogram=self.service_histogram,
             service_histogram=self.service_histogram,
         )
@@ -267,5 +263,4 @@ def replay_open_loop(
         result.service_histogram.observe(duration)
         result.operations += 1
     result.wall_s = wall
-    result.makespan_s = free_at
     return result

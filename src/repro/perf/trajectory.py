@@ -11,11 +11,11 @@ from typing import List
 
 __all__ = ["calibration_spin"]
 
-#: default iteration count of the spin
+#: iteration count of the spin
 _SPIN_ITERATIONS = 200_000
 
 
-def calibration_spin(iterations: int = _SPIN_ITERATIONS) -> float:
+def calibration_spin() -> float:
     """Wall seconds of a fixed pure-Python loop on this host.
 
     The loop shape (integer arithmetic + a list append per iteration)
@@ -28,7 +28,7 @@ def calibration_spin(iterations: int = _SPIN_ITERATIONS) -> float:
         append = sink.append
         start = time.perf_counter()
         acc = 0
-        for i in range(iterations):
+        for i in range(_SPIN_ITERATIONS):
             acc = (acc + i * 31) & 0xFFFFFFFF
             if not i & 1023:
                 append(acc)

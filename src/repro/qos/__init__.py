@@ -20,7 +20,6 @@ an eager import here would create a cycle.
 from repro.qos.admission import (
     AdmissionController,
     AdmissionPolicy,
-    BrownoutPolicy,
     Ticket,
 )
 from repro.qos.budget import RetryBudget
@@ -29,7 +28,6 @@ from repro.qos.deadline import Deadline, DeadlineExceededError
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
-    "BrownoutPolicy",
     "Deadline",
     "DeadlineExceededError",
     "RetryBudget",

@@ -35,7 +35,7 @@ from typing import Any, Deque, List, Optional
 from repro.engine.errors import OverloadError
 from repro.obs import NULL_OBSERVER, Observer
 
-__all__ = ["AdmissionPolicy", "AdmissionController", "BrownoutPolicy", "Ticket"]
+__all__ = ["AdmissionPolicy", "AdmissionController", "Ticket"]
 
 
 @dataclass(frozen=True)
@@ -81,27 +81,6 @@ class Ticket:
     priority: int
     enqueued_at_s: float
     deadline: Any = None  # duck-typed: anything with .expired(now)
-
-
-@dataclass(frozen=True)
-class BrownoutPolicy:
-    """Degradation knobs for the DES fleet (tenancy / replicas).
-
-    ``overcommit_threshold`` is how far past capacity aggregate demand
-    may run before tenants are throttled (demand above
-    ``(1 + threshold) x capacity`` is shed); ``min_share`` is the
-    fraction of its demand a tenant is always admitted (no tenant is
-    starved to zero by its neighbours).
-    """
-
-    overcommit_threshold: float = 0.25
-    min_share: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.overcommit_threshold < 0:
-            raise ValueError("overcommit_threshold must be >= 0")
-        if not 0.0 <= self.min_share <= 1.0:
-            raise ValueError("min_share must be in [0, 1]")
 
 
 class AdmissionController:

@@ -71,10 +71,8 @@ class OverloadPoint:
     shed: int                  # rejected by admission control
     expired: int               # dropped in queue past their deadline
     timeouts: int              # completions that missed the deadline
-    retries: int               # extra attempts sent by clients
     p99_latency_s: float       # of successful logical requests
     peak_queue_depth: int
-    final_limit: float         # AIMD limit at the end (qos) or 0
 
 
 @dataclass
@@ -135,7 +133,6 @@ _COMPLETE, _ARRIVE, _RETRY = 0, 1, 2
 class _Request:
     """One logical client request (attempts share its deadline)."""
 
-    rid: int
     arrival_s: float
     is_read: bool
     deadline: Deadline
@@ -292,12 +289,9 @@ class OverloadEvaluator:
             else rate
         )
         requests: List[_Request] = []
-        for rid, t in enumerate(
-            arrival_offsets_window(self.arrival, arrival_rate,
-                                   self.duration_s, rng)
-        ):
+        for t in arrival_offsets_window(self.arrival, arrival_rate,
+                                        self.duration_s, rng):
             request = _Request(
-                rid=rid,
                 arrival_s=t,
                 is_read=rng.random() < READ_FRACTION,
                 deadline=Deadline(t + self.deadline_s, clock),
@@ -305,7 +299,7 @@ class OverloadEvaluator:
             requests.append(request)
             push(t, _ARRIVE, request)
 
-        succeeded = shed = expired = timeouts = retries = 0
+        succeeded = shed = expired = timeouts = 0
         latencies: List[float] = []
         peak_naive_queue = 0
 
@@ -335,10 +329,8 @@ class OverloadEvaluator:
                     _enq_at, request = naive_queue.pop(0)
                     start_service(primary, request, now, None)
 
-        def offer(request: _Request, now: float, attempt: bool) -> None:
-            nonlocal shed, retries
-            if attempt:
-                retries += 1
+        def offer(request: _Request, now: float) -> None:
+            nonlocal shed
             if controller is None:
                 naive_queue.append((now, request))
                 # deadline-blind client: gives up waiting after one
@@ -388,7 +380,7 @@ class OverloadEvaluator:
                 if request.done:
                     continue
                 request.attempts += 1
-                offer(request, now, attempt=(kind == _RETRY))
+                offer(request, now)
                 pump(now)
                 if controller is None:
                     peak_naive_queue = max(peak_naive_queue, len(naive_queue))
@@ -413,10 +405,8 @@ class OverloadEvaluator:
             if replica_controller is not None:
                 expired += replica_controller.expired
             peak_queue = controller.peak_queue_depth
-            final_limit = controller.limit
         else:
             peak_queue = peak_naive_queue
-            final_limit = 0.0
 
         latencies.sort()
         p99 = (
@@ -433,9 +423,7 @@ class OverloadEvaluator:
             shed=shed,
             expired=expired,
             timeouts=timeouts,
-            retries=retries,
             p99_latency_s=p99,
             peak_queue_depth=peak_queue,
-            final_limit=final_limit,
         )
 

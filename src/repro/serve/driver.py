@@ -49,7 +49,6 @@ class ServeRunResult:
     """Outcome of one serve drive at one connection count."""
 
     connections: int
-    txns_per_conn: int
     driver: str                   # "async" | "cluster" | "cluster-fallback"
     qos: bool
     workers: int
@@ -96,14 +95,9 @@ class BackgroundServer:
     there is no cross-thread engine access.
     """
 
-    def __init__(
-        self,
-        fleet,
-        config: Optional[ServerConfig] = None,
-        observer=None,
-    ):
+    def __init__(self, fleet, observer=None):
         self.fleet = fleet
-        self.config = config or ServerConfig(qos=False)
+        self.config = ServerConfig(qos=False)
         self.observer = observer
         self.server: Optional[SQLServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -267,7 +261,6 @@ def run_serve(
         fsyncs = sum(entry.get("fsyncs", 0) for entry in worker_stats)
     return ServeRunResult(
         connections=connections,
-        txns_per_conn=txns_per_conn,
         driver=driver,
         qos=qos,
         workers=workers if driver == "cluster" else 0,

@@ -136,7 +136,8 @@ class MixedPersona(Persona):
         return self._payment(rng)
 
 
-_PERSONAS = {
+#: persona name -> class; the serve evaluator's ``persona`` choices
+PERSONAS = {
     "payment": PaymentPersona,
     "reader": ReaderPersona,
     "mixed": MixedPersona,
@@ -146,10 +147,10 @@ _PERSONAS = {
 def make_persona(name: str, keys: Dict[str, Sequence[int]]) -> Persona:
     """Build a registered persona by name."""
     try:
-        cls = _PERSONAS[name]
+        cls = PERSONAS[name]
     except KeyError:
         raise ValueError(
-            f"unknown persona {name!r}; one of {sorted(_PERSONAS)}"
+            f"unknown persona {name!r}; one of {sorted(PERSONAS)}"
         ) from None
     return cls(keys)
 
@@ -183,9 +184,6 @@ class LoadResult:
     def goodput_tps(self) -> float:
         good = self.committed - self.deadline_misses
         return good / self.wall_s if self.wall_s > 0 else 0.0
-
-    def percentile_ms(self, pct: float) -> float:
-        return self.histogram.percentile(pct) * 1000.0
 
 
 class _Conn:

@@ -124,6 +124,10 @@ class ServerConfig:
         coerce_isolation(self.isolation)  # raises on an unknown level
 
 
+#: seconds a full-intensity ``CONN_STALL`` holds each statement
+STALL_SCALE_S = 0.05
+
+
 class ServeFaultInjector:
     """Drives ``CONN_DROP`` / ``CONN_STALL`` faults from a fault plan.
 
@@ -131,19 +135,13 @@ class ServeFaultInjector:
     ``CONN_DROP`` window each statement is dropped with probability
     ``intensity`` (the connection is closed abruptly, no response);
     within ``CONN_STALL`` every statement stalls for ``intensity x
-    stall_scale_s`` seconds before intake.  Draws come from a dedicated
+    STALL_SCALE_S`` seconds before intake.  Draws come from a dedicated
     seeded stream so fault firing is reproducible and never perturbs
     workload RNGs.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        seed: int = 0,
-        stall_scale_s: float = 0.05,
-    ):
+    def __init__(self, plan: FaultPlan, seed: int = 0):
         self.plan = plan
-        self.stall_scale_s = stall_scale_s
         self._rng = RngRegistry(seed).stream("serve.faults")
         self.drops = 0
         self.stalls = 0
@@ -152,7 +150,7 @@ class ServeFaultInjector:
         """(``"drop"|"stall"|"none"``, stall seconds) for one statement."""
         stall_s = 0.0
         for spec in self.plan.active(now_s, kind=FaultKind.CONN_STALL):
-            stall_s = max(stall_s, spec.intensity * self.stall_scale_s)
+            stall_s = max(stall_s, spec.intensity * STALL_SCALE_S)
         for spec in self.plan.active(now_s, kind=FaultKind.CONN_DROP):
             if self._rng.random() < spec.intensity:
                 self.drops += 1

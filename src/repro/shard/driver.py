@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.config import spelled
 from repro.perf.openloop import parse_arrival
 from repro.shard.fleet import load_sales_fleet, load_sales_shard
 from repro.shard.router import ShardError
@@ -37,6 +38,10 @@ from repro.shard.workload import ShardSalesWorkload
 _WORKER_TIMEOUT_S = 600.0
 #: seconds between looks at the workers while no result is queued
 _WORKER_POLL_S = 0.2
+#: the load drivers ``run_scaleout`` accepts
+DRIVERS = ("inline", "mp")
+#: what the inline driver's workload speaks through
+TRANSPORTS = ("inline", "socket")
 
 
 @dataclass
@@ -54,8 +59,6 @@ class ShardRunResult:
     #: max per-worker CPU seconds (inline: total CPU seconds)
     node_s: float
     fsyncs: int
-    loaded_rows: int
-    per_shard: List[Dict] = field(default_factory=list)
     #: arrival process the latency block was recorded under
     arrival: str = "closed"
     #: per-txn service-time percentiles (ms), when latency recording is on
@@ -99,10 +102,8 @@ def run_inline(
     """
     if transactions < 1:
         raise ValueError("transactions must be >= 1")
-    if transport not in ("inline", "socket"):
-        raise ValueError(
-            f"unknown transport {transport!r}; use 'inline' or 'socket'"
-        )
+    if transport not in TRANSPORTS:
+        raise ValueError(f"unknown transport {transport!r}; use {spelled(TRANSPORTS)}")
     spec = parse_arrival(arrival)
     fleet, _data = load_sales_fleet(
         n_shards, row_scale=row_scale, seed=seed, observer=observer
@@ -167,7 +168,6 @@ def run_inline(
         wall_s=wall_s,
         node_s=cpu_s,
         fsyncs=fleet.fsyncs - fsyncs_before,
-        loaded_rows=fleet.total_rows(),
         arrival=spec.describe(),
         latency_ms=latency_ms,
         openloop_latency_ms=openloop_ms,
@@ -185,19 +185,14 @@ def _run_local_shard(
     db = load_sales_shard(shard_id, n_shards, row_scale=row_scale, seed=seed)
     workload = ShardSalesWorkload.on_shard(db, shard_id, seed=seed)
     fsyncs_before = db.wal.fsyncs
-    wall_start = time.perf_counter()
     cpu_start = time.process_time()
     for _ in range(transactions):
         workload.run_one()
     return {
-        "shard": shard_id,
-        "transactions": transactions,
         "committed": workload.committed,
         "aborted": workload.aborted,
         "cpu_s": time.process_time() - cpu_start,
-        "wall_s": time.perf_counter() - wall_start,
         "fsyncs": db.wal.fsyncs - fsyncs_before,
-        "rows": db.total_rows(),
     }
 
 
@@ -218,14 +213,14 @@ def _split(total: int, parts: int) -> List[int]:
 def run_multiprocess(
     n_shards: int,
     transactions: int,
-    cross_ratio: float = 0.0,
     seed: int = 42,
     row_scale: float = 0.002,
-    processes: bool = True,
 ) -> ShardRunResult:
     """One worker per shard, each with a private slice of the data.
 
     ``transactions`` is the fleet total, split evenly across shards.
+    There is no cross-process coordinator, so every transaction stays on
+    its shard (``run_scaleout`` refuses a cross ratio for this driver).
     If spawning OS processes is refused (restricted sandboxes), the
     workers run sequentially in-process -- the per-shard results are
     identical (same seeds, no shared state), only the wall clock
@@ -235,19 +230,14 @@ def run_multiprocess(
     """
     if transactions < 1:
         raise ValueError("transactions must be >= 1")
-    if cross_ratio != 0.0:
-        raise ShardError(
-            "the multiprocess driver has no cross-process coordinator; "
-            "use the inline driver for cross_ratio > 0"
-        )
     per_shard_txns = _split(transactions, n_shards)
     wall_start = time.perf_counter()
     stats: Optional[List[Dict]] = None
     driver = "mp"
-    if processes and n_shards > 1:
+    if n_shards > 1:
         stats = _try_processes(n_shards, per_shard_txns, seed, row_scale)
     if stats is None:
-        driver = "mp-fallback" if processes and n_shards > 1 else "mp"
+        driver = "mp-fallback" if n_shards > 1 else "mp"
         stats = [
             _run_local_shard(
                 shard_id, n_shards, per_shard_txns[shard_id], seed, row_scale,
@@ -255,7 +245,6 @@ def run_multiprocess(
             for shard_id in range(n_shards)
         ]
     wall_s = time.perf_counter() - wall_start
-    stats.sort(key=lambda entry: entry["shard"])
     return ShardRunResult(
         n_shards=n_shards,
         driver=driver,
@@ -267,8 +256,6 @@ def run_multiprocess(
         wall_s=wall_s,
         node_s=max(entry["cpu_s"] for entry in stats),
         fsyncs=sum(entry["fsyncs"] for entry in stats),
-        loaded_rows=sum(entry["rows"] for entry in stats),
-        per_shard=stats,
     )
 
 
@@ -366,8 +353,8 @@ def run_scaleout(
     the same sweep through the serving tier's loopback socket.  Asking
     the mp driver for any of them is refused before anything is loaded.
     """
-    if driver not in ("inline", "mp"):
-        raise ValueError(f"unknown driver {driver!r}; use 'inline' or 'mp'")
+    if driver not in DRIVERS:
+        raise ValueError(f"unknown driver {driver!r}; use {spelled(DRIVERS)}")
     if driver == "mp":
         for option, value, conflicts in (
             ("cross", cross_ratio, cross_ratio != 0.0),

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.datagen import DataGenerator, GeneratedData, gc_paused, nominal_bytes
+from repro.core.datagen import DataGenerator, GeneratedData, gc_paused
 from repro.core.schema import create_sales_schema
 from repro.engine.database import Database
 from repro.engine.errors import ShardUnavailableError, SimulatedCrash
@@ -93,9 +93,6 @@ class ShardedDatabase:
     ) -> None:
         for shard in self.shards:
             shard.create_index(table, name, columns, unique=unique, ordered=ordered)
-
-    def total_rows(self) -> int:
-        return sum(shard.total_rows() for shard in self.shards)
 
     def all_rows(self, table: str) -> List[Tuple[Any, ...]]:
         """Every committed row of ``table`` across the fleet, sorted.
@@ -417,7 +414,6 @@ def load_sales_fleet(
         scale_factor=1,
         row_scale=row_scale,
         rows=generator.materialised_rows(),
-        nominal_bytes=nominal_bytes(1),
     )
     return fleet, data
 

@@ -40,8 +40,8 @@ class VirtualClock:
     anywhere a ``clock()`` function is expected.
     """
 
-    def __init__(self, now: float = 0.0):
-        self.now = now
+    def __init__(self):
+        self.now = 0.0
 
     def __call__(self) -> float:
         return self.now
@@ -115,14 +115,14 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(env)
         self.delay = delay
         self._triggered = True
         self._ok = True
-        self._value = value
+        self._value = None
         env._schedule(self, delay)
 
 
@@ -210,8 +210,8 @@ class Environment:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)

@@ -60,13 +60,10 @@ class Center:
 
 @dataclass
 class MvaSolution:
-    """Steady-state solution of the network at population ``population``."""
+    """Steady-state solution of the network at one population."""
 
-    population: int
     throughput: float
     response_time: float
-    residence_times: Dict[str, float] = field(default_factory=dict)
-    queue_lengths: Dict[str, float] = field(default_factory=dict)
     utilizations: Dict[str, float] = field(default_factory=dict)
 
     def bottleneck(self) -> str:
@@ -114,11 +111,8 @@ class ClosedNetwork:
             raise ValueError("population must be >= 0")
         if population == 0:
             return MvaSolution(
-                population=0,
                 throughput=0.0,
                 response_time=0.0,
-                residence_times={c.name: 0.0 for c in self.centers},
-                queue_lengths={c.name: 0.0 for c in self.centers},
                 utilizations={c.name: 0.0 for c in self.centers},
             )
         queue_lengths = {center.name: 0.0 for center in self._expanded}
@@ -136,25 +130,16 @@ class ClosedNetwork:
             for center in self._expanded:
                 queue_lengths[center.name] = throughput * residences[center.name]
 
-        return self._fold(population, throughput, residences, queue_lengths)
+        return self._fold(throughput, residences)
 
-    def _fold(
-        self,
-        population: int,
-        throughput: float,
-        residences: Dict[str, float],
-        queue_lengths: Dict[str, float],
-    ) -> MvaSolution:
+    def _fold(self, throughput: float, residences: Dict[str, float]) -> MvaSolution:
         """Fold Seidmann shadow centres back into their originals."""
         folded_residence: Dict[str, float] = {}
-        folded_queue: Dict[str, float] = {}
         utilizations: Dict[str, float] = {}
         for center in self.centers:
             shadow = f"{center.name}~delay"
             residence = residences.get(center.name, 0.0) + residences.get(shadow, 0.0)
-            queue = queue_lengths.get(center.name, 0.0) + queue_lengths.get(shadow, 0.0)
             folded_residence[center.name] = residence
-            folded_queue[center.name] = queue
             if center.kind == "delay" or center.demand == 0:
                 utilizations[center.name] = 0.0
             else:
@@ -162,10 +147,7 @@ class ClosedNetwork:
                     1.0, throughput * center.demand / center.servers
                 )
         return MvaSolution(
-            population=population,
             throughput=throughput,
             response_time=sum(folded_residence.values()),
-            residence_times=folded_residence,
-            queue_lengths=folded_queue,
             utilizations=utilizations,
         )

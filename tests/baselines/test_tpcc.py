@@ -31,7 +31,7 @@ def test_schema_and_scaling(loaded):
 
 def test_new_order_inserts_order_and_lines(loaded):
     db, scale = loaded
-    workload = TpccWorkload(db, scale, seed=1)
+    workload = TpccWorkload(db, scale)
     orders_before = db.table("ORDERS").row_count
     lines_before = db.table("ORDER_LINE").row_count
     assert workload.new_order()
@@ -41,7 +41,7 @@ def test_new_order_inserts_order_and_lines(loaded):
 
 def test_new_order_advances_district_counter(loaded):
     db, scale = loaded
-    workload = TpccWorkload(db, scale, seed=2)
+    workload = TpccWorkload(db, scale)
     before = db.query(
         "SELECT SUM(D_NEXT_O_ID) FROM district"
     ).scalar()
@@ -53,7 +53,7 @@ def test_new_order_advances_district_counter(loaded):
 
 def test_payment_moves_money(loaded):
     db, scale = loaded
-    workload = TpccWorkload(db, scale, seed=3)
+    workload = TpccWorkload(db, scale)
     ytd_before = db.query("SELECT W_YTD FROM warehouse WHERE W_ID = ?", [1]).scalar()
     hist_before = db.table("HISTORY").row_count
     assert workload.payment()
@@ -63,14 +63,14 @@ def test_payment_moves_money(loaded):
 
 def test_order_status_returns_latest_order(loaded):
     db, scale = loaded
-    workload = TpccWorkload(db, scale, seed=4)
+    workload = TpccWorkload(db, scale)
     latest = workload.order_status()
     assert latest is not None
 
 
 def test_delivery_consumes_new_orders(loaded):
     db, scale = loaded
-    workload = TpccWorkload(db, scale, seed=5)
+    workload = TpccWorkload(db, scale)
     # make sure there is something to deliver
     for _ in range(3):
         workload.new_order()
@@ -82,7 +82,7 @@ def test_delivery_consumes_new_orders(loaded):
 
 def test_stock_level_counts(loaded):
     db, scale = loaded
-    workload = TpccWorkload(db, scale, seed=6)
+    workload = TpccWorkload(db, scale)
     workload.new_order()
     low = workload.stock_level()
     assert low >= 0
@@ -90,7 +90,7 @@ def test_stock_level_counts(loaded):
 
 def test_mixed_run_matches_standard_weights(loaded):
     db, scale = loaded
-    workload = TpccWorkload(db, scale, seed=7)
+    workload = TpccWorkload(db, scale)
     workload.run_many(200)
     counts = workload.executed
     assert counts["new_order"] > counts["order_status"]
@@ -104,7 +104,7 @@ def test_mixed_run_matches_standard_weights(loaded):
 def test_one_percent_rollback_rate():
     db = Database("tpcc-abort")
     scale = load_tpcc(db, warehouses=1, customer_scale=0.002, item_scale=0.002)
-    workload = TpccWorkload(db, scale, seed=8)
+    workload = TpccWorkload(db, scale)
     for _ in range(300):
         workload.new_order()
     assert 0 < workload.aborted < 20  # ~1% of 300, with slack

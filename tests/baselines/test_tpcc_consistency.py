@@ -20,7 +20,7 @@ from repro.engine.database import Database
 def exercised():
     db = Database("tpcc-consistency")
     scale = load_tpcc(db, warehouses=1, customer_scale=0.003, item_scale=0.003)
-    workload = TpccWorkload(db, scale, seed=99)
+    workload = TpccWorkload(db, scale)
     # capture initial offsets before running the mix
     initial_w = db.query("SELECT W_YTD FROM warehouse WHERE W_ID = ?", [1]).scalar()
     initial_d = db.query("SELECT SUM(D_YTD) FROM district").scalar()

@@ -53,19 +53,19 @@ class TestWorkloads:
         assert sum(driver.executed.values()) == 60
 
     def test_workload_a_mixes_reads_and_updates(self, loaded):
-        driver = YcsbWorkload(loaded, "A", records=200, seed=3)
+        driver = YcsbWorkload(loaded, "A", records=200)
         driver.run_many(200)
         assert driver.executed["read"] > 50
         assert driver.executed["update"] > 50
 
     def test_workload_d_inserts_grow_table(self, loaded):
-        driver = YcsbWorkload(loaded, "D", records=200, seed=4)
+        driver = YcsbWorkload(loaded, "D", records=200)
         before = loaded.table("USERTABLE").row_count
         driver.run_many(100)
         assert loaded.table("USERTABLE").row_count == before + driver.executed["insert"]
 
     def test_updates_change_fields(self, loaded):
-        driver = YcsbWorkload(loaded, "A", records=200, seed=5)
+        driver = YcsbWorkload(loaded, "A", records=200)
         driver.run_many(100)
         changed = loaded.query(
             "SELECT COUNT(*) FROM usertable WHERE FIELD0 >= ?", ["rmw-"]
@@ -82,7 +82,7 @@ class TestWorkloads:
 
 class TestMix:
     def test_mix_hot_set(self):
-        mix = ycsb_mix("A", records=1000)
+        mix = ycsb_mix("A")  # over DEFAULT_RECORDS (1000)
         assert mix.hot_fraction > 0
         assert mix.hot_set_bytes < mix.working_set_bytes
 

@@ -71,14 +71,14 @@ def test_same_seed_same_score_different_seed_differs():
 
 def test_gray_primary_can_burn_the_error_budget():
     """A hard gray fault makes the primary slower than the attempt
-    timeout: requests burn budget even though the node is 'alive'."""
+    timeout: requests burn budget even though the node is 'alive'.
+    Three overlapping full-intensity windows compound (10x each)."""
     plan = FaultPlan(
-        [FaultSpec(FaultKind.GRAY, "primary", start_s=2.0, duration_s=10.0, intensity=1.0)],
+        [FaultSpec(FaultKind.GRAY, "primary", start_s=2.0, duration_s=10.0, intensity=1.0)]
+        * 3,
         seed=3, name="gray",
     )
-    score = evaluate(
-        plan, duration_s=16.0, base_latency_s=0.05, attempt_timeout_s=0.2,
-    )
+    score = evaluate(plan, duration_s=16.0)
     assert score.failed > 0
     assert score.error_budget_burn > 0.0
     # stale reads off the healthy replica still succeed

@@ -73,13 +73,6 @@ class TestCacheBreakdown:
         cb = cache_breakdown(arch, mix("RO", 100), arch.instance.max_allocation)
         assert cb.storage > 0.8
 
-    def test_warm_fraction_shrinks_cache(self):
-        arch = aws_rds()
-        cold = cache_breakdown(arch, mix("RO", 10), arch.instance.max_allocation,
-                               warm_local=0.05)
-        warm = cache_breakdown(arch, mix("RO", 10), arch.instance.max_allocation)
-        assert cold.combined_hit < warm.combined_hit
-
 
 class TestThroughputShapes:
     """The Figure 5 claims, asserted on the model."""
@@ -149,11 +142,10 @@ class TestThroughputShapes:
 
     def test_skewed_access_raises_hit_ratio(self):
         arch = cdb1()
-        uniform = estimate_throughput(arch, mix("RO", 100), 150)
-        skewed = estimate_throughput(
-            arch, mix("RO", 100, distribution="latest-10"), 150
-        )
-        assert skewed.cache.combined_hit > uniform.cache.combined_hit
+        allocation = arch.instance.max_allocation
+        uniform = cache_breakdown(arch, mix("RO", 100), allocation)
+        skewed = cache_breakdown(arch, mix("RO", 100, distribution="latest-10"), allocation)
+        assert skewed.combined_hit > uniform.combined_hit
 
     def test_buffer_override_moves_throughput(self):
         """The Figure 8 effect: growing CDB1's buffer raises its TPS."""
@@ -163,17 +155,6 @@ class TestThroughputShapes:
         large = estimate_throughput(arch, mix("RW", 10), 150,
                                     buffer_bytes=10 * GIB).tps
         assert large > small * 1.1
-
-    def test_consumed_resources_populated(self):
-        estimate = estimate_throughput(cdb1(), mix("RW", 10), 100)
-        consumed = estimate.consumed
-        assert consumed.cpu_cores > 0
-        assert consumed.iops > 0
-        assert consumed.network_gbps > 0  # disaggregated: wire traffic
-
-    def test_local_storage_has_no_network_consumption(self):
-        estimate = estimate_throughput(aws_rds(), mix("RW", 1), 100)
-        assert estimate.consumed.network_gbps == 0.0
 
     def test_more_vcores_more_throughput(self):
         arch = cdb3()

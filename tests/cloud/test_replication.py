@@ -6,6 +6,7 @@ from repro.cloud.architectures import cdb1, cdb2, cdb3, cdb4
 from repro.cloud.replication import ReplicationPipeline
 from repro.engine.database import Database
 from repro.engine.types import Column, ColumnType, Schema
+from repro.obs import Observer
 from repro.sim.events import Environment
 
 
@@ -21,10 +22,12 @@ def primary_db():
     return db
 
 
-def make_pipeline(arch_factory, n_replicas=1):
+def make_pipeline(arch_factory, n_replicas=1, observer=None):
     env = Environment()
     primary = primary_db()
-    pipeline = ReplicationPipeline(env, arch_factory(), primary, n_replicas)
+    pipeline = ReplicationPipeline(
+        env, arch_factory(), primary, n_replicas, observer=observer
+    )
     return env, primary, pipeline
 
 
@@ -87,24 +90,25 @@ def test_multiple_replicas_all_converge():
 
 
 def test_rolled_back_transaction_never_ships():
-    env, primary, pipeline = make_pipeline(cdb3)
+    obs = Observer()
+    env, primary, pipeline = make_pipeline(cdb3, observer=obs)
     txn = primary.begin()
     primary.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [9, 9], txn=txn)
     txn.rollback()
     env.run(until=5.0)
-    assert pipeline.stats[0].batches_shipped == 0
+    assert "repl.batches" not in obs.metrics.counters
     assert not visible(pipeline, 9)
 
 
 def test_stats_track_applied_records():
-    env, primary, pipeline = make_pipeline(cdb3)
+    obs = Observer()
+    env, primary, pipeline = make_pipeline(cdb3, observer=obs)
     for k in range(2, 6):
         primary.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [k, k])
     env.run(until=5.0)
-    stats = pipeline.stats[0]
-    assert stats.batches_shipped == 4
-    assert stats.records_applied == 4
-    assert len(stats.applied_at) == 4
+    assert obs.metrics.counters["repl.batches"].value == 4
+    assert obs.metrics.histograms["repl.lag_s"].count == 4
+    assert pipeline.converged()
 
 
 def test_replica_lag_records_drains():
@@ -123,9 +127,9 @@ def test_sequential_replay_batches_coalesce():
     for k in range(2, 12):
         primary.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [k, k])
     env.run(until=0.5)  # less than one batch interval: nothing applied yet
-    assert pipeline.stats[0].records_applied == 0
+    assert not any(visible(pipeline, k) for k in range(2, 12))
     env.run(until=5.0)
-    assert pipeline.stats[0].records_applied == 10
+    assert all(visible(pipeline, k) for k in range(2, 12))
 
 
 def test_zero_replicas_rejected():

@@ -185,13 +185,13 @@ def extended_one_row_at_a_time(db, row_scale, seed):
 
 
 @pytest.mark.parametrize("load, oracle", [
-    (lambda db: load_tpcc(db, 2, 0.003, 0.003, seed=42),
+    (lambda db: load_tpcc(db, 2, 0.003, 0.003),
      lambda db: tpcc_one_row_at_a_time(db, 2, 0.003, 0.003, seed=42)),
-    (lambda db: load_ycsb(db, records=200, seed=42),
+    (lambda db: load_ycsb(db, records=200),
      lambda db: ycsb_one_row_at_a_time(db, 200, seed=42)),
-    (lambda db: load_sysbench(db, tables=2, rows=100, seed=42),
+    (lambda db: load_sysbench(db, tables=2, rows=100),
      lambda db: sysbench_one_row_at_a_time(db, 2, 100, seed=42)),
-    (lambda db: load_extended(db, row_scale=0.002, seed=42),
+    (lambda db: load_extended(db, row_scale=0.002),
      lambda db: extended_one_row_at_a_time(db, 0.002, seed=42)),
 ], ids=["tpcc", "ycsb", "sysbench", "extended"])
 def test_baseline_loaders_match_one_insert_per_row(load, oracle):

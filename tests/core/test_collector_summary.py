@@ -40,7 +40,6 @@ def test_normal_window_unaffected():
     assert summary.avg_tps == 100.0
     assert summary.peak_tps == 100.0
     assert summary.total_cost == 1.0
-    assert summary.avg_vcores == 2.0
 
 
 def test_events_note_and_order():

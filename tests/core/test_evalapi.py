@@ -160,6 +160,14 @@ class TestCli:
             assert name in printed
         assert "duration_s" in printed  # option schemas are shown
 
+    def test_eval_list_prints_every_options_help(self, capsys):
+        main(["--eval", "list"])
+        printed = capsys.readouterr().out
+        options = [option for spec in evaluator_specs() for option in spec.options]
+        assert options and all(option.help for option in options)
+        for option in options:
+            assert option.help in printed
+
     def test_opt_flag_parses_and_types(self, capsys):
         main(["--quick", "--arch", "cdb3", "--eval", "pscore",
               "--opt", "n_ro_nodes=2"])

@@ -39,14 +39,6 @@ class TestFailOverEvaluator:
         scores = FailOverEvaluator(cdb4(), mix()).run()
         assert scores.total_s <= 25
 
-    def test_repeats_average(self):
-        scores = FailOverEvaluator(cdb3(), mix(), repeats=2).run()
-        assert len(scores.results) == 4  # 2 phases x {rw, ro}
-
-    def test_invalid_repeats(self):
-        with pytest.raises(ValueError):
-            FailOverEvaluator(cdb3(), mix(), repeats=0)
-
 
 class TestLagTimeEvaluator:
     @pytest.fixture(scope="class")
@@ -54,7 +46,7 @@ class TestLagTimeEvaluator:
         evaluator = LagTimeEvaluator(
             cdb3(), row_scale=0.001, concurrency=4, transactions=60
         )
-        return evaluator.run(LAG_PATTERNS["mixed"], label="mixed")
+        return evaluator.run(LAG_PATTERNS["mixed"])
 
     def test_samples_collected_per_kind(self, cdb3_result):
         kinds = {sample.kind for sample in cdb3_result.samples}
@@ -77,7 +69,7 @@ class TestLagTimeEvaluator:
         evaluator = LagTimeEvaluator(
             cdb4(), row_scale=0.001, concurrency=4, transactions=40
         )
-        result = evaluator.run(LAG_PATTERNS["insert"], label="insert")
+        result = evaluator.run(LAG_PATTERNS["insert"])
         assert {sample.kind for sample in result.samples} == {"insert"}
         assert result.update_lag_s == 0.0
 
@@ -99,7 +91,7 @@ class TestLagTimeEvaluator:
         assert result.avg_lag_s < 0.01  # paper: 1.5 ms
 
     def test_empty_result_scores_zero(self):
-        result = LagResult(arch_name="x", mix_label="m", n_replicas=1)
+        result = LagResult(arch_name="x", n_replicas=1)
         assert result.avg_lag_s == 0.0
         assert result.c_score_s == 0.0
 
@@ -119,15 +111,3 @@ class TestSeedRobustness:
                 lags[factory().name] = evaluator.run(iud_mix(60, 30, 10)).avg_lag_s
             orderings.append(sorted(lags, key=lags.get))
         assert all(order == ["cdb3", "cdb1"] for order in orderings)
-
-
-class TestLagDistribution:
-    def test_latest_distribution_flows_through(self):
-        evaluator = LagTimeEvaluator(
-            cdb3(), row_scale=0.001, concurrency=4, transactions=40,
-            distribution="latest-10",
-        )
-        result = evaluator.run(iud_mix(0, 100, 0), label="latest-update")
-        assert result.samples
-        # with latest-10, T2 touches only the ten hottest orders
-        assert all(sample.kind == "update" for sample in result.samples)

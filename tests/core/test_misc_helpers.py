@@ -43,7 +43,7 @@ class TestWorkloadManagerEdges:
         from repro.core.manager import WorkloadManager
         from repro.core.workload import READ_WRITE
 
-        manager = WorkloadManager(db, READ_WRITE, concurrency=3, seed=5)
+        manager = WorkloadManager(db, READ_WRITE, concurrency=3)
         keys = {id(worker._rng) for worker in manager.workers}
         assert len(keys) == 3
         # distinct seeds -> distinct first draws for at least one pair

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.cloud.architectures import all_architectures, aws_rds, cdb2, cdb4
-from repro.cloud.specs import NetworkKind
 from repro.core.metrics import (
     PerfectScores,
     e2_score,
@@ -70,13 +69,6 @@ def test_allocation_cost_scales_with_duration():
     assert ten == pytest.approx(10 * one)
 
 
-def test_allocation_cost_network_kind():
-    tcp = allocation_cost(0, 0, network_gbps=10, duration_s=3600)
-    rdma = allocation_cost(0, 0, network_gbps=10, duration_s=3600,
-                           network_kind=NetworkKind.RDMA)
-    assert rdma == pytest.approx(3 * tcp)
-
-
 def test_actual_cost_applies_billing_minimum():
     arch = aws_rds()
     short = actual_cost(arch.pricing, arch.provisioned, duration_s=60)
@@ -117,10 +109,6 @@ class TestScores:
         scores = {arch.name: e2_score(arch, mix) for arch in all_architectures()}
         assert max(scores, key=scores.get) == "aws_rds"
         assert min(scores, key=scores.get) == "cdb1"
-
-    def test_e2_requires_at_least_one_node(self):
-        with pytest.raises(ValueError):
-            e2_score(aws_rds(), READ_WRITE.to_workload_mix(1), n_ro_nodes=0)
 
     def test_o_score_formula(self):
         value = o_score(p=1e5, t=8e4, e1=6e4, e2=10, r_s=10, f_s=5, c_ms=20)

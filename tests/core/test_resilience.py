@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core.resilience import (
+    FAILURE_THRESHOLD,
     AttemptResult,
     BreakerState,
     CircuitBreaker,
@@ -23,6 +24,7 @@ from repro.engine.errors import (
     RequestTimeout,
     SqlError,
 )
+from repro.sim.events import Environment
 
 
 # -- classification ------------------------------------------------------------
@@ -121,8 +123,17 @@ def test_policy_validation():
 # -- CircuitBreaker ------------------------------------------------------------
 
 
+def opened(reset_timeout_s):
+    """A breaker tripped open at t=0 by FAILURE_THRESHOLD failures."""
+    breaker = CircuitBreaker(reset_timeout_s=reset_timeout_s)
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure(0.0)
+    assert breaker.state is BreakerState.OPEN
+    return breaker
+
+
 def test_breaker_opens_at_threshold():
-    breaker = CircuitBreaker(failure_threshold=3, reset_timeout_s=5.0)
+    breaker = CircuitBreaker(reset_timeout_s=5.0)
     for _ in range(2):
         breaker.record_failure(0.0)
         assert breaker.state is BreakerState.CLOSED
@@ -133,7 +144,7 @@ def test_breaker_opens_at_threshold():
 
 
 def test_success_resets_the_failure_streak():
-    breaker = CircuitBreaker(failure_threshold=3)
+    breaker = CircuitBreaker()
     breaker.record_failure(0.0)
     breaker.record_failure(0.0)
     breaker.record_success(0.0)
@@ -143,8 +154,7 @@ def test_success_resets_the_failure_streak():
 
 
 def test_half_open_probe_recloses_on_success():
-    breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0)
-    breaker.record_failure(0.0)
+    breaker = opened(5.0)
     assert not breaker.allow(4.9)
     assert breaker.time_until_probe(4.9) == pytest.approx(0.1)
     assert breaker.allow(5.0)                    # probe admitted
@@ -155,8 +165,7 @@ def test_half_open_probe_recloses_on_success():
 
 
 def test_half_open_probe_failure_reopens():
-    breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0)
-    breaker.record_failure(0.0)
+    breaker = opened(5.0)
     assert breaker.allow(5.0)
     breaker.record_failure(5.1)                  # the probe failed
     assert breaker.state is BreakerState.OPEN
@@ -166,8 +175,6 @@ def test_half_open_probe_failure_reopens():
 
 
 def test_breaker_validation():
-    with pytest.raises(ValueError):
-        CircuitBreaker(failure_threshold=0)
     with pytest.raises(ValueError):
         CircuitBreaker(reset_timeout_s=0.0)
 
@@ -217,10 +224,11 @@ def test_attempts_capped_by_policy():
 
 
 def test_timeout_budget_bounds_elapsed_time():
+    env = Environment()
     session = ResilientSession(
         ["primary"],
         policy=RetryPolicy(max_attempts=10, base_backoff_s=0.2, jitter=0.0),
-        breaker_threshold=100,
+        clock=lambda: env.now,
     )
 
     def slow_failure(endpoint):
@@ -228,7 +236,9 @@ def test_timeout_budget_bounds_elapsed_time():
         raise_with_latency.latency_s = 0.05
         raise raise_with_latency
 
-    outcome = session.call(slow_failure, timeout_budget_s=0.5)
+    process = env.process(session.call_in(env, slow_failure, timeout_budget_s=0.5))
+    env.run()
+    outcome = process.value
     assert not outcome.ok
     assert outcome.attempts < 10                 # budget cut the loop short
     assert outcome.elapsed_s <= 0.5 + 1e-9
@@ -237,8 +247,9 @@ def test_timeout_budget_bounds_elapsed_time():
 def test_breaker_opens_then_recloses_after_heal():
     session = ResilientSession(
         ["primary"],
-        policy=RetryPolicy(max_attempts=2, base_backoff_s=0.01, jitter=0.0),
-        breaker_threshold=2,
+        policy=RetryPolicy(
+            max_attempts=FAILURE_THRESHOLD, base_backoff_s=0.01, jitter=0.0
+        ),
         breaker_reset_s=1.0,
     )
     healthy = {"now": False}
@@ -248,36 +259,32 @@ def test_breaker_opens_then_recloses_after_heal():
             raise NodeUnavailableError("down")
         return "pong"
 
-    assert not session.call(attempt).ok          # two failures open the breaker
+    assert not session.call(attempt).ok          # the failures open the breaker
     assert session.breaker("primary").state is BreakerState.OPEN
     assert session.breaker_opens() == 1
 
     healthy["now"] = True
-    # before the reset timeout the breaker rejects without attempting,
-    # then gives up once rejections exceed the bound
-    rejected = session.call(attempt, timeout_budget_s=0.1)
-    assert not rejected.ok and rejected.attempts == 0
-    assert rejected.breaker_rejections >= 1
-
-    session._own_clock.advance(1.0)              # past breaker_reset_s
+    # the open breaker rejects until the reset timeout, then the probe
+    # goes through and re-closes it
     probed = session.call(attempt)
     assert probed.ok and probed.value == "pong"
+    assert probed.breaker_rejections >= 1
     assert session.breaker("primary").state is BreakerState.CLOSED
     assert session.breaker_recloses() == 1
 
 
 def test_all_breakers_open_waits_for_probe_slot():
+    failures = 2 * FAILURE_THRESHOLD             # enough to open both
     session = ResilientSession(
         ["a", "b"],
-        policy=RetryPolicy(max_attempts=2, base_backoff_s=0.01, jitter=0.0),
-        breaker_threshold=1,
-        breaker_reset_s=0.05,
+        policy=RetryPolicy(max_attempts=failures, base_backoff_s=0.01, jitter=0.0),
+        breaker_reset_s=1.0,
     )
     calls = {"n": 0}
 
     def attempt(endpoint):
         calls["n"] += 1
-        if calls["n"] <= 2:
+        if calls["n"] <= failures:
             raise NodeUnavailableError("down")
         return endpoint
 
@@ -299,9 +306,7 @@ def test_half_open_admits_bounded_probes():
     """Only one probe per half-open episode by default: a flood of queued
     retries arriving the instant the breaker half-opens must not all
     pass through, fail, and restart the reset clock in lockstep."""
-    breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0)
-    breaker.record_failure(0.0)
-    assert breaker.state is BreakerState.OPEN
+    breaker = opened(1.0)
     assert breaker.allow(1.0)                    # the probe slot
     assert breaker.state is BreakerState.HALF_OPEN
     assert not breaker.allow(1.0)                # the rest of the flood
@@ -309,36 +314,6 @@ def test_half_open_admits_bounded_probes():
     breaker.record_success(1.2)                  # verdict: healthy again
     assert breaker.state is BreakerState.CLOSED
     assert breaker.allow(1.3)
-
-
-def test_half_open_extra_probes_configurable():
-    breaker = CircuitBreaker(
-        failure_threshold=1, reset_timeout_s=1.0,
-        half_open_successes=2, half_open_max_probes=3,
-    )
-    breaker.record_failure(0.0)
-    admitted = sum(1 for _ in range(10) if breaker.allow(1.0))
-    assert admitted == 3
-    breaker.record_success(1.1)
-    assert breaker.state is BreakerState.HALF_OPEN  # needs 2 successes
-    breaker.record_success(1.2)
-    assert breaker.state is BreakerState.CLOSED
-
-
-def test_half_open_probe_slot_frees_per_verdict():
-    """A success that does not yet re-close the breaker hands its probe
-    slot back, so the next request may probe instead of being rejected."""
-    breaker = CircuitBreaker(
-        failure_threshold=1, reset_timeout_s=1.0,
-        half_open_successes=2, half_open_max_probes=1,
-    )
-    breaker.record_failure(0.0)
-    assert breaker.allow(1.0)
-    assert not breaker.allow(1.0)                # slot taken
-    breaker.record_success(1.1)                  # one verdict in, one to go
-    assert breaker.allow(1.2)                    # freed slot admits probe 2
-    breaker.record_success(1.3)
-    assert breaker.state is BreakerState.CLOSED
 
 
 # -- retry budget --------------------------------------------------------------
@@ -352,9 +327,10 @@ def test_retry_budget_caps_replays():
     session = ResilientSession(
         ["primary"],
         policy=RetryPolicy(max_attempts=10, base_backoff_s=0.01, jitter=0.0),
-        retry_budget=RetryBudget(
-            deposit_ratio=0.0, min_tokens=2.0, max_tokens=2.0
-        ),
+    )
+    # a drained bucket in place of the session's own
+    session.retry_budget = RetryBudget(
+        deposit_ratio=0.0, min_tokens=2.0, max_tokens=2.0
     )
 
     def always_down(endpoint):
@@ -364,7 +340,6 @@ def test_retry_budget_caps_replays():
     assert not outcome.ok
     # 1 first attempt + 2 budgeted retries, not max_attempts
     assert outcome.attempts == 3
-    assert outcome.budget_exhausted
     assert session.budget_denials == 1
     # budget exhaustion counted against the endpoint's breaker
     assert session.breaker("primary").state is BreakerState.OPEN
@@ -385,7 +360,6 @@ def test_default_budget_never_throttles_a_quiet_session():
 
     outcome = session.call(flaky_then_ok)
     assert outcome.ok and outcome.attempts == 4
-    assert not outcome.budget_exhausted
     assert session.budget_denials == 0
 
 

@@ -10,7 +10,7 @@ name via ``derive_seed``.
 
 from repro.core.datagen import load_sales_database
 from repro.core.manager import WorkloadManager
-from repro.core.workload import READ_WRITE
+from repro.core.workload import READ_WRITE, SalesWorkload
 from repro.sim.rng import RngRegistry, derive_seed
 
 
@@ -53,7 +53,7 @@ class TestRngRegistry:
 class TestWorkerSeeding:
     def test_workers_draw_distinct_streams(self):
         db = tiny_db()
-        manager = WorkloadManager(db, READ_WRITE, concurrency=4, seed=42)
+        manager = WorkloadManager(db, READ_WRITE, concurrency=4)
         draws = [key_draws(worker) for worker in manager.workers]
         for i in range(len(draws)):
             for j in range(i + 1, len(draws)):
@@ -63,15 +63,15 @@ class TestWorkerSeeding:
         """The regression: under ``seed + worker_id`` seeding, worker 1
         of seed 42 replayed worker 0 of seed 43 draw for draw."""
         db = tiny_db()
-        shifted = WorkloadManager(db, READ_WRITE, concurrency=1, seed=43)
-        base = WorkloadManager(db, READ_WRITE, concurrency=2, seed=42)
-        assert key_draws(base.workers[1]) != key_draws(shifted.workers[0])
+        shifted = SalesWorkload(db, READ_WRITE, seed=43)  # worker 0 of seed 43
+        base = WorkloadManager(db, READ_WRITE, concurrency=2)  # seed 42
+        assert key_draws(base.workers[1]) != key_draws(shifted)
 
     def test_same_seed_replays_the_same_run(self):
         results = []
         for _ in range(2):
             db = tiny_db()
-            manager = WorkloadManager(db, READ_WRITE, concurrency=3, seed=9)
+            manager = WorkloadManager(db, READ_WRITE, concurrency=3)
             result = manager.run_transactions(60)
             results.append((result.counts, result.aborted))
         assert results[0] == results[1]
@@ -91,10 +91,7 @@ class TestOltpStreamSeparation:
         rows_a = sorted(row for _rid, row in db_a.table("CUSTOMER").scan())
         rows_b = sorted(row for _rid, row in db_b.table("CUSTOMER").scan())
         assert rows_a == rows_b  # datagen stream is stable...
-        worker = WorkloadManager(
-            db_a, READ_WRITE, concurrency=1,
-            seed=derive_seed(5, "oltp.workload"),
-        ).workers[0]
+        worker = SalesWorkload(db_a, READ_WRITE, seed=derive_seed(5, "oltp.workload"))
         # ...and the workload stream is not the datagen stream
         assert worker._rng.random() != RngRegistry(
             derive_seed(5, "oltp.datagen")

@@ -178,9 +178,7 @@ class TestOnlineness:
             "INSERT INTO PAIRS (P_ID, P_STAMP) VALUES (?, ?)",
             [9901, 1], txn=txn,
         )
-        backup = BackupJob(
-            fleet, archiver, name="drbar", max_barrier_attempts=2
-        )
+        backup = BackupJob(fleet, archiver, name="drbar")
         with pytest.raises(EngineError, match="straddle"):
             backup.run()
         # settle it and the cut goes through

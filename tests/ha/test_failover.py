@@ -112,7 +112,8 @@ class TestStatementGating:
 
 class TestSharedClock:
     def test_external_clock_is_used(self):
-        clock = VirtualClock(now=5.0)
+        clock = VirtualClock()
+        clock.advance(5.0)
         fleet, _pairs = ha_fleet(clock=clock)
         assert fleet.clock is clock
         fleet.advance(1.0)

@@ -17,9 +17,8 @@ def make_observer():
     obs = Observer(clock=lambda: 0.0)
     obs.complete("txn", "engine", 1.0, 1.5, track="engine",
                  attrs={"txn_id": 7, "outcome": "commit"})
-    parent = obs.complete("ship", "replication", 1.5, 1.6, track="replica:0")
-    obs.complete("replay", "replication", 1.6, 1.7, track="replica:0",
-                 parent=parent)
+    obs.complete("ship", "replication", 1.5, 1.6, track="replica:0")
+    obs.complete("replay", "replication", 1.6, 1.7, track="replica:0")
     obs.event("breaker.open", "client", ts=2.0, track="client")
     obs.count("engine.txn.commit")
     obs.observe("repl.lag_s", 0.2)
@@ -44,7 +43,6 @@ def test_chrome_trace_structure():
 
     replay = next(e for e in complete if e["name"] == "replay")
     ship = next(e for e in complete if e["name"] == "ship")
-    assert replay["args"]["parent_span"]   # child carries parent link
     assert replay["tid"] == ship["tid"]    # same track, same thread row
 
     instants = [e for e in events if e["ph"] == "i"]

@@ -166,14 +166,13 @@ def test_breaker_transitions_traced():
     clock = FakeClock()
     obs = Observer(clock=clock)
     session = ResilientSession(
-        ["primary"], clock=clock, observer=obs,
-        breaker_threshold=2, breaker_reset_s=0.5,
+        ["primary"], clock=clock, observer=obs, breaker_reset_s=0.5,
     )
 
     def down(endpoint):
         raise NodeUnavailableError("gone")
 
-    session.call(down, timeout_budget_s=5.0)
+    session.call(down)
     assert obs.metrics.counters["client.breaker.open"].value >= 1
     assert find(obs, name="breaker.open")
 

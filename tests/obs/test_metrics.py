@@ -43,8 +43,8 @@ def test_gauge_last_write_wins():
     gauge = Gauge("g")
     gauge.set(10.0)
     gauge.inc(5.0)
-    gauge.dec(2.0)
-    assert gauge.value == 13.0
+    gauge.dec()
+    assert gauge.value == 14.0
 
 
 def test_histogram_basic_stats():

@@ -115,7 +115,6 @@ class TestReplayAccounting:
         assert result.operations == 3
         assert result.histogram.max == pytest.approx(0.010)
         assert result.histogram.min == pytest.approx(0.010)
-        assert result.makespan_s == pytest.approx(2.010)
         assert result.wall_s == pytest.approx(0.030)
 
     def test_backlog_charges_queueing_delay(self):
@@ -125,7 +124,6 @@ class TestReplayAccounting:
         assert result.histogram.min == pytest.approx(0.010)
         assert result.histogram.max == pytest.approx(0.030)
         assert result.histogram.sum == pytest.approx(0.060)
-        assert result.makespan_s == pytest.approx(0.030)
 
     def test_one_stall_poisons_the_tail(self):
         # The coordinated-omission shape: one 1s stall, then fast ops
@@ -159,4 +157,4 @@ class TestReplayAccounting:
 
 def test_calibration_spin_import_path():
     # bench/run.py imports calibration_spin from exactly this path
-    assert calibration_spin(1000) > 0
+    assert calibration_spin() > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.errors import OverloadError
-from repro.qos.admission import AdmissionController, AdmissionPolicy, BrownoutPolicy
+from repro.qos.admission import AdmissionController, AdmissionPolicy
 
 
 class FakeDeadline:
@@ -52,13 +52,6 @@ class TestPolicies:
             AdmissionPolicy(latency_threshold=1.0)
         with pytest.raises(ValueError):
             AdmissionPolicy(priorities=0)
-
-    def test_brownout_policy_validation(self):
-        BrownoutPolicy()  # defaults are valid
-        with pytest.raises(ValueError):
-            BrownoutPolicy(overcommit_threshold=-0.1)
-        with pytest.raises(ValueError):
-            BrownoutPolicy(min_share=1.5)
 
 
 # -- gate mode: admit or shed -------------------------------------------------

@@ -10,7 +10,7 @@ waits on, or conflicts with, a corpse.
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.errors import DeadlineExceededError, EngineError
+from repro.engine.errors import DeadlineExceededError
 from repro.engine.txn import IsolationLevel
 from repro.engine.types import Column, ColumnType, Schema
 from repro.qos.deadline import Deadline
@@ -133,16 +133,6 @@ class TestEngineCancellation:
         db.vacuum()
         assert db.live_versions() <= baseline_versions + 1
 
-    def test_statement_deadline_on_autocommit(self):
-        clock = ManualClock()
-        db = fresh_db()
-        expired = Deadline(0.5, clock)
-        clock.now = 1.0
-        with pytest.raises(DeadlineExceededError):
-            db.execute("UPDATE kv SET V = ? WHERE K = ?", [1, 1], deadline=expired)
-        assert db.query("SELECT V FROM kv WHERE K = ?", [1]).scalar() == 10
-        assert not db.txns.active
-
     def test_alive_deadline_does_not_interfere(self):
         clock = ManualClock()
         db = fresh_db()
@@ -151,20 +141,3 @@ class TestEngineCancellation:
         assert db.query("SELECT V FROM kv WHERE K = ?", [3]).scalar() == 42
         assert db.deadline_cancellations == 0
 
-    def test_statement_deadline_beside_a_deadline_less_txn_is_rejected(self):
-        """Nothing would enforce it: the cancellation points read the
-        transaction's deadline.  The transaction's own deadline wins."""
-        clock = ManualClock()
-        db = fresh_db()
-        txn = db.begin()
-        with pytest.raises(EngineError, match=r"begin\(deadline=\.\.\.\)"):
-            db.execute("UPDATE kv SET V = ? WHERE K = ?", [1, 1], txn=txn,
-                       deadline=Deadline(100.0, clock))
-        assert txn.is_active and not db.locks.locks_held(txn.txn_id)
-        txn.rollback()
-        expired = Deadline(0.5, clock)
-        clock.now = 1.0
-        with db.begin(deadline=Deadline(100.0, clock)) as bounded:
-            db.execute("UPDATE kv SET V = ? WHERE K = ?", [7, 1], txn=bounded,
-                       deadline=expired)
-        assert db.query("SELECT V FROM kv WHERE K = ?", [1]).scalar() == 7

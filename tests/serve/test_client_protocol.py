@@ -47,6 +47,14 @@ READ_CREDIT = "SELECT C_CREDIT FROM CUSTOMER WHERE C_ID = ?"
 BUMP_CREDIT = "UPDATE CUSTOMER SET C_CREDIT = C_CREDIT + ? WHERE C_ID = ?"
 
 
+def _serving(fleet, config):
+    """A BackgroundServer under ``config`` in place of its default one."""
+    background = BackgroundServer(fleet)
+    if config is not None:
+        background.config = config
+    return background
+
+
 def _fleet(name):
     db, _data = load_sales_fleet(2, row_scale=0.001, seed=42, name=name)
     return db
@@ -93,7 +101,9 @@ class TestQuietRollback:
     def test_sales_workload_is_not_pinned_by_a_dead_shard(self):
         db, _data = load_sales_database(row_scale=0.001)
         client = _DeadShardClient(db)
-        workload = SalesWorkload(db, READ_WRITE, client=client)
+        workload = SalesWorkload(db, READ_WRITE)
+        workload.client = client  # the workload's client, over a shard that dies
+        client.connect()
         client.dead = True
         with pytest.raises(EngineError, match="shard down"):
             workload.run_t2()
@@ -406,7 +416,7 @@ def _served(kind, monkeypatch, config=None):
 
     monkeypatch.setattr(server_module, "_Session", Recorded)
     fleet = _fleet(f"rides-{kind}")
-    with BackgroundServer(fleet, config) as bg:
+    with _serving(fleet, config) as bg:
         client = (SocketClient if kind == "socket" else _Blocking)(
             *bg.server.address
         )

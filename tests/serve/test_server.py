@@ -22,12 +22,20 @@ from repro.engine.errors import (
 from repro.qos.admission import AdmissionPolicy
 from repro.serve.client import AsyncSQLClient, SocketClient
 from repro.serve.driver import BackgroundServer, collect_keys
-from repro.serve.server import ServeFaultInjector, ServerConfig, SQLServer
+from repro.serve.server import STALL_SCALE_S, ServeFaultInjector, ServerConfig, SQLServer
 from repro.serve.wire import FrameDecoder
 from repro.shard.fleet import load_sales_fleet
 
 READ_CREDIT = "SELECT C_CREDIT FROM CUSTOMER WHERE C_ID = ?"
 BUMP_CREDIT = "UPDATE CUSTOMER SET C_CREDIT = C_CREDIT + ? WHERE C_ID = ?"
+
+
+def _serving(fleet, config):
+    """A BackgroundServer under ``config`` in place of its default one."""
+    background = BackgroundServer(fleet)
+    if config is not None:
+        background.config = config
+    return background
 
 
 @pytest.fixture
@@ -323,7 +331,7 @@ class TestSessionCleanup:
 class TestFraming:
     def test_oversized_statement_errors_then_hangs_up(self, fleet):
         config = ServerConfig(qos=False, max_frame=512)
-        with BackgroundServer(fleet, config) as bg:
+        with _serving(fleet, config) as bg:
             host, port = bg.server.address
             client = SocketClient(host, port)
             client.connect()
@@ -515,7 +523,7 @@ class TestFraming:
 class TestAdmission:
     def test_connection_limit_sheds_with_a_retryable_error(self, fleet):
         config = ServerConfig(qos=False, max_connections=1)
-        with BackgroundServer(fleet, config) as bg:
+        with _serving(fleet, config) as bg:
             host, port = bg.server.address
             first = SocketClient(host, port, client_name="first")
             first.connect()
@@ -541,7 +549,7 @@ class TestAdmission:
         config = ServerConfig(
             qos=True, policy=AdmissionPolicy(max_queue=0)
         )
-        with BackgroundServer(fleet, config) as bg:
+        with _serving(fleet, config) as bg:
             host, port = bg.server.address
             client = SocketClient(host, port)
             client.connect()  # control ops bypass statement admission
@@ -555,7 +563,7 @@ class TestAdmission:
 
     def test_deadline_expires_queued_work_unexecuted(self, fleet):
         config = ServerConfig(qos=True, deadline_s=1e-9)
-        with BackgroundServer(fleet, config) as bg:
+        with _serving(fleet, config) as bg:
             host, port = bg.server.address
             client = SocketClient(host, port)
             client.connect()
@@ -692,7 +700,7 @@ class TestStatementIds:
         """Ids are registered as frames come off the wire: a retry by id
         after an admission shed is shed again, not a protocol error."""
         config = ServerConfig(qos=True, policy=AdmissionPolicy(max_queue=0))
-        with BackgroundServer(fleet, config) as bg:
+        with _serving(fleet, config) as bg:
             client = SocketClient(*bg.server.address)
             client.connect()
             for _ in range(2):
@@ -745,11 +753,11 @@ class TestFaultInjector:
             ],
             seed=3,
         )
-        injector = ServeFaultInjector(plan, seed=3, stall_scale_s=0.05)
+        injector = ServeFaultInjector(plan, seed=3)
         assert injector.action(0.5) == ("none", 0.0)
         assert injector.action(1.5) == ("drop", 0.0)
         action, stall_s = injector.action(3.5)
         assert action == "stall"
-        assert stall_s == pytest.approx(0.5 * 0.05)
+        assert stall_s == pytest.approx(0.5 * STALL_SCALE_S)
         assert injector.drops == 1
         assert injector.stalls == 1

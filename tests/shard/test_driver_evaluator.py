@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import BenchConfig
 from repro.core.evalapi import get_evaluator
 from repro.core.runner import CloudyBench
-from repro.shard import ShardError, run_inline, run_multiprocess
+from repro.shard import run_inline, run_multiprocess
 
 
 class TestInlineDriver:
@@ -89,50 +89,62 @@ class TestPinnedShape:
         assert result.arrival == "closed"
         assert result.latency_ms == {} and result.openloop_latency_ms == {}
 
-    def test_multiprocess_counters(self):
-        result = run_multiprocess(
-            2, 256, seed=42, row_scale=0.001, processes=False
-        )
+    def test_multiprocess_counters(self, refuse_processes):
+        result = run_multiprocess(2, 256, seed=42, row_scale=0.001)
+        assert result.driver == "mp-fallback"
         assert (result.committed, result.aborted, result.fsyncs) == (256, 0, 256)
-        assert [entry["committed"] for entry in result.per_shard] == [128, 128]
+
+
+@pytest.fixture
+def refuse_processes(monkeypatch):
+    """An environment that refuses to fork: the driver's sequential path."""
+    import repro.shard.driver as driver
+
+    monkeypatch.setattr(driver, "_try_processes", lambda *_args: None)
 
 
 class TestMultiprocessDriver:
-    def test_rejects_cross_shard(self):
-        with pytest.raises(ShardError):
-            run_multiprocess(2, 10, cross_ratio=0.5)
-
     def test_splits_transactions_across_shards(self):
-        result = run_multiprocess(3, 50, seed=11)
-        assert result.committed == 50
-        assert [entry["transactions"] for entry in result.per_shard] == [17, 17, 16]
-        assert sum(entry["committed"] for entry in result.per_shard) == 50
+        import repro.shard.driver as driver
 
-    def test_worker_results_identical_with_and_without_processes(self):
-        forked = run_multiprocess(2, 30, seed=11, processes=True)
-        sequential = run_multiprocess(2, 30, seed=11, processes=False)
-        for key in ("committed", "aborted", "fsyncs", "loaded_rows"):
+        assert driver._split(50, 3) == [17, 17, 16]
+        assert run_multiprocess(3, 50, seed=11).committed == 50
+
+    def test_worker_results_identical_with_and_without_processes(self, monkeypatch):
+        import repro.shard.driver as driver
+
+        forked = run_multiprocess(2, 30, seed=11)
+        monkeypatch.setattr(driver, "_try_processes", lambda *_args: None)
+        sequential = run_multiprocess(2, 30, seed=11)
+        for key in ("committed", "aborted", "fsyncs"):
             assert getattr(forked, key) == getattr(sequential, key)
-        assert [e["committed"] for e in forked.per_shard] == [
-            e["committed"] for e in sequential.per_shard
-        ]
 
-    def test_node_time_is_max_worker_cpu(self):
-        result = run_multiprocess(2, 30, seed=11, processes=False)
-        assert result.node_s == max(e["cpu_s"] for e in result.per_shard)
+    def test_node_time_is_max_worker_cpu(self, refuse_processes, monkeypatch):
+        import repro.shard.driver as driver
+
+        stats = []
+        run_local_shard = driver._run_local_shard
+        monkeypatch.setattr(
+            driver, "_run_local_shard",
+            lambda *args: stats.append(run_local_shard(*args)) or stats[-1],
+        )
+        result = run_multiprocess(2, 30, seed=11)
+        assert result.node_s == max(entry["cpu_s"] for entry in stats)
         assert result.tps_node > 0
 
-    @pytest.mark.parametrize("processes", [False, True])
-    def test_worker_failure_is_raised_promptly(self, processes):
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_worker_failure_is_raised_promptly(self, forked, monkeypatch):
         # at this row scale some shards own no rows, so their workers
         # fail; that must surface as the worker's own error (whichever
         # forked worker reports first), not as a 600 s wait followed by
         # a sequential re-run labelled "mp-fallback"
+        if not forked:
+            import repro.shard.driver as driver
+
+            monkeypatch.setattr(driver, "_try_processes", lambda *_args: None)
         start = time.monotonic()
         with pytest.raises(ValueError, match="holds no orders or customers"):
-            run_multiprocess(
-                40, 40, seed=11, row_scale=1e-9, processes=processes
-            )
+            run_multiprocess(40, 40, seed=11, row_scale=1e-9)
         assert time.monotonic() - start < 10.0
 
 

@@ -22,6 +22,7 @@ from repro.core.datagen import DataGenerator, gc_paused, load_sales_database
 from repro.dr.archive import FleetArchiver
 from repro.dr.backup import BackupJob
 from repro.dr.restore import RestoreJob
+from repro.engine.database import Database
 from repro.engine.errors import EngineError
 from repro.engine.index import HashIndex
 from repro.engine.table import Table
@@ -221,13 +222,16 @@ def test_gc_pause_keeps_a_disabled_caller_disabled(collections):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_gc_pause_restores_the_callers_state_when_the_load_raises(enabled):
-    db, _data = load_sales_database(row_scale=0.001)
+def test_gc_pause_restores_the_callers_state_when_the_load_raises(enabled, monkeypatch):
+    def refuse(table, rows):
+        raise EngineError("load needs an empty table")
+
+    monkeypatch.setattr(Table, "load", refuse)
     if not enabled:
         gc.disable()
     try:
         with pytest.raises(EngineError, match="load needs an empty table"):
-            DataGenerator(1, 0.001).populate(db, create_schema=False)
+            DataGenerator(1, 0.001).populate(Database("refused"))
         assert gc.isenabled() is enabled
     finally:
         gc.enable()

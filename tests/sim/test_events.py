@@ -25,19 +25,6 @@ def test_timeout_advances_clock():
     assert seen == [5.0, 7.5]
 
 
-def test_timeout_value_is_delivered():
-    env = Environment()
-    got = []
-
-    def process():
-        value = yield env.timeout(1.0, value="payload")
-        got.append(value)
-
-    env.process(process())
-    env.run()
-    assert got == ["payload"]
-
-
 def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimulationError):

@@ -73,13 +73,13 @@ def test_utilization_law():
 
 
 def test_littles_law_holds():
-    # Sum of queue lengths equals N (no think time).
+    # N = X * R (no think time): the jobs in the network are its population.
     network = ClosedNetwork(
         [Center("cpu", 0.01), Center("disk", 0.02), Center("net", 0.005, kind="delay")]
     )
     for population in (1, 4, 16):
         solution = network.solve(population)
-        assert sum(solution.queue_lengths.values()) == pytest.approx(
+        assert solution.throughput * solution.response_time == pytest.approx(
             population, rel=1e-6
         )
 

@@ -144,14 +144,20 @@ def _module(path: Path, rel: str) -> Tuple[List[Definition], Set[str]]:
     return definitions, _names(statements)
 
 
+def _files(root: Path, dirs: Iterable[str]) -> Iterable[Path]:
+    """Every ``.py`` file under ``root/<dir>`` for ``dirs``, ``bench/tests``
+    excepted: those are tests."""
+    for top in dirs:
+        for path in sorted((root / top).rglob("*.py")):
+            if not (top == "bench" and "tests" in path.relative_to(root / top).parts):
+                yield path
+
+
 def scan(root: Path) -> Tuple[List[Definition], Set[str]]:
     """Every definition under ``root/src`` and the names the roots use."""
     used: Set[str] = set()
-    for top in ROOT_DIRS:
-        for path in sorted((root / top).rglob("*.py")):
-            if top == "bench" and "tests" in path.relative_to(root / top).parts:
-                continue
-            used |= _names([ast.parse(path.read_text(), str(path))])
+    for path in _files(root, ROOT_DIRS):
+        used |= _names([ast.parse(path.read_text(), str(path))])
     definitions: List[Definition] = []
     for path in sorted((root / "src").rglob("*.py")):
         found, names = _module(path, str(path.relative_to(root)))
@@ -211,48 +217,64 @@ def test_every_allowlist_entry_carries_a_reason():
     assert all(len(reason.split()) >= 4 for reason in ALLOWED.values())
 
 
-# -- every settable value has a setter ----------------------------------------
+# -- every knob has a product setter, every stored value a product reader -----
 #
 # A defaulted parameter of a live definition is a knob; some call in
 # SETTER_DIRS must turn it -- by keyword, by position, or through ``*`` /
 # ``**`` forwarding that can carry it (see ``setters``).  Callees match by
 # bare name, as above; a class's ``__init__`` also matches calls of the
 # class (and of subclasses that inherit it) and ``super().__init__``.
-# Tests count as setters here: a knob a test turns exercises a real branch.
-# A field of a spec dataclass is a knob too, and something in ``src/`` must
-# read it -- an attribute load or a ``getattr`` string -- outside the
-# factories that fill it in.
+# Tests are not setters.  A knob only a test turns is a way to configure
+# the product that the product never takes: its default is the behaviour,
+# and what other values reach is code no run executes.  Where a test must
+# turn one to reach a fake or a fault, KNOBS_ALLOWED names that seam.
+#
+# Every field of a ``src/`` dataclass is a value the product stores, and
+# something in SETTER_DIRS must read it -- an attribute load, a ``getattr``
+# string or an ``EvalOption(config=...)`` string -- outside the factories
+# that fill in the SUT specs.  Storing is not reading: an assignment, a
+# ``+=`` and a subscript store (``stats.applied_at[txn] = now``) write.
 
-#: every call under these can set a parameter
-SETTER_DIRS = ("src", "bench", "benchmarks", "examples", "tests")
-#: module -> the dataclasses whose fields are model knobs (``None``: all)
-SPECS = {
-    "src/repro/cloud/specs.py": None,
-    "src/repro/cloud/architectures.py": ("Architecture",),
-}
+#: every call under these can set a parameter, every load can read a field
+SETTER_DIRS = ("src", "bench", "benchmarks", "examples")
 #: the five SUT factories: they set every field, so their reads do not count
 FACTORIES = ("aws_rds", "cdb1", "cdb2", "cdb3", "cdb4")
 
-#: ``function(param)`` / ``Class.field`` -> how it is set (or read) where
-#: a bare-name match cannot see it
+#: ``function(param)`` / ``Class.field`` -> the fake, fault seam, oracle
+#: or dynamic dispatch that sets (or reads) it where a bare-name match
+#: cannot see it
 KNOBS_ALLOWED = {
     "Database._update(keys_unchanged)":
         "the executor calls it through the alias db_update = self._db._update",
     "HAFleet.__init__(ack_mode)":
-        "build_pairs_fleet(fleet_cls=HAFleet, ack_mode=...) calls fleet_cls(n, **fleet_kwargs)",
+        "HAEvaluator.run calls build_pairs_fleet(fleet_cls=HAFleet, ack_mode=...), "
+        "which builds fleet_cls(n, **fleet_kwargs)",
     "HAFleet.__init__(clock)":
-        "build_pairs_fleet(fleet_cls=HAFleet, clock=...) calls fleet_cls(n, **fleet_kwargs)",
+        "HAEvaluator.run calls build_pairs_fleet(fleet_cls=HAFleet, clock=...), "
+        "which builds fleet_cls(n, **fleet_kwargs)",
     "HAFleet.__init__(lease)":
-        "build_pairs_fleet(fleet_cls=HAFleet, lease=...) calls fleet_cls(n, **fleet_kwargs)",
-    "SqlStmts.__init__(specs)": "SqlStmts.from_file builds it as cls(SqlReader(path).read())",
-    "AvailabilityEvaluator.__init__(attempt_timeout_s)":
-        "test_availability's evaluate() merges its keywords into the mapping it forwards",
-    "AvailabilityEvaluator.__init__(base_latency_s)":
-        "test_availability's evaluate() merges its keywords into the mapping it forwards",
+        "HAEvaluator.run calls build_pairs_fleet(fleet_cls=HAFleet, lease=...), "
+        "which builds fleet_cls(n, **fleet_kwargs)",
+    "SqlStmts.__init__(specs)":
+        "SqlStmts.from_file, which the workloads load statements with, builds "
+        "it as cls(SqlReader(path).read())",
+    "load_sales_fleet(chaos)":
+        "fault seam: 2PC recovery tests crash the coordinator of a loaded "
+        "sales fleet through a chaos plan",
     "run_cell(victim)":
         "dr/crashmatrix's cell table sets it; sweep() calls run_cell(**coords) per cell",
-    "Architecture.engine":
-        "a display label: examples and benchmarks/bench_table4_setup.py print it (Table IV)",
+    "Deadline.after(clock)":
+        "fake seam: deadline tests run it on a manual clock instead of time.monotonic",
+    "WriteAheadLog.arm_crash(mode)":
+        "fault seam: recovery tests inject the torn-write crash mode through it",
+    "Resource.__init__(capacity)":
+        "the DES reference implementation: its tests set the server count "
+        "of the queue the MVA is checked against",
+    "Database.__init__(plan_cache_size)":
+        "fake seam: plan-cache tests shrink the cache to reach eviction in a few statements",
+    "RecoveryReport.corrupt_from_lsn":
+        "fault detection: where a restart found the first corrupt record, asserted "
+        "by the WAL corruption tests",
 }
 
 
@@ -316,7 +338,7 @@ def setters(root: Path) -> dict:
     # named positions, the call's own positions, forwards *, forwards **)
     forwards = []
     for top in SETTER_DIRS:
-        for path in sorted((root / top).rglob("*.py")):
+        for path in _files(root, [top]):
             tree = ast.parse(path.read_text(), str(path))
             spelled = {n.value.lstrip("-").replace("-", "_") for n in ast.walk(tree)
                        if isinstance(n, ast.Constant) and isinstance(n.value, str)}
@@ -395,39 +417,69 @@ def _skipping(node: ast.AST, skip: Set[str]) -> Iterable[ast.AST]:
                     if getattr(child, "name", None) not in skip]
 
 
-def unread_fields(root: Path, specs: dict = SPECS,
-                  factories: Iterable[str] = FACTORIES) -> List[str]:
-    """``Class.field`` for each spec field nothing in ``src/`` reads."""
+def dataclass_fields(root: Path) -> dict:
+    """``Class.field`` -> field for every field of a ``@dataclass`` in ``src/``."""
     fields = {}
-    for rel, wanted in specs.items():
-        for cls in ast.parse((root / rel).read_text()).body:
-            if isinstance(cls, ast.ClassDef) and (wanted is None or cls.name in wanted) and any(
+    for path in sorted((root / "src").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(cls, ast.ClassDef) and any(
                 ast.unparse(d).startswith("dataclass") for d in cls.decorator_list
             ):
                 fields.update({f"{cls.name}.{a.target.id}": a.target.id for a in cls.body
-                               if isinstance(a, ast.AnnAssign)})
+                               if isinstance(a, ast.AnnAssign)
+                               and "ClassVar" not in ast.unparse(a.annotation)})
+    return fields
+
+
+def unread_fields(root: Path, factories: Iterable[str] = FACTORIES) -> List[str]:
+    """``Class.field`` for each dataclass field nothing in SETTER_DIRS reads."""
     read = set()
-    for path in sorted((root / "src").rglob("*.py")):
-        for node in _skipping(ast.parse(path.read_text(), str(path)), set(factories)):
+    for path in _files(root, SETTER_DIRS):
+        tree = ast.parse(path.read_text(), str(path))
+        # ``a.f[k] = v`` loads ``a.f`` only to store into it
+        stored = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                while isinstance(node, ast.Subscript):
+                    node = node.value
+                stored.add(node)
+        for node in _skipping(tree, set(factories)):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                if node not in stored:
+                    read.add(node.attr)
             elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr"
                   and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
                 read.add(node.args[1].value)
-    return sorted(key for key, field in fields.items() if field not in read)
+            elif (isinstance(node, ast.keyword) and node.arg == "config"
+                  and isinstance(node.value, ast.Constant)):
+                read.add(node.value.value)  # EvalOption(config=...) getattr()s it
+    return sorted(key for key, field in dataclass_fields(root).items() if field not in read)
+
+
+def findings(root: Path, rooted: Iterable[str] = (),
+             factories: Iterable[str] = FACTORIES) -> List[str]:
+    """Every knob nothing sets and every dataclass field nothing reads."""
+    definitions, used = scan(root)
+    live = reachable(definitions, used, rooted)
+    return unset(definitions, live, setters(root)) + unread_fields(root, factories)
+
+
+def flagged(found: Iterable[str], allowed: dict) -> Tuple[List[str], List[str]]:
+    """The findings ``allowed`` does not excuse, and the entries of
+    ``allowed`` that excuse nothing found (set, read, or gone)."""
+    found = set(found)
+    return sorted(found - set(allowed)), sorted(set(allowed) - found)
 
 
 def test_every_knob_has_a_setter():
-    definitions, used = scan(ROOT)
-    live = reachable(definitions, used, {*ENTRY_POINTS, *ALLOWED})
-    found = unset(definitions, live, setters(ROOT)) + unread_fields(ROOT)
-    knobs_left = sorted(set(found) - set(KNOBS_ALLOWED))
-    assert not knobs_left, (
-        "a parameter no call sets or a spec field nothing in src/ reads (delete "
-        "it: its default becomes a literal):\n  " + "\n  ".join(knobs_left)
+    left, entries = flagged(findings(ROOT, {*ENTRY_POINTS, *ALLOWED}), KNOBS_ALLOWED)
+    assert not left, (
+        "a parameter nothing outside tests/ sets, or a dataclass field nothing "
+        "outside tests/ reads (delete it: a parameter's default becomes a "
+        "literal, a field goes with the code that computes it):\n  "
+        + "\n  ".join(left)
     )
-    entries = sorted(set(KNOBS_ALLOWED) - set(found))
-    assert not entries, f"knob allowlisted but set (or gone) -- drop the entry: {entries}"
+    assert not entries, f"knob allowlisted but set or read (or gone) -- drop the entry: {entries}"
     assert all(len(reason.split()) >= 4 for reason in KNOBS_ALLOWED.values())
 
 
@@ -514,13 +566,20 @@ MINI = {
             return relayed(**kwargs)
     """,
     "src/pkg/specs.py": """
-        from dataclasses import dataclass
+        from dataclasses import dataclass, field
 
         @dataclass(frozen=True)
         class Spec:
             read: float = 1.0
             by_name: float = 1.0
+            by_option: str = ""
             only_tested: float = 0.0
+
+        @dataclass
+        class Stats:
+            counted: int = 0
+            seen: dict = field(default_factory=dict)
+            shown: int = 0
 
         def factory():
             spec = Spec(read=2.0)
@@ -528,11 +587,17 @@ MINI = {
             return spec
 
         def model(spec):
-            return spec.read + getattr(spec, "by_name")
+            option = Option("mode", config="by_option")
+            return spec.read + getattr(spec, "by_name"), option
+
+        def tally(stats, key):
+            stats.counted += 1
+            stats.seen[key] = stats.shown
+            return stats
     """,
     "examples/knobs.py": """
         from pkg.knobs import Child, forwarded, never_turned, relay, turned
-        from pkg.specs import factory, model
+        from pkg.specs import Stats, factory, model, tally
 
         options = {"through_kwargs": 1}
         turned(1)
@@ -540,12 +605,15 @@ MINI = {
         forwarded(**options)
         relay(by_callers_kwargs=1)
         never_turned()
-        print(Child(), model(factory()))
+        print(Child(), model(factory()), tally(Stats(), "key"))
     """,
-    "tests/test_spec.py": """
-        from pkg.specs import factory
+    "tests/test_pkg.py": """
+        from pkg.knobs import never_turned
+        from pkg.specs import Stats, factory
 
+        never_turned(unset=1)
         assert factory().only_tested == 0.0
+        assert Stats().counted == 0 and Stats().seen == {}
     """,
 }
 
@@ -588,10 +656,31 @@ def test_stale_allowlist_entries_are_reported(tmp_path):
 def test_knob_walk_flags_only_what_no_call_sets_and_src_never_reads(tmp_path):
     definitions, used = _mini(tmp_path)
     live = reachable(definitions, used)
-    # a ** mapping carries only the keys spelled beside it
+    # a ** mapping carries only the keys spelled beside it, and the
+    # test's never_turned(unset=1) is no setter
     assert unset(definitions, live, setters(tmp_path)) == [
         "forwarded(not_carried)", "never_turned(unset)",
     ]
-    assert unread_fields(tmp_path, {"src/pkg/specs.py": None}, ("factory",)) == [
-        "Spec.only_tested",
+
+
+def test_allowlisted_seam_is_not_flagged(tmp_path):
+    _mini(tmp_path)
+    found = findings(tmp_path, factories=("factory",))
+    assert "never_turned(unset)" in flagged(found, {})[0]
+    seam = {"never_turned(unset)": "the test reaches a fault through it"}
+    left, entries = flagged(found, seam)
+    assert "never_turned(unset)" not in left and entries == []
+    # an entry for a knob something sets excuses nothing and is reported
+    assert flagged(found, {"turned(by_keyword)": "set by examples/knobs.py"})[1] == [
+        "turned(by_keyword)",
+    ]
+
+
+def test_field_walk_flags_what_only_tests_read_or_the_product_only_writes(tmp_path):
+    _mini(tmp_path)
+    # only_tested: read by a test and a factory; counted: only +=;
+    # seen: only a subscript store.  by_name (a getattr string) and
+    # by_option (an EvalOption config= string) are read.
+    assert unread_fields(tmp_path, ("factory",)) == [
+        "Spec.only_tested", "Stats.counted", "Stats.seen",
     ]
