@@ -58,7 +58,7 @@ def run_fault_load(quick: bool = False, seed: int = 42) -> ServeRunResult:
     )
     return run_serve(
         16, 8 if quick else 24,
-        n_shards=2, workers=0, qos=True,
+        n_shards=2, qos=True,
         persona="payment", arrival="closed",
         seed=seed, row_scale=0.002, fault_plan=plan,
     )
@@ -70,7 +70,7 @@ def measure_service_rate(seed: int = 42) -> float:
     what the tier can serve on this host right now."""
     pilot = run_serve(
         PILOT_CONNECTIONS, PILOT_TXNS_PER_CONN,
-        n_shards=2, workers=0, qos=False,
+        n_shards=2, qos=False,
         persona="payment", arrival="closed",
         seed=seed, row_scale=0.002,
     )
@@ -85,7 +85,7 @@ def run_knee(seed: int = 42):
     for qos in (True, False):
         results[qos] = run_serve(
             KNEE_CONNECTIONS, txns_per_conn,
-            n_shards=2, workers=0, qos=qos,
+            n_shards=2, qos=qos,
             persona="payment",
             arrival=f"poisson:{rate_tps:.0f}",
             deadline_s=KNEE_DEADLINE_S,

@@ -109,7 +109,6 @@ class BenchConfig:
     # -- serving tier (SQL over sockets)
     serve_connections: List[int] = field(default_factory=lambda: [8, 32, 128])
     serve_txns_per_conn: int = 16
-    serve_workers: int = 0                # 0 -> single in-process server
     serve_shards: int = 2
     serve_qos: bool = True
     serve_deadline_s: Optional[float] = None
@@ -184,8 +183,6 @@ class BenchConfig:
             raise ValueError("serve_connections must be >= 1 connection each")
         if self.serve_txns_per_conn < 1:
             raise ValueError("serve_txns_per_conn must be >= 1")
-        if self.serve_workers < 0:
-            raise ValueError("serve_workers must be >= 0 (0 = in-process)")
         if self.serve_shards < 1:
             raise ValueError("serve_shards must be >= 1")
         if self.serve_deadline_s is not None and self.serve_deadline_s <= 0:

@@ -726,9 +726,6 @@ def _scaleout_real(
                    help="transactions per connection"),
         EvalOption("qos", parse_bool, config="serve_qos",
                    help="admission queue + deadline shedding on"),
-        EvalOption("workers", _non_negative_int, config="serve_workers",
-                   help="SO_REUSEPORT server processes "
-                        "(0 = single in-process server, deterministic)"),
         EvalOption("arrival", _parse_arrival_opt, config="serve_arrival",
                    help="client arrival process: closed | poisson[:RATE] | "
                         "burst[:RATE,N]"),
@@ -745,8 +742,8 @@ def _scaleout_real(
     ),
 )
 def _serve(
-    bench: "CloudyBench", connections, txns, qos, workers, arrival, persona,
-    rate, deadline, knee,
+    bench: "CloudyBench", connections, txns, qos, arrival, persona, rate,
+    deadline, knee,
 ) -> EvalOutcome:
     """One serve sweep, payload ``{connections: ServeRunResult}``.
 
@@ -761,8 +758,8 @@ def _serve(
 
     def sweep(counts, **shape):
         results = run_sweep(
-            counts, txns, n_shards=config.serve_shards, workers=workers,
-            persona=persona, seed=config.seed, row_scale=config.row_scale,
+            counts, txns, n_shards=config.serve_shards, persona=persona,
+            seed=config.seed, row_scale=config.row_scale,
             max_connections=config.serve_max_connections,
             observer=bench.observer, **shape,
         )
@@ -770,7 +767,7 @@ def _serve(
 
     def _row(count, result):
         return (
-            count, "on" if result.qos else "off", result.driver,
+            count, "on" if result.qos else "off", "async",
             result.offered, result.committed,
             result.shed + result.expired, result.errors,
             round(result.tps), round(result.goodput_tps),

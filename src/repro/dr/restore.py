@@ -20,8 +20,8 @@ keeps the restored fleet atomic anyway.
 ``target`` is a per-shard LSN vector (default: the manifest's sealed
 archive end).  RTO has two parts: the *measured* wall time of the
 restore and the *modelled* virtual time (rows loaded at
-``LOAD_RATE_ROWS_S`` + records replayed at ``REPLAY_RATE_RECORDS_S``,
-the same constant family as HA promotion).
+``LOAD_RATE_ROWS_S`` + records replayed at HA promotion's
+``REPLAY_RATE_RECORDS_S``).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.dr.archive import FleetArchiver, ShardArchive
 from repro.dr.backup import BackupManifest
 from repro.engine.database import Database
 from repro.engine.errors import EngineError, SimulatedCrash
+from repro.ha.lease import REPLAY_RATE_RECORDS_S
 from repro.ha.replication import WalShipper, bootstrap_standby
 from repro.obs import NULL_OBSERVER, Observer
 from repro.shard.coordinator import PhaseFaults
@@ -45,9 +46,6 @@ RESTORE_PHASES = ("before_load", "after_load", "after_replay", "after_resolve")
 
 #: modelled bulk-load rate of image rows (rows / virtual second)
 LOAD_RATE_ROWS_S = 100_000.0
-#: modelled WAL replay rate (records / virtual second) -- the same
-#: constant the HA promotion time model uses
-REPLAY_RATE_RECORDS_S = 50_000.0
 
 
 class RestoreCrash(SimulatedCrash):

@@ -432,13 +432,6 @@ class Database:
                 f"(first-updater-wins)"
             )
 
-    def _chain_base(self, table: Table, key: Any, before: Tuple[Any, ...]) -> None:
-        """First write to a bootstrap row: capture the committed heap
-        image as an always-visible base version (begin LSN 0) so live
-        snapshots keep seeing it once the heap is overwritten."""
-        if table.versions.chain(key) is None:
-            table.versions.append(key, RowVersion(before, begin_lsn=0))
-
     def _chain_supersede(self, txn: Transaction, table: Table, key: Any) -> None:
         """Mark the current chain head as ended by ``txn`` (uncommitted
         until the commit LSN stamp)."""
@@ -568,7 +561,7 @@ class Database:
             txn.txn_id, LogKind.DELETE, table=table.name, key=key, before=before
         )
         table.delete_row(rid)
-        self._chain_base(table, key, before)
+        table.versions.capture_base(key, before)
         self._chain_supersede(txn, table, key)
         txn.last_lsn = record.lsn
         txn.writes += 1

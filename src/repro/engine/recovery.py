@@ -48,14 +48,6 @@ class RecoveryReport:
     records_discarded: int = 0
 
 
-def _chain_base(table: Table, key, before) -> None:
-    """Capture the committed pre-image of a chainless key as an
-    always-visible base version (mirrors ``Database._chain_base``): a
-    snapshot live while a replica batch applies must keep seeing it."""
-    if table.versions.chain(key) is None:
-        table.versions.append(key, RowVersion(before, begin_lsn=0))
-
-
 def _chain_end(table: Table, key, lsn: int) -> None:
     head = table.versions.newest(key)
     if head is not None and head.end_txn is None and head.end_lsn is None:
@@ -104,7 +96,8 @@ def _apply_redo(db: "Database", record: LogRecord) -> None:
         if rid is None:
             raise EngineError(f"redo DELETE: key {record.key!r} missing in {record.table}")
         table.delete_row(rid)
-        _chain_base(table, record.key, record.before)
+        # a snapshot live while a replica batch applies keeps seeing it
+        table.versions.capture_base(record.key, record.before)
         _chain_end(table, record.key, record.lsn)
     else:  # pragma: no cover - callers filter to data kinds
         raise EngineError(f"cannot redo record kind {record.kind}")

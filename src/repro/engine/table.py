@@ -111,6 +111,13 @@ class VersionStore:
         chain = self._chains.get(key)
         return chain[-1] if chain else None
 
+    def capture_base(self, key: Any, before: Tuple[Any, ...]) -> None:
+        """First write to a bootstrap row: capture its committed heap
+        image as an always-visible base version (begin LSN 0), so live
+        snapshots keep seeing it once the heap is overwritten."""
+        if key not in self._chains:
+            self.append(key, RowVersion(before, begin_lsn=0))
+
     def transition(
         self,
         key: Any,

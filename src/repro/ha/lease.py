@@ -14,6 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: modelled WAL replay rate (records / virtual second) of a promoted
+#: standby; a DR restore replays its archive at the same rate
+REPLAY_RATE_RECORDS_S = 50_000.0
+
 
 @dataclass(frozen=True)
 class LeaseConfig:
@@ -21,16 +25,15 @@ class LeaseConfig:
 
     ``lease_s`` bounds detection delay: a dead primary is declared
     failed at most one lease after its last renewal.  ``heartbeat_s``
-    is the renewal cadence (must leave slack below the lease).
-    ``replay_rate_records_s`` converts the log suffix a promoted
-    standby replays into modelled seconds of promotion time; together
-    these bound the unavailability window:
-    ``lease_s + replayed_records / replay_rate_records_s``.
+    is the renewal cadence (must leave slack below the lease).  The
+    log suffix a promoted standby replays costs modelled seconds at
+    :data:`REPLAY_RATE_RECORDS_S`; together these bound the
+    unavailability window:
+    ``lease_s + replayed_records / REPLAY_RATE_RECORDS_S``.
     """
 
     lease_s: float = 0.5
     heartbeat_s: float = 0.1
-    replay_rate_records_s: float = 50_000.0
 
     def __post_init__(self) -> None:
         if self.lease_s <= 0 or self.heartbeat_s <= 0:
@@ -40,12 +43,10 @@ class LeaseConfig:
                 f"heartbeat ({self.heartbeat_s}s) must renew faster than the "
                 f"lease expires ({self.lease_s}s)"
             )
-        if self.replay_rate_records_s <= 0:
-            raise ValueError("replay_rate_records_s must be positive")
 
     def replay_s(self, records: int) -> float:
         """Modelled time to replay ``records`` log records at promotion."""
-        return max(0, records) / self.replay_rate_records_s
+        return max(0, records) / REPLAY_RATE_RECORDS_S
 
 
 class LeaderLease:

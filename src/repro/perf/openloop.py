@@ -67,7 +67,6 @@ class ArrivalSpec:
     kind: str = "poisson"
     rate: Optional[float] = None
     burst: int = DEFAULT_BURST
-    name: str = "default"
 
     def __post_init__(self) -> None:
         if self.kind not in ARRIVAL_KINDS:

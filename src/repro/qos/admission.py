@@ -37,6 +37,17 @@ from repro.obs import NULL_OBSERVER, Observer
 
 __all__ = ["AdmissionPolicy", "AdmissionController", "Ticket"]
 
+#: number of priority classes (0 = highest)
+PRIORITIES = 3
+#: additive increase per ~limit completions under good latency
+INCREASE = 1.0
+#: multiplicative decrease factor on a congestion signal
+DECREASE = 0.7
+#: EWMA weight of the latency baseline
+BASELINE_ALPHA = 0.05
+#: minimum seconds between multiplicative decreases (one per RTT-ish)
+DECREASE_INTERVAL_S = 0.05
+
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
@@ -44,33 +55,19 @@ class AdmissionPolicy:
 
     #: total queued requests across all priorities before shedding
     max_queue: int = 64
-    #: number of priority classes (0 = highest)
-    priorities: int = 3
     initial_limit: float = 8.0
     min_limit: float = 1.0
     max_limit: float = 256.0
-    #: additive increase per ~limit completions under good latency
-    increase: float = 1.0
-    #: multiplicative decrease factor on a congestion signal
-    decrease: float = 0.7
     #: congestion when latency > threshold x moving baseline
     latency_threshold: float = 2.0
-    #: EWMA weight of the latency baseline
-    baseline_alpha: float = 0.05
-    #: minimum seconds between multiplicative decreases (one per RTT-ish)
-    decrease_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.max_queue < 0 or self.priorities < 1:
-            raise ValueError("need max_queue >= 0 and priorities >= 1")
+        if self.max_queue < 0:
+            raise ValueError("need max_queue >= 0")
         if not 0 < self.min_limit <= self.initial_limit <= self.max_limit:
             raise ValueError("need 0 < min_limit <= initial_limit <= max_limit")
-        if not 0.0 < self.decrease < 1.0:
-            raise ValueError("decrease must be in (0, 1)")
         if self.latency_threshold <= 1.0:
             raise ValueError("latency_threshold must exceed 1.0")
-        if not 0.0 < self.baseline_alpha <= 1.0:
-            raise ValueError("baseline_alpha must be in (0, 1]")
 
 
 @dataclass
@@ -111,7 +108,7 @@ class AdmissionController:
             # its queue empty while p2 absorbs the overload).
             self._g_prio = [
                 metrics.gauge(f"qos.queue_depth.p{priority}")
-                for priority in range(self.policy.priorities)
+                for priority in range(PRIORITIES)
             ]
         else:
             self._c = None
@@ -120,7 +117,7 @@ class AdmissionController:
         self.limit = float(self.policy.initial_limit)
         self.inflight = 0
         self._queues: List[Deque[Ticket]] = [
-            deque() for _ in range(self.policy.priorities)
+            deque() for _ in range(PRIORITIES)
         ]
         self.queue_depth = 0
         self._baseline: Optional[float] = None
@@ -163,7 +160,7 @@ class AdmissionController:
         deadline: Any = None,
     ) -> Ticket:
         """Queue a request; sheds (raises) when the queue is full."""
-        priority = min(max(priority, 0), self.policy.priorities - 1)
+        priority = min(max(priority, 0), PRIORITIES - 1)
         if self.queue_depth >= self.policy.max_queue:
             self._shed(now, priority, reason="queue_full")
         ticket = Ticket(item, priority, now, deadline)
@@ -245,22 +242,21 @@ class AdmissionController:
         # baseline, which raises the congestion threshold, which admits
         # more load, which slows the next sample... until the limit
         # rails at max_limit with the latency it was meant to protect.
-        alpha = self.policy.baseline_alpha
-        self._baseline += alpha * (latency_s - self._baseline)
+        self._baseline += BASELINE_ALPHA * (latency_s - self._baseline)
         self._baseline = min(self._baseline, 1.5 * self._min_latency)
         self.limit = min(
             self.policy.max_limit,
-            self.limit + self.policy.increase / max(1.0, self.limit),
+            self.limit + INCREASE / max(1.0, self.limit),
         )
         if self._g_limit is not None:
             self._g_limit.set(self.limit)
 
     def _decrease(self, now: float) -> None:
         self.congestion_signals += 1
-        if now - self._last_decrease_s < self.policy.decrease_interval_s:
+        if now - self._last_decrease_s < DECREASE_INTERVAL_S:
             return
         self._last_decrease_s = now
-        self.limit = max(self.policy.min_limit, self.limit * self.policy.decrease)
+        self.limit = max(self.policy.min_limit, self.limit * DECREASE)
         if self._g_limit is not None:
             self._g_limit.set(self.limit)
 

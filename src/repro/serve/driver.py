@@ -1,25 +1,21 @@
 """Top-level serve drivers: boot a server, drive load, report.
 
 :func:`run_serve` is what the ``serve`` evaluator calls: it boots
-the serving tier (in-process single server by default, or a
-:class:`~repro.serve.cluster.ServeCluster` of forked SO_REUSEPORT
-workers), drives it with the
-:mod:`~repro.serve.loadgen` generator at one connection count, and
-returns a :class:`ServeRunResult`.  :func:`run_sweep` repeats that
-across a list of connection counts -- the TPS / p50 / p99 *versus
-connection count* curve the evaluator reports.
+the serving tier -- one in-process :class:`~repro.serve.server.SQLServer`
+-- drives it with the :mod:`~repro.serve.loadgen` generator at one
+connection count, and returns a :class:`ServeRunResult`.
+:func:`run_sweep` repeats that across a list of connection counts --
+the TPS / p50 / p99 *versus connection count* curve the evaluator
+reports.
 
-In-process mode runs the server and the load generator on **one**
-event loop in one process.  That is not a toy shortcut: the engine is
-synchronous pure Python, so a separate server process would measure
-the same single-CPU execution plus context switches.  What the socket
-adds -- framing, serialization, admission queueing, per-connection
-sessions -- is exactly what this driver measures, and the loopback
-socket is real (real TCP, real partial reads, real connection drops).
-Cluster mode (``workers >= 1``) forks real server processes for
-multi-core scaling at the cost of counter determinism (the kernel's
-connection balancing is not seeded), so tests that pin counters use
-``workers = 0``.
+The server and the load generator share **one** event loop in one
+process.  That is not a toy shortcut: the engine is synchronous pure
+Python, so a separate server process would measure the same
+single-CPU execution plus context switches.  What the socket adds --
+framing, serialization, admission queueing, per-connection sessions --
+is exactly what this driver measures, and the loopback socket is real
+(real TCP, real partial reads, real connection drops).  Every counter
+is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -49,9 +45,7 @@ class ServeRunResult:
     """Outcome of one serve drive at one connection count."""
 
     connections: int
-    driver: str                   # "async" | "cluster" | "cluster-fallback"
     qos: bool
-    workers: int
     persona: str
     arrival: str
     offered: int
@@ -68,7 +62,7 @@ class ServeRunResult:
     tps: float
     goodput_tps: float
     latency_ms: Dict[str, float] = field(default_factory=dict)
-    #: server-side accounting (in-process mode and cluster workers)
+    #: server-side accounting
     server: Dict[str, int] = field(default_factory=dict)
     fsyncs: int = 0
 
@@ -166,7 +160,6 @@ def run_serve(
     connections: int,
     txns_per_conn: int,
     n_shards: int = 2,
-    workers: int = 0,
     qos: bool = True,
     persona: str = "payment",
     arrival: str = "closed",
@@ -181,19 +174,14 @@ def run_serve(
 ) -> ServeRunResult:
     """Boot the serving tier, drive it, and aggregate both sides.
 
-    ``workers = 0`` runs the single in-process server; ``workers >= 1``
-    forks a :class:`~repro.serve.cluster.ServeCluster` (falling back to
-    in-process with driver ``cluster-fallback`` when the environment
-    refuses).  An open ``arrival`` spec needs ``rate_tps`` (total
-    offered rate across all connections).
+    An open ``arrival`` spec needs ``rate_tps`` (total offered rate
+    across all connections).
     """
     from repro.qos.admission import AdmissionPolicy
 
     spec = parse_arrival(arrival)
     if spec.is_open and rate_tps is None:
         rate_tps = spec.rate
-    # the parent always builds one fleet: in-process mode serves from
-    # it, cluster mode only reads the (seed-determined) key space
     fleet, _data = load_sales_fleet(
         n_shards, row_scale=row_scale, seed=seed, name="serve",
         observer=observer,
@@ -203,36 +191,16 @@ def run_serve(
         ServeFaultInjector(fault_plan, seed=seed)
         if fault_plan is not None else None
     )
-
-    cluster = None
-    address = None
-    driver = "async"
-    if workers >= 1:
-        from repro.serve.cluster import ServeCluster
-
-        cluster = ServeCluster(
-            workers, n_shards=n_shards, seed=seed, row_scale=row_scale,
-            qos=qos, max_connections=max_connections, deadline_s=deadline_s,
-        )
-        address = cluster.start()
-        driver = cluster.driver
+    config = ServerConfig(
+        qos=qos, max_connections=max_connections, deadline_s=deadline_s,
+        policy=AdmissionPolicy(max_queue=max_queue),
+    )
+    server = SQLServer(fleet, config, observer=observer, fault_injector=injector)
 
     async def drive():
-        server = None
-        if address is None:
-            config = ServerConfig(
-                qos=qos, max_connections=max_connections,
-                deadline_s=deadline_s,
-                policy=AdmissionPolicy(max_queue=max_queue),
-            )
-            server = SQLServer(
-                fleet, config, observer=observer, fault_injector=injector
-            )
-            host, port = await server.start()
-        else:
-            host, port = address
+        host, port = await server.start()
         try:
-            outcome = await run_load(
+            return await run_load(
                 host, port,
                 connections=connections, txns_per_conn=txns_per_conn,
                 keys=keys, persona=persona, seed=seed,
@@ -240,30 +208,12 @@ def run_serve(
                 rate_tps=rate_tps, deadline_s=deadline_s,
             )
         finally:
-            if server is not None:
-                await server.stop()
-        if server is not None:
-            return outcome, _server_stats(server), fleet.fsyncs
-        return outcome, {}, 0
+            await server.stop()
 
-    try:
-        load, server_stats, fsyncs = asyncio.run(drive())
-    finally:
-        worker_stats = cluster.stop() if cluster is not None else []
-    if worker_stats:
-        server_stats = {
-            key: sum(entry.get(key, 0) for entry in worker_stats)
-            for key in (
-                "accepted", "rejected", "statements", "errors", "shed",
-                "expired", "abrupt_disconnects", "orphan_rollbacks",
-            )
-        }
-        fsyncs = sum(entry.get("fsyncs", 0) for entry in worker_stats)
+    load = asyncio.run(drive())
     return ServeRunResult(
         connections=connections,
-        driver=driver,
         qos=qos,
-        workers=workers if driver == "cluster" else 0,
         persona=persona,
         arrival=spec.describe(),
         offered=load.offered,
@@ -280,8 +230,8 @@ def run_serve(
         tps=load.tps,
         goodput_tps=load.goodput_tps,
         latency_ms=load.histogram.latency_summary_ms(),
-        server=server_stats,
-        fsyncs=fsyncs,
+        server=_server_stats(server),
+        fsyncs=fleet.fsyncs,
     )
 
 

@@ -43,15 +43,13 @@ ShardedDatabase` and serves the frame protocol of
 The engine itself is synchronous pure Python, so statement execution
 runs on the event loop; the server's concurrency is at the *protocol*
 layer (thousands of open connections, interleaved frame streams),
-which is the layer this testbed is measuring.  For CPU scale-out see
-:mod:`repro.serve.cluster`: one full engine fleet per worker process
-behind a shared SO_REUSEPORT socket.
+which is the layer this testbed is measuring.  The server runs in the
+process of its caller, on loopback and an ephemeral port.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket as socket_module
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -88,14 +86,17 @@ _ARRIVED_S = ("arrived_s",)
 #: retrying client barely notices the handover
 DRAIN_RETRY_AFTER_S = 0.05
 
+#: the address the server listens on; port 0 picks an ephemeral port
+HOST = "127.0.0.1"
+#: the server's name in its hello response, error messages and the
+#: names of its admission controllers
+SERVER_NAME = "serve"
+
 
 @dataclass(frozen=True)
 class ServerConfig:
     """Tuning knobs of one serving-tier instance."""
 
-    host: str = "127.0.0.1"
-    #: 0 picks an ephemeral port (the tests' default)
-    port: int = 0
     #: accepted connections beyond this are shed with a retryable error
     max_connections: int = 2048
     #: statement admission control (the qos stack) on or off
@@ -110,9 +111,6 @@ class ServerConfig:
     #: only; None disables)
     deadline_s: Optional[float] = None
     max_frame: int = wire.MAX_FRAME_BYTES
-    #: default isolation of served transactions (None = fleet default)
-    isolation: Optional[str] = None
-    name: str = "serve"
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
@@ -121,7 +119,6 @@ class ServerConfig:
             raise ValueError("max_frame must be >= 1")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
-        coerce_isolation(self.isolation)  # raises on an unknown level
 
 
 #: seconds a full-intensity ``CONN_STALL`` holds each statement
@@ -448,7 +445,7 @@ class SQLServer:
         self.controller: Optional[AdmissionController] = (
             AdmissionController(
                 self.config.policy,
-                name=f"{self.config.name}.stmt",
+                name=f"{SERVER_NAME}.stmt",
                 observer=self.obs,
             )
             if self.config.qos
@@ -463,7 +460,7 @@ class SQLServer:
                 initial_limit=cap, min_limit=min(1.0, cap), max_limit=cap,
                 max_queue=0,
             ),
-            name=f"{self.config.name}.conn",
+            name=f"{SERVER_NAME}.conn",
             observer=self.obs,
         )
         self._server: Optional[asyncio.base_events.Server] = None
@@ -475,7 +472,6 @@ class SQLServer:
         self._drain_scheduled = False
         self._started_at = 0.0
         self._next_conn_id = 0
-        self._isolation = coerce_isolation(self.config.isolation)
         # cumulative accounting (cheap, always on -- evaluators read it)
         self.accepted = 0
         self.rejected = 0
@@ -511,28 +507,19 @@ class SQLServer:
     def _now(self) -> float:
         return time.monotonic() - self._started_at
 
-    async def start(
-        self, sock: Optional[socket_module.socket] = None
-    ) -> Tuple[str, int]:
-        """Bind and serve; ``sock`` lets cluster workers share a
-        pre-bound SO_REUSEPORT socket.  The accept backlog is
-        ``max_connections`` (asyncio's default of 100 would park a
-        larger burst of connects in the kernel's SYN retransmit)."""
+    async def start(self) -> Tuple[str, int]:
+        """Bind and serve.  The accept backlog is ``max_connections``
+        (asyncio's default of 100 would park a larger burst of connects
+        in the kernel's SYN retransmit)."""
         if self._server is not None:
             raise RuntimeError("server is already started")
         self._started_at = time.monotonic()
         self._draining = False
         self._loop = asyncio.get_running_loop()
-        backlog = self.config.max_connections
-        if sock is not None:
-            self._server = await self._loop.create_server(
-                lambda: _Connection(self), sock=sock, backlog=backlog
-            )
-        else:
-            self._server = await self._loop.create_server(
-                lambda: _Connection(self),
-                host=self.config.host, port=self.config.port, backlog=backlog,
-            )
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), host=HOST, port=0,
+            backlog=self.config.max_connections,
+        )
         return self.address
 
     async def stop(self, drain: bool = False) -> None:
@@ -582,7 +569,7 @@ class SQLServer:
 
     def _drain_error(self) -> OverloadError:
         return OverloadError(
-            f"{self.config.name}: draining for shutdown; retry against "
+            f"{SERVER_NAME}: draining for shutdown; retry against "
             f"the replacement server",
             retry_after_s=DRAIN_RETRY_AFTER_S,
         )
@@ -654,7 +641,7 @@ class SQLServer:
                 self.obs.count("serve.stmt.expired")
             self.controller.release(self._now(), -1.0)
             return _refusal(DeadlineExceededError(
-                f"{self.config.name}: statement expired after "
+                f"{SERVER_NAME}: statement expired after "
                 f"{waited:.3f}s waiting to run"
             ))
         response = self._execute_frame(conn.session, conn.queued)
@@ -709,11 +696,14 @@ class SQLServer:
         return _refusal(error)
 
     def _op_hello(self, session, frame):
+        priority = frame.get("priority", 1)
+        if type(priority) is not int:
+            raise _protocol_error(f"priority {priority!r} is not an integer")
         session.client_name = str(frame.get("client", ""))
-        session.priority = int(frame.get("priority", 1))
+        session.priority = priority
         return {
             "ok": True,
-            "server": self.config.name,
+            "server": SERVER_NAME,
             "n_shards": self.fleet.n_shards,
             "max_frame": self.config.max_frame,
         }
@@ -730,13 +720,15 @@ class SQLServer:
     ):
         gtxn = session.gtxn if session.in_txn else None
         run = self.fleet.query if read_only else self.fleet.execute
-        return run(sql, list(params), gtxn=gtxn)
+        return run(sql, params, gtxn=gtxn)
 
     def _op_execute(self, session, frame, read_only: bool = False):
         sql = frame.get("sql")
         if not isinstance(sql, str):
             raise _protocol_error("execute frame without sql")
         params = frame.get("params", [])
+        if not isinstance(params, list):
+            raise _protocol_error(f"params {params!r} is not a list")
         self.statements += 1
         result = self._run_statement(session, sql, params, read_only)
         if self.obs.enabled:
@@ -754,12 +746,8 @@ class SQLServer:
     def _op_begin(self, session, frame):
         if session.in_txn:
             raise _protocol_error("begin inside an open transaction")
-        isolation = frame.get("isolation")
         session.gtxn = self.fleet.begin(
-            isolation=(
-                self._isolation if isolation is None
-                else coerce_isolation(isolation)
-            )
+            isolation=coerce_isolation(frame.get("isolation"))
         )
         if self.obs.enabled:
             self.obs.count("serve.txn.begin")
@@ -814,13 +802,21 @@ class SQLServer:
         stmts = frame.get("stmts")
         if not isinstance(stmts, list) or not stmts:
             raise _protocol_error("batch frame without statements")
+        for entry in stmts:
+            if not (
+                isinstance(entry, list) and entry and isinstance(entry[0], str)
+                and (len(entry) == 1 or len(entry) == 2 and isinstance(entry[1], list))
+            ):
+                raise _protocol_error(
+                    f"batch entry {entry!r} is not [sql] or [sql, params]"
+                )
         self.statements += len(stmts)
-        gtxn = self.fleet.begin(isolation=self._isolation)
+        gtxn = self.fleet.begin()
         rowcounts = []
         try:
             for entry in stmts:
                 sql, params = entry[0], entry[1] if len(entry) > 1 else []
-                result = self.fleet.execute(sql, list(params), gtxn=gtxn)
+                result = self.fleet.execute(sql, params, gtxn=gtxn)
                 rowcounts.append(result.rowcount)
             gtxn.commit()
         except BaseException:

@@ -357,7 +357,7 @@ def _redo_by_the_helpers(db, record):
         _full_update_row(table, rid, record.after)
     else:
         table.delete_row(rid)
-    recovery._chain_base(table, record.key, record.before)
+    table.versions.capture_base(record.key, record.before)
     recovery._chain_end(table, record.key, record.lsn)
     if record.kind is LogKind.UPDATE:
         table.versions.append(

@@ -16,7 +16,7 @@ from repro.engine.database import Database
 from repro.engine.types import Column, ColumnType, Schema
 from repro.obs.export import _prom_name, metrics_to_prometheus, write_prometheus
 from repro.obs.observer import Observer
-from repro.qos.admission import AdmissionController, AdmissionPolicy
+from repro.qos.admission import PRIORITIES, AdmissionController, AdmissionPolicy
 from repro.shard.coordinator import TxnCoordinator
 
 
@@ -89,10 +89,8 @@ class TestEagerRegistration:
 
     def test_admission_depth_gauges_exist_per_priority(self):
         obs = Observer(clock=lambda: 0.0)
-        AdmissionController(
-            AdmissionPolicy(priorities=3), observer=obs
-        )
-        for priority in range(3):
+        AdmissionController(AdmissionPolicy(), observer=obs)
+        for priority in range(PRIORITIES):
             assert f"qos.queue_depth.p{priority}" in obs.metrics.gauges
 
     def test_2pc_counters_exist_before_first_commit(self):
@@ -119,7 +117,7 @@ class TestPriorityDepthGauges:
     def test_gauges_follow_enqueue_and_pop(self):
         obs = Observer(clock=lambda: 0.0)
         controller = AdmissionController(
-            AdmissionPolicy(priorities=2, initial_limit=1.0, min_limit=1.0),
+            AdmissionPolicy(initial_limit=1.0, min_limit=1.0),
             observer=obs,
         )
         controller.try_acquire(now=0.0)  # saturate the limit

@@ -47,11 +47,9 @@ class TestPolicies:
         with pytest.raises(ValueError):
             AdmissionPolicy(initial_limit=300.0, max_limit=256.0)
         with pytest.raises(ValueError):
-            AdmissionPolicy(decrease=1.5)
-        with pytest.raises(ValueError):
             AdmissionPolicy(latency_threshold=1.0)
         with pytest.raises(ValueError):
-            AdmissionPolicy(priorities=0)
+            AdmissionPolicy(max_queue=-1)
 
 
 # -- gate mode: admit or shed -------------------------------------------------
@@ -121,7 +119,7 @@ class TestQueueMode:
 
     def test_dequeue_respects_priority_then_fifo(self):
         controller = AdmissionController(
-            AdmissionPolicy(initial_limit=8.0, min_limit=1.0, priorities=3)
+            AdmissionPolicy(initial_limit=8.0, min_limit=1.0)
         )
         controller.enqueue("low-1", 0.0, priority=2)
         controller.enqueue("high", 0.0, priority=0)

@@ -282,6 +282,21 @@ BAD_PARAMETERS = [
     ),
 ]
 
+#: Frame fields of the wrong shape: each used to reach the server's
+#: catch-all as a bare ValueError, TypeError or IndexError (wire code
+#: ``internal``), or to be taken silently (a bool or fractional priority,
+#: a string split into one parameter per character).
+BAD_FRAMES = [
+    pytest.param({"op": "hello", "priority": "x"}, id="priority-text"),
+    pytest.param({"op": "hello", "priority": True}, id="priority-bool"),
+    pytest.param({"op": "hello", "priority": 1.9}, id="priority-fraction"),
+    pytest.param({"op": "execute", "sql": READ_CREDIT, "params": 5}, id="params-number"),
+    pytest.param({"op": "execute", "sql": READ_CREDIT, "params": "ab"}, id="params-text"),
+    pytest.param({"op": "batch", "stmts": [5]}, id="stmt-number"),
+    pytest.param({"op": "batch", "stmts": [[]]}, id="stmt-empty"),
+    pytest.param({"op": "batch", "stmts": [[5]]}, id="stmt-sql-number"),
+]
+
 
 @contextlib.contextmanager
 def _client(kind):
@@ -353,6 +368,18 @@ def test_bad_parameter_is_a_typed_error(kind, sql, make_params, error, code):
         # ...and the session serves the next statements, on the same row
         assert execute(READ_CREDIT, [cid]).rows == before
         assert execute(BUMP_CREDIT, [1.0, cid]).rowcount == 1
+
+
+@pytest.mark.parametrize("frame", BAD_FRAMES)
+def test_malformed_frame_field_is_a_protocol_error(frame):
+    with _client("socket") as (client, engines):
+        with pytest.raises(SqlError, match="protocol: ") as exc_info:
+            client._request(frame)
+        assert wire_code(exc_info.value) == "sql"
+        assert exc_info.value.retryable is False
+        for engine in engines:
+            assert not engine.txns.active
+        assert client.ping()  # the session goes on
 
 
 class _Blocking:

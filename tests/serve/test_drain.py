@@ -32,7 +32,7 @@ class TestDrain:
 
         async def scenario():
             fleet = _fleet("drain-load")
-            server = SQLServer(fleet, ServerConfig(qos=False, name="drain"))
+            server = SQLServer(fleet, ServerConfig(qos=False))
             await server.start()
             host, port = server.address
             keys = collect_keys(fleet)
@@ -68,7 +68,7 @@ class TestDrain:
 
         async def scenario():
             fleet = _fleet("drain-shed")
-            server = SQLServer(fleet, ServerConfig(qos=False, name="drain"))
+            server = SQLServer(fleet, ServerConfig(qos=False))
             await server.start()
             host, port = server.address
             from repro.serve.client import AsyncSQLClient
@@ -108,7 +108,7 @@ class TestDrain:
 
         async def scenario():
             fleet = _fleet("drain-conn")
-            server = SQLServer(fleet, ServerConfig(qos=False, name="drain"))
+            server = SQLServer(fleet, ServerConfig(qos=False))
             await server.start()
             host, port = server.address
             from repro.serve.client import AsyncSQLClient
@@ -138,7 +138,7 @@ class TestDrain:
 
         async def scenario():
             fleet = _fleet("drain-plain")
-            server = SQLServer(fleet, ServerConfig(qos=False, name="drain"))
+            server = SQLServer(fleet, ServerConfig(qos=False))
             await server.start()
             await server.stop()
             await server.stop()  # idempotent

@@ -38,11 +38,10 @@ class TestPersonas:
 class TestRunServe:
     def test_closed_loop_smoke(self):
         result = run_serve(
-            4, 4, n_shards=2, workers=0, qos=False,
+            4, 4, n_shards=2, qos=False,
             persona="payment", arrival="closed",
             seed=42, row_scale=0.001,
         )
-        assert result.driver == "async"
         assert result.offered == 16
         assert result.committed == 16
         assert result.aborted == 0
@@ -56,7 +55,7 @@ class TestRunServe:
     def test_closed_loop_is_deterministic(self):
         runs = [
             run_serve(
-                2, 6, n_shards=2, workers=0, qos=False,
+                2, 6, n_shards=2, qos=False,
                 persona="payment", arrival="closed",
                 seed=7, row_scale=0.001,
             )
@@ -68,7 +67,7 @@ class TestRunServe:
 
     def test_reader_persona_commits_reads(self):
         result = run_serve(
-            2, 4, n_shards=2, workers=0, qos=False,
+            2, 4, n_shards=2, qos=False,
             persona="reader", arrival="closed",
             seed=42, row_scale=0.001,
         )
@@ -76,7 +75,7 @@ class TestRunServe:
 
     def test_sweep_runs_every_count(self):
         results = run_sweep(
-            [1, 2], 3, n_shards=2, workers=0, qos=False,
+            [1, 2], 3, n_shards=2, qos=False,
             seed=42, row_scale=0.001,
         )
         assert [r.connections for r in results] == [1, 2]
@@ -118,7 +117,7 @@ class TestPinnedShape:
         server, seed 42: every offered transaction runs, so the
         counters are exact integers and any drift is a behaviour change."""
         result = run_serve(
-            8, 32, n_shards=2, workers=0, qos=False, persona="payment",
+            8, 32, n_shards=2, qos=False, persona="payment",
             arrival="closed", seed=42, row_scale=0.002,
         )
         assert (result.offered, result.committed, result.aborted) == (256, 256, 0)

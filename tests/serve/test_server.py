@@ -115,10 +115,8 @@ class TestSessions:
             assert client.gtid not in (None, abandoned)
             client.close()
 
-    @pytest.mark.parametrize("pre_bound", [False, True], ids=["host_port", "sock"])
-    def test_accept_backlog_follows_max_connections(self, fleet, monkeypatch, pre_bound):
-        """Both listen paths -- host/port and the pre-bound socket cluster
-        workers share -- queue up to ``max_connections`` connects."""
+    def test_accept_backlog_follows_max_connections(self, fleet, monkeypatch):
+        """The listener queues up to ``max_connections`` connects."""
         seen = []
         create_server = asyncio.BaseEventLoop.create_server
 
@@ -129,12 +127,8 @@ class TestSessions:
         monkeypatch.setattr(asyncio.BaseEventLoop, "create_server", spy)
 
         async def scenario():
-            sock = None
-            if pre_bound:
-                sock = socket.socket()
-                sock.bind(("127.0.0.1", 0))
             server = SQLServer(fleet, ServerConfig(qos=False, max_connections=300))
-            await server.start(sock)
+            await server.start()
             try:
                 client = AsyncSQLClient(*server.address)
                 await client.connect()
@@ -144,7 +138,6 @@ class TestSessions:
 
         asyncio.run(scenario())
         assert len(seen) == 1 and seen[0]["backlog"] == 300
-        assert ("sock" in seen[0]) is pre_bound
 
 
 class TestPipelining:
