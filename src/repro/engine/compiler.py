@@ -19,7 +19,8 @@ is built once per :class:`~repro.engine.executor.Prepared` and holds:
 * **residual predicates** with column *indexes* (not names) and the
   operator function pre-fetched, so the row loop never touches the
   schema;
-* precomputed projection/order/pk column indexes for SELECT.
+* a C-level projection getter and precomputed order/pk column
+  indexes for SELECT.
 
 What deliberately stays run-time: parameter values, the transaction's
 isolation behaviour (``txn.uses_mvcc`` is checked per execution -- the
@@ -35,7 +36,8 @@ recompiles a statement whose epoch no longer matches.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.errors import SqlError
 from repro.engine.index import OrderedIndex
@@ -168,7 +170,7 @@ class CompiledStatement:
     __slots__ = (
         "kind", "access", "epoch", "pk_index",
         # select
-        "star_columns", "proj_indexes", "proj_columns", "order_index",
+        "star_columns", "project", "proj_columns", "order_index",
         "has_group", "has_aggregate", "for_update", "order_by", "order_desc",
         "limit",
         # insert
@@ -183,7 +185,8 @@ class CompiledStatement:
         self.access: Optional[CompiledAccess] = None
         self.pk_index = 0
         self.star_columns: Optional[Tuple[str, ...]] = None
-        self.proj_indexes: Optional[Tuple[int, ...]] = None
+        #: row -> projected row tuple, a C-level ``itemgetter``
+        self.project: Optional[Callable[[Tuple[Any, ...]], Tuple[Any, ...]]] = None
         self.proj_columns: Optional[Tuple[str, ...]] = None
         self.order_index: Optional[int] = None
         self.has_group = False
@@ -225,8 +228,12 @@ def compile_statement(table, statement) -> CompiledStatement:
         if statement.star:
             compiled.star_columns = schema.column_names
         elif not compiled.has_group and not compiled.has_aggregate:
-            compiled.proj_indexes = tuple(
-                schema.column_index(item.column) for item in statement.items
+            indexes = [schema.column_index(item.column) for item in statement.items]
+            # itemgetter of one index returns the bare cell, so a single
+            # column slices instead: on a row tuple, the 1-tuple it needs
+            compiled.project = (
+                itemgetter(slice(indexes[0], indexes[0] + 1)) if len(indexes) == 1
+                else itemgetter(*indexes)
             )
             compiled.proj_columns = tuple(
                 item.column for item in statement.items

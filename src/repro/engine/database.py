@@ -31,16 +31,16 @@ from repro.engine.errors import (
 )
 from repro.engine.executor import Executor, Prepared, ResultSet
 from repro.engine.locks import LockManager, LockMode, LockOutcome
-from repro.engine.recovery import RecoveryReport, recover
+from repro.engine.recovery import RecoveryReport, _apply_undo, recover
+from repro.engine.sql import SelectStatement
 from repro.engine.table import RowVersion, Table, TableSnapshot, VersionStore
 from repro.engine.txn import (
-    MVCC_LEVELS,
     IsolationLevel,
     Transaction,
     TransactionManager,
     TxnState,
 )
-from repro.engine.types import Schema
+from repro.engine.types import DEFAULT, Schema
 from repro.engine.wal import DATA_KINDS, LogKind, LogRecord, WriteAheadLog
 from repro.obs import NULL_OBSERVER, Observer
 
@@ -168,7 +168,7 @@ class Database:
         record = self.wal.append(txn.txn_id, LogKind.BEGIN)
         txn.first_lsn = record.lsn
         txn.last_lsn = record.lsn
-        if txn.isolation in MVCC_LEVELS:
+        if txn.isolation.mvcc:
             # Commit LSNs are strictly greater than the BEGIN record's
             # LSN, so this snapshot excludes every later commit.
             txn.snapshot_lsn = max(record.lsn, self.snapshot_floor)
@@ -210,8 +210,6 @@ class Database:
             return
         # Undo this transaction's changes in reverse order (no CLRs: the
         # engine is memory-resident, so rollback is atomic w.r.t. crashes).
-        from repro.engine.recovery import _apply_undo  # local import: cycle
-
         for record in reversed(self._txn_records.pop(txn.txn_id, [])):
             _apply_undo(self, record)
         self.wal.append(txn.txn_id, LogKind.ABORT)
@@ -257,8 +255,6 @@ class Database:
         if commit:
             self.wal.append(txn_id, LogKind.COMMIT)
         else:
-            from repro.engine.recovery import _apply_undo  # local import: cycle
-
             records = [
                 record
                 for record in self.wal.records_from(self.checkpoint_lsn + 1)
@@ -361,8 +357,6 @@ class Database:
         as well as outside, so callers can't mutate through the read
         path by accident.
         """
-        from repro.engine.sql import SelectStatement
-
         prepared = self.prepare(sql)
         if not isinstance(prepared.statement, SelectStatement):
             raise SqlError(
@@ -480,8 +474,6 @@ class Database:
         schema = table.schema
         next_auto = None
         pk_index = schema.primary_key_index
-        from repro.engine.types import DEFAULT  # local import: avoid cycle at top
-
         if any(
             value is DEFAULT and column.autoincrement
             for value, column in zip(values, schema.columns)
@@ -593,10 +585,10 @@ class Database:
         # Quiescence means no live snapshot: vacuum collapses every chain
         # so the checkpoint images carry no version history.
         self.vacuum()
-        self._checkpoint_snapshots = {
-            name: table.snapshot() for name, table in self._tables.items()
-        }
+        snapshots = {name: table.snapshot() for name, table in self._tables.items()}
+        # the image is the restart base only once its record is logged
         record = self.wal.append(0, LogKind.CHECKPOINT)
+        self._checkpoint_snapshots = snapshots
         self.checkpoint_lsn = record.lsn
         if truncate_wal:
             self.wal.truncate(record.lsn)

@@ -18,8 +18,9 @@ one comprehension pass instead of a per-row closure call.
 
 Reads take shared locks (exclusive under ``FOR UPDATE``), writes take
 exclusive locks.  Under READ COMMITTED shared locks are released at the
-end of the statement; under SERIALIZABLE they are held to commit
-(strict 2PL).
+end of the statement, and not taken where that changes nothing
+(``LockManager.transient_shared_is_noop``); under SERIALIZABLE they
+are held to commit (strict 2PL).
 """
 
 from __future__ import annotations
@@ -402,10 +403,19 @@ class Executor:
             if compiled.limit is not None:
                 matches = matches[: compiled.limit]
         if not snapshot_read and not compiled.for_update:
+            db = self._db
+            name = table.name
+            # READ COMMITTED drops each S lock when the statement ends:
+            # where taking and dropping it is a no-op, skip both.
+            transient = txn.isolation is IsolationLevel.READ_COMMITTED
+            noop = db.locks.transient_shared_is_noop
             for _rid, row in matches:
                 key = row[pk_index]
-                self._db._lock_row(txn, table.name, key, LockMode.SHARED)
-                shared_keys.append(key)
+                if transient:
+                    if noop((name, key), txn.deadline):
+                        continue
+                    shared_keys.append(key)
+                db._lock_row(txn, name, key, LockMode.SHARED)
         rows = [row for _rid, row in matches]
         txn.reads += len(rows)
         if compiled.has_group:
@@ -415,12 +425,10 @@ class Executor:
         elif compiled.star_columns is not None:
             result = ResultSet(compiled.star_columns, rows, len(rows))
         else:
-            indexes = compiled.proj_indexes
-            projected = [tuple(row[i] for i in indexes) for row in rows]
+            projected = list(map(compiled.project, rows))
             result = ResultSet(compiled.proj_columns, projected, len(projected))
-        if txn.isolation is IsolationLevel.READ_COMMITTED:
-            for key in shared_keys:
-                self._db._unlock_row(txn, table.name, key)
+        for key in shared_keys:
+            self._db._unlock_row(txn, table.name, key)
         return result
 
     @staticmethod

@@ -100,6 +100,14 @@ class LockManager:
         rollback released)."""
         return set(self._held_by_txn.get(txn_id, ()))
 
+    def transient_shared_is_noop(self, key: LockKey, deadline) -> bool:
+        """Would an S lock on ``key`` taken and released within one
+        statement (READ COMMITTED) change nothing?  Yes where no entry
+        for ``key`` exists (the engine is cooperative, so none appears
+        before the release), no ``deadline`` can cancel at the lock wait
+        and no lock metric counts the grant."""
+        return deadline is None and self._c_granted is None and key not in self._locks
+
     # -- acquisition ----------------------------------------------------------
 
     def acquire(

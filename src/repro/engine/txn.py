@@ -44,6 +44,11 @@ class IsolationLevel(enum.Enum):
 #: Levels whose reads go through version chains instead of the lock manager.
 MVCC_LEVELS = frozenset({IsolationLevel.SNAPSHOT, IsolationLevel.REPEATABLE_READ})
 
+# ``level.mvcc``: membership resolved once, not by Python-level Enum.__hash__
+for _level in IsolationLevel:
+    _level.mvcc = _level in MVCC_LEVELS
+del _level
+
 
 class TxnState(enum.Enum):
     ACTIVE = "active"

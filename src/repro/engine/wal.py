@@ -60,15 +60,13 @@ FSYNC_KINDS = (LogKind.COMMIT, LogKind.PREPARE, LogKind.DECISION)
 #: Crash-point modes accepted by :meth:`WriteAheadLog.arm_crash`.
 CRASH_MODES = ("before", "after", "torn")
 
-#: Kinds that close a transaction's undo chain (hoisted: ``append``
-#: tests membership once per record).
-_TXN_END_KINDS = (LogKind.COMMIT, LogKind.ABORT)
-
-#: member -> ``(value, ends_txn, fsyncs)``: one dict probe in ``append``
-#: replaces the value lookup plus two membership tests.
-_KIND_INFO = {
-    kind: (kind.value, kind in _TXN_END_KINDS, kind in FSYNC_KINDS) for kind in LogKind
-}
+# ``kind._info = (value, ends_txn, fsyncs)``, resolved once per member:
+# ``append`` would otherwise pay a Python-level ``Enum.__hash__`` per record.
+for _kind in LogKind:
+    _kind._info = (
+        _kind.value, _kind in (LogKind.COMMIT, LogKind.ABORT), _kind in FSYNC_KINDS
+    )
+del _kind
 
 
 def checksum(
@@ -81,7 +79,9 @@ def checksum(
     after: Optional[Tuple[Any, ...]],
     prev_lsn: int,
 ) -> int:
-    """CRC32 over a record's payload -- the one place its layout is written.
+    """CRC32 over a record's payload -- the definition verify, the
+    archive and the scrubber use (:meth:`WriteAheadLog.append` inlines
+    the same expression; ``tests/engine/test_wal.py`` holds them equal).
 
     The payload is the ``marshal`` serialisation of the 8-field tuple,
     so the CRC is type-exact (``1``, ``1.0``, ``"1"``, ``True`` and
@@ -280,7 +280,7 @@ class WriteAheadLog:
     ) -> LogRecord:
         if self._dead:
             raise SimulatedCrash("instance is down: append rejected until restart")
-        kind_value, ends_txn, needs_fsync = _KIND_INFO[kind]
+        kind_value, ends_txn, needs_fsync = kind._info
         if self._armed_crash is not None and self._next_lsn >= self._armed_crash[0]:
             mode = self._armed_crash[1]
             self._armed_crash = None
@@ -298,9 +298,12 @@ class WriteAheadLog:
         lsn = self._next_lsn
         last_of_txn = self._last_lsn_of_txn
         prev_lsn = last_of_txn.get(txn_id, 0)
+        # checksum(), inline: one call frame per record saved
         record = LogRecord(
             lsn, txn_id, kind, table, key, before, after, prev_lsn,
-            checksum(lsn, txn_id, kind_value, table, key, before, after, prev_lsn),
+            _crc32(_marshal_dumps(
+                (lsn, txn_id, kind_value, table, key, before, after, prev_lsn), 2
+            )),
         )
         if mode == "torn":
             if after:
@@ -367,11 +370,12 @@ class WriteAheadLog:
         self._next_lsn = record.lsn + 1
         if record.txn_id > self._max_txn_id:
             self._max_txn_id = record.txn_id
-        if record.kind in _TXN_END_KINDS:
+        _value, ends_txn, needs_fsync = record.kind._info
+        if ends_txn:
             self._last_lsn_of_txn.pop(record.txn_id, None)
         elif record.kind is not LogKind.CHECKPOINT:
             self._last_lsn_of_txn[record.txn_id] = record.lsn
-        if record.kind in FSYNC_KINDS:
+        if needs_fsync:
             self._durability_point(record.kind, record.prev_lsn)
         if self._c_append is not None:
             self._c_append.value += 1.0

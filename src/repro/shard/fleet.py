@@ -26,7 +26,7 @@ from repro.core.datagen import DataGenerator, GeneratedData, gc_paused
 from repro.core.schema import create_sales_schema
 from repro.engine.database import Database
 from repro.engine.errors import ShardUnavailableError, SimulatedCrash
-from repro.engine.executor import ResultSet
+from repro.engine.executor import Prepared, ResultSet
 from repro.engine.recovery import RecoveryReport
 from repro.engine.sql import InsertStatement, SelectStatement
 from repro.engine.txn import IsolationLevel
@@ -132,7 +132,7 @@ class ShardedDatabase:
 
     def execute(
         self,
-        sql: str,
+        sql: str | Prepared,
         params: Sequence[Any] = (),
         gtxn: Optional[GlobalTransaction] = None,
     ) -> ResultSet:
@@ -141,11 +141,13 @@ class ShardedDatabase:
         Single-shard statements go straight to the owning shard (inside
         ``gtxn`` they enlist that shard as a branch).  Fan-out writes
         outside a global transaction are wrapped in one, so a scattered
-        UPDATE is still atomic across shards via 2PC.
+        UPDATE is still atomic across shards via 2PC.  :meth:`query`
+        passes on the statement shard 0 prepared: one cache probe each.
         """
         # Shard 0 parses and validates; other shards re-prepare the text
         # against their own (identical) catalog through the LRU plan cache.
-        prepared = self.shards[0].prepare(sql)
+        prepared = self.shards[0].prepare(sql) if isinstance(sql, str) else sql
+        sql = prepared.sql
         statement = prepared.statement
         shard_id = self.router.route_prepared(prepared, params)
         if shard_id is not None:
@@ -170,7 +172,7 @@ class ShardedDatabase:
         prepared = self.shards[0].prepare(sql)
         if not isinstance(prepared.statement, SelectStatement):
             raise ShardError(f"query() is read-only: {sql.strip()[:60]!r}")
-        return self.execute(sql, params, gtxn=gtxn)
+        return self.execute(prepared, params, gtxn=gtxn)
 
     def _shard_db(self, shard_id: int) -> Database:
         """The live database currently serving ``shard_id``.

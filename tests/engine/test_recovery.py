@@ -112,6 +112,23 @@ class TestCrashRecovery:
         txn.commit()
         assert db.checkpoint() > 0
 
+    @pytest.mark.parametrize("mode", ["torn", "after"])
+    def test_crash_on_the_checkpoint_append_keeps_the_previous_image(self, mode):
+        """The image taken for a checkpoint whose record never made it
+        whole into the log must not become the restart base: redo from
+        the older LSN would re-insert rows the image already holds."""
+        db = fresh_db()
+        db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])
+        first = db.checkpoint()
+        db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [2, 2])
+        db.wal.arm_crash(db.wal.last_lsn + 1, mode)
+        with pytest.raises(SimulatedCrash):
+            db.checkpoint()
+        assert db.checkpoint_lsn == first
+        db.crash()
+        db.recover()
+        assert kv_state(db) == {1: 1, 2: 2}
+
     def test_double_crash_recover_idempotent(self):
         db = fresh_db()
         db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])

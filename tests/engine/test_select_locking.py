@@ -1,4 +1,5 @@
-"""Regression tests for the read-path over-locking and NULL-sort bugs.
+"""Regression tests for the read-path over-locking and NULL-sort bugs,
+and for the READ COMMITTED lock-table probe.
 
 Pre-fix, ``Executor._select`` shared-locked *every* row matching the
 WHERE clause before applying ORDER BY/LIMIT, so ``... ORDER BY k LIMIT
@@ -9,13 +10,16 @@ column raised ``TypeError`` (None is not comparable).
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.errors import DeadlineExceededError, LockTimeoutError
 from repro.engine.locks import LockMode
-from repro.engine.txn import IsolationLevel
+from repro.engine.txn import IsolationLevel, TxnState
 from repro.engine.types import Column, ColumnType, Schema
+from repro.obs import Observer
+from repro.qos.deadline import Deadline
 
 
-def fresh_db(rows=20):
-    db = Database("locking")
+def fresh_db(rows=20, observer=None):
+    db = Database("locking", observer=observer)
     db.create_table(Schema(
         "KV",
         (
@@ -118,3 +122,68 @@ class TestOrderByNulls:
         rows = db.execute("SELECT K, W FROM kv ORDER BY W", txn=txn).rows
         assert rows[-1][1] is None
         txn.commit()
+
+
+class TestReadCommittedLockProbe:
+    """A READ COMMITTED read skips its statement-long S lock only where
+    taking and dropping it could change nothing; every outcome the lock
+    can decide stays as it was."""
+
+    def test_read_of_an_x_locked_row_times_out_and_rolls_back(self):
+        db = fresh_db()
+        writer = db.begin()
+        db.execute("UPDATE kv SET V = ? WHERE K = ?", [9, 3], txn=writer)
+        reader = db.begin(isolation=IsolationLevel.READ_COMMITTED)
+        with pytest.raises(LockTimeoutError):
+            db.execute("SELECT V FROM kv WHERE K = ?", [3], txn=reader)
+        assert reader.state is TxnState.ABORTED
+        assert db.locks.locks_held(reader.txn_id) == set()
+        with pytest.raises(LockTimeoutError):  # autocommit, range read
+            db.query("SELECT K FROM kv WHERE K >= ? ORDER BY K", [2])
+        writer.commit()
+        assert db.query("SELECT V FROM kv WHERE K = ?", [3]).rows == [(9,)]
+
+    def test_uncontended_read_leaves_no_lock_behind(self):
+        db = fresh_db()
+        txn = db.begin(isolation=IsolationLevel.READ_COMMITTED)
+        assert db.execute("SELECT V FROM kv WHERE K = ?", [3], txn=txn).rows == [(0,)]
+        assert len(db.execute("SELECT K FROM kv WHERE K >= ?", [5], txn=txn).rows) == 15
+        assert db.locks.locks_held(txn.txn_id) == set()
+        for k in range(20):
+            assert db.locks.holders(("KV", k)) == {}
+            assert db.locks.queued(("KV", k)) == []
+        db.locks.sanity_check()
+        txn.commit()
+
+    def test_serializable_read_holds_its_s_lock_until_commit(self):
+        db = fresh_db()
+        txn = db.begin(isolation=IsolationLevel.SERIALIZABLE)
+        db.execute("SELECT V FROM kv WHERE K = ?", [3], txn=txn)
+        assert db.locks.holders(("KV", 3)) == {txn.txn_id: LockMode.SHARED}
+        with pytest.raises(LockTimeoutError):
+            db.execute("UPDATE kv SET V = ? WHERE K = ?", [1, 3])
+        txn.commit()
+        assert db.locks.holders(("KV", 3)) == {}
+
+    def test_expired_deadline_cancels_at_the_read(self):
+        now = [0.0]
+        db = fresh_db()
+        txn = db.begin(deadline=Deadline(1.0, lambda: now[0]))
+        db.execute("SELECT V FROM kv WHERE K = ?", [3], txn=txn)
+        now[0] = 2.0
+        with pytest.raises(DeadlineExceededError):
+            db.execute("SELECT V FROM kv WHERE K = ?", [4], txn=txn)
+        assert txn.state is TxnState.ABORTED
+        assert db.deadline_cancellations == 1
+
+    def test_observer_counts_every_read_committed_grant(self):
+        obs = Observer()
+        db = fresh_db(observer=obs)
+        granted = obs.metrics.counters["engine.lock.granted"]
+        before = granted.value
+        for k in (1, 2, 3):
+            db.query("SELECT V FROM kv WHERE K = ?", [k])
+        txn = db.begin(isolation=IsolationLevel.READ_COMMITTED)
+        db.execute("SELECT K FROM kv WHERE K >= ?", [15], txn=txn)
+        txn.commit()
+        assert granted.value - before == 3 + 5

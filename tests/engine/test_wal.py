@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.wal import DATA_KINDS, LogKind, WriteAheadLog, checksum
+from repro.engine.wal import DATA_KINDS, FSYNC_KINDS, LogKind, WriteAheadLog, checksum
 
 
 def test_lsns_are_monotone_from_one():
@@ -221,3 +221,53 @@ def test_shipped_records_cost_the_standby_what_they_cost_the_primary():
     for record in primary.records_from(1):
         standby.append_shipped(record)
     assert standby.fsyncs == primary.fsyncs == sum(n for _kinds, n in _CHAINS)
+
+
+# -- append's inline CRC and per-kind flags ------------------------------------
+
+ROWS = [
+    (1, "x", 2.5, None),
+    (0, "", -0.0, None, "µ"),
+    (None,),
+    (2**40, "long " * 20, float("inf"), True),
+]
+
+
+@pytest.mark.parametrize("kind", list(LogKind))
+def test_append_crc_is_checksum_of_the_fields(kind):
+    wal = WriteAheadLog()
+    wal.append(7, LogKind.BEGIN)
+    if kind in DATA_KINDS:
+        records = [
+            wal.append(7, kind, table="T", key=row[0], before=row, after=row[::-1])
+            for row in ROWS
+        ]
+        records.append(wal.append(7, kind, table="T", key="k", after=ROWS[0]))
+        records.append(wal.append(7, kind, table="T", key=1.5, before=ROWS[1]))
+    else:
+        records = [wal.append(7, kind, key="gtid-1"), wal.append(8, kind)]
+    for record in records:
+        assert record.crc == checksum(
+            record.lsn, record.txn_id, kind.value, record.table, record.key,
+            record.before, record.after, record.prev_lsn,
+        )
+        assert record.is_intact
+
+
+@pytest.mark.parametrize("kind", list(LogKind))
+def test_kind_flags_follow_fsync_kinds_and_txn_end(kind):
+    """A kind fsyncs iff it is in FSYNC_KINDS and closes the chain iff it
+    is COMMIT or ABORT -- on the primary's append and a standby's
+    shipped append alike."""
+    wal = WriteAheadLog()
+    wal.append(1, LogKind.BEGIN)
+    wal.append(1, LogKind.INSERT, table="T", key=1, after=(1,))
+    fsyncs = wal.fsyncs
+    wal.append(1, kind, key="gtid-1")
+    assert wal.fsyncs - fsyncs == (kind in FSYNC_KINDS)
+    assert (1 not in wal.in_flight_txns()) == (kind in (LogKind.COMMIT, LogKind.ABORT))
+    standby = WriteAheadLog()
+    for record in wal.records_from(1):
+        standby.append_shipped(record)
+    assert standby.fsyncs == wal.fsyncs
+    assert standby.in_flight_txns() == wal.in_flight_txns()

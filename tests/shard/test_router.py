@@ -193,6 +193,15 @@ class TestFleetSql:
         with pytest.raises(ShardError):
             fleet.query("DELETE FROM kv WHERE K = 1")
 
+    def test_routed_statement_probes_the_plan_cache_once(self):
+        fleet, _ = loaded_kv()
+        shard0 = fleet.shards[0]
+        for run in (fleet.query, fleet.execute):
+            for k in (0, 7, 29):
+                probes = shard0.plan_cache_hits + shard0.plan_cache_misses
+                assert run("SELECT V FROM kv WHERE K = ?", [k]).rowcount == 1
+                assert shard0.plan_cache_hits + shard0.plan_cache_misses == probes + 1
+
     def test_fanout_update_applies_everywhere(self):
         fleet, reference = loaded_kv()
         fleet.execute("UPDATE kv SET V = V + ? WHERE V = ?", [100, 3])
