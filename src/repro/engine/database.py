@@ -172,6 +172,12 @@ class Database:
             # Commit LSNs are strictly greater than the BEGIN record's
             # LSN, so this snapshot excludes every later commit.
             txn.snapshot_lsn = max(record.lsn, self.snapshot_floor)
+            if self.txns.live_snapshots == 1:
+                # the first snapshot: in-flight writers (PREPARED branches
+                # included) build the chain entries they skipped
+                for active in self.txns.active.values():
+                    if active.deferred:
+                        self._build_deferred(active)
         self._txn_records[txn.txn_id] = []
         return txn
 
@@ -426,21 +432,47 @@ class Database:
                 f"(first-updater-wins)"
             )
 
-    def _chain_supersede(self, txn: Transaction, table: Table, key: Any) -> None:
-        """Mark the current chain head as ended by ``txn`` (uncommitted
-        until the commit LSN stamp)."""
-        head = table.versions.newest(key)
-        if head is not None and head.end_txn is None and head.end_lsn is None:
-            head.end_txn = txn.txn_id
-            txn.ended_versions.append(head)
+    def _build_versions(self, txn: Transaction, table: Table, record: LogRecord) -> None:
+        """Give one of ``txn``'s data records its version-chain entries.
 
-    def _chain_append(
-        self, txn: Transaction, table: Table, key: Any, row: Tuple[Any, ...]
-    ) -> None:
-        version = table.versions.append(key, RowVersion(row, begin_txn=txn.txn_id))
-        txn.created_versions.append(version)
+        The entries stay uncommitted (marked with ``txn``'s id) until the
+        commit LSN stamp.  The write path calls this while a snapshot
+        could read the history, or while the key already has a chain;
+        :meth:`_build_deferred` calls it for the writes that ran while
+        neither held.
+        """
+        versions = table.versions
+        built = versions.live_versions
+        kind = record.kind
+        if kind is LogKind.UPDATE:
+            after = record.after
+            ended, created = versions.transition(
+                record.key, after[table.schema.primary_key_index],
+                record.before, after, txn.txn_id,
+            )
+            if ended is not None:
+                txn.ended_versions.append(ended)
+            txn.created_versions.append(created)
+        elif kind is LogKind.INSERT:
+            txn.created_versions.append(versions.append(
+                record.key, RowVersion(record.after, begin_txn=txn.txn_id)
+            ))
+        else:  # DELETE: supersede the head, a captured base image if need be
+            versions.capture_base(record.key, record.before)
+            head = versions.newest(record.key)
+            if head.end_txn is None and head.end_lsn is None:
+                head.end_txn = txn.txn_id
+                txn.ended_versions.append(head)
         if self._c_mvcc is not None:
-            self._c_mvcc["versions_created"].value += 1.0
+            self._c_mvcc["versions_created"].value += versions.live_versions - built
+
+    def _build_deferred(self, txn: Transaction) -> None:
+        """Build the chain entries ``txn`` skipped, in write order: a
+        snapshot then reads its before-images and loses a later write of
+        its keys to its commit, as if no write had skipped its chain."""
+        for record in txn.deferred:
+            self._build_versions(txn, self._tables[record.table], record)
+        txn.deferred.clear()
 
     def live_versions(self) -> int:
         """Total version-chain entries across all tables."""
@@ -470,6 +502,32 @@ class Database:
             )
         return freed
 
+    def _logged(
+        self, txn: Transaction, table: Table, record: LogRecord, key: Any, new_key: Any
+    ) -> None:
+        """Book a logged and applied data record on ``txn``: undo list,
+        counters, and version-chain entries.
+
+        With no snapshot live, a chainless key's history is unreadable:
+        its entries wait on ``txn.deferred`` until a snapshot begins.  A
+        chained key (either key of a primary-key move) keeps its chain
+        in step, or undo would pop committed history -- after ``txn``'s
+        deferred entries, so its chains stay in write order (a move
+        onto a chained key must not take the row it inserted for base).
+        """
+        versions = table.versions
+        if self.txns.live_snapshots or versions.live_versions and (
+            key in versions or new_key in versions
+        ):
+            if txn.deferred:
+                self._build_deferred(txn)
+            self._build_versions(txn, table, record)
+        else:
+            txn.deferred.append(record)
+        txn.last_lsn = record.lsn
+        txn.writes += 1
+        self._txn_records[txn.txn_id].append(record)
+
     def _insert(self, txn: Transaction, table: Table, values: Sequence[Any]) -> None:
         schema = table.schema
         next_auto = None
@@ -491,10 +549,7 @@ class Database:
             txn.txn_id, LogKind.INSERT, table=table.name, key=key, after=row
         )
         table.insert_row(row)
-        self._chain_append(txn, table, key, row)
-        txn.last_lsn = record.lsn
-        txn.writes += 1
-        self._txn_records[txn.txn_id].append(record)
+        self._logged(txn, table, record, key, key)
 
     def _update(
         self,
@@ -530,17 +585,7 @@ class Database:
             table.overwrite_row(rid, after)
         else:
             table.update_row(rid, after)
-        ended, created = table.versions.transition(
-            key, new_key, before, after, txn.txn_id,
-        )
-        if ended is not None:
-            txn.ended_versions.append(ended)
-        txn.created_versions.append(created)
-        if self._c_mvcc is not None:
-            self._c_mvcc["versions_created"].value += 1.0
-        txn.last_lsn = record.lsn
-        txn.writes += 1
-        self._txn_records[txn.txn_id].append(record)
+        self._logged(txn, table, record, key, new_key)
 
     def _delete(
         self, txn: Transaction, table: Table, rid, before: Tuple[Any, ...]
@@ -553,11 +598,7 @@ class Database:
             txn.txn_id, LogKind.DELETE, table=table.name, key=key, before=before
         )
         table.delete_row(rid)
-        table.versions.capture_base(key, before)
-        self._chain_supersede(txn, table, key)
-        txn.last_lsn = record.lsn
-        txn.writes += 1
-        self._txn_records[txn.txn_id].append(record)
+        self._logged(txn, table, record, key, key)
 
     # -- replication hooks -------------------------------------------------------------
 

@@ -55,7 +55,7 @@ def _chain_end(table: Table, key, lsn: int) -> None:
 
 
 def _chain_unend(table: Table, key, record: LogRecord) -> None:
-    """Reverse ``_chain_end`` / ``Database._chain_supersede`` for this
+    """Reverse ``_chain_end`` / ``Database._build_versions`` for this
     record, whether the end marker is an uncommitted txn mark (live
     rollback) or a redo-stamped LSN (loser undo after a crash)."""
     head = table.versions.newest(key)
@@ -107,7 +107,10 @@ def _apply_undo(db: "Database", record: LogRecord) -> None:
     """Logically reverse one data record (live rollback and loser undo).
 
     Chain maintenance mirrors the forward path: drop the version the
-    record created, clear the end marker it set on the predecessor.
+    record created, clear the end marker it set on the predecessor.  A
+    write whose chain entries were deferred (``Transaction.deferred``)
+    touched only chainless keys, which stay chainless until a replay
+    builds its entries -- so both steps find nothing to reverse.
     """
     table = db.table(record.table)
     if record.kind is LogKind.INSERT:

@@ -10,8 +10,9 @@ keyed by commit LSN.  The heap always holds the *current* row image
 (including a writer's uncommitted change, protected by its X lock);
 snapshot readers resolve through the chain instead.  A key with no
 chain is committed base data, visible to every snapshot -- chains are
-created by transactional writes and trimmed back to nothing by vacuum
-once no live snapshot can need the history.
+created by transactional writes while a snapshot could read them (and
+for a write that ran while none could, once one begins), and trimmed
+back to nothing by vacuum once no live snapshot can need the history.
 """
 
 from __future__ import annotations
@@ -87,11 +88,8 @@ class VersionStore:
         #: total chain entries (drives the auto-vacuum trigger)
         self.live_versions = 0
 
-    def __len__(self) -> int:
-        return len(self._chains)
-
-    def chain(self, key: Any) -> Optional[List[RowVersion]]:
-        return self._chains.get(key)
+    def __contains__(self, key: Any) -> bool:
+        return key in self._chains
 
     def chains(self) -> Iterator[Tuple[Any, List[RowVersion]]]:
         return iter(self._chains.items())
@@ -170,19 +168,6 @@ class VersionStore:
         if not chain:
             del self._chains[key]
         return version
-
-    def discard(self, key: Any, version: RowVersion) -> None:
-        """Remove one version by identity (rollback of an aborted writer)."""
-        chain = self._chains.get(key)
-        if not chain:
-            return
-        try:
-            chain.remove(version)
-        except ValueError:
-            return
-        self.live_versions -= 1
-        if not chain:
-            del self._chains[key]
 
     # -- visibility ----------------------------------------------------------
 

@@ -65,7 +65,7 @@ class Transaction:
     __slots__ = (
         "_db", "txn_id", "isolation", "state", "first_lsn", "last_lsn",
         "reads", "writes", "start_s", "snapshot_lsn", "created_versions",
-        "ended_versions", "gtid", "deadline",
+        "ended_versions", "deferred", "gtid", "deadline",
     )
 
     def __init__(
@@ -93,6 +93,10 @@ class Transaction:
         #: with the commit LSN at commit time (engine-internal).
         self.created_versions: list = []
         self.ended_versions: list = []
+        #: data records written while no snapshot could read their
+        #: history: their chain entries are built only if a snapshot
+        #: begins before this transaction ends (engine-internal).
+        self.deferred: list = []
         #: global transaction id when this local transaction is one
         #: participant branch of a cross-shard 2PC transaction
         self.gtid = None
@@ -161,6 +165,9 @@ class TransactionManager:
             raise ValueError("transaction ids start at 1")
         self._next_txn_id = start_id
         self.active: dict[int, Transaction] = {}
+        #: active MVCC transactions: while none is live, no snapshot can
+        #: read the version history a write would build
+        self.live_snapshots = 0
         self.committed = 0
         self.aborted = 0
 
@@ -170,10 +177,13 @@ class TransactionManager:
         txn = Transaction(db, self._next_txn_id, isolation)
         self._next_txn_id += 1
         self.active[txn.txn_id] = txn
+        if isolation.mvcc:
+            self.live_snapshots += 1
         return txn
 
     def finish(self, txn: Transaction, committed: bool) -> None:
-        self.active.pop(txn.txn_id, None)
+        if self.active.pop(txn.txn_id, None) is not None and txn.isolation.mvcc:
+            self.live_snapshots -= 1
         if committed:
             self.committed += 1
         else:

@@ -21,7 +21,6 @@ with a torn tail.
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -165,6 +164,30 @@ def flip_record_bit(record: LogRecord, bit: int = 0) -> LogRecord:
     return replace(record, crc=record.crc ^ (1 << (bit % 32)))
 
 
+class _GroupCommit:
+    """The context manager :meth:`WriteAheadLog.group_commit` returns.
+
+    One per log and stateless: the batch depth and the pending flush
+    live on the log, so nested blocks share them.
+    """
+
+    __slots__ = ("_wal",)
+
+    def __init__(self, wal: "WriteAheadLog") -> None:
+        self._wal = wal
+
+    def __enter__(self) -> None:
+        self._wal._group_depth += 1
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        wal = self._wal
+        wal._group_depth -= 1
+        if wal._group_depth == 0 and wal._group_pending:
+            wal._group_pending = 0
+            wal._count_fsync()
+        return False
+
+
 class WriteAheadLog:
     """Append-only in-memory log.
 
@@ -195,6 +218,7 @@ class WriteAheadLog:
         self.fsyncs = 0
         self._group_depth = 0
         self._group_pending = 0
+        self._group = _GroupCommit(self)
         self._truncated_before = 1  # lowest LSN still retained
         self._armed_crash: Optional[Tuple[int, str]] = None  # (lsn, mode)
         #: once a crash point fires the instance is down: every further
@@ -408,8 +432,7 @@ class WriteAheadLog:
         if self._c_fsync is not None:
             self._c_fsync.value += 1.0
 
-    @contextmanager
-    def group_commit(self) -> Iterator[None]:
+    def group_commit(self) -> "_GroupCommit":
         """Batch the fsync points of all appends inside the block.
 
         COMMIT/PREPARE/DECISION records appended inside the context are
@@ -417,16 +440,9 @@ class WriteAheadLog:
         one per record.  This is what lets a transaction coordinator
         amortise the per-participant decision logging across a batch of
         global transactions.  Nesting is allowed; only the outermost
-        exit flushes.
+        exit flushes, and it flushes on the way out of an exception too.
         """
-        self._group_depth += 1
-        try:
-            yield
-        finally:
-            self._group_depth -= 1
-            if self._group_depth == 0 and self._group_pending:
-                self._group_pending = 0
-                self._count_fsync()
+        return self._group
 
     # -- listeners -----------------------------------------------------------
 

@@ -48,6 +48,7 @@ from repro.engine.errors import (
 )
 from repro.engine.txn import IsolationLevel, Transaction, TxnState
 from repro.obs import NULL_OBSERVER, Observer
+from repro.obs.trace import NOOP_SPAN
 
 #: 2PC phase boundaries a coordinator crash can be scheduled at.
 #: ``mid_*`` fires after the first unit of the phase completed, so the
@@ -408,14 +409,16 @@ class TxnCoordinator(PhaseFaults):
         """Presumed-abort 2PC over each transaction's writing shards."""
         gtxns = [gtxn for gtxn, _writers in crosses]
         stage = "prepare"
+        # spans (and their attrs) only for an enabled observer
+        span = self.obs.span if self.obs.enabled else None
         try:
-            with self.obs.span(
+            with span(
                 "2pc.commit", "shard", track="shard",
                 attrs={"txns": len(gtxns)},
-            ):
+            ) if span else NOOP_SPAN:
                 # Phase one: prepare every writing branch of every
                 # transaction.
-                with self.obs.span("2pc.prepare", "shard", track="shard"):
+                with span("2pc.prepare", "shard", track="shard") if span else NOOP_SPAN:
                     self._crash_point("before_prepare")
                     first = True
                     for gtxn, writers in crosses:
@@ -433,7 +436,7 @@ class TxnCoordinator(PhaseFaults):
 
                 # Decision: log COMMIT per participant, batched per shard
                 # so N decisions on one shard cost one fsync.
-                with self.obs.span("2pc.decision", "shard", track="shard"):
+                with span("2pc.decision", "shard", track="shard") if span else NOOP_SPAN:
                     by_shard: Dict[int, List[GlobalTransaction]] = {}
                     for gtxn, writers in crosses:
                         for shard_id in writers:
@@ -441,13 +444,13 @@ class TxnCoordinator(PhaseFaults):
                     first = True
                     for shard_id in sorted(by_shard):
                         shard = self.shards[shard_id]
-                        with self.obs.span(
+                        with span(
                             "2pc.group_commit", "shard", track="shard",
                             attrs={
                                 "shard": shard_id,
                                 "batch": len(by_shard[shard_id]),
                             },
-                        ):
+                        ) if span else NOOP_SPAN:
                             with shard.wal.group_commit():
                                 for gtxn in by_shard[shard_id]:
                                     shard.log_decision(

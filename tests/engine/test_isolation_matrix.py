@@ -21,10 +21,15 @@ forbid dirty reads through the no-wait lock manager: a reader aborts
 with :class:`LockTimeoutError` instead of seeing uncommitted data.
 
 Also here: crash-recovery tests asserting version chains are rebuilt by
-redo/undo so snapshot reads keep working after ``crash()``/``recover()``.
+redo/undo so snapshot reads keep working after ``crash()``/``recover()``,
+and the tests -- explicit and stateful -- that a write builds version
+history only while a snapshot could read it, yet every snapshot reads
+what it would if every write had built it.
 """
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.engine.database import Database
 from repro.engine.errors import (
@@ -35,6 +40,7 @@ from repro.engine.errors import (
 )
 from repro.engine.txn import MVCC_LEVELS, IsolationLevel
 from repro.engine.types import Column, ColumnType, Schema
+from repro.obs import Observer
 
 RC = IsolationLevel.READ_COMMITTED
 RR = IsolationLevel.REPEATABLE_READ
@@ -43,8 +49,8 @@ SER = IsolationLevel.SERIALIZABLE
 ALL_LEVELS = (RC, RR, SNAP, SER)
 
 
-def make_db() -> Database:
-    db = Database("iso-test")
+def make_db(**options) -> Database:
+    db = Database("iso-test", **options)
     db.create_table(Schema(
         "ACC",
         (
@@ -276,14 +282,19 @@ class TestVacuum:
         ))
         db.execute("INSERT INTO T VALUES (?, ?)", [1, 0])
         for value in range(40):
+            # an RC write builds history only while a snapshot can read it
+            reader = db.begin(SNAP)
             db.execute("UPDATE T SET V = ? WHERE K = ?", [value, 1])
+            reader.commit()
         assert db.vacuum_runs > 0
         assert db.live_versions() < 40
 
     def test_checkpoint_vacuums(self):
         db = make_db()
+        reader = db.begin(SNAP)
         db.execute("UPDATE ACC SET BAL = ? WHERE ID = ?", [7, 1])
         assert db.live_versions() > 0
+        reader.commit()
         db.checkpoint()
         assert db.live_versions() == 0
 
@@ -378,3 +389,301 @@ class TestCrashRecoveryChains:
             "SELECT BAL FROM ACC WHERE ID = ?", [1], txn=reader
         ).scalar() == 777
         reader.commit()
+
+
+# -- version chains only while a snapshot could read them ----------------------
+
+#: ``make_db``'s rows, which every snapshot below begins on
+BEFORE = {1: 100, 2: 200}
+#: every key the writes below touch
+KEYS = (1, 2, 3, 4)
+
+#: One RC write per shape: its SQL, the rows after it, and a write by a
+#: snapshot begun before its commit that first-updater-wins must refuse.
+WRITES = {
+    "update": (("UPDATE ACC SET BAL = ? WHERE ID = ?", [999, 1]),
+               {1: 999, 2: 200},
+               ("UPDATE ACC SET BAL = ? WHERE ID = ?", [5, 1])),
+    "insert": (("INSERT INTO ACC VALUES (?, ?)", [3, 300]),
+               {1: 100, 2: 200, 3: 300},
+               ("UPDATE ACC SET BAL = ? WHERE ID = ?", [5, 3])),
+    "delete": (("DELETE FROM ACC WHERE ID = ?", [1]),
+               {2: 200},
+               ("INSERT INTO ACC VALUES (?, ?)", [1, 5])),
+    "move": (("UPDATE ACC SET ID = ? WHERE ID = ?", [3, 1]),
+             {2: 200, 3: 100},
+             ("INSERT INTO ACC VALUES (?, ?)", [1, 5])),
+}
+
+
+def view(db, txn=None):
+    """The rows ``txn`` sees, read by a full scan and by point reads."""
+    scanned = dict(db.execute("SELECT ID, BAL FROM ACC", txn=txn).rows)
+    pointed = {}
+    for key in KEYS:
+        rows = db.execute("SELECT BAL FROM ACC WHERE ID = ?", [key], txn=txn).rows
+        if rows:
+            pointed[key] = rows[0][0]
+    assert scanned == pointed
+    return scanned
+
+
+def chain_state(db):
+    return {
+        key: [(v.row, v.begin_lsn, v.begin_txn, v.end_lsn, v.end_txn) for v in chain]
+        for key, chain in db.table("ACC").versions.chains()
+    }
+
+
+def write_in(db, txn, shape):
+    sql, params = WRITES[shape][0]
+    db.execute(sql, params, txn=txn)
+
+
+@pytest.mark.parametrize("shape", sorted(WRITES))
+class TestChainsOnlyWhileASnapshotIsLive:
+    """A chainless key gets chain entries only while a snapshot is live;
+    a snapshot begun on an in-flight writer gets them built for it."""
+
+    @pytest.mark.parametrize("commit", (True, False), ids=("commit", "rollback"))
+    def test_rc_only_write_builds_no_history(self, shape, commit):
+        db = make_db(auto_vacuum_versions=1)
+        writer = db.begin()
+        write_in(db, writer, shape)
+        assert db.live_versions() == 0
+        writer.commit() if commit else writer.rollback()
+        assert db.live_versions() == 0
+        assert db.vacuum_runs == 0
+        assert view(db) == (WRITES[shape][1] if commit else BEFORE)
+
+    def test_snapshot_on_in_flight_writer_sees_the_before_image(self, shape):
+        db = make_db()
+        writer = db.begin()
+        write_in(db, writer, shape)
+        reader = db.begin(SNAP)
+        assert view(db, reader) == BEFORE
+        writer.commit()
+        assert view(db, reader) == BEFORE
+        assert view(db) == WRITES[shape][1]
+        reader.commit()
+
+    def test_snapshot_loses_a_later_write_to_the_writer(self, shape):
+        db = make_db()
+        writer = db.begin()
+        write_in(db, writer, shape)
+        reader = db.begin(SNAP)
+        writer.commit()
+        sql, params = WRITES[shape][2]
+        with pytest.raises(WriteConflictError):
+            db.execute(sql, params, txn=reader)
+        assert not reader.is_active
+        assert view(db) == WRITES[shape][1]
+
+    def test_rollback_after_the_replay_restores_the_snapshot_view(self, shape):
+        db = make_db()
+        writer = db.begin()
+        write_in(db, writer, shape)
+        reader = db.begin(SNAP)
+        assert db.live_versions() > 0
+        writer.rollback()
+        assert view(db, reader) == BEFORE
+        assert view(db) == BEFORE
+        reader.commit()
+        db.vacuum()
+        assert db.live_versions() == 0
+
+    def test_chain_from_an_earlier_snapshot_stays_in_step(self, shape):
+        db = make_db()
+        reader = db.begin(SNAP)
+        # history on every key a shape writes, from while a snapshot was live
+        db.execute("UPDATE ACC SET BAL = ? WHERE ID = ?", [100, 1])
+        db.execute("INSERT INTO ACC VALUES (?, ?)", [3, 0])
+        db.execute("DELETE FROM ACC WHERE ID = ?", [3])
+        reader.commit()
+        chains = chain_state(db)
+        assert chains and db.txns.live_snapshots == 0
+        writer = db.begin()
+        write_in(db, writer, shape)
+        assert chain_state(db) != chains and not writer.deferred
+        writer.rollback()
+        assert chain_state(db) == chains
+        writer = db.begin()
+        write_in(db, writer, shape)
+        writer.commit()
+        reader = db.begin(SNAP)
+        assert view(db, reader) == WRITES[shape][1]
+        reader.commit()
+
+    def test_prepared_branch_replays_at_snapshot_begin(self, shape):
+        db = make_db()
+        branch = db.begin()
+        write_in(db, branch, shape)
+        db.prepare_commit(branch, "g-1")
+        assert db.live_versions() == 0
+        reader = db.begin(SNAP)
+        assert db.live_versions() > 0
+        assert view(db, reader) == BEFORE
+        branch.commit()
+        assert view(db, reader) == BEFORE
+        sql, params = WRITES[shape][2]
+        with pytest.raises(WriteConflictError):
+            db.execute(sql, params, txn=reader)
+
+
+# Shrunk by ``SnapshotsOverRCWriters`` from engines that broke the rule.
+
+
+def test_replay_keeps_a_writers_order():
+    db = make_db()
+    writer = db.begin()
+    db.execute("UPDATE ACC SET BAL = ? WHERE ID = ?", [5, 1], txn=writer)
+    db.execute("UPDATE ACC SET BAL = ? WHERE ID = ?", [7, 1], txn=writer)
+    db.execute("UPDATE ACC SET ID = ? WHERE ID = ?", [3, 1], txn=writer)
+    reader = db.begin(SNAP)
+    assert view(db, reader) == BEFORE
+    writer.commit()
+    assert view(db, reader) == BEFORE
+
+
+def test_a_move_onto_a_key_with_history_keeps_that_chain_in_step():
+    db = make_db()
+    reader = db.begin(SNAP)
+    db.execute("INSERT INTO ACC VALUES (?, ?)", [3, 0])
+    db.execute("DELETE FROM ACC WHERE ID = ?", [3])
+    reader.commit()  # key 3 keeps its chain; key 1 has none
+    db.execute("UPDATE ACC SET ID = ? WHERE ID = ?", [3, 1])
+    reader = db.begin(SNAP)
+    assert view(db, reader) == {2: 200, 3: 100}
+
+
+def test_a_write_that_must_chain_first_builds_its_writers_deferred_entries():
+    db = make_db()
+    reader = db.begin(SNAP)
+    db.execute("DELETE FROM ACC WHERE ID = ?", [1])
+    reader.commit()  # key 1 keeps its chain
+    writer = db.begin()
+    db.execute("INSERT INTO ACC VALUES (?, ?)", [3, 300], txn=writer)  # deferred
+    db.execute("UPDATE ACC SET ID = ? WHERE ID = ?", [1, 3], txn=writer)  # chained
+    reader = db.begin(SNAP)
+    assert view(db, reader) == {2: 200}
+    writer.rollback()
+    assert view(db, reader) == {2: 200}
+    reader.commit()
+    assert view(db) == {2: 200} == view(db, db.begin(SNAP))
+
+
+@pytest.mark.parametrize("shape, built", [
+    ("update", 2),  # the captured base image and the new version
+    ("insert", 1),
+    ("delete", 1),  # the captured base image, ended by the writer
+    ("move", 2),
+])
+def test_versions_created_counts_every_version_built(shape, built):
+    obs = Observer()
+    db = make_db(observer=obs)
+    created = obs.metrics.counter("engine.mvcc.versions_created")
+    writer = db.begin()
+    write_in(db, writer, shape)
+    assert created.value == 0
+    reader = db.begin(SNAP)
+    assert created.value == built == db.live_versions()
+    writer.commit()
+    reader.commit()
+    assert created.value == built
+
+
+class SnapshotsOverRCWriters(RuleBasedStateMachine):
+    """RC writers update, insert, delete and move keys, then commit or
+    roll back, while snapshots begin, read and end.  Every snapshot read
+    equals the rows committed when that snapshot began."""
+
+    def __init__(self):
+        super().__init__()
+        self.db = make_db()
+        self.committed = dict(BEFORE)
+        self.current = dict(BEFORE)  # the heap: committed plus writers' changes
+        self.writers = []  # [(txn, keys it wrote)]; no two share a key
+        self.snapshots = []  # [(txn, committed rows at its begin)]
+
+    @precondition(lambda self: len(self.writers) < 3)
+    @rule()
+    def begin_writer(self):
+        self.writers.append((self.db.begin(RC), set()))
+
+    @precondition(lambda self: self.writers)
+    @rule(data=st.data())
+    def write(self, data):
+        txn, mine = data.draw(st.sampled_from(self.writers))
+        theirs = set().union(*(keys for other, keys in self.writers if other is not txn))
+        free = [key for key in KEYS if key not in theirs]
+        if not free:
+            return
+        key = data.draw(st.sampled_from(free))
+        value = data.draw(st.integers(0, 999))
+        db, current = self.db, self.current
+        if key not in current:
+            db.execute("INSERT INTO ACC VALUES (?, ?)", [key, value], txn=txn)
+            current[key] = value
+            mine.add(key)
+            return
+        targets = [other for other in free if other not in current]
+        op = data.draw(st.sampled_from(("update", "delete", "move")[:3 if targets else 2]))
+        if op == "update":
+            db.execute("UPDATE ACC SET BAL = ? WHERE ID = ?", [value, key], txn=txn)
+            current[key] = value
+        elif op == "delete":
+            db.execute("DELETE FROM ACC WHERE ID = ?", [key], txn=txn)
+            del current[key]
+        else:
+            new_key = data.draw(st.sampled_from(targets))
+            db.execute("UPDATE ACC SET ID = ? WHERE ID = ?", [new_key, key], txn=txn)
+            current[new_key] = current.pop(key)
+            mine.add(new_key)
+        mine.add(key)
+
+    @precondition(lambda self: self.writers)
+    @rule(pick=st.integers(0, 2), commit=st.booleans())
+    def end_writer(self, pick, commit):
+        txn, mine = self.writers.pop(pick % len(self.writers))
+        if commit:
+            txn.commit()
+            source, target = self.current, self.committed
+        else:
+            txn.rollback()
+            source, target = self.committed, self.current
+        for key in mine:
+            if key in source:
+                target[key] = source[key]
+            else:
+                target.pop(key, None)
+
+    @precondition(lambda self: len(self.snapshots) < 3)
+    @rule()
+    def begin_snapshot(self):
+        self.snapshots.append((self.db.begin(SNAP), dict(self.committed)))
+
+    @precondition(lambda self: self.snapshots)
+    @rule(pick=st.integers(0, 2))
+    def read_snapshot(self, pick):
+        txn, rows = self.snapshots[pick % len(self.snapshots)]
+        assert view(self.db, txn) == rows
+
+    @precondition(lambda self: self.snapshots)
+    @rule(pick=st.integers(0, 2))
+    def end_snapshot(self, pick):
+        self.snapshots.pop(pick % len(self.snapshots))[0].commit()
+
+    @invariant()
+    def counts_its_snapshots(self):
+        assert self.db.txns.live_snapshots == len(self.snapshots)
+
+    @invariant()
+    def defers_only_while_no_snapshot_is_live(self):
+        if self.snapshots:
+            assert not any(txn.deferred for txn, _keys in self.writers)
+
+
+TestSnapshotsOverRCWriters = SnapshotsOverRCWriters.TestCase
+TestSnapshotsOverRCWriters.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None,
+)

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.engine.database import Database
+from repro.engine.types import Column, ColumnType, Schema
 from repro.engine.wal import DATA_KINDS, FSYNC_KINDS, LogKind, WriteAheadLog, checksum
+from repro.ha.replication import WalShipper, bootstrap_standby
 
 
 def test_lsns_are_monotone_from_one():
@@ -271,3 +274,54 @@ def test_kind_flags_follow_fsync_kinds_and_txn_end(kind):
         standby.append_shipped(record)
     assert standby.fsyncs == wal.fsyncs
     assert standby.in_flight_txns() == wal.in_flight_txns()
+
+
+# -- group commit ---------------------------------------------------------------
+
+
+def test_group_commit_nested_blocks_flush_once_at_the_outermost_exit():
+    wal = WriteAheadLog()
+    assert wal.group_commit() is wal.group_commit()  # one manager per log
+    with wal.group_commit():
+        with wal.group_commit():
+            wal.append(1, LogKind.PREPARE, key="g1")
+            wal.append(2, LogKind.DECISION, key="g2")
+        assert wal.fsyncs == 0  # the inner exit defers to the outer one
+        wal.append(3, LogKind.DECISION, key="g3")
+        assert wal.fsyncs == 0
+    assert wal.fsyncs == 1
+    wal.append(4, LogKind.DECISION, key="g4")
+    assert wal.fsyncs == 2  # outside a batch every durability point pays
+
+
+def test_group_commit_unwinds_and_flushes_on_an_exception():
+    wal = WriteAheadLog()
+    with pytest.raises(RuntimeError):
+        with wal.group_commit():
+            with wal.group_commit():
+                wal.append(1, LogKind.DECISION, key="g1")
+                raise RuntimeError("decision phase failed")
+    assert wal.fsyncs == 1  # what was pending is flushed
+    wal.append(2, LogKind.DECISION, key="g2")
+    assert wal.fsyncs == 2  # and no batch was left open
+
+
+def test_semisync_standby_counts_one_fsync_per_primary_fsync():
+    primary = Database("primary")
+    primary.create_table(Schema(
+        "KV", (Column("K", ColumnType.INT, nullable=False), Column("V", ColumnType.INT)),
+        primary_key="K",
+    ))
+    standby = bootstrap_standby(primary)
+    shipper = WalShipper(primary, standby, mode="semisync")
+    with primary.begin() as txn:  # BEGIN, two INSERTs, COMMIT: one batch
+        primary.execute("INSERT INTO KV VALUES (?, ?)", [1, 1], txn=txn)
+        primary.execute("INSERT INTO KV VALUES (?, ?)", [2, 2], txn=txn)
+    primary.begin().commit()  # read-only: its COMMIT is no durability point
+    branch = primary.begin()
+    primary.execute("UPDATE KV SET V = ? WHERE K = ?", [3, 1], txn=branch)
+    primary.prepare_commit(branch, "g1")
+    primary.log_decision(branch.txn_id, "g1")
+    branch.commit()
+    assert shipper.is_fresh and standby.wal.last_lsn == primary.wal.last_lsn
+    assert standby.wal.fsyncs == primary.wal.fsyncs == 4
