@@ -30,18 +30,18 @@ from repro.engine.errors import (
     WriteConflictError,
 )
 from repro.engine.executor import Executor, Prepared, ResultSet
-from repro.engine.locks import LockManager, LockMode, LockOutcome
+from repro.engine.locks import BLOCKED, EXCLUSIVE, LockManager, LockMode
 from repro.engine.recovery import RecoveryReport, _apply_undo, recover
 from repro.engine.sql import SelectStatement
 from repro.engine.table import RowVersion, Table, TableSnapshot, VersionStore
 from repro.engine.txn import (
-    IsolationLevel,
-    Transaction,
-    TransactionManager,
-    TxnState,
+    ABORTED, ACTIVE, COMMITTED, PREPARED, IsolationLevel, Transaction, TransactionManager,
 )
 from repro.engine.types import DEFAULT, Schema
-from repro.engine.wal import DATA_KINDS, LogKind, LogRecord, WriteAheadLog
+from repro.engine.wal import (
+    ABORT, BEGIN, CHECKPOINT, COMMIT, DATA_KINDS, DECISION, DELETE, INSERT, PREPARE, UPDATE,
+    LogRecord, WriteAheadLog,
+)
 from repro.obs import NULL_OBSERVER, Observer
 
 #: Signature of commit listeners: (txn_id, commit_lsn, data_records).
@@ -165,7 +165,7 @@ class Database:
         if self._c_txn is not None:
             txn.start_s = self.obs.now()
             self._c_txn["begin"].value += 1.0
-        record = self.wal.append(txn.txn_id, LogKind.BEGIN)
+        record = self.wal.append(txn.txn_id, BEGIN)
         txn.first_lsn = record.lsn
         txn.last_lsn = record.lsn
         if txn.isolation.mvcc:
@@ -184,11 +184,11 @@ class Database:
     def _commit(self, txn: Transaction) -> None:
         # PREPARED is commit-eligible too: phase two of 2PC finishes a
         # branch whose fate the coordinator already decided.
-        if txn.state not in (TxnState.ACTIVE, TxnState.PREPARED):
+        if txn.state is not ACTIVE and txn.state is not PREPARED:
             raise TransactionAborted(
                 f"transaction {txn.txn_id} is {txn.state.value}"
             )
-        record = self.wal.append(txn.txn_id, LogKind.COMMIT)
+        record = self.wal.append(txn.txn_id, COMMIT)
         # Stamp this transaction's version-chain entries with the commit
         # LSN: they become visible to snapshots taken from here on.
         for version in txn.created_versions:
@@ -197,7 +197,7 @@ class Database:
         for version in txn.ended_versions:
             version.end_lsn = record.lsn
             version.end_txn = None
-        txn.state = TxnState.COMMITTED
+        txn.state = COMMITTED
         records = self._txn_records.pop(txn.txn_id, [])
         self.locks.release_all(txn.txn_id)
         self.txns.finish(txn, committed=True)
@@ -212,14 +212,14 @@ class Database:
             self.vacuum()
 
     def _rollback(self, txn: Transaction) -> None:
-        if txn.state not in (TxnState.ACTIVE, TxnState.PREPARED):
+        if txn.state is not ACTIVE and txn.state is not PREPARED:
             return
         # Undo this transaction's changes in reverse order (no CLRs: the
         # engine is memory-resident, so rollback is atomic w.r.t. crashes).
         for record in reversed(self._txn_records.pop(txn.txn_id, [])):
             _apply_undo(self, record)
-        self.wal.append(txn.txn_id, LogKind.ABORT)
-        txn.state = TxnState.ABORTED
+        self.wal.append(txn.txn_id, ABORT)
+        txn.state = ABORTED
         self.locks.cancel_wait(txn.txn_id)
         self.locks.release_all(txn.txn_id)
         self.txns.finish(txn, committed=False)
@@ -239,16 +239,16 @@ class Database:
         it against the durable DECISION records.
         """
         txn.ensure_active()
-        record = self.wal.append(txn.txn_id, LogKind.PREPARE, key=gtid)
+        record = self.wal.append(txn.txn_id, PREPARE, key=gtid)
         txn.gtid = gtid
         txn.last_lsn = record.lsn
-        txn.state = TxnState.PREPARED
+        txn.state = PREPARED
         if self.obs.enabled:
             self.obs.count("engine.txn.prepare")
 
     def log_decision(self, txn_id: int, gtid) -> None:
         """Durably record the coordinator's commit decision on this shard."""
-        self.wal.append(txn_id, LogKind.DECISION, key=gtid)
+        self.wal.append(txn_id, DECISION, key=gtid)
 
     def resolve_in_doubt(self, txn_id: int, commit: bool) -> None:
         """Finish an in-doubt prepared transaction found by recovery.
@@ -259,7 +259,7 @@ class Database:
         undoes the branch's data records in reverse and appends ABORT.
         """
         if commit:
-            self.wal.append(txn_id, LogKind.COMMIT)
+            self.wal.append(txn_id, COMMIT)
         else:
             records = [
                 record
@@ -268,7 +268,7 @@ class Database:
             ]
             for record in reversed(records):
                 _apply_undo(self, record)
-            self.wal.append(txn_id, LogKind.ABORT)
+            self.wal.append(txn_id, ABORT)
         if self.obs.enabled:
             self.obs.count(
                 "engine.recovery.in_doubt_committed" if commit
@@ -331,6 +331,7 @@ class Database:
         if txn is not None:
             return self._execute_in(prepared, params, txn)
         autocommit_txn = self.begin()
+        autocommit_txn.autocommit = True
         try:
             result = self._execute_in(prepared, params, autocommit_txn)
             autocommit_txn.commit()
@@ -396,6 +397,10 @@ class Database:
         )
 
     def _lock_row(self, txn: Transaction, table: str, key: Any, mode: LockMode) -> None:
+        if txn.autocommit and self.locks.transient_lock_is_noop((table, key), txn.deadline):
+            # the commit ending this execute() call would release it
+            # before any other transaction runs: taking it is a no-op
+            return
         if txn.deadline is not None:
             # Guard only when a deadline exists -- the cancellation
             # message formats key reprs, too costly to build per lock.
@@ -403,7 +408,7 @@ class Database:
         outcome = self.locks.acquire(
             txn.txn_id, (table, key), mode, queue_on_conflict=False
         )
-        if outcome is LockOutcome.BLOCKED:
+        if outcome is BLOCKED:
             holders = self.locks.holders((table, key))
             self._rollback(txn)
             raise LockTimeoutError(
@@ -444,7 +449,7 @@ class Database:
         versions = table.versions
         built = versions.live_versions
         kind = record.kind
-        if kind is LogKind.UPDATE:
+        if kind is UPDATE:
             after = record.after
             ended, created = versions.transition(
                 record.key, after[table.schema.primary_key_index],
@@ -453,7 +458,7 @@ class Database:
             if ended is not None:
                 txn.ended_versions.append(ended)
             txn.created_versions.append(created)
-        elif kind is LogKind.INSERT:
+        elif kind is INSERT:
             txn.created_versions.append(versions.append(
                 record.key, RowVersion(record.after, begin_txn=txn.txn_id)
             ))
@@ -531,24 +536,25 @@ class Database:
     def _insert(self, txn: Transaction, table: Table, values: Sequence[Any]) -> None:
         schema = table.schema
         next_auto = None
-        pk_index = schema.primary_key_index
-        if any(
+        if DEFAULT in values and any(
             value is DEFAULT and column.autoincrement
             for value, column in zip(values, schema.columns)
         ):
             next_auto = table.next_autoincrement()
         row = schema.coerce_row(values, next_auto=next_auto)
-        key = row[pk_index]
+        key = row[schema.primary_key_index]
         # Check all unique constraints before logging, so a failed insert
-        # leaves no WAL record for recovery to trip over.
+        # leaves no WAL record for recovery to trip over; the placement
+        # below does not check them again.
         table.check_unique(row)
-        self._lock_row(txn, table.name, key, LockMode.EXCLUSIVE)
+        self._lock_row(txn, table.name, key, EXCLUSIVE)
         self._check_write_conflict(txn, table, key)
-        self._deadline_guard(txn, "WAL append")
+        if txn.deadline is not None:
+            self._deadline_guard(txn, "WAL append")
         record = self.wal.append(
-            txn.txn_id, LogKind.INSERT, table=table.name, key=key, after=row
+            txn.txn_id, INSERT, table=table.name, key=key, after=row
         )
-        table.insert_row(row)
+        table.place_row(row)
         self._logged(txn, table, record, key, key)
 
     def _update(
@@ -567,19 +573,19 @@ class Database:
             table.check_unique(after, exclude_rid=rid)
         key = before[schema.primary_key_index]
         new_key = key if keys_unchanged else after[schema.primary_key_index]
-        self._lock_row(txn, table.name, key, LockMode.EXCLUSIVE)
+        self._lock_row(txn, table.name, key, EXCLUSIVE)
         self._check_write_conflict(txn, table, key)
         if new_key != key:
             # The moved row is this transaction's uncommitted insert under
             # its new key: lock that key as an INSERT would, or another
             # writer could delete the row (or own a delete of the key that
             # its rollback would undo on top of it).
-            self._lock_row(txn, table.name, new_key, LockMode.EXCLUSIVE)
+            self._lock_row(txn, table.name, new_key, EXCLUSIVE)
             self._check_write_conflict(txn, table, new_key)
         if txn.deadline is not None:
             self._deadline_guard(txn, "WAL append")
         record = self.wal.append(
-            txn.txn_id, LogKind.UPDATE, table.name, key, before, after,
+            txn.txn_id, UPDATE, table.name, key, before, after,
         )
         if keys_unchanged:
             table.overwrite_row(rid, after)
@@ -591,11 +597,12 @@ class Database:
         self, txn: Transaction, table: Table, rid, before: Tuple[Any, ...]
     ) -> None:
         key = before[table.schema.primary_key_index]
-        self._lock_row(txn, table.name, key, LockMode.EXCLUSIVE)
+        self._lock_row(txn, table.name, key, EXCLUSIVE)
         self._check_write_conflict(txn, table, key)
-        self._deadline_guard(txn, "WAL append")
+        if txn.deadline is not None:
+            self._deadline_guard(txn, "WAL append")
         record = self.wal.append(
-            txn.txn_id, LogKind.DELETE, table=table.name, key=key, before=before
+            txn.txn_id, DELETE, table=table.name, key=key, before=before
         )
         table.delete_row(rid)
         self._logged(txn, table, record, key, key)
@@ -628,7 +635,7 @@ class Database:
         self.vacuum()
         snapshots = {name: table.snapshot() for name, table in self._tables.items()}
         # the image is the restart base only once its record is logged
-        record = self.wal.append(0, LogKind.CHECKPOINT)
+        record = self.wal.append(0, CHECKPOINT)
         self._checkpoint_snapshots = snapshots
         self.checkpoint_lsn = record.lsn
         if truncate_wal:
@@ -691,7 +698,7 @@ class Database:
             table.restore_snapshot(self._checkpoint_snapshots.get(name, empty))
         # In-flight transaction handles die with the instance.
         for txn in list(self.txns.active.values()):
-            txn.state = TxnState.ABORTED
+            txn.state = ABORTED
         self.locks = LockManager(observer=self.obs)
         if self.obs.enabled:
             self.obs.count("engine.crash")

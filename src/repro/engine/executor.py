@@ -19,7 +19,7 @@ one comprehension pass instead of a per-row closure call.
 Reads take shared locks (exclusive under ``FOR UPDATE``), writes take
 exclusive locks.  Under READ COMMITTED shared locks are released at the
 end of the statement, and not taken where that changes nothing
-(``LockManager.transient_shared_is_noop``); under SERIALIZABLE they
+(``LockManager.transient_lock_is_noop``); under SERIALIZABLE they
 are held to commit (strict 2PL).
 """
 
@@ -34,7 +34,7 @@ from repro.engine.compiler import (
     resolve_residual,
 )
 from repro.engine.errors import SchemaError, SqlError
-from repro.engine.locks import LockMode
+from repro.engine.locks import EXCLUSIVE, SHARED
 from repro.engine.sql import (
     InsertStatement,
     SelectItem,
@@ -45,7 +45,7 @@ from repro.engine.sql import (
     parse,
 )
 from repro.engine.table import Table
-from repro.engine.txn import IsolationLevel, Transaction
+from repro.engine.txn import READ_COMMITTED, Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.database import Database
@@ -389,7 +389,7 @@ class Executor:
                 # the LIMIT cut must not change under the winner.
                 for _rid, row in matches:
                     self._db._lock_row(
-                        txn, table.name, row[pk_index], LockMode.EXCLUSIVE,
+                        txn, table.name, row[pk_index], EXCLUSIVE,
                     )
         # Row-level ORDER BY / LIMIT only apply to ungrouped selects;
         # grouped output is ordered by the group key.  Both run before
@@ -407,15 +407,15 @@ class Executor:
             name = table.name
             # READ COMMITTED drops each S lock when the statement ends:
             # where taking and dropping it is a no-op, skip both.
-            transient = txn.isolation is IsolationLevel.READ_COMMITTED
-            noop = db.locks.transient_shared_is_noop
+            transient = txn.isolation is READ_COMMITTED
+            noop = db.locks.transient_lock_is_noop
             for _rid, row in matches:
                 key = row[pk_index]
                 if transient:
                     if noop((name, key), txn.deadline):
                         continue
                     shared_keys.append(key)
-                db._lock_row(txn, name, key, LockMode.SHARED)
+                db._lock_row(txn, name, key, SHARED)
         rows = [row for _rid, row in matches]
         txn.reads += len(rows)
         if compiled.has_group:

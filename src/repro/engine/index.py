@@ -84,29 +84,41 @@ class OrderedIndex(HashIndex):
 
     Keys must be mutually comparable (ints, strings, or homogeneous
     tuples).  The sorted list holds unique key values; the hash map
-    resolves each key to its row ids.
+    resolves each key to its row ids.  A delete leaves its key in the
+    list as a *tombstone* (a listed key the map no longer holds): no
+    O(n) ``list.pop``; :meth:`range` skips it, a re-insert of the key
+    revives it, and once tombstones pass half the list it is rebuilt
+    from the map.
     """
 
     def __init__(self, name: str, columns: Tuple[str, ...], unique: bool = False):
         super().__init__(name, columns, unique)
         self._sorted_keys: List[Any] = []
+        self._tombstones = 0
 
     def rebuild(self, keys: Sequence[Any], rids: Sequence[RowId]) -> None:
         super().rebuild(keys, rids)
         self._sorted_keys = sorted(self._map)
+        self._tombstones = 0
 
     def insert(self, key: Any, rid: RowId) -> None:
         existed = key in self._map
         super().insert(key, rid)
         if not existed:
-            bisect.insort(self._sorted_keys, key)
+            keys = self._sorted_keys
+            position = bisect.bisect_left(keys, key)
+            if position < len(keys) and keys[position] == key:
+                self._tombstones -= 1
+            else:
+                keys.insert(position, key)
 
     def delete(self, key: Any, rid: RowId) -> None:
         super().delete(key, rid)
         if key not in self._map:
-            position = bisect.bisect_left(self._sorted_keys, key)
-            if position < len(self._sorted_keys) and self._sorted_keys[position] == key:
-                self._sorted_keys.pop(position)
+            self._tombstones += 1
+            if 2 * self._tombstones > len(self._sorted_keys):
+                self._sorted_keys = sorted(self._map)
+                self._tombstones = 0
 
     def range(
         self,
@@ -133,5 +145,5 @@ class OrderedIndex(HashIndex):
         if reverse:
             keys = reversed(keys)
         for key in keys:
-            for rid in self.lookup(key):
+            for rid in self.lookup(key):  # a tombstone looks up nothing
                 yield key, rid

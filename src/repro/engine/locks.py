@@ -35,6 +35,11 @@ class LockOutcome(enum.Enum):
     BLOCKED = "blocked"
 
 
+# bound once: the per-lock code reads members as globals (see wal.py)
+SHARED, EXCLUSIVE = LockMode.SHARED, LockMode.EXCLUSIVE
+GRANTED, BLOCKED = LockOutcome.GRANTED, LockOutcome.BLOCKED
+
+
 class _Lock:
     """State of one lockable row."""
 
@@ -46,8 +51,8 @@ class _Lock:
 
     def compatible(self, txn_id: int, mode: LockMode) -> bool:
         others = [held for holder, held in self.holders.items() if holder != txn_id]
-        if mode is LockMode.SHARED:
-            return all(held is LockMode.SHARED for held in others)
+        if mode is SHARED:
+            return all(held is SHARED for held in others)
         return not others
 
 
@@ -100,12 +105,14 @@ class LockManager:
         rollback released)."""
         return set(self._held_by_txn.get(txn_id, ()))
 
-    def transient_shared_is_noop(self, key: LockKey, deadline) -> bool:
-        """Would an S lock on ``key`` taken and released within one
-        statement (READ COMMITTED) change nothing?  Yes where no entry
-        for ``key`` exists (the engine is cooperative, so none appears
-        before the release), no ``deadline`` can cancel at the lock wait
-        and no lock metric counts the grant."""
+    def transient_lock_is_noop(self, key: LockKey, deadline) -> bool:
+        """Would a lock on ``key`` taken and released before any other
+        transaction runs change nothing?  That is a READ COMMITTED
+        statement's S lock, or any lock of an autocommit statement
+        (released by the commit that ends the same call).  Yes where no
+        entry for ``key`` exists (the engine is cooperative, so none
+        appears before the release), no ``deadline`` can cancel at the
+        lock wait and no lock metric counts the grant."""
         return deadline is None and self._c_granted is None and key not in self._locks
 
     # -- acquisition ----------------------------------------------------------
@@ -136,13 +143,13 @@ class LockManager:
             if self._c_granted is not None:
                 self._c_granted.value += 1.0
                 self._held_since.setdefault((txn_id, key), self.obs.now())
-            return LockOutcome.GRANTED
+            return GRANTED
         held = lock.holders.get(txn_id)
-        if held is not None and (held is LockMode.EXCLUSIVE or held is mode):
-            return LockOutcome.GRANTED  # re-entrant
+        if held is not None and (held is EXCLUSIVE or held is mode):
+            return GRANTED  # re-entrant
         # FIFO fairness: a grantable request must still queue behind
         # earlier waiters unless it is a lock upgrade.
-        upgrade = held is LockMode.SHARED and mode is LockMode.EXCLUSIVE
+        upgrade = held is SHARED and mode is EXCLUSIVE
         blocked_by_queue = bool(lock.queue) and not upgrade
         if lock.compatible(txn_id, mode) and not blocked_by_queue:
             lock.holders[txn_id] = mode
@@ -150,7 +157,7 @@ class LockManager:
             if self._c_granted is not None:
                 self._c_granted.value += 1.0
                 self._held_since.setdefault((txn_id, key), self.obs.now())
-            return LockOutcome.GRANTED
+            return GRANTED
         # A waiter re-requesting while already queued keeps its original
         # position -- appending a second entry would let it eventually
         # hold two queue slots and barge past waiters that arrived
@@ -158,7 +165,7 @@ class LockManager:
         if queue_on_conflict and any(waiter == txn_id for waiter, _ in lock.queue):
             if self._c_blocked is not None:
                 self._c_blocked.value += 1.0
-            return LockOutcome.BLOCKED
+            return BLOCKED
         blockers = {holder for holder in lock.holders if holder != txn_id}
         blockers.update(waiter for waiter, _ in lock.queue if waiter != txn_id)
         if self._would_deadlock(txn_id, blockers):
@@ -175,12 +182,12 @@ class LockManager:
         if self._c_blocked is not None:
             self._c_blocked.value += 1.0
         if not queue_on_conflict:
-            return LockOutcome.BLOCKED
+            return BLOCKED
         lock.queue.append((txn_id, mode))
         self._waits_for[txn_id] = blockers
         if self.obs.enabled:
             self._wait_since.setdefault(txn_id, self.obs.now())
-        return LockOutcome.BLOCKED
+        return BLOCKED
 
     def cancel_wait(self, txn_id: int) -> List[Tuple[int, LockKey]]:
         """Remove ``txn_id`` from every wait queue and the waits-for graph.
@@ -220,7 +227,7 @@ class LockManager:
         to commit -- so releasing an X lock here is a no-op.
         """
         lock = self._locks.get(key)
-        if lock is None or lock.holders.get(txn_id) is not LockMode.SHARED:
+        if lock is None or lock.holders.get(txn_id) is not SHARED:
             return []
         lock.holders.pop(txn_id)
         self._observe_release(txn_id, key)
@@ -333,7 +340,7 @@ class LockManager:
         engine: the invariant oracle of the lock, DES and serve tests."""
         for key, lock in self._locks.items():
             modes = set(lock.holders.values())
-            if LockMode.EXCLUSIVE in modes and len(lock.holders) > 1:
+            if EXCLUSIVE in modes and len(lock.holders) > 1:
                 raise EngineError(f"lock {key} grants X alongside other holders")
             for holder in lock.holders:
                 if key not in self._held_by_txn.get(holder, set()):

@@ -337,6 +337,12 @@ class Table:
         the primary key or a unique secondary index would be violated.
         """
         self.check_unique(row)
+        return self.place_row(row)
+
+    def place_row(self, row: Tuple[Any, ...]) -> RowId:
+        """:meth:`insert_row` for a row the caller already passed through
+        :meth:`check_unique` (the write path checks before its WAL
+        append): placement and index maintenance, no second check."""
         key = row[self.schema.primary_key_index]
         page = self._page_with_space()
         slot = page.insert(row)

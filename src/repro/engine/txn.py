@@ -59,25 +59,31 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
+# bound once: the per-transaction code reads members as globals (see wal.py)
+READ_COMMITTED = IsolationLevel.READ_COMMITTED
+ACTIVE, PREPARED = TxnState.ACTIVE, TxnState.PREPARED
+COMMITTED, ABORTED = TxnState.COMMITTED, TxnState.ABORTED
+
+
 class Transaction:
     """One unit of work against a :class:`Database`."""
 
     __slots__ = (
         "_db", "txn_id", "isolation", "state", "first_lsn", "last_lsn",
         "reads", "writes", "start_s", "snapshot_lsn", "created_versions",
-        "ended_versions", "deferred", "gtid", "deadline",
+        "ended_versions", "deferred", "gtid", "deadline", "autocommit",
     )
 
     def __init__(
         self,
         db: "Database",
         txn_id: int,
-        isolation: IsolationLevel = IsolationLevel.READ_COMMITTED,
+        isolation: IsolationLevel = READ_COMMITTED,
     ):
         self._db = db
         self.txn_id = txn_id
         self.isolation = isolation
-        self.state = TxnState.ACTIVE
+        self.state = ACTIVE
         self.first_lsn = 0
         self.last_lsn = 0
         #: statement-level counters consumed by the cost model
@@ -107,6 +113,10 @@ class Transaction:
         #: when it has passed, so doomed work is abandoned early
         #: instead of holding locks.
         self.deadline = None
+        #: begun by :meth:`Database.execute` for one statement and
+        #: committed before that call returns: no other transaction runs
+        #: while it holds a lock (engine-internal)
+        self.autocommit = False
 
     @property
     def uses_mvcc(self) -> bool:
@@ -131,10 +141,10 @@ class Transaction:
 
     @property
     def is_active(self) -> bool:
-        return self.state is TxnState.ACTIVE
+        return self.state is ACTIVE
 
     def ensure_active(self) -> None:
-        if self.state is not TxnState.ACTIVE:
+        if self.state is not ACTIVE:
             raise TransactionAborted(
                 f"transaction {self.txn_id} is {self.state.value}"
             )

@@ -28,27 +28,22 @@ class ColumnType(enum.Enum):
     TIMESTAMP = "timestamp"
 
     def coerce(self, value: Any) -> Any:
-        """Coerce ``value`` into the Python representation of this type."""
-        if value is None:
-            return None
+        """Coerce ``value`` into the Python representation of this type:
+        ``None`` and a value already of the stored type come back as
+        they are (what ``int``/``float``/``str`` return for them)."""
+        stored = self._stored
+        if type(value) is stored or value is None:
+            return value
+        if stored is int and isinstance(value, bool):
+            raise SchemaError(f"boolean is not valid for {self.value}")
         try:
-            if self in (ColumnType.INT, ColumnType.BIGINT):
-                if isinstance(value, bool):
-                    raise SchemaError(f"boolean is not valid for {self.value}")
-                return int(value)
-            if self is ColumnType.DECIMAL:
-                return float(value)
-            if self is ColumnType.VARCHAR:
-                return str(value)
-            if self is ColumnType.TIMESTAMP:
-                return float(value)
+            return stored(value)
         except (TypeError, ValueError, OverflowError):
             # "abc" for a DECIMAL, nan/inf/{}/[] for an INT: bad input
             # from a client, not an engine fault.
             raise SchemaError(
                 f"{value!r} is not valid for {self.value}"
             ) from None
-        raise SchemaError(f"unknown column type {self!r}")  # pragma: no cover
 
     def byte_size(self, length: int = 0) -> int:
         """Nominal storage footprint used by the page/cost model."""
@@ -71,6 +66,13 @@ STORED_TYPE = {
     ColumnType.VARCHAR: str,
     ColumnType.TIMESTAMP: float,
 }
+
+# ``column_type._stored``, attached once per member: ``coerce`` runs per
+# written cell and dispatches on it instead of on members loaded through
+# the class (see ``wal.py``).
+for _type, _stored in STORED_TYPE.items():
+    _type._stored = _stored
+del _type, _stored
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,9 @@ class Schema:
     primary_key: str
     _index: Dict[str, int] = field(init=False, repr=False, compare=False, hash=False, default=None)
     _pk_index: int = field(init=False, repr=False, compare=False, hash=False, default=0)
+    _stored_types: Tuple[type, ...] = field(
+        init=False, repr=False, compare=False, hash=False, default=()
+    )
 
     def __post_init__(self) -> None:
         if not self.table or not self.table.isidentifier():
@@ -116,6 +121,9 @@ class Schema:
             )
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
         object.__setattr__(self, "_pk_index", names.index(self.primary_key))
+        object.__setattr__(
+            self, "_stored_types", tuple(column.type._stored for column in self.columns)
+        )
 
     # -- lookup helpers ----------------------------------------------------
 
@@ -148,7 +156,8 @@ class Schema:
         """Validate and coerce a full row in column order.
 
         ``DEFAULT`` placeholders are replaced by ``next_auto`` for
-        auto-increment columns or by the column default otherwise.
+        auto-increment columns or by the column default otherwise.  A
+        value already of its column's stored type is kept as it is.
         """
         if len(values) != len(self.columns):
             raise SchemaError(
@@ -156,20 +165,21 @@ class Schema:
                 f"got {len(values)}"
             )
         row = []
-        for column, value in zip(self.columns, values):
-            if value is DEFAULT:
-                if column.autoincrement:
-                    if next_auto is None:
-                        raise SchemaError(
-                            f"DEFAULT for {column.name!r} needs an autoincrement value"
-                        )
-                    value = next_auto
-                else:
-                    value = column.default
-            value = column.type.coerce(value)
-            if value is None and not column.nullable:
-                raise SchemaError(
-                    f"column {self.table}.{column.name} is NOT NULL"
-                )
+        for column, stored, value in zip(self.columns, self._stored_types, values):
+            if type(value) is not stored:
+                if value is DEFAULT:
+                    if column.autoincrement:
+                        if next_auto is None:
+                            raise SchemaError(
+                                f"DEFAULT for {column.name!r} needs an autoincrement value"
+                            )
+                        value = next_auto
+                    else:
+                        value = column.default
+                value = column.type.coerce(value)
+                if value is None and not column.nullable:
+                    raise SchemaError(
+                        f"column {self.table}.{column.name} is NOT NULL"
+                    )
             row.append(value)
         return tuple(row)

@@ -48,13 +48,20 @@ class LogKind(enum.Enum):
     DECISION = "decision"
 
 
+# The members, bound once as module globals: the per-record and
+# per-transaction code reads these, because on CPython 3.11 a member
+# load through its class (``LogKind.COMMIT``) costs over ten global loads.
+BEGIN, COMMIT, ABORT = LogKind.BEGIN, LogKind.COMMIT, LogKind.ABORT
+INSERT, UPDATE, DELETE = LogKind.INSERT, LogKind.UPDATE, LogKind.DELETE
+CHECKPOINT, PREPARE, DECISION = LogKind.CHECKPOINT, LogKind.PREPARE, LogKind.DECISION
+
 #: Record kinds that change data and therefore must be redone/shipped.
-DATA_KINDS = (LogKind.INSERT, LogKind.UPDATE, LogKind.DELETE)
+DATA_KINDS = (INSERT, UPDATE, DELETE)
 
 #: Record kinds that must be durable before the append returns -- each
 #: one is an fsync point (:meth:`WriteAheadLog._durability_point` holds
 #: the one exception and the group-commit deferral).
-FSYNC_KINDS = (LogKind.COMMIT, LogKind.PREPARE, LogKind.DECISION)
+FSYNC_KINDS = (COMMIT, PREPARE, DECISION)
 
 #: Crash-point modes accepted by :meth:`WriteAheadLog.arm_crash`.
 CRASH_MODES = ("before", "after", "torn")
@@ -63,7 +70,7 @@ CRASH_MODES = ("before", "after", "torn")
 # ``append`` would otherwise pay a Python-level ``Enum.__hash__`` per record.
 for _kind in LogKind:
     _kind._info = (
-        _kind.value, _kind in (LogKind.COMMIT, LogKind.ABORT), _kind in FSYNC_KINDS
+        _kind.value, _kind in (COMMIT, ABORT), _kind in FSYNC_KINDS
     )
 del _kind
 
@@ -289,7 +296,7 @@ class WriteAheadLog:
         for txn_id, lsn in self._last_lsn_of_txn.items():
             if txn_id == 0 or lsn < self._truncated_before:
                 continue
-            if self._records[lsn - self._truncated_before].kind is LogKind.PREPARE:
+            if self._records[lsn - self._truncated_before].kind is PREPARE:
                 out[txn_id] = lsn
         return out
 
@@ -397,7 +404,7 @@ class WriteAheadLog:
         _value, ends_txn, needs_fsync = record.kind._info
         if ends_txn:
             self._last_lsn_of_txn.pop(record.txn_id, None)
-        elif record.kind is not LogKind.CHECKPOINT:
+        elif record.kind is not CHECKPOINT:
             self._last_lsn_of_txn[record.txn_id] = record.lsn
         if needs_fsync:
             self._durability_point(record.kind, record.prev_lsn)
@@ -418,9 +425,9 @@ class WriteAheadLog:
         Inside a :meth:`group_commit` batch the flush is deferred: the
         whole batch costs one fsync at exit.
         """
-        if kind is LogKind.COMMIT:
+        if kind is COMMIT:
             index = prev_lsn - self._truncated_before
-            if index >= 0 and self._records[index].kind is LogKind.BEGIN:
+            if index >= 0 and self._records[index].kind is BEGIN:
                 return
         if self._group_depth > 0:
             self._group_pending += 1
@@ -485,7 +492,7 @@ class WriteAheadLog:
         return {
             record.key
             for record in self._records
-            if record.kind is LogKind.DECISION
+            if record.kind is DECISION
         }
 
     # -- fault injection -----------------------------------------------------
@@ -614,9 +621,9 @@ class WriteAheadLog:
         self._next_lsn = lsn
         self._last_lsn_of_txn = {}
         for record in self._records:
-            if record.kind in (LogKind.COMMIT, LogKind.ABORT):
+            if record.kind in (COMMIT, ABORT):
                 self._last_lsn_of_txn.pop(record.txn_id, None)
-            elif record.kind is not LogKind.CHECKPOINT:
+            elif record.kind is not CHECKPOINT:
                 self._last_lsn_of_txn[record.txn_id] = record.lsn
         return dropped
 

@@ -46,7 +46,7 @@ from repro.engine.errors import (
     SimulatedCrash,
     TransactionAborted,
 )
-from repro.engine.txn import IsolationLevel, Transaction, TxnState
+from repro.engine.txn import ABORTED, ACTIVE, COMMITTED, PREPARED, IsolationLevel, Transaction
 from repro.obs import NULL_OBSERVER, Observer
 from repro.obs.trace import NOOP_SPAN
 
@@ -170,7 +170,7 @@ class GlobalTransaction:
         self.gtid = gtid
         self.isolation = isolation
         self.deadline = deadline
-        self.state = TxnState.ACTIVE
+        self.state = ACTIVE
         #: a client-supplied gtid marks this as the retry of an earlier
         #: commit whose outcome the client never learned; commit checks
         #: the durable DECISION records before re-applying anything
@@ -193,7 +193,7 @@ class GlobalTransaction:
 
     @property
     def is_active(self) -> bool:
-        return self.state is TxnState.ACTIVE
+        return self.state is ACTIVE
 
     def commit(self) -> None:
         self._coordinator.commit(self)
@@ -338,7 +338,7 @@ class TxnCoordinator(PhaseFaults):
             else:
                 for shard_id in writers:
                     gtxn.locals[shard_id].commit()
-                gtxn.state = TxnState.COMMITTED
+                gtxn.state = COMMITTED
                 self.single_commits += 1
                 if self._c is not None:
                     self._c["single_shard"].inc()
@@ -397,7 +397,7 @@ class TxnCoordinator(PhaseFaults):
                 txn.rollback()
             except SimulatedCrash:  # a branch shard died; nothing to undo there
                 continue
-        gtxn.state = TxnState.COMMITTED
+        gtxn.state = COMMITTED
         self.idempotent_commits += 1
         if self._c is not None:
             self._c["idempotent"].inc()
@@ -470,7 +470,7 @@ class TxnCoordinator(PhaseFaults):
                         if first:
                             first = False
                             self._crash_point("mid_commit")
-                    gtxn.state = TxnState.COMMITTED
+                    gtxn.state = COMMITTED
                     self.cross_commits += 1
                     if self._c is not None:
                         self._c["cross_shard"].inc()
@@ -522,17 +522,17 @@ class TxnCoordinator(PhaseFaults):
         decided = self._decided_union()
         blocked = False
         for gtxn in gtxns:
-            if gtxn.state is not TxnState.ACTIVE:
+            if gtxn.state is not ACTIVE:
                 continue  # already fully committed before the crash
             if gtxn.gtid in decided:
                 for txn in gtxn.locals.values():
-                    if txn.state is not TxnState.PREPARED:
+                    if txn.state is not PREPARED:
                         continue
                     try:
                         txn.commit()
                     except SimulatedCrash:
                         continue  # that shard is dead too; its log decides
-                gtxn.state = TxnState.COMMITTED
+                gtxn.state = COMMITTED
                 self.cross_commits += 1
                 if self._c is not None:
                     self._c["cross_shard"].inc()
@@ -561,7 +561,7 @@ class TxnCoordinator(PhaseFaults):
         for gtxn in self.dangling:
             commit = gtxn.gtid in decided
             for txn in gtxn.locals.values():
-                if txn.state is not TxnState.PREPARED:
+                if txn.state is not PREPARED:
                     continue
                 try:
                     if commit:
@@ -571,11 +571,11 @@ class TxnCoordinator(PhaseFaults):
                 except SimulatedCrash:
                     continue  # dead branch: recovery applies the same verdict
             if commit:
-                gtxn.state = TxnState.COMMITTED
+                gtxn.state = COMMITTED
                 self.cross_commits += 1
                 done["committed"] += 1
             else:
-                gtxn.state = TxnState.ABORTED
+                gtxn.state = ABORTED
                 self.aborts += 1
                 done["aborted"] += 1
         self.dangling = []
@@ -597,7 +597,7 @@ class TxnCoordinator(PhaseFaults):
                     # The branch's shard is dead: its volatile state is
                     # gone with it and recovery presumes abort anyway.
                     continue
-            gtxn.state = TxnState.ABORTED
+            gtxn.state = ABORTED
             self.aborts += 1
             if self._c is not None:
                 self._c["abort"].inc()

@@ -220,3 +220,99 @@ class TestRowId:
         assert pickle.loads(pickle.dumps(a)) == a
         assert type(pickle.loads(pickle.dumps(a))) is RowId
         assert str(a) == "(1,200)"
+
+
+# -- tombstoned deletes: the index against a plain sorted-list model ---------------
+
+_BOUNDS = [
+    dict(low=low, high=high, include_low=inc_low, include_high=inc_high,
+         reverse=reverse)
+    for low in (None, 2, 5) for high in (None, 5, 9)
+    for inc_low in (True, False) for inc_high in (True, False)
+    for reverse in (False, True)
+]
+
+
+def _model_range(pairs, low, high, include_low, include_high, reverse):
+    """What ``range`` yields, read off a sorted list of (key, rid) pairs:
+    keys in bound order, the row ids of one key ascending either way."""
+    inside = [
+        (key, row_id) for key, row_id in pairs
+        if (low is None or key > low or include_low and key == low)
+        and (high is None or key < high or include_high and key == high)
+    ]
+    if reverse:
+        inside.sort(key=lambda pair: -pair[0])  # stable: rids stay ascending
+    return inside
+
+
+class TestTombstones:
+    """A delete leaves a tombstone in the sorted key list, a re-insert
+    revives it, and past half the list the list is rebuilt -- while every
+    read answers what a plain sorted list of the live entries answers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        unique=st.booleans(),
+        operations=st.lists(
+            st.tuples(
+                st.booleans(),  # insert, else delete
+                st.integers(min_value=0, max_value=11),  # key
+                st.integers(min_value=0, max_value=2),  # which row id
+            ),
+            max_size=80,
+        ),
+    )
+    def test_property_matches_a_sorted_list_model(self, unique, operations):
+        index = OrderedIndex("i", ("K",), unique)
+        model = []  # sorted (key, rid) pairs
+        for step, (is_insert, key, which) in enumerate(operations):
+            row_id = rid(key * 10 + which)
+            if is_insert:
+                if unique and any(k == key for k, _ in model):
+                    with pytest.raises(DuplicateKeyError):
+                        index.insert(key, row_id)
+                    continue
+                index.insert(key, row_id)  # a deleted key's re-insert too
+                if (key, row_id) not in model:
+                    model.append((key, row_id))
+                    model.sort()
+            elif model:
+                # delete a live entry (about half the runs cross the
+                # rebuild threshold this way)
+                key, row_id = model.pop((key * 3 + which) % len(model))
+                index.delete(key, row_id)
+            else:
+                with pytest.raises(EngineError):
+                    index.delete(key, row_id)
+            live = {k for k, _ in model}
+            # every live key listed once, tombstones at most half the list
+            listed = index._sorted_keys
+            assert listed == sorted(set(listed)) and set(listed) >= live
+            assert 2 * (len(listed) - len(live)) <= len(listed)
+            bounds = _BOUNDS[step % len(_BOUNDS)]
+            assert list(index.range(**bounds)) == _model_range(model, **bounds)
+        assert len(index) == len(model)
+        for key in range(12):
+            assert index.lookup(key) == [r for k, r in model if k == key]
+        for bounds in _BOUNDS:
+            assert list(index.range(**bounds)) == _model_range(model, **bounds)
+
+    @pytest.mark.parametrize("unique", [True, False])
+    def test_delete_tombstones_reinsert_revives_half_compacts(self, unique):
+        index = OrderedIndex("i", ("K",), unique)
+        for key in range(10):
+            index.insert(key, rid(key))
+        index.delete(3, rid(3))
+        assert index._sorted_keys == list(range(10))  # 3 is a tombstone
+        assert [k for k, _ in index.range(2, 4)] == [2, 4]
+        index.insert(3, rid(33))  # revived in place, not listed twice
+        assert index._sorted_keys == list(range(10))
+        assert list(index.range(3, 3)) == [(3, rid(33))]
+        for key in range(5):
+            index.delete(key, rid(33 if key == 3 else key))
+        assert index._sorted_keys == list(range(10))  # 5 of 10: not past half
+        index.delete(5, rid(5))
+        assert index._sorted_keys == [6, 7, 8, 9]  # 6 of 10: rebuilt
+        index.insert(0, rid(0))
+        assert [k for k, _ in index.range(reverse=True)] == [9, 8, 7, 6, 0]

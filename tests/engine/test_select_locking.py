@@ -1,5 +1,6 @@
 """Regression tests for the read-path over-locking and NULL-sort bugs,
-and for the READ COMMITTED lock-table probe.
+and for the lock-table probe of READ COMMITTED reads and autocommit
+writes.
 
 Pre-fix, ``Executor._select`` shared-locked *every* row matching the
 WHERE clause before applying ORDER BY/LIMIT, so ``... ORDER BY k LIMIT
@@ -14,6 +15,7 @@ from repro.engine.errors import DeadlineExceededError, LockTimeoutError
 from repro.engine.locks import LockMode
 from repro.engine.txn import IsolationLevel, TxnState
 from repro.engine.types import Column, ColumnType, Schema
+from repro.engine.wal import DATA_KINDS
 from repro.obs import Observer
 from repro.qos.deadline import Deadline
 
@@ -187,3 +189,96 @@ class TestReadCommittedLockProbe:
         db.execute("SELECT K FROM kv WHERE K >= ?", [15], txn=txn)
         txn.commit()
         assert granted.value - before == 3 + 5
+
+
+class TestAutocommitWriteLockProbe:
+    """An autocommit write skips its X lock only where taking it (and
+    releasing it at the commit that ends the same call) could change
+    nothing; every outcome the lock decides stays as it was."""
+
+    def test_insert_of_a_key_an_open_txn_deleted_times_out(self):
+        db = fresh_db()
+        deleter = db.begin()
+        db.execute("DELETE FROM kv WHERE K = ?", [3], txn=deleter)
+        with pytest.raises(LockTimeoutError):
+            db.execute("INSERT INTO kv VALUES (?, ?, ?)", [3, 7, 7])
+        deleter.rollback()
+        assert db.query("SELECT V, W FROM kv WHERE K = ?", [3]).rows == [(0, 30)]
+
+    @pytest.mark.parametrize("sql, params", [
+        ("UPDATE kv SET V = ? WHERE K = ?", [9, 3]),
+        ("UPDATE kv SET K = ? WHERE K = ?", [99, 3]),
+        ("DELETE FROM kv WHERE K = ?", [3]),
+    ])
+    def test_write_of_an_x_locked_row_times_out_and_logs_no_data(self, sql, params):
+        db = fresh_db()
+        holder = db.begin()
+        db.execute("SELECT V FROM kv WHERE K = ? FOR UPDATE", [3], txn=holder)
+        before, mark = db.content_hash(), db.wal.last_lsn
+        with pytest.raises(LockTimeoutError):
+            db.execute(sql, params)
+        assert db.content_hash() == before
+        assert not [r for r in db.wal.records_from(mark + 1) if r.kind in DATA_KINDS]
+        assert db.locks.holders(("KV", 3)) == {holder.txn_id: LockMode.EXCLUSIVE}
+        holder.commit()
+
+    def test_multi_row_write_that_meets_a_lock_changes_nothing(self):
+        db = fresh_db()
+        holder = db.begin()
+        db.execute("SELECT V FROM kv WHERE K = ? FOR UPDATE", [5], txn=holder)
+        before = db.content_hash()
+        with pytest.raises(LockTimeoutError):  # rows 2-4 written, then undone
+            db.execute("UPDATE kv SET V = ? WHERE K >= ?", [9, 2])
+        assert db.content_hash() == before
+        assert db.locks.locks_held(holder.txn_id) == {("KV", 5)}
+        db.locks.sanity_check()
+        holder.commit()
+
+    def test_uncontended_writes_leave_no_lock_entry(self):
+        db = fresh_db()
+        calls = []
+        acquire = db.locks.acquire
+        db.locks.acquire = lambda *args, **kw: (calls.append(args), acquire(*args, **kw))[1]
+        db.execute("INSERT INTO kv VALUES (?, ?, ?)", [40, 1, 1])
+        db.execute("UPDATE kv SET V = ? WHERE K = ?", [5, 40])
+        db.execute("UPDATE kv SET K = ? WHERE K = ?", [41, 40])  # locks both keys
+        db.execute("UPDATE kv SET W = ? WHERE K < ?", [1, 5])
+        db.execute("DELETE FROM kv WHERE K = ?", [41])
+        assert calls == []
+        assert db.locks._locks == {} and db.locks._held_by_txn == {}
+        db.locks.sanity_check()
+        assert db.query("SELECT K FROM kv WHERE K >= ?", [40]).rows == []
+        assert db.query("SELECT COUNT(*) FROM kv WHERE W = ?", [1]).scalar() == 5
+
+    def test_observer_counts_every_autocommit_write_grant(self):
+        obs = Observer()
+        db = fresh_db(observer=obs)
+        granted = obs.metrics.counters["engine.lock.granted"]
+        before = granted.value
+        db.execute("INSERT INTO kv VALUES (?, ?, ?)", [40, 1, 1])
+        db.execute("UPDATE kv SET V = ? WHERE K = ?", [5, 40])
+        db.execute("UPDATE kv SET K = ? WHERE K = ?", [41, 40])
+        db.execute("DELETE FROM kv WHERE K = ?", [41])
+        assert granted.value - before == 1 + 1 + 2 + 1
+        assert db.locks._locks == {}
+
+    @pytest.mark.parametrize("sql, params, key, probe", [
+        ("INSERT INTO kv VALUES (?, ?, ?)", [40, 1, 1], 40,
+         "SELECT V FROM kv WHERE K = ?"),
+        ("UPDATE kv SET V = ? WHERE K = ?", [9, 3], 3,
+         "SELECT V FROM kv WHERE K = ?"),
+        # a deleted row is not found, so no read locks it: re-insert it
+        ("DELETE FROM kv WHERE K = ?", [3], 3,
+         "INSERT INTO kv (K) VALUES (?)"),
+    ])
+    def test_explicit_txn_writes_hold_x_to_commit(self, sql, params, key, probe):
+        db = fresh_db()
+        writer = db.begin()
+        db.execute(sql, params, txn=writer)
+        assert db.locks.holders(("KV", key)) == {writer.txn_id: LockMode.EXCLUSIVE}
+        other = db.begin(isolation=IsolationLevel.READ_COMMITTED)
+        with pytest.raises(LockTimeoutError):
+            db.execute(probe, [key], txn=other)
+        assert other.state is TxnState.ABORTED
+        writer.commit()
+        assert db.locks.holders(("KV", key)) == {}

@@ -341,13 +341,20 @@ def _indexed_table():
     return table
 
 
+def _ordered_keys(index):
+    """An ordered index's keys in range order (a hash index has none)."""
+    if not isinstance(index, OrderedIndex):
+        return []
+    return [key for key, _rid in index.range()]
+
+
 def _index_state(table):
     return (
-        dict(table.primary_index._map), list(table.primary_index._sorted_keys),
+        dict(table.primary_index._map), _ordered_keys(table.primary_index),
         {
             name: ({key: held if index.unique else set(held)
                     for key, held in index._map.items()},
-                   list(getattr(index, "_sorted_keys", ())))
+                   _ordered_keys(index))
             for name, index in table.secondary_indexes.items()
         },
         list(table.scan()),
@@ -460,11 +467,11 @@ def test_property_rebuild_indexes_matches_one_insert_per_row(n_rows, doomed):
 
 def _index_entries(index):
     """An index's map in insertion order (row-id sets sorted) and its
-    sorted key list."""
+    keys in range order."""
     return (
         [(key, held if index.unique else sorted(held))
          for key, held in index._map.items()],
-        list(getattr(index, "_sorted_keys", ())),
+        _ordered_keys(index),
     )
 
 

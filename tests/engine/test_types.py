@@ -1,6 +1,9 @@
 """Tests for columns, schemas and row coercion."""
 
+import enum
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.errors import SchemaError
 from repro.engine.types import DEFAULT, Column, ColumnType, Schema
@@ -108,3 +111,117 @@ def test_row_byte_size_positive_and_stable():
     schema = make_schema()
     assert schema.row_byte_size() == schema.row_byte_size()
     assert schema.row_byte_size() >= 8 * 3 + 20
+
+
+# -- parity with the coercion that validated every cell ------------------------
+
+
+def _oracle_coerce(column_type, value):
+    """``ColumnType.coerce`` before the stored-type fast path: every
+    value went through ``int``/``float``/``str``."""
+    if value is None:
+        return None
+    try:
+        if column_type in (ColumnType.INT, ColumnType.BIGINT):
+            if isinstance(value, bool):
+                raise SchemaError(f"boolean is not valid for {column_type.value}")
+            return int(value)
+        if column_type is ColumnType.DECIMAL:
+            return float(value)
+        if column_type is ColumnType.VARCHAR:
+            return str(value)
+        if column_type is ColumnType.TIMESTAMP:
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{value!r} is not valid for {column_type.value}") from None
+    raise AssertionError(column_type)
+
+
+def _oracle_coerce_row(schema, values, next_auto=None):
+    """``Schema.coerce_row`` before the fast path, over the oracle coerce."""
+    if len(values) != len(schema.columns):
+        raise SchemaError(
+            f"table {schema.table!r} expects {len(schema.columns)} values, "
+            f"got {len(values)}"
+        )
+    row = []
+    for column, value in zip(schema.columns, values):
+        if value is DEFAULT:
+            if column.autoincrement:
+                if next_auto is None:
+                    raise SchemaError(
+                        f"DEFAULT for {column.name!r} needs an autoincrement value"
+                    )
+                value = next_auto
+            else:
+                value = column.default
+        value = _oracle_coerce(column.type, value)
+        if value is None and not column.nullable:
+            raise SchemaError(f"column {schema.table}.{column.name} is NOT NULL")
+        row.append(value)
+    return tuple(row)
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+_VALUES = [
+    True, False, 0, 7, -3, 2 ** 70, _Int(5), _Level.LOW,
+    2.0, 2.5, -0.0, float("nan"), float("inf"), float("-inf"), _Float(1.5),
+    "12", " -4 ", "2.5", "1e3", "nan", "-inf", "abc", "", _Str("8"), _Str("x"),
+    b"3", [1], {}, None, DEFAULT,
+]
+
+
+def _outcome(call, *args):
+    """A result as type and repr per value (nan == nan here), or the
+    error's class and text."""
+    try:
+        result = call(*args)
+    except SchemaError as error:
+        return "error", type(error), str(error)
+    cells = result if isinstance(result, tuple) else (result,)
+    return "ok", [(type(cell), repr(cell)) for cell in cells]
+
+
+@pytest.mark.parametrize("column_type", list(ColumnType))
+@pytest.mark.parametrize("value", _VALUES, ids=repr)
+def test_coerce_matches_the_validate_everything_oracle(column_type, value):
+    assert _outcome(column_type.coerce, value) == \
+        _outcome(_oracle_coerce, column_type, value)
+
+
+_PARITY_SCHEMA = Schema(
+    "P",
+    (
+        Column("ID", ColumnType.INT, nullable=False, autoincrement=True),
+        Column("B", ColumnType.BIGINT, nullable=False, default=0),
+        Column("D", ColumnType.DECIMAL, default=1),  # an int default
+        Column("V", ColumnType.VARCHAR, nullable=False, default=""),
+        Column("T", ColumnType.TIMESTAMP),
+    ),
+    primary_key="ID",
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.lists(st.sampled_from(_VALUES), min_size=4, max_size=6),
+    next_auto=st.sampled_from([None, 7]),
+)
+def test_coerce_row_matches_the_validate_everything_oracle(values, next_auto):
+    assert _outcome(_PARITY_SCHEMA.coerce_row, values, next_auto) == \
+        _outcome(_oracle_coerce_row, _PARITY_SCHEMA, values, next_auto)
