@@ -20,7 +20,9 @@ from typing import Dict, Iterable, List, Optional, Set, TYPE_CHECKING
 
 from repro.engine.errors import EngineError
 from repro.engine.table import RowVersion, Table
-from repro.engine.wal import DATA_KINDS, LogKind, LogRecord
+from repro.engine.wal import (
+    ABORT, BEGIN, COMMIT, DATA_KINDS, DECISION, DELETE, INSERT, PREPARE, UPDATE, LogRecord,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.database import Database
@@ -76,7 +78,7 @@ def _apply_redo(db: "Database", record: LogRecord) -> None:
     """
     table = db.table(record.table)
     kind = record.kind
-    if kind is LogKind.UPDATE:
+    if kind is UPDATE:
         key, after = record.key, record.after
         rid = table.find_by_key(key)
         if rid is None:
@@ -86,12 +88,12 @@ def _apply_redo(db: "Database", record: LogRecord) -> None:
             key, after[table.schema.primary_key_index], record.before, after,
             lsn=record.lsn,
         )
-    elif kind is LogKind.INSERT:
+    elif kind is INSERT:
         table.insert_row(record.after)
         table.versions.append(
             record.key, RowVersion(record.after, begin_lsn=record.lsn)
         )
-    elif kind is LogKind.DELETE:
+    elif kind is DELETE:
         rid = table.find_by_key(record.key)
         if rid is None:
             raise EngineError(f"redo DELETE: key {record.key!r} missing in {record.table}")
@@ -113,14 +115,14 @@ def _apply_undo(db: "Database", record: LogRecord) -> None:
     builds its entries -- so both steps find nothing to reverse.
     """
     table = db.table(record.table)
-    if record.kind is LogKind.INSERT:
+    if record.kind is INSERT:
         key = record.after[table.schema.primary_key_index]
         rid = table.find_by_key(key)
         if rid is None:
             raise EngineError(f"undo INSERT: key {key!r} missing in {record.table}")
         table.delete_row(rid)
         table.versions.remove_newest(key)
-    elif record.kind is LogKind.UPDATE:
+    elif record.kind is UPDATE:
         new_key = record.after[table.schema.primary_key_index]
         rid = table.find_by_key(new_key)
         if rid is None:
@@ -128,7 +130,7 @@ def _apply_undo(db: "Database", record: LogRecord) -> None:
         table.update_row(rid, record.before)
         table.versions.remove_newest(new_key)
         _chain_unend(table, record.key, record)
-    elif record.kind is LogKind.DELETE:
+    elif record.kind is DELETE:
         table.insert_row(record.before)
         _chain_unend(table, record.key, record)
     else:  # pragma: no cover
@@ -166,8 +168,6 @@ def recover(db: "Database") -> RecoveryReport:
         # Analysis: one pass classes every record -- who committed, who
         # aborted, who was in flight, which prepared branches are in
         # doubt -- and sets the data records aside for redo and undo.
-        begin, commit, abort = LogKind.BEGIN, LogKind.COMMIT, LogKind.ABORT
-        prepare, decision = LogKind.PREPARE, LogKind.DECISION
         seen: Set[int] = set()
         winners = report.winners
         aborted: Set[int] = set()
@@ -176,18 +176,18 @@ def recover(db: "Database") -> RecoveryReport:
         with obs.span("recovery.analysis", "engine", track="engine"):
             for record in records:
                 kind = record.kind
-                if kind is begin:
+                if kind is BEGIN:
                     seen.add(record.txn_id)
-                elif kind is commit or kind is decision:
+                elif kind is COMMIT or kind is DECISION:
                     # a durable local decision is as good as COMMIT: the
                     # coordinator had already decided before the crash
                     winners.add(record.txn_id)
                 elif kind in DATA_KINDS:
                     seen.add(record.txn_id)
                     data.append(record)
-                elif kind is prepare:
+                elif kind is PREPARE:
                     prepared[record.txn_id] = record.key
-                elif kind is abort:
+                elif kind is ABORT:
                     aborted.add(record.txn_id)
             report.in_doubt = {
                 txn_id: gtid

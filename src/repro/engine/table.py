@@ -266,6 +266,9 @@ class Table:
         self.plan_epoch = 0
         #: MVCC version chains for keys with post-bootstrap history
         self.versions = VersionStore()
+        #: the heap, an index or the counter may differ from the installed
+        #: checkpoint image: only a dirty table needs its image restored
+        self.dirty = True
 
     # -- administrative ----------------------------------------------------
 
@@ -293,6 +296,7 @@ class Table:
         return len(self.primary_index)
 
     def next_autoincrement(self) -> int:
+        self.dirty = True
         value = self._next_auto
         self._next_auto += 1
         return value
@@ -343,6 +347,7 @@ class Table:
         """:meth:`insert_row` for a row the caller already passed through
         :meth:`check_unique` (the write path checks before its WAL
         append): placement and index maintenance, no second check."""
+        self.dirty = True
         key = row[self.schema.primary_key_index]
         page = self._page_with_space()
         slot = page.insert(row)
@@ -364,6 +369,7 @@ class Table:
         """
         if self._pages:
             raise EngineError(f"load needs an empty table, {self.name!r} has pages")
+        self.dirty = True
         rows = iter(rows)
         capacity = self._rows_per_page
         pages = self._pages
@@ -392,6 +398,7 @@ class Table:
         indexed column there is nothing to validate and no index entry
         to move: the row is written and that is all.
         """
+        self.dirty = True
         page = self._page(rid.page_no)
         before = page.read(rid.slot)
         keys_of = self._keys_of
@@ -419,10 +426,12 @@ class Table:
         the before image, so the re-read, uniqueness check and index
         maintenance of :meth:`update_row` are all skipped.
         """
+        self.dirty = True
         self._pages[rid.page_no].write(rid.slot, new_row)
 
     def delete_row(self, rid: RowId) -> Tuple[Any, ...]:
         """Remove a row; returns the before image."""
+        self.dirty = True
         before = self._page(rid.page_no).delete(rid.slot)
         heappush(self._vacated, rid.page_no)
         key = before[self.schema.primary_key_index]
@@ -517,6 +526,7 @@ class Table:
         # (recovery redo rebuilds the post-checkpoint chains).
         self.versions.clear()
         self._rebuild_indexes()
+        self.dirty = False
 
     def _rebuild_indexes(self) -> None:
         self._build_indexes(self.primary_index, *self.secondary_indexes.values())

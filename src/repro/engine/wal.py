@@ -85,9 +85,10 @@ def checksum(
     after: Optional[Tuple[Any, ...]],
     prev_lsn: int,
 ) -> int:
-    """CRC32 over a record's payload -- the definition verify, the
-    archive and the scrubber use (:meth:`WriteAheadLog.append` inlines
-    the same expression; ``tests/engine/test_wal.py`` holds them equal).
+    """CRC32 over a record's payload -- the definition; the append path
+    and the bulk verify loop (:meth:`WriteAheadLog.append`,
+    :func:`corrupt_records`) inline the same expression, and
+    ``tests/engine/test_wal.py`` holds them equal.
 
     The payload is the ``marshal`` serialisation of the 8-field tuple,
     so the CRC is type-exact (``1``, ``1.0``, ``"1"``, ``True`` and
@@ -154,9 +155,14 @@ def corrupt_records(records: Iterable[LogRecord]) -> Iterator[LogRecord]:
     The one bulk verify loop: restart recovery, the archive and the
     scrubber all read their logs through it (:attr:`LogRecord.is_intact`
     is the same comparison for callers holding a single record).
+    :func:`checksum` inline, as in :meth:`WriteAheadLog.append`: its
+    call frame and ``expected_crc``'s were most of a record's cost.
     """
     for record in records:
-        if record.crc != record.expected_crc():
+        if record.crc != _crc32(_marshal_dumps((
+            record.lsn, record.txn_id, record.kind._value_, record.table,
+            record.key, record.before, record.after, record.prev_lsn,
+        ), 2)):
             yield record
 
 

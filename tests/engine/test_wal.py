@@ -4,7 +4,10 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.types import Column, ColumnType, Schema
-from repro.engine.wal import DATA_KINDS, FSYNC_KINDS, LogKind, WriteAheadLog, checksum
+from repro.engine.errors import SimulatedCrash
+from repro.engine.wal import (
+    DATA_KINDS, FSYNC_KINDS, LogKind, WriteAheadLog, checksum, corrupt_records,
+)
 from repro.ha.replication import WalShipper, bootstrap_standby
 
 
@@ -255,6 +258,44 @@ def test_append_crc_is_checksum_of_the_fields(kind):
             record.before, record.after, record.prev_lsn,
         )
         assert record.is_intact
+
+
+def _append_of_kind(wal, kind, row):
+    if kind in DATA_KINDS:
+        return wal.append(7, kind, table="T", key=row[0], before=row, after=row[::-1])
+    return wal.append(7, kind, key=f"gtid-{row[0]}")
+
+
+@pytest.mark.parametrize("kind", list(LogKind))
+def test_corrupt_records_yields_exactly_the_checksum_mismatches(kind):
+    """The inline verify loop against :func:`checksum`, record by record:
+    intact ones, bit-flipped ones (the flip lands in an int key or in the
+    stored CRC) and a torn write (a halved after image, or a header tear
+    where there is none)."""
+    wal = WriteAheadLog()
+    wal.append(7, LogKind.BEGIN)
+    for row in ROWS:
+        _append_of_kind(wal, kind, row)
+    wal.arm_crash(wal.last_lsn + 1, "torn")
+    with pytest.raises(SimulatedCrash):
+        _append_of_kind(wal, kind, ROWS[0])
+    torn = wal.last_lsn
+    wal.revive()
+    for row in ROWS:
+        _append_of_kind(wal, kind, row)
+    flipped = {torn - 2, torn + 1, wal.last_lsn}
+    for bit, lsn in enumerate(sorted(flipped)):
+        wal.flip_bit(lsn, bit)
+    records = wal.records_from(1)
+    mismatched = [
+        record for record in records
+        if record.crc != checksum(
+            record.lsn, record.txn_id, record.kind.value, record.table, record.key,
+            record.before, record.after, record.prev_lsn,
+        )
+    ]
+    assert [record.lsn for record in mismatched] == sorted({torn, *flipped})
+    assert list(corrupt_records(records)) == mismatched
 
 
 @pytest.mark.parametrize("kind", list(LogKind))

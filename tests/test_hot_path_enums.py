@@ -1,9 +1,11 @@
-"""The per-statement and per-transaction code reads enum members as
-module globals, never through their class.
+"""The per-statement, per-transaction and per-record restart code reads
+enum members as module globals, never through their class.
 
 On CPython 3.11 a member load through its class (``LogKind.COMMIT``)
 costs over ten times a global load, and an empty ``begin()`` +
-``commit()`` used to make eight of them.  The hot-path modules bind the
+``commit()`` used to make eight of them; a restart's verify, analysis,
+redo and undo loops, and a replica's apply loop, run once per log
+record, so they read the same bindings.  The hot-path modules bind the
 members they read once, at module level (``COMMIT = LogKind.COMMIT``).
 This walk fails, naming the function and line, on any member load
 through its class inside the functions :data:`HOT_PATH` lists.  Argument
@@ -30,7 +32,10 @@ HOT_PATH = {
     ),
     "src/repro/engine/txn.py": ("Transaction",),
     "src/repro/engine/wal.py": (
-        "WriteAheadLog.append", "WriteAheadLog._durability_point",
+        "WriteAheadLog.append", "WriteAheadLog._durability_point", "corrupt_records",
+    ),
+    "src/repro/engine/recovery.py": (
+        "recover", "_apply_redo", "_apply_undo", "ReplicaApplier.apply_batch",
     ),
     "src/repro/engine/locks.py": ("LockManager.acquire",),
     "src/repro/engine/executor.py": ("Executor._select",),
