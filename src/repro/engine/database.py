@@ -637,9 +637,8 @@ class Database:
         # the image is the restart base only once its record is logged
         record = self.wal.append(0, CHECKPOINT)
         self._checkpoint_snapshots = snapshots
-        # clean now, unless the vacuum kept chains: they are not in the image
         for table in self._tables.values():
-            table.dirty = table.versions.live_versions > 0
+            table.dirty_rows = set()
         self.checkpoint_lsn = record.lsn
         if truncate_wal:
             self.wal.truncate(record.lsn)
@@ -662,7 +661,7 @@ class Database:
             name: table.snapshot() for name, table in self._tables.items()
         }
         for table in self._tables.values():
-            table.dirty = table.versions.live_versions > 0
+            table.dirty_rows = set()
         self.checkpoint_lsn = checkpoint_lsn
         self.wal.start_from(checkpoint_lsn + 1)
 
@@ -698,14 +697,13 @@ class Database:
         WAL survives (it is the durable part).  Locks and active
         transactions vanish.  Call :meth:`recover` to replay the tail.
 
-        Only a ``dirty`` table is restored: one nothing wrote since its
-        image was installed holds it already -- that heap, indexes built
-        from it, and no version chain (only a write makes one).
+        Each table puts back only the rows written since its image was
+        installed (``Table.dirty_rows``; a table nothing wrote costs
+        O(1)), and drops its version chains.
         """
         empty = TableSnapshot(pages=[], next_auto=1)
         for name, table in self._tables.items():
-            if table.dirty:
-                table.restore_snapshot(self._checkpoint_snapshots.get(name, empty))
+            table.restore_snapshot(self._checkpoint_snapshots.get(name, empty))
         # In-flight transaction handles die with the instance.
         for txn in list(self.txns.active.values()):
             txn.state = ABORTED

@@ -20,7 +20,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import islice, repeat
 from operator import itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.engine.errors import DuplicateKeyError, EngineError, SchemaError
 from repro.engine.index import HashIndex, OrderedIndex
@@ -266,9 +266,9 @@ class Table:
         self.plan_epoch = 0
         #: MVCC version chains for keys with post-bootstrap history
         self.versions = VersionStore()
-        #: the heap, an index or the counter may differ from the installed
-        #: checkpoint image: only a dirty table needs its image restored
-        self.dirty = True
+        #: RowIds whose slot may differ from the installed checkpoint image
+        #: (all a restore puts back); ``None``: no usable image, restore whole
+        self.dirty_rows: Optional[Set[RowId]] = None
 
     # -- administrative ----------------------------------------------------
 
@@ -296,7 +296,6 @@ class Table:
         return len(self.primary_index)
 
     def next_autoincrement(self) -> int:
-        self.dirty = True
         value = self._next_auto
         self._next_auto += 1
         return value
@@ -347,11 +346,12 @@ class Table:
         """:meth:`insert_row` for a row the caller already passed through
         :meth:`check_unique` (the write path checks before its WAL
         append): placement and index maintenance, no second check."""
-        self.dirty = True
         key = row[self.schema.primary_key_index]
         page = self._page_with_space()
         slot = page.insert(row)
         rid = RowId(page.page_no, slot)
+        if self.dirty_rows is not None:
+            self.dirty_rows.add(rid)
         self.primary_index.insert(key, rid)
         for index in self.secondary_indexes.values():
             index.insert(self._index_key(index.columns, row), rid)
@@ -369,7 +369,7 @@ class Table:
         """
         if self._pages:
             raise EngineError(f"load needs an empty table, {self.name!r} has pages")
-        self.dirty = True
+        self.dirty_rows = None
         rows = iter(rows)
         capacity = self._rows_per_page
         pages = self._pages
@@ -398,9 +398,10 @@ class Table:
         indexed column there is nothing to validate and no index entry
         to move: the row is written and that is all.
         """
-        self.dirty = True
         page = self._page(rid.page_no)
         before = page.read(rid.slot)
+        if self.dirty_rows is not None:
+            self.dirty_rows.add(rid)
         keys_of = self._keys_of
         if keys_of(new_row) == keys_of(before):
             page.write(rid.slot, new_row)
@@ -426,13 +427,15 @@ class Table:
         the before image, so the re-read, uniqueness check and index
         maintenance of :meth:`update_row` are all skipped.
         """
-        self.dirty = True
+        if self.dirty_rows is not None:
+            self.dirty_rows.add(rid)
         self._pages[rid.page_no].write(rid.slot, new_row)
 
     def delete_row(self, rid: RowId) -> Tuple[Any, ...]:
         """Remove a row; returns the before image."""
-        self.dirty = True
         before = self._page(rid.page_no).delete(rid.slot)
+        if self.dirty_rows is not None:
+            self.dirty_rows.add(rid)
         heappush(self._vacated, rid.page_no)
         key = before[self.schema.primary_key_index]
         self.primary_index.delete(key, rid)
@@ -515,18 +518,56 @@ class Table:
         )
 
     def restore_snapshot(self, snapshot: "TableSnapshot") -> None:
-        self._pages = [page.clone() for page in snapshot.pages]
-        # ascending page numbers are already a valid min-heap
-        self._vacated = [
-            page.page_no for page in self._pages if page.has_free_slot()
-        ]
+        """Make the table hold ``snapshot`` (the installed image, or one
+        taken since the marks were cleared): only the :attr:`dirty_rows`
+        slots are put back, or with ``None`` every page and index."""
         self._next_auto = snapshot.next_auto
         # Checkpoint images are quiesced and vacuumed: the restored heap
         # is committed base data, so all version history resets with it
         # (recovery redo rebuilds the post-checkpoint chains).
         self.versions.clear()
-        self._rebuild_indexes()
-        self.dirty = False
+        dirty = self.dirty_rows
+        if dirty is not None and not dirty:
+            return
+        self.dirty_rows = None  # restore whole next time if this raises
+        if dirty is None:
+            self._pages = [page.clone() for page in snapshot.pages]
+            self._rebuild_indexes()
+        else:
+            self._restore_rows(snapshot.pages, dirty)
+        # ascending page numbers are already a valid min-heap
+        self._vacated = [
+            page.page_no for page in self._pages if page.has_free_slot()
+        ]
+        self.dirty_rows = set()
+
+    def _restore_rows(self, image: List[Page], dirty: Set[RowId]) -> None:
+        """Repair the marked slots' index entries, then clone their pages
+        back.  Every heap or index change marks its slot, so only a marked
+        slot whose indexed columns changed moves an entry; all live entries
+        go first, so a unique key that changed slots never meets itself."""
+        pages, keys_of = self._pages, self._keys_of
+        moved = []
+        for rid in dirty:
+            page_no, slot = rid
+            live = pages[page_no]._slots[slot]  # a marked slot exists
+            slots = image[page_no]._slots if page_no < len(image) else ()
+            old = slots[slot] if slot < len(slots) else None  # None: not in the image
+            if live is not old and (live is None or old is None or keys_of(live) != keys_of(old)):
+                moved.append((rid, live, old))
+        for index in (self.primary_index, *self.secondary_indexes.values()):
+            key_of = itemgetter(*map(self.schema.column_index, index.columns))
+            for rid, live, _old in moved:
+                if live is not None:
+                    index.delete(key_of(live), rid)
+            for rid, _live, old in moved:
+                if old is not None:
+                    index.insert(key_of(old), rid)
+        # only place_row grows the heap, and it marks what it places
+        del pages[len(image):]
+        for page_no in {rid.page_no for rid in dirty}:
+            if page_no < len(image):
+                pages[page_no] = image[page_no].clone()
 
     def _rebuild_indexes(self) -> None:
         self._build_indexes(self.primary_index, *self.secondary_indexes.values())

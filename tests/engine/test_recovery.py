@@ -7,7 +7,7 @@ from repro.engine import recovery
 from repro.engine.database import Database
 from repro.engine.errors import EngineError, LockTimeoutError, SimulatedCrash
 from repro.engine.recovery import RecoveryReport, ReplicaApplier
-from repro.engine.table import RowVersion, Table
+from repro.engine.table import RowVersion
 from repro.engine.txn import TxnState
 from repro.engine.types import Column, ColumnType, Schema
 from repro.engine.wal import DATA_KINDS, LogKind
@@ -500,6 +500,10 @@ def _indexed_db():
     # the histories write LOG only sometimes: a crash finds it either
     # written since its image or still that image
     with_log(db)
+    # a few rows to a page (a test-only setting): histories place rows
+    # in pages the image lacks, and vacate and refill its slots
+    db.table("KV")._rows_per_page = 3
+    db.table("LOG")._rows_per_page = 2
     for k in (1, 2, 3):  # base rows: in the image, chainless
         db.execute("INSERT INTO kv (K, V, G, U) VALUES (?, 0, 0, ?)", [k, 10 * k])
         db.execute("INSERT INTO log (G) VALUES (?)", [k % 2])
@@ -647,16 +651,15 @@ def test_property_restart_matches_the_three_pass_restart(history, damage):
     without a DECISION, deletes and re-inserts of one key, primary-key
     moves, a torn or bit-flipped record anywhere: same report, same
     rows, same version chains, same indexes, same log, same counters
-    and placement.  The oracle's crash restores every table's image,
-    written since it or not; ours restores only the written ones."""
+    and placement.  The oracle's crash copies every table's image whole
+    and rebuilds its indexes; ours writes back only the rows written
+    since the image."""
     ours, oracle = _play(history, damage), _play(history, damage)
     ours.crash()
     report = recovery.recover(ours)
-    with pytest.MonkeyPatch.context() as patch:
-        # the class property shadows each table's own flag: all read dirty
-        patch.setattr(Table, "dirty", property(lambda table: True, lambda table, _: None),
-                      raising=False)
-        oracle.crash()
+    for name in _PROBES:
+        oracle.table(name).dirty_rows = None  # no usable image: restore whole
+    oracle.crash()
     expected = _three_pass_recover(oracle)
     for field in (
         "checkpoint_lsn", "records_scanned", "records_redone", "records_undone",

@@ -462,6 +462,103 @@ def test_property_rebuild_indexes_matches_one_insert_per_row(n_rows, doomed):
         _index_entries(backfilled)
 
 
+# -- restore_snapshot: the marked rows against the whole image -----------------
+
+
+def _twin_table():
+    """The ordered primary key, a unique and a non-unique secondary
+    index, and three rows to a page (a test-only setting), so that
+    writes reach pages the image lacks."""
+    schema = Schema(
+        "R",
+        (
+            Column("ID", ColumnType.INT, nullable=False),
+            Column("CODE", ColumnType.INT),
+            Column("GRP", ColumnType.INT),
+            Column("FREE", ColumnType.INT, default=0),
+        ),
+        primary_key="ID",
+    )
+    table = Table(schema)
+    table._rows_per_page = 3
+    table.create_index("r_code", ("CODE",), unique=True)
+    table.create_index("r_grp", ("GRP",))
+    return table
+
+
+def _write(table, op):
+    """One heap write; ``pick`` s choose among the live keys in order."""
+    kind, pick, value = op
+    live = [key for key, _rid in table.primary_index.range()]
+    try:
+        if kind == "place":  # a re-insert lands in the lowest free slot
+            table.insert_row((pick, 100 + pick, value, 0))
+            return
+        if not live:
+            return
+        rid = table.find_by_key(live[pick % len(live)])
+        key, code, grp, free = table.read_row(rid)
+        if kind == "move":  # the primary key moves, maybe onto a live one
+            table.update_row(rid, (value, code, grp, free))
+        elif kind == "regroup":
+            table.update_row(rid, (key, code, value, free))
+        elif kind == "note":  # no key or indexed column
+            table.overwrite_row(rid, (key, code, grp, value))
+        elif kind == "delete":
+            table.delete_row(rid)
+        else:  # two rows swap their unique CODE, through a free value
+            other = table.find_by_key(live[value % len(live)])
+            other_row = table.read_row(other)
+            table.update_row(rid, (key, -1, grp, free))
+            table.update_row(other, (other_row[0], code, *other_row[2:]))
+            table.update_row(rid, (key, other_row[1], grp, free))
+    except DuplicateKeyError:
+        pass
+
+
+_table_write = st.tuples(
+    st.sampled_from(["place", "place", "move", "regroup", "note", "delete", "swap"]),
+    st.integers(0, 12),
+    st.integers(0, 12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first=st.lists(_table_write, max_size=15),
+    rounds=st.lists(
+        st.tuples(st.lists(_table_write, max_size=20), st.booleans()),
+        min_size=1, max_size=3,
+    ),
+)
+def test_property_row_restore_matches_the_whole_image_restore(first, rounds):
+    """Each round writes, then restores the image (or installs a new one,
+    as a checkpoint does).  The table writing back its marked rows and a
+    twin copying the image whole and rebuilding its indexes hold the
+    same rows, index entries and counter, and place the next rows in the
+    same slots."""
+    table, twin = _twin_table(), _twin_table()
+    for op in first:
+        _write(table, op)
+        _write(twin, op)
+    for ops, install in [((), True), *rounds]:
+        for op in ops:
+            _write(table, op)
+            _write(twin, op)
+        if install:
+            image, twin_image = table.snapshot(), twin.snapshot()
+            table.dirty_rows = set()  # as Database.checkpoint leaves it
+        else:
+            twin.dirty_rows = None  # no usable image: restore whole
+            table.restore_snapshot(image)
+            twin.restore_snapshot(twin_image)
+            assert table.dirty_rows == set()
+        assert _index_state(table) == _index_state(twin)
+        assert table._next_auto == twin._next_auto
+    assert [table.insert_row((50 + i, 50 + i, 0, 0)) for i in range(5)] == \
+        [twin.insert_row((50 + i, 50 + i, 0, 0)) for i in range(5)]
+
+
 # -- load: the bulk insert against one insert_row per row ---------------------
 
 

@@ -1,10 +1,11 @@
 """What a restart costs, as counts: no timing anywhere in this file.
 
-A restart restores the checkpoint image of each table written since that
-image was installed, exactly once, and of no other table (the guard
-counts ``Table.restore_snapshot`` calls: page clones + index build are
-what a restart costs beyond log replay; a second one, or one for a table
-that already holds its image, is pure waste that no result shows); it
+A restart writes back, from the checkpoint image, exactly the rows
+written since that image was installed -- each once, no other row, and
+no index rebuilt (the guard records what ``Table._restore_rows`` is
+handed and counts ``Table._rebuild_indexes`` calls: page clones and
+index work are what a restart costs beyond log replay, and a row that
+already holds its image is pure waste that no result shows); it
 CRC-verifies every retained record above the checkpoint exactly once,
 all of them before the first redo; and it walks the retained log a
 fixed number of times.
@@ -12,6 +13,8 @@ fixed number of times.
 
 import pytest
 
+from repro.core.datagen import load_sales_database
+from repro.core.workload import SalesWorkload, TransactionMix
 from repro.engine import recovery, wal
 from repro.engine.database import Database
 from repro.engine.table import Table
@@ -22,58 +25,111 @@ from repro.shard import ShardSalesWorkload, load_sales_fleet
 from tests.ha.test_failover import LEASE, ha_fleet, write_pair
 
 
+class Restores:
+    """What the restores since the last :meth:`clear` did."""
+
+    def __init__(self):
+        self.rows = []  # (table, RowId) per slot written back
+        self.builds = 0  # whole-table index builds
+
+    def clear(self):
+        self.rows, self.builds = [], 0
+
+
 @pytest.fixture
 def restores(monkeypatch):
-    """The tables restored since the last ``clear()``, in call order."""
-    calls = []
-    restore_snapshot = Table.restore_snapshot
+    seen = Restores()
+    restore_rows, rebuild_indexes = Table._restore_rows, Table._rebuild_indexes
 
-    def counted(table, snapshot):
-        calls.append(table)
-        restore_snapshot(table, snapshot)
+    def counted_rows(table, image, dirty):
+        seen.rows += [(table, rid) for rid in dirty]
+        restore_rows(table, image, dirty)
 
-    monkeypatch.setattr(Table, "restore_snapshot", counted)
-    return calls
+    def counted_build(table):
+        seen.builds += 1
+        rebuild_indexes(table)
+
+    monkeypatch.setattr(Table, "_restore_rows", counted_rows)
+    monkeypatch.setattr(Table, "_rebuild_indexes", counted_build)
+    return seen
 
 
-def test_fleet_restart_restores_each_written_table_once(restores):
+@pytest.fixture
+def writes(monkeypatch):
+    """The distinct (table, RowId) every heap write touched, read off the
+    write methods' own arguments and results (not the marks)."""
+    touched = set()
+    for name in ("update_row", "overwrite_row", "delete_row"):
+        def noted(table, rid, *args, _write=getattr(Table, name)):
+            touched.add((table, rid))
+            return _write(table, rid, *args)
+        monkeypatch.setattr(Table, name, noted)
+    place_row = Table.place_row
+
+    def placed(table, row):
+        rid = place_row(table, row)
+        touched.add((table, rid))
+        return rid
+
+    monkeypatch.setattr(Table, "place_row", placed)
+    return touched
+
+
+def assert_restarts_write_back(crash, recover, restores, written, hashes):
+    """A crash and recover, then recover() twice on a recovered instance
+    (it resets what its redo wrote): each writes back ``written``, each
+    row once, and rebuilds no index; the content never changes."""
+    before = hashes()
+    for restart in ((crash, recover), (recover,), (recover,)):
+        restores.clear()
+        for step in restart:
+            step()
+        assert len(restores.rows) == len(written)
+        assert set(restores.rows) == written
+        assert restores.builds == 0
+        assert hashes() == before
+
+
+def test_fleet_restart_writes_back_exactly_the_rows_written(restores, writes):
     fleet, _data = load_sales_fleet(2, seed=5)
     workload = ShardSalesWorkload(fleet, cross_ratio=0.5, seed=5)
     for _ in range(20):
         workload.run_one()
+    written = set(writes)
     # payments write CUSTOMER and ORDERS; ORDERLINE, most of the rows,
-    # still is its image and is never restored
-    written = [shard.table(name) for shard in fleet.shards for name in ("CUSTOMER", "ORDERS")]
-    before = [shard.content_hash() for shard in fleet.shards]
-
-    fleet.crash()
-    fleet.recover()
-    assert restores == written
-    assert [shard.content_hash() for shard in fleet.shards] == before
-
-    # never crashed (the previous recovery is over): recover() resets
-    # what its redo wrote
-    restores.clear()
-    fleet.recover()
-    assert restores == written
-
-    # and resets again: idempotence is not bought by skipping the reset
-    restores.clear()
-    fleet.recover()
-    assert restores == written
-    assert [shard.content_hash() for shard in fleet.shards] == before
+    # still is its image and gets no row back
+    assert {table.name for table, _rid in written} == {"CUSTOMER", "ORDERS"}
+    assert_restarts_write_back(
+        fleet.crash, fleet.recover, restores, written,
+        lambda: [shard.content_hash() for shard in fleet.shards],
+    )
 
 
-def test_promotion_restores_no_standby_table(restores):
+def test_sales_restart_writes_back_exactly_the_rows_written(restores, writes):
+    """One engine, the sales mix: T1 places ORDERLINE rows (an
+    autoincrement key), T4 deletes them and T2 updates ORDERS and
+    CUSTOMER."""
+    db, _data = load_sales_database(row_scale=0.002, seed=3)
+    db.checkpoint()
+    workload = SalesWorkload(db, TransactionMix(t1=40, t2=30, t3=10, t4=20), seed=3)
+    workload.run_many(60)
+    written = set(writes)
+    assert {table.name for table, _rid in written} == {"CUSTOMER", "ORDERS", "ORDERLINE"}
+    assert len(written) < db.table("ORDERLINE").row_count // 4
+    assert_restarts_write_back(db.crash, db.recover, restores, written, db.content_hash)
+
+
+def test_promotion_writes_back_no_standby_row(restores):
     fleet, pairs = ha_fleet()
     write_pair(fleet, pairs, 41)
     before = fleet.shards[0].content_hash()
+    restores.clear()  # the loads built their indexes
     fleet.kill_primary(0)
     fleet.advance(2 * LEASE.lease_s)
     assert fleet.groups[0].failovers == 1
     # a standby's heap is the image it installed: the promotion's
     # restart replays the shipped suffix onto it as it stands
-    assert restores == []
+    assert restores.rows == [] and restores.builds == 0
     assert fleet.shards[0].content_hash() == before
 
 
