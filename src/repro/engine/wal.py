@@ -60,7 +60,7 @@ DATA_KINDS = (INSERT, UPDATE, DELETE)
 
 #: Record kinds that must be durable before the append returns -- each
 #: one is an fsync point (:meth:`WriteAheadLog._durability_point` holds
-#: the one exception and the group-commit deferral).
+#: the two COMMIT exceptions and the group-commit deferral).
 FSYNC_KINDS = (COMMIT, PREPARE, DECISION)
 
 #: Crash-point modes accepted by :meth:`WriteAheadLog.arm_crash`.
@@ -423,18 +423,21 @@ class WriteAheadLog:
     def _durability_point(self, kind: LogKind, prev_lsn: int) -> None:
         """Pay for a just-appended record of :data:`FSYNC_KINDS`.
 
-        Only writers pay: a COMMIT whose chain holds nothing but its
-        BEGIN (``prev_lsn`` names a retained BEGIN) makes nothing
-        durable, so it is not a flush.  PREPARE, DECISION and every
-        other COMMIT are -- including one whose predecessor cannot be
-        read back (``prev_lsn`` 0 or truncated), the safe reading.
-        Inside a :meth:`group_commit` batch the flush is deferred: the
-        whole batch costs one fsync at exit.
+        A COMMIT is not a flush when ``prev_lsn`` names a retained BEGIN
+        (nothing to make durable: only writers pay) or the branch's own
+        DECISION (already durable, and recovery counts it a winner).
+        PREPARE, DECISION and every other COMMIT are -- including one
+        whose predecessor cannot be read back (``prev_lsn`` 0 or
+        truncated), the safe reading.  Inside a :meth:`group_commit`
+        batch the flush is deferred: the whole batch costs one fsync at
+        exit.
         """
         if kind is COMMIT:
             index = prev_lsn - self._truncated_before
-            if index >= 0 and self._records[index].kind is BEGIN:
-                return
+            if index >= 0:
+                settled_by = self._records[index].kind
+                if settled_by is BEGIN or settled_by is DECISION:
+                    return
         if self._group_depth > 0:
             self._group_pending += 1
         else:

@@ -9,7 +9,8 @@ a :class:`~repro.shard.coordinator.TxnCoordinator` runs presumed-abort
 two-phase commit for the transactions that touch more than one shard.
 
 Durability follows the textbook protocol: PREPARE records on every
-participant, the coordinator's commit DECISION logged on each
+writing participant but the last agent (the lowest-id writer, whose
+DECISION is its vote), the coordinator's commit DECISION logged on each
 participant's WAL (group-committed to amortize the fsync point), and a
 fleet-level recovery pass that resolves in-doubt branches after a crash
 by consulting the union of durable decisions.

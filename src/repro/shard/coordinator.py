@@ -8,19 +8,24 @@ optimisation):
    released, no flush) and leaves the protocol.  If at most one branch
    wrote, that one commits one-phase, exactly like a local commit; the
    steps below run over two or more *writing* branches only.
-1. **Prepare.**  Every writing branch appends a PREPARE record
-   (carrying the global transaction id) and moves to ``PREPARED`` --
-   durable, locks held, fate undecided.  Any prepare failure aborts all
-   branches: nothing was promised yet.
+1. **Prepare.**  Each transaction's lowest-id writer, its *last
+   agent*, moves to ``PREPARED`` in memory only.  Every other writing
+   branch appends a PREPARE record (carrying the global transaction id)
+   and moves to ``PREPARED`` -- durable, locks held, fate undecided.
+   Any prepare failure aborts all branches: nothing was promised yet.
 2. **Decision.**  The coordinator durably logs its COMMIT decision as a
    DECISION record *on each participant's WAL* (this testbed has no
    separate coordinator log; co-logging the decision with the data it
    governs is what real disaggregated systems do with a commit-log
-   service).  Decisions for a batch of transactions landing on the same
-   shard share one fsync via :meth:`~repro.engine.wal.WriteAheadLog.
-   group_commit` -- the group-commit batching that amortizes 2PC's extra
-   fsync point.
-3. **Commit.**  Branches append COMMIT and release locks.
+   service), in shard-id order: the last agent's DECISION, its vote,
+   is the first durable one and makes its data durable with it.  Until
+   then its branch is an ordinary loser to recovery.  Decisions for a
+   batch of transactions landing on the same shard share one fsync via
+   :meth:`~repro.engine.wal.WriteAheadLog.group_commit` -- the
+   group-commit batching that amortizes 2PC's extra fsync point.
+3. **Commit.**  Branches append COMMIT (not a flush, behind a DECISION)
+   and release locks.  Two writers pay 3 fsyncs: the last agent's
+   DECISION, the other's PREPARE and DECISION.
 
 Abort needs no decision record: recovery *presumes abort* for any
 prepared branch with no DECISION anywhere in the fleet.
@@ -417,12 +422,15 @@ class TxnCoordinator(PhaseFaults):
                 attrs={"txns": len(gtxns)},
             ) if span else NOOP_SPAN:
                 # Phase one: prepare every writing branch of every
-                # transaction.
+                # transaction, the last agent's in memory only.
                 with span("2pc.prepare", "shard", track="shard") if span else NOOP_SPAN:
                     self._crash_point("before_prepare")
                     first = True
                     for gtxn, writers in crosses:
-                        for shard_id in writers:
+                        last_agent = gtxn.locals[writers[0]]
+                        last_agent.ensure_active()
+                        last_agent.state = PREPARED
+                        for shard_id in writers[1:]:
                             self.shards[shard_id].prepare_commit(
                                 gtxn.locals[shard_id], gtxn.gtid
                             )
@@ -435,7 +443,8 @@ class TxnCoordinator(PhaseFaults):
                 stage = "decision"
 
                 # Decision: log COMMIT per participant, batched per shard
-                # so N decisions on one shard cost one fsync.
+                # so N decisions on one shard cost one fsync; the last
+                # agents' (lowest shards) first.
                 with span("2pc.decision", "shard", track="shard") if span else NOOP_SPAN:
                     by_shard: Dict[int, List[GlobalTransaction]] = {}
                     for gtxn, writers in crosses:

@@ -89,7 +89,12 @@ class TestConfigurationAndBench:
         # 1632 before read-only commits stopped flushing: the two
         # final_stamps() passes on the restored fleet are 4 pairs x 2
         # rows x 2 = 16 autocommit SELECTs, each formerly an fsync
-        # point.  Every writing commit still pays what it paid.
-        assert result.fsyncs == 1632 - 16
-        assert result.archived_records == 1948
-        assert result.restore.records_replayed == 1154
+        # point.  Then two-writer transfers went from 6 fsyncs to 3 (a
+        # last agent, one PREPARE fewer, no COMMIT flush): 160 acked on
+        # the source fleet, 96 of them replayed past the backup barrier
+        # on the restored one (a shipped record pays what it paid on
+        # the primary), and 12 post-restore transfers.
+        assert result.fsyncs == 1632 - 16 - 3 * (160 + 96 + 12)
+        # one PREPARE fewer per transfer archived, and per one replayed
+        assert result.archived_records == 1948 - 160
+        assert result.restore.records_replayed == 1154 - 96

@@ -178,8 +178,11 @@ _CHAINS = [
     ((LogKind.BEGIN, LogKind.COMMIT), 0),  # nothing to make durable
     ((LogKind.BEGIN, LogKind.ABORT), 0),
     ((LogKind.BEGIN, LogKind.INSERT, LogKind.COMMIT), 1),
+    # a COMMIT behind its own DECISION adds nothing recovery needs
     ((LogKind.BEGIN, LogKind.UPDATE, LogKind.PREPARE, LogKind.DECISION,
-      LogKind.COMMIT), 3),
+      LogKind.COMMIT), 2),
+    # the 2PC last agent: its DECISION is its vote, its one flush
+    ((LogKind.BEGIN, LogKind.UPDATE, LogKind.DECISION, LogKind.COMMIT), 1),
     # a prepared branch promised something, even with no data behind it
     ((LogKind.BEGIN, LogKind.PREPARE, LogKind.COMMIT), 2),
     # no BEGIN to read back (recovery finishing an in-doubt branch)
@@ -363,6 +366,6 @@ def test_semisync_standby_counts_one_fsync_per_primary_fsync():
     primary.execute("UPDATE KV SET V = ? WHERE K = ?", [3, 1], txn=branch)
     primary.prepare_commit(branch, "g1")
     primary.log_decision(branch.txn_id, "g1")
-    branch.commit()
+    branch.commit()  # behind its own DECISION: no durability point either
     assert shipper.is_fresh and standby.wal.last_lsn == primary.wal.last_lsn
-    assert standby.wal.fsyncs == primary.wal.fsyncs == 4
+    assert standby.wal.fsyncs == primary.wal.fsyncs == 3

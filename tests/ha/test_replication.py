@@ -126,9 +126,12 @@ class TestShipping:
             (g.primary.wal.fsyncs - p, g.standby.wal.fsyncs - s)
             for g, (p, s) in zip(groups, before)
         ]
-        shard_a = fleet.router.shard_for("PAIRS", row_a)
-        assert paid[shard_a] == (4, 4)  # PREPARE + DECISION + COMMIT, COMMIT
-        assert paid[1 - shard_a] == (3, 3)
+        # the 2PC pays 1 on shard 0, its last agent (DECISION), and 2 on
+        # shard 1 (PREPARE + DECISION); neither COMMIT flushes.  The
+        # one-phase write pays its COMMIT on row_a's shard.
+        expected = [1, 2]
+        expected[fleet.router.shard_for("PAIRS", row_a)] += 1
+        assert paid == [(n, n) for n in expected]
         assert all(g.shipper.is_fresh for g in groups)
 
 

@@ -121,4 +121,7 @@ class TestPinnedShape:
             arrival="closed", seed=42, row_scale=0.002,
         )
         assert (result.offered, result.committed, result.aborted) == (256, 256, 0)
-        assert result.fsyncs == 881
+        # 131 local payments x 1 fsync + 125 two-writer payments x 3
+        # (the last agent's DECISION, the other writer's PREPARE and
+        # DECISION)
+        assert result.fsyncs == 131 + 125 * 3

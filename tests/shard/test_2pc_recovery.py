@@ -30,6 +30,7 @@ def run_to_crash(fleet, by_shard, phase):
         fleet.execute("UPDATE kv SET V = ? WHERE K = ?", [99, keys[0]], gtxn=gtxn)
     with pytest.raises(SimulatedCrash):
         gtxn.commit()
+    return gtxn
 
 
 class TestCrashAtEveryPhase:
@@ -66,11 +67,19 @@ class TestCrashAtEveryPhase:
     def test_presumed_abort_reports_no_decisions(self):
         fleet = kv_fleet(2)
         by_shard = load_keys(fleet)
-        run_to_crash(fleet, by_shard, "after_prepare")
+        gtxn = run_to_crash(fleet, by_shard, "after_prepare")
         fleet.crash()
         report = fleet.recover()
         assert report.decided_gtids == set()
-        assert report.resolved_abort == 2
+        # only shard 1 logged a PREPARE; shard 0, the last agent, never
+        # prepared durably: its branch is an ordinary loser, undone by
+        # its own recovery before the fleet pass runs
+        assert report.resolved_abort == 1
+        last_agent = report.shard_reports[0]
+        assert last_agent.in_doubt == {}
+        assert gtxn.locals[0].txn_id in last_agent.losers
+        assert last_agent.records_undone == 1
+        assert [value_of(fleet, keys[0]) for keys in by_shard] == [0, 0]
 
     def test_fleet_usable_after_recovery(self):
         fleet = kv_fleet(2)
@@ -98,6 +107,29 @@ class TestCrashAtEveryPhase:
         fleet = kv_fleet(2)
         with pytest.raises(ValueError):
             fleet.coordinator.arm_crash("between_things")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known loss: a truncating checkpoint drops the only durable "
+    "DECISION an in-doubt peer needs (ROADMAP item 11)",
+)
+def test_truncating_checkpoint_keeps_a_decision_a_peer_needs():
+    fleet = kv_fleet(2)
+    by_shard = load_keys(fleet)
+    # shard 1, the writer that is not the last agent, dies before its
+    # DECISION (BEGIN, UPDATE, PREPARE, then the DECISION)
+    wal = fleet.shards[1].wal
+    wal.arm_crash(wal.last_lsn + 4, "before")
+    with fleet.begin() as gtxn:
+        for keys in by_shard:
+            fleet.execute("UPDATE kv SET V = ? WHERE K = ?", [99, keys[0]], gtxn=gtxn)
+    # acknowledged: shard 0 holds the DECISION and committed its branch
+    assert gtxn.state is TxnState.COMMITTED and wal.is_dead
+    fleet.shards[0].checkpoint(truncate_wal=True)  # quiescent, so legal
+    fleet.crash()
+    fleet.recover()
+    assert [value_of(fleet, keys[0]) for keys in by_shard] == [99, 99]
 
 
 def writers_and_a_reader(fleet, by_shard):
