@@ -1,10 +1,10 @@
 """Log shipping and replay between the RW node and RO replicas.
 
 The pipeline is *real* at the data level and *simulated* at the timing
-level: committed transactions on the primary :class:`~repro.engine.
-database.Database` produce WAL record batches which are shipped over a
-modelled network, queued at the replica's replayer, and applied to a
-real replica database by :class:`~repro.engine.recovery.ReplicaApplier`.
+level: it subscribes to the primary's WAL, each COMMIT ships the data
+records of its ``prev_lsn`` chain as one batch over a modelled network,
+the batch is queued at the replica's replayer and applied to a real
+replica database by :class:`~repro.engine.recovery.ReplicaApplier`.
 A probe can therefore poll the replica with real queries and observe
 exactly when a change becomes visible -- which is how the paper's
 lag-time evaluator works.
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.cloud.architectures import Architecture
 from repro.engine.database import Database
 from repro.engine.recovery import ReplicaApplier
-from repro.engine.wal import LogKind, LogRecord
+from repro.engine.wal import COMMIT, DATA_KINDS, LogKind, LogRecord
 from repro.obs import NULL_OBSERVER, Observer
 from repro.sim.events import Environment, Event
 
@@ -58,15 +58,15 @@ class ReplicationPipeline:
             for i in range(n_replicas)
         ]
         self.appliers = [ReplicaApplier(replica) for replica in self.replicas]
-        #: queued batches: (arrived_s, txn_id, records, commit_s)
-        self._queues: List[List[Tuple[float, int, List[LogRecord], float]]] = [
+        #: queued batches: (records, commit_lsn, commit_s)
+        self._queues: List[List[Tuple[List[LogRecord], int, float]]] = [
             [] for _ in self.replicas
         ]
         self._wakeups: List[Optional[Event]] = [None] * n_replicas
         #: arrival time of the last shipped batch per replica: the log
         #: is a FIFO stream, so batches may never overtake each other
         self._last_arrival: List[float] = [0.0] * n_replicas
-        primary.add_commit_listener(self._on_commit)
+        primary.wal.add_append_listener(self._on_record)
         for index in range(n_replicas):
             env.process(self._replayer(index))
 
@@ -82,7 +82,13 @@ class ReplicationPipeline:
         per_hop = self.arch.network.transfer_time(size)
         return self.arch.storage.ship_hops * per_hop
 
-    def _on_commit(self, txn_id: int, commit_lsn: int, records: List[LogRecord]) -> None:
+    def _on_record(self, record: LogRecord) -> None:
+        # Runs inside the primary's COMMIT append: it reads only the log
+        # and schedules DES processes, so a half-finished commit is safe.
+        if record.kind is not COMMIT:
+            return
+        chain = self.primary.wal.transaction_chain(record.txn_id, record.prev_lsn)
+        records = [data for data in reversed(chain) if data.kind in DATA_KINDS]
         if not records:
             return
         now = self.env.now
@@ -103,20 +109,20 @@ class ReplicationPipeline:
             )
             self._last_arrival[index] = arrival
             self.env.process(
-                self._deliver(index, txn_id, list(records), arrival, now)
+                self._deliver(index, record, records, arrival, now)
             )
 
-    def _deliver(self, index: int, txn_id: int, records: List[LogRecord],
+    def _deliver(self, index: int, commit: LogRecord, records: List[LogRecord],
                  arrival: float, commit_s: float):
         yield self.env.timeout(max(0.0, arrival - self.env.now))
-        self._queues[index].append((self.env.now, txn_id, records, commit_s))
+        self._queues[index].append((records, commit.lsn, commit_s))
         if self.obs.enabled:
             self.obs.count("repl.batches")
             self.obs.count("repl.records", len(records))
             self.obs.complete(
                 "ship", "replication", commit_s, self.env.now,
                 track=self.replica_target(index),
-                attrs={"txn_id": txn_id, "records": len(records)},
+                attrs={"txn_id": commit.txn_id, "records": len(records)},
             )
         wakeup = self._wakeups[index]
         if wakeup is not None and not wakeup.triggered:
@@ -159,7 +165,7 @@ class ReplicationPipeline:
             drained, queue[:] = queue[:], []
             total_service = sum(
                 self._record_service_s(record)
-                for _arrived, _txn, records, _commit in drained
+                for records, _lsn, _commit_s in drained
                 for record in records
             )
             replay_s = total_service / max(1, storage.replay_parallelism)
@@ -176,11 +182,11 @@ class ReplicationPipeline:
                     track=self.replica_target(index),
                     attrs={
                         "batches": len(drained),
-                        "records": sum(len(r) for _, _, r, _ in drained),
+                        "records": sum(len(r) for r, _, _ in drained),
                     },
                 )
-            for _arrived, _txn, records, commit_s in drained:
-                applier.apply_batch(records)
+            for records, commit_lsn, commit_s in drained:
+                applier.apply_batch(records, commit_lsn)
                 if self.obs.enabled:
                     self.obs.observe("repl.lag_s", self.env.now - commit_s)
 

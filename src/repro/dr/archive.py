@@ -1,8 +1,8 @@
 """WAL archiving: the continuous half of the backup story.
 
 A :class:`WalArchiver` subscribes to a shard WAL's append listeners
-(*not* ``on_append`` -- that hook belongs exclusively to the HA
-shipper) and to the pre-truncate hook, so every record reaches the
+(beside the HA shipper, if the shard has a standby) and to the
+pre-truncate hook, so every record reaches the
 :class:`ShardArchive` before checkpoint truncation can drop it.  The
 archive keeps **two** copies of every record -- a primary copy and a
 mirror -- which is what the scrubber repairs from when chaos flips a
@@ -242,30 +242,25 @@ class WalArchiver:
         #: (they were dropped from the log; only the mirror can help)
         self.corrupt_at_truncate = 0
         self._attached = False
-        # the WAL removes listeners by identity, and a bound-method
-        # attribute access builds a fresh object every time -- pin the
-        # two callbacks so detach() removes what attach() added
-        self._append_cb = self._on_append
-        self._truncate_cb = self._on_truncate
         self.attach()
 
     def attach(self) -> None:
         if self._attached:
             return
-        self.db.wal.add_append_listener(self._append_cb)
-        self.db.wal.add_truncate_listener(self._truncate_cb)
+        self.db.wal.add_append_listener(self._on_record)
+        self.db.wal.add_truncate_listener(self._on_truncate)
         self._attached = True
 
     def detach(self) -> None:
         if not self._attached:
             return
-        self.db.wal.remove_append_listener(self._append_cb)
-        self.db.wal.remove_truncate_listener(self._truncate_cb)
+        self.db.wal.remove_append_listener(self._on_record)
+        self.db.wal.remove_truncate_listener(self._on_truncate)
         self._attached = False
 
     # -- hooks ---------------------------------------------------------------
 
-    def _on_append(self, record: LogRecord) -> None:
+    def _on_record(self, record: LogRecord) -> None:
         if self.mode == "sync":
             self.archive.ingest(record)
         else:

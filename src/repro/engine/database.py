@@ -9,16 +9,17 @@ This is the only class most callers need::
     rows = db.query("SELECT * FROM t").rows
 
 Write path (strict WAL-before-data): X-lock the row, append the log
-record, apply the physical change, remember the record on the
-transaction.  Commit appends COMMIT, notifies replication listeners
-with the transaction's record batch, and releases all locks.
+record, apply the physical change, advance the transaction's
+``last_lsn``.  The log is the only copy of a transaction's writes:
+rollback walks its ``prev_lsn`` chain, and replication subscribes to
+the WAL.  Commit appends COMMIT and releases all locks.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.engine.errors import (
     DeadlineExceededError,
@@ -43,9 +44,6 @@ from repro.engine.wal import (
     LogRecord, WriteAheadLog,
 )
 from repro.obs import NULL_OBSERVER, Observer
-
-#: Signature of commit listeners: (txn_id, commit_lsn, data_records).
-CommitListener = Callable[[int, int, List[LogRecord]], None]
 
 
 class Database:
@@ -106,8 +104,6 @@ class Database:
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.plan_cache_evictions = 0
-        self._txn_records: Dict[int, List[LogRecord]] = {}
-        self._commit_listeners: List[CommitListener] = []
         self.checkpoint_lsn = 0
         self._checkpoint_snapshots: Dict[str, TableSnapshot] = {}
         #: the tables are the checkpoint image: True from :meth:`crash`
@@ -178,7 +174,6 @@ class Database:
                 for active in self.txns.active.values():
                     if active.deferred:
                         self._build_deferred(active)
-        self._txn_records[txn.txn_id] = []
         return txn
 
     def _commit(self, txn: Transaction) -> None:
@@ -198,13 +193,10 @@ class Database:
             version.end_lsn = record.lsn
             version.end_txn = None
         txn.state = COMMITTED
-        records = self._txn_records.pop(txn.txn_id, [])
         self.locks.release_all(txn.txn_id)
         self.txns.finish(txn, committed=True)
         if self.obs.enabled:
             self._observe_txn_end(txn, "commit")
-        for listener in self._commit_listeners:
-            listener(txn.txn_id, record.lsn, records)
         if (
             txn.created_versions
             and self.live_versions() >= self.auto_vacuum_versions
@@ -214,10 +206,14 @@ class Database:
     def _rollback(self, txn: Transaction) -> None:
         if txn.state is not ACTIVE and txn.state is not PREPARED:
             return
-        # Undo this transaction's changes in reverse order (no CLRs: the
-        # engine is memory-resident, so rollback is atomic w.r.t. crashes).
-        for record in reversed(self._txn_records.pop(txn.txn_id, [])):
-            _apply_undo(self, record)
+        # Undo this transaction's changes newest first along its prev_lsn
+        # chain (no CLRs: the engine is memory-resident, so rollback is
+        # atomic w.r.t. crashes).  The walk starts at the last record
+        # applied, not at the log's tail: a record a firing crash point
+        # wrote is in the log but was never applied.
+        for record in self.wal.transaction_chain(txn.txn_id, txn.last_lsn):
+            if record.kind in DATA_KINDS:
+                _apply_undo(self, record)
         self.wal.append(txn.txn_id, ABORT)
         txn.state = ABORTED
         self.locks.cancel_wait(txn.txn_id)
@@ -510,8 +506,8 @@ class Database:
     def _logged(
         self, txn: Transaction, table: Table, record: LogRecord, key: Any, new_key: Any
     ) -> None:
-        """Book a logged and applied data record on ``txn``: undo list,
-        counters, and version-chain entries.
+        """Book a logged and applied data record on ``txn``: its undo
+        chain head (``last_lsn``), counters, and version-chain entries.
 
         With no snapshot live, a chainless key's history is unreadable:
         its entries wait on ``txn.deferred`` until a snapshot begins.  A
@@ -531,7 +527,6 @@ class Database:
             txn.deferred.append(record)
         txn.last_lsn = record.lsn
         txn.writes += 1
-        self._txn_records[txn.txn_id].append(record)
 
     def _insert(self, txn: Transaction, table: Table, values: Sequence[Any]) -> None:
         schema = table.schema
@@ -607,11 +602,6 @@ class Database:
         table.delete_row(rid)
         self._logged(txn, table, record, key, key)
 
-    # -- replication hooks -------------------------------------------------------------
-
-    def add_commit_listener(self, listener: CommitListener) -> None:
-        self._commit_listeners.append(listener)
-
     # -- checkpointing and crash recovery -------------------------------------------------
 
     def checkpoint(self, truncate_wal: bool = False) -> int:
@@ -622,8 +612,8 @@ class Database:
         no uncommitted data.
 
         With ``truncate_wal`` the records preceding the checkpoint are
-        dropped (log archiving): recovery never needs them, and commit
-        listeners received their batches synchronously at commit time,
+        dropped (log archiving): recovery never needs them, and append
+        listeners received every record synchronously as it was logged,
         so replication is unaffected.
         """
         if self.txns.active:
@@ -687,7 +677,6 @@ class Database:
         self.wal.reset_for_restore()
         self.locks = LockManager(observer=self.obs)
         self.txns = TransactionManager()
-        self._txn_records.clear()
         self._prepared.clear()
 
     def crash(self) -> None:
@@ -717,7 +706,6 @@ class Database:
         # numbered committed transaction from before the crash.  The log
         # keeps the XID high-water mark, truncated records included.
         self.txns = TransactionManager(start_id=self.wal.max_txn_id() + 1)
-        self._txn_records.clear()
         # A fired crash point left the log refusing appends; the restart
         # revives it (the durable records themselves survived).
         self.wal.revive()

@@ -7,16 +7,20 @@ Two consumers of the WAL live here:
   checkpoint, then undo of loser transactions in reverse LSN order.
   Checkpoints are quiesced (taken with no active transactions), so
   loser records never precede the checkpoint.
-* :class:`ReplicaApplier` -- applies the committed-transaction record
-  stream to a read replica, tracking the applied LSN.  The cloud layer
-  decides *when* records arrive (network and replay-parallelism
-  timing); this class guarantees *what* the replica state is.
+* :class:`ReplicaApplier` -- applies the committed-transaction batches
+  (each COMMIT's ``prev_lsn`` chain) to a read replica, tracking the
+  applied commit LSN.  The cloud layer decides *when* records arrive
+  (network and replay-parallelism timing); this class guarantees
+  *what* the replica state is.
+
+Live rollback (``Database._rollback``) undoes a ``prev_lsn`` chain with
+:func:`_apply_undo` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.engine.errors import EngineError
 from repro.engine.table import RowVersion, Table
@@ -238,23 +242,23 @@ class ReplicaApplier:
         self.applied_lsn = 0
         self.records_applied = 0
 
-    def apply_batch(self, records: Iterable[LogRecord]) -> int:
-        """Apply one committed transaction's data records, in order."""
-        applied = 0
+    def apply_batch(self, records: List[LogRecord], commit_lsn: int) -> int:
+        """Apply one committed transaction's data records, in order.
+
+        Batches arrive in commit order, so a batch whose COMMIT is at or
+        below :attr:`applied_lsn` was applied already (a re-delivery)
+        and applies nothing.  A data record's own LSN cannot tell: a
+        transaction that committed later may have written earlier.
+        """
+        if commit_lsn <= self.applied_lsn:
+            return 0
         for record in records:
-            if record.kind not in DATA_KINDS:
-                if record.lsn > self.applied_lsn:
-                    self.applied_lsn = record.lsn
-                continue
-            if record.lsn <= self.applied_lsn:
-                continue  # idempotent re-delivery
             _apply_redo(self.replica, record)
-            self.applied_lsn = record.lsn
-            applied += 1
-        self.records_applied += applied
+        self.applied_lsn = commit_lsn
+        self.records_applied += len(records)
         # Shipped versions carry primary LSNs, far ahead of the replica's
         # own near-empty WAL: raise the snapshot floor so replica
         # snapshots taken from here on see everything applied so far.
-        if self.applied_lsn > self.replica.snapshot_floor:
-            self.replica.snapshot_floor = self.applied_lsn
-        return applied
+        if commit_lsn > self.replica.snapshot_floor:
+            self.replica.snapshot_floor = commit_lsn
+        return len(records)

@@ -129,7 +129,7 @@ class Transaction:
         Such a transaction has nothing to make durable: its COMMIT is
         not a flush, and as a 2PC branch it votes read-only.
         """
-        return not self._db._txn_records.get(self.txn_id)
+        return not self.writes
 
     # -- lifecycle -------------------------------------------------------------
 

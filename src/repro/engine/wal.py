@@ -237,17 +237,13 @@ class WriteAheadLog:
         #: once a crash point fires the instance is down: every further
         #: append is rejected until Database.crash() revives the log
         self._dead = False
-        #: log-shipping hook: called with each record appended through
-        #: the *clean* path.  A record written by a firing crash point is
-        #: never shipped -- the node died before acknowledging it, so it
-        #: is durable locally but unacked, exactly the suffix a promoted
-        #: standby is allowed to discard.
-        self.on_append: Optional[Any] = None
-        #: secondary append listeners (WAL archivers).  ``on_append`` is
-        #: exclusively owned by the HA shipper; archivers subscribe here
-        #: instead so shipping and archiving can coexist on one primary.
-        #: Same clean-path-only semantics as ``on_append``.
-        self._append_listeners: List[Any] = []
+        #: append listeners (read-replica pipeline, HA shipper, WAL
+        #: archivers), called in subscription order with each record
+        #: appended through the *clean* path.  A record written by a
+        #: firing crash point is never delivered -- the node died before
+        #: acknowledging it, so it is durable locally but unacked,
+        #: exactly the suffix a promoted standby is allowed to discard.
+        self.append_listeners: List[Any] = []
         #: pre-truncate listeners: called with the contiguous prefix of
         #: records about to be dropped, *before* they are discarded.
         #: This is the archiver's completeness guarantee -- no retained
@@ -378,10 +374,8 @@ class WriteAheadLog:
                 attrs={"mode": mode, "lsn": lsn},
             )
             raise SimulatedCrash(f"crash point: instance died writing LSN {lsn}")
-        if self.on_append is not None:
-            self.on_append(record)
-        if self._append_listeners:
-            for listener in self._append_listeners:
+        if self.append_listeners:
+            for listener in self.append_listeners:
                 listener(record)
         return record
 
@@ -463,20 +457,21 @@ class WriteAheadLog:
     # -- listeners -----------------------------------------------------------
 
     def add_append_listener(self, listener: Any) -> None:
-        """Subscribe to clean-path appends (in addition to ``on_append``).
+        """Subscribe to clean-path appends: the one way a log consumer
+        (read replica, HA standby, archive) hears of new records.
 
-        Unlike ``on_append`` -- which the HA shipper claims exclusively --
-        any number of listeners may subscribe here.  A listener is called
-        with each :class:`LogRecord` appended through the clean path;
-        records written by a firing crash point are durable-but-unacked
-        and are *not* delivered (archivers heal the gap from the
-        pre-truncate hook or by pulling ``records_from``).
+        A listener is called with each :class:`LogRecord` appended
+        through the clean path; records written by a firing crash point
+        are durable-but-unacked and are *not* delivered (archivers heal
+        the gap from the pre-truncate hook or by pulling
+        ``records_from``).  Listeners are removed by equality, so a
+        fresh bound method of the subscribed object removes it.
         """
-        self._append_listeners.append(listener)
+        self.append_listeners.append(listener)
 
     def remove_append_listener(self, listener: Any) -> None:
-        self._append_listeners = [
-            fn for fn in self._append_listeners if fn is not listener
+        self.append_listeners = [
+            fn for fn in self.append_listeners if fn != listener
         ]
 
     def add_truncate_listener(self, listener: Any) -> None:
@@ -486,7 +481,7 @@ class WriteAheadLog:
 
     def remove_truncate_listener(self, listener: Any) -> None:
         self._truncate_listeners = [
-            fn for fn in self._truncate_listeners if fn is not listener
+            fn for fn in self._truncate_listeners if fn != listener
         ]
 
     # -- 2PC bookkeeping -----------------------------------------------------
@@ -654,8 +649,12 @@ class WriteAheadLog:
     def transaction_chain(self, txn_id: int, from_lsn: int) -> List[LogRecord]:
         """The records of one transaction ending at ``from_lsn``, newest first.
 
-        Unused by recovery (which scans forward from the checkpoint): the
-        oracle the WAL and archive tests check ``prev_lsn`` linkage with.
+        The log is the only copy of a transaction's writes: rollback
+        (``Database._rollback``) undoes this chain from the last record
+        it applied, and the read-replica pipeline
+        (:class:`~repro.cloud.replication.ReplicationPipeline`) ships the
+        chain behind each COMMIT.  Recovery scans forward from the
+        checkpoint instead.
 
         Raises :class:`ValueError` if the chain crosses the truncation
         boundary: a silently shortened chain would undo only part of a

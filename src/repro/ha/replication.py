@@ -1,8 +1,9 @@
 """Synchronous WAL shipping from a shard primary to its standby.
 
-The primary's :attr:`~repro.engine.wal.WriteAheadLog.on_append` hook
-hands every cleanly appended record to a :class:`WalShipper`, which
-adopts it verbatim on the standby via
+A :class:`WalShipper` subscribes to the primary's WAL like every other
+log consumer (:meth:`~repro.engine.wal.WriteAheadLog.add_append_listener`),
+is handed every cleanly appended record, and adopts it verbatim on the
+standby via
 :meth:`~repro.engine.wal.WriteAheadLog.append_shipped` -- the standby's
 log *is* the primary's log suffix, same LSNs and all.  Two ack modes:
 
@@ -68,7 +69,10 @@ class WalShipper:
     ):
         if mode not in ACK_MODES:
             raise ValueError(f"ack mode must be one of {ACK_MODES}, got {mode!r}")
-        if primary.wal.on_append is not None:
+        if any(
+            isinstance(getattr(listener, "__self__", None), WalShipper)
+            for listener in primary.wal.append_listeners
+        ):
             raise EngineError(f"{primary.name} already has a shipper attached")
         self.primary = primary
         self.standby = standby
@@ -89,8 +93,7 @@ class WalShipper:
         #: records the standby is missing since it disconnected
         self.lost = 0
         self._buffer: List[LogRecord] = []  # semisync: pending until next fsync
-        self._hook = self._on_append  # one bound method, identity-comparable
-        primary.wal.on_append = self._hook
+        primary.wal.add_append_listener(self._on_record)
 
     @property
     def is_fresh(self) -> bool:
@@ -99,13 +102,12 @@ class WalShipper:
 
     def detach(self) -> None:
         """Stop shipping (promotion or resync tears the link down)."""
-        if self.primary.wal.on_append is self._hook:
-            self.primary.wal.on_append = None
+        self.primary.wal.remove_append_listener(self._on_record)
         self.connected = False
 
     # -- the hook ------------------------------------------------------------
 
-    def _on_append(self, record: LogRecord) -> None:
+    def _on_record(self, record: LogRecord) -> None:
         if not self.connected:
             self.lost += 1
             return

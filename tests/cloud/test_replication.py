@@ -6,6 +6,7 @@ from repro.cloud.architectures import cdb1, cdb2, cdb3, cdb4
 from repro.cloud.replication import ReplicationPipeline
 from repro.engine.database import Database
 from repro.engine.types import Column, ColumnType, Schema
+from repro.engine.wal import LogKind
 from repro.obs import Observer
 from repro.sim.events import Environment
 
@@ -117,8 +118,8 @@ def test_replica_lag_records_drains():
     applier = pipeline.appliers[0]
     assert primary.wal.last_lsn - applier.applied_lsn > 0
     env.run(until=5.0)
-    # only the commit record itself may remain unaccounted
-    assert primary.wal.last_lsn - applier.applied_lsn <= 1
+    # the applier stands at the batch's COMMIT, the primary's last record
+    assert applier.applied_lsn == primary.wal.last_lsn
 
 
 def test_sequential_replay_batches_coalesce():
@@ -130,6 +131,38 @@ def test_sequential_replay_batches_coalesce():
     assert not any(visible(pipeline, k) for k in range(2, 12))
     env.run(until=5.0)
     assert all(visible(pipeline, k) for k in range(2, 12))
+
+
+def test_interleaved_commits_ship_one_transaction_per_batch(monkeypatch):
+    """Two open transactions interleave their writes in the log and
+    commit in the reverse of their begin order: each commit ships only
+    its own transaction's records, read back along its prev_lsn chain,
+    in write order."""
+    env, primary, pipeline = make_pipeline(cdb3)
+    applier = pipeline.appliers[0]
+    apply_batch = applier.apply_batch
+    shipped = []
+
+    def recording(records, commit_lsn):
+        shipped.append([(r.txn_id, r.kind, r.key) for r in records])
+        return apply_batch(records, commit_lsn)
+
+    monkeypatch.setattr(applier, "apply_batch", recording)
+    first, second = primary.begin(), primary.begin()
+    primary.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [2, 20], txn=first)
+    primary.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [3, 30], txn=second)
+    primary.execute("UPDATE kv SET V = ? WHERE K = ?", [11, 1], txn=first)
+    primary.execute("UPDATE kv SET V = ? WHERE K = ?", [31, 3], txn=second)
+    primary.execute("DELETE FROM kv WHERE K = ?", [2], txn=first)
+    second.commit()
+    first.commit()
+    env.run(until=5.0)
+    assert shipped == [
+        [(second.txn_id, LogKind.INSERT, 3), (second.txn_id, LogKind.UPDATE, 3)],
+        [(first.txn_id, LogKind.INSERT, 2), (first.txn_id, LogKind.UPDATE, 1),
+         (first.txn_id, LogKind.DELETE, 2)],
+    ]
+    assert pipeline.converged()
 
 
 def test_zero_replicas_rejected():

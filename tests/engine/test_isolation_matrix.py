@@ -372,17 +372,16 @@ class TestCrashRecoveryChains:
 
     def test_replica_snapshot_reads_shipped_versions(self):
         from repro.engine.recovery import ReplicaApplier
+        from tests.engine.test_recovery import on_commit
 
         db = make_db()
         replica = db.clone_full("replica")
         applier = ReplicaApplier(replica)
         batches = []
-        db.add_commit_listener(
-            lambda _txn, _lsn, records: batches.append(list(records))
-        )
+        on_commit(db, lambda *batch: batches.append(batch))
         db.execute("UPDATE ACC SET BAL = ? WHERE ID = ?", [777, 1])
         for batch in batches:
-            applier.apply_batch(batch)
+            applier.apply_batch(*batch)
         assert replica.snapshot_floor == applier.applied_lsn
         reader = replica.begin(SNAP)
         assert replica.execute(

@@ -4,7 +4,7 @@
 from repro.engine.database import Database
 from repro.engine.recovery import ReplicaApplier
 from repro.engine.types import Column, ColumnType, Schema
-from repro.engine.wal import DATA_KINDS
+from repro.engine.wal import DATA_KINDS, LogKind
 
 
 def make_primary():
@@ -22,12 +22,14 @@ def kv_state(db):
     return dict(db.query("SELECT K, V FROM kv").rows)
 
 
-def shipped_batches(db, from_lsn=1):
-    """Group the WAL into per-transaction batches, like the pipeline ships."""
-    batches = {}
-    for record in db.wal.records_from(from_lsn):
-        batches.setdefault(record.txn_id, []).append(record)
-    return [batches[txn_id] for txn_id in sorted(batches)]
+def shipped_batches(db):
+    """``(data records, commit LSN)`` per committed transaction, in commit
+    order, like the pipeline ships them."""
+    return [
+        ([r for r in reversed(db.wal.transaction_chain(c.txn_id, c.prev_lsn))
+          if r.kind in DATA_KINDS], c.lsn)
+        for c in db.wal.records_from(1) if c.kind is LogKind.COMMIT
+    ]
 
 
 def test_double_delivery_changes_nothing():
@@ -41,7 +43,7 @@ def test_double_delivery_changes_nothing():
 
     batches = shipped_batches(primary)
     for batch in batches:
-        applier.apply_batch(batch)
+        applier.apply_batch(*batch)
     state_after_first = kv_state(replica)
     lsn_after_first = applier.applied_lsn
     applied_after_first = applier.records_applied
@@ -49,7 +51,7 @@ def test_double_delivery_changes_nothing():
 
     # the partition healed and the pipeline retransmits everything
     for batch in batches:
-        assert applier.apply_batch(batch) == 0
+        assert applier.apply_batch(*batch) == 0
     assert kv_state(replica) == state_after_first
     assert applier.applied_lsn == lsn_after_first
     assert applier.records_applied == applied_after_first
@@ -63,14 +65,12 @@ def test_interleaved_redelivery_of_one_batch():
     primary.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [2, 2])
     first, second = shipped_batches(primary)
 
-    applier.apply_batch(first)
-    applier.apply_batch(first)      # duplicate before the next batch
-    applier.apply_batch(second)
-    applier.apply_batch(first)      # stale duplicate after later progress
+    applier.apply_batch(*first)
+    applier.apply_batch(*first)      # duplicate before the next batch
+    applier.apply_batch(*second)
+    applier.apply_batch(*first)      # stale duplicate after later progress
     assert kv_state(replica) == kv_state(primary)
-    assert applier.records_applied == sum(
-        1 for batch in (first, second) for r in batch if r.kind in DATA_KINDS
-    )
+    assert applier.records_applied == 2
 
 
 def test_lag_behind_tracks_applied_lsn():
@@ -80,5 +80,5 @@ def test_lag_behind_tracks_applied_lsn():
     primary.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 1])
     assert applier.applied_lsn == 0
     for batch in shipped_batches(primary):
-        applier.apply_batch(batch)
+        applier.apply_batch(*batch)
     assert applier.applied_lsn == primary.wal.last_lsn

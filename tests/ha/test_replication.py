@@ -167,14 +167,20 @@ class TestDisconnect:
         assert stamp_on(group.standby, pairs[0][0]) == 5
 
     def test_detach_clears_hook_only_if_owned(self):
-        fleet, _pairs = ha_fleet()
-        group = fleet.groups[0]
+        fleet, pairs = ha_fleet()
+        victim = fleet.router.shard_for("PAIRS", pairs[0][0])
+        group = fleet.groups[victim]
         old_shipper = group.shipper
-        fleet.resync(0)  # replaces the shipper
+        fleet.resync(victim)  # replaces the shipper
         assert group.shipper is not old_shipper
         # detaching the stale shipper again must not unhook the new one
         old_shipper.detach()
-        assert group.primary.wal.on_append is group.shipper._hook
+        listeners = group.primary.wal.append_listeners
+        assert listeners.count(group.shipper._on_record) == 1
+        assert old_shipper._on_record not in listeners
+        fleet.execute(UPDATE_STAMP, [5, pairs[0][0]])
+        assert group.standby_fresh
+        assert group.standby.wal.last_lsn == group.primary.wal.last_lsn
 
 
 class TestClockAndLease:

@@ -51,8 +51,6 @@ ALLOWED = {
     "ReplicationPipeline.converged":
         "oracle: the whole-database form of the lag-time consistency check, "
         "asserted by replication, chaos and recovery tests",
-    "WriteAheadLog.transaction_chain":
-        "oracle: WAL tests walk one txn's prev_lsn chain with it (it calls record_at)",
     "AScore.goodput_between":
         "the probe the verify skill documents for the chaos eval",
     "ShardedDatabase.all_rows":
