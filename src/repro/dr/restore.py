@@ -209,6 +209,8 @@ class RestoreJob(PhaseFaults):
                     unique=unique, ordered=ordered,
                 )
             table.load(image.rows)
+        # The base carries no gtid: the barrier refused every branch in
+        # doubt, so each one below it is settled in every shard's image.
         shard.install_checkpoint(shard_backup.barrier_lsn)
         return shard_backup.rows
 

@@ -40,7 +40,7 @@ from repro.engine.txn import (
 )
 from repro.engine.types import DEFAULT, Schema
 from repro.engine.wal import (
-    ABORT, BEGIN, CHECKPOINT, COMMIT, DATA_KINDS, DECISION, DELETE, INSERT, PREPARE, UPDATE,
+    ABORT, BEGIN, COMMIT, DATA_KINDS, DECISION, DELETE, INSERT, PREPARE, UPDATE,
     LogRecord, WriteAheadLog,
 )
 from repro.obs import NULL_OBSERVER, Observer
@@ -206,21 +206,25 @@ class Database:
     def _rollback(self, txn: Transaction) -> None:
         if txn.state is not ACTIVE and txn.state is not PREPARED:
             return
-        # Undo this transaction's changes newest first along its prev_lsn
-        # chain (no CLRs: the engine is memory-resident, so rollback is
-        # atomic w.r.t. crashes).  The walk starts at the last record
-        # applied, not at the log's tail: a record a firing crash point
-        # wrote is in the log but was never applied.
-        for record in self.wal.transaction_chain(txn.txn_id, txn.last_lsn):
-            if record.kind in DATA_KINDS:
-                _apply_undo(self, record)
-        self.wal.append(txn.txn_id, ABORT)
+        # The walk starts at the last record applied, not at the log's
+        # tail: a record a firing crash point wrote is in the log but was
+        # never applied.
+        self._undo(txn.txn_id, txn.last_lsn)
         txn.state = ABORTED
         self.locks.cancel_wait(txn.txn_id)
         self.locks.release_all(txn.txn_id)
         self.txns.finish(txn, committed=False)
         if self.obs.enabled:
             self._observe_txn_end(txn, "abort")
+
+    def _undo(self, txn_id: int, last_lsn: int) -> None:
+        """Undo a transaction's changes newest first along its prev_lsn
+        chain from ``last_lsn``, then log its ABORT (no CLRs: the engine
+        is memory-resident, so rollback is atomic w.r.t. crashes)."""
+        for record in self.wal.transaction_chain(txn_id, last_lsn):
+            if record.kind in DATA_KINDS:
+                _apply_undo(self, record)
+        self.wal.append(txn_id, ABORT)
 
     # -- two-phase commit (participant side) --------------------------------------
 
@@ -243,7 +247,10 @@ class Database:
             self.obs.count("engine.txn.prepare")
 
     def log_decision(self, txn_id: int, gtid) -> None:
-        """Durably record the coordinator's commit decision on this shard."""
+        """Record the coordinator's commit decision on this shard: forced
+        on the last agent (no PREPARE behind it), not on a peer, whose
+        PREPARE is durable and whose fate the last agent's DECISION holds
+        (:meth:`WriteAheadLog._durability_point`)."""
         self.wal.append(txn_id, DECISION, key=gtid)
 
     def resolve_in_doubt(self, txn_id: int, commit: bool) -> None:
@@ -252,19 +259,13 @@ class Database:
         Recovery redoes in-doubt records but neither undoes nor commits
         them.  ``commit=True`` (a DECISION exists somewhere in the fleet)
         appends the missing COMMIT; ``commit=False`` (presumed abort)
-        undoes the branch's data records in reverse and appends ABORT.
+        undoes the branch along its chain from its PREPARE, as a
+        rollback does, and appends ABORT.
         """
         if commit:
             self.wal.append(txn_id, COMMIT)
         else:
-            records = [
-                record
-                for record in self.wal.records_from(self.checkpoint_lsn + 1)
-                if record.txn_id == txn_id and record.kind in DATA_KINDS
-            ]
-            for record in reversed(records):
-                _apply_undo(self, record)
-            self.wal.append(txn_id, ABORT)
+            self._undo(txn_id, self.wal.last_lsn_of(txn_id))
         if self.obs.enabled:
             self.obs.count(
                 "engine.recovery.in_doubt_committed" if commit
@@ -612,9 +613,11 @@ class Database:
         no uncommitted data.
 
         With ``truncate_wal`` the records preceding the checkpoint are
-        dropped (log archiving): recovery never needs them, and append
-        listeners received every record synchronously as it was logged,
-        so replication is unaffected.
+        dropped (log archiving): recovery never needs them -- a DECISION
+        another shard's in-doubt branch may still need is carried by
+        the CHECKPOINT record itself (:meth:`WriteAheadLog.
+        log_checkpoint`) -- and append listeners received every record
+        synchronously as it was logged, so replication is unaffected.
         """
         if self.txns.active:
             raise EngineError(
@@ -624,8 +627,9 @@ class Database:
         # so the checkpoint images carry no version history.
         self.vacuum()
         snapshots = {name: table.snapshot() for name, table in self._tables.items()}
-        # the image is the restart base only once its record is logged
-        record = self.wal.append(0, CHECKPOINT)
+        # the image is the restart base only once its record is logged;
+        # the record carries the DECISIONs a peer may still need
+        record = self.wal.log_checkpoint()
         self._checkpoint_snapshots = snapshots
         for table in self._tables.values():
             table.dirty_rows = set()
@@ -634,7 +638,7 @@ class Database:
             self.wal.truncate(record.lsn)
         return record.lsn
 
-    def install_checkpoint(self, checkpoint_lsn: int) -> None:
+    def install_checkpoint(self, checkpoint_lsn: int, carried: tuple = ()) -> None:
         """Adopt the current tables as the durable base image at
         ``checkpoint_lsn`` without logging anything.
 
@@ -643,7 +647,10 @@ class Database:
         primary's durable horizon and positions the (pristine) WAL so
         shipped records continue the primary's LSN sequence.  From then
         on ``crash() + recover()`` replays exactly the shipped suffix --
-        which is what promotion does.
+        which is what promotion does.  ``carried`` are the gtids the
+        base carries as a CHECKPOINT record would: the primary's
+        unforgotten DECISIONs, which a peer may still need after a
+        promotion.
         """
         if self.txns.active:
             raise EngineError("install_checkpoint requires quiescence")
@@ -653,7 +660,7 @@ class Database:
         for table in self._tables.values():
             table.dirty_rows = set()
         self.checkpoint_lsn = checkpoint_lsn
-        self.wal.start_from(checkpoint_lsn + 1)
+        self.wal.start_from(checkpoint_lsn + 1, carried)
 
     def reset_for_restore(self) -> None:
         """Blank the instance so a backup image can be loaded into it.

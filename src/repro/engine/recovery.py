@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Set, TYPE_CHECKING
 from repro.engine.errors import EngineError
 from repro.engine.table import RowVersion, Table
 from repro.engine.wal import (
-    ABORT, BEGIN, COMMIT, DATA_KINDS, DECISION, DELETE, INSERT, PREPARE, UPDATE, LogRecord,
+    ABORT, BEGIN, CHECKPOINT, COMMIT, DATA_KINDS, DECISION, DELETE, INSERT, PREPARE, UPDATE,
+    LogRecord, carried_gtids,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,6 +49,10 @@ class RecoveryReport:
     #: (:meth:`repro.shard.fleet.ShardedDatabase.recover`) resolves them
     #: against the DECISION records of every participant.
     in_doubt: Dict[int, object] = field(default_factory=dict)
+    #: gtids this shard holds a DECISION for: the analysis pass's, plus
+    #: those the CHECKPOINTs it read carry (the one it starts from
+    #: included) -- the fleet pass resolves in-doubt branches from these
+    decided: Set[object] = field(default_factory=set)
     #: first LSN whose CRC failed (None when the tail was intact)
     corrupt_from_lsn: Optional[int] = None
     #: records dropped when the corrupt tail was truncated
@@ -171,12 +176,17 @@ def recover(db: "Database") -> RecoveryReport:
 
         # Analysis: one pass classes every record -- who committed, who
         # aborted, who was in flight, which prepared branches are in
-        # doubt -- and sets the data records aside for redo and undo.
+        # doubt, which gtids are decided -- and sets the data records
+        # aside for redo and undo.
         seen: Set[int] = set()
         winners = report.winners
         aborted: Set[int] = set()
         prepared: Dict[int, object] = {}
         data: List[LogRecord] = []
+        # gtid -> txn id of each DECISION; a carried gtid maps to 0
+        decisions: Dict[object, int] = dict.fromkeys(
+            db.wal.carried_at(db.checkpoint_lsn), 0
+        )
         with obs.span("recovery.analysis", "engine", track="engine"):
             for record in records:
                 kind = record.kind
@@ -186,6 +196,8 @@ def recover(db: "Database") -> RecoveryReport:
                     # a durable local decision is as good as COMMIT: the
                     # coordinator had already decided before the crash
                     winners.add(record.txn_id)
+                    if kind is DECISION:
+                        decisions[record.key] = record.txn_id
                 elif kind in DATA_KINDS:
                     seen.add(record.txn_id)
                     data.append(record)
@@ -193,6 +205,16 @@ def recover(db: "Database") -> RecoveryReport:
                     prepared[record.txn_id] = record.key
                 elif kind is ABORT:
                     aborted.add(record.txn_id)
+                elif kind is CHECKPOINT:
+                    decisions.update(dict.fromkeys(carried_gtids(record), 0))
+            report.decided = set(decisions)
+            # What the restart keeps unforgotten, its peers unknown until
+            # fleet recovery names them: every carried DECISION and every
+            # forced one (no PREPARE of its branch behind it).
+            db.wal.unforgotten = {
+                gtid: None for gtid, txn_id in decisions.items()
+                if txn_id not in prepared
+            }
             report.in_doubt = {
                 txn_id: gtid
                 for txn_id, gtid in prepared.items()
@@ -214,14 +236,21 @@ def recover(db: "Database") -> RecoveryReport:
                 _apply_redo(db, record)
             report.records_redone = len(data)
 
-        # Undo losers in reverse LSN order.
+        # Undo losers in reverse LSN order, then log the ABORT of each
+        # one undone, as a rollback does: the next restart skips its
+        # records instead of undoing them again on top of what committed
+        # since.
         with obs.span("recovery.undo", "engine", track="engine"):
             losers = report.losers
             if losers:
+                undone = set()
                 for record in reversed(data):
                     if record.txn_id in losers:
                         _apply_undo(db, record)
+                        undone.add(record.txn_id)
                         report.records_undone += 1
+                for txn_id in sorted(undone):
+                    db.wal.append(txn_id, ABORT)
         root.set("scanned", report.records_scanned)
         root.set("redone", report.records_redone)
         root.set("undone", report.records_undone)

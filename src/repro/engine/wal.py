@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from marshal import dumps as _marshal_dumps
 from zlib import crc32 as _crc32
@@ -38,6 +38,8 @@ class LogKind(enum.Enum):
     INSERT = "insert"
     UPDATE = "update"
     DELETE = "delete"
+    #: ``after`` carries the gtids of the DECISIONs before it that a peer
+    #: may still need (:attr:`WriteAheadLog.unforgotten`), or is None.
     CHECKPOINT = "checkpoint"
     #: 2PC phase one: the transaction is durable but its fate belongs to
     #: the coordinator; ``key`` carries the global transaction id.
@@ -60,7 +62,7 @@ DATA_KINDS = (INSERT, UPDATE, DELETE)
 
 #: Record kinds that must be durable before the append returns -- each
 #: one is an fsync point (:meth:`WriteAheadLog._durability_point` holds
-#: the two COMMIT exceptions and the group-commit deferral).
+#: the three exceptions and the group-commit deferral).
 FSYNC_KINDS = (COMMIT, PREPARE, DECISION)
 
 #: Crash-point modes accepted by :meth:`WriteAheadLog.arm_crash`.
@@ -166,6 +168,13 @@ def corrupt_records(records: Iterable[LogRecord]) -> Iterator[LogRecord]:
             yield record
 
 
+def carried_gtids(record: LogRecord) -> tuple:
+    """The gtids a CHECKPOINT record carries (none for any other kind)."""
+    if record.kind is CHECKPOINT:
+        return record.after or ()
+    return ()
+
+
 def flip_record_bit(record: LogRecord, bit: int = 0) -> LogRecord:
     """A copy of ``record`` with one bit flipped, so it fails its CRC.
 
@@ -229,6 +238,19 @@ class WriteAheadLog:
         #: fsync points paid so far (always maintained: the sharding
         #: benches compare group-commit amortisation with obs off)
         self.fsyncs = 0
+        #: the log is durable up to here: ``last_lsn`` at the latest
+        #: fsync point, a checkpoint or a restart
+        self.flushed_lsn = 0
+        #: ``{gtid: peers}``: the forced (last agent's) DECISIONs a peer
+        #: in doubt may still need, in log order; ``peers`` is the
+        #: ``[(peer shard id, its COMMIT LSN), ...]`` :meth:`await_peers`
+        #: names, None until then (a restart's, or one a participant
+        #: crash left: until fleet recovery names them)
+        self.unforgotten: Dict[Any, Any] = {}
+        #: ``shard id -> that shard's current log``, given with the peers
+        self.peer_log: Optional[Callable[[int], "WriteAheadLog"]] = None
+        #: the gtids the base this log starts from carries (:meth:`start_from`)
+        self._base_carried: tuple = ()
         self._group_depth = 0
         self._group_pending = 0
         self._group = _GroupCommit(self)
@@ -278,12 +300,17 @@ class WriteAheadLog:
         """Transaction ids with logged work but no COMMIT/ABORT yet.
 
         CHECKPOINT records are logged under the reserved txn id 0 and
-        never commit, so id 0 is excluded.  Includes settled pre-crash
-        losers (their undo is logical, never logged), so liveness-aware
-        callers -- the online-backup barrier -- intersect this with the
-        transaction manager's active set and union :meth:`in_doubt_txns`.
+        never commit, so id 0 is excluded.  Includes pre-crash losers
+        that wrote nothing (a restart logs the ABORT of each loser it
+        undoes only), so liveness-aware callers -- the online-backup
+        barrier -- intersect this with the transaction manager's active
+        set and union :meth:`in_doubt_txns`.
         """
         return {txn_id for txn_id in self._last_lsn_of_txn if txn_id != 0}
+
+    def last_lsn_of(self, txn_id: int) -> int:
+        """LSN of the newest record of ``txn_id``'s open chain (0: none)."""
+        return self._last_lsn_of_txn.get(txn_id, 0)
 
     def in_doubt_txns(self) -> Dict[int, int]:
         """``{txn_id: last_lsn}`` of chains left open at a PREPARE.
@@ -356,8 +383,8 @@ class WriteAheadLog:
             last_of_txn.pop(txn_id, None)
         else:
             last_of_txn[txn_id] = lsn
-        if needs_fsync:
-            self._durability_point(kind, prev_lsn)
+        if needs_fsync and self._durability_point(kind, prev_lsn) and kind is DECISION:
+            self.unforgotten[key] = None
         if self._c_append is not None:
             self._c_append.value += 1.0
             # inline byte_size(): this runs once per record appended
@@ -414,31 +441,39 @@ class WriteAheadLog:
 
     # -- durability points and group commit ----------------------------------
 
-    def _durability_point(self, kind: LogKind, prev_lsn: int) -> None:
-        """Pay for a just-appended record of :data:`FSYNC_KINDS`.
+    def _durability_point(self, kind: LogKind, prev_lsn: int) -> bool:
+        """Pay for a just-appended record of :data:`FSYNC_KINDS`; True
+        if it is a flush.
 
         A COMMIT is not a flush when ``prev_lsn`` names a retained BEGIN
         (nothing to make durable: only writers pay) or the branch's own
-        DECISION (already durable, and recovery counts it a winner).
-        PREPARE, DECISION and every other COMMIT are -- including one
-        whose predecessor cannot be read back (``prev_lsn`` 0 or
-        truncated), the safe reading.  Inside a :meth:`group_commit`
-        batch the flush is deferred: the whole batch costs one fsync at
-        exit.
+        DECISION (recovery counts it a winner); nor is a DECISION behind
+        the branch's own retained PREPARE -- a peer's, whose fate the
+        last agent's forced DECISION holds until the peer's COMMIT is
+        durable (:attr:`unforgotten`).  PREPARE, the last agent's
+        DECISION and every other record are -- including one whose
+        predecessor cannot be read back (``prev_lsn`` 0 or truncated),
+        the safe reading.  Inside a :meth:`group_commit` batch the flush
+        is deferred: the whole batch costs one fsync at exit.
         """
-        if kind is COMMIT:
+        if kind is not PREPARE:
             index = prev_lsn - self._truncated_before
             if index >= 0:
                 settled_by = self._records[index].kind
-                if settled_by is BEGIN or settled_by is DECISION:
-                    return
+                if kind is COMMIT:
+                    if settled_by is BEGIN or settled_by is DECISION:
+                        return False
+                elif settled_by is PREPARE:
+                    return False
         if self._group_depth > 0:
             self._group_pending += 1
         else:
             self._count_fsync()
+        return True
 
     def _count_fsync(self) -> None:
         self.fsyncs += 1
+        self.flushed_lsn = self._next_lsn - 1
         if self._c_fsync is not None:
             self._c_fsync.value += 1.0
 
@@ -486,18 +521,74 @@ class WriteAheadLog:
 
     # -- 2PC bookkeeping -----------------------------------------------------
 
-    def decided_gtids(self) -> set:
-        """Global transaction ids with a durable DECISION record retained.
+    def decided_gtids(self, below: Optional[int] = None) -> set:
+        """Global transaction ids with a DECISION record retained (below
+        LSN ``below``, if given), or carried by a retained CHECKPOINT
+        there or by the log's base.
 
-        Fleet recovery unions this over every shard: an in-doubt
+        The coordinator unions this over every reachable shard, and so
+        does fleet recovery for a shard it did not restart: an in-doubt
         prepared transaction commits iff *any* participant holds the
         decision, otherwise presumed abort applies.
         """
-        return {
-            record.key
-            for record in self._records
-            if record.kind is DECISION
-        }
+        decided = set(self._base_carried)
+        records = self._records
+        if below is not None:
+            records = records[:max(0, below - self._truncated_before)]
+        for record in records:
+            if record.kind is DECISION:
+                decided.add(record.key)
+            elif record.kind is CHECKPOINT:
+                decided.update(carried_gtids(record))
+        return decided
+
+    def carried_at(self, lsn: int) -> tuple:
+        """The gtids the checkpoint at ``lsn`` carries: its CHECKPOINT
+        record's, or the base's if the log starts after it."""
+        if lsn < self._truncated_before:
+            return self._base_carried
+        return carried_gtids(self.record_at(lsn))
+
+    def await_peers(
+        self,
+        gtids: Iterable[Any],
+        peers: List[Tuple[int, int]],
+        peer_log: Callable[[int], "WriteAheadLog"],
+    ) -> None:
+        """Name the ``(peer shard id, COMMIT LSN)`` pairs that must be
+        durable before this log's forced DECISIONs for ``gtids`` may be
+        forgotten, ``peer_log`` finding each shard's current log, then
+        forget what the peers' flushes since made unneeded."""
+        self.peer_log = peer_log
+        unforgotten = self.unforgotten
+        for gtid in gtids:
+            if gtid in unforgotten:
+                unforgotten[gtid] = peers
+        self.forget_durable()
+
+    def forget_durable(self) -> None:
+        """Forget each DECISION of :attr:`unforgotten` whose peers'
+        COMMITs are all durable on their own logs: presumed abort's
+        "forget" step (R*, Mohan, Lindsay and Obermarck, TODS 1986)."""
+        unforgotten = self.unforgotten
+        peer_log = self.peer_log
+        for gtid, peers in list(unforgotten.items()):
+            if peers is not None:
+                for shard_id, lsn in peers:
+                    if peer_log(shard_id).flushed_lsn < lsn:
+                        break
+                else:
+                    del unforgotten[gtid]
+
+    def log_checkpoint(self) -> LogRecord:
+        """Append a quiesced checkpoint's CHECKPOINT record, durable up
+        to it; its ``after`` carries the gtids :meth:`forget_durable`
+        leaves unforgotten, so a DECISION a peer may still need outlives
+        :meth:`truncate` and is seen by a recovery starting here."""
+        self.forget_durable()
+        record = self.append(0, CHECKPOINT, after=tuple(self.unforgotten) or None)
+        self.flushed_lsn = record.lsn
+        return record
 
     # -- fault injection -----------------------------------------------------
 
@@ -533,15 +624,19 @@ class WriteAheadLog:
         )
 
     def revive(self) -> None:
-        """Restart after a fired crash point; the durable log survives."""
+        """Restart after a fired crash point; the durable log survives
+        (what a restart reads back is durable)."""
         self._dead = False
+        self.flushed_lsn = self.last_lsn
 
-    def start_from(self, lsn: int) -> None:
+    def start_from(self, lsn: int, carried: tuple = ()) -> None:
         """Position a pristine log so its next LSN is ``lsn``.
 
         Standby bootstrap uses this: the base backup covers everything
         below ``lsn``, and shipped records continue the primary's LSN
-        sequence from there.  Only valid before anything was appended.
+        sequence from there.  ``carried`` are the gtids the base carries,
+        as a CHECKPOINT record would (the primary's unforgotten
+        DECISIONs).  Only valid before anything was appended.
         """
         if self._records or self._next_lsn != 1:
             raise ValueError(
@@ -553,6 +648,7 @@ class WriteAheadLog:
             raise ValueError(f"LSN must be >= 1, got {lsn}")
         self._next_lsn = lsn
         self._truncated_before = lsn
+        self._base_carried = carried
 
     def reset_for_restore(self) -> None:
         """Wipe the log back to pristine so :meth:`start_from` applies.
@@ -570,6 +666,7 @@ class WriteAheadLog:
         self._records = []
         self._next_lsn = 1
         self._truncated_before = 1
+        self._base_carried = ()
         self._last_lsn_of_txn = {}
         self._armed_crash = None
         self._dead = False
@@ -623,6 +720,7 @@ class WriteAheadLog:
             return 0
         self._records = self._records[:keep]
         self._next_lsn = lsn
+        self.flushed_lsn = min(self.flushed_lsn, lsn - 1)
         self._last_lsn_of_txn = {}
         for record in self._records:
             if record.kind in (COMMIT, ABORT):

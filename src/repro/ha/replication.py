@@ -47,13 +47,16 @@ def bootstrap_standby(
 
     Copies schema and rows (:meth:`~repro.engine.database.Database.
     clone_full`), stamps the copy as a checkpoint taken at the primary's
-    durable horizon, and positions the standby's pristine WAL so shipped
-    records continue the primary's LSN sequence.  From then on
-    ``crash() + recover()`` on the standby replays exactly the shipped
-    suffix -- which is what promotion does.
+    durable horizon -- carrying the primary's unforgotten DECISIONs, as
+    a CHECKPOINT record would -- and positions the standby's pristine
+    WAL so shipped records continue the primary's LSN sequence.  From
+    then on ``crash() + recover()`` on the standby replays exactly the
+    shipped suffix -- which is what promotion does.
     """
     standby = primary.clone_full(f"{primary.name}-standby", observer=observer)
-    standby.install_checkpoint(primary.wal.last_lsn)
+    standby.install_checkpoint(
+        primary.wal.last_lsn, carried=tuple(primary.wal.unforgotten)
+    )
     return standby
 
 

@@ -13,19 +13,30 @@ optimisation):
    branch appends a PREPARE record (carrying the global transaction id)
    and moves to ``PREPARED`` -- durable, locks held, fate undecided.
    Any prepare failure aborts all branches: nothing was promised yet.
-2. **Decision.**  The coordinator durably logs its COMMIT decision as a
+2. **Decision.**  The coordinator logs its COMMIT decision as a
    DECISION record *on each participant's WAL* (this testbed has no
    separate coordinator log; co-logging the decision with the data it
    governs is what real disaggregated systems do with a commit-log
-   service), in shard-id order: the last agent's DECISION, its vote,
-   is the first durable one and makes its data durable with it.  Until
-   then its branch is an ordinary loser to recovery.  Decisions for a
-   batch of transactions landing on the same shard share one fsync via
+   service), in shard-id order.  Only the last agent's DECISION, its
+   vote, is forced: it is the durable decision and makes its data
+   durable with it (until then its branch is an ordinary loser to
+   recovery).  A peer's DECISION, behind its own durable PREPARE, is
+   not a flush.  Decisions for a batch of transactions landing on the
+   same shard share one fsync via
    :meth:`~repro.engine.wal.WriteAheadLog.group_commit` -- the
    group-commit batching that amortizes 2PC's extra fsync point.
 3. **Commit.**  Branches append COMMIT (not a flush, behind a DECISION)
-   and release locks.  Two writers pay 3 fsyncs: the last agent's
-   DECISION, the other's PREPARE and DECISION.
+   and release locks.  Two writers pay 2 fsyncs: the last agent's
+   DECISION and the other's PREPARE.
+4. **Forget.**  Until a peer's unflushed DECISION and COMMIT are
+   durable, a peer that crashes recovers in doubt and needs the last
+   agent's DECISION.  The last agent's log keeps it *unforgotten* until
+   every peer's COMMIT is durable on the peer's own log (presumed
+   abort's "forget" step, R*:
+   :meth:`~repro.engine.wal.WriteAheadLog.forget_durable`), and every
+   checkpoint there, truncating or not, carries it.  One whose peers
+   are unknown (a participant died) gets them at the next fleet
+   resolution.
 
 Abort needs no decision record: recovery *presumes abort* for any
 prepared branch with no DECISION anywhere in the fleet.
@@ -52,6 +63,7 @@ from repro.engine.errors import (
     TransactionAborted,
 )
 from repro.engine.txn import ABORTED, ACTIVE, COMMITTED, PREPARED, IsolationLevel, Transaction
+from repro.engine.wal import WriteAheadLog
 from repro.obs import NULL_OBSERVER, Observer
 from repro.obs.trace import NOOP_SPAN
 
@@ -375,6 +387,10 @@ class TxnCoordinator(PhaseFaults):
             raise
         return writers
 
+    def log_of(self, shard_id: int) -> WriteAheadLog:
+        """The current log of shard ``shard_id`` (a promotion replaces it)."""
+        return self.shards[shard_id].wal
+
     def _decided_union(self) -> Set[object]:
         """Union of durable DECISION gtids across every reachable shard."""
         decided: Set[object] = set()
@@ -471,14 +487,20 @@ class TxnCoordinator(PhaseFaults):
                     self._crash_point("after_decision")
                 stage = "commit"
 
-                # Phase two: the outcome is durable; finish the branches.
+                # Phase two: the outcome is durable; finish the branches,
+                # and name each peer's COMMIT to the last agent's log.
                 first = True
                 for gtxn, writers in crosses:
+                    peers = []
                     for shard_id in writers:
                         gtxn.locals[shard_id].commit()
                         if first:
                             first = False
                             self._crash_point("mid_commit")
+                        peers.append((shard_id, self.shards[shard_id].wal.last_lsn))
+                    self.shards[writers[0]].wal.await_peers(
+                        (gtxn.gtid,), peers[1:], self.log_of
+                    )
                     gtxn.state = COMMITTED
                     self.cross_commits += 1
                     if self._c is not None:

@@ -215,6 +215,22 @@ class TestCrashRecovery:
         db.recover()
         assert kv_state(db) == first
 
+    def test_a_later_restart_does_not_undo_a_loser_again(self):
+        """A loser's undo is logged as its ABORT.  It used to be logged
+        nowhere: the next restart redid the loser and undid it again on
+        top of a commit made since, losing that acknowledged write."""
+        db = fresh_db()
+        db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [1, 0])
+        loser = db.begin()
+        db.execute("UPDATE kv SET V = ? WHERE K = ?", [5, 1], txn=loser)
+        db.crash()
+        assert db.recover().losers == {loser.txn_id}
+        db.execute("UPDATE kv SET V = ? WHERE K = ?", [7, 1])  # acknowledged
+        db.crash()
+        report = db.recover()
+        assert report.losers == set() and report.records_undone == 0
+        assert kv_state(db) == {1: 7}
+
     @staticmethod
     def _loaded_db():
         """A checkpoint, then inserts and updates only the log holds."""
@@ -511,10 +527,14 @@ def _three_pass_recover(db):
         if record.kind in DATA_KINDS and record.txn_id not in aborted:
             _redo_by_the_helpers(db, record)
             report.records_redone += 1
+    undone = set()
     for record in reversed(records):
         if record.kind in DATA_KINDS and record.txn_id in report.losers:
             recovery._apply_undo(db, record)
             report.records_undone += 1
+            undone.add(record.txn_id)
+    for txn_id in sorted(undone):  # logged like a rollback's
+        db.wal.append(txn_id, LogKind.ABORT)
     return report
 
 

@@ -178,9 +178,11 @@ _CHAINS = [
     ((LogKind.BEGIN, LogKind.COMMIT), 0),  # nothing to make durable
     ((LogKind.BEGIN, LogKind.ABORT), 0),
     ((LogKind.BEGIN, LogKind.INSERT, LogKind.COMMIT), 1),
-    # a COMMIT behind its own DECISION adds nothing recovery needs
+    # a 2PC peer: its PREPARE is its one flush -- its DECISION, behind
+    # that PREPARE, and the COMMIT behind its DECISION add nothing
+    # recovery needs (the last agent's forced DECISION holds its fate)
     ((LogKind.BEGIN, LogKind.UPDATE, LogKind.PREPARE, LogKind.DECISION,
-      LogKind.COMMIT), 2),
+      LogKind.COMMIT), 1),
     # the 2PC last agent: its DECISION is its vote, its one flush
     ((LogKind.BEGIN, LogKind.UPDATE, LogKind.DECISION, LogKind.COMMIT), 1),
     # a prepared branch promised something, even with no data behind it
@@ -221,6 +223,55 @@ def test_only_a_commit_with_work_behind_it_is_a_durability_point():
         wal.append(10, LogKind.BEGIN)
         wal.append(10, LogKind.COMMIT)
     assert wal.fsyncs - before == 1  # an empty batch flushes nothing
+
+
+def test_only_the_last_agents_decision_is_a_durability_point():
+    """The third exception: a DECISION behind its branch's own retained
+    PREPARE (a peer's) is no flush.  The last agent's, with no PREPARE
+    behind it, is -- and so is one whose PREPARE cannot be read back
+    (truncated, or no chain at all), the safe reading.  Only a forced
+    DECISION is one a peer may need: it alone becomes unforgotten."""
+    wal = WriteAheadLog()
+    costs = {}
+
+    def cost(txn_id, kind, key=None):
+        before = wal.fsyncs
+        wal.append(txn_id, kind, key=key)
+        costs.setdefault(txn_id, []).append(wal.fsyncs - before)
+
+    for kind in (LogKind.BEGIN, LogKind.UPDATE, LogKind.DECISION, LogKind.COMMIT):
+        cost(1, kind, "g1")  # the last agent
+    for kind in (LogKind.BEGIN, LogKind.UPDATE, LogKind.PREPARE, LogKind.DECISION,
+                 LogKind.COMMIT):
+        cost(2, kind, "g1")  # its peer
+    cost(3, LogKind.DECISION, "g3")  # no chain behind it: prev_lsn 0
+    assert costs == {1: [0, 0, 1, 0], 2: [0, 0, 1, 0, 0], 3: [1]}
+    assert list(wal.unforgotten) == ["g1", "g3"]
+    assert wal.flushed_lsn == wal.last_lsn  # g3's flush
+
+    # a PREPARE that checkpointing truncated away cannot vouch for it
+    wal.append(4, LogKind.PREPARE, key="g4")
+    wal.truncate(wal.last_lsn + 1)
+    before = wal.fsyncs
+    wal.append(4, LogKind.DECISION, key="g4")
+    assert wal.fsyncs - before == 1 and "g4" in wal.unforgotten
+
+    # a standby counts what its primary counts, from the log alone ...
+    primary = WriteAheadLog()
+    for kind in (LogKind.BEGIN, LogKind.UPDATE, LogKind.PREPARE, LogKind.DECISION,
+                 LogKind.COMMIT):
+        primary.append(1, kind, key="g1")
+    standby = WriteAheadLog()
+    for record in primary.records_from(1):
+        standby.append_shipped(record)
+    assert standby.fsyncs == primary.fsyncs == 1
+    # ... unless its log starts after the PREPARE: then the DECISION is
+    # a flush there
+    late = WriteAheadLog()
+    late.start_from(4)
+    for record in primary.records_from(4):
+        late.append_shipped(record)
+    assert late.fsyncs == 1
 
 
 def test_shipped_records_cost_the_standby_what_they_cost_the_primary():
@@ -368,4 +419,6 @@ def test_semisync_standby_counts_one_fsync_per_primary_fsync():
     primary.log_decision(branch.txn_id, "g1")
     branch.commit()  # behind its own DECISION: no durability point either
     assert shipper.is_fresh and standby.wal.last_lsn == primary.wal.last_lsn
-    assert standby.wal.fsyncs == primary.wal.fsyncs == 3
+    # the INSERTs' COMMIT and the PREPARE; the DECISION behind that
+    # PREPARE is a peer's, no durability point
+    assert standby.wal.fsyncs == primary.wal.fsyncs == 2

@@ -133,16 +133,15 @@ class TestInDoubtTxns:
         assert txn.txn_id not in db.wal.in_doubt_txns()
 
     def test_settled_loser_is_not_in_doubt(self):
-        """Recovery undoes losers logically without logging ABORT, so
-        the loser's chain stays in the WAL's open map forever -- but it
-        must not read as in-doubt (its newest record is not PREPARE)
-        and it no longer holds a live handle."""
+        """Recovery undoes a loser and logs its ABORT, closing its chain
+        in the WAL's open map (it used to stay there forever): it does
+        not read as in flight or in doubt, and holds no live handle."""
         db = fresh_db()
         txn = db.begin()
         db.execute("INSERT INTO kv (K, V) VALUES (?, ?)", [9, 9], txn=txn)
         db.crash()
         db.recover()
-        assert txn.txn_id in db.wal.in_flight_txns()   # the documented wart
+        assert txn.txn_id not in db.wal.in_flight_txns()
         assert txn.txn_id not in db.wal.in_doubt_txns()
         assert txn.txn_id not in db.txns.active
 

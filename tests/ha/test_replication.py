@@ -126,10 +126,11 @@ class TestShipping:
             (g.primary.wal.fsyncs - p, g.standby.wal.fsyncs - s)
             for g, (p, s) in zip(groups, before)
         ]
-        # the 2PC pays 1 on shard 0, its last agent (DECISION), and 2 on
-        # shard 1 (PREPARE + DECISION); neither COMMIT flushes.  The
-        # one-phase write pays its COMMIT on row_a's shard.
-        expected = [1, 2]
+        # the 2PC pays 1 on shard 0, its last agent (DECISION), and 1 on
+        # shard 1 (PREPARE; its DECISION behind it is no flush); neither
+        # COMMIT flushes.  The one-phase write pays its COMMIT on row_a's
+        # shard.
+        expected = [1, 1]
         expected[fleet.router.shard_for("PAIRS", row_a)] += 1
         assert paid == [(n, n) for n in expected]
         assert all(g.shipper.is_fresh for g in groups)

@@ -121,7 +121,6 @@ class TestPinnedShape:
             arrival="closed", seed=42, row_scale=0.002,
         )
         assert (result.offered, result.committed, result.aborted) == (256, 256, 0)
-        # 131 local payments x 1 fsync + 125 two-writer payments x 3
-        # (the last agent's DECISION, the other writer's PREPARE and
-        # DECISION)
-        assert result.fsyncs == 131 + 125 * 3
+        # 131 local payments x 1 fsync + 125 two-writer payments x 2
+        # (the last agent's DECISION, the other writer's PREPARE)
+        assert result.fsyncs == 131 + 125 * 2

@@ -136,9 +136,10 @@ class TestFastPathAndFsyncs:
                 fleet.execute(
                     "UPDATE kv SET V = ? WHERE K = ?", [5, keys[0]], gtxn=gtxn
                 )
-        # the last agent (shard 0) flushes its DECISION; shard 1 its
-        # PREPARE and DECISION; a COMMIT behind its DECISION is no flush
-        assert fleet.fsyncs - before == 1 + 2
+        # the last agent (shard 0) flushes its DECISION, shard 1 its
+        # PREPARE; shard 1's DECISION behind that PREPARE, and a COMMIT
+        # behind its DECISION, are no flush
+        assert fleet.fsyncs - before == 1 + 1
 
     def test_group_commit_amortizes_decision_fsyncs(self):
         fleet = kv_fleet(2)
@@ -156,9 +157,10 @@ class TestFastPathAndFsyncs:
         fleet.coordinator.commit_many(batch)
         assert all(gtxn.state is TxnState.COMMITTED for gtxn in batch)
         # 4 txns x 2 participants: shard 0 is every txn's last agent, so
-        # only shard 1's 4 PREPAREs flush; the 8 DECISION records
-        # collapse to one group fsync per shard (2); no COMMIT flushes.
-        assert fleet.fsyncs - before == 4 + 2
+        # only shard 1's 4 PREPAREs flush; shard 0's 4 DECISION records
+        # collapse to one group fsync, and shard 1's, each behind its
+        # PREPARE, flush nothing; no COMMIT flushes.
+        assert fleet.fsyncs - before == 4 + 1
 
     def test_commit_many_mixes_fast_path_and_2pc(self):
         fleet = kv_fleet(2)

@@ -109,11 +109,6 @@ class TestCrashAtEveryPhase:
             fleet.coordinator.arm_crash("between_things")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known loss: a truncating checkpoint drops the only durable "
-    "DECISION an in-doubt peer needs (ROADMAP item 11)",
-)
 def test_truncating_checkpoint_keeps_a_decision_a_peer_needs():
     fleet = kv_fleet(2)
     by_shard = load_keys(fleet)
@@ -129,6 +124,32 @@ def test_truncating_checkpoint_keeps_a_decision_a_peer_needs():
     fleet.shards[0].checkpoint(truncate_wal=True)  # quiescent, so legal
     fleet.crash()
     fleet.recover()
+    assert [value_of(fleet, keys[0]) for keys in by_shard] == [99, 99]
+
+
+def test_a_decision_forgotten_below_a_checkpoint_still_decides_a_corrupted_peer():
+    """Once its peer's COMMIT is durable the last agent forgets its
+    DECISION, so a checkpoint carries nothing -- but a non-truncating one
+    leaves the record in the log.  When corruption then cuts the peer's
+    log at its DECISION, the peer recovers in doubt, and fleet recovery
+    must find the DECISION below the last agent's checkpoint."""
+    fleet = kv_fleet(2)
+    by_shard = load_keys(fleet)
+    with fleet.begin() as gtxn:
+        for keys in by_shard:
+            fleet.execute("UPDATE kv SET V = ? WHERE K = ?", [99, keys[0]], gtxn=gtxn)
+    peer = fleet.shards[1].wal
+    decision = peer.last_lsn - 1
+    assert peer.record_at(decision).kind is LogKind.DECISION
+    # a local commit flushes shard 1's log past its COMMIT ...
+    fleet.execute("UPDATE kv SET V = ? WHERE K = ?", [1, by_shard[1][1]])
+    fleet.shards[0].checkpoint()
+    # ... so the checkpoint forgot the DECISION and carries nothing
+    assert fleet.shards[0].wal.unforgotten == {}
+    peer.flip_bit(decision)
+    fleet.crash()
+    report = fleet.recover()
+    assert report.shard_reports[1].in_doubt and report.resolved_commit == 1
     assert [value_of(fleet, keys[0]) for keys in by_shard] == [99, 99]
 
 

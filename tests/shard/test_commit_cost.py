@@ -7,7 +7,7 @@ starts paying for a flush or a protocol round it does not need fails
 by name.  A transaction that logged no data record commits without a
 flush; a 2PC branch that logged none votes read-only and leaves the
 protocol; only two or more *writers* run 2PC, and the lowest of them,
-the last agent, logs no PREPARE.
+the last agent, logs no PREPARE -- and only its DECISION is forced.
 """
 
 import pytest
@@ -172,13 +172,15 @@ SHAPES = [
     # autocommit statements that route to one shard bypass the coordinator
     (_fleet, t1, (1, 3, 0, 0, 0, 0)),
     (_fleet, t2_same_shard, (1, 4, 1, 0, 0, 0)),
-    (_fleet, t2_other_shard, (3, 9, 0, 1, 1, 2)),
+    # two writers flush twice: the last agent's DECISION and the other's
+    # PREPARE (its DECISION and both COMMITs ride unflushed)
+    (_fleet, t2_other_shard, (2, 9, 0, 1, 1, 2)),
     (_fleet, t3, (0, 2, 0, 0, 0, 0)),
     # the fan-out delete enlists both shards; at most one of them wrote
     (_fleet, t4_hit, (1, 5, 1, 0, 0, 0)),
     (_fleet, t4_miss, (0, 4, 1, 0, 0, 0)),
     (_fleet, local_payment, (1, 4, 1, 0, 0, 0)),
-    (_fleet, cross_payment, (3, 9, 0, 1, 1, 2)),
+    (_fleet, cross_payment, (2, 9, 0, 1, 1, 2)),
     (_fleet, credit_read, (0, 2, 0, 0, 0, 0)),
     (_fleet, cross_shard_read_only, (0, 4, 1, 0, 0, 0)),
 ]
@@ -209,9 +211,10 @@ def test_two_writers_and_a_reader_run_2pc_over_the_writers_only():
     last_agent = ["begin", "update", "decision", "commit"]
     writer = ["begin", "update", "prepare", "decision", "commit"]
     assert kinds == [last_agent, writer, ["begin", "commit"]]
-    # the last agent flushes its DECISION, the other writer its PREPARE
-    # and DECISION; the reader, and every COMMIT, nothing
-    assert fleet.fsyncs - before == 1 + 2
+    # the last agent flushes its DECISION, the other writer its PREPARE;
+    # that writer's DECISION (behind its PREPARE), the reader, and every
+    # COMMIT, nothing
+    assert fleet.fsyncs - before == 1 + 1
     assert fleet.shards[2].wal.fsyncs == len(by_shard[2])  # its loading inserts
     coordinator = fleet.coordinator
     assert (coordinator.single_commits, coordinator.cross_commits) == (0, 1)

@@ -56,8 +56,8 @@ class TestPinnedShape:
             (1, 256), {"cross_ratio": 0.0}, (256, 0, 256, 0), id="1-shard"
         ),
         pytest.param(
-            # 242 local commits x 1 fsync + 14 two-writer commits x 3
-            (2, 256), {"cross_ratio": 0.1}, (256, 0, 284, 14), id="2-shards"
+            # 242 local commits x 1 fsync + 14 two-writer commits x 2
+            (2, 256), {"cross_ratio": 0.1}, (256, 0, 270, 14), id="2-shards"
         ),
     ]
 
@@ -76,7 +76,7 @@ class TestPinnedShape:
         # fsyncs) differ
         result = run_inline(2, 256, cross_ratio=0.1, seed=43, row_scale=0.001)
         assert result.committed == 256
-        assert _counters(result) != (256, 0, 284, 14)
+        assert _counters(result) != (256, 0, 270, 14)
 
     def test_open_arrival_fills_both_latency_views(self):
         result = run_inline(2, 96, seed=42, row_scale=0.001, arrival="poisson")

@@ -7,8 +7,9 @@ handed and counts ``Table._rebuild_indexes`` calls: page clones and
 index work are what a restart costs beyond log replay, and a row that
 already holds its image is pure waste that no result shows); it
 CRC-verifies every retained record above the checkpoint exactly once,
-all of them before the first redo; and it walks the retained log a
-fixed number of times.
+all of them before the first redo; it walks the retained log a fixed
+number of times; and it undoes an in-doubt branch it presumes aborted
+along that branch's own chain.
 """
 
 import pytest
@@ -19,10 +20,13 @@ from repro.engine import recovery, wal
 from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.engine.types import Column, ColumnType, Schema
-from repro.engine.wal import LogKind
+from repro.engine.wal import DATA_KINDS, LogKind, WriteAheadLog
 from repro.shard import ShardSalesWorkload, load_sales_fleet
+from repro.shard.coordinator import CoordinatorCrash
 
 from tests.ha.test_failover import LEASE, ha_fleet, write_pair
+from tests.shard.test_2pc import load_keys
+from tests.shard.test_router import kv_fleet
 
 
 class Restores:
@@ -212,8 +216,45 @@ def test_a_restart_walks_the_retained_log_a_fixed_number_of_times():
     walks.clear()
     fleet.crash()
     fleet.recover()
-    # ... and the fleet pass unions each shard's DECISION records
-    assert len(walks) == 3 * fleet.n_shards
+    # ... and so does each shard of a fleet restart: the fleet pass
+    # resolves in-doubt branches from the DECISIONs each analysis pass
+    # handed over, without a walk of its own
+    assert len(walks) == 2 * fleet.n_shards
+    assert [shard.content_hash() for shard in fleet.shards] == before
+
+
+def test_presumed_abort_undoes_each_branch_along_its_chain(monkeypatch):
+    """Resolving in-doubt branches by presumed abort walks each branch's
+    own prev_lsn chain once, as a rollback does -- not the retained log
+    once per branch."""
+    fleet = kv_fleet(2)
+    by_shard = load_keys(fleet, per_shard=4)
+    before = [shard.content_hash() for shard in fleet.shards]
+    for index in range(4):
+        # the coordinator dies after shard 1 prepared: no DECISION anywhere
+        fleet.coordinator.arm_crash("after_prepare")
+        gtxn = fleet.begin()
+        for keys in by_shard:
+            fleet.execute("UPDATE kv SET V = ? WHERE K = ?", [9, keys[index]], gtxn=gtxn)
+        with pytest.raises(CoordinatorCrash):
+            gtxn.commit()
+    fleet.crash()
+    reports = [fleet._recover_shard(shard_id) for shard_id in range(fleet.n_shards)]
+    assert [len(report.in_doubt) for report in reports] == [0, 4]
+
+    walks, chains = [], []
+    transaction_chain = WriteAheadLog.transaction_chain
+
+    def counted_chain(wal, txn_id, from_lsn):
+        chains.append(txn_id)
+        return transaction_chain(wal, txn_id, from_lsn)
+
+    monkeypatch.setattr(WriteAheadLog, "transaction_chain", counted_chain)
+    for shard in fleet.shards:
+        shard.wal._records = CountedLog(shard.wal._records, walks)
+    fleet_report = fleet._resolve_in_doubt(reports)
+    assert fleet_report.resolved_abort == 4
+    assert sorted(chains) == sorted(reports[1].in_doubt) and walks == []
     assert [shard.content_hash() for shard in fleet.shards] == before
 
 
@@ -263,5 +304,13 @@ def test_a_flipped_bit_truncates_the_log_exactly_there():
         assert report.corrupt_from_lsn == lsn
         assert report.records_discarded == last - lsn + 1
         assert report.records_scanned == lsn - first
-        assert db.wal.last_lsn == lsn - 1
+        # the log ends there, but for the ABORT of each loser the restart
+        # undid (each one that wrote)
+        wrote = {
+            record.txn_id for record in db.wal.records_from(first)
+            if record.lsn < lsn and record.kind in DATA_KINDS
+        }
+        assert [(record.txn_id, record.kind) for record in db.wal.records_from(lsn)] == [
+            (txn_id, LogKind.ABORT) for txn_id in sorted(report.losers & wrote)
+        ]
         assert db.wal.first_corrupt_lsn() is None
