@@ -254,14 +254,10 @@ class Database:
         self.wal.append(txn_id, DECISION, key=gtid)
 
     def resolve_in_doubt(self, txn_id: int, commit: bool) -> None:
-        """Finish an in-doubt prepared transaction found by recovery.
-
-        Recovery redoes in-doubt records but neither undoes nor commits
-        them.  ``commit=True`` (a DECISION exists somewhere in the fleet)
-        appends the missing COMMIT; ``commit=False`` (presumed abort)
-        undoes the branch along its chain from its PREPARE, as a
-        rollback does, and appends ABORT.
-        """
+        """Finish an in-doubt prepared transaction recovery redid: append
+        its COMMIT (a DECISION exists somewhere in the fleet), or undo it
+        along its chain from its PREPARE and append ABORT (presumed
+        abort), as a rollback does."""
         if commit:
             self.wal.append(txn_id, COMMIT)
         else:
@@ -271,6 +267,25 @@ class Database:
                 "engine.recovery.in_doubt_committed" if commit
                 else "engine.recovery.in_doubt_aborted"
             )
+
+    def hold_in_doubt(self, txn_id: int, gtid) -> Transaction:
+        """Reopen an in-doubt branch recovery redid as a ``PREPARED``
+        transaction with an X lock on each key it wrote, until its commit
+        or rollback settles it; its writes wait on ``txn.deferred``, so a
+        snapshot begun meanwhile reads their before-images."""
+        txn = Transaction(self, txn_id)
+        txn.gtid = gtid
+        txn.state = PREPARED
+        txn.last_lsn = self.wal.last_lsn_of(txn_id)
+        self.txns.active[txn_id] = txn
+        for record in reversed(self.wal.transaction_chain(txn_id, txn.last_lsn)):
+            if record.kind in DATA_KINDS:
+                self.locks.acquire(txn_id, (record.table, record.key), EXCLUSIVE)
+                if record.kind is UPDATE:
+                    new_key = record.after[self._tables[record.table].schema.primary_key_index]
+                    self.locks.acquire(txn_id, (record.table, new_key), EXCLUSIVE)
+                txn.deferred.append(record)
+        return txn
 
     def _observe_txn_end(self, txn: Transaction, outcome: str) -> None:
         end_s = self.obs.now()
@@ -647,10 +662,8 @@ class Database:
         primary's durable horizon and positions the (pristine) WAL so
         shipped records continue the primary's LSN sequence.  From then
         on ``crash() + recover()`` replays exactly the shipped suffix --
-        which is what promotion does.  ``carried`` are the gtids the
-        base carries as a CHECKPOINT record would: the primary's
-        unforgotten DECISIONs, which a peer may still need after a
-        promotion.
+        which is what promotion does.  ``carried`` are the primary's
+        unforgotten DECISIONs, carried as a CHECKPOINT record would.
         """
         if self.txns.active:
             raise EngineError("install_checkpoint requires quiescence")

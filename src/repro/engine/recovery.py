@@ -26,7 +26,7 @@ from repro.engine.errors import EngineError
 from repro.engine.table import RowVersion, Table
 from repro.engine.wal import (
     ABORT, BEGIN, CHECKPOINT, COMMIT, DATA_KINDS, DECISION, DELETE, INSERT, PREPARE, UPDATE,
-    LogRecord, carried_gtids,
+    LogRecord,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,16 +43,17 @@ class RecoveryReport:
     records_undone: int = 0
     winners: Set[int] = field(default_factory=set)
     losers: Set[int] = field(default_factory=set)
-    #: prepared transactions with no local COMMIT/ABORT/DECISION: their
-    #: changes are redone but neither undone nor committed; the mapping
-    #: is local txn id -> global transaction id.  The fleet-level pass
-    #: (:meth:`repro.shard.fleet.ShardedDatabase.recover`) resolves them
-    #: against the DECISION records of every participant.
+    #: local txn id -> gtid of each prepared transaction with no local
+    #: COMMIT/ABORT/DECISION: redone, neither undone nor committed, until
+    #: the coordinator resolves it (:meth:`repro.shard.coordinator.
+    #: TxnCoordinator.resolve`)
     in_doubt: Dict[int, object] = field(default_factory=dict)
-    #: gtids this shard holds a DECISION for: the analysis pass's, plus
-    #: those the CHECKPOINTs it read carry (the one it starts from
-    #: included) -- the fleet pass resolves in-doubt branches from these
+    #: gtids this shard holds a DECISION for: those the analysis pass
+    #: read, and those the CHECKPOINTs it read carry
     decided: Set[object] = field(default_factory=set)
+    #: the DECISIONs it keeps unforgotten, in log order: every carried
+    #: one and every forced one (no PREPARE of its branch behind it)
+    kept: List[object] = field(default_factory=list)
     #: first LSN whose CRC failed (None when the tail was intact)
     corrupt_from_lsn: Optional[int] = None
     #: records dropped when the corrupt tail was truncated
@@ -206,15 +207,12 @@ def recover(db: "Database") -> RecoveryReport:
                 elif kind is ABORT:
                     aborted.add(record.txn_id)
                 elif kind is CHECKPOINT:
-                    decisions.update(dict.fromkeys(carried_gtids(record), 0))
+                    decisions.update(dict.fromkeys(record.after or (), 0))
             report.decided = set(decisions)
-            # What the restart keeps unforgotten, its peers unknown until
-            # fleet recovery names them: every carried DECISION and every
-            # forced one (no PREPARE of its branch behind it).
-            db.wal.unforgotten = {
-                gtid: None for gtid, txn_id in decisions.items()
-                if txn_id not in prepared
-            }
+            report.kept = [
+                gtid for gtid, txn_id in decisions.items() if txn_id not in prepared
+            ]
+            db.wal.unforgotten = dict.fromkeys(report.kept)
             report.in_doubt = {
                 txn_id: gtid
                 for txn_id, gtid in prepared.items()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from marshal import dumps as _marshal_dumps
 from zlib import crc32 as _crc32
@@ -168,13 +168,6 @@ def corrupt_records(records: Iterable[LogRecord]) -> Iterator[LogRecord]:
             yield record
 
 
-def carried_gtids(record: LogRecord) -> tuple:
-    """The gtids a CHECKPOINT record carries (none for any other kind)."""
-    if record.kind is CHECKPOINT:
-        return record.after or ()
-    return ()
-
-
 def flip_record_bit(record: LogRecord, bit: int = 0) -> LogRecord:
     """A copy of ``record`` with one bit flipped, so it fails its CRC.
 
@@ -241,14 +234,10 @@ class WriteAheadLog:
         #: the log is durable up to here: ``last_lsn`` at the latest
         #: fsync point, a checkpoint or a restart
         self.flushed_lsn = 0
-        #: ``{gtid: peers}``: the forced (last agent's) DECISIONs a peer
-        #: in doubt may still need, in log order; ``peers`` is the
-        #: ``[(peer shard id, its COMMIT LSN), ...]`` :meth:`await_peers`
-        #: names, None until then (a restart's, or one a participant
-        #: crash left: until fleet recovery names them)
-        self.unforgotten: Dict[Any, Any] = {}
-        #: ``shard id -> that shard's current log``, given with the peers
-        self.peer_log: Optional[Callable[[int], "WriteAheadLog"]] = None
+        #: ``{gtid: None}``: the forced (last agent's) DECISIONs a peer
+        #: in doubt may still need, in log order, until the coordinator
+        #: (which knows the peers) calls :meth:`forget`
+        self.unforgotten: Dict[Any, None] = {}
         #: the gtids the base this log starts from carries (:meth:`start_from`)
         self._base_carried: tuple = ()
         self._group_depth = 0
@@ -521,25 +510,16 @@ class WriteAheadLog:
 
     # -- 2PC bookkeeping -----------------------------------------------------
 
-    def decided_gtids(self, below: Optional[int] = None) -> set:
-        """Global transaction ids with a DECISION record retained (below
-        LSN ``below``, if given), or carried by a retained CHECKPOINT
-        there or by the log's base.
-
-        The coordinator unions this over every reachable shard, and so
-        does fleet recovery for a shard it did not restart: an in-doubt
-        prepared transaction commits iff *any* participant holds the
-        decision, otherwise presumed abort applies.
-        """
+    def decided_gtids(self) -> set:
+        """Global transaction ids with a DECISION record retained, or
+        carried by a retained CHECKPOINT or by the log's base: the
+        coordinator unions this over every reachable shard."""
         decided = set(self._base_carried)
-        records = self._records
-        if below is not None:
-            records = records[:max(0, below - self._truncated_before)]
-        for record in records:
+        for record in self._records:
             if record.kind is DECISION:
                 decided.add(record.key)
             elif record.kind is CHECKPOINT:
-                decided.update(carried_gtids(record))
+                decided.update(record.after or ())
         return decided
 
     def carried_at(self, lsn: int) -> tuple:
@@ -547,45 +527,19 @@ class WriteAheadLog:
         record's, or the base's if the log starts after it."""
         if lsn < self._truncated_before:
             return self._base_carried
-        return carried_gtids(self.record_at(lsn))
+        return self.record_at(lsn).after or ()
 
-    def await_peers(
-        self,
-        gtids: Iterable[Any],
-        peers: List[Tuple[int, int]],
-        peer_log: Callable[[int], "WriteAheadLog"],
-    ) -> None:
-        """Name the ``(peer shard id, COMMIT LSN)`` pairs that must be
-        durable before this log's forced DECISIONs for ``gtids`` may be
-        forgotten, ``peer_log`` finding each shard's current log, then
-        forget what the peers' flushes since made unneeded."""
-        self.peer_log = peer_log
-        unforgotten = self.unforgotten
+    def forget(self, gtids: Iterable[Any]) -> None:
+        """Drop ``gtids`` from :attr:`unforgotten`: no peer needs them."""
         for gtid in gtids:
-            if gtid in unforgotten:
-                unforgotten[gtid] = peers
-        self.forget_durable()
-
-    def forget_durable(self) -> None:
-        """Forget each DECISION of :attr:`unforgotten` whose peers'
-        COMMITs are all durable on their own logs: presumed abort's
-        "forget" step (R*, Mohan, Lindsay and Obermarck, TODS 1986)."""
-        unforgotten = self.unforgotten
-        peer_log = self.peer_log
-        for gtid, peers in list(unforgotten.items()):
-            if peers is not None:
-                for shard_id, lsn in peers:
-                    if peer_log(shard_id).flushed_lsn < lsn:
-                        break
-                else:
-                    del unforgotten[gtid]
+            self.unforgotten.pop(gtid, None)
 
     def log_checkpoint(self) -> LogRecord:
         """Append a quiesced checkpoint's CHECKPOINT record, durable up
-        to it; its ``after`` carries the gtids :meth:`forget_durable`
-        leaves unforgotten, so a DECISION a peer may still need outlives
-        :meth:`truncate` and is seen by a recovery starting here."""
-        self.forget_durable()
+        to it; its ``after`` carries :attr:`unforgotten` as it stands, so
+        a DECISION a peer may still need outlives :meth:`truncate` and is
+        seen by a recovery starting here.  It asks nobody: carrying a
+        DECISION the coordinator would have forgotten costs bytes only."""
         record = self.append(0, CHECKPOINT, after=tuple(self.unforgotten) or None)
         self.flushed_lsn = record.lsn
         return record

@@ -207,7 +207,6 @@ class HAFleet(ShardedDatabase):
             else:
                 report = self._restart_primary(shard_id, group)
             self._resolve_in_doubt([report], [shard_id])
-            self.coordinator.finish_dangling()
         replay_s = self.lease_config.replay_s(report.records_scanned)
         served_at = now + replay_s
         group.down_until = served_at
@@ -331,7 +330,6 @@ class HAFleet(ShardedDatabase):
             else:
                 reports.append(self._recover_shard(shard_id))
         fleet_report = self._resolve_in_doubt(reports)
-        self.coordinator.finish_dangling()
         for group in self.groups.values():
             group.down_until = None
             group.lease.renew(self.clock.now)

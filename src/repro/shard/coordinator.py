@@ -28,27 +28,23 @@ optimisation):
 3. **Commit.**  Branches append COMMIT (not a flush, behind a DECISION)
    and release locks.  Two writers pay 2 fsyncs: the last agent's
    DECISION and the other's PREPARE.
-4. **Forget.**  Until a peer's unflushed DECISION and COMMIT are
-   durable, a peer that crashes recovers in doubt and needs the last
-   agent's DECISION.  The last agent's log keeps it *unforgotten* until
-   every peer's COMMIT is durable on the peer's own log (presumed
-   abort's "forget" step, R*:
-   :meth:`~repro.engine.wal.WriteAheadLog.forget_durable`), and every
-   checkpoint there, truncating or not, carries it.  One whose peers
-   are unknown (a participant died) gets them at the next fleet
-   resolution.
+4. **Forget.**  A peer that crashes before its DECISION and COMMIT are
+   durable recovers in doubt and needs the last agent's DECISION, so
+   the last agent's log keeps it *unforgotten* (every checkpoint there
+   carries it) until the ``flushed_lsn`` the coordinator reads back
+   after its steps on each peer covers that peer's COMMIT; then the
+   coordinator has the last agent
+   :meth:`~repro.engine.wal.WriteAheadLog.forget` it (R*'s forget step).
 
-Abort needs no decision record: recovery *presumes abort* for any
-prepared branch with no DECISION anywhere in the fleet.
+Abort needs no decision record: recovery *presumes abort* for a
+prepared branch with no DECISION anywhere in the fleet -- only while
+every shard is up, since a shard that is down may hold the only
+DECISION.  Until then the branch is *held*: prepared, its rows locked.
 
-Crash points: the coordinator can be killed at any of the
-:data:`PHASES` boundaries, either armed directly (:meth:`PhaseFaults.
-arm_crash`) or scheduled through a chaos plan (``FaultKind.COORD_CRASH``
-with the phase name as target).  A fired crash point raises
-:class:`~repro.engine.errors.SimulatedCrash` *without* cleaning up --
-the half-run protocol state is exactly what crash-recovery tests need.
-:class:`PhaseFaults` is that mechanism; the backup and restore jobs of
-:mod:`repro.dr` inherit it with their own phase tuples.
+Crash points: :class:`PhaseFaults` kills the coordinator at any of the
+:data:`PHASES` boundaries, armed directly or through a chaos plan
+(``FaultKind.COORD_CRASH``), *without* cleaning up -- the half-run
+protocol state is exactly what crash-recovery tests need.
 """
 
 from __future__ import annotations
@@ -62,8 +58,8 @@ from repro.engine.errors import (
     SimulatedCrash,
     TransactionAborted,
 )
+from repro.engine.recovery import RecoveryReport
 from repro.engine.txn import ABORTED, ACTIVE, COMMITTED, PREPARED, IsolationLevel, Transaction
-from repro.engine.wal import WriteAheadLog
 from repro.obs import NULL_OBSERVER, Observer
 from repro.obs.trace import NOOP_SPAN
 
@@ -282,12 +278,18 @@ class TxnCoordinator(PhaseFaults):
         else:
             self._c = None
         self._gtid_counter = start_gtid
-        #: global transactions a participant crash left half-decided:
-        #: the decision phase had started but no decision is durable on
-        #: a *reachable* shard, so the survivors' prepared branches must
-        #: stay in doubt until failover makes the failed shard's log
-        #: readable again (see :meth:`finish_dangling`)
+        #: global transactions whose prepared branches wait, locks held,
+        #: for a decision while a shard is down: a participant crash's
+        #: survivors with no decision on a *reachable* shard, and each
+        #: branch a restart found in doubt (:meth:`resolve`); settled by
+        #: :meth:`finish_dangling`
         self.dangling: List[GlobalTransaction] = []
+        #: ``{gtid: (last agent, [(peer, its COMMIT LSN), ...])}`` by
+        #: shard id: the DECISIONs to forget (:meth:`_forget`); None
+        #: until :meth:`_name_kept_peers` names a kept one's peers
+        self.awaiting: Dict[object, Tuple[int, Optional[List[Tuple[int, int]]]]] = {}
+        #: each shard's ``flushed_lsn``, read back after a step there
+        self._flushed: List[int] = [0] * len(self.shards)
         self.single_commits = 0
         self.cross_commits = 0
         self.aborts = 0
@@ -355,6 +357,7 @@ class TxnCoordinator(PhaseFaults):
             else:
                 for shard_id in writers:
                     gtxn.locals[shard_id].commit()
+                    self._flushed[shard_id] = self.shards[shard_id].wal.flushed_lsn
                 gtxn.state = COMMITTED
                 self.single_commits += 1
                 if self._c is not None:
@@ -387,15 +390,17 @@ class TxnCoordinator(PhaseFaults):
             raise
         return writers
 
-    def log_of(self, shard_id: int) -> WriteAheadLog:
-        """The current log of shard ``shard_id`` (a promotion replaces it)."""
-        return self.shards[shard_id].wal
-
-    def _decided_union(self) -> Set[object]:
-        """Union of durable DECISION gtids across every reachable shard."""
+    def _decided_union(
+        self, restarted: Sequence[Tuple[int, RecoveryReport]] = ()
+    ) -> Set[object]:
+        """Union of durable DECISION gtids across every reachable shard,
+        a ``restarted`` one's as its recovery report handed them over."""
+        handed = dict(restarted)
         decided: Set[object] = set()
-        for shard in self.shards:
-            if not shard.wal.is_dead:
+        for shard_id, shard in enumerate(self.shards):
+            if shard_id in handed:
+                decided |= handed[shard_id].decided
+            elif not shard.wal.is_dead:
                 decided |= shard.wal.decided_gtids()
         return decided
 
@@ -488,7 +493,8 @@ class TxnCoordinator(PhaseFaults):
                 stage = "commit"
 
                 # Phase two: the outcome is durable; finish the branches,
-                # and name each peer's COMMIT to the last agent's log.
+                # noting each peer's COMMIT LSN and each log's flush.
+                flushed = self._flushed
                 first = True
                 for gtxn, writers in crosses:
                     peers = []
@@ -497,22 +503,24 @@ class TxnCoordinator(PhaseFaults):
                         if first:
                             first = False
                             self._crash_point("mid_commit")
-                        peers.append((shard_id, self.shards[shard_id].wal.last_lsn))
-                    self.shards[writers[0]].wal.await_peers(
-                        (gtxn.gtid,), peers[1:], self.log_of
-                    )
+                        wal = self.shards[shard_id].wal
+                        peers.append((shard_id, wal.last_lsn))
+                        flushed[shard_id] = wal.flushed_lsn
+                    self.awaiting[gtxn.gtid] = (writers[0], peers[1:])
                     gtxn.state = COMMITTED
                     self.cross_commits += 1
                     if self._c is not None:
                         self._c["cross_shard"].inc()
+                self._forget()
                 self._crash_point("after_commit")
-        except CoordinatorCrash:
-            # The coordinator itself died mid-protocol.  No cleanup:
-            # prepared branches stay in doubt until the fleet
-            # crash-recovers and resolves them against the durable
-            # DECISION records.  That dangling state is the point.
-            raise
         except SimulatedCrash as crash:
+            # any DECISION logged so far gets peers at the next resolution
+            for gtxn, writers in crosses:
+                self.awaiting.setdefault(gtxn.gtid, (writers[0], None))
+            if isinstance(crash, CoordinatorCrash):
+                # The coordinator itself died mid-protocol.  No cleanup:
+                # the dangling state is what fleet recovery resolves.
+                raise
             # A *participant* died mid-protocol; this coordinator is
             # alive and must drive the survivors to a safe state.
             self._participant_died(gtxns, stage, crash)
@@ -530,18 +538,12 @@ class TxnCoordinator(PhaseFaults):
     ) -> None:
         """Finish the surviving branches after a participant crash.
 
-        * During **prepare** nothing was promised: presumed abort holds
-          everywhere (a commit needs a DECISION, and none can exist),
-          so the survivors abort and the client gets a retryable
-          :class:`~repro.engine.errors.ShardUnavailableError`.
-        * From the **decision** phase on: a transaction whose DECISION
-          is durable on a *reachable* shard is committed -- finish its
-          surviving branches and report success (the dead shard learns
-          its fate at recovery or promotion).  A transaction with no
-          reachable decision is genuinely unknown (the classic blocking
-          window of 2PC): its survivors stay prepared, locks held,
-          recorded as *dangling* until failover restores access to the
-          failed shard's log (:meth:`finish_dangling`).
+        During **prepare** nothing was promised: the survivors abort and
+        the client gets a retryable :class:`~repro.engine.errors.
+        ShardUnavailableError`.  Later, a transaction decided on a
+        reachable shard commits; one with no reachable decision is
+        unknown (2PC's blocking window; the dead shard keeps it from
+        :meth:`_settle`'s abort): its survivors stay prepared, *dangling*.
         """
         if self._c is not None:
             self._c["participant_crash"].inc()
@@ -550,69 +552,156 @@ class TxnCoordinator(PhaseFaults):
             raise ShardUnavailableError(
                 f"participant shard died during prepare: {crash}"
             ) from crash
-        decided = self._decided_union()
-        blocked = False
-        for gtxn in gtxns:
-            if gtxn.state is not ACTIVE:
-                continue  # already fully committed before the crash
-            if gtxn.gtid in decided:
-                for txn in gtxn.locals.values():
-                    if txn.state is not PREPARED:
-                        continue
-                    try:
-                        txn.commit()
-                    except SimulatedCrash:
-                        continue  # that shard is dead too; its log decides
-                gtxn.state = COMMITTED
+        active = [gtxn for gtxn in gtxns if gtxn.state is ACTIVE]
+        waiting = self._settle(active, self._decided_union())
+        for gtxn in active:
+            if gtxn.state is COMMITTED:
                 self.cross_commits += 1
                 if self._c is not None:
                     self._c["cross_shard"].inc()
-            else:
-                self.dangling.append(gtxn)
-                blocked = True
-        if blocked:
+        if waiting:
+            self.dangling += waiting
+            self.obs.gauge("shard.2pc.in_doubt", len(self.dangling))
             if self._c is not None:
                 self._c["dangling"].inc()
             raise crash
 
-    def finish_dangling(self) -> Dict[str, int]:
-        """Resolve transactions a participant crash left half-decided.
+    def finish_dangling(self, decided: Optional[Set[object]] = None) -> None:
+        """Settle the :attr:`dangling` transactions (:meth:`_settle`),
+        then name the peers of kept DECISIONs.  Every :meth:`resolve`
+        ends here: a failover's once the failed shard's log (its promoted
+        standby's) is reachable again."""
+        if self.dangling:
+            if decided is None:
+                decided = self._decided_union()
+            settled = self.dangling
+            self.dangling = self._settle(settled, decided)
+            for gtxn in settled:
+                if gtxn.state is COMMITTED:
+                    self.cross_commits += 1
+                elif gtxn.state is ABORTED:
+                    self.aborts += 1
+            if self._c is not None:
+                self._c["dangling_resolved"].inc(len(settled) - len(self.dangling))
+        self.obs.gauge("shard.2pc.in_doubt", len(self.dangling))
+        self._name_kept_peers()
 
-        Call after failover: once the failed shard's authoritative log
-        (its promoted standby, or the recovered primary) is reachable
-        again, the decision union is complete -- each dangling
-        transaction commits iff a DECISION exists anywhere, and is
-        presumed aborted otherwise.  Releases the survivors' locks
-        either way.
-        """
-        done = {"committed": 0, "aborted": 0}
-        if not self.dangling:
-            return done
-        decided = self._decided_union()
-        for gtxn in self.dangling:
+    def _all_up(self) -> bool:
+        return not any(shard.wal.is_dead for shard in self.shards)
+
+    def _settle(
+        self, gtxns: List[GlobalTransaction], decided: Set[object]
+    ) -> List[GlobalTransaction]:
+        """Finish the prepared branches of each of ``gtxns``: commit if
+        ``decided`` holds its gtid, presume abort only while every shard
+        is up (a down one may hold the only DECISION); return the rest."""
+        all_up = self._all_up()
+        waiting = []
+        for gtxn in gtxns:
             commit = gtxn.gtid in decided
+            if not (commit or all_up):
+                waiting.append(gtxn)
+                continue
             for txn in gtxn.locals.values():
                 if txn.state is not PREPARED:
                     continue
                 try:
-                    if commit:
-                        txn.commit()
-                    else:
-                        txn.rollback()
+                    (txn.commit if commit else txn.rollback)()
                 except SimulatedCrash:
                     continue  # dead branch: recovery applies the same verdict
-            if commit:
-                gtxn.state = COMMITTED
-                self.cross_commits += 1
-                done["committed"] += 1
+            gtxn.state = COMMITTED if commit else ABORTED
+        return waiting
+
+    def resolve(
+        self, restarted: Sequence[Tuple[int, RecoveryReport]], decided: Set[object]
+    ) -> Tuple[int, int]:
+        """Settle the branches restarts found in doubt; returns how many
+        committed and how many were presumed aborted.
+
+        ``restarted`` pairs each restarted shard's id with its recovery
+        report; ``decided`` gets each gtid a reachable shard decided
+        (:meth:`_decided_union`) -- if one in doubt is missing, read off
+        the restarted shards' whole logs, where a DECISION forgotten
+        below a checkpoint still decides a peer whose COMMIT was
+        corrupted.  An undecided branch is held (:meth:`~repro.engine.
+        database.Database.hold_in_doubt`) as a :attr:`dangling`
+        transaction unless every shard is up; then :meth:`finish_dangling`.
+        """
+        decided |= self._decided_union(restarted)
+        in_doubt = [gtxn.gtid for gtxn in self.dangling]
+        in_doubt += [gtid for _id, report in restarted for gtid in report.in_doubt.values()]
+        if any(gtid not in decided for gtid in in_doubt):
+            for shard_id, _report in restarted:
+                shard = self.shards[shard_id]
+                if shard.checkpoint_lsn > shard.wal.first_retained_lsn:
+                    decided |= shard.wal.decided_gtids()
+        # a restart ended the handles of its branches; its report has them
+        self.dangling = [
+            gtxn for gtxn in self.dangling
+            if any(txn.state is PREPARED for txn in gtxn.locals.values())
+        ]
+        # a restart may have lost or reused an LSN a peer list names
+        self.awaiting = {gtid: (agent, None) for gtid, (agent, _) in self.awaiting.items()}
+        all_up = self._all_up()
+        committed = aborted = 0
+        for shard_id, report in restarted:
+            shard = self.shards[shard_id]
+            for gtid in report.kept:
+                self.awaiting[gtid] = (shard_id, None)
+            for txn_id, gtid in sorted(report.in_doubt.items()):
+                if gtid in decided or all_up:
+                    shard.resolve_in_doubt(txn_id, commit=gtid in decided)
+                    committed += gtid in decided
+                    aborted += gtid not in decided
+                else:
+                    gtxn = GlobalTransaction(self, gtid)
+                    gtxn.locals[shard_id] = shard.hold_in_doubt(txn_id, gtid)
+                    self.dangling.append(gtxn)
+            self._flushed[shard_id] = shard.wal.flushed_lsn
+        self.finish_dangling(decided)
+        return committed, aborted
+
+    def _name_kept_peers(self) -> None:
+        """Name each unnamed DECISION's peers: every other shard at its
+        log's tail, where any COMMIT of the gtid is logged by now.  Not
+        while a shard is down, nor while a shard holds a branch of the
+        gtid PREPARED (dangling, or left by a coordinator crash)."""
+        if not self._all_up():
+            return
+        undecided = {
+            txn.gtid for shard in self.shards for txn in shard.txns.active.values()
+            if txn.state is PREPARED
+        }
+        tails = [(shard_id, shard.wal.last_lsn) for shard_id, shard in enumerate(self.shards)]
+        for gtid, (shard_id, peers) in self.awaiting.items():
+            if peers is None and gtid not in undecided:
+                self.awaiting[gtid] = (shard_id, tails[:shard_id] + tails[shard_id + 1:])
+        self._forget()
+
+    def note_flushed(self, shard_id: int, lsn: int) -> None:
+        """A statement the fleet ran on ``shard_id`` outside any global
+        transaction left that shard's log durable up to ``lsn``."""
+        if self._flushed[shard_id] != lsn:
+            self._flushed[shard_id] = lsn
+            self._forget()
+
+    def _forget(self) -> None:
+        """Presumed abort's "forget" step (R*, Mohan, Lindsay and
+        Obermarck, TODS 1986): once the flushes read back cover every
+        peer's COMMIT of a gtid, no peer can recover in doubt on it, and
+        the last agent forgets its DECISION."""
+        flushed = self._flushed
+        done = []
+        for gtid, (_last_agent, peers) in self.awaiting.items():
+            if peers is None:
+                continue
+            for shard_id, lsn in peers:
+                if flushed[shard_id] < lsn:
+                    break
             else:
-                gtxn.state = ABORTED
-                self.aborts += 1
-                done["aborted"] += 1
-        self.dangling = []
-        if self._c is not None:
-            self._c["dangling_resolved"].inc(sum(done.values()))
-        return done
+                done.append(gtid)
+        for gtid in done:
+            self.shards[self.awaiting.pop(gtid)[0]].wal.forget((gtid,))
 
     def rollback(self, gtxn: GlobalTransaction) -> None:
         if not gtxn.is_active:

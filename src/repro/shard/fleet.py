@@ -7,14 +7,12 @@ partition key.  Statements that pin the partition key run on exactly
 one shard (the fast path the scale-out claim rests on); the rest
 scatter to every shard and merge at the gateway.
 
-Crash recovery is fleet-aware: after per-shard ARIES recovery, the
-in-doubt prepared branches each shard reports are resolved against the
-*union* of durable DECISION records across all shards -- those each
-analysis pass saw or a checkpoint carried -- a branch whose global
-transaction has a decision anywhere commits, everything else is
-presumed aborted.  This is what makes a coordinator crash between
-PREPARE and the decision records non-divergent: either every branch of
-a global transaction survives or none does.
+Crash recovery is fleet-aware: after per-shard ARIES recovery the
+coordinator resolves each in-doubt branch against the *union* of
+durable DECISIONs across the fleet -- committed if any shard decided
+it, presumed aborted once every shard is up -- so a coordinator crash
+between PREPARE and the decisions leaves every branch of a global
+transaction applied, or none.
 """
 
 from __future__ import annotations
@@ -211,7 +209,10 @@ class ShardedDatabase:
             shard = self._shard_db(shard_id)
             stmt = prepared if (prepared is not None and shard is prepared.db) else sql
             if gtxn is None:
-                return shard.execute(stmt, params)
+                result = shard.execute(stmt, params)
+                if self.coordinator.awaiting:
+                    self.coordinator.note_flushed(shard_id, shard.wal.flushed_lsn)
+                return result
             return shard.execute(stmt, params, txn=gtxn.local(shard_id))
         except SimulatedCrash as crash:
             if self.obs.enabled:
@@ -343,49 +344,17 @@ class ShardedDatabase:
         shard_reports: Sequence[RecoveryReport],
         shard_ids: Optional[Sequence[int]] = None,
     ) -> FleetRecoveryReport:
-        """Resolve in-doubt branches against the fleet-wide decision union.
-
+        """Resolve in-doubt branches against the fleet-wide decision union
+        (:meth:`~repro.shard.coordinator.TxnCoordinator.resolve`);
         ``shard_ids`` maps each report to its shard (defaults to all
-        shards in order).  A restarted shard's decisions are the ones its
-        analysis pass handed over (:attr:`RecoveryReport.decided`, the
-        carried ones included); every other *reachable* shard's are read
-        off its log, so a single promoted shard resolves against the
-        whole fleet's decisions.  Only if an in-doubt gtid is missing
-        from that union are the records a restarted shard retains below
-        its checkpoint read as well: a DECISION forgotten there is in no
-        handover, yet a peer whose durable COMMIT was lost to corruption
-        needs it.  Then the DECISIONs restarts kept get their peers
-        (:meth:`_name_kept_peers`).
-        """
+        shards in order), so a single promoted shard resolves against the
+        whole fleet's decisions."""
         report = FleetRecoveryReport(shard_reports=list(shard_reports))
         if shard_ids is None:
             shard_ids = range(len(report.shard_reports))
-        decided = report.decided_gtids
-        for shard_report in report.shard_reports:
-            decided |= shard_report.decided
-        for shard_id, shard in enumerate(self.shards):
-            if shard_id not in shard_ids and not shard.wal.is_dead:
-                decided |= shard.wal.decided_gtids()
-        if any(
-            gtid not in decided
-            for shard_report in report.shard_reports
-            for gtid in shard_report.in_doubt.values()
-        ):
-            for shard_id in shard_ids:
-                shard = self.shards[shard_id]
-                wal = shard.wal
-                if not wal.is_dead and shard.checkpoint_lsn > wal.first_retained_lsn:
-                    decided |= wal.decided_gtids(below=shard.checkpoint_lsn)
-        for shard_id, shard_report in zip(shard_ids, report.shard_reports):
-            shard = self.shards[shard_id]
-            for txn_id, gtid in sorted(shard_report.in_doubt.items()):
-                commit = gtid in decided
-                shard.resolve_in_doubt(txn_id, commit=commit)
-                if commit:
-                    report.resolved_commit += 1
-                else:
-                    report.resolved_abort += 1
-        self._name_kept_peers()
+        report.resolved_commit, report.resolved_abort = self.coordinator.resolve(
+            list(zip(shard_ids, report.shard_reports)), report.decided_gtids
+        )
         if self.obs.enabled and report.in_doubt:
             self.obs.event(
                 "fleet.recovery", "shard", track="shard",
@@ -395,33 +364,6 @@ class ShardedDatabase:
                 },
             )
         return report
-
-    def _name_kept_peers(self) -> None:
-        """Name the peers of each DECISION kept unforgotten with none
-        named (a restart's, or one a participant crash left): every
-        other shard at its log's tail, where any COMMIT of the gtid is
-        logged by now.  Not while a shard is down or holds a branch of
-        the gtid in doubt: that DECISION waits for the next resolution.
-        """
-        shards = self.shards
-        if any(shard.wal.is_dead for shard in shards):
-            return
-        in_doubt = {
-            shard.wal.record_at(lsn).key
-            for shard in shards
-            for lsn in shard.wal.in_doubt_txns().values()
-        }
-        tails = [(shard_id, shard.wal.last_lsn) for shard_id, shard in enumerate(shards)]
-        for shard_id, shard in enumerate(shards):
-            kept = [
-                gtid for gtid, peers in shard.wal.unforgotten.items()
-                if peers is None and gtid not in in_doubt
-            ]
-            if kept:
-                shard.wal.await_peers(
-                    kept, tails[:shard_id] + tails[shard_id + 1:],
-                    self.coordinator.log_of,
-                )
 
 
 # -- sales-schema helpers ------------------------------------------------------

@@ -7,16 +7,19 @@ from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec
 from repro.engine.errors import (
     EngineError,
+    LockTimeoutError,
     ShardUnavailableError,
     SimulatedCrash,
     TransactionAborted,
 )
 from repro.engine.txn import IsolationLevel, TxnState
 from repro.engine.wal import LogKind
+from repro.obs import Observer
 from repro.shard import PHASES, ShardSalesWorkload, load_sales_fleet
 
 from tests.shard.test_2pc import load_keys, value_of
 from tests.shard.test_router import kv_fleet
+from tests.shard.test_tail_drop import AMOUNT, drop_unflushed_tails, pay
 
 #: phases where the commit decision is already durable somewhere
 _DECIDED_PHASES = ("mid_decision", "after_decision", "mid_commit", "after_commit")
@@ -150,6 +153,76 @@ def test_a_decision_forgotten_below_a_checkpoint_still_decides_a_corrupted_peer(
     fleet.crash()
     report = fleet.recover()
     assert report.shard_reports[1].in_doubt and report.resolved_commit == 1
+    assert [value_of(fleet, keys[0]) for keys in by_shard] == [99, 99]
+
+
+def test_a_lone_restart_holds_its_branch_while_the_decider_is_down(flushed):
+    """Both shards die after an acknowledged payment: shard 0, the last
+    agent, holds the only durable DECISION; shard 1's DECISION and COMMIT
+    were never flushed.  Shard 1 restarts alone and finds its branch in
+    doubt.  With shard 0 down, finding no decision proves nothing, so the
+    branch is held -- PREPARED, its row locked -- until shard 0 is back
+    and its DECISION commits it."""
+    observer = Observer()
+    fleet = kv_fleet(2, observer=observer)
+    keys = [keys[0] for keys in load_keys(fleet, per_shard=1)]
+    pay(fleet, keys)
+    for shard in fleet.shards:
+        shard.wal.kill()
+    drop_unflushed_tails(fleet, flushed)
+    held = observer.metrics.gauge("shard.2pc.in_doubt")
+
+    report = fleet._recover_shard(1)
+    assert report.in_doubt
+    fleet._resolve_in_doubt([report], [1])
+    assert held.value == 1
+    with pytest.raises(LockTimeoutError):
+        fleet.execute("UPDATE kv SET V = 0 WHERE K = ?", [keys[1]])
+
+    fleet._resolve_in_doubt([fleet._recover_shard(0)], [0])
+    assert held.value == 0
+    assert [value_of(fleet, key) for key in keys] == [-AMOUNT, AMOUNT]
+
+
+def test_a_dangling_transaction_waits_while_any_shard_is_down():
+    """Shard 1, the last agent of a write to shards 1 and 2, dies right
+    after forcing its DECISION: no reachable shard holds one, so the
+    transaction dangles with shard 2 prepared.  Shard 0, in no branch,
+    dies too and comes back first; shard 1 is still down, so finishing
+    the dangling transaction must wait, not presume abort."""
+    fleet = kv_fleet(3)
+    keys = [keys[0] for keys in load_keys(fleet, per_shard=1)]
+    wal = fleet.shards[1].wal
+    wal.arm_crash(wal.last_lsn + 3, "after")  # BEGIN, UPDATE, DECISION
+    gtxn = fleet.begin()
+    for key in keys[1:]:
+        fleet.execute("UPDATE kv SET V = ? WHERE K = ?", [99, key], gtxn=gtxn)
+    with pytest.raises(SimulatedCrash):
+        gtxn.commit()
+    assert fleet.coordinator.dangling == [gtxn]
+    fleet.shards[0].wal.kill()
+    for shard_id in (0, 1):
+        fleet._resolve_in_doubt([fleet._recover_shard(shard_id)], [shard_id])
+        fleet.coordinator.finish_dangling()
+        assert fleet.coordinator.dangling == ([gtxn] if shard_id == 0 else [])
+    assert [value_of(fleet, key) for key in keys] == [0, 99, 99]
+
+
+def test_a_lone_restart_keeps_a_decision_a_live_prepared_peer_needs():
+    """The coordinator dies with shard 0's DECISION forced and shard 1
+    prepared and live.  Shard 0 restarts alone, with every shard up: its
+    DECISION must stay unforgotten while shard 1's branch is undecided,
+    through a flush on shard 1 and a truncating checkpoint on shard 0,
+    so that a later fleet recovery still commits shard 1's branch."""
+    fleet = kv_fleet(2)
+    by_shard = load_keys(fleet)
+    gtxn = run_to_crash(fleet, by_shard, "mid_decision")
+    fleet._resolve_in_doubt([fleet._recover_shard(0)], [0])
+    fleet.execute("UPDATE kv SET V = ? WHERE K = ?", [1, by_shard[1][1]])
+    fleet.shards[0].checkpoint(truncate_wal=True)
+    assert list(fleet.shards[0].wal.unforgotten) == [gtxn.gtid]
+    fleet.crash()
+    fleet.recover()
     assert [value_of(fleet, keys[0]) for keys in by_shard] == [99, 99]
 
 

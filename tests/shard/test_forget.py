@@ -8,7 +8,8 @@ each peer's COMMIT is durable on the peer's own log.  The machine
 interleaves PAIRS transfers (each one a cross-shard payment), local
 commits (each flushes its shard's log), checkpoints on any shard
 (truncating or not), participant crashes at any append (before, after or
-torn), a crashed participant's lone restart and whole-fleet restarts.
+torn), the lone restart of a crashed shard while others may still be
+down, and whole-fleet restarts.
 Every crash loses what no flush covered (the ``flushed`` fixture), and a
 restart reads back only what is on disk.  After each fleet restart, and
 at the end, :class:`~repro.ha.history.HistoryChecker` checks the history
@@ -88,13 +89,15 @@ class PaymentsUnderCheckpoints(RuleBasedStateMachine):
         if not wal.is_dead:
             wal.arm_crash(wal.last_lsn + offset, mode)
 
-    @precondition(lambda self: len(self._dead()) == 1)
+    @precondition(lambda self: len(self._dead()) >= 1)
     @rule()
     def restart_the_crashed_participant(self):
-        """It comes back alone, its unflushed tail lost, and resolves its
-        in-doubt branches against every other shard's decisions; then
-        the coordinator finishes the survivors it left prepared."""
-        (db,) = self._dead()
+        """The lowest-id crashed shard comes back alone, its unflushed
+        tail lost, and resolves its in-doubt branches against every other
+        shard's decisions, holding those no reachable shard decided while
+        another is still down; then the coordinator finishes the
+        survivors it left prepared."""
+        db = self._dead()[0]
         shard_id = self.fleet.shards.index(db)
         drop_unflushed_tails(self.fleet, self.flushed, [db])
         report = self.fleet._recover_shard(shard_id)
