@@ -100,13 +100,6 @@ class BackupManifest:
     def total_rows(self) -> int:
         return sum(shard.rows for shard in self.shards)
 
-    def describe(self) -> List[str]:
-        return [
-            f"backup {self.name}: {self.n_shards} shards, "
-            f"{self.total_rows} rows",
-            f"barrier={self.barrier} archive_end={self.archive_end}",
-        ]
-
 
 #: tries at a clean global cut before an online backup refuses
 MAX_BARRIER_ATTEMPTS = 8

@@ -110,22 +110,6 @@ class DRResult:
             return 0.0
         return max(0.0, 1.0 - self.rpo_txns / self.acked)
 
-    def describe(self) -> List[str]:
-        lines = [
-            f"mode={self.archive_mode} txns={self.txns} acked={self.acked} "
-            f"archived={self.archived_records} lag_lost={self.lag_lost_records}",
-            f"RPO={self.rpo_txns} txns  "
-            f"RTO wall={self.rto_wall_s * 1000:.1f}ms "
-            f"virtual={self.rto_virtual_s * 1000:.1f}ms",
-            f"violations={len(self.violations)} "
-            f"(+{self.rpo_explained_violations} explained by RPO) "
-            f"DR={self.dr_score:.4f}",
-        ]
-        if self.scrub is not None and self.scrub.scanned:
-            lines.append(self.scrub.describe())
-        lines.extend(str(violation) for violation in self.violations)
-        return lines
-
 
 class DREvaluator:
     """Backup under load, disaster, point-in-time restore, RPO/RTO."""

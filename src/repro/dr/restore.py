@@ -79,17 +79,6 @@ class RestoreReport:
     def in_doubt(self) -> int:
         return self.resolved_commit + self.resolved_abort
 
-    def describe(self) -> List[str]:
-        return [
-            f"restored {self.shards} shards: {self.rows_loaded} rows, "
-            f"{self.records_replayed} records replayed to {self.target}",
-            f"in-doubt resolved: {self.resolved_commit} commit / "
-            f"{self.resolved_abort} abort",
-            f"RTO: wall={self.wall_s * 1000:.1f}ms "
-            f"virtual={self.virtual_s * 1000:.1f}ms "
-            f"(standbys={self.standbys})",
-        ]
-
 
 class RestoreJob(PhaseFaults):
     """Rebuild a fleet from a manifest plus archives."""

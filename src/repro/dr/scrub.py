@@ -52,14 +52,6 @@ class ScrubReport:
     def clean(self) -> bool:
         return not self.unrepairable
 
-    def describe(self) -> str:
-        return (
-            f"scrubbed {self.scanned} records "
-            f"({self.archive_records} archived, {self.wal_records} live): "
-            f"{self.repaired} repaired, "
-            f"{len(self.unrepairable)} unrepairable"
-        )
-
 
 def scrub_archive(
     archive: ShardArchive, report: Optional[ScrubReport] = None

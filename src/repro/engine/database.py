@@ -409,14 +409,14 @@ class Database:
         )
 
     def _lock_row(self, txn: Transaction, table: str, key: Any, mode: LockMode) -> None:
-        if txn.autocommit and self.locks.transient_lock_is_noop((table, key), txn.deadline):
-            # the commit ending this execute() call would release it
-            # before any other transaction runs: taking it is a no-op
-            return
         if txn.deadline is not None:
             # Guard only when a deadline exists -- the cancellation
             # message formats key reprs, too costly to build per lock.
             self._deadline_guard(txn, f"lock wait on {table}[{key!r}]")
+        if txn.autocommit and self.locks.elide((table, key)):
+            # the commit ending this execute() call releases it before
+            # any other transaction runs
+            return
         outcome = self.locks.acquire(
             txn.txn_id, (table, key), mode, queue_on_conflict=False
         )
@@ -425,7 +425,8 @@ class Database:
             self._rollback(txn)
             raise LockTimeoutError(
                 f"txn {txn.txn_id} blocked on {table}[{key!r}] held by "
-                f"{sorted(holders)} (no-wait policy)"
+                f"{sorted(holders)} (no-wait policy)",
+                holders,
             )
 
     def _unlock_row(self, txn: Transaction, table: str, key: Any) -> None:

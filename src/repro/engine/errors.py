@@ -49,6 +49,11 @@ class TransactionAborted(EngineError):
 class LockTimeoutError(TransactionAborted):
     """A lock request waited longer than the configured timeout."""
 
+    def __init__(self, message: str, holders=()):
+        super().__init__(message)
+        #: ids of the transactions holding the lock the request met
+        self.holders = frozenset(holders)
+
 
 class DeadlockError(TransactionAborted):
     """The lock manager chose this transaction as a deadlock victim."""

@@ -19,8 +19,8 @@ one comprehension pass instead of a per-row closure call.
 Reads take shared locks (exclusive under ``FOR UPDATE``), writes take
 exclusive locks.  Under READ COMMITTED shared locks are released at the
 end of the statement, and not taken where that changes nothing
-(``LockManager.transient_lock_is_noop``); under SERIALIZABLE they
-are held to commit (strict 2PL).
+(``LockManager.elide``); under SERIALIZABLE they are held to commit
+(strict 2PL).
 """
 
 from __future__ import annotations
@@ -406,13 +406,16 @@ class Executor:
             db = self._db
             name = table.name
             # READ COMMITTED drops each S lock when the statement ends:
-            # where taking and dropping it is a no-op, skip both.
+            # past the deadline's cancellation point, where taking and
+            # dropping it changes nothing, skip both
             transient = txn.isolation is READ_COMMITTED
-            noop = db.locks.transient_lock_is_noop
+            elide = db.locks.elide
             for _rid, row in matches:
                 key = row[pk_index]
                 if transient:
-                    if noop((name, key), txn.deadline):
+                    if txn.deadline is not None:
+                        db._deadline_guard(txn, f"lock wait on {name}[{key!r}]")
+                    if elide((name, key)):
                         continue
                     shared_keys.append(key)
                 db._lock_row(txn, name, key, SHARED)

@@ -67,11 +67,12 @@ class LockManager:
         if self.obs.enabled:
             metrics = self.obs.metrics
             self._c_granted = metrics.counter("engine.lock.granted")
+            self._c_elided = metrics.counter("engine.lock.elided")
             self._c_blocked = metrics.counter("engine.lock.blocked")
             self._h_wait = metrics.histogram("engine.lock.wait_s")
             self._h_hold = metrics.histogram("engine.lock.hold_s")
         else:
-            self._c_granted = self._c_blocked = None
+            self._c_granted = self._c_elided = self._c_blocked = None
             self._h_wait = self._h_hold = None
         self._locks: Dict[LockKey, _Lock] = {}
         self._held_by_txn: Dict[int, Set[LockKey]] = {}
@@ -105,15 +106,18 @@ class LockManager:
         rollback released)."""
         return set(self._held_by_txn.get(txn_id, ()))
 
-    def transient_lock_is_noop(self, key: LockKey, deadline) -> bool:
-        """Would a lock on ``key`` taken and released before any other
-        transaction runs change nothing?  That is a READ COMMITTED
-        statement's S lock, or any lock of an autocommit statement
-        (released by the commit that ends the same call).  Yes where no
-        entry for ``key`` exists (the engine is cooperative, so none
-        appears before the release), no ``deadline`` can cancel at the
-        lock wait and no lock metric counts the grant."""
-        return deadline is None and self._c_granted is None and key not in self._locks
+    def elide(self, key: LockKey) -> bool:
+        """May a lock on ``key`` that is dropped before any other
+        transaction runs go untaken?  Yes where the lock table has no
+        entry for ``key``: with no holder and no waiter, taking and
+        dropping it changes nothing, and as one thread drives a database
+        cooperatively, no entry appears in between.  An elided lock
+        counts as ``engine.lock.elided``."""
+        if key in self._locks:
+            return False
+        if self._c_elided is not None:
+            self._c_elided.value += 1.0
+        return True
 
     # -- acquisition ----------------------------------------------------------
 

@@ -121,18 +121,6 @@ class HAResult:
         )
         return self.tps_between(first_acked, self.duration_s)
 
-    def describe(self) -> List[str]:
-        lines = [
-            f"ack={self.ack_mode} txns={self.txns} acked={self.acked} "
-            f"availability={self.availability:.4f}",
-            f"failovers={self.failovers} restarts={self.restarts} "
-            f"unavailable={self.unavailable_s * 1000:.1f}ms "
-            f"(bound {self.bound_s * 1000:.1f}ms)",
-            f"violations={len(self.violations)} R={self.r_score:.4f}",
-        ]
-        lines.extend(str(violation) for violation in self.violations)
-        return lines
-
 
 class HAEvaluator:
     """Drive the PAIRS workload through a mid-run primary kill."""

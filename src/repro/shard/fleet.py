@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.datagen import DataGenerator, GeneratedData, gc_paused
 from repro.core.schema import create_sales_schema
 from repro.engine.database import Database
-from repro.engine.errors import ShardUnavailableError, SimulatedCrash
+from repro.engine.errors import LockTimeoutError, ShardUnavailableError, SimulatedCrash
 from repro.engine.executor import Prepared, ResultSet
 from repro.engine.recovery import RecoveryReport
 from repro.engine.sql import InsertStatement, SelectStatement
@@ -203,7 +203,9 @@ class ShardedDatabase:
         (even a read pays a BEGIN record); clients should instead see a
         retryable :class:`~repro.engine.errors.ShardUnavailableError`
         that names the shard and classifies correctly for the resilience
-        stack's breakers and retry budget.
+        stack's breakers and retry budget.  So does a statement that
+        meets the locks of an in-doubt branch held (in the coordinator's
+        ``dangling``) until a down shard is back: it names that shard.
         """
         try:
             shard = self._shard_db(shard_id)
@@ -221,6 +223,17 @@ class ShardedDatabase:
                 f"shard {shard_id} is down mid-statement; retry after failover",
                 shard_id=shard_id,
             ) from crash
+        except LockTimeoutError as timeout:
+            down = [i for i, db in enumerate(self.shards) if db.wal.is_dead]
+            held = {g.locals[shard_id].txn_id for g in self.coordinator.dangling
+                    if shard_id in g.locals}
+            if not down or held.isdisjoint(timeout.holders):
+                raise
+            raise ShardUnavailableError(
+                f"shard {shard_id} holds the row for an in-doubt transaction "
+                f"until shard {down[0]} is back; retry then",
+                shard_id=down[0],
+            ) from timeout
 
     def _fanout(
         self,

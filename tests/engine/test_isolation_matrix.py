@@ -33,6 +33,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.engine.database import Database
 from repro.engine.errors import (
+    DuplicateKeyError,
     LockTimeoutError,
     SqlError,
     TransactionAborted,
@@ -41,6 +42,7 @@ from repro.engine.errors import (
 from repro.engine.txn import MVCC_LEVELS, IsolationLevel
 from repro.engine.types import Column, ColumnType, Schema
 from repro.obs import Observer
+from tests.engine.slow_path import footprint, force_slow_paths, outcome
 
 RC = IsolationLevel.READ_COMMITTED
 RR = IsolationLevel.REPEATABLE_READ
@@ -591,51 +593,79 @@ def test_versions_created_counts_every_version_built(shape, built):
     assert created.value == built
 
 
+def test_the_slow_path_twin_takes_every_lock_and_builds_every_chain():
+    obs = Observer()
+    db = force_slow_paths(make_db(observer=obs))
+    granted = obs.metrics.counter("engine.lock.granted")
+    db.execute("UPDATE ACC SET BAL = ? WHERE ID = ?", [5, 1])
+    db.query("SELECT BAL FROM ACC WHERE ID = ?", [2])
+    assert granted.value == 2
+    writer = db.begin()
+    built = db.live_versions()
+    write_in(db, writer, "insert")
+    assert db.live_versions() == built + 1 and not writer.deferred
+    writer.rollback()
+
+
 class SnapshotsOverRCWriters(RuleBasedStateMachine):
     """RC writers update, insert, delete and move keys, then commit or
-    roll back, while snapshots begin, read and end.  Every snapshot read
-    equals the rows committed when that snapshot began."""
+    roll back, while snapshots begin, read and end, and autocommit or
+    READ COMMITTED statements meet the writers' locks.  Every snapshot
+    read equals the rows committed when that snapshot began.  Each step
+    runs on a plain database and on its slow-path twin
+    (:func:`force_slow_paths`), and the two agree step by step."""
 
     def __init__(self):
         super().__init__()
-        self.db = make_db()
+        self.dbs = (make_db(), force_slow_paths(make_db()))
         self.committed = dict(BEFORE)
         self.current = dict(BEFORE)  # the heap: committed plus writers' changes
-        self.writers = []  # [(txn, keys it wrote)]; no two share a key
-        self.snapshots = []  # [(txn, committed rows at its begin)]
+        self.writers = []  # [(txn per twin, keys it wrote)]; no two share a key
+        self.snapshots = []  # [(txn per twin, committed rows at its begin)]
+
+    def each(self, run, txns=(None, None)):
+        """``run(db, txn)`` on both twins, which must return alike or
+        raise the same engine error class; returns that outcome."""
+        fast, slow = (outcome(run, db, txn) for db, txn in zip(self.dbs, txns))
+        assert fast == slow
+        return fast
 
     @precondition(lambda self: len(self.writers) < 3)
     @rule()
     def begin_writer(self):
-        self.writers.append((self.db.begin(RC), set()))
+        self.writers.append((tuple(db.begin(RC) for db in self.dbs), set()))
 
     @precondition(lambda self: self.writers)
     @rule(data=st.data())
     def write(self, data):
-        txn, mine = data.draw(st.sampled_from(self.writers))
-        theirs = set().union(*(keys for other, keys in self.writers if other is not txn))
+        txns, mine = data.draw(st.sampled_from(self.writers))
+        theirs = set().union(*(keys for other, keys in self.writers if other is not txns))
         free = [key for key in KEYS if key not in theirs]
         if not free:
             return
         key = data.draw(st.sampled_from(free))
         value = data.draw(st.integers(0, 999))
-        db, current = self.db, self.current
+        current = self.current
+
+        def run(sql, params):
+            assert self.each(lambda db, txn: db.execute(sql, params, txn=txn).rowcount, txns) == 1
+
         if key not in current:
-            db.execute("INSERT INTO ACC VALUES (?, ?)", [key, value], txn=txn)
+            run("INSERT INTO ACC VALUES (?, ?)", [key, value])
             current[key] = value
             mine.add(key)
             return
         targets = [other for other in free if other not in current]
         op = data.draw(st.sampled_from(("update", "delete", "move")[:3 if targets else 2]))
         if op == "update":
-            db.execute("UPDATE ACC SET BAL = ? WHERE ID = ?", [value, key], txn=txn)
+            run("UPDATE ACC SET BAL = ? WHERE ID = ?", [value, key])
             current[key] = value
         elif op == "delete":
-            db.execute("DELETE FROM ACC WHERE ID = ?", [key], txn=txn)
+            run("DELETE FROM ACC WHERE ID = ?", [key])
             del current[key]
         else:
             new_key = data.draw(st.sampled_from(targets))
-            db.execute("UPDATE ACC SET ID = ? WHERE ID = ?", [new_key, key], txn=txn)
+            run("UPDATE ACC SET ID = ? WHERE ID = ?", [new_key, key])
             current[new_key] = current.pop(key)
             mine.add(new_key)
         mine.add(key)
@@ -643,12 +673,12 @@ class SnapshotsOverRCWriters(RuleBasedStateMachine):
     @precondition(lambda self: self.writers)
     @rule(pick=st.integers(0, 2), commit=st.booleans())
     def end_writer(self, pick, commit):
-        txn, mine = self.writers.pop(pick % len(self.writers))
+        txns, mine = self.writers.pop(pick % len(self.writers))
         if commit:
-            txn.commit()
+            self.each(lambda db, txn: txn.commit(), txns)
             source, target = self.current, self.committed
         else:
-            txn.rollback()
+            self.each(lambda db, txn: txn.rollback(), txns)
             source, target = self.committed, self.current
         for key in mine:
             if key in source:
@@ -656,30 +686,79 @@ class SnapshotsOverRCWriters(RuleBasedStateMachine):
             else:
                 target.pop(key, None)
 
+    @rule(
+        kind=st.sampled_from(("select", "scan", "update", "delete", "insert")),
+        key=st.sampled_from(KEYS), value=st.integers(0, 999),
+    )
+    def meet_writers(self, kind, key, value):
+        """An autocommit statement, or a READ COMMITTED scan in a
+        transaction of its own, on the heap: where it touches a row an
+        open writer locks (or inserts a key one deleted), it times out
+        and changes nothing."""
+        current, committed = self.current, self.committed
+        locked = set().union(*(keys for _txns, keys in self.writers))
+        present = key in current
+        if kind == "scan":
+            touched = [k for k in current if k >= key]
+            expected = sorted((k, current[k]) for k in touched)
+
+            def run(db, _):
+                txn = db.begin(RC)
+                rows = db.execute("SELECT ID, BAL FROM ACC WHERE ID >= ?", [key], txn=txn).rows
+                txn.commit()
+                return sorted(rows)
+        else:
+            touched = [key] if present != (kind == "insert") else []
+            sql, params, expected = {
+                "select": ("SELECT ID, BAL FROM ACC WHERE ID = ?", [key],
+                           [(key, current[key])] if present else []),
+                "update": ("UPDATE ACC SET BAL = ? WHERE ID = ?", [value, key], len(touched)),
+                "delete": ("DELETE FROM ACC WHERE ID = ?", [key], len(touched)),
+                "insert": ("INSERT INTO ACC VALUES (?, ?)", [key, value],
+                           DuplicateKeyError if present else 1),
+            }[kind]
+
+            def run(db, _):
+                result = db.execute(sql, params)
+                return result.rows if kind == "select" else result.rowcount
+        if locked.intersection(touched):
+            expected = LockTimeoutError
+        assert self.each(run) == expected
+        if expected == 1:  # an autocommit write committed
+            if kind == "delete":
+                del current[key], committed[key]
+            else:
+                current[key] = committed[key] = value
+
     @precondition(lambda self: len(self.snapshots) < 3)
     @rule()
     def begin_snapshot(self):
-        self.snapshots.append((self.db.begin(SNAP), dict(self.committed)))
+        self.snapshots.append((tuple(db.begin(SNAP) for db in self.dbs), dict(self.committed)))
 
     @precondition(lambda self: self.snapshots)
     @rule(pick=st.integers(0, 2))
     def read_snapshot(self, pick):
-        txn, rows = self.snapshots[pick % len(self.snapshots)]
-        assert view(self.db, txn) == rows
+        txns, rows = self.snapshots[pick % len(self.snapshots)]
+        assert self.each(view, txns) == rows
 
     @precondition(lambda self: self.snapshots)
     @rule(pick=st.integers(0, 2))
     def end_snapshot(self, pick):
-        self.snapshots.pop(pick % len(self.snapshots))[0].commit()
+        self.each(lambda db, txn: txn.commit(), self.snapshots.pop(pick % len(self.snapshots))[0])
 
     @invariant()
     def counts_its_snapshots(self):
-        assert self.db.txns.live_snapshots == len(self.snapshots)
+        for db in self.dbs:
+            assert db.txns.live_snapshots == len(self.snapshots)
 
     @invariant()
     def defers_only_while_no_snapshot_is_live(self):
         if self.snapshots:
-            assert not any(txn.deferred for txn, _keys in self.writers)
+            assert not any(txns[0].deferred for txns, _keys in self.writers)
+
+    @invariant()
+    def twins_agree(self):
+        assert footprint(self.dbs[0]) == footprint(self.dbs[1])
 
 
 TestSnapshotsOverRCWriters = SnapshotsOverRCWriters.TestCase

@@ -90,9 +90,15 @@ def test_wal_buffer_and_lock_metrics():
     assert counters["engine.wal.append"].value > 0
     assert counters["engine.wal.bytes"].value > 0
     assert counters["engine.wal.fsync"].value > 0     # one per commit record
-    assert counters["engine.lock.granted"].value > 0
-    # released locks record their hold durations
-    assert obs.metrics.histograms["engine.lock.hold_s"].count > 0
+    # an autocommit statement's uncontended locks are elided, not taken
+    assert counters["engine.lock.elided"].value > 0
+    assert counters["engine.lock.granted"].value == 0
+    # a lock held to commit is granted, and its release records its hold
+    txn = db.begin()
+    db.execute("UPDATE accounts SET BALANCE = ? WHERE A_ID = ?", [8.0, 3], txn=txn)
+    assert counters["engine.lock.granted"].value == 1
+    txn.commit()
+    assert obs.metrics.histograms["engine.lock.hold_s"].count == 1
 
 
 def test_crash_and_recovery_spans():

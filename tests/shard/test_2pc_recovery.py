@@ -7,7 +7,6 @@ from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec
 from repro.engine.errors import (
     EngineError,
-    LockTimeoutError,
     ShardUnavailableError,
     SimulatedCrash,
     TransactionAborted,
@@ -176,8 +175,9 @@ def test_a_lone_restart_holds_its_branch_while_the_decider_is_down(flushed):
     assert report.in_doubt
     fleet._resolve_in_doubt([report], [1])
     assert held.value == 1
-    with pytest.raises(LockTimeoutError):
+    with pytest.raises(ShardUnavailableError) as unavailable:
         fleet.execute("UPDATE kv SET V = 0 WHERE K = ?", [keys[1]])
+    assert unavailable.value.shard_id == 0 and unavailable.value.retryable
 
     fleet._resolve_in_doubt([fleet._recover_shard(0)], [0])
     assert held.value == 0

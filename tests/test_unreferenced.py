@@ -290,6 +290,14 @@ KNOBS_ALLOWED = {
     "RecoveryReport.corrupt_from_lsn":
         "fault detection: where a restart found the first corrupt record, asserted "
         "by the WAL corruption tests",
+    "DRResult.scrub":
+        "oracle: the DR evaluator tests assert its pre-restore scrub repaired the "
+        "ARCHIVE_CORRUPT flip",
+    "DRResult.rpo_explained_violations":
+        "oracle: the lagged-mode DR test asserts the time-travel anomalies it "
+        "excused from the violations exist",
+    "RestoreReport.standbys":
+        "oracle: the HA restore test asserts every pair got its standby re-bootstrapped",
 }
 
 
