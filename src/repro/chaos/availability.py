@@ -21,7 +21,7 @@ the plan's fingerprint pins the fault schedule byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from repro.chaos.injector import ChaosInjector
@@ -33,6 +33,8 @@ from repro.core.resilience import AttemptResult, ResilientSession, RetryPolicy
 from repro.core.workload import READ_WRITE, SalesWorkload
 from repro.engine.errors import NodeUnavailableError, RequestTimeout
 from repro.obs import NULL_OBSERVER, Observer
+from repro.obs.metrics import Histogram
+from repro.perf.openloop import parse_arrival, replay_closed_run
 from repro.sim.events import Environment
 from repro.sim.rng import RngRegistry
 
@@ -62,8 +64,9 @@ class AScore:
     #: client arrival process the run was driven under
     arrival: str = "closed"
     #: CO-free sojourn percentiles in virtual ms (open arrivals only):
-    #: measured from each request's *scheduled* start, so a fault window
-    #: that stalls clients shows up in the tail instead of being omitted
+    #: the closed run's calls replayed from *scheduled* starts, so a
+    #: fault window that stalls clients shows up in the tail instead of
+    #: being omitted
     openloop_latency_ms: dict = field(default_factory=dict)
 
     @property
@@ -111,8 +114,6 @@ class AvailabilityEvaluator:
         observer: Optional[Observer] = None,
         arrival: str = "closed",
     ):
-        from repro.perf.openloop import parse_arrival
-
         if not 0.0 < slo < 1.0:
             raise ValueError("slo must be in (0, 1)")
         if n_clients < 1 or n_replicas < 1:
@@ -184,7 +185,7 @@ class AvailabilityEvaluator:
 
     # -- clients ---------------------------------------------------------------
 
-    def _client(self, client_id: int, score: AScore):
+    def _client(self, client_id: int, score: AScore, service_s: List[float]):
         env = self._env
         rng = self.rngs.stream(f"chaos.client.{client_id}")
         yield env.timeout(REQUEST_INTERVAL_S * client_id / self.n_clients)
@@ -199,6 +200,7 @@ class AvailabilityEvaluator:
                     timeout_budget_s=BUDGET_S,
                 )
             )
+            service_s.append(env.now - started)
             score.requests += 1
             if outcome.ok:
                 score.succeeded += 1
@@ -207,49 +209,19 @@ class AvailabilityEvaluator:
             score.samples.append((started, outcome.ok))
             yield env.timeout(REQUEST_INTERVAL_S * (0.5 + rng.random()))
 
-    def _client_open(self, client_id: int, score: AScore, sojourn):
-        """Open-loop client: requests are due at seeded virtual instants.
-
-        The client waits for the next scheduled arrival only when idle;
-        when a call overruns (retrying through a fault window) the
-        following arrivals are already due and issue back to back, with
-        their sojourn measured from the *scheduled* start -- the backlog
-        the closed-loop client would silently omit.
-        """
-        from repro.perf.openloop import arrival_offsets_window
-
-        env = self._env
-        rate = (
-            self.arrival.rate / self.n_clients
-            if self.arrival.rate is not None
-            else 1.0 / (1.5 * REQUEST_INTERVAL_S)
-        )
-        schedule = arrival_offsets_window(
-            self.arrival, rate, self.duration_s,
-            self.rngs.stream(f"chaos.arrival.{client_id}"),
-        )
-        for scheduled in schedule:
-            if env.now < scheduled:
-                yield env.timeout(scheduled - env.now)
-            task = self._workload.next_task()
-            session = self._reads if task == "T3" else self._writes
-            outcome = yield env.process(
-                session.call_in(
-                    env,
-                    lambda endpoint, chosen=task: self._attempt(endpoint, chosen),
-                    timeout_budget_s=BUDGET_S,
-                )
-            )
-            score.requests += 1
-            if outcome.ok:
-                score.succeeded += 1
-            else:
-                score.failed += 1
-            score.samples.append((scheduled, outcome.ok))
-            latency = env.now - scheduled
-            sojourn.observe(latency)
-            if self.obs.enabled:
-                self.obs.observe("chaos.openloop.latency_s", latency)
+    def _open_view(self, service: List[List[float]]) -> dict:
+        """CO-free percentiles of the closed run: each client's calls
+        replayed against its own share of the arrival process."""
+        spec = self.arrival
+        if spec.rate is not None:  # RATE is the offered load of all clients
+            spec = replace(spec, rate=spec.rate / self.n_clients)
+        sojourn = Histogram("chaos.openloop.latency_s")
+        for client_id, service_s in enumerate(service):
+            sojourn.merge(replay_closed_run(
+                spec, service_s, self.duration_s,
+                self.rngs.stream(f"chaos.arrival.{client_id}"),
+            ).histogram)
+        return sojourn.latency_summary_ms()
 
     # -- the run ----------------------------------------------------------------
 
@@ -299,19 +271,12 @@ class AvailabilityEvaluator:
             duration_s=self.duration_s,
             arrival=self.arrival.describe(),
         )
-        sojourn = None
-        if self.arrival.is_open:
-            from repro.obs.metrics import Histogram
-
-            sojourn = Histogram("chaos.openloop.latency_s")
-            for client_id in range(self.n_clients):
-                self._env.process(self._client_open(client_id, score, sojourn))
-        else:
-            for client_id in range(self.n_clients):
-                self._env.process(self._client(client_id, score))
+        service: List[List[float]] = [[] for _ in range(self.n_clients)]
+        for client_id in range(self.n_clients):
+            self._env.process(self._client(client_id, score, service[client_id]))
         self._env.run(until=self.duration_s + BUDGET_S)
-        if sojourn is not None:
-            score.openloop_latency_ms = sojourn.latency_summary_ms()
+        if self.arrival.is_open:
+            score.openloop_latency_ms = self._open_view(service)
         score.breaker_opened = (
             self._reads.breaker_opens() + self._writes.breaker_opens()
         )

@@ -416,9 +416,8 @@ def _chaos(bench: "CloudyBench") -> EvalOutcome:
     summary="end-to-end run exercising engine, replication and clients",
     options=(
         EvalOption("arrival", _parse_arrival_opt, "closed",
-                   "client arrival process: closed | poisson[:RATE] | "
-                   "burst[:RATE,N]; open arrivals record CO-free sojourn "
-                   "times from scheduled starts"),
+                   "closed | poisson[:RATE] | burst[:RATE,N]; an open spec "
+                   "replays the closed run for a CO-free p99"),
     ),
 )
 def _oltp(bench: "CloudyBench", arrival: str) -> EvalOutcome:
@@ -519,9 +518,8 @@ def _overload(bench: "CloudyBench", qos: bool, arrival: str) -> EvalOutcome:
         EvalOption("ack_mode", _one_of("ack mode", ACK_MODES),
                    config="ha_ack_mode", help="replication ack mode"),
         EvalOption("arrival", _parse_arrival_opt, "closed",
-                   "client arrival process: closed | poisson[:RATE] | "
-                   "burst[:RATE,N]; open arrivals record CO-free sojourn "
-                   "times through the failover"),
+                   "closed | poisson[:RATE] | burst[:RATE,N]; an open spec "
+                   "replays the closed run for a CO-free p99"),
     ),
 )
 def _ha(bench: "CloudyBench", ack_mode: str, arrival: str) -> EvalOutcome:

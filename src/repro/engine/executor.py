@@ -34,7 +34,7 @@ from repro.engine.compiler import (
     resolve_residual,
 )
 from repro.engine.errors import SchemaError, SqlError
-from repro.engine.locks import EXCLUSIVE, SHARED
+from repro.engine.locks import EXCLUSIVE, SHARED, LockMode
 from repro.engine.sql import (
     InsertStatement,
     SelectItem,
@@ -272,17 +272,27 @@ class Executor:
         table: Table,
         access,
         params: Sequence[Any],
+        txn: Transaction,
+        mode: LockMode,
     ) -> List[Tuple[Any, Tuple[Any, ...]]]:
-        """Return (rid, row) pairs satisfying the compiled access path."""
+        """Return (rid, row) pairs satisfying the compiled access path.
+
+        A point lookup that finds no row for a key another transaction
+        holds a lock on (its uncommitted DELETE, or a primary-key move
+        away) meets that lock in ``mode``, as a present row's would be.
+        """
         shape = access.shape
         if shape == "pk_point":
             is_param, payload = access.key_source
+            key = params[payload] if is_param else payload
             try:
-                rid = table.find_by_key(params[payload] if is_param else payload)
+                rid = table.find_by_key(key)
             except TypeError as exc:
                 # an unhashable parameter ([1], {...}) from a JSON client
                 raise SqlError(f"key lookup failed: {exc}") from None
             if rid is None:
+                if self._db.locks.holders((table.name, key)).keys() - {txn.txn_id}:
+                    self._db._lock_row(txn, table.name, key, mode)
                 return []
             row = table.read_row(rid)
             raw = access.residual
@@ -382,7 +392,10 @@ class Executor:
         else:
             # Current read (lock-based levels, or FOR UPDATE under any
             # level, which needs the latest committed image plus a lock).
-            matches = self._match_rows(table, compiled.access, params)
+            matches = self._match_rows(
+                table, compiled.access, params, txn,
+                EXCLUSIVE if compiled.for_update else SHARED,
+            )
             if compiled.for_update:
                 # FOR UPDATE declares write intent over the whole
                 # candidate set, before ordering -- the rows that lose
@@ -536,7 +549,7 @@ class Executor:
         txn: Transaction,
     ) -> ResultSet:
         table = prepared.table
-        matches = self._match_rows(table, compiled.access, params)
+        matches = self._match_rows(table, compiled.access, params, txn, EXCLUSIVE)
         program = compiled.set_program
         db_update = self._db._update
         # Narrow updates (no SET target is the primary key or any
@@ -584,7 +597,7 @@ class Executor:
         txn: Transaction,
     ) -> ResultSet:
         table = prepared.table
-        matches = self._match_rows(table, compiled.access, params)
+        matches = self._match_rows(table, compiled.access, params, txn, EXCLUSIVE)
         for rid, row in matches:
             self._db._delete(txn, table, rid, row)
         return ResultSet((), [], len(matches))

@@ -36,7 +36,7 @@ from repro.ha.history import HistoryChecker, Violation
 from repro.ha.lease import LeaseConfig
 from repro.ha.workload import PairWorkload, build_pairs_fleet
 from repro.obs import NULL_OBSERVER, Observer
-from repro.obs.metrics import Histogram
+from repro.perf.openloop import parse_arrival, replay_closed_run
 from repro.sim.events import VirtualClock
 from repro.sim.rng import RngRegistry, derive_seed
 
@@ -69,8 +69,9 @@ class HAResult:
     #: arrival process the run was driven under
     arrival: str = "closed"
     #: CO-free sojourn percentiles in virtual ms (open arrivals only):
-    #: latency measured from each transfer's *scheduled* arrival, so the
-    #: failover outage shows up in the tail instead of being omitted
+    #: the closed run's transfers replayed from *scheduled* arrivals, so
+    #: the failover outage's backlog shows up in the tail instead of
+    #: being omitted
     openloop_latency_ms: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -136,8 +137,6 @@ class HAEvaluator:
         observer: Optional[Observer] = None,
         arrival: str = "closed",
     ):
-        from repro.perf.openloop import parse_arrival
-
         self.n_shards = n_shards
         self.txns = txns
         self.n_pairs = n_pairs
@@ -198,41 +197,17 @@ class HAEvaluator:
             advance=fleet.advance,
         )
 
-        # Open arrivals: transfers are due at seeded virtual instants.
-        # The client advances the clock to the next arrival when idle,
-        # but when a call overruns (retrying through the outage) the
-        # following arrivals are already due and their sojourn includes
-        # the wait -- this is open-loop in virtual time, not a replay.
-        schedule: Optional[List[float]] = None
-        sojourn: Optional[Histogram] = None
-        if self.arrival.is_open:
-            from repro.perf.openloop import arrival_offsets
-
-            rate = self.arrival.rate or 1.0 / (2.0 * OP_LATENCY_S)
-            schedule = arrival_offsets(
-                self.arrival, rate, self.txns,
-                RngRegistry(
-                    derive_seed(self.seed, "ha.eval.arrival")
-                ).stream(self.arrival.kind),
-            )
-            sojourn = Histogram("ha.openloop.latency_s")
-
         acked = failed = reads_ok = 0
         transfer_log: List[Tuple[float, bool]] = []
+        # per transfer: the virtual time until the next transfer may
+        # start (its call plus the read that follows every other one),
+        # whichever of the two calls the outage lands in
+        service_s: List[float] = []
         for i in range(self.txns):
-            if schedule is not None:
-                scheduled = schedule[i]
-                if clock.now < scheduled:
-                    fleet.advance(scheduled - clock.now)
             started_at = clock.now
             outcome = session.call(self._attempt(fleet, workload.transfer))
             call_acked = bool(outcome.ok and outcome.value)
             transfer_log.append((started_at, call_acked))
-            if sojourn is not None:
-                latency = clock.now - schedule[i]
-                sojourn.observe(latency)
-                if self.obs.enabled:
-                    self.obs.observe("ha.openloop.latency_s", latency)
             if call_acked:
                 acked += 1
             else:
@@ -241,6 +216,16 @@ class HAEvaluator:
                 read = session.call(self._attempt(fleet, workload.read))
                 if read.ok and read.value is not None:
                     reads_ok += 1
+            service_s.append(clock.now - started_at)
+
+        openloop_ms: Dict[str, float] = {}
+        if self.arrival.is_open:
+            openloop_ms = replay_closed_run(
+                self.arrival, service_s, clock.now,
+                RngRegistry(
+                    derive_seed(self.seed, "ha.eval.arrival")
+                ).stream(self.arrival.kind),
+            ).histogram.latency_summary_ms()
 
         # Let any in-flight unavailability window lapse, then check the
         # final state with plain auto-commit reads.
@@ -264,7 +249,7 @@ class HAEvaluator:
             counts=workload.history.counts(),
             transfer_log=transfer_log,
             arrival=self.arrival.describe(),
-            openloop_latency_ms=sojourn.latency_summary_ms() if sojourn is not None else {},
+            openloop_latency_ms=openloop_ms,
         )
         replay_s = max(
             (served - detected for _k, detected, served in result.outages),

@@ -5,8 +5,11 @@
   the ``arrival=`` option by :func:`parse_arrival`) and
   :func:`replay_open_loop`, which charges already-measured service
   times their queueing delay from the *scheduled* start.  The
-  ``scaleout-real``, ``oltp``, ``overload``, ``ha`` and ``serve``
-  evaluators all build their open-loop view from these.
+  ``scaleout-real``, ``oltp`` and ``ha`` evaluators run closed and
+  build their open-loop view with :func:`replay_closed_run`;
+  ``overload`` (a discrete-event simulation) and ``serve`` (real
+  sockets) drive their schedules live, because what they measure is
+  the queue the arrivals build.
 * :mod:`repro.perf.trajectory` -- the home of ``calibration_spin``,
   which ``bench/run.py`` imports from that path.
 
@@ -20,6 +23,7 @@ from repro.perf.openloop import (
     arrival_offsets,
     arrival_offsets_window,
     parse_arrival,
+    replay_closed_run,
     replay_open_loop,
 )
 
@@ -29,5 +33,6 @@ __all__ = [
     "arrival_offsets",
     "arrival_offsets_window",
     "parse_arrival",
+    "replay_closed_run",
     "replay_open_loop",
 ]

@@ -22,7 +22,9 @@ This module provides both halves:
   ``max(scheduled, previous completion)`` and its recorded latency is
   ``completion - scheduled``.  Waiting is bookkept, not slept, so one
   closed-loop execution yields both the service-time view and honest
-  open-loop sojourn times.
+  open-loop sojourn times.  :func:`replay_closed_run` is the one way an
+  evaluator's ``arrival=`` option uses it: the run stays closed, and an
+  open spec only adds this view of it.
 
 Latencies land in a mergeable :class:`~repro.obs.metrics.Histogram` so
 per-worker results aggregate exactly.
@@ -44,6 +46,7 @@ __all__ = [
     "arrival_offsets",
     "arrival_offsets_window",
     "parse_arrival",
+    "replay_closed_run",
     "replay_open_loop",
 ]
 
@@ -197,38 +200,19 @@ def arrival_offsets_window(
 
 @dataclass
 class OpenLoopResult:
-    """Latency record of one (open- or closed-loop) drive."""
+    """Both latency views of one replayed run."""
 
-    mode: str                       # "open" | "closed"
-    operations: int = 0
-    wall_s: float = 0.0             # wall time actually spent in run_one
+    #: CO-free sojourn times, measured from each scheduled start
     histogram: Histogram = field(
         default_factory=lambda: Histogram("openloop.latency_s")
     )
-    #: per-operation service durations (== ``histogram`` for closed mode)
+    #: the per-operation service durations the replay was fed
     service_histogram: Histogram = field(
         default_factory=lambda: Histogram("openloop.service_s")
     )
 
     def percentile_ms(self, pct: float) -> float:
         return self.histogram.percentile(pct) * 1000.0
-
-    def service_view(self) -> "OpenLoopResult":
-        """This run's *service-time* record (closed-loop style latencies).
-
-        For an open-loop run the primary histogram holds CO-free sojourn
-        times; the service view exposes the raw per-operation durations
-        under the same interface, so one run can report both.
-        """
-        if self.mode == "closed":
-            return self
-        return OpenLoopResult(
-            mode="closed",
-            operations=self.operations,
-            wall_s=self.wall_s,
-            histogram=self.service_histogram,
-            service_histogram=self.service_histogram,
-        )
 
 
 def replay_open_loop(
@@ -251,15 +235,30 @@ def replay_open_loop(
             f"{len(service_s)} service durations vs "
             f"{len(schedule)} scheduled arrivals"
         )
-    result = OpenLoopResult(mode="open")
+    result = OpenLoopResult()
     free_at = 0.0
-    wall = 0.0
     for scheduled, duration in zip(schedule, service_s):
-        wall += duration
         start = scheduled if scheduled > free_at else free_at
         free_at = start + duration
         result.histogram.observe(free_at - scheduled)
         result.service_histogram.observe(duration)
-        result.operations += 1
-    result.wall_s = wall
     return result
+
+
+def replay_closed_run(
+    spec: ArrivalSpec,
+    service_s: Sequence[float],
+    span_s: float,
+    rng: random.Random,
+) -> OpenLoopResult:
+    """The open-loop view of a closed run that has already happened.
+
+    ``service_s`` are the run's per-operation service times in execution
+    order and ``span_s`` the time the run took; the schedule is drawn
+    from ``spec`` and ``rng``.  An ``auto`` rate offers the closed run's
+    own rate, ``len(service_s) / span_s``.  Nothing runs again, so the
+    caller's counts stay those of its closed run.
+    """
+    rate = spec.rate or (len(service_s) / span_s if span_s > 0 else 1.0)
+    schedule = arrival_offsets(spec, rate, len(service_s), rng)
+    return replay_open_loop(service_s, schedule)

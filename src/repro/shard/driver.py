@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.config import spelled
-from repro.perf.openloop import parse_arrival
+from repro.perf.openloop import parse_arrival, replay_closed_run
 from repro.shard.fleet import load_sales_fleet, load_sales_shard
 from repro.shard.router import ShardError
 from repro.shard.workload import ShardSalesWorkload
@@ -143,17 +143,13 @@ def run_inline(
     latency_ms: Dict[str, float] = {}
     openloop_ms: Dict[str, float] = {}
     if spec.is_open:
-        from repro.perf.openloop import arrival_offsets, replay_open_loop
         from repro.sim.rng import RngRegistry
 
-        rate = spec.rate or (transactions / wall_s if wall_s > 0 else 1.0)
-        schedule = arrival_offsets(
-            spec, rate, transactions,
-            RngRegistry(seed).stream("shard.arrival"),
+        replay = replay_closed_run(
+            spec, service_s, wall_s, RngRegistry(seed).stream("shard.arrival")
         )
-        replay = replay_open_loop(service_s, schedule)
         openloop_ms = replay.histogram.latency_summary_ms()
-        latency_ms = replay.service_view().histogram.latency_summary_ms()
+        latency_ms = replay.service_histogram.latency_summary_ms()
         if observer is not None and observer.enabled:
             for duration in service_s:
                 observer.observe("shard.txn.service_s", duration)

@@ -92,6 +92,35 @@ class TestDirtyRead:
         writer.rollback()
 
 
+@pytest.mark.parametrize("shape", ["delete", "move"])
+def test_an_uncommitted_delete_is_met_not_read_through(shape):
+    """A point read, UPDATE or DELETE of a key an open transaction
+    deleted (or moved away) meets that transaction's lock, as it would
+    an uncommitted UPDATE's, instead of seeing the row gone."""
+    db = make_db()
+    writer = db.begin()
+    sql, params = {
+        "delete": ("DELETE FROM ACC WHERE ID = ?", [1]),
+        "move": ("UPDATE ACC SET ID = ? WHERE ID = ?", [3, 1]),
+    }[shape]
+    db.execute(sql, params, txn=writer)
+    for sql, params in (
+        ("SELECT BAL FROM ACC WHERE ID = ?", [1]),
+        ("SELECT BAL FROM ACC WHERE ID = ? FOR UPDATE", [1]),
+        ("UPDATE ACC SET BAL = ? WHERE ID = ?", [5, 1]),
+        ("DELETE FROM ACC WHERE ID = ?", [1]),
+    ):
+        for level in (None, RC, SER):  # None: autocommit
+            txn = None if level is None else db.begin(level)
+            with pytest.raises(LockTimeoutError) as met:
+                db.execute(sql, params, txn=txn)
+            assert met.value.holders == {writer.txn_id}
+    # the writer reads its own delete, and nothing else touched the row
+    assert db.execute("SELECT BAL FROM ACC WHERE ID = ?", [1], txn=writer).rows == []
+    writer.rollback()
+    assert sorted(db.execute("SELECT ID, BAL FROM ACC").rows) == [(1, 100), (2, 200)]
+
+
 class TestNonRepeatableRead:
     """Permitted only under READ_COMMITTED."""
 
@@ -693,8 +722,8 @@ class SnapshotsOverRCWriters(RuleBasedStateMachine):
     def meet_writers(self, kind, key, value):
         """An autocommit statement, or a READ COMMITTED scan in a
         transaction of its own, on the heap: where it touches a row an
-        open writer locks (or inserts a key one deleted), it times out
-        and changes nothing."""
+        open writer locks, looks a key one deleted up by primary key, or
+        inserts it, it times out and changes nothing."""
         current, committed = self.current, self.committed
         locked = set().union(*(keys for _txns, keys in self.writers))
         present = key in current
@@ -708,12 +737,15 @@ class SnapshotsOverRCWriters(RuleBasedStateMachine):
                 txn.commit()
                 return sorted(rows)
         else:
-            touched = [key] if present != (kind == "insert") else []
+            # a point lookup meets a writer's lock whether or not its row
+            # is still in the heap; an INSERT only where the key is free
+            touched = [key] if kind != "insert" or not present else []
+            acted = int(present != (kind == "insert"))  # rows it changes
             sql, params, expected = {
                 "select": ("SELECT ID, BAL FROM ACC WHERE ID = ?", [key],
                            [(key, current[key])] if present else []),
-                "update": ("UPDATE ACC SET BAL = ? WHERE ID = ?", [value, key], len(touched)),
-                "delete": ("DELETE FROM ACC WHERE ID = ?", [key], len(touched)),
+                "update": ("UPDATE ACC SET BAL = ? WHERE ID = ?", [value, key], acted),
+                "delete": ("DELETE FROM ACC WHERE ID = ?", [key], acted),
                 "insert": ("INSERT INTO ACC VALUES (?, ?)", [key, value],
                            DuplicateKeyError if present else 1),
             }[kind]

@@ -14,6 +14,7 @@ from repro.perf.openloop import (
     arrival_offsets,
     arrival_offsets_window,
     parse_arrival,
+    replay_closed_run,
     replay_open_loop,
 )
 from repro.perf.trajectory import calibration_spin
@@ -112,10 +113,10 @@ class TestReplayAccounting:
     def test_no_backlog_latency_equals_service(self):
         # arrivals far apart: every op starts on schedule
         result = replay_open_loop([0.010, 0.010, 0.010], [0.0, 1.0, 2.0])
-        assert result.operations == 3
+        assert result.histogram.count == 3
         assert result.histogram.max == pytest.approx(0.010)
         assert result.histogram.min == pytest.approx(0.010)
-        assert result.wall_s == pytest.approx(0.030)
+        assert result.service_histogram.sum == pytest.approx(0.030)
 
     def test_backlog_charges_queueing_delay(self):
         # all three due at t=0; the virtual queue serialises them
@@ -144,12 +145,35 @@ class TestReplayAccounting:
         with pytest.raises(ValueError):
             replay_open_loop([0.1], [0.0, 1.0])
 
-    def test_service_view_strips_queueing(self):
+    def test_service_histogram_strips_queueing(self):
         result = replay_open_loop([0.010, 0.010], [0.0, 0.0])
-        view = result.service_view()
-        assert view.mode == "closed"
-        assert view.histogram.max == pytest.approx(0.010)
-        assert view.operations == 2
+        assert result.histogram.max == pytest.approx(0.020)
+        assert result.service_histogram.max == pytest.approx(0.010)
+        assert result.service_histogram.count == 2
+
+
+class TestReplayClosedRun:
+    def test_auto_rate_offers_the_closed_runs_own_rate(self):
+        # 4 ops over 4 s: an auto burst of 2 arrives at t=0 and t=2
+        result = replay_closed_run(
+            ArrivalSpec(kind="burst", burst=2), [0.5] * 4, 4.0, random.Random(1)
+        )
+        assert result.histogram.sum == pytest.approx(0.5 + 1.0 + 0.5 + 1.0)
+
+    def test_an_explicit_rate_wins(self):
+        spec = ArrivalSpec(kind="burst", rate=100.0, burst=2)
+        result = replay_closed_run(spec, [0.5] * 4, 4.0, random.Random(1))
+        # groups 20 ms apart: the second pair queues behind the first
+        assert result.histogram.max == pytest.approx(2.0 - 0.02)
+
+    def test_same_stream_same_view(self):
+        service = [0.001 * (i % 7 + 1) for i in range(50)]
+        spec = ArrivalSpec(kind="poisson")
+        one, two = (
+            replay_closed_run(spec, service, 0.5, random.Random(9))
+            for _ in range(2)
+        )
+        assert one.histogram.bucket_counts == two.histogram.bucket_counts
 
 
 # -- the other resident of repro.perf -------------------------------------------

@@ -4,9 +4,15 @@ import time
 
 import pytest
 
+from repro.chaos.availability import AvailabilityEvaluator
+from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec
+from repro.cloud.architectures import get as get_architecture
 from repro.core.config import BenchConfig
 from repro.core.evalapi import get_evaluator
 from repro.core.runner import CloudyBench
+from repro.ha.evaluator import HAEvaluator
+from repro.obs import Observer
+from repro.perf.openloop import parse_arrival
 from repro.shard import run_inline, run_multiprocess
 
 
@@ -90,10 +96,90 @@ class TestPinnedShape:
         assert result.arrival == "closed"
         assert result.latency_ms == {} and result.openloop_latency_ms == {}
 
+    # An open arrival adds a CO-free view of the closed run and changes
+    # nothing the run counts: every evaluator with an ``arrival`` option
+    # except ``overload`` and ``serve``, whose open loops are live.
+    ARRIVALS = ("closed", "poisson", "burst:500,4")
+
+    @pytest.mark.parametrize("faults", [
+        (), (FaultSpec(FaultKind.PARTITION, "primary", start_s=2.0, duration_s=2.0),),
+    ], ids=["healthy", "partition"])
+    def test_availability_counts_ignore_the_arrival(self, faults):
+        plan = FaultPlan(faults, seed=42, name="pinned")
+        runs = {
+            arrival: AvailabilityEvaluator(
+                get_architecture("cdb1"), plan, duration_s=6.0,
+                row_scale=0.001, arrival=arrival,
+            ).run()
+            for arrival in self.ARRIVALS
+        }
+        counted = {
+            arrival: (
+                score.requests, score.succeeded, score.failed, score.goodput,
+                score.breaker_opened, score.breaker_reclosed, score.samples,
+            )
+            for arrival, score in runs.items()
+        }
+        assert counted["poisson"] == counted["burst:500,4"] == counted["closed"]
+        assert (counted["closed"][2] > 0) == bool(faults)  # the fault bites
+        _assert_open_view_iff_open(runs)
+
+    def test_oltp_rows_ignore_the_arrival(self):
+        def run(arrival):
+            config = BenchConfig.quick()
+            config.chaos_duration_s = 4.0
+            return CloudyBench(config).run("oltp", arrival=arrival)
+
+        outcomes = {arrival: run(arrival) for arrival in self.ARRIVALS}
+        rows = {arrival: outcome.rows for arrival, outcome in outcomes.items()}
+        assert rows["poisson"] == rows["burst:500,4"] == rows["closed"]
+        assert [
+            "oltp.openloop_p99_ms.aws_rds" in outcome.scores
+            for outcome in outcomes.values()
+        ] == [False, True, True]
+
+    def test_ha_counts_ignore_the_arrival(self):
+        observers = {arrival: Observer() for arrival in self.ARRIVALS}
+        runs = {
+            arrival: HAEvaluator(
+                txns=80, seed=42, observer=observers[arrival], arrival=arrival,
+            ).run()
+            for arrival in self.ARRIVALS
+        }
+        counted = {
+            arrival: (
+                result.acked, result.failed, result.reads_ok, result.failovers,
+                result.restarts, result.outages, result.violations,
+                result.counts, result.transfer_log, result.r_score,
+            )
+            for arrival, result in runs.items()
+        }
+        assert counted["poisson"] == counted["burst:500,4"] == counted["closed"]
+        assert runs["closed"].failovers == 1 and runs["closed"].acked == 80
+        _assert_open_view_iff_open(runs)
+        # the closed client's p99 hides the kill; the replay charges the
+        # backlog behind it
+        closed_p99 = (
+            observers["closed"].metrics.histogram("client.call_s").percentile(99.0)
+            * 1000.0
+        )
+        for arrival in self.ARRIVALS[1:]:
+            assert runs[arrival].openloop_latency_ms["p99"] >= closed_p99
+
     def test_multiprocess_counters(self, refuse_processes):
         result = run_multiprocess(2, 256, seed=42, row_scale=0.001)
         assert result.driver == "mp-fallback"
         assert (result.committed, result.aborted, result.fsyncs) == (256, 0, 256)
+
+
+def _assert_open_view_iff_open(runs):
+    for arrival, result in runs.items():
+        view = result.openloop_latency_ms
+        assert result.arrival == parse_arrival(arrival).describe()
+        if arrival == "closed":
+            assert view == {}
+        else:
+            assert sorted(view) == ["p50", "p95", "p99", "p999"] and view["p99"] > 0
 
 
 @pytest.fixture

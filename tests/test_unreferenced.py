@@ -61,11 +61,6 @@ ALLOWED = {
         "the documented dict form of an outcome (docs/api.md); outcome_to_json is built on it",
     "Resource":
         "the DES reference implementation test_mva_des_crossvalidation checks MVA against",
-    "Counter.merge": "what MetricsRegistry.merge folds counters with",
-    "Histogram.merge":
-        "bucket-wise fold of per-worker histograms (ROADMAP item 4 ships them through it)",
-    "MetricsRegistry.merge":
-        "folds one worker's registry into the parent's (ROADMAP item 4)",
     "SocketClient.ping":
         "client half of the wire protocol's ping op; serve tests probe liveness with it",
     "AsyncSQLClient.ping":
