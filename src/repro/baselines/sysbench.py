@@ -107,7 +107,11 @@ def sysbench_mix(kind: str = "oltp_read_write") -> WorkloadMix:
 
 
 class SysbenchWorkload:
-    """Functional sysbench driver over a loaded engine database."""
+    """Functional sysbench driver over a loaded engine database.
+
+    Not a :class:`~repro.core.workload.MixWorkload`: each instance runs
+    one statement shape (``kind``), so it has no mix to draw.
+    """
 
     def __init__(
         self,

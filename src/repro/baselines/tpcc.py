@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.workload_model import TxnClass, WorkloadMix
-from repro.core.resilience import retry_transaction
+from repro.core.workload import MixWorkload
 from repro.engine.database import Database
 from repro.engine.types import Column, ColumnType, Schema
 
@@ -247,15 +247,23 @@ class TpccAbort(Exception):
     """The intentional 1% NewOrder rollback of the TPC-C spec."""
 
 
-class TpccWorkload:
-    """Functional TPC-C driver over a loaded engine database."""
+class TpccWorkload(MixWorkload):
+    """Functional TPC-C transactions over a loaded engine database.
+
+    The shared driver replays a transaction on retryable aborts (lock
+    timeout, deadlock victim), never on semantic failures: the spec's
+    intentional 1% NewOrder rollback is handled inside
+    :meth:`new_order` and is not retried.
+    """
 
     def __init__(self, db: Database, scale: TpccScale):
+        super().__init__(random.Random(SEED), {
+            "new_order": self.new_order, "payment": self.payment,
+            "order_status": self.order_status, "delivery": self.delivery,
+            "stock_level": self.stock_level,
+        }, STANDARD_MIX.items())
         self.db = db
         self.scale = scale
-        self._rng = random.Random(SEED)
-        self.executed: Dict[str, int] = {name: 0 for name in STANDARD_MIX}
-        self.aborted = 0
 
     # -- helpers ------------------------------------------------------------
 
@@ -448,31 +456,3 @@ class TpccWorkload:
             if stock is not None and stock[0] < threshold:
                 low += 1
         return low
-
-    # -- driver -------------------------------------------------------------------
-
-    def run_one(self, name: Optional[str] = None) -> str:
-        if name is None:
-            names, weights = zip(*STANDARD_MIX.items())
-            name = self._rng.choices(names, weights=weights, k=1)[0]
-        runner = {
-            "new_order": self.new_order,
-            "payment": self.payment,
-            "order_status": self.order_status,
-            "delivery": self.delivery,
-            "stock_level": self.stock_level,
-        }[name]
-        # Classification-driven retry: replay the transaction on
-        # retryable aborts (lock timeout / deadlock victim), never on
-        # semantic failures.  The TPC-C spec's intentional 1% NewOrder
-        # rollback is handled inside new_order and is NOT retried.
-        outcome = retry_transaction(runner, attempts=3)
-        self.aborted += outcome.aborts
-        if outcome.committed:
-            self.executed[name] += 1
-        return name
-
-    def run_many(self, count: int) -> Dict[str, int]:
-        for _ in range(count):
-            self.run_one()
-        return dict(self.executed)

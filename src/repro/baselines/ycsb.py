@@ -27,6 +27,7 @@ import random
 from typing import Dict, Optional
 
 from repro.cloud.workload_model import TxnClass, WorkloadMix
+from repro.core.workload import MixWorkload
 from repro.engine.database import Database
 from repro.engine.types import Column, ColumnType, Schema
 
@@ -147,8 +148,13 @@ def ycsb_mix(workload: str = "A") -> WorkloadMix:
     )
 
 
-class YcsbWorkload:
-    """Functional YCSB driver over a loaded engine database."""
+class YcsbWorkload(MixWorkload):
+    """Functional YCSB operations over a loaded engine database.
+
+    The shared driver replays an operation on a retryable abort; one
+    thread drives this workload, so none arises and the retry changes
+    no count.
+    """
 
     def __init__(
         self,
@@ -159,13 +165,13 @@ class YcsbWorkload:
         ops = WORKLOADS.get(workload.upper())
         if ops is None:
             raise ValueError(f"unknown YCSB workload {workload!r} (A-F)")
+        bodies = {"read": self._read, "update": self._update, "insert": self._insert,
+                  "scan": self._scan, "rmw": self._rmw}
+        super().__init__(random.Random(SEED), {op: bodies[op] for op in ops}, ops.items())
         self.db = db
         self.workload = workload.upper()
-        self.ops = ops
-        self._rng = random.Random(SEED)
         self._records = records
         self._zipf = ZipfianGenerator(records, rng=self._rng)
-        self.executed: Dict[str, int] = {op: 0 for op in ops}
 
     def _next_key(self) -> int:
         if self.workload == "D":
@@ -209,21 +215,3 @@ class YcsbWorkload:
                 "UPDATE usertable SET FIELD0 = ? WHERE Y_ID = ?",
                 [f"rmw-{self._rng.randint(0, 999999):06d}", key], txn=txn,
             )
-
-    def run_one(self) -> str:
-        ops, weights = zip(*self.ops.items())
-        op = self._rng.choices(ops, weights=weights, k=1)[0]
-        {
-            "read": self._read,
-            "update": self._update,
-            "insert": self._insert,
-            "scan": self._scan,
-            "rmw": self._rmw,
-        }[op]()
-        self.executed[op] += 1
-        return op
-
-    def run_many(self, count: int) -> Dict[str, int]:
-        for _ in range(count):
-            self.run_one()
-        return dict(self.executed)

@@ -169,18 +169,12 @@ class AvailabilityEvaluator:
             error.latency_s = ATTEMPT_TIMEOUT_S
             raise error
         if task == "T3":
-            (statement,) = self._workload.stmts.statements("T3")
-            o_id = self._workload._order_keys.next_key()
-            value = self._db_for(endpoint).query(statement, [o_id]).first()
+            value = self._workload.run_t3(self._db_for(endpoint))
         else:
             # Writes only ever run on the primary; retryable engine
             # aborts (lock timeout, deadlock victim) propagate to the
             # session, which replays them.
-            value = {
-                "T1": self._workload.run_t1,
-                "T2": self._workload.run_t2,
-                "T4": self._workload.run_t4,
-            }[task]()
+            value = self._workload.bodies[task]()
         return AttemptResult(ok=True, value=value, latency_s=latency)
 
     # -- clients ---------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.core.runner import PScoreRow, average_tps
 from repro.core.workload import LAG_PATTERNS
 from repro.dr.archive import ARCHIVE_MODES
 from repro.ha.replication import ACK_MODES
+from repro.obs.metrics import MetricsRegistry
 from repro.qos.overload import OverloadEvaluator
 from repro.serve.loadgen import PERSONAS
 from repro.shard.driver import DRIVERS, TRANSPORTS
@@ -428,17 +429,21 @@ def _oltp(bench: "CloudyBench", arrival: str) -> EvalOutcome:
     replication DES, and every request crosses the client resilience
     stack -- one run produces engine, replication and client spans on
     the shared observer.  Only the first configured architecture runs:
-    the point is one clean timeline, not a cross-SUT comparison.
+    the point is one clean timeline, not a cross-SUT comparison.  The
+    columns count this run only: it fills a registry of its own, folded
+    into the shared observer's (which holds every earlier run) after.
     """
     arch = bench.architectures[0]
     plan = FaultPlan((), seed=bench.config.seed, name="healthy")
-    data = {
-        arch.name: _availability(
-            bench, arch, plan,
-            duration_s=bench.config.chaos_duration_s, arrival=arrival,
-        )
-    }
-    metrics = bench.observer.metrics
+    observer = bench.observer
+    shared, observer.metrics = observer.metrics, MetricsRegistry()
+    try:
+        data = {arch.name: _availability(
+            bench, arch, plan, duration_s=bench.config.chaos_duration_s, arrival=arrival,
+        )}
+    finally:
+        metrics, observer.metrics = observer.metrics, shared
+        shared.merge(metrics)
     commits = metrics.counter("engine.txn.commit").value
     lag_p99 = metrics.histogram("repl.lag_s").percentile(99.0)
     call_p99 = metrics.histogram("client.call_s").percentile(99.0)

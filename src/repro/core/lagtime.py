@@ -187,11 +187,8 @@ class LagTimeEvaluator:
                         ),
                     )
                 elif task == "T4":
-                    ol_id = workload._rng.randint(1, workload._orderline_high)
-                    deleted = primary.execute(
-                        "DELETE FROM orderline WHERE OL_ID = ?", [ol_id]
-                    ).rowcount
-                    if not deleted:
+                    ol_id = workload.run_t4()
+                    if ol_id is None:
                         continue
                     commit_s = env.now
                     prober(

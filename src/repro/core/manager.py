@@ -1,8 +1,10 @@
 """Workload manager: spawns workers and drives functional OLTP runs.
 
 This is the testbed's *functional* execution path: real transactions
-against the real engine, used by the OLTP evaluator, the examples, and
-the tests.  Workers are cooperative (one OS thread): each worker is a
+against the real engine, used by the examples and the tests (the
+``oltp`` evaluator drives its clients through
+:class:`~repro.chaos.availability.AvailabilityEvaluator` instead).
+Workers are cooperative (one OS thread): each worker is a
 round-robin slot executing its next transaction, which measures engine
 throughput honestly without GIL games.
 

@@ -14,9 +14,10 @@ implements those two, completing Figure 2:
   the order and return the produced quantity to inventory).
 
 The statements live in ``stmt_db_extended.toml`` and flow through the
-same :class:`~repro.core.sqlreader.SqlStmts` mechanism as T1-T4, so
-the workload manager and the cloud model need no changes -- the
-extension is data plus this executor.
+same :class:`~repro.core.sqlreader.SqlStmts` mechanism as T1-T4, and
+the mix runs on the same driver (:class:`~repro.core.workload.
+MixWorkload`), so the workload manager and the cloud model need no
+changes -- the extension is data plus these transaction bodies.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Dict, Optional, Tuple
 from repro.cloud.workload_model import TxnClass, WorkloadMix
 from repro.core.datagen import nominal_bytes
 from repro.core.sqlreader import SqlStmts
+from repro.core.workload import MixWorkload, WeightedMix
 from repro.engine.database import Database
 from repro.engine.types import Column, ColumnType, Schema
 
@@ -158,28 +160,13 @@ def load_extended(
 
 
 @dataclass(frozen=True)
-class ExtendedMix:
+class ExtendedMix(WeightedMix):
     """Weights over T5-T8 (the extended services' transaction mix)."""
 
     t5: float = 0.0
     t6: float = 0.0
     t7: float = 0.0
     t8: float = 0.0
-
-    def __post_init__(self) -> None:
-        weights = (self.t5, self.t6, self.t7, self.t8)
-        if min(weights) < 0 or sum(weights) <= 0:
-            raise ValueError(f"invalid extended mix {weights}")
-
-    @property
-    def weights(self) -> Tuple[Tuple[str, float], ...]:
-        return tuple(
-            (task, weight)
-            for task, weight in (
-                ("T5", self.t5), ("T6", self.t6), ("T7", self.t7), ("T8", self.t8)
-            )
-            if weight > 0
-        )
 
     def to_workload_mix(self, scale_factor: int = 1) -> WorkloadMix:
         classes = tuple(
@@ -196,24 +183,25 @@ class ExtendedMix:
 INVENTORY_MIX = ExtendedMix(t5=10, t6=70, t7=12, t8=8)
 
 
-class ExtendedWorkload:
-    """Functional executor of T5-T8 against a loaded engine database."""
+class ExtendedWorkload(MixWorkload):
+    """Functional executor of T5-T8 against a loaded engine database.
 
-    def __init__(
-        self,
-        db: Database,
-        scale: ExtendedScale,
-        mix: ExtendedMix = INVENTORY_MIX,
-        seed: int = 42,
-    ):
+    The shared driver replays a body on a retryable abort; one thread
+    drives this workload, so none arises and the retry changes no count.
+    """
+
+    def __init__(self, db: Database, scale: ExtendedScale,
+                 mix: ExtendedMix = INVENTORY_MIX, seed: int = 42):
+        super().__init__(
+            random.Random(seed),
+            {"T5": self.run_t5, "T6": self.run_t6, "T7": self.run_t7, "T8": self.run_t8},
+            mix.weights,
+        )
         self.db = db
         self.scale = scale
-        self.mix = mix
         self.stmts = SqlStmts.from_file(EXTENDED_STMT_FILE)
-        self._rng = random.Random(seed)
         self._clock = 1_700_000_000.0
         self._workorder_high = db.table("WORKORDER").row_count
-        self.executed: Dict[str, int] = {t: 0 for t in ("T5", "T6", "T7", "T8")}
 
     def _now(self) -> float:
         self._clock += 0.001
@@ -284,21 +272,3 @@ class ExtendedWorkload:
                 txn=txn,
             )
         return True
-
-    # -- driver -------------------------------------------------------------------
-
-    def run_one(self, task: Optional[str] = None) -> str:
-        if task is None:
-            tasks, weights = zip(*self.mix.weights)
-            task = self._rng.choices(tasks, weights=weights, k=1)[0]
-        {
-            "T5": self.run_t5, "T6": self.run_t6,
-            "T7": self.run_t7, "T8": self.run_t8,
-        }[task]()
-        self.executed[task] += 1
-        return task
-
-    def run_many(self, count: int) -> Dict[str, int]:
-        for _ in range(count):
-            self.run_one()
-        return dict(self.executed)

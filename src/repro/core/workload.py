@@ -11,8 +11,8 @@ Four transactions against the sales microservice:
 Each transaction exists in two forms that must stay in sync:
 
 * a **functional executor** that runs the real SQL from
-  ``stmt_db.toml`` against the engine (used by the lag-time evaluator,
-  the examples, and the tests), and
+  ``stmt_db.toml`` against the engine (used by the lag-time and chaos
+  evaluators, the examples, and the tests), and
 * a **resource footprint** (:class:`~repro.cloud.workload_model.
   TxnClass`) feeding the analytical throughput model (used by the
   modelled evaluations: Figures 5/6/8, Tables V-IX).
@@ -20,13 +20,18 @@ Each transaction exists in two forms that must stay in sync:
 The footprint constants were calibrated once against the per-pattern
 average TPS implied by the paper's Table V (P-Score x cost); see
 EXPERIMENTS.md.
+
+:class:`MixWorkload` is the one driver of every transaction-mix
+workload -- T1-T4 here, T5-T8 (:mod:`repro.core.microservices`), TPC-C
+and YCSB (:mod:`repro.baselines`): a workload supplies its transaction
+bodies and its weights, the driver draws, runs and counts.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.cloud.workload_model import TxnClass, WorkloadMix
 from repro.core.client import Client, EngineClient, quiet_rollback
@@ -58,29 +63,33 @@ TXN_CLASSES: Dict[str, TxnClass] = {
 }
 
 
-@dataclass(frozen=True)
-class TransactionMix:
-    """Percentages of T1:T2:T3:T4 (need not sum to 100; they are weights)."""
-
-    t1: float = 0.0
-    t2: float = 0.0
-    t3: float = 0.0
-    t4: float = 0.0
+class WeightedMix:
+    """Validation and weights of a frozen mix dataclass whose field
+    ``tN`` weighs transaction ``TN`` (weights need not sum to 100)."""
 
     def __post_init__(self) -> None:
-        weights = (self.t1, self.t2, self.t3, self.t4)
+        weights = tuple(getattr(self, field.name) for field in fields(self))
         if min(weights) < 0 or sum(weights) <= 0:
             raise ValueError(f"invalid transaction mix {weights}")
 
     @property
     def weights(self) -> Tuple[Tuple[str, float], ...]:
+        """``(task, weight)`` of every task with a positive weight."""
         return tuple(
-            (task, weight)
-            for task, weight in (
-                ("T1", self.t1), ("T2", self.t2), ("T3", self.t3), ("T4", self.t4)
-            )
-            if weight > 0
+            (field.name.upper(), weight)
+            for field in fields(self)
+            if (weight := getattr(self, field.name)) > 0
         )
+
+
+@dataclass(frozen=True)
+class TransactionMix(WeightedMix):
+    """Percentages of T1:T2:T3:T4."""
+
+    t1: float = 0.0
+    t2: float = 0.0
+    t3: float = 0.0
+    t4: float = 0.0
 
     @property
     def label(self) -> str:
@@ -144,7 +153,45 @@ LAG_PATTERNS: Dict[str, TransactionMix] = {
 }
 
 
-class SalesWorkload:
+#: tries of one drawn transaction while retryable aborts (lock timeout,
+#: deadlock victim) replay it
+RETRY_ATTEMPTS = 3
+
+
+class MixWorkload:
+    """The one driver of a weighted transaction mix: draws each task from
+    ``rng`` by its ``(task, weight)`` pairs, runs its body from ``bodies``
+    through :func:`~repro.core.resilience.retry_transaction` (non-retryable
+    engine errors propagate) and counts ``executed[task]`` per committed
+    body and ``aborted`` per retryable abort."""
+
+    def __init__(self, rng: random.Random, bodies: Dict[str, Callable[[], object]],
+                 weights: Iterable[Tuple[str, float]]):
+        self._rng = rng
+        self.bodies = bodies
+        self._tasks, self._weights = zip(*weights)
+        self.executed: Dict[str, int] = dict.fromkeys(bodies, 0)
+        self.aborted = 0
+
+    def next_task(self) -> str:
+        return self._rng.choices(self._tasks, weights=self._weights, k=1)[0]
+
+    def run_one(self, task: Optional[str] = None) -> str:
+        """Execute one transaction (a drawn task unless given); returns it."""
+        chosen = task or self.next_task()
+        outcome = retry_transaction(self.bodies[chosen], attempts=RETRY_ATTEMPTS)
+        self.aborted += outcome.aborts
+        if outcome.committed:
+            self.executed[chosen] += 1
+        return chosen
+
+    def run_many(self, count: int) -> Dict[str, int]:
+        for _ in range(count):
+            self.run_one()
+        return dict(self.executed)
+
+
+class SalesWorkload(MixWorkload):
     """Functional executor of T1-T4 against a real engine database.
 
     All statement traffic goes through an in-process
@@ -152,29 +199,19 @@ class SalesWorkload:
     transport-agnostic :class:`~repro.core.client.Client` interface.
     """
 
-    def __init__(
-        self,
-        db: Database,
-        mix: TransactionMix,
-        seed: int = 42,
-    ):
+    def __init__(self, db: Database, mix: TransactionMix, seed: int = 42):
+        super().__init__(
+            random.Random(seed),
+            {"T1": self.run_t1, "T2": self.run_t2, "T3": self.run_t3, "T4": self.run_t4},
+            mix.weights,
+        )
         self.db = db
         self.client: Client = EngineClient(db)
         self.client.connect()
-        self.mix = mix
         self.stmts = SqlStmts()
-        self._rng = random.Random(seed)
-        order_rows = db.table("ORDERS").row_count
-        customer_rows = db.table("CUSTOMER").row_count
-        self._order_keys = UniformDistribution(max(1, order_rows), self._rng)
-        self._customer_keys = UniformDistribution(max(1, customer_rows), self._rng)
+        self._order_keys = UniformDistribution(max(1, db.table("ORDERS").row_count), self._rng)
         self._orderline_high = db.table("ORDERLINE").row_count
         self._clock = 1_700_000_000.0
-        self.executed: Dict[str, int] = {task: 0 for task in ("T1", "T2", "T3", "T4")}
-        self.aborted = 0
-        self.retry_attempts = 3
-
-    # -- transaction bodies -----------------------------------------------------
 
     def _now(self) -> float:
         self._clock += 0.001
@@ -219,42 +256,16 @@ class SalesWorkload:
             raise
         return o_id, now
 
-    def run_t3(self) -> Optional[Tuple]:
+    def run_t3(self, db: Optional[Database] = None) -> Optional[Tuple]:
+        """Point-read an order through this workload's client, or
+        straight from ``db`` (a replica a reader was routed to)."""
         (statement,) = self.stmts.statements("T3")
         o_id = self._order_keys.next_key()
-        return self.client.query(statement, [o_id]).first()
+        return (self.client if db is None else db).query(statement, [o_id]).first()
 
-    def run_t4(self) -> bool:
-        """Delete an orderline; returns False when it was already gone."""
+    def run_t4(self) -> Optional[int]:
+        """Delete an orderline; returns its ``OL_ID``, or ``None`` when
+        it was already gone."""
         (statement,) = self.stmts.statements("T4")
         ol_id = self._rng.randint(1, max(1, self._orderline_high))
-        return self.client.execute(statement, [ol_id]).rowcount > 0
-
-    # -- driver -------------------------------------------------------------------
-
-    def next_task(self) -> str:
-        tasks, weights = zip(*self.mix.weights)
-        return self._rng.choices(tasks, weights=weights, k=1)[0]
-
-    def run_one(self, task: Optional[str] = None) -> str:
-        """Execute one transaction (random task unless given); returns it.
-
-        Retryable aborts (lock timeouts, deadlock victims) replay the
-        transaction body up to ``retry_attempts`` times; non-retryable
-        engine errors propagate -- replaying them cannot succeed.
-        """
-        chosen = task or self.next_task()
-        runner = {
-            "T1": self.run_t1, "T2": self.run_t2,
-            "T3": self.run_t3, "T4": self.run_t4,
-        }[chosen]
-        outcome = retry_transaction(runner, attempts=self.retry_attempts)
-        self.aborted += outcome.aborts
-        if outcome.committed:
-            self.executed[chosen] += 1
-        return chosen
-
-    def run_many(self, count: int) -> Dict[str, int]:
-        for _ in range(count):
-            self.run_one()
-        return dict(self.executed)
+        return ol_id if self.client.execute(statement, [ol_id]).rowcount else None

@@ -277,9 +277,11 @@ class Executor:
     ) -> List[Tuple[Any, Tuple[Any, ...]]]:
         """Return (rid, row) pairs satisfying the compiled access path.
 
-        A point lookup that finds no row for a key another transaction
-        holds a lock on (its uncommitted DELETE, or a primary-key move
-        away) meets that lock in ``mode``, as a present row's would be.
+        A key another transaction holds a lock on but the heap lacks
+        (its uncommitted DELETE, or a primary-key move away) is met in
+        ``mode``, as a present row's lock would be: by a point lookup of
+        that key, and by any other access path whose match the removed
+        row would have been (:meth:`_meet_deleters`).
         """
         shape = access.shape
         if shape == "pk_point":
@@ -302,6 +304,7 @@ class Executor:
                 return []
             return [(rid, row)]
         residual = resolve_residual(access.residual, params)
+        key = None  # an index_eq lookup's
         if shape == "index_eq":
             index = table.index_for_name(access.index_name)
             if access.key_source is not None:
@@ -334,7 +337,28 @@ class Executor:
                 raise SqlError(f"predicate comparison failed: {exc}") from None
         else:
             pairs = list(table.scan())
+        self._meet_deleters(table, access, key, residual, txn, mode)
         return self._filter_batch(pairs, residual)
+
+    def _meet_deleters(self, table: Table, access, key, residual, txn, mode) -> None:
+        """Meet, in ``mode``, each key another transaction X-locks but the
+        heap lacks where the row it removed -- the before-image in its log
+        chain -- matches the access path (``key``: an ``index_eq``
+        lookup's) and ``residual``."""
+        db, name = self._db, table.name
+        pk = table.schema.primary_key_index
+        for gone, holder in db.locks.exclusive_elsewhere(name, txn.txn_id):
+            if table.find_by_key(gone) is not None:
+                continue
+            # a locked key the heap lacks was removed by a record in its holder's chain
+            chain = db.wal.transaction_chain(holder, db.txns.active[holder].last_lsn)
+            image = next(record.before for record in chain if record.table == name
+                         and record.before and record.before[pk] == gone)
+            if access.shape == "index_eq" and table._index_key(
+                    table.index_for_name(access.index_name).columns, image) != key:
+                continue
+            if self._row_passes(image, residual):
+                db._lock_row(txn, name, gone, mode)
 
     def _match_rows_snapshot(
         self,

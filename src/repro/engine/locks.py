@@ -100,6 +100,13 @@ class LockManager:
         lock = self._locks.get(key)
         return [waiter for waiter, _mode in lock.queue] if lock else []
 
+    def exclusive_elsewhere(self, table: str, txn_id: int) -> List[Tuple[Any, int]]:
+        """``(key, holder)`` of each row of ``table`` a transaction other
+        than ``txn_id`` holds EXCLUSIVE: one walk of the lock table."""
+        return [(key, holder) for (name, key), lock in self._locks.items() if name == table
+                for holder, mode in lock.holders.items()
+                if mode is EXCLUSIVE and holder != txn_id]
+
     def locks_held(self, txn_id: int) -> Set[LockKey]:
         """A transaction's lock footprint.  Unused by the engine: the
         oracle tests compare against (what a statement locked, what a

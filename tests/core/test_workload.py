@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.tpcc import TpccWorkload, load_tpcc
+from repro.baselines.ycsb import YcsbWorkload, load_ycsb
 from repro.core.datagen import load_sales_database, nominal_bytes
 from repro.core.distributions import (
     LatestDistribution,
@@ -21,6 +23,8 @@ from repro.core.workload import (
     SalesWorkload,
     TransactionMix,
     )
+from repro.core.microservices import ExtendedWorkload, load_extended
+from repro.engine.database import Database
 
 
 class TestDistributions:
@@ -144,9 +148,13 @@ class TestSalesWorkload:
     def test_t4_deletes_existing_orderline(self, loaded):
         workload = SalesWorkload(loaded, TransactionMix(t4=100))
         before = loaded.table("ORDERLINE").row_count
-        deleted = sum(1 for _ in range(20) if workload.run_t4())
-        assert loaded.table("ORDERLINE").row_count == before - deleted
-        assert deleted > 0
+        deleted = [ol_id for ol_id in (workload.run_t4() for _ in range(20)) if ol_id]
+        assert loaded.table("ORDERLINE").row_count == before - len(deleted)
+        assert deleted
+        for ol_id in deleted:  # run_t4 names the orderline it deleted
+            assert not loaded.query(
+                "SELECT OL_ID FROM orderline WHERE OL_ID = ?", [ol_id]
+            ).rows
 
     def test_mix_ratios_respected(self, loaded):
         workload = SalesWorkload(loaded, READ_WRITE, seed=3)
@@ -165,3 +173,42 @@ class TestSalesWorkload:
         assert w1.executed == w2.executed
         assert (db1.query("SELECT COUNT(*) FROM orderline").scalar()
                 == db2.query("SELECT COUNT(*) FROM orderline").scalar())
+
+
+def _sales():
+    db, _ = load_sales_database(row_scale=0.001)
+    return SalesWorkload(db, LAG_PATTERNS["mixed"], seed=11)
+
+
+def _extended():
+    db, _ = load_sales_database(row_scale=0.001)
+    return ExtendedWorkload(db, load_extended(db, row_scale=0.001), seed=11)
+
+
+def _ycsb():
+    db = Database("ycsb")
+    return YcsbWorkload(db, "F", records=load_ycsb(db, records=200))
+
+
+def _tpcc():
+    db = Database("tpcc")
+    return TpccWorkload(
+        db, load_tpcc(db, warehouses=1, customer_scale=0.003, item_scale=0.003)
+    )
+
+
+@pytest.mark.parametrize("build, executed", [
+    (_sales, {"T1": 92, "T2": 38, "T3": 0, "T4": 20}),
+    (_extended, {"T5": 16, "T6": 104, "T7": 14, "T8": 16}),
+    (_ycsb, {"read": 65, "rmw": 85}),
+    (_tpcc, {"new_order": 64, "payment": 76, "order_status": 5,
+             "delivery": 2, "stock_level": 3}),
+], ids=["sales", "extended", "ycsb", "tpcc"])
+def test_every_mix_draws_its_pinned_sequence(build, executed):
+    """The counts each mix workload reached after 150 drawn transactions
+    at a fixed seed before its draw moved onto the shared driver: a
+    refactor of the driver must keep every seeded run's draws."""
+    workload = build()
+    for _ in range(150):
+        workload.run_one()
+    assert workload.executed == executed

@@ -92,33 +92,76 @@ class TestDirtyRead:
         writer.rollback()
 
 
+#: per access path: statements whose match the deleted row (ID 1, BAL
+#: 100) was but a row moved to ID 3 is not, and a read it was not
+ACCESS_PATHS = {
+    "pk_point": (
+        (("SELECT BAL FROM ACC WHERE ID = ?", [1]),
+         ("SELECT BAL FROM ACC WHERE ID = ? FOR UPDATE", [1]),
+         ("UPDATE ACC SET BAL = ? WHERE ID = ?", [5, 1]),
+         ("DELETE FROM ACC WHERE ID = ?", [1])),
+        ("SELECT BAL FROM ACC WHERE ID = ?", [2]),
+    ),
+    "index_eq": (
+        (("SELECT ID FROM ACC WHERE BAL = ? AND ID < ?", [100, 3]),
+         ("SELECT ID FROM ACC WHERE BAL = ? AND ID <> ? FOR UPDATE", [100, 3]),
+         ("UPDATE ACC SET BAL = ? WHERE BAL = ? AND ID < ?", [5, 100, 3]),
+         ("DELETE FROM ACC WHERE BAL = ? AND ID <> ?", [100, 3])),
+        ("SELECT BAL FROM ACC WHERE BAL = ?", [200]),
+    ),
+    "index_range": (
+        (("SELECT COUNT(*) FROM ACC WHERE ID <= ?", [2]),
+         ("SELECT BAL FROM ACC WHERE ID < ? FOR UPDATE", [2]),
+         ("UPDATE ACC SET BAL = ? WHERE ID >= ? AND ID < ?", [5, 1, 3]),
+         ("DELETE FROM ACC WHERE ID <= ? AND BAL < ?", [1, 150])),
+        ("SELECT BAL FROM ACC WHERE ID >= ? AND ID < ?", [2, 3]),
+    ),
+    "table_scan": (
+        (("SELECT COUNT(*) FROM ACC WHERE ID <> ?", [3]),
+         ("SELECT ID FROM ACC WHERE BAL < ? AND ID <> ? FOR UPDATE", [150, 3]),
+         ("UPDATE ACC SET BAL = ? WHERE BAL > ? AND ID <> ?", [0, 0, 3]),
+         ("DELETE FROM ACC WHERE BAL <> ? AND ID <> ?", [200, 3])),
+        ("SELECT BAL FROM ACC WHERE BAL > ?", [150]),
+    ),
+}
+
+
 @pytest.mark.parametrize("shape", ["delete", "move"])
 def test_an_uncommitted_delete_is_met_not_read_through(shape):
-    """A point read, UPDATE or DELETE of a key an open transaction
-    deleted (or moved away) meets that transaction's lock, as it would
-    an uncommitted UPDATE's, instead of seeing the row gone."""
-    db = make_db()
-    writer = db.begin()
-    sql, params = {
-        "delete": ("DELETE FROM ACC WHERE ID = ?", [1]),
-        "move": ("UPDATE ACC SET ID = ? WHERE ID = ?", [3, 1]),
-    }[shape]
-    db.execute(sql, params, txn=writer)
-    for sql, params in (
-        ("SELECT BAL FROM ACC WHERE ID = ?", [1]),
-        ("SELECT BAL FROM ACC WHERE ID = ? FOR UPDATE", [1]),
-        ("UPDATE ACC SET BAL = ? WHERE ID = ?", [5, 1]),
-        ("DELETE FROM ACC WHERE ID = ?", [1]),
-    ):
-        for level in (None, RC, SER):  # None: autocommit
+    """A read, UPDATE or DELETE whose match the row an open transaction
+    deleted (or moved away) was -- by primary key, secondary index,
+    range or full scan -- meets that transaction's lock, as it would an
+    uncommitted UPDATE's, instead of seeing the row gone; a statement the
+    removed row does not match reads past it."""
+    for access in sorted(ACCESS_PATHS):
+        db = make_db()
+        db.create_index("ACC", "acc_bal", ("BAL",))
+        writer = db.begin()
+        sql, params = {
+            "delete": ("DELETE FROM ACC WHERE ID = ?", [1]),
+            "move": ("UPDATE ACC SET ID = ? WHERE ID = ?", [3, 1]),
+        }[shape]
+        db.execute(sql, params, txn=writer)
+        met_by, missed_by = ACCESS_PATHS[access]
+        for sql, params in met_by:
+            assert db.explain(sql, params).startswith(
+                {"pk_point": "primary-key lookup", "index_eq": "index lookup",
+                 "index_range": "index range scan", "table_scan": "full table scan"}[access]
+            ), access
+            for level in (None, RC, SER):  # None: autocommit
+                txn = None if level is None else db.begin(level)
+                with pytest.raises(LockTimeoutError) as met:
+                    db.execute(sql, params, txn=txn)
+                assert met.value.holders == {writer.txn_id}, (access, sql)
+        for level in (None, RC, SER):
             txn = None if level is None else db.begin(level)
-            with pytest.raises(LockTimeoutError) as met:
-                db.execute(sql, params, txn=txn)
-            assert met.value.holders == {writer.txn_id}
-    # the writer reads its own delete, and nothing else touched the row
-    assert db.execute("SELECT BAL FROM ACC WHERE ID = ?", [1], txn=writer).rows == []
-    writer.rollback()
-    assert sorted(db.execute("SELECT ID, BAL FROM ACC").rows) == [(1, 100), (2, 200)]
+            assert db.execute(*missed_by, txn=txn).rows == [(200,)], access
+            if txn is not None:
+                txn.commit()
+        # the writer reads its own delete, and nothing else touched the row
+        assert db.execute("SELECT BAL FROM ACC WHERE ID = ?", [1], txn=writer).rows == []
+        writer.rollback()
+        assert sorted(db.execute("SELECT ID, BAL FROM ACC").rows) == [(1, 100), (2, 200)]
 
 
 class TestNonRepeatableRead:
@@ -722,14 +765,17 @@ class SnapshotsOverRCWriters(RuleBasedStateMachine):
     def meet_writers(self, kind, key, value):
         """An autocommit statement, or a READ COMMITTED scan in a
         transaction of its own, on the heap: where it touches a row an
-        open writer locks, looks a key one deleted up by primary key, or
-        inserts it, it times out and changes nothing."""
+        open writer locks, looks a key one deleted up by primary key,
+        scans a range the deleted row was in, or inserts it, it times
+        out and changes nothing."""
         current, committed = self.current, self.committed
         locked = set().union(*(keys for _txns, keys in self.writers))
         present = key in current
         if kind == "scan":
-            touched = [k for k in current if k >= key]
-            expected = sorted((k, current[k]) for k in touched)
+            # a locked key the heap lacks is a deleted row: its before-image
+            # is keyed by it, so the range holds it exactly when it holds the key
+            touched = [k for k in current.keys() | locked if k >= key]
+            expected = sorted((k, current[k]) for k in touched if k in current)
 
             def run(db, _):
                 txn = db.begin(RC)

@@ -125,18 +125,23 @@ class TestPinnedShape:
         _assert_open_view_iff_open(runs)
 
     def test_oltp_rows_ignore_the_arrival(self):
-        def run(arrival):
+        def fresh_bench():
             config = BenchConfig.quick()
             config.chaos_duration_s = 4.0
-            return CloudyBench(config).run("oltp", arrival=arrival)
+            return CloudyBench(config)
 
-        outcomes = {arrival: run(arrival) for arrival in self.ARRIVALS}
+        bench = fresh_bench()  # one bench: each run counts only itself
+        outcomes = {arrival: bench.run("oltp", arrival=arrival) for arrival in self.ARRIVALS}
         rows = {arrival: outcome.rows for arrival, outcome in outcomes.items()}
         assert rows["poisson"] == rows["burst:500,4"] == rows["closed"]
         assert [
             "oltp.openloop_p99_ms.aws_rds" in outcome.scores
             for outcome in outcomes.values()
         ] == [False, True, True]
+        assert bench.observer.metrics.counter("engine.txn.commit").value == 3 * rows["closed"][0][3]
+        after_chaos = fresh_bench()
+        after_chaos.run("chaos")
+        assert after_chaos.run("oltp").rows == rows["closed"]
 
     def test_ha_counts_ignore_the_arrival(self):
         observers = {arrival: Observer() for arrival in self.ARRIVALS}

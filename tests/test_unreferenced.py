@@ -293,6 +293,12 @@ KNOBS_ALLOWED = {
         "excused from the violations exist",
     "RestoreReport.standbys":
         "oracle: the HA restore test asserts every pair got its standby re-bootstrapped",
+    **{
+        f"ExtendedMix.t{n}":
+            "dynamic dispatch: WeightedMix.weights and its validation read every "
+            "field through dataclasses.fields"
+        for n in range(5, 9)
+    },
 }
 
 
