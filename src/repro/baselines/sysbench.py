@@ -49,8 +49,8 @@ def table_schema(index: int) -> Schema:
         (
             Column("ID", ColumnType.INT, nullable=False, autoincrement=True),
             Column("K", ColumnType.INT, nullable=False, default=0),
-            Column("C", ColumnType.VARCHAR, length=120, default=""),
-            Column("PAD", ColumnType.VARCHAR, length=60, default=""),
+            Column("C", ColumnType.VARCHAR, default=""),
+            Column("PAD", ColumnType.VARCHAR, default=""),
         ),
         primary_key="ID",
     )

@@ -92,7 +92,7 @@ def _schemas() -> List[Schema]:
     return [
         Schema("WAREHOUSE", (
             Column("W_ID", i, nullable=False),
-            Column("W_NAME", vc, length=10),
+            Column("W_NAME", vc),
             Column("W_TAX", dec, default=0.1),
             Column("W_YTD", dec, default=0.0),
         ), primary_key="W_ID"),
@@ -109,7 +109,7 @@ def _schemas() -> List[Schema]:
             Column("C_ID", i, nullable=False),
             Column("C_D_ID", i, nullable=False),
             Column("C_W_ID", i, nullable=False),
-            Column("C_LAST", vc, length=16),
+            Column("C_LAST", vc),
             Column("C_BALANCE", dec, default=-10.0),
             Column("C_YTD_PAYMENT", dec, default=10.0),
             Column("C_PAYMENT_CNT", i, default=1),
@@ -151,7 +151,7 @@ def _schemas() -> List[Schema]:
         ), primary_key="OL_KEY"),
         Schema("ITEM", (
             Column("I_ID", i, nullable=False),
-            Column("I_NAME", vc, length=24),
+            Column("I_NAME", vc),
             Column("I_PRICE", dec, default=1.0),
         ), primary_key="I_ID"),
         Schema("STOCK", (

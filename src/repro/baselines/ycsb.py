@@ -102,7 +102,7 @@ USERTABLE = Schema(
     (
         Column("Y_ID", ColumnType.INT, nullable=False, autoincrement=True),
         *(
-            Column(f"FIELD{i}", ColumnType.VARCHAR, length=FIELD_BYTES, default="")
+            Column(f"FIELD{i}", ColumnType.VARCHAR, default="")
             for i in range(FIELD_COUNT)
         ),
     ),

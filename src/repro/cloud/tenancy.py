@@ -39,7 +39,6 @@ class TenantSlotResult:
 class SlotResult:
     """One slot across all tenants."""
 
-    slot: int
     tenants: List[TenantSlotResult]
 
     @property
@@ -77,7 +76,6 @@ class TenantScheduler:
         self.n_tenants = n_tenants
         self.slot_seconds = slot_seconds
         self._paused = [False] * n_tenants
-        self._slot_index = 0
 
     def run_slots(self, demand_matrix: Sequence[Sequence[int]]) -> List[SlotResult]:
         """Run every slot; ``demand_matrix[tenant][slot]`` is concurrency."""
@@ -104,9 +102,7 @@ class TenantScheduler:
             tenants = self._branch(demands)
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown tenancy kind {kind}")
-        result = SlotResult(slot=self._slot_index, tenants=tenants)
-        self._slot_index += 1
-        return result
+        return SlotResult(tenants=tenants)
 
     # -- isolated instances ----------------------------------------------------
 

@@ -46,7 +46,7 @@ PRODUCT = Schema(
     "PRODUCT",
     (
         Column("P_ID", ColumnType.INT, nullable=False, autoincrement=True),
-        Column("P_NAME", ColumnType.VARCHAR, length=24, nullable=False),
+        Column("P_NAME", ColumnType.VARCHAR, nullable=False),
         Column("P_PRICE", ColumnType.DECIMAL, default=1.0),
     ),
     primary_key="P_ID",
@@ -92,7 +92,7 @@ WORKORDER = Schema(
         Column("W_ID", ColumnType.INT, nullable=False, autoincrement=True),
         Column("W_P_ID", ColumnType.INT, nullable=False),
         Column("W_QUANTITY", ColumnType.INT, default=1),
-        Column("W_STATUS", ColumnType.VARCHAR, length=12, default="SCHEDULED"),
+        Column("W_STATUS", ColumnType.VARCHAR, default="SCHEDULED"),
         Column("W_DUE", ColumnType.TIMESTAMP),
     ),
     primary_key="W_ID",

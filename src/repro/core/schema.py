@@ -22,9 +22,9 @@ CUSTOMER = Schema(
     "CUSTOMER",
     (
         Column("C_ID", ColumnType.INT, nullable=False, autoincrement=True),
-        Column("C_NAME", ColumnType.VARCHAR, length=24, nullable=False),
+        Column("C_NAME", ColumnType.VARCHAR, nullable=False),
         Column("C_CREDIT", ColumnType.DECIMAL, nullable=False, default=0.0),
-        Column("C_REGION", ColumnType.VARCHAR, length=12),
+        Column("C_REGION", ColumnType.VARCHAR),
         Column("C_UPDATEDDATE", ColumnType.TIMESTAMP),
     ),
     primary_key="C_ID",
@@ -36,7 +36,7 @@ ORDERS = Schema(
         Column("O_ID", ColumnType.INT, nullable=False, autoincrement=True),
         Column("O_C_ID", ColumnType.INT, nullable=False),
         Column("O_DATE", ColumnType.TIMESTAMP),
-        Column("O_STATUS", ColumnType.VARCHAR, length=12, default="NEW"),
+        Column("O_STATUS", ColumnType.VARCHAR, default="NEW"),
         Column("O_TOTALAMOUNT", ColumnType.DECIMAL, default=0.0),
         Column("O_UPDATEDDATE", ColumnType.TIMESTAMP),
     ),

@@ -37,7 +37,7 @@ windows land at deterministic points for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec
@@ -46,7 +46,7 @@ from repro.dr.backup import BackupJob, BackupManifest
 from repro.dr.restore import RestoreJob, RestoreReport
 from repro.dr.scrub import ScrubReport, scrub_fleet
 from repro.ha.evaluator import OP_LATENCY_S
-from repro.ha.history import HistoryChecker, Violation
+from repro.ha.history import OK, HistoryChecker, Violation
 from repro.ha.workload import PairWorkload, build_pairs_fleet
 from repro.obs import NULL_OBSERVER, Observer
 from repro.sim.rng import derive_seed
@@ -182,22 +182,14 @@ class DREvaluator:
             archive_mode=self.archive_mode, txns=self.txns,
             acked=0, failed=0, reads_ok=0,
         )
-        acked_versions: List[Tuple[int, int]] = []
         manifest: Optional[BackupManifest] = None
         now = 0.0
         for i in range(self.txns):
             self._poll_faults(injector, archiver, result, now)
             if manifest is None and now >= self.backup_at_s:
                 manifest = backup.run()
-            pair_before = dict(workload._versions)
             if workload.transfer():
                 result.acked += 1
-                # the one version this call bumped
-                pair = next(
-                    p for p, v in workload._versions.items()
-                    if pair_before.get(p) != v
-                )
-                acked_versions.append((pair, workload._versions[pair]))
             else:
                 result.failed += 1
             now += OP_LATENCY_S
@@ -208,6 +200,10 @@ class DREvaluator:
         if manifest is None:
             manifest = backup.run()
         result.manifest = manifest
+        acked_versions = [
+            (op.pair, op.version) for op in workload.history.completions("transfer")
+            if op.kind == OK
+        ]
 
         # -- the disaster ----------------------------------------------------
         result.lag_lost_records = archiver.drop_pending()

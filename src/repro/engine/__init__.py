@@ -8,10 +8,9 @@ OLTP workload really executes SQL against tables.
 Components
 ----------
 * :mod:`repro.engine.types`   -- column/row model and schema objects.
-* :mod:`repro.engine.page`    -- slotted pages holding rows.
 * :mod:`repro.engine.wal`     -- write-ahead log with LSNs.
-* :mod:`repro.engine.index`   -- hash and ordered indexes.
-* :mod:`repro.engine.table`   -- heap tables over pages + indexes.
+* :mod:`repro.engine.index`   -- hash and ordered indexes over row slots.
+* :mod:`repro.engine.table`   -- heap tables: a slot list + indexes.
 * :mod:`repro.engine.locks`   -- row-level strict 2PL with deadlock
   detection on the wait-for graph.
 * :mod:`repro.engine.txn`     -- transactions and the transaction manager.

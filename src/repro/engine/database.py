@@ -711,7 +711,7 @@ class Database:
         installed (``Table.dirty_rows``; a table nothing wrote costs
         O(1)), and drops its version chains.
         """
-        empty = TableSnapshot(pages=[], next_auto=1)
+        empty = TableSnapshot([], 1, [])
         for name, table in self._tables.items():
             table.restore_snapshot(self._checkpoint_snapshots.get(name, empty))
         # In-flight transaction handles die with the instance.

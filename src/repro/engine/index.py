@@ -13,7 +13,9 @@ from collections import defaultdict
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.errors import DuplicateKeyError, EngineError
-from repro.engine.page import RowId
+
+#: A row's address: its slot number in the table's heap.
+RowId = int
 
 
 class HashIndex:

@@ -1,4 +1,4 @@
-"""Heap tables: pages + primary index + secondary indexes + row versions.
+"""Heap tables: a slot list + primary index + secondary indexes + row versions.
 
 Every mutation goes through the owning :class:`~repro.engine.database.
 Database` (for WAL and locking); the table provides the physical
@@ -18,13 +18,13 @@ back to nothing by vacuum once no live snapshot can need the history.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import islice, repeat
 from operator import itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from repro.engine.errors import DuplicateKeyError, EngineError, SchemaError
-from repro.engine.index import HashIndex, OrderedIndex
-from repro.engine.page import Page, RowId, rows_per_page
+from repro.engine.index import HashIndex, OrderedIndex, RowId
 from repro.engine.types import Schema
 
 
@@ -242,18 +242,17 @@ class VersionStore:
 
 
 class Table:
-    """A heap of pages with a unique primary-key index."""
+    """A heap of row slots with a unique primary-key index."""
 
     def __init__(self, schema: Schema):
         self.schema = schema
         self.name = schema.table
-        self._rows_per_page = rows_per_page(schema.row_byte_size())
-        self._pages: List[Page] = []
-        #: min-heap of the page numbers that had a row deleted: every
-        #: page with a vacated slot is in it, so an insert need not scan
-        #: the heap file for one.  Entries outlive their vacancy and
-        #: repeat; :meth:`_page_with_space` pops the stale ones.
-        self._vacated: List[int] = []
+        #: the heap: slot ``i`` holds a row, or ``None`` once vacated; a
+        #: :data:`RowId` is a slot number
+        self._rows: List[Optional[Tuple[Any, ...]]] = []
+        #: min-heap of exactly the vacated slots, so an insert takes the
+        #: lowest without scanning the heap
+        self._vacated: List[RowId] = []
         self._next_auto = 1
         self.primary_index = OrderedIndex(
             f"{self.name}_pkey", (schema.primary_key,), unique=True
@@ -266,8 +265,8 @@ class Table:
         self.plan_epoch = 0
         #: MVCC version chains for keys with post-bootstrap history
         self.versions = VersionStore()
-        #: RowIds whose slot may differ from the installed checkpoint image
-        #: (all a restore puts back); ``None``: no usable image, restore whole
+        #: slots that may differ from the installed checkpoint image (all
+        #: a restore puts back); ``None``: no usable image, restore whole
         self.dirty_rows: Optional[Set[RowId]] = None
 
     # -- administrative ----------------------------------------------------
@@ -282,7 +281,7 @@ class Table:
             self.schema.column_index(column)  # validates
         index_class = OrderedIndex if ordered else HashIndex
         index = index_class(name, columns, unique)
-        if self._pages:
+        if self._rows:
             self._build_indexes(index)
         self.secondary_indexes[name] = index
         positions = {self.schema.primary_key_index}
@@ -312,7 +311,7 @@ class Table:
         primary key or any unique secondary index.
 
         Called *before* any state is touched, so a failed insert/update
-        leaves pages, indexes and the WAL untouched.  ``exclude_rid``
+        leaves the heap, indexes and the WAL untouched.  ``exclude_rid``
         ignores the row's own current entry (the update case).
         """
         key = row[self.schema.primary_key_index]
@@ -345,11 +344,16 @@ class Table:
     def place_row(self, row: Tuple[Any, ...]) -> RowId:
         """:meth:`insert_row` for a row the caller already passed through
         :meth:`check_unique` (the write path checks before its WAL
-        append): placement and index maintenance, no second check."""
+        append): placement -- the lowest vacated slot, else a new one at
+        the end -- and index maintenance, no second check."""
         key = row[self.schema.primary_key_index]
-        page = self._page_with_space()
-        slot = page.insert(row)
-        rid = RowId(page.page_no, slot)
+        rows = self._rows
+        if self._vacated:
+            rid = heappop(self._vacated)
+            rows[rid] = row
+        else:
+            rid = len(rows)
+            rows.append(row)
         if self.dirty_rows is not None:
             self.dirty_rows.add(rid)
         self.primary_index.insert(key, rid)
@@ -361,24 +365,20 @@ class Table:
 
     def load(self, rows: Iterable[Tuple[Any, ...]]) -> None:
         """Bulk-insert validated rows into a table that has never held
-        one, with the result of one :meth:`insert_row` per row: pages
-        filled in row order, a page at a time from the iterable, then
-        every index built once as a checkpoint restore builds them.  All
-        or nothing: a duplicate primary or unique key raises
-        :class:`DuplicateKeyError` naming it and leaves the table empty.
+        one, with the result of one :meth:`insert_row` per row: row ``i``
+        in slot ``i``, then every index built once as a checkpoint
+        restore builds them.  All or nothing: a duplicate primary or
+        unique key raises :class:`DuplicateKeyError` naming it and leaves
+        the table empty.
         """
-        if self._pages:
-            raise EngineError(f"load needs an empty table, {self.name!r} has pages")
+        if self._rows:
+            raise EngineError(f"load needs an empty table, {self.name!r} has slots")
         self.dirty_rows = None
-        rows = iter(rows)
-        capacity = self._rows_per_page
-        pages = self._pages
+        self._rows = list(rows)
         try:
-            for chunk in iter(lambda: list(islice(rows, capacity)), []):
-                pages.append(Page.dense(len(pages), capacity, chunk))
             self._rebuild_indexes()
         except BaseException:
-            self._pages = []
+            self._rows = []
             self._rebuild_indexes()
             raise
         for key, _rid in self.primary_index.range(reverse=True):
@@ -387,7 +387,11 @@ class Table:
                 break
 
     def read_row(self, rid: RowId) -> Tuple[Any, ...]:
-        return self._page(rid.page_no).read(rid.slot)
+        rows = self._rows
+        row = rows[rid] if 0 <= rid < len(rows) else None
+        if row is None:
+            raise EngineError(f"table {self.name!r} has no row in slot {rid}")
+        return row
 
     def update_row(self, rid: RowId, new_row: Tuple[Any, ...]) -> Tuple[Any, ...]:
         """Overwrite a row in place; returns the before image.
@@ -398,18 +402,17 @@ class Table:
         indexed column there is nothing to validate and no index entry
         to move: the row is written and that is all.
         """
-        page = self._page(rid.page_no)
-        before = page.read(rid.slot)
+        before = self.read_row(rid)
         if self.dirty_rows is not None:
             self.dirty_rows.add(rid)
         keys_of = self._keys_of
         if keys_of(new_row) == keys_of(before):
-            page.write(rid.slot, new_row)
+            self._rows[rid] = new_row
             return before
         new_key = new_row[self.schema.primary_key_index]
         old_key = before[self.schema.primary_key_index]
         self.check_unique(new_row, exclude_rid=rid)
-        page.write(rid.slot, new_row)
+        self._rows[rid] = new_row
         if new_key != old_key:
             self.primary_index.delete(old_key, rid)
             self.primary_index.insert(new_key, rid)
@@ -427,16 +430,20 @@ class Table:
         the before image, so the re-read, uniqueness check and index
         maintenance of :meth:`update_row` are all skipped.
         """
+        rows = self._rows
+        if rows[rid] is None:
+            raise EngineError(f"table {self.name!r} has no row in slot {rid}")
         if self.dirty_rows is not None:
             self.dirty_rows.add(rid)
-        self._pages[rid.page_no].write(rid.slot, new_row)
+        rows[rid] = new_row
 
     def delete_row(self, rid: RowId) -> Tuple[Any, ...]:
         """Remove a row; returns the before image."""
-        before = self._page(rid.page_no).delete(rid.slot)
+        before = self.read_row(rid)
+        self._rows[rid] = None
         if self.dirty_rows is not None:
             self.dirty_rows.add(rid)
-        heappush(self._vacated, rid.page_no)
+        heappush(self._vacated, rid)
         key = before[self.schema.primary_key_index]
         self.primary_index.delete(key, rid)
         for index in self.secondary_indexes.values():
@@ -502,25 +509,20 @@ class Table:
                 yield None, visible
 
     def scan(self) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
-        """Full scan in physical order."""
-        for page in self._pages:
-            if page.live_rows == 0:
-                continue
-            for slot, row in page.rows():
-                yield RowId(page.page_no, slot), row
+        """Full scan in slot order."""
+        for rid, row in enumerate(self._rows):
+            if row is not None:
+                yield rid, row
 
     # -- snapshot for checkpoints ---------------------------------------------
 
     def snapshot(self) -> "TableSnapshot":
-        return TableSnapshot(
-            pages=[page.clone() for page in self._pages],
-            next_auto=self._next_auto,
-        )
+        return TableSnapshot(list(self._rows), self._next_auto, list(self._vacated))
 
     def restore_snapshot(self, snapshot: "TableSnapshot") -> None:
         """Make the table hold ``snapshot`` (the installed image, or one
         taken since the marks were cleared): only the :attr:`dirty_rows`
-        slots are put back, or with ``None`` every page and index."""
+        slots are put back, or with ``None`` every slot and index."""
         self._next_auto = snapshot.next_auto
         # Checkpoint images are quiesced and vacuumed: the restored heap
         # is committed base data, so all version history resets with it
@@ -530,29 +532,25 @@ class Table:
         if dirty is not None and not dirty:
             return
         self.dirty_rows = None  # restore whole next time if this raises
+        self._vacated = list(snapshot.vacated)  # before the build: it reads them
         if dirty is None:
-            self._pages = [page.clone() for page in snapshot.pages]
+            self._rows = list(snapshot.rows)
             self._rebuild_indexes()
         else:
-            self._restore_rows(snapshot.pages, dirty)
-        # ascending page numbers are already a valid min-heap
-        self._vacated = [
-            page.page_no for page in self._pages if page.has_free_slot()
-        ]
+            self._restore_rows(snapshot.rows, dirty)
         self.dirty_rows = set()
 
-    def _restore_rows(self, image: List[Page], dirty: Set[RowId]) -> None:
-        """Repair the marked slots' index entries, then clone their pages
+    def _restore_rows(self, image: List[Optional[Tuple[Any, ...]]], dirty: Set[RowId]) -> None:
+        """Repair the marked slots' index entries, then put their rows
         back.  Every heap or index change marks its slot, so only a marked
         slot whose indexed columns changed moves an entry; all live entries
         go first, so a unique key that changed slots never meets itself."""
-        pages, keys_of = self._pages, self._keys_of
+        rows, keys_of = self._rows, self._keys_of
+        size = len(image)
         moved = []
         for rid in dirty:
-            page_no, slot = rid
-            live = pages[page_no]._slots[slot]  # a marked slot exists
-            slots = image[page_no]._slots if page_no < len(image) else ()
-            old = slots[slot] if slot < len(slots) else None  # None: not in the image
+            live = rows[rid]  # a marked slot exists
+            old = image[rid] if rid < size else None  # None: not in the image
             if live is not old and (live is None or old is None or keys_of(live) != keys_of(old)):
                 moved.append((rid, live, old))
         for index in (self.primary_index, *self.secondary_indexes.values()):
@@ -564,35 +562,24 @@ class Table:
                 if old is not None:
                     index.insert(key_of(old), rid)
         # only place_row grows the heap, and it marks what it places
-        del pages[len(image):]
-        for page_no in {rid.page_no for rid in dirty}:
-            if page_no < len(image):
-                pages[page_no] = image[page_no].clone()
+        del rows[size:]
+        for rid in dirty:
+            if rid < size:
+                rows[rid] = image[rid]
 
     def _rebuild_indexes(self) -> None:
         self._build_indexes(self.primary_index, *self.secondary_indexes.values())
 
     def _build_indexes(self, *indexes: HashIndex) -> None:
-        """Bulk build from the heap: one pass collects the live rows and
-        their addresses -- a page at a time where no slot is vacated, its
-        ``RowId`` s built in C -- then each index takes its key column
-        whole (``itemgetter`` keeps :meth:`_index_key`'s scalar-or-tuple
-        shape)."""
-        rids: List[RowId] = []
-        rows: List[Tuple[Any, ...]] = []
-        for page in self._pages:
-            page_no = page.page_no
-            dense = page.dense_rows()
-            if dense is not None:
-                rows += dense
-                rids += map(
-                    tuple.__new__, repeat(RowId),
-                    zip(repeat(page_no), range(len(dense))),
-                )
-                continue
-            for slot, row in page.rows():
-                rids.append(RowId(page_no, slot))
-                rows.append(row)
+        """Bulk build from the heap: with no slot vacated the rids are
+        ``range(n)``, else the live slots are collected first; then each
+        index takes its key column whole (``itemgetter`` keeps
+        :meth:`_index_key`'s scalar-or-tuple shape)."""
+        rows: List[Any] = self._rows
+        rids: Sequence[RowId] = range(len(rows))
+        if self._vacated:
+            rids = [rid for rid, row in enumerate(rows) if row is not None]
+            rows = [rows[rid] for rid in rids]
         for index in indexes:
             key_of = itemgetter(*map(self.schema.column_index, index.columns))
             index.rebuild(list(map(key_of, rows)), rids)
@@ -604,31 +591,11 @@ class Table:
             return row[self.schema.column_index(columns[0])]
         return tuple(row[self.schema.column_index(column)] for column in columns)
 
-    def _page(self, page_no: int) -> Page:
-        if page_no < 0 or page_no >= len(self._pages):
-            raise EngineError(f"table {self.name!r} has no page {page_no}")
-        return self._pages[page_no]
 
-    def _page_with_space(self) -> Page:
-        """Placement: the tail page first, else the lowest-numbered page
-        with a vacated slot, else a new page."""
-        pages = self._pages
-        if pages and pages[-1].has_free_slot():
-            return pages[-1]
-        vacated = self._vacated
-        while vacated:
-            page = pages[vacated[0]]
-            if page.has_free_slot():
-                return page
-            heappop(vacated)
-        page = Page(len(pages), self._rows_per_page)
-        pages.append(page)
-        return page
+class TableSnapshot(NamedTuple):
+    """Frozen physical state of a table: a copy of its slot list, its
+    autoincrement counter and a copy of its vacated-slot heap."""
 
-
-class TableSnapshot:
-    """Frozen physical state of a table (pages + autoincrement counter)."""
-
-    def __init__(self, pages: List[Page], next_auto: int):
-        self.pages = pages
-        self.next_auto = next_auto
+    rows: List[Optional[Tuple[Any, ...]]]
+    next_auto: int
+    vacated: List[RowId]

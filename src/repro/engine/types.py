@@ -45,18 +45,6 @@ class ColumnType(enum.Enum):
                 f"{value!r} is not valid for {self.value}"
             ) from None
 
-    def byte_size(self, length: int = 0) -> int:
-        """Nominal storage footprint used by the page/cost model."""
-        if self in (ColumnType.INT, ColumnType.TIMESTAMP):
-            return 8
-        if self is ColumnType.BIGINT:
-            return 8
-        if self is ColumnType.DECIMAL:
-            return 8
-        if self is ColumnType.VARCHAR:
-            return max(length, 16)
-        raise SchemaError(f"unknown column type {self!r}")  # pragma: no cover
-
 
 #: the Python type :meth:`ColumnType.coerce` stores for each column type
 STORED_TYPE = {
@@ -83,7 +71,6 @@ class Column:
     type: ColumnType
     nullable: bool = True
     autoincrement: bool = False
-    length: int = 0
     default: Any = None
 
     def __post_init__(self) -> None:
@@ -91,9 +78,6 @@ class Column:
             raise SchemaError(f"invalid column name {self.name!r}")
         if self.autoincrement and self.type not in (ColumnType.INT, ColumnType.BIGINT):
             raise SchemaError(f"autoincrement column {self.name!r} must be integer")
-
-    def byte_size(self) -> int:
-        return self.type.byte_size(self.length)
 
 
 @dataclass(frozen=True)
@@ -143,10 +127,6 @@ class Schema:
     @property
     def primary_key_index(self) -> int:
         return self._pk_index
-
-    def row_byte_size(self) -> int:
-        """Nominal bytes per row, used to size pages and working sets."""
-        return sum(column.byte_size() for column in self.columns) + 8  # header
 
     # -- row validation ----------------------------------------------------
 

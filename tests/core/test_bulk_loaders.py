@@ -2,7 +2,7 @@
 
 Each loader fills its tables with one :meth:`Table.load` per table.  The
 loops below are what they did before, one ``insert_row`` per row, kept
-as oracles: at each loader's pinned seed both give the same pages slot
+as oracles: at each loader's pinned seed both give the same heap slot
 by slot, the same ``RowId`` s, index maps, counters and checkpoint, and
 so the same ``content_hash()``.
 """
@@ -46,7 +46,7 @@ def database_state(db):
         {name: physical_state(db.table(name)) for name in db.table_names},
         db.checkpoint_lsn,
         db.wal.last_lsn,
-        {name: [page._slots for page in image.pages]
+        {name: (image.rows, sorted(image.vacated))
          for name, image in db._checkpoint_snapshots.items()},
     )
 

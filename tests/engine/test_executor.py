@@ -14,7 +14,7 @@ def db():
         "ACCOUNTS",
         (
             Column("A_ID", ColumnType.INT, nullable=False, autoincrement=True),
-            Column("OWNER", ColumnType.VARCHAR, length=16, nullable=False),
+            Column("OWNER", ColumnType.VARCHAR, nullable=False),
             Column("BALANCE", ColumnType.DECIMAL, nullable=False, default=0.0),
             Column("BRANCH", ColumnType.INT, default=1),
         ),

@@ -14,7 +14,7 @@ def db():
         "SALES",
         (
             Column("S_ID", ColumnType.INT, nullable=False),
-            Column("REGION", ColumnType.VARCHAR, length=8),
+            Column("REGION", ColumnType.VARCHAR),
             Column("AMOUNT", ColumnType.DECIMAL),
         ),
         primary_key="S_ID",

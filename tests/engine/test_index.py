@@ -1,70 +1,63 @@
 """Tests for hash and ordered indexes."""
 
-import pickle
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.errors import DuplicateKeyError, EngineError
 from repro.engine.index import HashIndex, OrderedIndex
-from repro.engine.page import RowId
-
-
-def rid(n):
-    return RowId(n // 100, n % 100)
 
 
 class TestHashIndex:
     def test_insert_lookup(self):
         index = HashIndex("i", ("K",))
-        index.insert(5, rid(1))
-        index.insert(5, rid(2))
-        assert index.lookup(5) == [rid(1), rid(2)]
+        index.insert(5, 1)
+        index.insert(5, 2)
+        assert index.lookup(5) == [1, 2]
         assert index.lookup(6) == []
 
     def test_unique_rejects_duplicates(self):
         index = HashIndex("i", ("K",), unique=True)
-        index.insert(5, rid(1))
+        index.insert(5, 1)
         with pytest.raises(DuplicateKeyError):
-            index.insert(5, rid(2))
+            index.insert(5, 2)
 
     def test_lookup_unique(self):
         index = HashIndex("i", ("K",), unique=True)
         assert index.lookup_unique(5) is None
-        index.insert(5, rid(1))
-        assert index.lookup_unique(5) == rid(1)
+        index.insert(5, 1)
+        assert index.lookup_unique(5) == 1
 
     def test_delete_removes_entry(self):
         index = HashIndex("i", ("K",))
-        index.insert(5, rid(1))
-        index.delete(5, rid(1))
+        index.insert(5, 1)
+        index.delete(5, 1)
         assert index.lookup(5) == []
         assert len(index) == 0
 
     def test_delete_missing_raises(self):
         index = HashIndex("i", ("K",))
         with pytest.raises(EngineError):
-            index.delete(5, rid(1))
+            index.delete(5, 1)
 
 
 class TestOrderedIndex:
     def test_range_inclusive(self):
         index = OrderedIndex("i", ("K",))
         for key in (1, 3, 5, 7):
-            index.insert(key, rid(key))
+            index.insert(key, key)
         assert [k for k, _ in index.range(3, 5)] == [3, 5]
 
     def test_range_exclusive_bounds(self):
         index = OrderedIndex("i", ("K",))
         for key in range(1, 6):
-            index.insert(key, rid(key))
+            index.insert(key, key)
         keys = [k for k, _ in index.range(1, 5, include_low=False, include_high=False)]
         assert keys == [2, 3, 4]
 
     def test_range_open_ended(self):
         index = OrderedIndex("i", ("K",))
         for key in (2, 4, 6):
-            index.insert(key, rid(key))
+            index.insert(key, key)
         assert [k for k, _ in index.range(low=4)] == [4, 6]
         assert [k for k, _ in index.range(high=4)] == [2, 4]
         assert [k for k, _ in index.range()] == [2, 4, 6]
@@ -72,22 +65,22 @@ class TestOrderedIndex:
     def test_range_reverse(self):
         index = OrderedIndex("i", ("K",))
         for key in (1, 2, 3):
-            index.insert(key, rid(key))
+            index.insert(key, key)
         assert [k for k, _ in index.range(reverse=True)] == [3, 2, 1]
 
     def test_duplicates_per_key(self):
         index = OrderedIndex("i", ("K",))
-        index.insert(1, rid(1))
-        index.insert(1, rid(2))
+        index.insert(1, 1)
+        index.insert(1, 2)
         assert len(list(index.range(1, 1))) == 2
-        index.delete(1, rid(1))
-        assert [r for _k, r in index.range(1, 1)] == [rid(2)]
+        index.delete(1, 1)
+        assert [r for _k, r in index.range(1, 1)] == [2]
 
     def test_delete_last_rid_removes_sorted_key(self):
         index = OrderedIndex("i", ("K",))
-        index.insert(1, rid(1))
-        index.insert(2, rid(2))
-        index.delete(1, rid(1))
+        index.insert(1, 1)
+        index.insert(2, 2)
+        index.delete(1, 1)
         assert [k for k, _ in index.range()] == [2]
 
     @settings(max_examples=50, deadline=None)
@@ -95,7 +88,7 @@ class TestOrderedIndex:
     def test_property_range_matches_sorted_filter(self, keys):
         index = OrderedIndex("i", ("K",))
         for key in keys:
-            index.insert(key, rid(key))
+            index.insert(key, key)
         low = min(keys)
         high = max(keys)
         mid_low = low + (high - low) // 3
@@ -117,14 +110,14 @@ class TestOrderedIndex:
         model: dict[int, set] = {}
         for is_insert, key in operations:
             if is_insert:
-                if rid(key) in model.get(key, set()):
+                if key in model.get(key, set()):
                     continue
-                index.insert(key, rid(key))
-                model.setdefault(key, set()).add(rid(key))
+                index.insert(key, key)
+                model.setdefault(key, set()).add(key)
             else:
-                if key in model and rid(key) in model[key]:
-                    index.delete(key, rid(key))
-                    model[key].discard(rid(key))
+                if key in model and key in model[key]:
+                    index.delete(key, key)
+                    model[key].discard(key)
                     if not model[key]:
                         del model[key]
         assert sorted(k for k, _ in index.range()) == sorted(
@@ -170,7 +163,7 @@ class TestBulkRebuild:
         ),
     )
     def test_property_rebuild_matches_incremental(self, index_class, unique, keys):
-        rids = [rid(n) for n in range(len(keys))]
+        rids = list(range(len(keys)))
         incremental = index_class("i", ("K",), unique)
         try:
             for key, row_id in zip(keys, rids):
@@ -184,7 +177,7 @@ class TestBulkRebuild:
                 index_class("i", ("K",), unique).rebuild(keys, rids)
             return
         bulk = index_class("i", ("K",), unique)
-        bulk.insert(99, rid(9999))  # rebuild replaces, it does not merge
+        bulk.insert(99, 9999)  # rebuild replaces, it does not merge
         bulk.rebuild(keys, rids)
         probes = [None, *range(14), 99]
         assert _observe(bulk, probes) == _observe(incremental, probes)
@@ -192,7 +185,7 @@ class TestBulkRebuild:
             return
         # and the rebuilt index keeps working incrementally
         for index in (bulk, incremental):
-            index.insert(50, rid(5000))
+            index.insert(50, 5000)
             if keys:
                 index.delete(keys[0], rids[0])
         assert _observe(bulk, probes + [50]) == _observe(incremental, probes + [50])
@@ -201,25 +194,13 @@ class TestBulkRebuild:
     def test_unique_rebuild_rejects_duplicates(self, index_class):
         index = index_class("i", ("K",), unique=True)
         with pytest.raises(DuplicateKeyError, match="duplicate key 7 in unique index 'i'"):
-            index.rebuild([1, 7, 3, 7], [rid(n) for n in range(4)])
+            index.rebuild([1, 7, 3, 7], [0, 1, 2, 3])
 
     def test_composite_keys_are_tuples(self):
         index = OrderedIndex("i", ("A", "B"))
-        index.rebuild([(2, "x"), (1, "y"), (2, "x")], [rid(3), rid(2), rid(1)])
-        assert index.lookup((2, "x")) == [rid(1), rid(3)]
+        index.rebuild([(2, "x"), (1, "y"), (2, "x")], [3, 2, 1])
+        assert index.lookup((2, "x")) == [1, 3]
         assert [k for k, _ in index.range()] == [(1, "y"), (2, "x"), (2, "x")]
-
-
-class TestRowId:
-    def test_hashable_orderable_picklable_printable(self):
-        a, b = RowId(1, 200), RowId(2, 3)
-        assert a == RowId(1, 200) and hash(a) == hash(RowId(1, 200))
-        assert len({a, RowId(1, 200), b}) == 2
-        assert sorted([b, a]) == [a, b]
-        assert (a.page_no, a.slot) == (1, 200)
-        assert pickle.loads(pickle.dumps(a)) == a
-        assert type(pickle.loads(pickle.dumps(a))) is RowId
-        assert str(a) == "(1,200)"
 
 
 # -- tombstoned deletes: the index against a plain sorted-list model ---------------
@@ -267,7 +248,7 @@ class TestTombstones:
         index = OrderedIndex("i", ("K",), unique)
         model = []  # sorted (key, rid) pairs
         for step, (is_insert, key, which) in enumerate(operations):
-            row_id = rid(key * 10 + which)
+            row_id = key * 10 + which
             if is_insert:
                 if unique and any(k == key for k, _ in model):
                     with pytest.raises(DuplicateKeyError):
@@ -302,17 +283,17 @@ class TestTombstones:
     def test_delete_tombstones_reinsert_revives_half_compacts(self, unique):
         index = OrderedIndex("i", ("K",), unique)
         for key in range(10):
-            index.insert(key, rid(key))
-        index.delete(3, rid(3))
+            index.insert(key, key)
+        index.delete(3, 3)
         assert index._sorted_keys == list(range(10))  # 3 is a tombstone
         assert [k for k, _ in index.range(2, 4)] == [2, 4]
-        index.insert(3, rid(33))  # revived in place, not listed twice
+        index.insert(3, 33)  # revived in place, not listed twice
         assert index._sorted_keys == list(range(10))
-        assert list(index.range(3, 3)) == [(3, rid(33))]
+        assert list(index.range(3, 3)) == [(3, 33)]
         for key in range(5):
-            index.delete(key, rid(33 if key == 3 else key))
+            index.delete(key, 33 if key == 3 else key)
         assert index._sorted_keys == list(range(10))  # 5 of 10: not past half
-        index.delete(5, rid(5))
+        index.delete(5, 5)
         assert index._sorted_keys == [6, 7, 8, 9]  # 6 of 10: rebuilt
-        index.insert(0, rid(0))
+        index.insert(0, 0)
         assert [k for k, _ in index.range(reverse=True)] == [9, 8, 7, 6, 0]

@@ -760,18 +760,22 @@ class SnapshotsOverRCWriters(RuleBasedStateMachine):
 
     @rule(
         kind=st.sampled_from(("select", "scan", "update", "delete", "insert")),
-        key=st.sampled_from(KEYS), value=st.integers(0, 999),
+        key=st.sampled_from(KEYS), value=st.integers(0, 999), data=st.data(),
     )
-    def meet_writers(self, kind, key, value):
+    def meet_writers(self, kind, key, value, data):
         """An autocommit statement, or a READ COMMITTED scan in a
         transaction of its own, on the heap: where it touches a row an
         open writer locks, looks a key one deleted up by primary key,
         scans a range the deleted row was in, or inserts it, it times
-        out and changes nothing."""
+        out and changes nothing.  While a writer holds a deleted key, a
+        scan starts at one: the bound a read-through would slip past."""
         current, committed = self.current, self.committed
         locked = set().union(*(keys for _txns, keys in self.writers))
         present = key in current
         if kind == "scan":
+            deleted = sorted(locked - current.keys())
+            if deleted:
+                key = data.draw(st.sampled_from(deleted))
             # a locked key the heap lacks is a deleted row: its before-image
             # is keyed by it, so the range holds it exactly when it holds the key
             touched = [k for k in current.keys() | locked if k >= key]

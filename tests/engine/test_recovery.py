@@ -553,10 +553,6 @@ def _indexed_db():
     # the histories write LOG only sometimes: a crash finds it either
     # written since its image or still that image
     with_log(db)
-    # a few rows to a page (a test-only setting): histories place rows
-    # in pages the image lacks, and vacate and refill its slots
-    db.table("KV")._rows_per_page = 3
-    db.table("LOG")._rows_per_page = 2
     for k in (1, 2, 3):  # base rows: in the image, chainless
         db.execute("INSERT INTO kv (K, V, G, U) VALUES (?, 0, 0, ?)", [k, 10 * k])
         db.execute("INSERT INTO log (G) VALUES (?)", [k % 2])
@@ -670,7 +666,7 @@ def _play(history, damage):
 
 
 #: a row no history writes, per table: placing it shows where the next
-#: insert lands (the tail page, the lowest vacated slot or a new page)
+#: insert lands (the lowest vacated slot, else a new one at the end)
 _PROBES = {"KV": (99, 0, 0, 990), "LOG": (999, 0, 0)}
 
 

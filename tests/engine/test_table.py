@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.errors import DuplicateKeyError, EngineError, SchemaError
 from repro.engine.index import OrderedIndex
-from repro.engine.page import PAGE_SIZE_BYTES, RowId
 from repro.engine.table import Table
 from repro.engine.types import Column, ColumnType, Schema
 
@@ -18,7 +17,7 @@ def make_table():
         (
             Column("ID", ColumnType.INT, nullable=False, autoincrement=True),
             Column("K", ColumnType.INT, default=0),
-            Column("NAME", ColumnType.VARCHAR, length=16, default=""),
+            Column("NAME", ColumnType.VARCHAR, default=""),
         ),
         primary_key="ID",
     )
@@ -127,12 +126,46 @@ def test_scan_skips_deleted():
     assert keys == [1, 2, 4, 5]
 
 
-def test_rows_span_multiple_pages():
+def test_the_lowest_vacated_slot_is_reused_first():
     table = make_table()
-    per_page = PAGE_SIZE_BYTES // table.schema.row_byte_size()
-    rids = [table.insert_row((i, 0, "")) for i in range(1, per_page * 2 + 2)]
-    assert rids[-1].page_no >= 2
-    assert table.row_count == per_page * 2 + 1
+    rids = [table.insert_row((i, 0, "")) for i in range(1, 6)]
+    assert rids == [0, 1, 2, 3, 4]
+    table.delete_row(rids[3])
+    table.delete_row(rids[1])
+    assert table.insert_row((6, 0, "")) == 1
+    assert table.insert_row((7, 0, "")) == 3
+    assert table.insert_row((8, 0, "")) == 5  # none vacated: a new slot
+    assert [row[0] for _rid, row in table.scan()] == [1, 6, 3, 7, 5, 8]
+
+
+def test_reading_a_vacated_slot_raises():
+    table = make_table()
+    rid = table.insert_row((1, 0, "a"))
+    table.delete_row(rid)
+    with pytest.raises(EngineError, match="no row in slot 0"):
+        table.read_row(rid)
+    with pytest.raises(EngineError, match="no row in slot 1"):
+        table.read_row(1)  # never placed
+
+
+def test_deleting_a_vacated_slot_raises():
+    table = make_table()
+    rid = table.insert_row((1, 0, "a"))
+    table.delete_row(rid)
+    with pytest.raises(EngineError, match="no row in slot 0"):
+        table.delete_row(rid)
+    assert table.row_count == 0 and list(table.scan()) == []
+
+
+def test_a_vacated_slot_cannot_be_updated_or_overwritten():
+    table = make_table()
+    rid = table.insert_row((1, 0, "a"))
+    table.delete_row(rid)
+    for touch in (lambda rid: table.update_row(rid, (1, 0, "b")),
+                  lambda rid: table.overwrite_row(rid, (1, 0, "b"))):
+        with pytest.raises(EngineError, match="no row in slot 0"):
+            touch(rid)
+    assert table.row_count == 0 and list(table.scan()) == []
 
 
 def test_snapshot_restore_roundtrip():
@@ -157,10 +190,9 @@ def test_restore_snapshot_rebuilds_every_index_in_bulk():
     table = make_table()
     table.create_index("t_kn", ("K", "NAME"))
     table.create_index("t_k", ("K",), ordered=True)
-    per_page = PAGE_SIZE_BYTES // table.schema.row_byte_size()
-    for i in range(1, per_page + 20):
+    for i in range(1, 60):
         table.insert_row((i, i % 7, f"n{i % 3}"))
-    for key in (2, 3, per_page, per_page + 5):  # holes on both pages
+    for key in (2, 3, 40, 45):
         table.delete_row(table.find_by_key(key))
 
     def lookups():
@@ -192,67 +224,48 @@ def test_restore_snapshot_rejects_duplicate_unique_keys():
     table.insert_row((1, 0, "a"))
     table.insert_row((2, 0, "b"))
     snapshot = table.snapshot()
-    snapshot.pages[0].write(1, (2, 0, "a"))  # a damaged image
+    snapshot.rows[1] = (2, 0, "a")  # a damaged image
     with pytest.raises(DuplicateKeyError, match="t_name"):
         table.restore_snapshot(snapshot)
 
 
 
 class _LinearScanHeap:
-    """Placement oracle: the heap file as it was placed before the table
-    tracked its free space -- every page scanned, then every slot."""
+    """Placement oracle: the slot list as it is placed without a record
+    of its free space -- every slot scanned for the first vacated one."""
 
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.pages = []  # page -> list of slots, None where vacated
-
-    def _has_free_slot(self, slots):
-        return len(slots) < self.capacity or None in slots
+    def __init__(self):
+        self.slots = []  # None where vacated
 
     def insert(self, key):
-        pages = self.pages
-        if pages and self._has_free_slot(pages[-1]):
-            page_no = len(pages) - 1
-        else:
-            for page_no, slots in enumerate(pages):
-                if self._has_free_slot(slots):
-                    break
-            else:
-                pages.append([])
-                page_no = len(pages) - 1
-        slots = pages[page_no]
-        if len(slots) < self.capacity:
-            slots.append(key)
-            return RowId(page_no, len(slots) - 1)
-        for slot, existing in enumerate(slots):
-            if existing is None:
-                slots[slot] = key
-                return RowId(page_no, slot)
-        raise AssertionError("chose a full page")
+        slots = self.slots
+        if None in slots:
+            rid = slots.index(None)
+            slots[rid] = key
+            return rid
+        slots.append(key)
+        return len(slots) - 1
 
     def delete(self, rid):
-        self.pages[rid.page_no][rid.slot] = None
+        self.slots[rid] = None
 
     def snapshot(self):
-        return [list(slots) for slots in self.pages]
+        return list(self.slots)
 
     def restore(self, image):
-        self.pages = [list(slots) for slots in image]
+        self.slots = list(image)
 
 
-def _wide_table():
-    """Three rows to a page, so a short sequence spans many pages."""
+def _pair_table():
     schema = Schema(
         "W",
         (
             Column("ID", ColumnType.INT, nullable=False),
-            Column("PAD", ColumnType.VARCHAR, length=2400, default=""),
+            Column("PAD", ColumnType.VARCHAR, default=""),
         ),
         primary_key="ID",
     )
-    table = Table(schema)
-    assert table._rows_per_page == 3
-    return table
+    return Table(schema)
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,11 +278,10 @@ def _wide_table():
     max_size=120,
 ))
 def test_property_placement_matches_the_linear_scan(ops):
-    """Tail page first, else the lowest-numbered page with a vacancy,
-    else a new page; lowest vacant slot -- every ``RowId`` the table
-    returns is the one the linear scan would have, across deletes and
-    checkpoint-image restores."""
-    table, oracle = _wide_table(), _LinearScanHeap(3)
+    """The lowest vacated slot, else a new one at the end -- every
+    ``RowId`` the table returns is the one the linear scan would have,
+    across deletes and checkpoint-image restores."""
+    table, oracle = _pair_table(), _LinearScanHeap()
     live = {}  # key -> rid
     image = (table.snapshot(), oracle.snapshot(), {})
     next_key = 1
@@ -293,6 +305,9 @@ def test_property_placement_matches_the_linear_scan(ops):
             oracle.restore(image[1])
             live = dict(image[2])
     assert {key: table.find_by_key(key) for key in live} == live
+    assert sorted(table._vacated) == [
+        rid for rid, key in enumerate(oracle.slots) if key is None
+    ]
 
 
 # -- update_row: the proven-unchanged write against the full update ------------
@@ -301,12 +316,11 @@ def test_property_placement_matches_the_linear_scan(ops):
 def _full_update_row(table, rid, new_row):
     """``update_row`` as it was before it compared the key columns:
     every write validates and walks every index."""
-    page = table._page(rid.page_no)
-    before = page.read(rid.slot)
+    before = table.read_row(rid)
     new_key = new_row[table.schema.primary_key_index]
     old_key = before[table.schema.primary_key_index]
     table.check_unique(new_row, exclude_rid=rid)
-    page.write(rid.slot, new_row)
+    table._rows[rid] = new_row
     if new_key != old_key:
         table.primary_index.delete(old_key, rid)
         table.primary_index.insert(new_key, rid)
@@ -414,7 +428,7 @@ def test_update_row_skips_the_indexes_only_when_no_key_column_moves(monkeypatch)
     assert rid in table.secondary_indexes["u_grp_tag"].lookup((1, 2))
 
 
-# -- _rebuild_indexes: whole pages and pages with holes ------------------------
+# -- _rebuild_indexes: a heap with and without vacated slots ------------------
 
 
 @settings(max_examples=100, deadline=None)
@@ -423,19 +437,19 @@ def test_update_row_skips_the_indexes_only_when_no_key_column_moves(monkeypatch)
     doomed=st.sets(st.integers(min_value=0, max_value=13)),
 )
 def test_property_rebuild_indexes_matches_one_insert_per_row(n_rows, doomed):
-    """Dense pages are taken whole, pages with vacated slots row by row:
-    either way each index holds what one ``insert`` per live row gives."""
+    """A heap with no vacated slot is taken whole, one with holes live
+    slot by live slot: either way each index holds what one ``insert``
+    per live row gives."""
     schema = Schema(
         "W",
         (
             Column("ID", ColumnType.INT, nullable=False),
             Column("GRP", ColumnType.INT, default=0),
-            Column("PAD", ColumnType.VARCHAR, length=2400, default=""),
+            Column("PAD", ColumnType.VARCHAR, default=""),
         ),
         primary_key="ID",
     )
     table = Table(schema)
-    assert table._rows_per_page == 3
     table.create_index("w_grp", ("GRP",))
     table.create_index("w_grp_id", ("GRP", "ID"), unique=True, ordered=True)
     for i in range(n_rows):
@@ -444,14 +458,14 @@ def test_property_rebuild_indexes_matches_one_insert_per_row(n_rows, doomed):
         if i < n_rows:
             table.delete_row(table.find_by_key(i))
     expected = _index_state(table)  # maintained one insert/delete at a time
-    assert all(type(rid) is RowId for rid in expected[0].values())
+    assert all(type(rid) is int for rid in expected[0].values())
 
     for index in (table.primary_index, *table.secondary_indexes.values()):
         index.rebuild([], [])
     table._rebuild_indexes()
     assert _index_state(table) == expected
     rebuilt = list(table.primary_index._map.values())
-    assert all(type(rid) is RowId for rid in rebuilt)
+    assert all(type(rid) is int for rid in rebuilt)
 
     # create_index backfills the same way, against one insert per live row
     table.create_index("w_id_grp", ("ID", "GRP"), ordered=True)
@@ -467,8 +481,7 @@ def test_property_rebuild_indexes_matches_one_insert_per_row(n_rows, doomed):
 
 def _twin_table():
     """The ordered primary key, a unique and a non-unique secondary
-    index, and three rows to a page (a test-only setting), so that
-    writes reach pages the image lacks."""
+    index."""
     schema = Schema(
         "R",
         (
@@ -480,7 +493,6 @@ def _twin_table():
         primary_key="ID",
     )
     table = Table(schema)
-    table._rows_per_page = 3
     table.create_index("r_code", ("CODE",), unique=True)
     table.create_index("r_grp", ("GRP",))
     return table
@@ -554,6 +566,7 @@ def test_property_row_restore_matches_the_whole_image_restore(first, rounds):
             twin.restore_snapshot(twin_image)
             assert table.dirty_rows == set()
         assert _index_state(table) == _index_state(twin)
+        assert sorted(table._vacated) == sorted(twin._vacated)
         assert table._next_auto == twin._next_auto
     assert [table.insert_row((50 + i, 50 + i, 0, 0)) for i in range(5)] == \
         [twin.insert_row((50 + i, 50 + i, 0, 0)) for i in range(5)]
@@ -573,12 +586,11 @@ def _index_entries(index):
 
 
 def physical_state(table):
-    """Everything one ``insert_row`` per row decides: every page slot by
-    slot, the row-id type, the vacancy heap, the auto-increment counter
-    and every index map in insertion order."""
+    """Everything one ``insert_row`` per row decides: every slot, the
+    row-id type, the vacated-slot heap, the auto-increment counter and
+    every index map in insertion order."""
     return (
-        [(page.page_no, page.capacity, page.live_rows, list(page._slots))
-         for page in table._pages],
+        list(table._rows),
         {type(rid) for rid in table.primary_index._map.values()},
         list(table._vacated),
         table._next_auto,
@@ -594,8 +606,8 @@ def insert_one_per_row(table, rows):
 
 
 def _loadable_table():
-    """Three rows to a page; a unique, a non-unique, a composite ordered
-    and an ordered unique secondary index."""
+    """A unique, a non-unique, a composite ordered and an ordered unique
+    secondary index."""
     schema = Schema(
         "L",
         (
@@ -603,13 +615,12 @@ def _loadable_table():
             Column("CODE", ColumnType.INT),
             Column("GRP", ColumnType.INT),
             Column("TAG", ColumnType.INT, default=0),
-            Column("NAME", ColumnType.VARCHAR, length=16, default=""),
-            Column("PAD", ColumnType.VARCHAR, length=2300, default=""),
+            Column("NAME", ColumnType.VARCHAR, default=""),
+            Column("PAD", ColumnType.VARCHAR, default=""),
         ),
         primary_key="ID",
     )
     table = Table(schema)
-    assert table._rows_per_page == 3
     table.create_index("l_code", ("CODE",), unique=True)
     table.create_index("l_grp", ("GRP",))
     table.create_index("l_tag_name", ("TAG", "NAME"), ordered=True)
@@ -635,7 +646,7 @@ def _loadable_table():
     ),
 )
 def test_property_load_matches_one_insert_row_per_row(drawn, code_none, clash):
-    """Same pages, slots and ``RowId`` s, the same index maps in the same
+    """Same slots and ``RowId`` s, the same index maps in the same
     order, the same counter -- or, on a duplicate primary or unique key,
     the same error and an empty table."""
     rows = [
@@ -672,7 +683,7 @@ def test_property_load_matches_one_insert_row_per_row(drawn, code_none, clash):
 
 def test_load_refuses_a_table_that_has_pages():
     table = make_table()
-    table.delete_row(table.insert_row((1, 0, "")))  # empty, but with a page
+    table.delete_row(table.insert_row((1, 0, "")))  # empty, but with a vacated slot
     with pytest.raises(EngineError, match="empty table"):
         table.load([(2, 0, "")])
     assert table.row_count == 0
@@ -686,12 +697,11 @@ def test_load_is_all_or_nothing_on_a_duplicate_key(index, duplicate):
     table = make_table()
     table.create_index("t_name", ("NAME",), unique=True)
     empty = physical_state(table)
-    per_page = table._rows_per_page
-    rows = [(i, i, f"r{i}") for i in range(4, per_page + 9)]
-    rows[per_page + 2] = duplicate  # on the second page
+    rows = [(i, i, f"r{i}") for i in range(4, 40)]
+    rows[30] = duplicate  # well after the first row of its key
     rows[0:2] = [(1, 1, "a"), (2, 2, "x")]
     with pytest.raises(DuplicateKeyError, match=index):
         table.load(rows)
     assert physical_state(table) == empty
-    table.load(rows[:per_page + 2])  # and the table is still loadable
-    assert table.row_count == per_page + 2
+    table.load(rows[:30])  # and the table is still loadable
+    assert table.row_count == 30

@@ -14,7 +14,7 @@ def make_schema():
         "T",
         (
             Column("ID", ColumnType.INT, nullable=False, autoincrement=True),
-            Column("NAME", ColumnType.VARCHAR, length=20, nullable=False),
+            Column("NAME", ColumnType.VARCHAR, nullable=False),
             Column("AMOUNT", ColumnType.DECIMAL, default=0.0),
             Column("WHEN", ColumnType.TIMESTAMP),
         ),
@@ -105,12 +105,6 @@ def test_uncoercible_value_is_a_schema_error(column_type, value):
     with pytest.raises(SchemaError, match=column_type.value) as exc_info:
         column_type.coerce(value)
     assert repr(value) in str(exc_info.value)
-
-
-def test_row_byte_size_positive_and_stable():
-    schema = make_schema()
-    assert schema.row_byte_size() == schema.row_byte_size()
-    assert schema.row_byte_size() >= 8 * 3 + 20
 
 
 # -- parity with the coercion that validated every cell ------------------------

@@ -19,8 +19,8 @@ def db():
         "USERS",
         (
             Column("U_ID", ColumnType.INT, nullable=False, autoincrement=True),
-            Column("EMAIL", ColumnType.VARCHAR, length=24, nullable=False),
-            Column("NICK", ColumnType.VARCHAR, length=24, default=""),
+            Column("EMAIL", ColumnType.VARCHAR, nullable=False),
+            Column("NICK", ColumnType.VARCHAR, default=""),
         ),
         primary_key="U_ID",
     ))

@@ -2,7 +2,7 @@
 
 A loader, a standby bootstrap and a restore's image load fill each table
 with one bulk :meth:`Table.load`: no ``Table.insert_row`` (the live
-write path: a uniqueness probe, a page search and one index insert per
+write path: a uniqueness probe, a slot placement and one index insert per
 index, per row), no ``HashIndex.insert`` and exactly one ``rebuild`` of
 every index -- the build a checkpoint restore uses.
 

@@ -3,8 +3,8 @@
 A restart writes back, from the checkpoint image, exactly the rows
 written since that image was installed -- each once, no other row, and
 no index rebuilt (the guard records what ``Table._restore_rows`` is
-handed and counts ``Table._rebuild_indexes`` calls: page clones and
-index work are what a restart costs beyond log replay, and a row that
+handed and counts ``Table._rebuild_indexes`` calls: slots written back
+and index work are what a restart costs beyond log replay, and a row that
 already holds its image is pure waste that no result shows); it
 CRC-verifies every retained record above the checkpoint exactly once,
 all of them before the first redo; it walks the retained log a fixed
