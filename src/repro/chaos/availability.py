@@ -245,7 +245,6 @@ class AvailabilityEvaluator:
         self._reads = ResilientSession(
             replicas + ["primary"],
             policy=policy,
-            clock=lambda: self._env.now,
             rng=self.rngs.stream("chaos.retry.read"),
             breaker_reset_s=1.0,
             observer=self.obs,
@@ -253,7 +252,6 @@ class AvailabilityEvaluator:
         self._writes = ResilientSession(
             ["primary"],
             policy=policy,
-            clock=lambda: self._env.now,
             rng=self.rngs.stream("chaos.retry.write"),
             breaker_reset_s=1.0,
             observer=self.obs,

@@ -43,7 +43,7 @@ def parse_bool(value: Any) -> bool:
         return True
     if text in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean (true/false), got {value!r}")
+    raise ValueError(f"must be a boolean (true/false), got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from repro.core.pricing import (
     package_cost_breakdown_per_minute,
     package_cost_per_minute,
 )
-from repro.core.runner import PScoreRow, average_tps
+from repro.core.runner import PScoreRow
 from repro.core.workload import LAG_PATTERNS
 from repro.dr.archive import ARCHIVE_MODES
 from repro.ha.replication import ACK_MODES
@@ -73,12 +73,12 @@ _positive_float = _checked(float, lambda x: x > 0, "> 0")
 _parse_ratio = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 
 
-def _one_of(what: str, choices):
+def _one_of(choices):
     """An option parser accepting exactly the spellings in ``choices``."""
 
     def parse(value) -> str:
         if str(value) not in choices:
-            raise ValueError(f"unknown {what} {str(value)!r}; use {spelled(choices)}")
+            raise ValueError(f"must be {spelled(choices)}, got {str(value)!r}")
         return str(value)
 
     return parse
@@ -92,8 +92,11 @@ def _items(value) -> list:
 
 
 def _parse_counts(value) -> tuple:
-    """Parse a list of positive counts (``"1,2,4"`` or ``[1, 2, 4]``)."""
-    return tuple(_positive_int(item) for item in _items(value))
+    """Parse a non-empty list of positive counts (``"1,2,4"`` or ``[1, 2, 4]``)."""
+    counts = tuple(_positive_int(item) for item in _items(value))
+    if not counts:
+        raise ValueError(f"must list at least one count, got {value!r}")
+    return counts
 
 
 def _parse_arrival_opt(value) -> str:
@@ -139,8 +142,12 @@ def _throughput(bench: "CloudyBench") -> EvalOutcome:
         (arch, sf, mode, con, round(tps))
         for (arch, sf, mode, con), tps in data.items()
     ]
+    # a mode's TPS averaged over all scale factors and concurrencies
     scores = {
-        f"tps.{arch.name}.{mode}": average_tps(data, arch.name, mode)
+        f"tps.{arch.name}.{mode}": _mean(
+            tps for (name, _sf, m, _con), tps in data.items()
+            if name == arch.name and m == mode
+        )
         for arch in bench.architectures
         for mode in config.modes
     }
@@ -168,6 +175,7 @@ def _pscore(bench: "CloudyBench", n_ro_nodes: int) -> EvalOutcome:
     $0.0437/min for RDS reconciles with its per-resource breakdown.
     """
     modes = bench.config.modes
+    tps = bench.run("throughput").scores
     data = []
     for arch in bench.architectures:
         package = arch.provisioned
@@ -175,15 +183,15 @@ def _pscore(bench: "CloudyBench", n_ro_nodes: int) -> EvalOutcome:
         total = package_cost_per_minute(package) + n_ro_nodes * (
             breakdown["cpu"] + breakdown["memory"]
         )
-        tps_by_mode = {mode: bench.average_tps(arch.name, mode) for mode in modes}
+        tps_by_mode = {mode: tps[f"tps.{arch.name}.{mode}"] for mode in modes}
         data.append(PScoreRow(
             arch_name=arch.name,
             cost_breakdown=breakdown,
             total_cost_per_minute=total,
             tps_by_mode=tps_by_mode,
             p_by_mode={
-                mode: tps / total if total > 0 else 0.0
-                for mode, tps in tps_by_mode.items()
+                mode: mode_tps / total if total > 0 else 0.0
+                for mode, mode_tps in tps_by_mode.items()
             },
         ))
     rows = [
@@ -353,6 +361,9 @@ def _lagtime(bench: "CloudyBench") -> EvalOutcome:
                 round(result.delete_lag_s * 1000, 2),
                 round(result.c_score_s * 1000, 2),
             ))
+        # Table IX's C column is the average replication lag of the
+        # mixed IUD pattern in milliseconds (Equation (6)'s per-kind sum
+        # is the "C ms" column above)
         mixed = by_pattern.get("mixed") or next(iter(by_pattern.values()))
         scores[f"c_ms.{arch}"] = mixed.avg_lag_s * 1000.0
     return _outcome(
@@ -520,7 +531,7 @@ def _overload(bench: "CloudyBench", qos: bool, arrival: str) -> EvalOutcome:
     summary="availability through a primary kill, zeroed by any history "
             "violation (the R-Score)",
     options=(
-        EvalOption("ack_mode", _one_of("ack mode", ACK_MODES),
+        EvalOption("ack_mode", _one_of(ACK_MODES),
                    config="ha_ack_mode", help="replication ack mode"),
         EvalOption("arrival", _parse_arrival_opt, "closed",
                    "closed | poisson[:RATE] | burst[:RATE,N]; an open spec "
@@ -577,7 +588,7 @@ def _ha(bench: "CloudyBench", ack_mode: str, arrival: str) -> EvalOutcome:
     summary="RPO/RTO through backup-under-load, disaster and "
             "point-in-time restore (the DR-Score)",
     options=(
-        EvalOption("archive_mode", _one_of("archive mode", ARCHIVE_MODES),
+        EvalOption("archive_mode", _one_of(ARCHIVE_MODES),
                    config="dr_archive_mode",
                    help="WAL archiving mode: sync (RPO=0 expected) | lagged "
                         "(buffered tail lost at disaster, RPO priced in)"),
@@ -635,13 +646,13 @@ def _dr(bench: "CloudyBench", archive_mode: str) -> EvalOutcome:
                    "shard_cross_ratio; 0 for the mp driver)"),
         EvalOption("txns", _positive_int, config="shard_txns",
                    help="total transactions per point"),
-        EvalOption("driver", _one_of("driver", DRIVERS),
+        EvalOption("driver", _one_of(DRIVERS),
                    config="shard_driver",
                    help="'inline' (any cross ratio) or 'mp' (one process per shard)"),
         EvalOption("arrival", _parse_arrival_opt, "closed",
                    "latency recording: closed | poisson[:RATE] | "
                    "burst[:RATE,N] (inline driver only)"),
-        EvalOption("transport", _one_of("transport", TRANSPORTS), "inline",
+        EvalOption("transport", _one_of(TRANSPORTS), "inline",
                    "'inline' (in-process clients) or 'socket' (the same "
                    "workload over the serving tier's loopback socket; inline "
                    "driver only)"),
@@ -732,7 +743,7 @@ def _scaleout_real(
         EvalOption("arrival", _parse_arrival_opt, config="serve_arrival",
                    help="client arrival process: closed | poisson[:RATE] | "
                         "burst[:RATE,N]"),
-        EvalOption("persona", _one_of("persona", PERSONAS),
+        EvalOption("persona", _one_of(PERSONAS),
                    config="serve_persona",
                    help="load persona: payment | reader | mixed"),
         EvalOption("rate", _positive_float, None,
@@ -823,12 +834,23 @@ def _serve(
 
 
 def _perfect_scores(bench: "CloudyBench", duration_s: float) -> Dict[str, PerfectScores]:
-    """All seven scores plus the O-Score for every SUT."""
-    pscore_rows = {row.arch_name: row for row in bench.run("pscore").payload}
-    elasticity = bench.run("elasticity").payload
-    tenancy = bench.run("multitenancy").payload
-    failover = bench.run("failover").payload
-    lag = bench.run("lagtime").payload
+    """All seven scores plus the O-Score for every SUT.
+
+    P, E1, T, C, F and R are the scores their own evaluations publish;
+    only the starred scores, re-priced at the vendor's prices, and E2
+    are computed here.
+    """
+    outcomes = {
+        name: bench.run(name)
+        for name in ("pscore", "elasticity", "multitenancy", "failover", "lagtime")
+    }
+    published = {
+        key: value
+        for outcome in outcomes.values() for key, value in outcome.scores.items()
+    }
+    pscore_rows = {row.arch_name: row for row in outcomes["pscore"].payload}
+    elasticity = outcomes["elasticity"].payload
+    tenancy = outcomes["multitenancy"].payload
     sf = min(bench.config.scale_factors)
 
     # Scores of evaluations the score card does not force ride along
@@ -840,17 +862,13 @@ def _perfect_scores(bench: "CloudyBench", duration_s: float) -> Dict[str, Perfec
         name = arch.name
         row = pscore_rows[name]
         avg_tps = sum(row.tps_by_mode.values()) / max(1, len(row.tps_by_mode))
-        runs = [
-            result
-            for by_mode in elasticity[name].values()
-            for result in by_mode.values()
-        ]
         # E1*: recompute the denominator with the vendor's prices
         billed = actual_cost(arch.pricing, arch.provisioned, duration_s)
         e1_star_values = []
-        for result in runs:
-            denom = billed * (result.elastic_cost / max(result.total_cost, 1e-9))
-            e1_star_values.append(result.avg_tps / denom if denom > 0 else 0.0)
+        for by_mode in elasticity[name].values():
+            for result in by_mode.values():
+                denom = billed * (result.elastic_cost / max(result.total_cost, 1e-9))
+                e1_star_values.append(result.avg_tps / denom if denom > 0 else 0.0)
 
         t_star_values = []
         for result in tenancy[name].values():
@@ -874,23 +892,17 @@ def _perfect_scores(bench: "CloudyBench", duration_s: float) -> Dict[str, Perfec
         if dr is not None:
             extras["dr"] = dr.payload.dr_score
 
-        fo = failover[name]
-        lag_mixed = lag[name].get("mixed") or next(iter(lag[name].values()))
         scores[name] = PerfectScores(
             arch_name=name,
-            p=row.p_avg,
+            p=published[f"p.{name}"],
             p_star=p_score_actual(avg_tps, arch, arch.provisioned, duration_s),
-            # E1: average over patterns and modes of the elasticity runs
-            e1=_mean(result.e1_score for result in runs),
+            e1=published[f"e1.{name}"],
             e1_star=_mean(e1_star_values),
             e2=e2_score(arch, bench.workload_mix("RW", sf)),
-            r_s=fo.r_avg_s,
-            f_s=fo.f_avg_s,
-            # Table IX's C column is the average replication lag of
-            # the mixed IUD pattern in milliseconds (Equation (6)'s
-            # per-kind sum is reported by the lag bench itself).
-            c_ms=lag_mixed.avg_lag_s * 1000.0,
-            t=_mean(result.t_score for result in tenancy[name].values()),
+            r_s=published[f"r_s.{name}"],
+            f_s=published[f"f_s.{name}"],
+            c_ms=published[f"c_ms.{name}"],
+            t=published[f"t.{name}"],
             t_star=_mean(t_star_values),
             scale_factor=1.0,
             extras=extras,

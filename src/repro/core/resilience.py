@@ -15,10 +15,10 @@ This module is that client stack:
   re-closes on probe success.
 * :class:`ResilientSession` -- ties it together: endpoint preference
   order, per-endpoint breakers, per-request timeout budgets, and
-  failover.  One retry state machine drives both a synchronous mode
-  (:meth:`~ResilientSession.call`) and a DES process mode
-  (:meth:`~ResilientSession.call_in`) so tests and the availability
-  evaluator exercise identical logic.
+  failover.  The retry state machine is one DES generator
+  (:meth:`~ResilientSession.call_in`); :meth:`~ResilientSession.call`
+  runs that same generator on the session's own clock, so tests and
+  the availability evaluator exercise identical logic.
 
 Which failures trip a breaker is deliberately narrower than which are
 retryable: a deadlock victim is retryable but says nothing about
@@ -272,6 +272,27 @@ def _run_attempt(attempt_fn: Callable[[str], Any], endpoint: str) -> AttemptResu
     return AttemptResult(ok=True, value=result)
 
 
+class _InlineEnv:
+    """The two members of a DES environment that ``call_in`` reads, over
+    a session's own clock: a timeout has passed once it is asked for."""
+
+    def __init__(
+        self,
+        clock: Callable[[], float],
+        advance: Optional[Callable[[float], None]],
+    ):
+        self._clock = clock
+        self._advance = advance
+
+    @property
+    def now(self) -> float:
+        return self._clock()
+
+    def timeout(self, delay_s: float) -> None:
+        if delay_s > 0 and self._advance is not None:
+            self._advance(delay_s)
+
+
 class ResilientSession:
     """Failover-aware request executor over a set of named endpoints.
 
@@ -299,14 +320,15 @@ class ResilientSession:
         self.endpoints = list(endpoints)
         self.policy = policy or RetryPolicy()
         self.obs = observer or NULL_OBSERVER
-        self._own_clock = VirtualClock() if clock is None else None
-        self._clock = clock or self._own_clock
-        #: with an external ``clock``, the synchronous driver cannot move
-        #: time itself; ``advance(delta_s)`` lets it push a shared
-        #: virtual clock forward on backoffs and attempt latencies (the
-        #: HA evaluator shares one clock between session and failure
-        #: detector this way).
-        self._advance_external = advance
+        if clock is None:
+            clock = VirtualClock()
+            advance = clock.advance
+        #: the clock ``call`` runs on.  With an external ``clock``,
+        #: ``advance(delta_s)`` lets it push a shared virtual clock
+        #: forward on backoffs and attempt latencies (the HA evaluator
+        #: shares one clock between session and failure detector this
+        #: way); without one, time stands still between attempts.
+        self._inline = _InlineEnv(clock, advance)
         self._rng = rng or random.Random(0)
         self.breakers: Dict[str, CircuitBreaker] = {
             name: CircuitBreaker(breaker_reset_s, name=name, observer=self.obs)
@@ -343,105 +365,21 @@ class ResilientSession:
                 return name
         return None
 
-    # -- the shared retry state machine ---------------------------------------
-
-    def _script(self, budget_s: Optional[float], now: float):
-        """Generator yielding ("call", endpoint) / ("sleep", delay) actions.
-
-        The driver resumes it with the current time (and, for calls, the
-        :class:`AttemptResult`).  Returns a :class:`CallOutcome`.
-        """
-        outcome = CallOutcome(ok=False)
-        started = now
-        self.retry_budget.record_request()
-        while outcome.attempts < self.policy.max_attempts:
-            endpoint = self._pick(now)
-            if endpoint is None:
-                # Every breaker is open: wait for the earliest probe slot.
-                delay = min(
-                    breaker.time_until_probe(now)
-                    for breaker in self.breakers.values()
-                )
-                delay = max(delay, 1e-6)
-                outcome.breaker_rejections += 1
-                if outcome.breaker_rejections > 2 * self.policy.max_attempts or (
-                    budget_s is not None and (now - started) + delay > budget_s
-                ):
-                    break
-                now = yield ("sleep", delay)
-                continue
-            outcome.attempts += 1
-            outcome.path.append(endpoint)
-            now, result = yield ("call", endpoint)
-            breaker = self.breakers[endpoint]
-            if result.ok:
-                breaker.record_success(now)
-                outcome.ok = True
-                outcome.value = result.value
-                outcome.endpoint = endpoint
-                outcome.elapsed_s = now - started
-                return outcome
-            outcome.error = result.error
-            if result.error is not None and counts_against_breaker(result.error):
-                breaker.record_failure(now)
-            if result.error is not None and not is_retryable(result.error):
-                break
-            if outcome.attempts >= self.policy.max_attempts:
-                break
-            if not self.retry_budget.try_spend():
-                # Out of retry tokens: give up rather than amplify the
-                # overload.  The breaker consumes the same signal --
-                # sustained budget exhaustion is endpoint pressure, and
-                # backing the breaker off sheds this client entirely.
-                self.budget_denials += 1
-                breaker.record_failure(now)
-                if self.obs.enabled:
-                    self.obs.count("client.budget_exhausted")
-                break
-            delay = self.policy.backoff_s(outcome.attempts, self._rng)
-            if isinstance(result.error, OverloadError):
-                # honor the server's backoff hint: returning sooner than
-                # the queue can drain just gets this request shed again
-                delay = max(delay, result.error.retry_after_s)
-            if budget_s is not None and (now - started) + delay > budget_s:
-                break
-            now = yield ("sleep", delay)
-        outcome.elapsed_s = now - started
-        return outcome
-
-    # -- drivers --------------------------------------------------------------
+    # -- the retry state machine ----------------------------------------------
 
     def call(self, attempt_fn: Callable[[str], Any]) -> CallOutcome:
-        """Synchronous driver (virtual clock; no real sleeping).
+        """Run :meth:`call_in` on the session's own clock, no real sleeping.
 
         ``attempt_fn(endpoint)`` either returns a value, returns an
         :class:`AttemptResult` (to model latency), or raises an
         :class:`~repro.engine.errors.EngineError`.
         """
-        self.calls += 1
-        started = self._clock()
-        script = self._script(None, started)
-        payload: Any = None
+        process = self.call_in(self._inline, attempt_fn)
         while True:
             try:
-                action = script.send(payload)
+                next(process)
             except StopIteration as stop:
-                outcome: CallOutcome = stop.value
-                if not outcome.ok:
-                    self.failures += 1
-                self._observe_outcome(started, self._clock(), outcome)
-                return outcome
-            kind, arg = action
-            if kind == "sleep":
-                if self.obs.enabled:
-                    self.obs.count("client.backoff")
-                    self.obs.observe("client.backoff_s", arg)
-                self._advance(arg)
-                payload = self._clock()
-            else:
-                result = _run_attempt(attempt_fn, arg)
-                self._advance(result.latency_s)
-                payload = (self._clock(), result)
+                return stop.value
 
     def call_in(
         self,
@@ -449,7 +387,7 @@ class ResilientSession:
         attempt_fn: Callable[[str], Any],
         timeout_budget_s: Optional[float] = None,
     ):
-        """DES driver: a generator for ``env.process``.
+        """The retry state machine, as a generator for ``env.process``.
 
         Sleeps and attempt latencies advance *virtual* time, so chaos
         windows open and close underneath the retries exactly as they
@@ -457,38 +395,70 @@ class ResilientSession:
         :class:`CallOutcome`.
         """
         self.calls += 1
-        started = env.now
-        script = self._script(timeout_budget_s, started)
-        payload: Any = None
-        while True:
-            try:
-                action = script.send(payload)
-            except StopIteration as stop:
-                outcome = stop.value
-                if not outcome.ok:
-                    self.failures += 1
-                self._observe_outcome(started, env.now, outcome)
-                return outcome
-            kind, arg = action
-            if kind == "sleep":
-                if self.obs.enabled:
-                    self.obs.count("client.backoff")
-                    self.obs.observe("client.backoff_s", arg)
-                yield env.timeout(arg)
-                payload = env.now
+        started = now = env.now
+        outcome = CallOutcome(ok=False)
+        self.retry_budget.record_request()
+        while outcome.attempts < self.policy.max_attempts:
+            endpoint = self._pick(now)
+            if endpoint is None:
+                # Every breaker is open: wait for the earliest probe slot.
+                delay = max(1e-6, min(
+                    breaker.time_until_probe(now)
+                    for breaker in self.breakers.values()
+                ))
+                outcome.breaker_rejections += 1
+                if outcome.breaker_rejections > 2 * self.policy.max_attempts:
+                    break
             else:
-                result = _run_attempt(attempt_fn, arg)
+                outcome.attempts += 1
+                outcome.path.append(endpoint)
+                result = _run_attempt(attempt_fn, endpoint)
                 if result.latency_s > 0:
                     yield env.timeout(result.latency_s)
-                payload = (env.now, result)
-
-    def _advance(self, delta_s: float) -> None:
-        if delta_s <= 0:
-            return
-        if self._own_clock is not None:
-            self._own_clock.advance(delta_s)
-        elif self._advance_external is not None:
-            self._advance_external(delta_s)
+                now = env.now
+                breaker = self.breakers[endpoint]
+                if result.ok:
+                    breaker.record_success(now)
+                    outcome.ok = True
+                    outcome.value = result.value
+                    outcome.endpoint = endpoint
+                    break
+                outcome.error = result.error
+                if result.error is not None and counts_against_breaker(result.error):
+                    breaker.record_failure(now)
+                if result.error is not None and not is_retryable(result.error):
+                    break
+                if outcome.attempts >= self.policy.max_attempts:
+                    break
+                if not self.retry_budget.try_spend():
+                    # Out of retry tokens: give up rather than amplify the
+                    # overload.  The breaker consumes the same signal --
+                    # sustained budget exhaustion is endpoint pressure, and
+                    # backing the breaker off sheds this client entirely.
+                    self.budget_denials += 1
+                    breaker.record_failure(now)
+                    if self.obs.enabled:
+                        self.obs.count("client.budget_exhausted")
+                    break
+                delay = self.policy.backoff_s(outcome.attempts, self._rng)
+                if isinstance(result.error, OverloadError):
+                    # honor the server's backoff hint: returning sooner than
+                    # the queue can drain just gets this request shed again
+                    delay = max(delay, result.error.retry_after_s)
+            if timeout_budget_s is not None and (
+                (now - started) + delay > timeout_budget_s
+            ):
+                break
+            if self.obs.enabled:
+                self.obs.count("client.backoff")
+                self.obs.observe("client.backoff_s", delay)
+            yield env.timeout(delay)
+            now = env.now
+        outcome.elapsed_s = now - started
+        if not outcome.ok:
+            self.failures += 1
+        self._observe_outcome(started, now, outcome)
+        return outcome
 
     def _observe_outcome(
         self, started: float, ended: float, outcome: CallOutcome

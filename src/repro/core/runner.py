@@ -22,10 +22,6 @@ from repro.core.evalapi import EvalOutcome, get_evaluator
 from repro.core.workload import THROUGHPUT_PATTERNS, TransactionMix
 from repro.obs import Observer
 
-#: key of one throughput measurement: (arch, scale factor, mode, concurrency)
-ThroughputKey = Tuple[str, int, str, int]
-
-
 @dataclass
 class PScoreRow:
     """One row of Table V."""
@@ -40,15 +36,6 @@ class PScoreRow:
     def p_avg(self) -> float:
         values = list(self.p_by_mode.values())
         return sum(values) / len(values) if values else 0.0
-
-
-def average_tps(data: Dict[ThroughputKey, float], arch_name: str, mode: str) -> float:
-    """Average TPS of one mode over all SFs and concurrencies."""
-    values = [
-        tps for (name, _sf, m, _con), tps in data.items()
-        if name == arch_name and m == mode
-    ]
-    return sum(values) / len(values) if values else 0.0
 
 
 class CloudyBench:
@@ -127,10 +114,6 @@ class CloudyBench:
             latest_k=self.config.latest_k,
             mvcc=self.config.uses_mvcc,
         )
-
-    def average_tps(self, arch_name: str, mode: str) -> float:
-        """Average TPS of one mode over all SFs and concurrencies."""
-        return average_tps(self.run("throughput").payload, arch_name, mode)
 
     # -- saturation probe (the tau of Sections II-C/II-D) ------------------------------
 

@@ -94,6 +94,20 @@ class TestOutcomes:
         # results are cached per underlying computation
         assert bench.run("elasticity").payload is bench.run("elasticity").payload
 
+    def test_score_card_shows_the_scores_each_evaluation_publishes(self, bench):
+        published = {}
+        for name in ("pscore", "elasticity", "multitenancy", "lagtime", "failover"):
+            published.update(bench.run(name).scores)
+        card = bench.run("overall").payload
+        assert set(card) == {"aws_rds", "cdb3"}
+        for arch, scores in card.items():
+            assert (
+                scores.p, scores.e1, scores.t, scores.c_ms, scores.f_s, scores.r_s
+            ) == tuple(
+                published[f"{key}.{arch}"]
+                for key in ("p", "e1", "t", "c_ms", "f_s", "r_s")
+            )
+
     def test_payload_is_memoised_but_obs_is_taken_per_call(self):
         bench = CloudyBench(BenchConfig.quick())
         before = bench.run("pscore")
@@ -188,6 +202,8 @@ class TestOptRanges:
         ("scaleout-real", "shards=0"),
         ("scaleout-real", "txns=0"),
         ("serve", "connections=0"),
+        ("scaleout-real", "shards="),
+        ("serve", "connections="),
         ("serve", "txns=-1"),
         ("scaleout-real", "arrival=poisson:nan"),
         ("oltp", "arrival=burst:inf,2"),
@@ -249,12 +265,15 @@ class TestConfigErrors:
         (None, ["--config", "{missing}"], "--config", "No such file"),
         ("[workload]\nbogus = 1\n", [], "--config", "unknown config key workload.'bogus'"),
         ("shard_txns = 0\n", [], "--config", "shard_txns must be >= 1"),
+        ('qos_enabled = "maybe"\n', [], "--config", "qos_enabled must be a boolean"),
+        ("shard_counts = []\n", [], "--config", "shard_counts must list at least one"),
         ("concurrencies = 5\n", [], "--config", "not iterable"),
         ("seed = = 1\n", [], "--config", "line 1"),
         ('architectures = ["nope"]\n', [], "--config", "unknown architecture 'nope'"),
         ("seed = 3\n", ["--quick"], "--config", "--quick"),
-    ], ids=["arch", "missing-file", "unknown-key", "bad-value", "bad-type",
-            "bad-toml", "props-arch", "config-and-quick"])
+    ], ids=["arch", "missing-file", "unknown-key", "bad-value",
+            "option-parser-value", "empty-list", "bad-type", "bad-toml",
+            "props-arch", "config-and-quick"])
     def test_one_line_naming_the_flag(self, tmp_path, props, extra, flag, says):
         argv = ["--eval", "pscore"]
         if props is not None:

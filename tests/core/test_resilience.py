@@ -24,7 +24,9 @@ from repro.engine.errors import (
     RequestTimeout,
     SqlError,
 )
-from repro.sim.events import Environment
+from repro.obs import Observer
+from repro.qos.budget import RetryBudget
+from repro.sim.events import Environment, VirtualClock
 
 
 # -- classification ------------------------------------------------------------
@@ -322,8 +324,6 @@ def test_half_open_admits_bounded_probes():
 def test_retry_budget_caps_replays():
     """With an empty budget the session stops retrying early, reports
     the exhaustion, and feeds the breaker the same signal."""
-    from repro.qos.budget import RetryBudget
-
     session = ResilientSession(
         ["primary"],
         policy=RetryPolicy(max_attempts=10, base_backoff_s=0.01, jitter=0.0),
@@ -364,8 +364,6 @@ def test_default_budget_never_throttles_a_quiet_session():
 
 
 def test_retry_budget_refills_with_fresh_requests():
-    from repro.qos.budget import RetryBudget
-
     budget = RetryBudget(deposit_ratio=0.5, min_tokens=1.0, max_tokens=4.0)
     assert budget.try_spend()                    # the reserve token
     assert not budget.try_spend()
@@ -376,3 +374,102 @@ def test_retry_budget_refills_with_fresh_requests():
     assert budget.try_spend()
     assert not budget.try_spend()
     assert budget.deposits == 4 and budget.spends == 3
+
+
+# -- one retry state machine for both clocks -----------------------------------
+
+
+def scripted(steps):
+    """An attempt function that plays ``steps`` in order, 10 ms each: an
+    exception class is raised, anything else is the attempt's value."""
+    remaining = list(steps)
+
+    def attempt(endpoint):
+        step = remaining.pop(0)
+        if isinstance(step, type):
+            error = step(f"{endpoint} down")
+            error.latency_s = 0.01
+            raise error
+        return AttemptResult(ok=True, value=(endpoint, step), latency_s=0.01)
+
+    return attempt
+
+
+#: name -> (session arguments, one attempt script per call, drained budget?)
+PARITY_CASES = {
+    "fail-fail-succeed": (
+        dict(endpoints=["replica:0", "primary"], policy=RetryPolicy()),
+        [[NodeUnavailableError, RequestTimeout, "pong"]],
+        False,
+    ),
+    "all-breakers-open-until-the-probe-slot": (
+        dict(
+            endpoints=["a", "b"],
+            policy=RetryPolicy(
+                max_attempts=2 * FAILURE_THRESHOLD, base_backoff_s=0.01
+            ),
+            breaker_reset_s=1.0,
+        ),
+        [[NodeUnavailableError] * (2 * FAILURE_THRESHOLD), ["pong"]],
+        False,
+    ),
+    "retry-budget-exhausted": (
+        dict(endpoints=["primary"], policy=RetryPolicy(max_attempts=10)),
+        [[RequestTimeout] * 10],
+        True,
+    ),
+}
+
+
+def drive(case, des):
+    """Run one case's calls through ``call_in`` in an Environment (``des``)
+    or through ``call`` on a VirtualClock; what both must agree on."""
+    arguments, calls, drained = PARITY_CASES[case]
+    env = Environment() if des else None
+    clock = (lambda: env.now) if des else VirtualClock()
+    obs = Observer(clock=clock)
+    session = ResilientSession(
+        rng=random.Random(11), observer=obs,
+        **({} if des else dict(clock=clock, advance=clock.advance)),
+        **arguments,
+    )
+    if drained:
+        session.retry_budget = RetryBudget(
+            deposit_ratio=0.0, min_tokens=2.0, max_tokens=2.0
+        )
+    outcomes = []
+    for steps in calls:
+        if des:
+            process = env.process(session.call_in(env, scripted(steps)))
+            env.run()
+            outcome = process.value
+        else:
+            outcome = session.call(scripted(steps))
+        outcome.error = None if outcome.error is None else (
+            type(outcome.error), outcome.error.args
+        )
+        outcomes.append(outcome)
+    counters = {
+        name: counter.value
+        for name, counter in obs.metrics.counters.items()
+        if name.startswith("client.")
+    }
+    return (
+        outcomes, clock(), session.breaker_opens(), session.breaker_recloses(),
+        session.budget_denials, counters,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_call_and_call_in_run_one_state_machine(case):
+    sync, des = drive(case, des=False), drive(case, des=True)
+    assert sync == des
+    outcomes, elapsed, opens, _recloses, denials, counters = sync
+    assert elapsed > 0 and counters["client.calls"] == len(outcomes)
+    if case == "fail-fail-succeed":
+        assert outcomes[0].ok and outcomes[0].attempts == 3
+    elif case == "retry-budget-exhausted":
+        assert not outcomes[0].ok and denials == 1
+    else:
+        assert opens == 2 and outcomes[-1].ok
+        assert outcomes[-1].breaker_rejections >= 1
