@@ -32,7 +32,7 @@ from repro.engine.errors import (
 )
 from repro.engine.executor import Executor, Prepared, ResultSet
 from repro.engine.locks import BLOCKED, EXCLUSIVE, LockManager, LockMode
-from repro.engine.recovery import RecoveryReport, _apply_undo, recover
+from repro.engine.recovery import RecoveryReport, _apply_undo, _undo_versions, recover
 from repro.engine.sql import SelectStatement
 from repro.engine.table import RowVersion, Table, TableSnapshot, VersionStore
 from repro.engine.txn import (
@@ -271,20 +271,27 @@ class Database:
     def hold_in_doubt(self, txn_id: int, gtid) -> Transaction:
         """Reopen an in-doubt branch recovery redid as a ``PREPARED``
         transaction with an X lock on each key it wrote, until its commit
-        or rollback settles it; its writes wait on ``txn.deferred``, so a
-        snapshot begun meanwhile reads their before-images."""
+        or rollback settles it.  Redo stamped its version-chain entries
+        committed; they are taken back, newest first, and its writes are
+        booked as a live writer's (:meth:`_logged`), so a snapshot begun
+        meanwhile reads their before-images."""
         txn = Transaction(self, txn_id)
         txn.gtid = gtid
         txn.state = PREPARED
-        txn.last_lsn = self.wal.last_lsn_of(txn_id)
         self.txns.active[txn_id] = txn
-        for record in reversed(self.wal.transaction_chain(txn_id, txn.last_lsn)):
-            if record.kind in DATA_KINDS:
-                self.locks.acquire(txn_id, (record.table, record.key), EXCLUSIVE)
-                if record.kind is UPDATE:
-                    new_key = record.after[self._tables[record.table].schema.primary_key_index]
-                    self.locks.acquire(txn_id, (record.table, new_key), EXCLUSIVE)
-                txn.deferred.append(record)
+        chain = self.wal.transaction_chain(txn_id, self.wal.last_lsn_of(txn_id))
+        records = [record for record in chain if record.kind in DATA_KINDS]
+        for record in records:
+            _undo_versions(self._tables[record.table], record)
+        for record in reversed(records):
+            table = self._tables[record.table]
+            key = new_key = record.key
+            self.locks.acquire(txn_id, (record.table, key), EXCLUSIVE)
+            if record.kind is UPDATE:
+                new_key = record.after[table.schema.primary_key_index]
+                self.locks.acquire(txn_id, (record.table, new_key), EXCLUSIVE)
+            self._logged(txn, table, record, key, new_key)
+        txn.last_lsn = chain[0].lsn
         return txn
 
     def _observe_txn_end(self, txn: Transaction, outcome: str) -> None:

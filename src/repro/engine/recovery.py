@@ -115,14 +115,22 @@ def _apply_redo(db: "Database", record: LogRecord) -> None:
         raise EngineError(f"cannot redo record kind {record.kind}")
 
 
+def _undo_versions(table: Table, record: LogRecord) -> None:
+    """Reverse one data record's version-chain entries: drop the version
+    it created, clear the end marker it set on the predecessor."""
+    if record.kind is not DELETE:
+        table.versions.remove_newest(record.after[table.schema.primary_key_index])
+    if record.kind is not INSERT:
+        _chain_unend(table, record.key, record)
+
+
 def _apply_undo(db: "Database", record: LogRecord) -> None:
     """Logically reverse one data record (live rollback and loser undo).
 
-    Chain maintenance mirrors the forward path: drop the version the
-    record created, clear the end marker it set on the predecessor.  A
-    write whose chain entries were deferred (``Transaction.deferred``)
+    Chain maintenance mirrors the forward path (:func:`_undo_versions`).
+    A write whose chain entries were deferred (``Transaction.deferred``)
     touched only chainless keys, which stay chainless until a replay
-    builds its entries -- so both steps find nothing to reverse.
+    builds its entries -- so there is nothing to reverse.
     """
     table = db.table(record.table)
     if record.kind is INSERT:
@@ -131,20 +139,17 @@ def _apply_undo(db: "Database", record: LogRecord) -> None:
         if rid is None:
             raise EngineError(f"undo INSERT: key {key!r} missing in {record.table}")
         table.delete_row(rid)
-        table.versions.remove_newest(key)
     elif record.kind is UPDATE:
         new_key = record.after[table.schema.primary_key_index]
         rid = table.find_by_key(new_key)
         if rid is None:
             raise EngineError(f"undo UPDATE: key {new_key!r} missing in {record.table}")
         table.update_row(rid, record.before)
-        table.versions.remove_newest(new_key)
-        _chain_unend(table, record.key, record)
     elif record.kind is DELETE:
         table.insert_row(record.before)
-        _chain_unend(table, record.key, record)
     else:  # pragma: no cover
         raise EngineError(f"cannot undo record kind {record.kind}")
+    _undo_versions(table, record)
 
 
 def recover(db: "Database") -> RecoveryReport:

@@ -466,7 +466,11 @@ class AsyncSQLClient(_LocalBegin):
 
     async def request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         self.send_nowait(frame)
-        await self.drain()
+        conn = self._conn
+        if conn.paused or conn.error is not None:
+            # only a full write buffer waits, and a dead connection
+            # raises its error before any frame left in its inbox
+            await self.drain()
         return await self.recv_response()
 
     # -- await-per-request helpers -------------------------------------------

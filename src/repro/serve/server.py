@@ -733,10 +733,11 @@ class SQLServer:
         result = self._run_statement(session, sql, params, read_only)
         if self.obs.enabled:
             self.obs.count("serve.stmt.ok")
+        # tuples encode as JSON arrays: the result goes out uncopied
         return {
             "ok": True,
-            "columns": list(result.columns),
-            "rows": [list(row) for row in result.rows],
+            "columns": result.columns,
+            "rows": result.rows,
             "rowcount": result.rowcount,
         }
 

@@ -1,7 +1,8 @@
 """The wire protocol: length-prefixed JSON frames.
 
 One frame is a 4-byte big-endian unsigned length followed by exactly
-that many bytes of UTF-8 JSON.  Requests are objects with an ``op``
+that many bytes of UTF-8 JSON, byte for byte ``json.dumps(payload,
+separators=(",", ":"))``.  Requests are objects with an ``op``
 key; responses carry ``ok: true`` plus a result block, or ``ok: false``
 plus the error taxonomy object of :mod:`repro.serve.errors`.
 
@@ -99,10 +100,22 @@ MAX_STATEMENT_IDS = 1024
 
 _HEADER = struct.Struct(">I")
 
-# json.dumps(..., separators=...) and json.loads build an encoder /
-# re-check their arguments on every call; one of each is enough
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
-_decode_json = json.JSONDecoder().decode
+# the stdlib codec (json.dumps / json.loads build or re-check one per
+# call) and the C parts under it, built once: ``encode`` makes a C
+# encoder per call, ``decode`` wraps the C scanner in two regex matches.
+# The C encoder keeps no circular-reference markers (a cycle trips the
+# recursion guard instead): any failure re-runs the stdlib for its error.
+_encoder = json.JSONEncoder(separators=(",", ":"))
+_decoder = json.JSONDecoder()
+_scan_once = _decoder.scan_once
+try:
+    _c_encode = json.encoder.c_make_encoder(
+        None, _encoder.default, json.encoder.encode_basestring_ascii,
+        _encoder.indent, _encoder.key_separator, _encoder.item_separator,
+        _encoder.sort_keys, _encoder.skipkeys, _encoder.allow_nan,
+    )
+except TypeError:  # no _json: c_make_encoder is None, and encode_frame falls back
+    _c_encode = None
 
 
 class FrameError(Exception):
@@ -112,7 +125,11 @@ class FrameError(Exception):
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """One wire frame for ``payload``; raises :class:`FrameError` when
     the encoded payload exceeds :data:`MAX_FRAME_BYTES`."""
-    body = _encode_json(payload).encode("utf-8")
+    try:
+        text = "".join(_c_encode(payload, 0))
+    except Exception:  # noqa: BLE001 -- the stdlib encoder names the fault
+        text = _encoder.encode(payload)
+    body = text.encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame payload is {len(body)} bytes "
@@ -197,10 +214,18 @@ class FrameDecoder:
 
 
 def decode_body(body: bytes) -> Dict[str, Any]:
-    """Decode one frame body; malformed JSON is a protocol error."""
+    """Decode one frame body; malformed JSON is a protocol error, as is
+    JSON the stdlib refuses to build (an integer past its digit limit,
+    nesting past the recursion limit)."""
     try:
-        payload = _decode_json(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        text = body.decode("utf-8")
+        try:
+            payload, end = _scan_once(text, 0)
+        except (StopIteration, ValueError, RecursionError):  # the stdlib names it
+            end = -1
+        if end != len(text):  # whitespace around it, extra data, or invalid
+            payload = _decoder.decode(text)
+    except (ValueError, RecursionError) as error:  # UnicodeDecodeError, JSONDecodeError
         raise FrameError(f"frame body is not valid JSON: {error}") from error
     if not isinstance(payload, dict):
         raise FrameError(

@@ -171,6 +171,31 @@ class TestPipelining:
 
         asyncio.run(scenario())
 
+    def test_a_request_on_a_hung_up_connection_raises_its_error(self, fleet):
+        """The server answered and hung up; its answers sit unread.  A
+        request on the dead connection -- its transport not paused, so
+        there is no write buffer to wait on -- raises the recorded
+        connection error rather than return a stale frame."""
+
+        async def scenario():
+            async with SQLServer(fleet, ServerConfig(qos=False)) as server:
+                client = AsyncSQLClient(*server.address)
+                await client.connect()
+                client.send_nowait({"op": "ping"})
+                client.send_nowait({"op": "goodbye"})
+                conn = client._conn
+                for _ in range(500):
+                    if conn.error is not None:
+                        break
+                    await asyncio.sleep(0.01)
+                assert len(conn.inbox) == 2 and not conn.paused
+                with pytest.raises(ConnectionError, match="server closed"):
+                    await client.request({"op": "ping"})
+                assert len(conn.inbox) == 2
+                client.abort()
+
+        asyncio.run(scenario())
+
     def test_mid_pipeline_connection_drop(self, fleet):
         """CONN_DROP mid-pipeline: the client sees a dead connection,
         the server counts the abrupt disconnect, the injector fired."""
@@ -446,6 +471,30 @@ class TestFraming:
                 raw.close()
             time.sleep(0.05)
             assert bg.server.abrupt_disconnects == 1
+
+    def test_a_body_json_will_not_build_gets_one_error_frame(self, fleet):
+        """A ping, then a frame whose integer is past the stdlib's digit
+        limit: the ping is answered, then one protocol error frame, then
+        EOF -- the connection handler never sees the decoder's error."""
+        from repro.serve.wire import encode_frame
+
+        body = b'{"op":"ping","n":' + b"9" * 5000 + b"}"
+        with BackgroundServer(fleet) as bg:
+            raw = socket.create_connection(bg.server.address, timeout=5.0)
+            try:
+                raw.sendall(encode_frame({"op": "ping"}) + struct.pack(">I", len(body)) + body)
+                decoder = FrameDecoder()
+                frames = []
+                while True:
+                    data = raw.recv(65536)
+                    if not data:
+                        break
+                    frames.extend(decoder.feed(data))
+                assert frames[0] == {"ok": True} and len(frames) == 2
+                assert frames[1]["ok"] is False
+                assert "not valid JSON" in frames[1]["error"]["message"]
+            finally:
+                raw.close()
 
     def test_a_client_that_never_reads_is_paused_alone(self, fleet):
         """Back-pressure: a raw client pipelines far more than it reads,

@@ -1,11 +1,14 @@
 """Wire framing edge cases: partial reads, bad prefixes, truncation."""
 
+import json
+import math
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve import wire
 from repro.serve.wire import (
     HEADER_BYTES,
     FrameDecoder,
@@ -161,3 +164,101 @@ def test_property_any_chunking_yields_the_same_frames(payloads, data):
         frames.extend(decoder.feed(stream[start:stop]))
     assert frames == payloads
     decoder.end_of_stream()
+
+
+# -- codec parity: the frames and the failures are the stdlib json's ---------
+
+_STDLIB_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+_STDLIB_DECODE = json.JSONDecoder().decode
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-10**60, max_value=10**60),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(max_size=12),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+_OBJECTS = st.dictionaries(st.text(max_size=6), _VALUES, max_size=5)
+
+
+#: JSON texts, object or not, with whitespace around them or junk after
+_TEXTS = st.builds(
+    lambda pad, value, tail: (pad[0] + _STDLIB_ENCODE(value) + pad[1]).encode() + tail,
+    st.tuples(*[st.sampled_from(["", " ", "\n\t ", "\r"])] * 2),
+    st.one_of(_OBJECTS, _VALUES),
+    st.sampled_from([b"", b"x", b"}", b"]", b"{}", b",1", b"\xff"]),
+)
+#: arbitrary bytes, those texts, and those texts cut short
+_BODIES = st.one_of(
+    st.binary(max_size=48), _TEXTS,
+    st.tuples(_TEXTS, st.integers(0, 64)).map(lambda cut: cut[0][:cut[1]]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(body=_BODIES)
+def test_property_decode_body_is_the_stdlib_decode_or_a_frame_error(body):
+    try:
+        want = _STDLIB_DECODE(body.decode("utf-8"))
+    except ValueError as error:  # UnicodeDecodeError, JSONDecodeError
+        with pytest.raises(FrameError) as refused:
+            decode_body(body)
+        assert str(error) in str(refused.value)
+        return
+    if not isinstance(want, dict):
+        with pytest.raises(FrameError, match="must be an object"):
+            decode_body(body)
+        return
+    got = decode_body(body)
+    # compared re-encoded: tells nan from nan equal, 1 from 1.0 and True,
+    # -0.0 from 0.0, and one key order from another
+    assert type(got) is dict and _STDLIB_ENCODE(got) == _STDLIB_ENCODE(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=_OBJECTS)
+def test_property_encode_frame_is_the_stdlib_encoding(payload):
+    body = _STDLIB_ENCODE(payload).encode("utf-8")
+    assert encode_frame(payload) == struct.pack(">I", len(body)) + body
+
+
+class TestCodecFailures:
+    """The fast paths fail exactly as the stdlib codec does."""
+
+    def test_a_circular_list_is_the_stdlib_value_error(self):
+        params = [1]
+        params.append(params)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            encode_frame({"op": "execute", "params": params})
+
+    @pytest.mark.parametrize("value", [b"x", {1}])
+    def test_an_unencodable_value_is_the_stdlib_type_error(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            encode_frame({"params": [value]})
+
+    def test_without_the_c_encoder_the_frames_are_the_same(self, monkeypatch):
+        payload = {"rows": [(1, "é", -0.0, math.nan)], "ok": True}
+        fast = encode_frame(payload)
+        monkeypatch.setattr(wire, "_c_encode", None)
+        assert encode_frame(payload) == fast
+
+    def test_whitespace_around_a_body_decodes_as_before(self):
+        assert decode_body(b' \n{"op": "ping"}\t ') == {"op": "ping"}
+        with pytest.raises(FrameError, match="Extra data"):
+            decode_body(b'{"op": "ping"} {}')
+
+    @pytest.mark.parametrize("body", [
+        b'{"n":' + b"1" * 5000 + b"}",  # past the int digit limit
+        b'{"a":' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # past the recursion limit
+    ], ids=["digits", "nesting"])
+    def test_json_the_stdlib_will_not_build_is_a_frame_error(self, body):
+        with pytest.raises(FrameError, match="not valid JSON"):
+            decode_body(body)

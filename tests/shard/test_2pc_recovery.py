@@ -184,6 +184,36 @@ def test_a_lone_restart_holds_its_branch_while_the_decider_is_down(flushed):
     assert [value_of(fleet, key) for key in keys] == [-AMOUNT, AMOUNT]
 
 
+def snapshot_value_of(fleet, key):
+    with fleet.begin(isolation=IsolationLevel.SNAPSHOT) as gtxn:
+        return fleet.query("SELECT V FROM kv WHERE K = ?", [key], gtxn=gtxn).scalar()
+
+
+@pytest.mark.parametrize("peek", [True, False])
+@pytest.mark.parametrize("phase, outcome", [("after_prepare", 0), ("mid_decision", 99)])
+def test_a_held_branch_is_invisible_to_snapshots_until_it_is_decided(phase, outcome, peek):
+    """Restart redo stamps every record it replays as committed history,
+    the branches it finds in doubt included.  A branch held while its
+    decider is down is undecided: a snapshot must read its before-image
+    (not a write that may yet be presumed aborted), and once shard 0 is
+    back a new snapshot reads what the fleet decided -- whether or not a
+    snapshot ran while the branch was held."""
+    fleet = kv_fleet(2)
+    by_shard = load_keys(fleet, per_shard=1)
+    run_to_crash(fleet, by_shard, phase)
+    fleet.shards[0].wal.kill()
+    fleet._resolve_in_doubt([fleet._recover_shard(1)], [1])
+    assert len(fleet.coordinator.dangling) == 1
+    if peek:
+        assert snapshot_value_of(fleet, by_shard[1][0]) == 0
+
+    fleet._resolve_in_doubt([fleet._recover_shard(0)], [0])
+    assert fleet.coordinator.dangling == []
+    for keys in by_shard:
+        assert snapshot_value_of(fleet, keys[0]) == outcome
+        assert value_of(fleet, keys[0]) == outcome
+
+
 def test_a_dangling_transaction_waits_while_any_shard_is_down():
     """Shard 1, the last agent of a write to shards 1 and 2, dies right
     after forcing its DECISION: no reachable shard holds one, so the
