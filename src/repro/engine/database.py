@@ -32,7 +32,7 @@ from repro.engine.errors import (
 )
 from repro.engine.executor import Executor, Prepared, ResultSet
 from repro.engine.locks import BLOCKED, EXCLUSIVE, LockManager, LockMode
-from repro.engine.recovery import RecoveryReport, _apply_undo, _undo_versions, recover
+from repro.engine.recovery import RecoveryReport, _apply_undo, recover
 from repro.engine.sql import SelectStatement
 from repro.engine.table import RowVersion, Table, TableSnapshot, VersionStore
 from repro.engine.txn import (
@@ -271,19 +271,16 @@ class Database:
     def hold_in_doubt(self, txn_id: int, gtid) -> Transaction:
         """Reopen an in-doubt branch recovery redid as a ``PREPARED``
         transaction with an X lock on each key it wrote, until its commit
-        or rollback settles it.  Redo stamped its version-chain entries
-        committed; they are taken back, newest first, and its writes are
-        booked as a live writer's (:meth:`_logged`), so a snapshot begun
-        meanwhile reads their before-images."""
+        or rollback settles it.  Redo left the keys it wrote chainless
+        (:meth:`_keeps_history`), so its writes are booked as a live
+        writer's (:meth:`_logged`): a snapshot begun meanwhile builds their
+        entries, uncommitted, and reads their before-images."""
         txn = Transaction(self, txn_id)
         txn.gtid = gtid
         txn.state = PREPARED
         self.txns.active[txn_id] = txn
         chain = self.wal.transaction_chain(txn_id, self.wal.last_lsn_of(txn_id))
-        records = [record for record in chain if record.kind in DATA_KINDS]
-        for record in records:
-            _undo_versions(self._tables[record.table], record)
-        for record in reversed(records):
+        for record in reversed([r for r in chain if r.kind in DATA_KINDS]):
             table = self._tables[record.table]
             key = new_key = record.key
             self.locks.acquire(txn_id, (record.table, key), EXCLUSIVE)
@@ -527,23 +524,29 @@ class Database:
             )
         return freed
 
+    def _keeps_history(self, versions: VersionStore, key: Any, new_key: Any) -> bool:
+        """Whether a write of ``key`` (moved to ``new_key``) builds chain
+        entries -- live, redo and replica apply alike: while a snapshot
+        that may read them is live, or while either key has a chain,
+        which must stay in step (else undo pops committed history and a
+        later snapshot reads a stale head)."""
+        return self.txns.live_snapshots or versions.live_versions and (
+            key in versions or new_key in versions
+        )
+
     def _logged(
         self, txn: Transaction, table: Table, record: LogRecord, key: Any, new_key: Any
     ) -> None:
         """Book a logged and applied data record on ``txn``: its undo
         chain head (``last_lsn``), counters, and version-chain entries.
 
-        With no snapshot live, a chainless key's history is unreadable:
-        its entries wait on ``txn.deferred`` until a snapshot begins.  A
-        chained key (either key of a primary-key move) keeps its chain
-        in step, or undo would pop committed history -- after ``txn``'s
-        deferred entries, so its chains stay in write order (a move
-        onto a chained key must not take the row it inserted for base).
+        A write :meth:`_keeps_history` does not chain waits on
+        ``txn.deferred`` until a snapshot begins.  One it chains comes
+        after ``txn``'s deferred entries, so its chains stay in write
+        order (a move onto a chained key must not take the row it
+        inserted for base).
         """
-        versions = table.versions
-        if self.txns.live_snapshots or versions.live_versions and (
-            key in versions or new_key in versions
-        ):
+        if self._keeps_history(table.versions, key, new_key):
             if txn.deferred:
                 self._build_deferred(txn)
             self._build_versions(txn, table, record)

@@ -4,9 +4,9 @@ Two consumers of the WAL live here:
 
 * :func:`recover` -- ARIES-style restart recovery for the primary:
   analysis over the retained log, redo of every data record after the
-  checkpoint, then undo of loser transactions in reverse LSN order.
-  Checkpoints are quiesced (taken with no active transactions), so
-  loser records never precede the checkpoint.
+  checkpoint into the heap alone (no snapshot can read a redone
+  version), then undo of loser transactions in reverse LSN order.
+  Checkpoints are quiesced, so loser records never precede the checkpoint.
 * :class:`ReplicaApplier` -- applies the committed-transaction batches
   (each COMMIT's ``prev_lsn`` chain) to a read replica, tracking the
   applied commit LSN.  The cloud layer decides *when* records arrive
@@ -67,52 +67,45 @@ def _chain_end(table: Table, key, lsn: int) -> None:
 
 
 def _chain_unend(table: Table, key, record: LogRecord) -> None:
-    """Reverse ``_chain_end`` / ``Database._build_versions`` for this
-    record, whether the end marker is an uncommitted txn mark (live
-    rollback) or a redo-stamped LSN (loser undo after a crash)."""
+    """Clear the uncommitted end mark ``Database._build_versions`` set
+    for this record (what is undone was never chained by redo)."""
     head = table.versions.newest(key)
-    if head is not None and (
-        head.end_txn == record.txn_id or head.end_lsn == record.lsn
-    ):
+    if head is not None and head.end_txn == record.txn_id:
         head.end_txn = None
-        head.end_lsn = None
 
 
 def _apply_redo(db: "Database", record: LogRecord) -> None:
     """Physically re-apply one data record (exact replay after snapshot).
 
-    Version chains are rebuilt alongside the heap, stamped with the
-    record's own (primary) LSN: on a replica this is what lets snapshot
-    reads order shipped commits against ``snapshot_floor``, and after a
-    crash every later snapshot sees the replayed history as committed.
+    Chain entries, stamped with the record's own (primary) LSN, follow
+    the write path's rule (``Database._keeps_history``).  After
+    ``crash()`` no snapshot is live and no key chained, so a restart
+    writes the heap alone; a replica chains what its snapshots can read.
     """
-    table = db.table(record.table)
-    kind = record.kind
-    if kind is UPDATE:
-        key, after = record.key, record.after
+    table = db._tables[record.table]
+    kind, key, after = record.kind, record.key, record.after
+    new_key = key
+    if kind is INSERT:
+        table.insert_row(after)
+    else:
         rid = table.find_by_key(key)
         if rid is None:
-            raise EngineError(f"redo UPDATE: key {key!r} missing in {record.table}")
-        table.update_row(rid, after)
-        table.versions.transition(
-            key, after[table.schema.primary_key_index], record.before, after,
-            lsn=record.lsn,
-        )
+            raise EngineError(f"redo {kind.name}: key {key!r} missing in {record.table}")
+        if kind is UPDATE:
+            table.update_row(rid, after)
+            new_key = after[table.schema.primary_key_index]
+        else:
+            table.delete_row(rid)
+    versions = table.versions
+    if not db._keeps_history(versions, key, new_key):
+        return
+    if kind is UPDATE:
+        versions.transition(key, new_key, record.before, after, lsn=record.lsn)
     elif kind is INSERT:
-        table.insert_row(record.after)
-        table.versions.append(
-            record.key, RowVersion(record.after, begin_lsn=record.lsn)
-        )
-    elif kind is DELETE:
-        rid = table.find_by_key(record.key)
-        if rid is None:
-            raise EngineError(f"redo DELETE: key {record.key!r} missing in {record.table}")
-        table.delete_row(rid)
-        # a snapshot live while a replica batch applies keeps seeing it
-        table.versions.capture_base(record.key, record.before)
-        _chain_end(table, record.key, record.lsn)
-    else:  # pragma: no cover - callers filter to data kinds
-        raise EngineError(f"cannot redo record kind {record.kind}")
+        versions.append(key, RowVersion(after, begin_lsn=record.lsn))
+    else:  # a snapshot live while a replica batch applies keeps seeing it
+        versions.capture_base(key, record.before)
+        _chain_end(table, key, record.lsn)
 
 
 def _undo_versions(table: Table, record: LogRecord) -> None:
@@ -128,9 +121,9 @@ def _apply_undo(db: "Database", record: LogRecord) -> None:
     """Logically reverse one data record (live rollback and loser undo).
 
     Chain maintenance mirrors the forward path (:func:`_undo_versions`).
-    A write whose chain entries were deferred (``Transaction.deferred``)
-    touched only chainless keys, which stay chainless until a replay
-    builds its entries -- so there is nothing to reverse.
+    A write whose chain entries are deferred (``Transaction.deferred``)
+    or were redone after a crash touched only chainless keys, so there
+    is nothing to reverse.
     """
     table = db.table(record.table)
     if record.kind is INSERT:

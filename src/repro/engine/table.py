@@ -526,7 +526,7 @@ class Table:
         self._next_auto = snapshot.next_auto
         # Checkpoint images are quiesced and vacuumed: the restored heap
         # is committed base data, so all version history resets with it
-        # (recovery redo rebuilds the post-checkpoint chains).
+        # (recovery redo builds no chain: no snapshot can read one).
         self.versions.clear()
         dirty = self.dirty_rows
         if dirty is not None and not dirty:

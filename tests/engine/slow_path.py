@@ -7,7 +7,7 @@ argument rather than on running the slow path beside it:
   autocommit statement, a READ COMMITTED read's S) is not taken where
   ``LockManager.elide`` finds no lock-table entry for its key;
 * a write builds its version-chain entries only while a snapshot could
-  read them, or its key already has a chain (``Database._logged``);
+  read them, or its key already has a chain (``Database._keeps_history``);
   otherwise they wait on ``txn.deferred`` until a snapshot begins.
 
 :func:`force_slow_paths` turns both off on one database by patching that

@@ -192,12 +192,13 @@ def snapshot_value_of(fleet, key):
 @pytest.mark.parametrize("peek", [True, False])
 @pytest.mark.parametrize("phase, outcome", [("after_prepare", 0), ("mid_decision", 99)])
 def test_a_held_branch_is_invisible_to_snapshots_until_it_is_decided(phase, outcome, peek):
-    """Restart redo stamps every record it replays as committed history,
-    the branches it finds in doubt included.  A branch held while its
-    decider is down is undecided: a snapshot must read its before-image
-    (not a write that may yet be presumed aborted), and once shard 0 is
-    back a new snapshot reads what the fleet decided -- whether or not a
-    snapshot ran while the branch was held."""
+    """Restart redo writes the heap alone, the branches it finds in doubt
+    included: their keys come back chainless, with no history a snapshot
+    could take for committed.  A branch held while its decider is down
+    is undecided: a snapshot must read its before-image (not a write
+    that may yet be presumed aborted), and once shard 0 is back a new
+    snapshot reads what the fleet decided -- whether or not a snapshot
+    ran while the branch was held."""
     fleet = kv_fleet(2)
     by_shard = load_keys(fleet, per_shard=1)
     run_to_crash(fleet, by_shard, phase)

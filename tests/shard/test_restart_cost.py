@@ -9,7 +9,8 @@ already holds its image is pure waste that no result shows); it
 CRC-verifies every retained record above the checkpoint exactly once,
 all of them before the first redo; it walks the retained log a fixed
 number of times; and it undoes an in-doubt branch it presumes aborted
-along that branch's own chain.
+along that branch's own chain.  And it rebuilds the heap, not history:
+no snapshot can read a redone version, so redo builds no version chain.
 """
 
 import pytest
@@ -18,7 +19,9 @@ from repro.core.datagen import load_sales_database
 from repro.core.workload import SalesWorkload, TransactionMix
 from repro.engine import recovery, wal
 from repro.engine.database import Database
-from repro.engine.table import Table
+from repro.engine.errors import WriteConflictError
+from repro.engine.table import Table, VersionStore
+from repro.engine.txn import IsolationLevel
 from repro.engine.types import Column, ColumnType, Schema
 from repro.engine.wal import DATA_KINDS, LogKind, WriteAheadLog
 from repro.shard import ShardSalesWorkload, load_sales_fleet
@@ -135,6 +138,87 @@ def test_promotion_writes_back_no_standby_row(restores):
     # restart replays the shipped suffix onto it as it stands
     assert restores.rows == [] and restores.builds == 0
     assert fleet.shards[0].content_hash() == before
+
+
+# -- history: a restart builds none ---------------------------------------------
+
+
+@pytest.fixture
+def chain_writes(monkeypatch):
+    """The name of each ``VersionStore`` mutator called, in order."""
+    called = []
+    for name in ("append", "capture_base", "transition", "remove_newest", "vacuum", "clear"):
+        def noted(store, *args, _name=name, _mutate=getattr(VersionStore, name), **kwargs):
+            called.append(_name)
+            return _mutate(store, *args, **kwargs)
+        monkeypatch.setattr(VersionStore, name, noted)
+    return called
+
+
+def redone_keys(db):
+    """``(table, key)`` each data record above the checkpoint wrote (both
+    keys of a primary-key move)."""
+    keys = set()
+    for record in db.wal.records_from(db.checkpoint_lsn + 1):
+        if record.kind in DATA_KINDS:
+            keys.add((record.table, record.key))
+            if record.kind is LogKind.UPDATE:
+                pk = db.table(record.table).schema.primary_key_index
+                keys.add((record.table, record.after[pk]))
+    return keys
+
+
+def assert_no_history(db):
+    """No chain entry; a snapshot reads every redone key as READ
+    COMMITTED does; a snapshot writer of every redone row still there
+    meets no first-updater-wins conflict."""
+    assert db.live_versions() == 0
+    keys = redone_keys(db)
+    assert len(keys) > 10
+    reader = db.begin(IsolationLevel.SNAPSHOT)
+    committed = db.begin(IsolationLevel.READ_COMMITTED)
+    present = []
+    for name, key in keys:
+        sql = f"SELECT * FROM {name} WHERE {db.table(name).schema.primary_key} = ?"
+        rows = db.query(sql, [key], txn=committed).rows
+        assert db.query(sql, [key], txn=reader).rows == rows
+        present += [(name, key, row) for row in rows]
+    reader.commit()
+    committed.commit()
+    assert present
+    writer = db.begin(IsolationLevel.SNAPSHOT)
+    for name, key, row in present:
+        schema = db.table(name).schema
+        column = 1 - schema.primary_key_index  # a column next to the key
+        try:
+            db.execute(
+                f"UPDATE {name} SET {schema.columns[column].name} = ? "
+                f"WHERE {schema.primary_key} = ?", [row[column], key], txn=writer,
+            )
+        except WriteConflictError:  # pragma: no cover - what this pins
+            pytest.fail(f"a snapshot writer lost {name}[{key!r}] to redone history")
+    writer.commit()
+
+
+def test_a_fleet_restart_builds_no_version_chain(chain_writes):
+    fleet = loaded_fleet()
+    fleet.crash()
+    chain_writes.clear()
+    fleet.recover()
+    assert chain_writes == []
+    for shard in fleet.shards:
+        assert_no_history(shard)
+
+
+def test_a_sales_restart_builds_no_version_chain(chain_writes):
+    db, _data = load_sales_database(row_scale=0.002, seed=3)
+    db.checkpoint()
+    SalesWorkload(db, TransactionMix(t1=40, t2=30, t3=10, t4=20), seed=3).run_many(60)
+    db.crash()
+    chain_writes.clear()
+    report = db.recover()
+    assert chain_writes == [] and report.records_redone > 50
+    assert_no_history(db)
 
 
 # -- the log: verified once, before anything is replayed, in few walks ---------
