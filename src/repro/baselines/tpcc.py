@@ -251,7 +251,7 @@ class TpccWorkload(MixWorkload):
     """Functional TPC-C transactions over a loaded engine database.
 
     The shared driver replays a transaction on retryable aborts (lock
-    timeout, deadlock victim), never on semantic failures: the spec's
+    conflict, write conflict), never on semantic failures: the spec's
     intentional 1% NewOrder rollback is handled inside
     :meth:`new_order` and is not retried.
     """

@@ -172,7 +172,7 @@ class AvailabilityEvaluator:
             value = self._workload.run_t3(self._db_for(endpoint))
         else:
             # Writes only ever run on the primary; retryable engine
-            # aborts (lock timeout, deadlock victim) propagate to the
+            # aborts (lock conflict, write conflict) propagate to the
             # session, which replays them.
             value = self._workload.bodies[task]()
         return AttemptResult(ok=True, value=value, latency_s=latency)

@@ -407,7 +407,6 @@ def cdb3() -> Architecture:
             kind=ScalingKind.CU_PAUSE_RESUME,
             reaction_s=60.0,           # CU adaptation granularity
             up_threshold=0.75,
-            down_stabilization_s=180.0,
             pause_after_s=55.0,
             resume_s=4.0,
             scaling_warm_tau_s=12.0,   # LFC re-primes from the pageservers

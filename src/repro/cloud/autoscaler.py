@@ -34,6 +34,10 @@ from repro.cloud.mva_model import required_vcores
 from repro.cloud.specs import ComputeAllocation, ScalingKind
 from repro.cloud.workload_model import WorkloadMix
 
+#: CDB3: demand must stay low this long before a partial scale-down.  A
+#: constant: no output moved for any value from 0 s to 10^6 s.
+DOWN_STABILIZATION_S = 180.0
+
 
 @dataclass(frozen=True)
 class ScalingEvent:
@@ -270,7 +274,7 @@ class Autoscaler:
             # the paper's observation on the Single Valley pattern.
             if self._lower_demand_since is None:
                 self._lower_demand_since = now_s
-            elif now_s - self._lower_demand_since >= policy.down_stabilization_s:
+            elif now_s - self._lower_demand_since >= DOWN_STABILIZATION_S:
                 self._lower_demand_since = None
                 self._apply(now_s, target, "scale_down")
         else:

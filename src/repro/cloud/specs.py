@@ -168,8 +168,6 @@ class ScalingPolicySpec:
     up_threshold: float = 0.8
     #: gradual scale-down: one step every this many seconds (CDB1)
     gradual_step_s: float = 120.0
-    #: demand must be stable this long before a partial scale-down (CDB3)
-    down_stabilization_s: float = 180.0
     #: idle time before pausing to zero (CDB3)
     pause_after_s: float = 60.0
     #: cold resume penalty when un-pausing, seconds

@@ -6,8 +6,8 @@ This module is that client stack:
 
 * :func:`retry_transaction` -- the minimal classification-driven retry
   loop the functional workloads use: replay a transaction body when the
-  engine aborts it with a ``retryable`` error (lock timeout, deadlock
-  victim), propagate everything else immediately.
+  engine aborts it with a ``retryable`` error (lock conflict, write
+  conflict), propagate everything else immediately.
 * :class:`RetryPolicy` -- jittered exponential backoff with a per-call
   attempt cap.
 * :class:`CircuitBreaker` -- closed / open / half-open per endpoint;
@@ -21,7 +21,7 @@ This module is that client stack:
   the availability evaluator exercise identical logic.
 
 Which failures trip a breaker is deliberately narrower than which are
-retryable: a deadlock victim is retryable but says nothing about
+retryable: a lock conflict is retryable but says nothing about
 endpoint health, while an unreachable node is both.
 """
 

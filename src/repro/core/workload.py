@@ -153,8 +153,8 @@ LAG_PATTERNS: Dict[str, TransactionMix] = {
 }
 
 
-#: tries of one drawn transaction while retryable aborts (lock timeout,
-#: deadlock victim) replay it
+#: tries of one drawn transaction while retryable aborts (lock or write
+#: conflict) replay it
 RETRY_ATTEMPTS = 3
 
 

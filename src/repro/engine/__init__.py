@@ -11,8 +11,7 @@ Components
 * :mod:`repro.engine.wal`     -- write-ahead log with LSNs.
 * :mod:`repro.engine.index`   -- hash and ordered indexes over row slots.
 * :mod:`repro.engine.table`   -- heap tables: a slot list + indexes.
-* :mod:`repro.engine.locks`   -- row-level strict 2PL with deadlock
-  detection on the wait-for graph.
+* :mod:`repro.engine.locks`   -- row-level strict 2PL, no-wait.
 * :mod:`repro.engine.txn`     -- transactions and the transaction manager.
 * :mod:`repro.engine.sql`     -- parser for the SQL subset used by the
   paper's decoupled statement files.
@@ -24,7 +23,6 @@ Components
 
 from repro.engine.database import Database
 from repro.engine.errors import (
-    DeadlockError,
     DuplicateKeyError,
     EngineError,
     LockTimeoutError,
@@ -39,7 +37,6 @@ __all__ = [
     "Column",
     "ColumnType",
     "Database",
-    "DeadlockError",
     "DuplicateKeyError",
     "EngineError",
     "IsolationLevel",

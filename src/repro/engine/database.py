@@ -197,11 +197,8 @@ class Database:
         self.txns.finish(txn, committed=True)
         if self.obs.enabled:
             self._observe_txn_end(txn, "commit")
-        if (
-            txn.created_versions
-            and self.live_versions() >= self.auto_vacuum_versions
-        ):
-            self.vacuum()
+        if txn.created_versions:
+            self._vacuum_if_due()
 
     def _rollback(self, txn: Transaction) -> None:
         if txn.state is not ACTIVE and txn.state is not PREPARED:
@@ -211,7 +208,6 @@ class Database:
         # never applied.
         self._undo(txn.txn_id, txn.last_lsn)
         txn.state = ABORTED
-        self.locks.cancel_wait(txn.txn_id)
         self.locks.release_all(txn.txn_id)
         self.txns.finish(txn, committed=False)
         if self.obs.enabled:
@@ -274,7 +270,9 @@ class Database:
         or rollback settles it.  Redo left the keys it wrote chainless
         (:meth:`_keeps_history`), so its writes are booked as a live
         writer's (:meth:`_logged`): a snapshot begun meanwhile builds their
-        entries, uncommitted, and reads their before-images."""
+        entries, uncommitted, and reads their before-images.  It runs
+        right after :meth:`recover` on a fresh lock table, so a refused
+        lock is an invariant breach, not a conflict."""
         txn = Transaction(self, txn_id)
         txn.gtid = gtid
         txn.state = PREPARED
@@ -283,10 +281,12 @@ class Database:
         for record in reversed([r for r in chain if r.kind in DATA_KINDS]):
             table = self._tables[record.table]
             key = new_key = record.key
-            self.locks.acquire(txn_id, (record.table, key), EXCLUSIVE)
             if record.kind is UPDATE:
                 new_key = record.after[table.schema.primary_key_index]
-                self.locks.acquire(txn_id, (record.table, new_key), EXCLUSIVE)
+            for lock_key in (key, new_key):
+                lock = (record.table, lock_key)
+                if self.locks.acquire(txn_id, lock, EXCLUSIVE) is BLOCKED:
+                    raise EngineError(f"in-doubt txn {txn_id} meets a held lock on {lock}")
             self._logged(txn, table, record, key, new_key)
         txn.last_lsn = chain[0].lsn
         return txn
@@ -399,7 +399,7 @@ class Database:
         Rolling back *before* raising is what distinguishes deadline
         cancellation from a plain exception: every lock is released and
         every MVCC write intent undone, so an expired request cannot
-        stall the healthy ones queued behind it.
+        refuse the healthy ones a lock it holds.
         """
         deadline = txn.deadline
         if deadline is None or not deadline.expired():
@@ -421,10 +421,7 @@ class Database:
             # the commit ending this execute() call releases it before
             # any other transaction runs
             return
-        outcome = self.locks.acquire(
-            txn.txn_id, (table, key), mode, queue_on_conflict=False
-        )
-        if outcome is BLOCKED:
+        if self.locks.acquire(txn.txn_id, (table, key), mode) is BLOCKED:
             holders = self.locks.holders((table, key))
             self._rollback(txn)
             raise LockTimeoutError(
@@ -506,12 +503,15 @@ class Database:
     def vacuum(self) -> int:
         """Trim version history invisible to every live snapshot.
 
-        The horizon is the oldest snapshot LSN among active transactions
-        (the WAL tail when none is live, collapsing all chains).  Runs
-        automatically once ``auto_vacuum_versions`` accumulate and from
-        :meth:`checkpoint`; safe to call any time.  Returns versions freed.
+        The horizon is the oldest snapshot LSN among active transactions.
+        With none live it is where the next snapshot would start (the WAL
+        tail, or on a replica the applied primary LSN its shipped entries
+        carry), collapsing all chains.  Runs automatically once
+        ``auto_vacuum_versions`` accumulate (:meth:`_vacuum_if_due`) and
+        from :meth:`checkpoint`; safe to call any time.  Returns versions
+        freed.
         """
-        horizon = self.txns.oldest_snapshot_lsn(self.wal.last_lsn)
+        horizon = self.txns.oldest_snapshot_lsn(max(self.wal.last_lsn, self.snapshot_floor))
         freed = 0
         for table in self._tables.values():
             freed += table.versions.vacuum(horizon)
@@ -523,6 +523,12 @@ class Database:
                 attrs={"freed": freed, "horizon_lsn": horizon},
             )
         return freed
+
+    def _vacuum_if_due(self) -> None:
+        """Vacuum once ``auto_vacuum_versions`` have accumulated: after a
+        commit that built chain entries, and after each replica batch."""
+        if self.live_versions() >= self.auto_vacuum_versions:
+            self.vacuum()
 
     def _keeps_history(self, versions: VersionStore, key: Any, new_key: Any) -> bool:
         """Whether a write of ``key`` (moved to ``new_key``) builds chain

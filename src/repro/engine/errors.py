@@ -1,7 +1,7 @@
 """Exception hierarchy for the storage engine.
 
 Every error carries a ``retryable`` class attribute: ``True`` means the
-failure is transient (a lock timeout, a deadlock victim, a node that
+failure is transient (a lock conflict, a write conflict, a node that
 vanished mid-request) and the *whole transaction* may safely be replayed
 by a client; ``False`` means replaying the identical request would fail
 identically (bad SQL, duplicate key).  The client resilience stack
@@ -47,16 +47,14 @@ class TransactionAborted(EngineError):
 
 
 class LockTimeoutError(TransactionAborted):
-    """A lock request waited longer than the configured timeout."""
+    """A lock request met a conflicting holder.  The lock manager is
+    no-wait, so the request never waits: the requester is rolled back
+    at once."""
 
     def __init__(self, message: str, holders=()):
         super().__init__(message)
         #: ids of the transactions holding the lock the request met
         self.holders = frozenset(holders)
-
-
-class DeadlockError(TransactionAborted):
-    """The lock manager chose this transaction as a deadlock victim."""
 
 
 class WriteConflictError(TransactionAborted):

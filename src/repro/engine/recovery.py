@@ -286,4 +286,6 @@ class ReplicaApplier:
         # snapshots taken from here on see everything applied so far.
         if commit_lsn > self.replica.snapshot_floor:
             self.replica.snapshot_floor = commit_lsn
+        # nothing commits on a replica: the batch runs the commit's check
+        self.replica._vacuum_if_due()
         return len(records)

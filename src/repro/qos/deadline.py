@@ -11,7 +11,7 @@ client runs on, and without importing this module (duck typing keeps
 Cancellation points in the engine (see :mod:`repro.engine.database`):
 
 * **lock wait** -- before requesting a row lock, so a doomed transaction
-  never joins a queue or takes a lock it cannot use;
+  never takes a lock it cannot use;
 * **WAL append** -- before a log record is durably written, the last
   point where a write can be abandoned without undo work.
 """

@@ -27,7 +27,6 @@ from typing import Any, Dict, Type
 from repro.engine import errors as engine_errors
 from repro.engine.errors import (
     DeadlineExceededError,
-    DeadlockError,
     DuplicateKeyError,
     EngineError,
     LockTimeoutError,
@@ -65,7 +64,6 @@ class RemoteError(EngineError):
 #: ``isinstance`` (subclasses before their bases).
 WIRE_CODES: Dict[Type[EngineError], str] = {
     LockTimeoutError: "lock_timeout",
-    DeadlockError: "deadlock",
     WriteConflictError: "write_conflict",
     TransactionAborted: "txn_aborted",
     OverloadError: "overload",

@@ -17,12 +17,12 @@ from repro.core.resilience import (
     retry_transaction,
 )
 from repro.engine.errors import (
-    DeadlockError,
     DuplicateKeyError,
     LockTimeoutError,
     NodeUnavailableError,
     RequestTimeout,
     SqlError,
+    WriteConflictError,
 )
 from repro.obs import Observer
 from repro.qos.budget import RetryBudget
@@ -34,7 +34,7 @@ from repro.sim.events import Environment, VirtualClock
 
 def test_retryable_classification_follows_the_flag():
     assert is_retryable(LockTimeoutError("waited too long"))
-    assert is_retryable(DeadlockError("victim"))
+    assert is_retryable(WriteConflictError("lost the row"))
     assert is_retryable(NodeUnavailableError("gone"))
     assert not is_retryable(DuplicateKeyError("pk"))
     assert not is_retryable(SqlError("parse"))
@@ -42,9 +42,9 @@ def test_retryable_classification_follows_the_flag():
 
 
 def test_breaker_counting_is_narrower_than_retryable():
-    # a deadlock victim is retryable but says nothing about endpoint health
-    assert is_retryable(DeadlockError("victim"))
-    assert not counts_against_breaker(DeadlockError("victim"))
+    # a write conflict is retryable but says nothing about endpoint health
+    assert is_retryable(WriteConflictError("lost the row"))
+    assert not counts_against_breaker(WriteConflictError("lost the row"))
     assert counts_against_breaker(NodeUnavailableError("gone"))
     assert counts_against_breaker(RequestTimeout("late"))
 
@@ -80,7 +80,7 @@ def test_retry_transaction_propagates_non_retryable_immediately():
 
 def test_retry_transaction_gives_up_without_raising():
     outcome = retry_transaction(
-        lambda: (_ for _ in ()).throw(DeadlockError("victim")), attempts=3
+        lambda: (_ for _ in ()).throw(WriteConflictError("lost the row")), attempts=3
     )
     assert not outcome.committed
     assert outcome.aborts == 3

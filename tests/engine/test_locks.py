@@ -1,9 +1,14 @@
-"""Tests for the lock manager: compatibility, queues, deadlocks."""
+"""Tests for the lock manager: compatibility, re-entrancy, and the
+no-wait policy (a conflicting request is refused and leaves no state,
+so a would-be wait-for cycle never forms)."""
 
 import pytest
 
-from repro.engine.errors import DeadlockError
+from repro.engine.database import Database
+from repro.engine.errors import LockTimeoutError
 from repro.engine.locks import LockManager, LockMode, LockOutcome
+from repro.engine.txn import TxnState
+from repro.engine.types import Column, ColumnType, Schema
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
 KEY_A = ("T", 1)
@@ -50,73 +55,6 @@ def test_upgrade_blocked_by_other_shared_holder():
     assert locks.acquire(1, KEY_A, X) is LockOutcome.BLOCKED
 
 
-def test_release_all_grants_waiters_fifo():
-    locks = LockManager()
-    locks.acquire(1, KEY_A, X)
-    locks.acquire(2, KEY_A, X)
-    locks.acquire(3, KEY_A, X)
-    granted = locks.release_all(1)
-    assert granted == [(2, KEY_A)]
-    granted = locks.release_all(2)
-    assert granted == [(3, KEY_A)]
-
-
-def test_shared_waiters_granted_together():
-    locks = LockManager()
-    locks.acquire(1, KEY_A, X)
-    locks.acquire(2, KEY_A, S)
-    locks.acquire(3, KEY_A, S)
-    granted = locks.release_all(1)
-    assert set(granted) == {(2, KEY_A), (3, KEY_A)}
-
-
-def test_new_request_queues_behind_waiters():
-    # FIFO fairness: an S request arriving after a queued X must wait.
-    locks = LockManager()
-    locks.acquire(1, KEY_A, S)
-    locks.acquire(2, KEY_A, X)      # queued
-    assert locks.acquire(3, KEY_A, S) is LockOutcome.BLOCKED
-
-
-def test_deadlock_detected_and_victim_raises():
-    locks = LockManager()
-    locks.acquire(1, KEY_A, X)
-    locks.acquire(2, KEY_B, X)
-    assert locks.acquire(1, KEY_B, X) is LockOutcome.BLOCKED
-    with pytest.raises(DeadlockError):
-        locks.acquire(2, KEY_A, X)
-    assert locks.deadlocks_detected == 1
-
-
-def test_three_way_deadlock():
-    locks = LockManager()
-    key_c = ("T", 3)
-    locks.acquire(1, KEY_A, X)
-    locks.acquire(2, KEY_B, X)
-    locks.acquire(3, key_c, X)
-    locks.acquire(1, KEY_B, X)
-    locks.acquire(2, key_c, X)
-    with pytest.raises(DeadlockError):
-        locks.acquire(3, KEY_A, X)
-
-
-def test_no_false_deadlock_on_chain():
-    locks = LockManager()
-    locks.acquire(1, KEY_A, X)
-    assert locks.acquire(2, KEY_A, X) is LockOutcome.BLOCKED
-    # 3 waits on the same key; chain 3->1, 2->1: no cycle
-    assert locks.acquire(3, KEY_A, X) is LockOutcome.BLOCKED
-
-
-def test_cancel_wait_clears_queue():
-    locks = LockManager()
-    locks.acquire(1, KEY_A, X)
-    locks.acquire(2, KEY_A, X)
-    locks.cancel_wait(2)
-    granted = locks.release_all(1)
-    assert granted == []
-
-
 def test_release_one_shared_only():
     locks = LockManager()
     locks.acquire(1, KEY_A, S)
@@ -129,19 +67,15 @@ def test_release_one_shared_only():
 
 
 def test_release_one_promotes_waiter():
+    """Nothing is promoted under no-wait: a writer refused by an S holder
+    gets the key on its first retry after ``release_one`` frees it."""
     locks = LockManager()
     locks.acquire(1, KEY_A, S)
-    locks.acquire(2, KEY_A, X)
-    granted = locks.release_one(1, KEY_A)
-    assert granted == [(2, KEY_A)]
-
-
-def test_nonqueueing_acquire_leaves_no_state():
-    locks = LockManager()
-    locks.acquire(1, KEY_A, X)
-    outcome = locks.acquire(2, KEY_A, X, queue_on_conflict=False)
-    assert outcome is LockOutcome.BLOCKED
-    assert locks.release_all(1) == []  # nothing queued
+    assert locks.acquire(2, KEY_A, X) is LockOutcome.BLOCKED
+    locks.release_one(1, KEY_A)
+    assert locks.holders(KEY_A) == {}
+    assert locks.acquire(2, KEY_A, X) is LockOutcome.GRANTED
+    locks.sanity_check()
 
 
 def test_locks_held_bookkeeping():
@@ -153,93 +87,64 @@ def test_locks_held_bookkeeping():
     assert locks.locks_held(1) == set()
     locks.sanity_check()
 
-
-# -- ghost-waiter regression (timeout path) -----------------------------------
-
-
-def test_cancelled_head_promotes_compatible_followers():
-    """A cancelled queue head must not stall the waiters behind it."""
-    locks = LockManager()
-    locks.acquire(1, KEY_A, S)
-    locks.acquire(2, KEY_A, X)      # queued head, conflicts with S
-    locks.acquire(3, KEY_A, S)      # queued behind the X (FIFO fairness)
-    granted = locks.cancel_wait(2)  # the X waiter times out
-    # the S follower is compatible with the S holder: granted now
-    assert granted == [(3, KEY_A)]
-    assert set(locks.holders(KEY_A)) == {1, 3}
-    locks.sanity_check()
+# -- no-wait: a refused request leaves no state behind ------------------------
 
 
-def test_timeout_scrubs_waits_for_edges():
-    """Stale edges to a timed-out waiter caused false deadlock verdicts."""
+def test_nonqueueing_acquire_leaves_no_state():
     locks = LockManager()
     locks.acquire(1, KEY_A, X)
-    locks.acquire(2, KEY_A, X)      # 2 waits for 1
-    locks.acquire(3, KEY_A, X)      # 3 waits for {1, 2}
-    locks.cancel_wait(2)
+    assert locks.acquire(2, KEY_A, X) is LockOutcome.BLOCKED
+    assert locks.acquire(3, KEY_A, S) is LockOutcome.BLOCKED
+    assert locks.holders(KEY_A) == {1: X}
+    assert locks.locks_held(2) == locks.locks_held(3) == set()
     locks.sanity_check()
-    # txn 2 is gone; if 3 still carried an edge to it, a fresh request
-    # by 2 against a lock held by 3 would close a phantom cycle.
-    locks.acquire(3, KEY_B, X)
-    assert locks.acquire(2, KEY_B, S) is LockOutcome.BLOCKED  # no DeadlockError
+    locks.release_all(1)
+    assert locks.holders(KEY_A) == {}
     locks.sanity_check()
 
 
-def test_release_all_returns_grants_from_own_wait_queues():
-    """release_all on a txn that was itself queued must surface the
-    promotions its departure enables."""
+def test_no_false_deadlock_on_chain():
     locks = LockManager()
-    locks.acquire(1, KEY_A, S)
-    locks.acquire(2, KEY_A, X)
-    locks.acquire(3, KEY_A, S)
-    # txn 2 aborts while still queued on KEY_A
-    granted = locks.release_all(2)
-    assert granted == [(3, KEY_A)]
-    locks.sanity_check()
-
-
-def test_grant_after_timeout_loop():
-    """Regression loop: repeated block -> timeout -> release cycles must
-    keep granting; a ghost waiter anywhere stalls the queue or raises a
-    false deadlock."""
-    locks = LockManager()
-    for round_no in range(50):
-        holder, waiter, victim = 3 * round_no + 1, 3 * round_no + 2, 3 * round_no + 3
-        assert locks.acquire(holder, KEY_A, X) is LockOutcome.GRANTED
-        assert locks.acquire(waiter, KEY_A, X) is LockOutcome.BLOCKED
-        assert locks.acquire(victim, KEY_A, S) is LockOutcome.BLOCKED
-        locks.cancel_wait(victim)          # the S waiter times out
-        granted = locks.release_all(holder)
-        assert granted == [(waiter, KEY_A)]   # the X waiter is promoted
-        locks.sanity_check()
-        assert locks.release_all(waiter) == []
-        locks.sanity_check()
+    locks.acquire(1, KEY_A, X)
+    assert locks.acquire(2, KEY_A, X) is LockOutcome.BLOCKED
+    # 3 meets the same holder: refused too, and neither 2 nor 3 waits
+    assert locks.acquire(3, KEY_A, X) is LockOutcome.BLOCKED
     assert locks.deadlocks_detected == 0
 
 
-# -- starvation regression (FIFO fairness) ------------------------------------
-
-
-def test_stream_of_shared_requests_cannot_starve_queued_x_waiter():
-    """Writer starvation: S holders churn while new S requests keep
-    arriving.  Without queue-order fairness every new S is compatible
-    with the current S holders and barges past the queued X forever."""
+def test_refused_writer_leaves_no_queue_for_later_readers():
+    # Nothing queues, so an S request after a refused X joins the S holder.
     locks = LockManager()
     locks.acquire(1, KEY_A, S)
-    assert locks.acquire(100, KEY_A, X) is LockOutcome.BLOCKED   # queued writer
-    reader = 2
-    for _ in range(25):
-        # a fresh reader arrives while an older one still holds the lock
-        assert locks.acquire(reader, KEY_A, S) is LockOutcome.BLOCKED
-        granted = locks.release_all(reader - 1)
-        # the writer is always first in line; the new reader never
-        # leapfrogs it just because S is compatible with S
-        assert (100, KEY_A) in granted or locks.queued(KEY_A)[0] == 100
-        if (100, KEY_A) in granted:
-            break
-        reader += 1
-    else:
-        pytest.fail("X waiter starved by a stream of compatible S requests")
+    assert locks.acquire(2, KEY_A, X) is LockOutcome.BLOCKED
+    assert locks.acquire(3, KEY_A, S) is LockOutcome.GRANTED
+    assert locks.holders(KEY_A) == {1: S, 3: S}
+    locks.sanity_check()
+
+
+def test_refused_readers_are_granted_together_on_retry():
+    locks = LockManager()
+    locks.acquire(1, KEY_A, X)
+    assert locks.acquire(2, KEY_A, S) is LockOutcome.BLOCKED
+    assert locks.acquire(3, KEY_A, S) is LockOutcome.BLOCKED
+    locks.release_all(1)
+    assert locks.acquire(2, KEY_A, S) is LockOutcome.GRANTED
+    assert locks.acquire(3, KEY_A, S) is LockOutcome.GRANTED
+    assert locks.holders(KEY_A) == {2: S, 3: S}
+    locks.sanity_check()
+
+
+def test_after_release_the_first_retry_wins():
+    # No queue keeps arrival order: the first request after a release wins.
+    locks = LockManager()
+    locks.acquire(1, KEY_A, X)
+    assert locks.acquire(2, KEY_A, X) is LockOutcome.BLOCKED
+    assert locks.acquire(3, KEY_A, X) is LockOutcome.BLOCKED
+    locks.release_all(1)
+    assert locks.acquire(3, KEY_A, X) is LockOutcome.GRANTED
+    assert locks.acquire(2, KEY_A, X) is LockOutcome.BLOCKED
+    locks.release_all(3)
+    assert locks.acquire(2, KEY_A, X) is LockOutcome.GRANTED
     locks.sanity_check()
 
 
@@ -247,27 +152,109 @@ def test_writer_granted_as_soon_as_readers_drain():
     locks = LockManager()
     locks.acquire(1, KEY_A, S)
     locks.acquire(2, KEY_A, S)
-    locks.acquire(10, KEY_A, X)
-    locks.acquire(3, KEY_A, S)       # behind the writer (no barging)
-    assert locks.release_all(1) == []
-    granted = locks.release_all(2)   # last reader out
-    assert granted == [(10, KEY_A)]
-    granted = locks.release_all(10)
-    assert granted == [(3, KEY_A)]
+    assert locks.acquire(10, KEY_A, X) is LockOutcome.BLOCKED
+    locks.release_all(1)
+    assert locks.acquire(10, KEY_A, X) is LockOutcome.BLOCKED
+    locks.release_all(2)                 # last reader out
+    assert locks.acquire(10, KEY_A, X) is LockOutcome.GRANTED
     locks.sanity_check()
 
 
 def test_repolling_waiter_keeps_its_queue_position():
-    """A blocked txn that re-requests (timeout loops re-poll) must not
-    append a second queue entry -- double entries let it eventually hold
-    two slots and barge past waiters that arrived in between."""
+    """A refused txn that re-requests (timeout loops re-poll) never gains a
+    slot: there is no queue to hold a position in, so re-polling leaves no
+    entry and earns no precedence over a txn that asked once."""
     locks = LockManager()
     locks.acquire(1, KEY_A, X)
     assert locks.acquire(2, KEY_A, X) is LockOutcome.BLOCKED
     assert locks.acquire(3, KEY_A, X) is LockOutcome.BLOCKED
-    for _ in range(5):               # txn 2 re-polls while waiting
+    for _ in range(5):               # txn 2 re-polls while refused
         assert locks.acquire(2, KEY_A, X) is LockOutcome.BLOCKED
-    assert locks.queued(KEY_A) == [2, 3]     # one entry, original position
-    assert locks.release_all(1) == [(2, KEY_A)]
-    assert locks.release_all(2) == [(3, KEY_A)]
+    assert locks.holders(KEY_A) == {1: X}
+    assert locks.locks_held(2) == locks.locks_held(3) == set()
     locks.sanity_check()
+    locks.release_all(1)
+    assert locks.acquire(3, KEY_A, X) is LockOutcome.GRANTED
+    assert locks.acquire(2, KEY_A, X) is LockOutcome.BLOCKED
+    locks.release_all(3)
+    assert locks.acquire(2, KEY_A, X) is LockOutcome.GRANTED
+    locks.sanity_check()
+
+
+def test_grant_after_timeout_loop():
+    """Repeated refuse -> release -> retry cycles keep granting, and a
+    refused request never leaves an entry that stalls the next round."""
+    locks = LockManager()
+    for round_no in range(50):
+        holder, writer, reader = 3 * round_no + 1, 3 * round_no + 2, 3 * round_no + 3
+        assert locks.acquire(holder, KEY_A, X) is LockOutcome.GRANTED
+        assert locks.acquire(writer, KEY_A, X) is LockOutcome.BLOCKED
+        assert locks.acquire(reader, KEY_A, S) is LockOutcome.BLOCKED
+        locks.release_all(holder)
+        assert locks.acquire(writer, KEY_A, X) is LockOutcome.GRANTED
+        locks.sanity_check()
+        locks.release_all(writer)
+        assert locks.holders(KEY_A) == {}
+        locks.sanity_check()
+    assert locks.deadlocks_detected == 0
+
+
+# -- would-be wait-for cycles at the Database level ----------------------------
+
+
+def kv_db(rows=4):
+    db = Database("locks")
+    db.create_table(Schema(
+        "KV",
+        (Column("K", ColumnType.INT, nullable=False), Column("V", ColumnType.INT)),
+        primary_key="K",
+    ))
+    for k in range(rows):
+        db.execute("INSERT INTO kv VALUES (?, ?)", [k, 0])
+    return db
+
+
+def write(db, txn, key, value):
+    db.execute("UPDATE kv SET V = ? WHERE K = ?", [value, key], txn=txn)
+
+
+def refused(db, txn, key, holder):
+    """``txn``'s write of ``key`` is refused at once, naming ``holder``;
+    ``txn`` is rolled back and leaves no lock-table entry."""
+    with pytest.raises(LockTimeoutError) as caught:
+        write(db, txn, key, -1)
+    assert caught.value.holders == {holder.txn_id}
+    assert txn.state is TxnState.ABORTED
+    assert db.locks.locks_held(txn.txn_id) == set()
+    assert txn.txn_id not in db.locks.holders(("KV", key))
+    db.locks.sanity_check()
+
+
+def test_would_be_two_cycle_ends_in_one_lock_timeout():
+    db = kv_db()
+    t1, t2 = db.begin(), db.begin()
+    write(db, t1, 1, 11)
+    write(db, t2, 2, 22)
+    refused(db, t1, 2, holder=t2)        # would wait for t2
+    write(db, t2, 1, 21)                 # would close the cycle: t1 is gone
+    t2.commit()
+    assert db.locks.holders(("KV", 1)) == db.locks.holders(("KV", 2)) == {}
+    db.locks.sanity_check()
+    assert db.query("SELECT K, V FROM kv ORDER BY K").rows == [
+        (0, 0), (1, 21), (2, 22), (3, 0)]
+
+
+def test_would_be_three_cycle_ends_in_one_lock_timeout():
+    db = kv_db()
+    t1, t2, t3 = db.begin(), db.begin(), db.begin()
+    write(db, t1, 1, 11)
+    write(db, t2, 2, 22)
+    write(db, t3, 3, 33)
+    refused(db, t1, 2, holder=t2)        # would wait for t2
+    write(db, t3, 1, 31)                 # would wait for t1: it is gone
+    t3.commit()
+    write(db, t2, 3, 32)                 # would have waited for t3
+    t2.commit()
+    db.locks.sanity_check()
+    assert db.query("SELECT K, V FROM kv ORDER BY K").rows == [
+        (0, 0), (1, 31), (2, 22), (3, 32)]

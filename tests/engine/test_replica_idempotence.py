@@ -154,3 +154,44 @@ def test_a_batch_with_no_snapshot_live_builds_no_chain():
     reader = replica.begin(IsolationLevel.SNAPSHOT)
     assert kv_state(replica, reader) == kv_state(primary) == {1: 11, 3: 30}
     reader.commit()
+
+
+# -- vacuum: shipped entries carry primary LSNs, far above the replica's own ----
+
+
+def test_a_replica_vacuums_the_history_its_ended_snapshot_kept():
+    primary, replica, applier = seeded_replica()
+    reader = replica.begin(IsolationLevel.SNAPSHOT)
+    for value in range(50):
+        primary.execute("UPDATE kv SET V = ? WHERE K = ?", [value, 1])
+    ship(primary, applier)
+    assert replica.live_versions() == 51
+    assert replica.wal.last_lsn < applier.applied_lsn
+    assert kv_state(replica, reader) == {1: 10, 2: 20}
+    reader.commit()
+    assert replica.vacuum() == 51
+    assert replica.live_versions() == 0
+    later = replica.begin(IsolationLevel.SNAPSHOT)
+    assert kv_state(replica, later) == kv_state(primary) == {1: 49, 2: 20}
+    later.commit()
+
+
+def test_a_replica_batch_vacuums_once_enough_versions_accumulate():
+    """Nothing commits on a replica, so the batch itself runs the commit
+    path's auto-vacuum check; else a key chained while a snapshot was
+    live keeps chaining every shipped write of it."""
+    primary, replica, applier = seeded_replica()
+    replica.auto_vacuum_versions = 64
+    reader = replica.begin(IsolationLevel.SNAPSHOT)
+    primary.execute("UPDATE kv SET V = ? WHERE K = ?", [0, 1])
+    ship(primary, applier)
+    reader.commit()
+    assert 1 in replica.table("KV").versions
+    for value in range(1, 300):
+        primary.execute("UPDATE kv SET V = ? WHERE K = ?", [value, 1])
+        ship(primary, applier)
+        assert replica.live_versions() < replica.auto_vacuum_versions
+    assert replica.vacuum_runs > 0
+    later = replica.begin(IsolationLevel.SNAPSHOT)
+    assert kv_state(replica, later) == kv_state(primary) == {1: 299, 2: 20}
+    later.commit()

@@ -155,7 +155,6 @@ class TestReadCommittedLockProbe:
         assert db.locks.locks_held(txn.txn_id) == set()
         for k in range(20):
             assert db.locks.holders(("KV", k)) == {}
-            assert db.locks.queued(("KV", k)) == []
         db.locks.sanity_check()
         txn.commit()
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.errors import DeadlineExceededError
+from repro.engine.locks import LockMode
 from repro.engine.txn import IsolationLevel
 from repro.engine.types import Column, ColumnType, Schema
 from repro.qos.deadline import Deadline
@@ -106,8 +107,9 @@ class TestEngineCancellation:
         clock.now = 2.0
         with pytest.raises(DeadlineExceededError):
             db.execute("UPDATE kv SET V = ? WHERE K = ?", [222, 1], txn=doomed)
-        # the doomed txn is not queued behind the holder
-        assert db.locks.queued(("KV", 1)) == []
+        # the doomed txn took no lock beside the holder's
+        assert db.locks.holders(("KV", 1)) == {holder.txn_id: LockMode.EXCLUSIVE}
+        db.locks.sanity_check()
         holder.commit()
         assert db.query("SELECT V FROM kv WHERE K = ?", [1]).scalar() == 111
 

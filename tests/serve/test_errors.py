@@ -68,6 +68,14 @@ class TestTaxonomy:
         assert rebuilt.retryable is True  # wire flag, not class attribute
         assert from_wire({"code": "from_the_future"}).retryable is False
 
+    def test_an_older_peers_deadlock_frame_stays_retryable(self):
+        # no lock manager here raises a deadlock any more, so the code
+        # has no class; a peer that still sends it is decoded by its flag
+        rebuilt = from_wire({"code": "deadlock", "message": "victim", "retryable": True})
+        assert isinstance(rebuilt, RemoteError)
+        assert rebuilt.code == "deadlock"
+        assert rebuilt.retryable is True
+
     def test_plain_engine_error_keeps_wire_retryable(self):
         error = EngineError("odd")
         error.retryable = True
